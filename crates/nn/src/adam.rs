@@ -1,6 +1,6 @@
 //! Adam optimizer (Kingma & Ba) with per-parameter first/second moments.
 
-use crate::dense::{Dense, DenseGrad};
+use crate::dense::{flush, Dense, DenseGrad};
 use crate::mat::Mat;
 
 /// Adam hyperparameters.
@@ -27,6 +27,25 @@ impl Default for AdamConfig {
     }
 }
 
+/// Moments below this are stored as zero: with a zero gradient `m` decays
+/// by `β1` per step and would otherwise spend hundreds of steps as a
+/// subnormal (see [`crate::dense::GRAD_FLOOR`] for why that matters).
+const MOMENT_FLOOR: f32 = 1e-30;
+
+/// One parameter's moment update: returns the new `(m, v)` for gradient
+/// `g`, with `g` floored at `GRAD_FLOOR` and the moments at
+/// [`MOMENT_FLOOR`].
+#[inline]
+fn update_moments(m: f32, v: f32, g: f32, cfg: &AdamConfig) -> (f32, f32) {
+    let g = flush(g);
+    let m = cfg.beta1 * m + (1.0 - cfg.beta1) * g;
+    let v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g;
+    (
+        if m.abs() < MOMENT_FLOOR { 0.0 } else { m },
+        if v < MOMENT_FLOOR { 0.0 } else { v },
+    )
+}
+
 /// Optimizer state for one [`Dense`] layer.
 #[derive(Debug, Clone)]
 pub struct AdamState {
@@ -50,6 +69,13 @@ impl AdamState {
         }
     }
 
+    /// Every first and second moment, for tests that inspect the state.
+    #[cfg(test)]
+    pub(crate) fn moments(&self) -> impl Iterator<Item = f32> + '_ {
+        let mats = self.mw.data().iter().chain(self.vw.data());
+        mats.chain(&self.mb).chain(&self.vb).copied()
+    }
+
     /// Applies one Adam update to `layer` given its gradient.
     pub fn step(&mut self, layer: &mut Dense, grad: &DenseGrad, cfg: &AdamConfig) {
         self.t += 1;
@@ -61,16 +87,13 @@ impl AdamState {
         let m = self.mw.data_mut();
         let v = self.vw.data_mut();
         for i in 0..w.len() {
-            m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * g[i];
-            v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * g[i] * g[i];
+            (m[i], v[i]) = update_moments(m[i], v[i], g[i], cfg);
             let mhat = m[i] / bc1;
             let vhat = v[i] / bc2;
             w[i] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
         }
         for i in 0..layer.b.len() {
-            let gi = grad.db[i];
-            self.mb[i] = cfg.beta1 * self.mb[i] + (1.0 - cfg.beta1) * gi;
-            self.vb[i] = cfg.beta2 * self.vb[i] + (1.0 - cfg.beta2) * gi * gi;
+            (self.mb[i], self.vb[i]) = update_moments(self.mb[i], self.vb[i], grad.db[i], cfg);
             let mhat = self.mb[i] / bc1;
             let vhat = self.vb[i] / bc2;
             layer.b[i] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);

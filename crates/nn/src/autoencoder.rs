@@ -24,10 +24,16 @@
 //! The Fig. 7 ablation baseline ("single layer + linear activation") is
 //! the same type with [`ModelSpec::linear_single_layer`] set.
 
-use crate::dense::{sigmoid, Activation, Dense, DenseGrad};
+use crate::dense::{flush, sigmoid, Activation, Dense, DenseGrad};
 use crate::mat::Mat;
 use crate::{NnError, Result};
 use rand::rngs::StdRng;
+use std::ops::Range;
+
+/// Rows per task of the forward-only [`Autoencoder::loss_per_tuple`].
+/// Fixed by this constant alone; each row's loss is independent of the
+/// chunking, so the value only sets task granularity.
+const LOSS_CHUNK_ROWS: usize = 256;
 
 /// Per-column output-head kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,15 +153,56 @@ pub struct DecodedBatch {
     pub cat_probs: Vec<Mat>,
 }
 
-/// Everything the backward pass needs from a forward pass.
-struct ForwardCache {
-    enc_acts: Vec<Mat>, // activations after each encoder layer
-    code: Mat,
+/// Reusable buffers for [`Autoencoder::pass`] over one row chunk: every
+/// activation, the head and layer gradients flowing backward, and the
+/// results (`losses`, `grads`). Buffers take the chunk's shape on use and
+/// keep their allocation, so a scratch that only ever sees
+/// `GRAD_CHUNK_ROWS`-row chunks stays that small for a whole training run.
+#[derive(Debug)]
+pub(crate) struct TrainScratch {
+    x: Mat,
+    enc_acts: Vec<Mat>,
     trunk_acts: Vec<Mat>,
-    simple_logits: Option<Mat>,
-    simple_probs: Option<Mat>,
-    aux_out: Option<Mat>,
-    cat_probs: Vec<Mat>,
+    simple_probs: Mat,
+    simple_dz: Mat,
+    aux_out: Mat,
+    /// The current categorical column, `B × card`: softmax probabilities,
+    /// overwritten in place by their cross-entropy gradient.
+    cat: Mat,
+    sig_row: Vec<f32>,
+    d_aux: Mat,
+    /// Gradient wrt the output of the layer being back-propagated (starts
+    /// as the sum of the heads' input gradients) …
+    dy: Mat,
+    /// … and wrt its input; the two swap roles layer by layer.
+    dx: Mat,
+    /// Unweighted per-tuple loss, chunk row order.
+    pub(crate) losses: Vec<f32>,
+    /// Parameter gradients in [`Autoencoder::layers`] order; sized and
+    /// written only by a backward pass.
+    pub(crate) grads: Vec<DenseGrad>,
+}
+
+impl TrainScratch {
+    /// Empty buffers shaped for `model`'s layer stack.
+    pub(crate) fn new(model: &Autoencoder) -> Self {
+        let empty = || Mat::zeros(0, 0);
+        TrainScratch {
+            x: empty(),
+            enc_acts: model.enc.iter().map(|_| empty()).collect(),
+            trunk_acts: model.trunk.iter().map(|_| empty()).collect(),
+            simple_probs: empty(),
+            simple_dz: empty(),
+            aux_out: empty(),
+            cat: empty(),
+            sig_row: Vec::new(),
+            d_aux: empty(),
+            dy: empty(),
+            dx: empty(),
+            losses: Vec::new(),
+            grads: model.layers().iter().map(|_| DenseGrad::empty()).collect(),
+        }
+    }
 }
 
 /// The autoencoder for a single expert.
@@ -281,70 +328,46 @@ impl Autoencoder {
         let mut cat_probs = Vec::with_capacity(self.layout.cat.len());
         if let (Some(aux), Some(shared)) = (&self.aux, &self.shared) {
             let aux_out = aux.forward(&t);
+            let mut sig_row = Vec::new();
             for (j, &(_, card)) in self.layout.cat.iter().enumerate() {
-                let logits =
-                    shared_forward_column(shared, &aux_out, j, self.spec.aux_width, self.signal(j));
-                cat_probs.push(masked_softmax(&logits, card));
+                // Padded to `max_card`; entries past `card` stay zero.
+                let mut probs = Mat::zeros(codes.rows(), self.layout.max_card);
+                self.shared_probs_column(shared, &aux_out, j, card, &mut sig_row, &mut probs);
+                cat_probs.push(probs);
             }
         }
         Ok(DecodedBatch { simple, cat_probs })
     }
 
-    /// Full forward pass keeping every intermediate activation.
-    fn forward_cached(&self, x: &Mat) -> ForwardCache {
-        let mut enc_acts = Vec::with_capacity(self.enc.len());
-        let mut cur = x.clone();
-        for layer in &self.enc {
-            cur = layer.forward(&cur);
-            enc_acts.push(cur.clone());
+    /// Shape and range checks shared by the public training entry points;
+    /// [`Autoencoder::pass`] relies on them having passed.
+    pub(crate) fn check_batch(
+        &self,
+        x: &Mat,
+        cat_targets: &[Vec<u32>],
+        row_weights: Option<&[f32]>,
+    ) -> Result<()> {
+        if x.cols() != self.spec.input_dim() {
+            return Err(NnError::ShapeMismatch("train: wrong input width"));
         }
-        let code = enc_acts.last().expect("encoder nonempty").clone();
-
-        let mut trunk_acts = Vec::with_capacity(self.trunk.len());
-        let mut t = code.clone();
-        for layer in &self.trunk {
-            t = layer.forward(&t);
-            trunk_acts.push(t.clone());
+        if cat_targets.len() != self.layout.cat.len() {
+            return Err(NnError::ShapeMismatch("train: wrong cat target count"));
         }
-
-        let (simple_logits, simple_probs) = match &self.simple_head {
-            Some(head) => {
-                let logits = head.forward(&t);
-                let mut probs = logits.clone();
-                probs.map_inplace(sigmoid);
-                (Some(logits), Some(probs))
+        let b = x.rows();
+        for (t, &(_, card)) in cat_targets.iter().zip(&self.layout.cat) {
+            if t.len() != b {
+                return Err(NnError::ShapeMismatch("train: cat target length"));
             }
-            None => (None, None),
-        };
-
-        let mut cat_probs = Vec::new();
-        let aux_out = match (&self.aux, &self.shared) {
-            (Some(aux), Some(shared)) => {
-                let aux_out = aux.forward(&t);
-                for (j, &(_, card)) in self.layout.cat.iter().enumerate() {
-                    let logits = shared_forward_column(
-                        shared,
-                        &aux_out,
-                        j,
-                        self.spec.aux_width,
-                        self.signal(j),
-                    );
-                    cat_probs.push(masked_softmax(&logits, card));
-                }
-                Some(aux_out)
+            if t.iter().any(|&code| code as usize >= card) {
+                return Err(NnError::ShapeMismatch("train: target code >= card"));
             }
-            _ => None,
-        };
-
-        ForwardCache {
-            enc_acts,
-            code,
-            trunk_acts,
-            simple_logits,
-            simple_probs,
-            aux_out,
-            cat_probs,
         }
+        if let Some(w) = row_weights {
+            if w.len() != b {
+                return Err(NnError::ShapeMismatch("train: row weight length"));
+            }
+        }
+        Ok(())
     }
 
     /// One training pass over a batch: forward, per-tuple loss, backward.
@@ -364,180 +387,263 @@ impl Autoencoder {
         cat_targets: &[Vec<u32>],
         row_weights: Option<&[f32]>,
     ) -> Result<(Vec<DenseGrad>, Vec<f32>)> {
-        if x.cols() != self.spec.input_dim() {
-            return Err(NnError::ShapeMismatch("train: wrong input width"));
-        }
-        if cat_targets.len() != self.layout.cat.len() {
-            return Err(NnError::ShapeMismatch("train: wrong cat target count"));
-        }
-        let b = x.rows();
-        for t in cat_targets {
-            if t.len() != b {
-                return Err(NnError::ShapeMismatch("train: cat target length"));
-            }
-        }
-        if let Some(w) = row_weights {
-            if w.len() != b {
-                return Err(NnError::ShapeMismatch("train: row weight length"));
-            }
-        }
+        self.check_batch(x, cat_targets, row_weights)?;
+        let mut s = TrainScratch::new(self);
+        self.pass(x, cat_targets, 0..x.rows(), row_weights, true, &mut s);
+        Ok((s.grads, s.losses))
+    }
 
-        let cache = self.forward_cached(x);
-        let mut per_tuple = vec![0.0f32; b];
+    /// Per-tuple loss without computing gradients (gate assignment, eval):
+    /// forward-only row chunks on the shared pool. Bit-equal to the losses
+    /// [`Autoencoder::train_pass`] returns.
+    pub fn loss_per_tuple(&self, x: &Mat, cat_targets: &[Vec<u32>]) -> Result<Vec<f32>> {
+        self.check_batch(x, cat_targets, None)?;
+        let parts = ds_exec::parallel_map_chunks(x.rows(), LOSS_CHUNK_ROWS, |_, rows| {
+            let mut s = TrainScratch::new(self);
+            self.pass(x, cat_targets, rows, None, false, &mut s);
+            s.losses
+        });
+        Ok(parts.concat())
+    }
+
+    /// The forward pass and loss bookkeeping over `rows` of a batch that
+    /// passed [`Autoencoder::check_batch`], followed — when `backward` —
+    /// by the full backward pass. Leaves the unweighted per-tuple losses
+    /// in `s.losses` and, after a backward pass, the chunk's parameter
+    /// gradients in `s.grads`. `row_weights` is indexed like `s.losses`.
+    pub(crate) fn pass(
+        &self,
+        x: &Mat,
+        cat_targets: &[Vec<u32>],
+        rows: Range<usize>,
+        row_weights: Option<&[f32]>,
+        backward: bool,
+        s: &mut TrainScratch,
+    ) {
+        let b = rows.len();
         let weight_of = |r: usize| row_weights.map_or(1.0, |w| w[r]);
+        let (n_enc, n_trunk) = (self.enc.len(), self.trunk.len());
+        let TrainScratch {
+            x: xs,
+            enc_acts,
+            trunk_acts,
+            simple_probs,
+            simple_dz,
+            aux_out,
+            cat,
+            sig_row,
+            d_aux,
+            dy,
+            dx,
+            losses,
+            grads,
+        } = s;
 
+        xs.copy_rows_from(x, rows.start, rows.end);
+        forward_chain(&self.enc, xs, enc_acts);
+        let code = enc_acts.last().expect("encoder nonempty");
+        forward_chain(&self.trunk, code, trunk_acts);
+        let trunk_out = trunk_acts.last().unwrap_or(code);
+
+        losses.clear();
+        losses.resize(b, 0.0);
         // Gradient flowing into the trunk output (or code when linear).
-        let trunk_dim = self.trunk_dim();
-        let mut d_trunk = Mat::zeros(b, trunk_dim);
-        let mut grads_rev: Vec<DenseGrad> = Vec::new();
+        dy.reset(b, trunk_out.cols());
 
         // ---- simple heads -------------------------------------------------
         if let Some(head) = &self.simple_head {
-            let logits = cache.simple_logits.as_ref().expect("head implies logits");
-            let probs = cache.simple_probs.as_ref().expect("head implies probs");
-            let mut dz = Mat::zeros(b, self.layout.simple.len());
+            // Identity-activated; sigmoid applied here so binary BCE
+            // gradients can use the stable (p - t) form.
+            head.forward_into(trunk_out, simple_probs);
+            simple_probs.map_inplace(sigmoid);
+            if backward {
+                simple_dz.reset(b, self.layout.simple.len());
+            }
             let w_num = self.spec.numeric_loss_weight;
             for r in 0..b {
                 let rw = weight_of(r);
-                for (s, &(col, is_binary)) in self.layout.simple.iter().enumerate() {
-                    let p = probs.get(r, s);
-                    let t = x.get(r, col);
-                    if is_binary {
+                for (i, &(col, is_binary)) in self.layout.simple.iter().enumerate() {
+                    let p = simple_probs.get(r, i);
+                    let t = xs.get(r, col);
+                    let dz = if is_binary {
                         // BCE with sigmoid: dL/dz = p - t.
                         let pc = p.clamp(1e-7, 1.0 - 1e-7);
-                        per_tuple[r] += -(t * pc.ln() + (1.0 - t) * (1.0 - pc).ln());
-                        dz.set(r, s, rw * (p - t));
+                        losses[r] += -(t * pc.ln() + (1.0 - t) * (1.0 - pc).ln());
+                        rw * (p - t)
                     } else {
                         let diff = p - t;
-                        per_tuple[r] += w_num * diff * diff;
+                        losses[r] += w_num * diff * diff;
                         // MSE through sigmoid: dL/dz = 2w·diff·p(1-p).
-                        dz.set(r, s, rw * w_num * 2.0 * diff * p * (1.0 - p));
+                        rw * w_num * 2.0 * diff * p * (1.0 - p)
+                    };
+                    if backward {
+                        simple_dz.set(r, i, flush(dz));
                     }
                 }
             }
-            let trunk_out = self.trunk_output(&cache);
-            let (dx, g) = head.backward(trunk_out, logits, dz);
-            add_into(&mut d_trunk, &dx);
-            grads_rev.push(g);
+            if backward {
+                let grad = grads.last_mut().expect("head implies a layer");
+                // An Identity layer's backward never reads its output `y`.
+                head.backward_into(trunk_out, simple_probs, simple_dz, Some(dx), grad);
+                add_into(dy, dx);
+            }
         }
 
         // ---- categorical heads (parameter sharing) ------------------------
         if let (Some(aux), Some(shared)) = (&self.aux, &self.shared) {
-            let aux_out = cache.aux_out.as_ref().expect("aux implies output");
-            let n_cat = self.layout.cat.len();
-            let mut d_aux = Mat::zeros(b, n_cat * self.spec.aux_width);
-            let mut shared_grad = shared.zero_grad();
+            aux.forward_into(trunk_out, aux_out);
+            let (aux_grad, shared_grad) = {
+                let (a, rest) = grads[n_enc + n_trunk..].split_at_mut(1);
+                (&mut a[0], &mut rest[0])
+            };
+            if backward {
+                d_aux.reset(b, aux_out.cols());
+                shared_grad
+                    .dw
+                    .reset(shared.input_dim(), shared.output_dim());
+                shared_grad.db.clear();
+                shared_grad.db.resize(shared.output_dim(), 0.0);
+            }
             for (j, &(_, card)) in self.layout.cat.iter().enumerate() {
-                let probs = &cache.cat_probs[j];
-                // Softmax CE gradient: dz = p; dz[target] -= 1 (masked
-                // entries have p = 0 already).
-                let mut dz = Mat::zeros(b, self.layout.max_card);
+                cat.reset(b, card);
+                self.shared_probs_column(shared, aux_out, j, card, sig_row, cat);
+                let targets = &cat_targets[j][rows.clone()];
                 for r in 0..b {
-                    let target = cat_targets[j][r] as usize;
-                    if target >= card {
-                        return Err(NnError::ShapeMismatch("train: target code >= card"));
-                    }
-                    let rw = weight_of(r);
-                    let p_row = probs.row(r);
-                    let p_t = p_row[target].max(1e-7);
-                    per_tuple[r] += -p_t.ln();
-                    let dz_row = dz.row_mut(r);
-                    for ((g, &p), c) in dz_row[..card].iter_mut().zip(&p_row[..card]).zip(0..) {
-                        let adj = if c == target { p - 1.0 } else { p };
-                        *g = rw * adj;
+                    let target = targets[r] as usize;
+                    let row = cat.row_mut(r);
+                    losses[r] += -row[target].max(1e-7).ln();
+                    if backward {
+                        // Softmax CE gradient: dz = p; dz[target] -= 1.
+                        let rw = weight_of(r);
+                        for (c, g) in row.iter_mut().enumerate() {
+                            let adj = if c == target { *g - 1.0 } else { *g };
+                            *g = flush(rw * adj);
+                        }
                     }
                 }
-                // Shared layer is Identity-activated; hand-rolled backward
-                // exploits the masked structure: only the active block and
-                // the signal row receive weight gradients, and the input
-                // gradient is needed only for the active block (everything
-                // else is zero by construction).
-                let width = self.spec.aux_width;
-                let n_inputs = shared.input_dim();
-                let max_card = self.layout.max_card;
-                let sig = self.signal(j);
-                for r in 0..b {
-                    let dz_row = dz.row(r);
-                    for k in 0..width {
-                        let c = j * width + k;
-                        let a = aux_out.get(r, c);
-                        if a != 0.0 {
-                            let dw_row = shared_grad.dw.row_mut(c);
-                            for (dwv, &dzv) in dw_row.iter_mut().zip(dz_row) {
-                                *dwv += a * dzv;
-                            }
-                        }
-                    }
-                    let dw_row = shared_grad.dw.row_mut(n_inputs - 1);
-                    for (dwv, &dzv) in dw_row.iter_mut().zip(dz_row) {
-                        *dwv += sig * dzv;
-                    }
-                    for (dbv, &dzv) in shared_grad.db.iter_mut().zip(dz_row) {
-                        *dbv += dzv;
-                    }
-                    // d_aux for the active block: dz · W[block]ᵀ.
-                    for k in 0..width {
-                        let c = j * width + k;
-                        let w_row = shared.w.row(c);
-                        let mut acc = 0.0f32;
-                        for t in 0..max_card {
-                            acc += dz_row[t] * w_row[t];
-                        }
-                        let v = d_aux.get(r, c) + acc;
-                        d_aux.set(r, c, v);
+                if backward {
+                    self.shared_backward_column(shared, aux_out, j, cat, shared_grad, d_aux);
+                }
+            }
+            if backward {
+                aux.backward_into(trunk_out, aux_out, d_aux, Some(dx), aux_grad);
+                add_into(dy, dx);
+            }
+        }
+        if !backward {
+            return;
+        }
+
+        // ---- decoder trunk, then encoder ------------------------------------
+        for (i, layer) in self.trunk.iter().enumerate().rev() {
+            let input = if i == 0 { code } else { &trunk_acts[i - 1] };
+            layer.backward_into(input, &trunk_acts[i], dy, Some(dx), &mut grads[n_enc + i]);
+            std::mem::swap(dy, dx);
+        }
+        for (i, layer) in self.enc.iter().enumerate().rev() {
+            if i == 0 {
+                // Nothing consumes the gradient wrt the batch itself.
+                layer.backward_into(xs, &enc_acts[0], dy, None, &mut grads[0]);
+            } else {
+                layer.backward_into(&enc_acts[i - 1], &enc_acts[i], dy, Some(dx), &mut grads[i]);
+                std::mem::swap(dy, dx);
+            }
+        }
+    }
+
+    /// Softmax probabilities of categorical column `j` into
+    /// `out[r][..card]` — the shared output layer followed by the masked
+    /// softmax, in one pass per row.
+    ///
+    /// Logically the shared layer sees the full auxiliary vector plus the
+    /// signal node, with every inactive column's block masked to zero — the
+    /// signal node "informs the shared layer how to interpret the values
+    /// from the auxiliary layer for a particular output" (§5.1). Masked
+    /// inputs are zero, so the computation reduces to the active
+    /// `aux_width`-node block, the signal row, and the bias; and the
+    /// softmax reads only the column's own `card` logits, so only those
+    /// are computed (each is independent of the others — skipping the
+    /// padding up to `max_card` changes no bit of the result).
+    fn shared_probs_column(
+        &self,
+        shared: &Dense,
+        aux_out: &Mat,
+        j: usize,
+        card: usize,
+        sig_row: &mut Vec<f32>,
+        out: &mut Mat,
+    ) {
+        let width = self.spec.aux_width;
+        let signal = self.signal(j);
+        let w_signal = shared.w.row(shared.input_dim() - 1);
+        sig_row.clear();
+        sig_row.extend(
+            w_signal[..card]
+                .iter()
+                .zip(&shared.b)
+                .map(|(&w, &bias)| signal * w + bias),
+        );
+        for r in 0..aux_out.rows() {
+            let row = &mut out.row_mut(r)[..card];
+            row.copy_from_slice(sig_row);
+            for c in j * width..(j + 1) * width {
+                let a = aux_out.get(r, c);
+                if a != 0.0 {
+                    for (o, &w) in row.iter_mut().zip(shared.w.row(c)) {
+                        *o += a * w;
                     }
                 }
             }
-            let trunk_out = self.trunk_output(&cache);
-            let (dx, aux_grad) = aux.backward(trunk_out, aux_out, d_aux);
-            add_into(&mut d_trunk, &dx);
-            grads_rev.push(shared_grad);
-            grads_rev.push(aux_grad);
+            softmax_in_place(row);
         }
-
-        // ---- decoder trunk -------------------------------------------------
-        let mut dcur = d_trunk;
-        for (i, layer) in self.trunk.iter().enumerate().rev() {
-            let input = if i == 0 {
-                &cache.code
-            } else {
-                &cache.trunk_acts[i - 1]
-            };
-            let (dx, g) = layer.backward(input, &cache.trunk_acts[i], dcur);
-            grads_rev.push(g);
-            dcur = dx;
-        }
-
-        // ---- encoder --------------------------------------------------------
-        for (i, layer) in self.enc.iter().enumerate().rev() {
-            let input = if i == 0 { x } else { &cache.enc_acts[i - 1] };
-            let (dx, g) = layer.backward(input, &cache.enc_acts[i], dcur);
-            grads_rev.push(g);
-            dcur = dx;
-        }
-
-        grads_rev.reverse();
-        Ok((grads_rev, per_tuple))
     }
 
-    /// Per-tuple loss without computing gradients (gate assignment, eval).
-    pub fn loss_per_tuple(&self, x: &Mat, cat_targets: &[Vec<u32>]) -> Result<Vec<f32>> {
-        // Forward-only evaluation would duplicate the loss bookkeeping;
-        // models here are small enough that reusing train_pass and
-        // discarding gradients is simpler and still fast.
-        let (_, losses) = self.train_pass(x, cat_targets, None)?;
-        Ok(losses)
-    }
-
-    fn trunk_dim(&self) -> usize {
-        self.trunk
-            .last()
-            .map(Dense::output_dim)
-            .unwrap_or(self.spec.code_size)
-    }
-
-    fn trunk_output<'a>(&self, cache: &'a ForwardCache) -> &'a Mat {
-        cache.trunk_acts.last().unwrap_or(&cache.code)
+    /// Backward through the shared layer for column `j`, given the
+    /// column's `B × card` logit gradient `dz`: accumulates into
+    /// `shared_grad` and writes the active block of `d_aux`.
+    ///
+    /// The layer is Identity-activated and its input masked, so only the
+    /// active block and the signal row receive weight gradients, and the
+    /// input gradient is needed only for the active block. Logits past
+    /// `card` have no gradient (`+0.0`, and adding that to an accumulator
+    /// that started at `+0.0` is exact), so every loop stops at `card`.
+    fn shared_backward_column(
+        &self,
+        shared: &Dense,
+        aux_out: &Mat,
+        j: usize,
+        dz: &Mat,
+        shared_grad: &mut DenseGrad,
+        d_aux: &mut Mat,
+    ) {
+        let width = self.spec.aux_width;
+        let sig = self.signal(j);
+        let signal_row = shared.input_dim() - 1;
+        for r in 0..dz.rows() {
+            let dz_row = dz.row(r);
+            for c in j * width..(j + 1) * width {
+                let a = aux_out.get(r, c);
+                if a != 0.0 {
+                    for (dwv, &dzv) in shared_grad.dw.row_mut(c).iter_mut().zip(dz_row) {
+                        *dwv += a * dzv;
+                    }
+                }
+            }
+            for (dwv, &dzv) in shared_grad.dw.row_mut(signal_row).iter_mut().zip(dz_row) {
+                *dwv += sig * dzv;
+            }
+            for (dbv, &dzv) in shared_grad.db.iter_mut().zip(dz_row) {
+                *dbv += dzv;
+            }
+            // d_aux for the active block: dz · W[block]ᵀ.
+            for c in j * width..(j + 1) * width {
+                let mut acc = 0.0f32;
+                for (&dzv, &w) in dz_row.iter().zip(shared.w.row(c)) {
+                    acc += dzv * w;
+                }
+                d_aux.set(r, c, d_aux.get(r, c) + acc);
+            }
+        }
     }
 
     /// All layers in the fixed order matching [`Autoencoder::train_pass`]'s
@@ -646,68 +752,30 @@ impl Autoencoder {
     }
 }
 
-/// Applies the shared output layer for categorical column `j`.
-///
-/// Logically the shared layer sees the full auxiliary vector plus the
-/// signal node, with every inactive column's block masked to zero — the
-/// signal node "informs the shared layer how to interpret the values from
-/// the auxiliary layer for a particular output" (§5.1). Masked inputs are
-/// zero, so the computation reduces to the active `width`-node block, the
-/// signal row, and the bias; this avoids materializing a B×(aux+1) matrix
-/// per column per batch (the dominant training cost on wide categorical
-/// tables otherwise).
-fn shared_forward_column(shared: &Dense, aux: &Mat, j: usize, width: usize, signal: f32) -> Mat {
-    let b = aux.rows();
-    let out_dim = shared.output_dim();
-    let n_inputs = shared.input_dim();
-    let mut logits = Mat::zeros(b, out_dim);
-    let sig_row: Vec<f32> = shared
-        .w
-        .row(n_inputs - 1)
-        .iter()
-        .zip(&shared.b)
-        .map(|(&w, &bias)| signal * w + bias)
-        .collect();
-    for r in 0..b {
-        let out_row = logits.row_mut(r);
-        out_row.copy_from_slice(&sig_row);
-        for k in 0..width {
-            let c = j * width + k;
-            let a = aux.get(r, c);
-            if a != 0.0 {
-                for (o, &w) in out_row.iter_mut().zip(shared.w.row(c)) {
-                    *o += a * w;
-                }
-            }
-        }
+/// Runs `layers` in sequence from `input`, leaving layer `i`'s activated
+/// output in `acts[i]`.
+fn forward_chain(layers: &[Dense], input: &Mat, acts: &mut [Mat]) {
+    for (i, layer) in layers.iter().enumerate() {
+        let (done, rest) = acts.split_at_mut(i);
+        layer.forward_into(done.last().unwrap_or(input), &mut rest[0]);
     }
-    logits
 }
 
-/// Softmax over the first `card` entries of each row; the rest become 0.
-fn masked_softmax(logits: &Mat, card: usize) -> Mat {
-    let mut out = Mat::zeros(logits.rows(), logits.cols());
-    for r in 0..logits.rows() {
-        let row = logits.row(r);
-        let max = row[..card]
-            .iter()
-            .copied()
-            .fold(f32::NEG_INFINITY, f32::max);
-        let out_row = out.row_mut(r);
-        let mut sum = 0.0;
-        for (o, &v) in out_row[..card].iter_mut().zip(&row[..card]) {
-            let e = (v - max).exp();
-            *o = e;
-            sum += e;
-        }
-        if sum > 0.0 {
-            let inv = 1.0 / sum;
-            for o in &mut out_row[..card] {
-                *o *= inv;
-            }
+/// Softmax of one row of logits, in place.
+fn softmax_in_place(row: &mut [f32]) {
+    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for o in row.iter_mut() {
+        let e = (*o - max).exp();
+        *o = e;
+        sum += e;
+    }
+    if sum > 0.0 {
+        let inv = 1.0 / sum;
+        for o in row {
+            *o *= inv;
         }
     }
-    out
 }
 
 fn add_into(dst: &mut Mat, src: &Mat) {
@@ -768,9 +836,9 @@ mod tests {
 
     #[test]
     fn softmax_rows_sum_to_one_within_mask() {
-        let logits = Mat::from_vec(2, 4, vec![1.0, 2.0, 3.0, 99.0, -1.0, -2.0, -3.0, 99.0]);
-        let p = masked_softmax(&logits, 3);
+        let mut p = Mat::from_vec(2, 4, vec![1.0, 2.0, 3.0, 0.0, -1.0, -2.0, -3.0, 0.0]);
         for r in 0..2 {
+            softmax_in_place(&mut p.row_mut(r)[..3]);
             let s: f32 = p.row(r)[..3].iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
             assert_eq!(p.get(r, 3), 0.0, "masked entry must be zero");
@@ -916,6 +984,71 @@ mod tests {
             }
         }
         assert!(correct >= b * 2 / 3, "only {correct}/{b} correct");
+    }
+
+    /// The perf bug this guards against: with well-separated classes the
+    /// masked softmax assigns the losers probabilities around e⁻⁹⁵, and
+    /// their cross-entropy gradients used to travel as f32 subnormals
+    /// through every backward matmul (a microcode assist each) and into
+    /// the Adam moments. Nothing training returns or keeps may be one.
+    #[test]
+    fn saturated_softmax_training_produces_no_subnormals() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let (n, n_cols, card) = (64usize, 6usize, 5usize);
+        let spec = ModelSpec::with_defaults(vec![Head::Categorical { card }; n_cols], 2);
+        let mut ae = Autoencoder::new(spec, &mut rng).unwrap();
+        // One dominant class per column, ahead by more than 90 logits.
+        ae.shared.as_mut().expect("categorical model").b[0] = 95.0;
+        let mut x = Mat::zeros(n, n_cols);
+        let mut cat_targets = vec![vec![0u32; n]; n_cols];
+        for r in (0..n).step_by(16) {
+            for (j, t) in cat_targets.iter_mut().enumerate() {
+                t[r] = 1 + ((r / 16 + j) % (card - 1)) as u32;
+                x.set(r, j, t[r] as f32 / (card - 1) as f32);
+            }
+        }
+        let gate_weights: Vec<f32> = (0..n).map(|r| 0.25 + (r % 7) as f32 * 0.25).collect();
+
+        let cfg = AdamConfig::default();
+        let mut states: Vec<AdamState> = ae
+            .layers()
+            .iter()
+            .map(|l| AdamState::for_layer(l))
+            .collect();
+        for _epoch in 0..3 {
+            for lo in (0..n).step_by(16) {
+                let xb = x.take_rows(&(lo..lo + 16).collect::<Vec<_>>());
+                let cat_b: Vec<Vec<u32>> = cat_targets
+                    .iter()
+                    .map(|t| t[lo..lo + 16].to_vec())
+                    .collect();
+                let (grads, _) = ae
+                    .train_pass(&xb, &cat_b, Some(&gate_weights[lo..lo + 16]))
+                    .unwrap();
+                for g in &grads {
+                    assert!(!g.dw.data().iter().any(|v| v.is_subnormal()), "dw");
+                    assert!(!g.db.iter().any(|v| v.is_subnormal()), "db");
+                }
+                let mut layers = ae.layers_mut();
+                for ((layer, grad), st) in layers.iter_mut().zip(&grads).zip(states.iter_mut()) {
+                    st.step(layer, grad, &cfg);
+                }
+            }
+        }
+        for st in &states {
+            assert!(!st.moments().any(|v| v.is_subnormal()), "Adam moment");
+        }
+        for layer in ae.layers() {
+            assert!(!layer.w.data().iter().any(|v| v.is_subnormal()), "weight");
+            assert!(!layer.b.iter().any(|v| v.is_subnormal()), "bias");
+        }
+        // The premise held to the end: every loser is still below e⁻⁹⁰.
+        let dec = ae.decode(&ae.encode(&x).unwrap()).unwrap();
+        for probs in &dec.cat_probs {
+            for r in 0..n {
+                assert!(probs.row(r)[1..card].iter().all(|&p| p < (-90.0f32).exp()));
+            }
+        }
     }
 
     #[test]

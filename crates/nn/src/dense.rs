@@ -54,6 +54,30 @@ impl Activation {
     }
 }
 
+/// Magnitude below which a training gradient is treated as zero: 2⁻⁵³.
+///
+/// Softmax probabilities of well-separated classes times a gate weight
+/// underflow into f32 subnormals, and every subnormal operand costs a
+/// ~150-cycle microcode assist inside the matmul kernels. Anything this
+/// small is invisible to Adam (`eps` = 1e-8) and keeps `(1-β2)·g²` a
+/// normal number. Applied by [`flush`] at three training-only sites —
+/// the loss-gradient writes in `Autoencoder::pass`, `dy` after the
+/// activation derivative in [`Dense::backward_into`], and the incoming
+/// gradient in `AdamState::step` — as plain scalar code outside the SIMD
+/// kernels, so it is identical at every `DS_THREADS` / `DS_SIMD` setting.
+/// Forward, encode and decode arithmetic is untouched (DESIGN.md §5.10).
+pub(crate) const GRAD_FLOOR: f32 = f32::from_bits((127 - 53) << 23);
+
+/// `v`, or `0.0` when `|v|` is below [`GRAD_FLOOR`].
+#[inline]
+pub(crate) fn flush(v: f32) -> f32 {
+    if v.abs() < GRAD_FLOOR {
+        0.0
+    } else {
+        v
+    }
+}
+
 /// Numerically stable logistic function.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
@@ -116,10 +140,16 @@ impl Dense {
 
     /// Forward pass; returns the activated output.
     pub fn forward(&self, x: &Mat) -> Mat {
-        let mut y = x.matmul(&self.w);
-        y.add_row_vec(&self.b);
-        self.act.apply(&mut y);
+        let mut y = Mat::zeros(0, 0);
+        self.forward_into(x, &mut y);
         y
+    }
+
+    /// [`Dense::forward`] into a caller-owned buffer.
+    pub fn forward_into(&self, x: &Mat, y: &mut Mat) {
+        x.matmul_into(&self.w, y);
+        y.add_row_vec(&self.b);
+        self.act.apply(y);
     }
 
     /// Backward pass.
@@ -127,23 +157,51 @@ impl Dense {
     /// `x` is the layer input, `y` the activated output from forward, and
     /// `dy` the gradient wrt `y`. Returns (dL/dx, parameter gradients).
     pub fn backward(&self, x: &Mat, y: &Mat, mut dy: Mat) -> (Mat, DenseGrad) {
-        self.act.backprop(&mut dy, y);
-        let dw = x.t_matmul(&dy);
-        let db = dy.col_sums();
-        let dx = dy.matmul_t(&self.w);
-        (dx, DenseGrad { dw, db })
+        let mut dx = Mat::zeros(0, 0);
+        let mut grad = DenseGrad::empty();
+        self.backward_into(x, y, &mut dy, Some(&mut dx), &mut grad);
+        (dx, grad)
     }
 
-    /// A zeroed gradient accumulator of matching shape.
-    pub fn zero_grad(&self) -> DenseGrad {
-        DenseGrad {
-            dw: Mat::zeros(self.w.rows(), self.w.cols()),
-            db: vec![0.0; self.b.len()],
+    /// [`Dense::backward`] into caller-owned buffers. `dy` is consumed in
+    /// place (it leaves holding dL/d(pre-activation), floored at
+    /// [`GRAD_FLOOR`]); pass `dx: None` when nothing upstream needs the
+    /// input gradient.
+    pub fn backward_into(
+        &self,
+        x: &Mat,
+        y: &Mat,
+        dy: &mut Mat,
+        dx: Option<&mut Mat>,
+        grad: &mut DenseGrad,
+    ) {
+        self.act.backprop(dy, y);
+        dy.map_inplace(flush);
+        x.t_matmul_into(dy, &mut grad.dw);
+        dy.col_sums_into(&mut grad.db);
+        if let Some(dx) = dx {
+            dy.matmul_t_into(&self.w, dx);
         }
     }
 }
 
 impl DenseGrad {
+    /// A shapeless gradient for the `*_into` / [`DenseGrad::copy_from`]
+    /// writers to size.
+    pub(crate) fn empty() -> Self {
+        DenseGrad {
+            dw: Mat::zeros(0, 0),
+            db: Vec::new(),
+        }
+    }
+
+    /// Makes this gradient a copy of `other`, reusing the allocation.
+    pub fn copy_from(&mut self, other: &DenseGrad) {
+        self.dw.copy_rows_from(&other.dw, 0, other.dw.rows());
+        self.db.clear();
+        self.db.extend_from_slice(&other.db);
+    }
+
     /// Accumulates another gradient into this one.
     pub fn accumulate(&mut self, other: &DenseGrad) {
         for (a, &b) in self.dw.data_mut().iter_mut().zip(other.dw.data()) {
@@ -159,6 +217,17 @@ impl DenseGrad {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    #[test]
+    fn grad_floor_is_two_to_the_minus_53() {
+        assert_eq!(GRAD_FLOOR, 0.5f32.powi(53));
+        assert_eq!(flush(GRAD_FLOOR), GRAD_FLOOR);
+        assert_eq!(flush(-GRAD_FLOOR), -GRAD_FLOOR);
+        let below = f32::from_bits(GRAD_FLOOR.to_bits() - 1);
+        assert_eq!(flush(below).to_bits(), 0.0f32.to_bits());
+        assert_eq!(flush(-below).to_bits(), 0.0f32.to_bits());
+        assert_eq!(flush(1e-40).to_bits(), 0.0f32.to_bits());
+    }
 
     #[test]
     fn forward_shapes_and_bias() {
@@ -247,9 +316,10 @@ mod tests {
 
     #[test]
     fn grad_accumulation() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let layer = Dense::xavier(2, 2, Activation::Identity, &mut rng);
-        let mut acc = layer.zero_grad();
+        let mut acc = DenseGrad {
+            dw: Mat::zeros(2, 2),
+            db: vec![0.0; 2],
+        };
         let g = DenseGrad {
             dw: Mat::from_vec(2, 2, vec![1.0; 4]),
             db: vec![2.0, 3.0],

@@ -94,63 +94,90 @@ impl Mat {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Reshapes to `rows × cols` of zeros, keeping the allocation when it
+    /// is large enough — how a reused output buffer is prepared.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// `self · other` (shapes `(m,k) · (k,n) → (m,n)`).
+    pub fn matmul(&self, other: &Mat) -> Mat {
+        let mut out = Mat::zeros(0, 0);
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Mat::matmul`] into a caller-owned buffer (reshaped to fit).
     ///
     /// Bit-identical results for every `DS_THREADS` and `DS_SIMD`
     /// setting: all kernel variants accumulate each element in the same
     /// `p` order, the level is resolved once here (before any fan-out),
     /// and chunk boundaries depend only on the shapes.
-    pub fn matmul(&self, other: &Mat) -> Mat {
+    pub fn matmul_into(&self, other: &Mat, out: &mut Mat) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let level = ds_simd::active();
         ds_obs::counter_labeled("nn.simd_kernel", level.name(), 1);
-        let mut out = Mat::zeros(m, n);
+        out.reset(m, n);
         if m * k * n < PAR_MIN_ELEMS {
             simd::matmul_rows(level, &self.data, &other.data, k, n, 0, &mut out.data);
-            return out;
+            return;
         }
         let (a, b) = (&self.data, &other.data);
         ds_exec::parallel_chunks_mut(&mut out.data, ROW_CHUNK * n, |_, start, out_rows| {
             simd::matmul_rows(level, a, b, k, n, start / n, out_rows);
         });
-        out
     }
 
     /// `selfᵀ · other` (shapes `(k,m)ᵀ · (k,n) → (m,n)`), used for weight
     /// gradients without materializing a transpose.
     pub fn t_matmul(&self, other: &Mat) -> Mat {
+        let mut out = Mat::zeros(0, 0);
+        self.t_matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Mat::t_matmul`] into a caller-owned buffer (reshaped to fit).
+    pub fn t_matmul_into(&self, other: &Mat, out: &mut Mat) {
         assert_eq!(self.rows, other.rows, "t_matmul shape mismatch");
         let (k, m, n) = (self.rows, self.cols, other.cols);
         let level = ds_simd::active();
         ds_obs::counter_labeled("nn.simd_kernel", level.name(), 1);
-        let mut out = Mat::zeros(m, n);
+        out.reset(m, n);
         simd::t_matmul(level, &self.data, &other.data, k, m, n, &mut out.data);
-        out
     }
 
     /// `self · otherᵀ` (shapes `(m,k) · (n,k)ᵀ → (m,n)`), used to push
     /// gradients back through a layer.
+    pub fn matmul_t(&self, other: &Mat) -> Mat {
+        let mut out = Mat::zeros(0, 0);
+        self.matmul_t_into(other, &mut out);
+        out
+    }
+
+    /// [`Mat::matmul_t`] into a caller-owned buffer (reshaped to fit).
     ///
     /// Every element is an independent lane-group dot product (8
     /// ascending partial sums + a pinned reduction tree — DESIGN.md §3f)
     /// in every kernel variant, so results are bit-identical across
     /// thread counts and SIMD levels.
-    pub fn matmul_t(&self, other: &Mat) -> Mat {
+    pub fn matmul_t_into(&self, other: &Mat, out: &mut Mat) {
         assert_eq!(self.cols, other.cols, "matmul_t shape mismatch");
         let (m, k, n) = (self.rows, self.cols, other.rows);
         let level = ds_simd::active();
         ds_obs::counter_labeled("nn.simd_kernel", level.name(), 1);
-        let mut out = Mat::zeros(m, n);
+        out.reset(m, n);
         if m * k * n < PAR_MIN_ELEMS {
             simd::matmul_t_rows(level, &self.data, &other.data, k, n, 0, &mut out.data);
-            return out;
+            return;
         }
         let (a, b) = (&self.data, &other.data);
         ds_exec::parallel_chunks_mut(&mut out.data, ROW_CHUNK * n, |_, start, out_rows| {
             simd::matmul_t_rows(level, a, b, k, n, start / n, out_rows);
         });
-        out
     }
 
     /// Adds a row vector to every row (bias add).
@@ -163,15 +190,16 @@ impl Mat {
         }
     }
 
-    /// Column sums (bias gradient).
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
+    /// Column sums (bias gradient) into a caller-owned buffer (resized to
+    /// fit).
+    pub fn col_sums_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.resize(self.cols, 0.0);
         for r in 0..self.rows {
             for (o, &v) in out.iter_mut().zip(self.row(r)) {
                 *o += v;
             }
         }
-        out
     }
 
     /// Elementwise map in place.
@@ -190,15 +218,15 @@ impl Mat {
         out
     }
 
-    /// Copies the contiguous row range `[from, to)` into a new matrix
-    /// (one memcpy; cheaper than `take_rows` for minibatch chunking).
-    pub fn slice_rows(&self, from: usize, to: usize) -> Mat {
-        assert!(from <= to && to <= self.rows, "row range out of bounds");
-        Mat {
-            rows: to - from,
-            cols: self.cols,
-            data: self.data[from * self.cols..to * self.cols].to_vec(),
-        }
+    /// Makes `self` a copy of rows `[from, to)` of `src` (one memcpy),
+    /// keeping the allocation when it is large enough.
+    pub fn copy_rows_from(&mut self, src: &Mat, from: usize, to: usize) {
+        assert!(from <= to && to <= src.rows, "row range out of bounds");
+        self.rows = to - from;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data
+            .extend_from_slice(&src.data[from * src.cols..to * src.cols]);
     }
 
     /// Horizontal slice: columns `[from, to)` of every row.
@@ -249,7 +277,9 @@ mod tests {
     fn bias_and_col_sums() {
         let mut a = Mat::zeros(3, 2);
         a.add_row_vec(&[1.0, -2.0]);
-        assert_eq!(a.col_sums(), vec![3.0, -6.0]);
+        let mut sums = vec![9.0; 5];
+        a.col_sums_into(&mut sums);
+        assert_eq!(sums, vec![3.0, -6.0]);
     }
 
     #[test]
@@ -277,12 +307,14 @@ mod tests {
     }
 
     #[test]
-    fn slice_rows_copies_contiguous_range() {
+    fn copy_rows_from_copies_contiguous_range() {
         let a = m(4, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        let s = a.slice_rows(1, 3);
+        let mut s = Mat::zeros(7, 3);
+        s.copy_rows_from(&a, 1, 3);
         assert_eq!((s.rows(), s.cols()), (2, 2));
         assert_eq!(s.data(), &[3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.slice_rows(2, 2).rows(), 0);
+        s.copy_rows_from(&a, 2, 2);
+        assert_eq!((s.rows(), s.cols()), (0, 2));
     }
 
     /// Pseudo-random matrix with ReLU-like sparsity (exercises the

@@ -9,7 +9,7 @@
 //! routes hard: each tuple goes to its argmax expert only.
 
 use crate::adam::{AdamConfig, AdamState};
-use crate::autoencoder::{Autoencoder, ModelSpec};
+use crate::autoencoder::{Autoencoder, ModelSpec, TrainScratch};
 use crate::dense::{Activation, Dense, DenseGrad};
 use crate::mat::Mat;
 use crate::{NnError, Result};
@@ -43,50 +43,82 @@ pub fn train_pass_data_parallel(
     if b <= chunk_rows {
         return expert.train_pass(x, cat_targets, row_weights);
     }
-    if let Some(w) = row_weights {
-        if w.len() != b {
-            return Err(NnError::ShapeMismatch("train: row weight length"));
-        }
-    }
-    for t in cat_targets {
-        if t.len() != b {
-            return Err(NnError::ShapeMismatch("train: cat target length"));
-        }
-    }
-    ds_obs::counter(
-        "nn.train_chunks",
-        ds_exec::chunk_count(b, chunk_rows) as u64,
-    );
-    let parts = ds_exec::parallel_map_chunks(b, chunk_rows, |_, range| {
-        let xc = x.slice_rows(range.start, range.end);
-        let cat_c: Vec<Vec<u32>> = cat_targets
-            .iter()
-            .map(|t| t[range.clone()].to_vec())
-            .collect();
-        let wc = row_weights.map(|w| &w[range]);
-        expert.train_pass(&xc, &cat_c, wc)
+    expert.check_batch(x, cat_targets, row_weights)?;
+    let n_chunks = ds_exec::chunk_count(b, chunk_rows);
+    ds_obs::counter("nn.train_chunks", n_chunks as u64);
+    let mut work: Vec<TrainScratch> = (0..n_chunks).map(|_| TrainScratch::new(expert)).collect();
+    ds_exec::parallel_chunks_mut(&mut work, 1, |c, _, s| {
+        chunk_pass(
+            expert,
+            x,
+            cat_targets,
+            row_weights,
+            chunk_rows,
+            c,
+            &mut s[0],
+        );
     });
-    reduce_chunk_grads(parts)
+    let mut grads = Vec::new();
+    reduce_chunk_grads(&work, &mut grads);
+    let losses = work.iter().flat_map(|s| &s.losses).copied().collect();
+    Ok((grads, losses))
 }
 
-/// Folds per-chunk `(grads, losses)` results in ascending chunk order.
-fn reduce_chunk_grads(
-    parts: Vec<Result<(Vec<DenseGrad>, Vec<f32>)>>,
-) -> Result<(Vec<DenseGrad>, Vec<f32>)> {
-    let mut acc: Option<(Vec<DenseGrad>, Vec<f32>)> = None;
-    for part in parts {
-        let (grads, losses) = part?;
-        match &mut acc {
-            None => acc = Some((grads, losses)),
-            Some((g_acc, l_acc)) => {
-                for (a, g) in g_acc.iter_mut().zip(&grads) {
-                    a.accumulate(g);
-                }
-                l_acc.extend_from_slice(&losses);
-            }
+/// Gradient task `c` of a minibatch step: the training pass over row
+/// chunk `c` of a batch that passed [`Autoencoder::check_batch`], into
+/// the scratch the task owns for its duration.
+fn chunk_pass(
+    expert: &Autoencoder,
+    x: &Mat,
+    cat_targets: &[Vec<u32>],
+    row_weights: Option<&[f32]>,
+    chunk_rows: usize,
+    c: usize,
+    s: &mut TrainScratch,
+) {
+    let lo = c * chunk_rows;
+    let hi = (lo + chunk_rows).min(x.rows());
+    let weights = row_weights.map(|w| &w[lo..hi]);
+    expert.pass(x, cat_targets, lo..hi, weights, true, s);
+}
+
+/// Sums per-chunk gradients into `into` in ascending chunk order (the
+/// first chunk is copied, the rest accumulate — float association is a
+/// function of the chunk count alone).
+fn reduce_chunk_grads(chunks: &[TrainScratch], into: &mut Vec<DenseGrad>) {
+    let (first, rest) = chunks.split_first().expect("at least one chunk");
+    into.resize_with(first.grads.len(), DenseGrad::empty);
+    for (a, g) in into.iter_mut().zip(&first.grads) {
+        a.copy_from(g);
+    }
+    for chunk in rest {
+        for (a, g) in into.iter_mut().zip(&chunk.grads) {
+            a.accumulate(g);
         }
     }
-    acc.ok_or(NnError::InvalidSpec("empty training batch"))
+}
+
+/// What one expert's optimizer task of a minibatch step owns: the model,
+/// its Adam state, and the reduced gradient. Steps of different experts
+/// touch disjoint slots, so they run as parallel tasks.
+struct ExpertSlot {
+    model: Autoencoder,
+    adam: Vec<AdamState>,
+    grads: Vec<DenseGrad>,
+    /// Pre-clip gradient norm of the last step (telemetry).
+    grad_norm: f32,
+}
+
+impl ExpertSlot {
+    /// Reduce → clip → Adam for this expert's chunk gradients.
+    fn step(&mut self, chunks: &[TrainScratch], max_norm: f32, cfg: &AdamConfig) {
+        reduce_chunk_grads(chunks, &mut self.grads);
+        self.grad_norm = clip_grads(&mut self.grads, max_norm);
+        let layers = self.model.layers_mut();
+        for ((layer, grad), st) in layers.into_iter().zip(&self.grads).zip(&mut self.adam) {
+            st.step(layer, grad, cfg);
+        }
+    }
 }
 
 /// Training hyperparameters for the mixture.
@@ -132,6 +164,14 @@ pub struct TrainReport {
     pub epochs_run: usize,
 }
 
+/// One [`Gate`] forward pass over a batch.
+struct GatePass {
+    h: Mat,
+    logits: Mat,
+    /// Softmax expert probabilities (B × E).
+    probs: Mat,
+}
+
 /// The gate network: input → hidden(ReLU) → expert logits → softmax.
 #[derive(Debug, Clone)]
 pub struct Gate {
@@ -148,11 +188,17 @@ impl Gate {
         }
     }
 
-    /// Softmax expert probabilities for a batch (B × E).
-    pub fn probabilities(&self, x: &Mat) -> Mat {
+    /// Forward pass keeping what [`Gate::train_step`] needs back.
+    fn forward(&self, x: &Mat) -> GatePass {
         let h = self.l1.forward(x);
         let logits = self.l2.forward(&h);
-        softmax_rows(&logits)
+        let probs = softmax_rows(&logits);
+        GatePass { h, logits, probs }
+    }
+
+    /// Softmax expert probabilities for a batch (B × E).
+    pub fn probabilities(&self, x: &Mat) -> Mat {
+        self.forward(x).probs
     }
 
     /// Hard argmax assignment per tuple.
@@ -168,16 +214,17 @@ impl Gate {
             .collect()
     }
 
-    /// One gradient step: given per-tuple per-expert losses `l` (B × E) and
-    /// the already-computed probabilities `g`, minimize Σ gₑ·Lₑ.
+    /// One gradient step: given per-tuple per-expert losses `l` (B × E)
+    /// and this batch's forward pass, minimize Σ gₑ·Lₑ.
     fn train_step(
         &mut self,
         x: &Mat,
-        g: &Mat,
+        pass: &GatePass,
         losses: &Mat,
         states: &mut (AdamState, AdamState),
         cfg: &AdamConfig,
     ) {
+        let g = &pass.probs;
         let (b, e) = (g.rows(), g.cols());
         // d(Σ g·L)/d logits = g ⊙ (L − Σ g·L) per row (softmax Jacobian).
         let mut dlogits = Mat::zeros(b, e);
@@ -190,10 +237,11 @@ impl Gate {
                 dlogits.set(r, c, g.get(r, c) * (losses.get(r, c) - mean));
             }
         }
-        let h = self.l1.forward(x);
-        let logits = self.l2.forward(&h);
-        let (dh, g2) = self.l2.backward(&h, &logits, dlogits);
-        let (_, g1) = self.l1.backward(x, &h, dh);
+        let mut dh = Mat::zeros(0, 0);
+        let (mut g1, mut g2) = (DenseGrad::empty(), DenseGrad::empty());
+        self.l2
+            .backward_into(&pass.h, &pass.logits, &mut dlogits, Some(&mut dh), &mut g2);
+        self.l1.backward_into(x, &pass.h, &mut dh, None, &mut g1);
         states.0.step(&mut self.l1, &g1, cfg);
         states.1.step(&mut self.l2, &g2, cfg);
     }
@@ -223,9 +271,10 @@ impl MoeAutoencoder {
             return Err(NnError::InvalidSpec("empty training set"));
         }
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut experts: Vec<Autoencoder> = (0..cfg.n_experts)
+        let experts: Vec<Autoencoder> = (0..cfg.n_experts)
             .map(|_| Autoencoder::new(spec.clone(), &mut rng))
             .collect::<Result<_>>()?;
+        experts[0].check_batch(x, cat_targets, None)?;
         let mut gate = if cfg.n_experts > 1 {
             Some(Gate::new(spec.input_dim(), cfg.n_experts, &mut rng))
         } else {
@@ -236,15 +285,31 @@ impl MoeAutoencoder {
             lr: cfg.lr,
             ..Default::default()
         };
-        let mut expert_states: Vec<Vec<AdamState>> = experts
-            .iter()
-            .map(|e| e.layers().iter().map(|l| AdamState::for_layer(l)).collect())
-            .collect();
         let mut gate_states = gate
             .as_ref()
             .map(|g| (AdamState::for_layer(&g.l1), AdamState::for_layer(&g.l2)));
 
         let n = x.rows();
+        // One scratch per (expert, row-chunk) gradient task of a minibatch,
+        // allocated once and reused by every step.
+        let max_chunks = ds_exec::chunk_count(cfg.batch_size.min(n), GRAD_CHUNK_ROWS);
+        let mut work: Vec<TrainScratch> = (0..experts.len() * max_chunks)
+            .map(|_| TrainScratch::new(&experts[0]))
+            .collect();
+        let mut slots: Vec<ExpertSlot> = experts
+            .into_iter()
+            .map(|model| ExpertSlot {
+                adam: model
+                    .layers()
+                    .iter()
+                    .map(|l| AdamState::for_layer(l))
+                    .collect(),
+                grads: Vec::new(),
+                grad_norm: 0.0,
+                model,
+            })
+            .collect();
+
         let mut order: Vec<usize> = (0..n).collect();
         let mut report = TrainReport::default();
         let mut prev_loss = f32::MAX;
@@ -259,7 +324,7 @@ impl MoeAutoencoder {
             // All derive from the deterministic training math, so the
             // resulting series are thread-count-invariant.
             let obs_on = ds_obs::enabled();
-            let mut util = vec![0.0f64; experts.len()];
+            let mut util = vec![0.0f64; slots.len()];
             let mut entropy_sum = 0.0f64;
             let mut rows_seen = 0usize;
             let mut grad_norm_sum = 0.0f64;
@@ -271,13 +336,18 @@ impl MoeAutoencoder {
                     .map(|t| chunk.iter().map(|&i| t[i]).collect())
                     .collect();
 
-                let g = match &gate {
-                    Some(gate) => gate.probabilities(&xb),
-                    None => Mat::from_vec(xb.rows(), 1, vec![1.0; xb.rows()]),
+                let gate_pass = gate.as_ref().map(|gate| gate.forward(&xb));
+                let ones;
+                let g = match &gate_pass {
+                    Some(pass) => &pass.probs,
+                    None => {
+                        ones = Mat::from_vec(xb.rows(), 1, vec![1.0; xb.rows()]);
+                        &ones
+                    }
                 };
                 if obs_on {
                     for r in 0..xb.rows() {
-                        for e in 0..experts.len() {
+                        for e in 0..slots.len() {
                             let p = f64::from(g.get(r, e));
                             util[e] += p;
                             if p > 0.0 {
@@ -293,7 +363,7 @@ impl MoeAutoencoder {
                 // otherwise a near-uniform gate scales every expert's
                 // gradient by ~1/E and the mixture trains E× slower than a
                 // single model (gradient dilution).
-                let expert_weights: Vec<Vec<f32>> = (0..experts.len())
+                let expert_weights: Vec<Vec<f32>> = (0..slots.len())
                     .map(|e| {
                         let mut weights: Vec<f32> = (0..xb.rows()).map(|r| g.get(r, e)).collect();
                         let mean: f32 = weights.iter().sum::<f32>() / weights.len() as f32;
@@ -306,55 +376,52 @@ impl MoeAutoencoder {
                         weights
                     })
                     .collect();
-                // Every (expert, row-chunk) pair is one task on the shared
-                // ds-exec pool — finer-grained than the old one-thread-per-
-                // expert scope::spawn, with no per-batch thread spawning and
-                // no silent serial fallback when available_parallelism()
-                // errs (ds-exec resolves DS_THREADS → OS → explicit default).
-                // Chunk boundaries and the per-expert chunk-ordered gradient
-                // reduction depend only on the batch size, so training is
+                // Every (expert, row-chunk) pair is one gradient task on the
+                // shared ds-exec pool, each owning one scratch. Chunk
+                // boundaries depend only on the batch size, so training is
                 // bit-identical for any thread count.
                 let rows = xb.rows();
                 let n_chunks = ds_exec::chunk_count(rows, GRAD_CHUNK_ROWS);
-                let chunk_results: Vec<Result<(Vec<DenseGrad>, Vec<f32>)>> =
-                    ds_exec::parallel_map(experts.len() * n_chunks, |t| {
-                        let (e, c) = (t / n_chunks, t % n_chunks);
-                        let lo = c * GRAD_CHUNK_ROWS;
-                        let hi = (lo + GRAD_CHUNK_ROWS).min(rows);
-                        let xc = xb.slice_rows(lo, hi);
-                        let cat_c: Vec<Vec<u32>> =
-                            cat_b.iter().map(|t| t[lo..hi].to_vec()).collect();
-                        experts[e].train_pass(&xc, &cat_c, Some(&expert_weights[e][lo..hi]))
-                    });
-                let mut chunk_results = chunk_results.into_iter();
-                let results: Vec<Result<(Vec<DenseGrad>, Vec<f32>)>> = (0..experts.len())
-                    .map(|_| reduce_chunk_grads(chunk_results.by_ref().take(n_chunks).collect()))
-                    .collect();
+                let live = &mut work[..slots.len() * n_chunks];
+                ds_exec::parallel_chunks_mut(live, 1, |t, _, s| {
+                    let (e, c) = (t / n_chunks, t % n_chunks);
+                    let weights = Some(&expert_weights[e][..]);
+                    chunk_pass(
+                        &slots[e].model,
+                        &xb,
+                        &cat_b,
+                        weights,
+                        GRAD_CHUNK_ROWS,
+                        c,
+                        &mut s[0],
+                    );
+                });
+                // Reduce → clip → Adam touches one expert only: one task
+                // per expert, chunks reduced in ascending order inside it.
+                let max_norm = 5.0 * rows as f32;
+                ds_exec::parallel_chunks_mut(&mut slots, 1, |e, _, slot| {
+                    slot[0].step(&live[e * n_chunks..(e + 1) * n_chunks], max_norm, &adam_cfg);
+                });
 
-                let mut loss_mat = Mat::zeros(xb.rows(), experts.len());
-                for (e, res) in results.into_iter().enumerate() {
-                    let (mut grads, losses) = res?;
-                    for (r, &l) in losses.iter().enumerate() {
+                // Folded here, in (expert, row) order, so the f64 sums and
+                // the ds-obs series do not depend on task scheduling.
+                let mut loss_mat = Mat::zeros(rows, slots.len());
+                for (e, slot) in slots.iter().enumerate() {
+                    let chunks = &live[e * n_chunks..(e + 1) * n_chunks];
+                    for (r, &l) in chunks.iter().flat_map(|s| &s.losses).enumerate() {
                         loss_mat.set(r, e, l);
                         epoch_loss += f64::from(g.get(r, e) * l);
                     }
-                    let norm = clip_grads(&mut grads, 5.0 * xb.rows() as f32);
                     if obs_on {
-                        grad_norm_sum += f64::from(norm);
+                        grad_norm_sum += f64::from(slot.grad_norm);
                         grad_norm_n += 1;
-                    }
-                    let mut layers = experts[e].layers_mut();
-                    for ((layer, grad), st) in layers
-                        .iter_mut()
-                        .zip(&grads)
-                        .zip(expert_states[e].iter_mut())
-                    {
-                        st.step(layer, grad, &adam_cfg);
                     }
                 }
 
-                if let (Some(gate), Some(states)) = (gate.as_mut(), gate_states.as_mut()) {
-                    gate.train_step(&xb, &g, &loss_mat, states, &adam_cfg);
+                if let (Some(gate), Some(pass), Some(states)) =
+                    (gate.as_mut(), &gate_pass, gate_states.as_mut())
+                {
+                    gate.train_step(&xb, pass, &loss_mat, states, &adam_cfg);
                 }
             }
 
@@ -390,6 +457,7 @@ impl MoeAutoencoder {
             }
         }
 
+        let experts = slots.into_iter().map(|s| s.model).collect();
         Ok((MoeAutoencoder { experts, gate }, report))
     }
 

@@ -3,7 +3,7 @@
 //! decompressor must reproduce the compressor's floats exactly on
 //! whatever hardware it runs on.
 
-use ds_nn::{train_pass_data_parallel, Autoencoder, Head, Mat, ModelSpec};
+use ds_nn::{train_pass_data_parallel, Autoencoder, Head, Mat, ModelSpec, MoeAutoencoder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,6 +49,75 @@ proptest! {
             prop_assert_eq!(bits(&serial.0), bits(&par.0));
             prop_assert_eq!(bits(&serial.1), bits(&par.1));
         }
+    }
+}
+
+/// A random mixed-head spec and a consistent batch: numeric cells in
+/// [0,1], binary cells 0/1, categorical cells as normalized codes.
+fn mixed_batch(kinds: &[u8], rows: usize, rng: &mut StdRng) -> (ModelSpec, Mat, Vec<Vec<u32>>) {
+    let heads: Vec<Head> = kinds
+        .iter()
+        .map(|&k| match k {
+            0 => Head::Numeric,
+            1 => Head::Binary,
+            k => Head::Categorical {
+                card: k as usize + 1,
+            },
+        })
+        .collect();
+    let mut x = Mat::zeros(rows, heads.len());
+    let mut cat_targets = Vec::new();
+    for (c, head) in heads.iter().enumerate() {
+        match *head {
+            Head::Numeric => (0..rows).for_each(|r| x.set(r, c, rng.gen())),
+            Head::Binary => (0..rows).for_each(|r| x.set(r, c, f32::from(rng.gen_bool(0.4)))),
+            Head::Categorical { card } => {
+                let codes: Vec<u32> = (0..rows).map(|_| rng.gen_range(0..card as u32)).collect();
+                for (r, &code) in codes.iter().enumerate() {
+                    x.set(r, c, code as f32 / (card - 1) as f32);
+                }
+                cat_targets.push(codes);
+            }
+        }
+    }
+    (ModelSpec::with_defaults(heads, 2), x, cat_targets)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The forward-only `loss_per_tuple` (row chunks on the pool, ragged
+    /// last chunk included) must return exactly the losses the training
+    /// pass reports, and `assign_by_loss` exactly their per-row argmin
+    /// (first expert wins ties).
+    #[test]
+    fn forward_only_loss_matches_train_pass(
+        kinds in proptest::collection::vec(0u8..7, 1..7),
+        n_experts in 1usize..4,
+        rows in 1usize..600,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (spec, x, cat_targets) = mixed_batch(&kinds, rows, &mut rng);
+        let experts: Vec<Autoencoder> = (0..n_experts)
+            .map(|_| Autoencoder::new(spec.clone(), &mut rng).expect("valid spec"))
+            .collect();
+        let mut best = vec![(f32::INFINITY, 0usize); rows];
+        for (e, expert) in experts.iter().enumerate() {
+            let (_, trained) = expert.train_pass(&x, &cat_targets, None).expect("train pass");
+            let forward = expert.loss_per_tuple(&x, &cat_targets).expect("forward pass");
+            let a: Vec<u32> = trained.iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u32> = forward.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(a, b);
+            for (slot, &l) in best.iter_mut().zip(&trained) {
+                if l < slot.0 {
+                    *slot = (l, e);
+                }
+            }
+        }
+        let want: Vec<usize> = best.iter().map(|&(_, e)| e).collect();
+        let model = MoeAutoencoder::from_experts(experts);
+        prop_assert_eq!(model.assign_by_loss(&x, &cat_targets).expect("assign"), want);
     }
 }
 
@@ -137,41 +206,60 @@ fn chunked_losses_match_unchunked() {
 }
 
 /// Full end-to-end MoE training must be bit-identical across thread
-/// limits: same epoch losses, same weights, same assignments.
+/// limits and SIMD levels: same epoch losses, same weights, same
+/// assignments — through the (expert × chunk) gradient tasks, the
+/// per-expert reduce → clip → Adam tasks and the gate step, with numeric,
+/// binary and categorical heads and ragged chunks.
 #[test]
-fn moe_training_thread_invariant() {
-    use ds_nn::{MoeAutoencoder, MoeConfig};
+fn moe_training_thread_and_simd_invariant() {
+    use ds_nn::MoeConfig;
     let mut rng = StdRng::seed_from_u64(11);
-    let n = 96;
-    let mut x = Mat::zeros(n, 3);
-    for r in 0..n {
-        let t: f32 = rng.gen();
-        x.set(r, 0, t);
-        x.set(r, 1, if r % 2 == 0 { 0.8 * t } else { 0.9 - 0.8 * t });
-        x.set(r, 2, (r % 2) as f32);
-    }
-    let spec = ModelSpec::with_defaults(vec![Head::Numeric; 3], 2);
-    let cfg = MoeConfig {
-        n_experts: 2,
-        max_epochs: 4,
-        seed: 5,
-        batch_size: 33, // ragged chunks on purpose
-        ..Default::default()
-    };
-    let (m1, r1) =
-        ds_exec::with_thread_limit(1, || MoeAutoencoder::train(&spec, &x, &[], &cfg)).unwrap();
-    for limit in [2usize, 8] {
-        let (m2, r2) =
-            ds_exec::with_thread_limit(limit, || MoeAutoencoder::train(&spec, &x, &[], &cfg))
-                .unwrap();
-        let l1: Vec<u32> = r1.epoch_losses.iter().map(|v| v.to_bits()).collect();
-        let l2: Vec<u32> = r2.epoch_losses.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(l1, l2, "epoch losses differ at limit {limit}");
-        for (e1, e2) in m1.experts().iter().zip(m2.experts()) {
-            for (a, b) in e1.layers().iter().zip(e2.layers()) {
-                assert_eq!(bits(&a.w), bits(&b.w), "weights differ at limit {limit}");
+    let (spec, x, cat_targets) = mixed_batch(&[0, 4, 1, 0, 2], 96, &mut rng);
+    for n_experts in [2usize, 3] {
+        let cfg = MoeConfig {
+            n_experts,
+            max_epochs: 4,
+            seed: 5,
+            batch_size: 41, // 32 + 9 row chunks, then a 14-row last batch
+            ..Default::default()
+        };
+        let train = || MoeAutoencoder::train(&spec, &x, &cat_targets, &cfg).expect("trains");
+        let (m1, r1) = ds_exec::with_thread_limit(1, train);
+        let variants = [
+            ("2 threads", ds_exec::with_thread_limit(2, train)),
+            ("8 threads", ds_exec::with_thread_limit(8, train)),
+            (
+                "scalar kernels",
+                ds_simd::with_level(ds_simd::Level::Scalar, || {
+                    ds_exec::with_thread_limit(2, train)
+                }),
+            ),
+        ];
+        for (what, (m2, r2)) in &variants {
+            let l1: Vec<u32> = r1.epoch_losses.iter().map(|v| v.to_bits()).collect();
+            let l2: Vec<u32> = r2.epoch_losses.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(l1, l2, "epoch losses differ: {n_experts} experts, {what}");
+            for (e1, e2) in m1.experts().iter().zip(m2.experts()) {
+                for (a, b) in e1.layers().iter().zip(e2.layers()) {
+                    assert_eq!(
+                        bits(&a.w),
+                        bits(&b.w),
+                        "weights: {n_experts} experts, {what}"
+                    );
+                    let (ba, bb): (Vec<u32>, Vec<u32>) =
+                        a.b.iter()
+                            .zip(&b.b)
+                            .map(|(p, q)| (p.to_bits(), q.to_bits()))
+                            .unzip();
+                    assert_eq!(ba, bb, "biases: {n_experts} experts, {what}");
+                }
             }
+            assert_eq!(m1.assign(&x), m2.assign(&x), "{n_experts} experts, {what}");
+            assert_eq!(
+                m1.assign_by_loss(&x, &cat_targets).expect("assign"),
+                m2.assign_by_loss(&x, &cat_targets).expect("assign"),
+                "{n_experts} experts, {what}"
+            );
         }
-        assert_eq!(m1.assign(&x), m2.assign(&x));
     }
 }

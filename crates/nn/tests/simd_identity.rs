@@ -62,6 +62,37 @@ proptest! {
         prop_assert_eq!(bits(&fast.2), bits(&slow.2));
     }
 
+    /// The `*_into` kernels on the same awkward grid: writing into a
+    /// dirty buffer of the wrong shape must give exactly what the
+    /// allocating product returns, at the detected level and scalar.
+    #[test]
+    fn into_kernels_match_allocating_products(
+        m in 1usize..18,
+        k in 1usize..20,
+        n in 1usize..19,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = rand_mat(m, k, &mut rng);
+        let b = rand_mat(k, n, &mut rng);
+        let bt = rand_mat(n, k, &mut rng);
+        let at = rand_mat(k, m, &mut rng);
+        for level in [ds_simd::detected(), Level::Scalar] {
+            let want = products_at(level, &a, &b, &bt, &at);
+            let dirty = || Mat::from_vec(3, 7, vec![f32::NAN; 21]);
+            let mut got = (dirty(), dirty(), dirty());
+            ds_simd::with_level(level, || {
+                a.matmul_into(&b, &mut got.0);
+                a.matmul_t_into(&bt, &mut got.1);
+                at.t_matmul_into(&b, &mut got.2);
+            });
+            for (g, w) in [(&got.0, &want.0), (&got.1, &want.1), (&got.2, &want.2)] {
+                prop_assert_eq!((g.rows(), g.cols()), (w.rows(), w.cols()));
+                prop_assert_eq!(bits(g), bits(w));
+            }
+        }
+    }
+
     /// Shapes straddling the parallel-path threshold, crossed with
     /// thread limits: the level must be resolved on the calling thread
     /// and honored by every pool worker.

@@ -752,6 +752,50 @@ mod tests {
         assert!(text.ends_with("BYE\n"), "got: {text}");
     }
 
+    /// A response must leave in one write: with the status line and the
+    /// body written separately, a body under one segment sits behind
+    /// Nagle until the client's delayed ACK (~40 ms per GET on loopback).
+    #[test]
+    fn small_get_over_loopback_tcp_is_not_nagle_bound() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::net::{TcpListener, TcpStream};
+        let (bytes, full) = fixture();
+        let archive = Archive::open(bytes.clone()).expect("opens");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr");
+        // Wired as `dsqz serve --listen` wires a connection.
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accepts");
+            let reader = BufReader::new(stream.try_clone().expect("clones"));
+            protocol::serve_connection(&archive, reader, stream).expect("serves")
+        });
+        let mut client = TcpStream::connect(addr).expect("connects");
+        let mut replies = BufReader::new(client.try_clone().expect("clones"));
+        let mut want = String::from("OK 64\n");
+        ds_table::csv::write_csv_rows(full, 10..74, &mut want);
+        let mut times = Vec::new();
+        // The first request decodes the shards; the rest are cache hits.
+        for _ in 0..16 {
+            let start = std::time::Instant::now();
+            client.write_all(b"GET 10..74\n").expect("sends");
+            let mut got = String::new();
+            for _ in 0..65 {
+                replies.read_line(&mut got).expect("reads");
+            }
+            times.push(start.elapsed());
+            assert_eq!(got, want);
+        }
+        client.write_all(b"QUIT\n").expect("sends");
+        assert_eq!(server.join().expect("joins").requests, 17);
+        times.remove(0);
+        times.sort();
+        let median = times[times.len() / 2];
+        assert!(
+            median < std::time::Duration::from_millis(20),
+            "64-row GET median {median:?}"
+        );
+    }
+
     #[test]
     fn stat_reports_recorded_codec_chains() {
         use ds_codec::registry;

@@ -209,9 +209,13 @@ pub fn serve_connection<R: ReadAt, I: BufRead, O: Write>(
             }
             Ok(Request::Metrics) => {
                 ds_obs::counter_labeled("serve.requests_by_verb", "metrics", 1);
+                // Status line and body leave in one write: two writes on
+                // a Nagle-enabled socket stall a sub-segment body behind
+                // the client's delayed ACK (~40 ms).
                 let text = metrics_text(archive);
-                writeln!(output, "OK {}", text.len())?;
-                output.write_all(text.as_bytes())?;
+                let mut response = format!("OK {}\n", text.len());
+                response.push_str(&text);
+                output.write_all(response.as_bytes())?;
             }
             Ok(Request::Get(range)) => {
                 ds_obs::counter_labeled("serve.requests_by_verb", "get", 1);
@@ -221,10 +225,10 @@ pub fn serve_connection<R: ReadAt, I: BufRead, O: Write>(
                         summary.rows_served += nrows as u64;
                         ds_obs::counter("serve.rows_served", nrows as u64);
                         ds_obs::hist("serve.request_rows", nrows as u64);
-                        let mut body = String::new();
-                        ds_table::csv::write_csv_rows(&table, 0..nrows, &mut body);
-                        writeln!(output, "OK {nrows}")?;
-                        output.write_all(body.as_bytes())?;
+                        // One write per response, as for METRICS.
+                        let mut response = format!("OK {nrows}\n");
+                        ds_table::csv::write_csv_rows(&table, 0..nrows, &mut response);
+                        output.write_all(response.as_bytes())?;
                         let mut sp = sp;
                         sp.add("rows", nrows as u64);
                         sp.add("shards_decoded", stats.shards_decoded as u64);

@@ -18,19 +18,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> ds-lint (decode-safety, taint + determinism dataflow gate)"
 cargo run -q -p ds-lint
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test (every crate)"
+cargo test -q --workspace
 
 echo "==> cargo test (DS_SIMD=off: scalar reference kernels)"
-DS_SIMD=off cargo test -q
+DS_SIMD=off cargo test -q --workspace
 
-echo "==> sharded container tests"
-cargo test -q -p ds-shard
-cargo test -q --test shard_roundtrip --test truncation
-
-echo "==> serving layer tests"
-cargo test -q -p ds-serve
-cargo test -q --test serve_concurrency --test serve_trace --test live_metrics
+echo "==> dsbench tests (benchmark/ builds against crates/ from outside the workspace)"
+(cd benchmark && cargo test --offline -q)
 
 echo "==> bench_gate (committed baselines)"
 cargo run -q -p ds-bench --bin bench_gate
