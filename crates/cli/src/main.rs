@@ -42,16 +42,17 @@
 //! manifest; `inspect` prints those chains and `serve`'s `STAT` reports
 //! the codec set in its `codecs=` field.
 //!
-//! `serve` opens a sharded archive once and answers many row-range
+//! `serve` opens an archive once and answers many row-range
 //! queries against it over a line protocol (`GET A..B` → CSV rows,
 //! `STAT` → archive/cache info, `QUIT`): stdin/stdout by default, or a
 //! thread-per-connection TCP listener with `--listen HOST:PORT` (port 0
 //! picks a free port; the bound address is printed to stderr). Decoded
 //! shards stay resident in an LRU cache bounded by `--cache-mb`, so
-//! repeated and overlapping reads skip both I/O and decode work. On a
-//! sharded archive, `decompress` also uses positioned reads — a
-//! `--rows A..B` query touches only the footer, the manifest, and the
-//! shards intersecting the range, never the whole file.
+//! repeated and overlapping reads skip both I/O and decode work.
+//! `decompress` opens the file the same way — a `--rows A..B` query
+//! touches only the footer, the manifest, and the shards intersecting the
+//! range, never the whole file. A v1 archive (compressed without
+//! `--shard-rows`) reads and serves through the same path as one shard.
 //!
 //! `serve` always runs with live telemetry armed: the `METRICS` verb
 //! (and `--metrics HOST:PORT`, a minimal HTTP GET responder for
@@ -71,9 +72,8 @@ mod args;
 
 use args::{ArgError, Parsed};
 use ds_core::{
-    compress, compress_csv_stream_to, compress_sharded_to, compress_stream_to, decompress,
-    decompress_rows_with_stats, inspect, open_source, open_source_reader, tune, DsArchive,
-    DsConfig, TuneConfig,
+    compress, compress_csv_stream_to, compress_sharded_to, compress_stream_to, inspect,
+    open_source, open_source_reader, tune, DsArchive, DsConfig, TuneConfig,
 };
 use ds_table::csv::{read_csv_infer, write_csv};
 use ds_table::gen::Dataset;
@@ -432,59 +432,31 @@ fn cmd_decompress(p: &mut Parsed) -> Result<(), String> {
     let stats = p.switch("stats");
     p.finish()?;
     arm_obs(&trace, stats);
-    // Sharded archives decode through positioned reads: only the footer,
-    // the manifest, and the shards intersecting the requested range are
-    // ever read from disk. Monolithic v1 archives (and anything the
-    // footer probe rejects) fall back to the legacy whole-file path.
+    // Positioned reads on the file: only the footer, the manifest, and the
+    // shards intersecting the requested range are ever read from disk (a
+    // v1 archive is its own single shard).
     let file = std::fs::File::open(&input).map_err(|e| format!("read {input}: {e}"))?;
-    match ds_serve::Archive::open(file) {
-        Ok(archive) => {
-            if rows_spec.is_empty() {
-                let out_file =
-                    std::fs::File::create(&output).map_err(|e| format!("create {output}: {e}"))?;
-                let mut sink = std::io::BufWriter::new(out_file);
-                let n = archive
-                    .stream_csv(0..archive.total_rows(), &mut sink, true)
-                    .map_err(|e| format!("decode {input}: {e}"))?;
-                eprintln!("{output}: {n} rows restored");
-            } else {
-                let range = parse_row_range(&rows_spec)?;
-                let (table, rstats) = archive
-                    .read_rows_with_stats(range)
-                    .map_err(|e| format!("decode {input}: {e}"))?;
-                std::fs::write(&output, write_csv(&table))
-                    .map_err(|e| format!("write {output}: {e}"))?;
-                eprintln!(
-                    "{output}: {} rows restored (decoded {}/{} shard(s))",
-                    table.nrows(),
-                    rstats.shards_decoded,
-                    rstats.shards_total
-                );
-            }
-        }
-        Err(ds_serve::ServeError::NotSharded) => {
-            let bytes = std::fs::read(&input).map_err(|e| format!("read {input}: {e}"))?;
-            let archive = DsArchive::from_bytes(bytes);
-            if rows_spec.is_empty() {
-                let table = decompress(&archive).map_err(|e| format!("decode {input}: {e}"))?;
-                std::fs::write(&output, write_csv(&table))
-                    .map_err(|e| format!("write {output}: {e}"))?;
-                eprintln!("{output}: {} rows restored", table.nrows());
-            } else {
-                let range = parse_row_range(&rows_spec)?;
-                let (table, stats) = decompress_rows_with_stats(&archive, range)
-                    .map_err(|e| format!("decode {input}: {e}"))?;
-                std::fs::write(&output, write_csv(&table))
-                    .map_err(|e| format!("write {output}: {e}"))?;
-                eprintln!(
-                    "{output}: {} rows restored (decoded {}/{} shard(s))",
-                    table.nrows(),
-                    stats.shards_decoded,
-                    stats.shards_total
-                );
-            }
-        }
-        Err(e) => return Err(format!("decode {input}: {e}")),
+    let archive = ds_serve::Archive::open(file).map_err(|e| format!("decode {input}: {e}"))?;
+    if rows_spec.is_empty() {
+        let out_file =
+            std::fs::File::create(&output).map_err(|e| format!("create {output}: {e}"))?;
+        let mut sink = std::io::BufWriter::new(out_file);
+        let n = archive
+            .stream_csv(0..archive.total_rows(), &mut sink, true)
+            .map_err(|e| format!("decode {input}: {e}"))?;
+        eprintln!("{output}: {n} rows restored");
+    } else {
+        let range = parse_row_range(&rows_spec)?;
+        let (table, rstats) = archive
+            .read_rows_with_stats(range)
+            .map_err(|e| format!("decode {input}: {e}"))?;
+        std::fs::write(&output, write_csv(&table)).map_err(|e| format!("write {output}: {e}"))?;
+        eprintln!(
+            "{output}: {} rows restored (decoded {}/{} shard(s))",
+            table.nrows(),
+            rstats.shards_decoded,
+            rstats.shards_total
+        );
     }
     finish_obs(&trace, stats)
 }
@@ -562,6 +534,7 @@ fn serve_tcp(
         let stream = conn.map_err(|e| format!("accept: {e}"))?;
         let archive = archive.clone();
         handles.push(std::thread::spawn(move || -> std::io::Result<()> {
+            stream.set_read_timeout(Some(ds_serve::protocol::CLIENT_READ_TIMEOUT))?;
             let reader = std::io::BufReader::new(stream.try_clone()?);
             ds_serve::serve_connection(&archive, reader, stream).map(|_| ())
         }));

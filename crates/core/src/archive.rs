@@ -146,25 +146,22 @@ pub struct ArchiveInfo {
 }
 
 /// Parses just the archive envelope — cheap metadata access for tooling.
-/// For a sharded container this reads the manifest plus the first shard's
-/// envelope (which describes the schema shared by every shard).
+/// Reads the manifest plus the first shard's envelope (which describes the
+/// schema shared by every shard; a v1 archive is its own first shard).
 pub fn inspect(archive: &DsArchive) -> crate::Result<ArchiveInfo> {
-    if ds_shard::is_sharded(&archive.bytes) {
-        let reader = ds_shard::ShardReader::open(&archive.bytes).map_err(crate::DsError::from)?;
-        let first = reader
-            .shard_bytes(0)
-            .map_err(|_| crate::DsError::Corrupt("sharded container has no shards"))?;
-        let mut info = inspect_bytes(first)?;
-        info.nrows = reader.total_rows();
-        info.shards = reader.n_shards();
-        info.codec_chains = reader.chains().map(|chains| {
-            (0..chains.n_cols())
-                .map(|col| chains.chain(0, col).unwrap_or(&[]).to_vec())
-                .collect()
-        });
-        return Ok(info);
+    let reader = crate::ArchiveReader::open(archive.as_bytes())?;
+    let shards = reader.shards();
+    let mut info = inspect_bytes(shards.shard_bytes(0)?)?;
+    info.nrows = shards.total_rows();
+    if !shards.is_unframed() {
+        info.shards = shards.n_shards();
     }
-    inspect_bytes(&archive.bytes)
+    info.codec_chains = shards.chains().map(|chains| {
+        (0..chains.n_cols())
+            .map(|col| chains.chain(0, col).unwrap_or(&[]).to_vec())
+            .collect()
+    });
+    Ok(info)
 }
 
 fn inspect_bytes(bytes: &[u8]) -> crate::Result<ArchiveInfo> {

@@ -47,6 +47,7 @@ pub mod cluster;
 pub mod materialize;
 pub mod pipeline;
 pub mod preprocess;
+pub mod reader;
 pub mod source;
 pub mod stream;
 pub mod tune;
@@ -56,6 +57,7 @@ pub use pipeline::{
     compress, compress_sharded_to, decompress, decompress_rows, decompress_rows_with_stats,
     DsConfig, ShardDecoder, ShardedCompression, ShardedDecodeStats, TrainedCompressor,
 };
+pub use reader::ArchiveReader;
 pub use source::{open_source, open_source_reader, OpenedSource, SourceKind};
 pub use stream::{compress_csv_stream_to, compress_stream_to, CsvStreamInfo};
 pub use tune::{tune, TuneConfig, TuneOutcome};

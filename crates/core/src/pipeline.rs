@@ -5,6 +5,7 @@ use crate::materialize::{
     class_at_rank, dequantize_codes, materialize, MappingStrategy, MaterializeOptions,
 };
 use crate::preprocess::{preprocess, ColPlan, PreprocessOptions, Preprocessed};
+use crate::reader::ArchiveReader;
 use crate::{DsError, Result};
 use ds_codec::{delta, gzlike, parq, rle, ByteReader};
 use ds_nn::autoencoder::DecodedBatch;
@@ -480,26 +481,13 @@ pub fn compress_sharded_to<W: std::io::Write>(
 /// order-free archive (§6.4) rows come back grouped by expert rather than
 /// in original order.
 ///
-/// Both container formats are handled: the legacy single-blob v1 archive,
-/// and the v2 sharded container (detected by its trailing `DSRG` footer),
-/// whose row groups are CRC-validated and decoded in parallel.
+/// Both container formats open through the one [`ArchiveReader`]: the v2
+/// sharded container, whose row groups are CRC-validated and decoded in
+/// parallel, and the v1 single-blob archive, as its one shard.
 pub fn decompress(archive: &DsArchive) -> Result<Table> {
     let root = ds_obs::span("decompress");
-    let root_id = root.id();
-    if ds_shard::is_sharded(&archive.bytes) {
-        let reader = ds_shard::ShardReader::open(&archive.bytes)?;
-        let decoder = ShardDecoder::from_shared_blob(reader.shared())?;
-        let parts = reader
-            .read_all(|i, blob| {
-                let _sp = ds_obs::span_under(root_id, "decode_shard", i as u64);
-                decoder.decode_shard(blob)
-            })
-            .map_err(flatten_op)?;
-        let table = Table::concat(&parts)?;
-        ds_obs::counter("decompress.rows", table.nrows() as u64);
-        return Ok(table);
-    }
-    let table = decompress_bytes(&archive.bytes, None)?;
+    let reader = ArchiveReader::open(archive.as_bytes())?;
+    let (table, _) = reader.read_rows(0..reader.shards().total_rows(), root.id())?;
     ds_obs::counter("decompress.rows", table.nrows() as u64);
     Ok(table)
 }
@@ -516,9 +504,9 @@ pub struct ShardedDecodeStats {
 
 /// Decompresses only the rows in `rows` (clamped to the table).
 ///
-/// On a sharded archive, only the row groups intersecting the range are
-/// CRC-validated and decoded — in parallel; on a monolithic archive the
-/// whole table is decoded and sliced.
+/// Only the row groups intersecting the range are CRC-validated and
+/// decoded — in parallel. A monolithic archive is one row group, so it is
+/// decoded whole and cut.
 pub fn decompress_rows(archive: &DsArchive, rows: std::ops::Range<usize>) -> Result<Table> {
     Ok(decompress_rows_with_stats(archive, rows)?.0)
 }
@@ -529,46 +517,16 @@ pub fn decompress_rows_with_stats(
     archive: &DsArchive,
     rows: std::ops::Range<usize>,
 ) -> Result<(Table, ShardedDecodeStats)> {
-    if !ds_shard::is_sharded(&archive.bytes) {
-        let full = decompress_bytes(&archive.bytes, None)?;
-        let stats = ShardedDecodeStats {
-            shards_total: 1,
-            shards_decoded: 1,
-        };
-        return Ok((full.slice_rows(rows), stats));
-    }
     let root = ds_obs::span("decompress_rows");
-    let root_id = root.id();
-    let reader = ds_shard::ShardReader::open(&archive.bytes)?;
-    let decoder = ShardDecoder::from_shared_blob(reader.shared())?;
-    let got = reader
-        .read_rows(rows, |i, blob| {
-            let _sp = ds_obs::span_under(root_id, "decode_shard", i as u64);
-            decoder.decode_shard(blob)
-        })
-        .map_err(flatten_op)?;
-    let stats = ShardedDecodeStats {
-        shards_total: reader.n_shards(),
-        shards_decoded: got.shards_decoded,
-    };
-    if got.parts.is_empty() {
-        // Nothing intersects: decode one shard only to recover the schema
-        // and return its empty slice.
-        let blob = reader.shard_bytes(0)?;
-        let probe = decoder.decode_shard(blob)?;
-        return Ok((probe.slice_rows(0..0), stats));
-    }
-    let table = Table::concat(&got.parts)?;
-    Ok((table.slice_rows(got.skip..got.skip + got.take), stats))
+    ArchiveReader::open(archive.as_bytes())?.read_rows(rows, root.id())
 }
 
 /// The shared decoder of a v2 sharded container, parsed **once** and
 /// reused across every shard decode. Before this type existed each shard
 /// re-ran `gzlike::decompress` + weight deserialization on the same
 /// manifest blob — pure per-shard overhead that also made a long-lived
-/// archive server impossible. `ds-serve`'s `Archive` handle keeps one of
-/// these alive for its whole lifetime; [`decompress`] and
-/// [`decompress_rows`] build one per call.
+/// archive server impossible. An [`ArchiveReader`] holds one for as long as
+/// it is open: the whole life of a server, one call of [`decompress`].
 pub struct ShardDecoder {
     model: Option<MoeAutoencoder>,
 }
@@ -596,14 +554,6 @@ impl ShardDecoder {
     /// carrying its own decoder still decodes independently.
     pub fn decode_shard(&self, bytes: &[u8]) -> Result<Table> {
         decompress_bytes(bytes, self.model.as_ref())
-    }
-}
-
-/// Collapses a per-shard operation error into the pipeline error type.
-fn flatten_op(e: ds_shard::OpError<DsError>) -> DsError {
-    match e {
-        ds_shard::OpError::Container(c) => c.into(),
-        ds_shard::OpError::Shard { error, .. } => error,
     }
 }
 

@@ -3,33 +3,34 @@
 //!
 //! [`open_source`] sniffs the input instead of trusting file extensions:
 //!
-//! * a v2 sharded container (trailing `DSRG` footer) — decoded shard by
-//!   shard per pass, so recompression never holds the whole table;
-//! * a v1 monolithic archive (leading `DSQZ` magic) — decompressed once
-//!   into an in-memory table source;
+//! * an archive — whatever [`ArchiveReader::open`] accepts: a v2 sharded
+//!   container, decoded shard by shard per pass through positioned reads
+//!   on the file, so recompression never holds the whole archive or the
+//!   whole table; or a v1 monolithic archive, the same thing with one
+//!   shard;
 //! * a CSV file (printable head, no NUL bytes) — schema inferred with
-//!   `read_csv_infer`'s exact rules in one streaming pass;
+//!   `read_csv_infer`'s cell test in one streaming pass;
 //! * anything else — a typed [`DsError::Corrupt`], never a guess.
 //!
-//! Sniff order matters: a v2 container *starts* with its first shard
-//! blob, which is itself a v1 archive, so the trailing v2 footer must be
-//! probed before the leading v1 magic.
+//! Whether the bytes are an archive, and of which kind, is the archive
+//! reader's decision alone; this module only tells CSV from garbage once
+//! the reader has said "not mine".
 //!
 //! [`open_source_reader`] extends the same negotiation to pipes
 //! (`dsqz recompress - out.dsqz`): the stream is spooled to a temp file
 //! first, because the two-pass stats/encode pipeline must rewind and a
 //! pipe cannot. The spool is deleted when the source is dropped.
 
-use crate::pipeline::ShardDecoder;
-use crate::{decompress, DsArchive, DsError};
-use ds_table::csv::CsvChunks;
+use crate::{ArchiveReader, DsError};
+use ds_shard::ShardError;
+use ds_table::csv::{numeric_cell, CsvChunks};
 use ds_table::stream::{CsvFileSource, RowSource};
 use ds_table::{Field, Schema, Table, TableError};
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// How many leading bytes the CSV-vs-binary probe examines.
-const SNIFF_HEAD: usize = 8192;
+const SNIFF_HEAD: u64 = 8192;
 
 /// What the magic-byte probe decided an input is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,15 +61,9 @@ impl SourceKind {
 /// into [`crate::compress_stream_to`].
 pub struct OpenedSource {
     kind: SourceKind,
-    inner: SourceImpl,
+    inner: Box<dyn RowSource>,
     /// Deletes the spool file on drop; `None` for direct file inputs.
     _spool: Option<TempSpool>,
-}
-
-enum SourceImpl {
-    Csv(CsvFileSource),
-    Table(OwnedTableSource),
-    Sharded(ArchiveShardSource),
 }
 
 impl OpenedSource {
@@ -76,27 +71,19 @@ impl OpenedSource {
     pub fn kind(&self) -> SourceKind {
         self.kind
     }
-
-    fn as_source(&self) -> &dyn RowSource {
-        match &self.inner {
-            SourceImpl::Csv(s) => s,
-            SourceImpl::Table(s) => s,
-            SourceImpl::Sharded(s) => s,
-        }
-    }
 }
 
 impl RowSource for OpenedSource {
     fn schema(&self) -> &Schema {
-        self.as_source().schema()
+        self.inner.schema()
     }
 
     fn chunk_rows(&self) -> usize {
-        self.as_source().chunk_rows()
+        self.inner.chunk_rows()
     }
 
     fn chunks(&self) -> ds_table::Result<Box<dyn Iterator<Item = ds_table::Result<Table>> + '_>> {
-        self.as_source().chunks()
+        self.inner.chunks()
     }
 }
 
@@ -131,23 +118,36 @@ fn open_path(
     spool: Option<TempSpool>,
 ) -> crate::Result<OpenedSource> {
     let chunk_rows = chunk_rows.max(1);
-    let kind = sniff_file(path)?;
-    let inner = match kind {
-        SourceKind::Csv => {
+    let file = std::fs::File::open(path).map_err(io_err)?;
+    if file.metadata().map_err(io_err)?.len() == 0 {
+        return Err(DsError::Corrupt("empty input"));
+    }
+    let (kind, inner): (_, Box<dyn RowSource>) = match ArchiveReader::open(file) {
+        Ok(reader) => {
+            let kind = if reader.shards().is_unframed() {
+                SourceKind::ArchiveV1
+            } else {
+                SourceKind::ArchiveV2
+            };
+            (kind, Box::new(ArchiveSource::new(reader)?))
+        }
+        Err(DsError::Shard(ShardError::NotContainer)) => {
+            // CSV is text: any NUL in the head marks the input as binary
+            // garbage.
+            let mut head = Vec::new();
+            std::fs::File::open(path)
+                .and_then(|f| f.take(SNIFF_HEAD).read_to_end(&mut head))
+                .map_err(io_err)?;
+            if head.contains(&0) {
+                return Err(DsError::Corrupt(
+                    "unrecognized input: no dsqz magic and not text",
+                ));
+            }
             let schema = infer_csv_schema(path, chunk_rows)?;
-            SourceImpl::Csv(CsvFileSource::new(path, schema, chunk_rows))
+            let source = CsvFileSource::new(path, schema, chunk_rows);
+            (SourceKind::Csv, Box::new(source))
         }
-        SourceKind::ArchiveV1 => {
-            // A v1 archive is one undivided blob: decoding it is all-or-
-            // nothing, so the source is the decoded table itself.
-            let bytes = std::fs::read(path).map_err(io_err)?;
-            let table = decompress(&DsArchive::from_bytes(bytes))?;
-            SourceImpl::Table(OwnedTableSource { table, chunk_rows })
-        }
-        SourceKind::ArchiveV2 => {
-            let bytes = std::fs::read(path).map_err(io_err)?;
-            SourceImpl::Sharded(ArchiveShardSource::open(bytes)?)
-        }
+        Err(e) => return Err(e),
     };
     Ok(OpenedSource {
         kind,
@@ -160,52 +160,9 @@ fn io_err(e: std::io::Error) -> DsError {
     DsError::Table(TableError::Io(e.to_string()))
 }
 
-/// Decides what `path` holds from its first and last bytes alone.
-///
-/// The v2 footer is probed **before** the v1 head magic: every v2
-/// container begins with a v1 shard blob, so a head-first probe would
-/// misread sharded containers as monolithic forever.
-fn sniff_file(path: &Path) -> crate::Result<SourceKind> {
-    let mut file = std::fs::File::open(path).map_err(io_err)?;
-    let len = file.metadata().map_err(io_err)?.len();
-    if len == 0 {
-        return Err(DsError::Corrupt("empty input"));
-    }
-
-    if len >= ds_shard::FOOTER_LEN as u64 {
-        use std::io::{Seek, SeekFrom};
-        let mut footer = [0u8; ds_shard::FOOTER_LEN];
-        file.seek(SeekFrom::End(-(ds_shard::FOOTER_LEN as i64)))
-            .map_err(io_err)?;
-        file.read_exact(&mut footer).map_err(io_err)?;
-        if let Ok(manifest_len) = ds_shard::footer_manifest_len(&footer) {
-            let plausible = manifest_len
-                .checked_add(ds_shard::FOOTER_LEN)
-                .is_some_and(|end| end as u64 <= len);
-            if plausible {
-                return Ok(SourceKind::ArchiveV2);
-            }
-        }
-        file.seek(SeekFrom::Start(0)).map_err(io_err)?;
-    }
-
-    let mut head = vec![0u8; SNIFF_HEAD.min(len as usize)];
-    file.read_exact(&mut head).map_err(io_err)?;
-    if head.starts_with(crate::archive::MAGIC) {
-        return Ok(SourceKind::ArchiveV1);
-    }
-    // CSV is text: any NUL in the head marks the input as binary garbage.
-    if !head.contains(&0) {
-        return Ok(SourceKind::Csv);
-    }
-    Err(DsError::Corrupt(
-        "unrecognized input: no dsqz magic and not text",
-    ))
-}
-
 /// One streaming pass over a CSV file resolving each column's type with
-/// `read_csv_infer`'s exact rule: numeric iff the file has rows and every
-/// cell parses as a finite f64 after trimming.
+/// `read_csv_infer`'s rule: numeric iff the file has rows and every cell is
+/// a [`numeric_cell`].
 fn infer_csv_schema(path: &Path, chunk_rows: usize) -> crate::Result<Schema> {
     let file = std::fs::File::open(path).map_err(io_err)?;
     let mut chunks = CsvChunks::new(BufReader::new(file), chunk_rows).map_err(DsError::Table)?;
@@ -221,13 +178,7 @@ fn infer_csv_schema(path: &Path, chunk_rows: usize) -> crate::Result<Schema> {
     while let Some(records) = chunks.next_chunk().map_err(DsError::Table)? {
         for record in &records {
             for (value, failures) in record.iter().zip(numeric_failures.iter_mut()) {
-                let numeric = value
-                    .trim()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|x| x.is_finite())
-                    .is_some();
-                if !numeric {
+                if numeric_cell(value).is_none() {
                     *failures += 1;
                 }
             }
@@ -248,71 +199,32 @@ fn infer_csv_schema(path: &Path, chunk_rows: usize) -> crate::Result<Schema> {
     Schema::new(fields).map_err(DsError::Table)
 }
 
-/// [`RowSource`] over an owned in-memory table (the decoded v1 archive):
-/// chunks are contiguous row slices, identical to
-/// [`ds_table::stream::TableSource`] but self-contained.
-struct OwnedTableSource {
-    table: Table,
-    chunk_rows: usize,
-}
-
-impl RowSource for OwnedTableSource {
-    fn schema(&self) -> &Schema {
-        self.table.schema()
-    }
-
-    fn chunk_rows(&self) -> usize {
-        self.chunk_rows
-    }
-
-    fn chunks(&self) -> ds_table::Result<Box<dyn Iterator<Item = ds_table::Result<Table>> + '_>> {
-        let n = self.table.nrows();
-        let step = self.chunk_rows;
-        let n_chunks = n.div_ceil(step);
-        Ok(Box::new((0..n_chunks).map(move |i| {
-            let lo = i * step;
-            Ok(self.table.slice_rows(lo..lo.saturating_add(step)))
-        })))
-    }
-}
-
-/// [`RowSource`] over a v2 sharded container: each pass walks the shard
-/// index and decodes one row group at a time, so recompressing an archive
-/// holds O(shard) rows — the same bound as streaming CSV ingest. The
-/// shared decoder is parsed once at open and reused by every pass.
-struct ArchiveShardSource {
-    bytes: Vec<u8>,
-    decoder: ShardDecoder,
+/// [`RowSource`] over an open archive: each pass walks the shard index and
+/// decodes one row group at a time from positioned reads on the file, so
+/// recompressing an archive holds O(shard) bytes and rows — the same bound
+/// as streaming CSV ingest. The manifest and the shared decoder are parsed
+/// once, at open.
+struct ArchiveSource {
+    reader: ArchiveReader<std::fs::File>,
     schema: Schema,
     chunk_rows: usize,
 }
 
-impl ArchiveShardSource {
-    fn open(bytes: Vec<u8>) -> crate::Result<ArchiveShardSource> {
-        let (decoder, schema, chunk_rows) = {
-            let reader = ds_shard::ShardReader::open(&bytes)?;
-            let decoder = ShardDecoder::from_shared_blob(reader.shared())?;
-            // Shard 0 always exists (even empty containers carry one
-            // zero-row shard) and fixes the schema shared by all shards.
-            let first = decoder.decode_shard(reader.shard_bytes(0)?)?;
-            let chunk_rows = reader
-                .entries()
-                .first()
-                .map(|e| e.rows.len())
-                .unwrap_or(0)
-                .max(1);
-            (decoder, first.schema().clone(), chunk_rows)
-        };
-        Ok(ArchiveShardSource {
-            bytes,
-            decoder,
-            schema,
+impl ArchiveSource {
+    fn new(reader: ArchiveReader<std::fs::File>) -> crate::Result<ArchiveSource> {
+        // Shard 0 always exists (even empty containers carry one zero-row
+        // shard) and fixes the schema shared by all shards.
+        let first = reader.decode_shard(0, ds_obs::current(), "decode_shard")?;
+        let chunk_rows = first.nrows().max(1);
+        Ok(ArchiveSource {
+            reader,
+            schema: first.schema().clone(),
             chunk_rows,
         })
     }
 }
 
-impl RowSource for ArchiveShardSource {
+impl RowSource for ArchiveSource {
     fn schema(&self) -> &Schema {
         &self.schema
     }
@@ -322,20 +234,10 @@ impl RowSource for ArchiveShardSource {
     }
 
     fn chunks(&self) -> ds_table::Result<Box<dyn Iterator<Item = ds_table::Result<Table>> + '_>> {
-        // The container re-validated per pass: cheap (footer + manifest),
-        // and keeps the borrow local to the iterator.
-        let reader = match ds_shard::ShardReader::open(&self.bytes) {
-            Ok(r) => r,
-            Err(e) => return Err(TableError::Io(e.to_string())),
-        };
-        let decoder = &self.decoder;
-        let n = reader.n_shards();
-        let iter = (0..n).filter_map(move |i| {
-            let table = reader
-                .shard_bytes(i)
-                .map_err(DsError::from)
-                .and_then(|blob| decoder.decode_shard(blob));
-            match table {
+        let parent = ds_obs::current();
+        let shards = 0..self.reader.shards().n_shards();
+        Ok(Box::new(shards.filter_map(move |i| {
+            match self.reader.decode_shard(i, parent, "decode_shard") {
                 // Zero-row shards (the empty-container marker) are framing,
                 // not data: a source with no rows must yield no chunks.
                 Ok(t) if t.nrows() == 0 => None,
@@ -345,8 +247,7 @@ impl RowSource for ArchiveShardSource {
                 // chain/codec validation already ran at open_source time).
                 Err(e) => Some(Err(TableError::Io(e.to_string()))),
             }
-        });
-        Ok(Box::new(iter))
+        })))
     }
 }
 

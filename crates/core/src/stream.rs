@@ -477,8 +477,7 @@ impl ColProbe {
 
     fn push(&mut self, value: &str) {
         self.cat.push(value);
-        // Same cell test as read_csv_infer: finite f64 after trimming.
-        match value.trim().parse::<f64>().ok().filter(|x| x.is_finite()) {
+        match ds_table::csv::numeric_cell(value) {
             Some(x) => self.num.push(x),
             None => self.numeric_failures += 1,
         }

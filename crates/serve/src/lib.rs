@@ -1,29 +1,30 @@
 //! # ds-serve — concurrent random-access archive server
 //!
-//! `dsqz decompress --rows A..B` answers one range query per process:
-//! it reads the whole file, parses the manifest, imports the shared
-//! decoder weights, decodes the intersecting shards, and exits. A
-//! serving workload — many range queries against one archive — repeats
-//! all of that fixed work per request and rereads bytes it already saw.
+//! `decompress_rows` answers one range query per call: it opens the
+//! archive, imports the shared decoder weights, decodes the intersecting
+//! shards, and drops all of it. A serving workload — many range queries
+//! against one archive — would repeat that fixed work per request and
+//! re-decode shards it just had.
 //!
-//! This crate amortizes the fixed work behind a shared handle:
+//! This crate is the third and last layer of the read path (DESIGN §3b):
+//! [`ds_shard::ShardReader`] frames, [`ds_core::ArchiveReader`] decodes,
+//! and [`Archive`] adds the one thing a server needs on top — memory of
+//! what it already decoded:
 //!
-//! * [`Archive<R: ReadAt>`] opens the v2 sharded container **once**,
-//!   parsing footer + manifest and importing the shared decoder blob a
-//!   single time into an `Arc`-shared inner state. The handle is `Clone`
-//!   (cheap, refcount bump) and every method takes `&self`, so one
-//!   archive can serve many threads concurrently.
-//! * Reads are **positioned**: a range query touches only the footer,
-//!   the manifest, and the blobs of intersecting shards — never the
-//!   whole file. [`ReadAt`] abstracts the byte source (`std::fs::File`
-//!   via pread, `Vec<u8>` for tests, or any custom impl).
-//! * A bounded, byte-budget [`ShardCache`] keeps recently decoded
+//! * [`Archive<R: ReadAt>`] holds one `ArchiveReader` (opened **once**) and
+//!   a [`ShardCache`] behind an `Arc`. The handle is `Clone` (cheap,
+//!   refcount bump) and every method takes `&self`, so one archive can
+//!   serve many threads concurrently.
+//! * Reads are **positioned** ([`ReadAt`], re-exported from ds-shard): a
+//!   range query touches only the footer, the manifest, and the blobs of
+//!   intersecting shards — never the whole file.
+//! * The bounded, byte-budget [`ShardCache`] keeps recently decoded
 //!   shards resident so repeated or overlapping range reads skip both
 //!   I/O and neural-decode work entirely.
-//! * [`Archive::stream_csv`] mirrors the CLI `--stream` path for
-//!   serving: shards decode in parallel on the ds-exec pool and flush
-//!   to the sink in order, so peak memory stays one in-flight shard per
-//!   worker instead of the whole table.
+//! * [`Archive::stream_csv`] is the full-sweep path (`dsqz decompress`):
+//!   shards decode in parallel on the ds-exec pool and flush to the sink
+//!   in order, so peak memory stays one in-flight shard per worker
+//!   instead of the whole table.
 //! * [`protocol`] implements the tiny line protocol behind `dsqz serve`
 //!   (`GET a..b`, `STAT`, `QUIT`).
 //!
@@ -33,14 +34,16 @@
 //! eviction order, evicted byte counts) is identical at any `DS_THREADS`
 //! setting: lookups happen in ascending shard order before any decode is
 //! scheduled, misses decode in parallel, and inserts are applied in
-//! ascending shard order after decode. Timing-free obs traces of a serve
-//! session are therefore byte-identical across thread counts.
+//! ascending shard order as the decodes land. Timing-free obs traces of a
+//! serve session are therefore byte-identical across thread counts.
 
+use std::borrow::Cow;
 use std::io;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use ds_core::{DsError, ShardDecoder};
+use ds_core::reader::sweep;
+use ds_core::{ArchiveReader, DsError};
 use ds_shard::{ShardEntry, ShardError, FOOTER_LEN};
 use ds_table::{Schema, Table};
 
@@ -49,6 +52,7 @@ pub mod http;
 pub mod protocol;
 
 pub use cache::{CacheStats, ShardCache};
+pub use ds_shard::ReadAt;
 pub use http::spawn_metrics_http;
 pub use protocol::{metrics_text, parse_request, serve_connection, Request, ServeSummary};
 
@@ -57,11 +61,11 @@ pub use protocol::{metrics_text, parse_request, serve_connection, Request, Serve
 pub enum ServeError {
     /// The byte source failed (positioned read, sink write).
     Io(io::Error),
-    /// The input is not a v2 sharded container (no valid footer). Callers
-    /// with the whole file in memory can fall back to the monolithic
-    /// decode path; a server should reject the archive.
+    /// The input is not an archive: it neither ends in the v2 container
+    /// footer nor starts with a v1 header.
     NotSharded,
-    /// Container-level corruption (framing, manifest, CRC).
+    /// Container-level corruption (framing, manifest, CRC, a shard whose
+    /// decoded row count disagrees with its manifest entry).
     Shard(ShardError),
     /// Shard contents failed to decode.
     Core(DsError),
@@ -72,10 +76,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Io(e) => write!(f, "io error: {e}"),
             ServeError::NotSharded => {
-                write!(
-                    f,
-                    "not a sharded archive (random access needs the v2 container)"
-                )
+                write!(f, "not a dsqz archive (no v2 footer, no v1 header)")
             }
             ServeError::Shard(e) => write!(f, "shard container error: {e}"),
             ServeError::Core(e) => write!(f, "decode error: {e}"),
@@ -97,91 +98,21 @@ impl From<ShardError> for ServeError {
     }
 }
 
+/// The reader below reports container failures wrapped in its own error
+/// type; unwrap them so callers match one shape whichever layer noticed.
 impl From<DsError> for ServeError {
     fn from(e: DsError) -> Self {
-        ServeError::Core(e)
+        match e {
+            DsError::Shard(ShardError::NotContainer) => ServeError::NotSharded,
+            DsError::Shard(ShardError::Io(e)) => ServeError::Io(e),
+            DsError::Shard(e) => ServeError::Shard(e),
+            e => ServeError::Core(e),
+        }
     }
 }
 
 /// Result alias for the serving layer.
 pub type Result<T> = std::result::Result<T, ServeError>;
-
-/// A positioned-read byte source: the random-access analogue of `Read`.
-///
-/// Implementations must be safe to call from many threads at once
-/// (`read_exact_at` takes `&self`); `File` qualifies because pread does
-/// not touch the shared cursor.
-pub trait ReadAt: Send + Sync {
-    /// Total size of the source in bytes.
-    fn size(&self) -> io::Result<u64>;
-
-    /// Fills `buf` from `offset`, erroring (rather than short-reading)
-    /// if the source ends first.
-    fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()>;
-}
-
-#[cfg(unix)]
-impl ReadAt for std::fs::File {
-    fn size(&self) -> io::Result<u64> {
-        Ok(self.metadata()?.len())
-    }
-
-    fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        std::os::unix::fs::FileExt::read_exact_at(self, buf, offset)
-    }
-}
-
-#[cfg(windows)]
-impl ReadAt for std::fs::File {
-    fn size(&self) -> io::Result<u64> {
-        Ok(self.metadata()?.len())
-    }
-
-    fn read_exact_at(&self, mut offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        use std::os::windows::fs::FileExt;
-        let mut buf = buf;
-        while !buf.is_empty() {
-            let n = self.seek_read(buf, offset)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "archive ended mid-read",
-                ));
-            }
-            let rest = std::mem::take(&mut buf);
-            buf = rest.get_mut(n..).ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "read past buffer end")
-            })?;
-            offset = offset.saturating_add(n as u64);
-        }
-        Ok(())
-    }
-}
-
-impl ReadAt for Vec<u8> {
-    fn size(&self) -> io::Result<u64> {
-        Ok(self.len() as u64)
-    }
-
-    fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        let eof = || io::Error::new(io::ErrorKind::UnexpectedEof, "read past end of buffer");
-        let off = usize::try_from(offset).map_err(|_| eof())?;
-        let end = off.checked_add(buf.len()).ok_or_else(eof)?;
-        let src = self.get(off..end).ok_or_else(eof)?;
-        buf.copy_from_slice(src);
-        Ok(())
-    }
-}
-
-impl<T: ReadAt + ?Sized> ReadAt for Arc<T> {
-    fn size(&self) -> io::Result<u64> {
-        (**self).size()
-    }
-
-    fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        (**self).read_exact_at(offset, buf)
-    }
-}
 
 /// Per-request decode statistics (see [`Archive::read_rows_with_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -197,23 +128,18 @@ pub struct ReadStats {
 }
 
 struct ArchiveInner<R: ReadAt> {
-    src: R,
-    entries: Vec<ShardEntry>,
-    total_rows: usize,
-    decoder: ShardDecoder,
+    reader: ArchiveReader<R>,
     cache: ShardCache,
     schema: OnceLock<Schema>,
-    /// Per-column codec chains from the manifest's chain section; `None`
-    /// for containers written before chain recording (legacy chain).
-    chains: Option<ds_shard::ShardChains>,
 }
 
-/// A shared, thread-safe handle to an open sharded archive.
+/// A shared, thread-safe handle to an open archive.
 ///
 /// Opening parses the footer, manifest, and shared decoder blob exactly
 /// once; every subsequent range read costs only the positioned reads and
-/// decodes of the shards it intersects. Clone the handle freely — all
-/// clones share the same source, decoder, and [`ShardCache`].
+/// decodes of the shards it intersects and does not find cached. Clone
+/// the handle freely — all clones share the same source, decoder, and
+/// [`ShardCache`].
 pub struct Archive<R: ReadAt> {
     inner: Arc<ArchiveInner<R>>,
 }
@@ -235,52 +161,21 @@ impl<R: ReadAt> Archive<R> {
         Archive::with_cache(src, Archive::<R>::DEFAULT_CACHE_BYTES)
     }
 
-    /// Opens an archive with an explicit decoded-shard cache budget in
-    /// bytes (zero disables caching).
-    ///
-    /// Performs exactly two positioned reads — the 9-byte footer and the
-    /// manifest — plus one decoder import. Returns
-    /// [`ServeError::NotSharded`] when the tail is not a valid v2 footer
-    /// so callers can fall back to monolithic decode.
+    /// Opens an archive ([`ArchiveReader::open`]: two positioned reads
+    /// plus one decoder import) with an explicit decoded-shard cache
+    /// budget in bytes (zero disables caching).
     pub fn with_cache(src: R, cache_bytes: usize) -> Result<Archive<R>> {
         let _sp = ds_obs::span("serve.open");
-        let size = src.size()?;
-        let footer_len = FOOTER_LEN as u64;
-        if size < footer_len {
-            return Err(ServeError::NotSharded);
-        }
-        let mut footer = [0u8; FOOTER_LEN];
-        src.read_exact_at(size - footer_len, &mut footer)?;
-        let manifest_len = match ds_shard::footer_manifest_len(&footer) {
-            Ok(n) => n,
-            // Any footer defect (magic, version) means "not ours".
-            Err(_) => return Err(ServeError::NotSharded),
-        };
-        let body = size - footer_len;
-        let manifest_len_u64 = manifest_len as u64;
-        if manifest_len_u64 > body {
-            return Err(ServeError::Shard(ShardError::Corrupt(
-                "manifest length exceeds container",
-            )));
-        }
-        let shard_region = body - manifest_len_u64;
-        let mut manifest = vec![0u8; manifest_len];
-        src.read_exact_at(shard_region, &mut manifest)?;
-        let parsed = ds_shard::parse_manifest(&manifest, shard_region)?;
-        let decoder = ShardDecoder::from_shared_blob(parsed.shared)?;
+        let reader = ArchiveReader::open(src)?;
         ds_obs::counter(
             "serve.open_bytes_read",
-            footer_len.saturating_add(manifest_len_u64),
+            (FOOTER_LEN as u64).saturating_add(reader.shards().manifest_len() as u64),
         );
         Ok(Archive {
             inner: Arc::new(ArchiveInner {
-                src,
-                entries: parsed.entries,
-                total_rows: parsed.total_rows,
-                decoder,
+                reader,
                 cache: ShardCache::new(cache_bytes),
                 schema: OnceLock::new(),
-                chains: parsed.chains,
             }),
         })
     }
@@ -289,7 +184,7 @@ impl<R: ReadAt> Archive<R> {
     /// containers that predate chain recording (they decode through the
     /// implicit legacy chain).
     pub fn codec_chains(&self) -> Option<&ds_shard::ShardChains> {
-        self.inner.chains.as_ref()
+        self.inner.reader.shards().chains()
     }
 
     /// Compact codec summary for `STAT`: the distinct registry codec
@@ -297,7 +192,7 @@ impl<R: ReadAt> Archive<R> {
     /// comma-joined), or `legacy` when the manifest has no chain section.
     /// Unknown ids cannot reach here — manifest parsing rejects them.
     pub fn codec_summary(&self) -> String {
-        let Some(chains) = &self.inner.chains else {
+        let Some(chains) = self.codec_chains() else {
             return "legacy".to_owned();
         };
         let mut names: Vec<&'static str> = Vec::new();
@@ -318,17 +213,17 @@ impl<R: ReadAt> Archive<R> {
 
     /// Total logical rows in the archive.
     pub fn total_rows(&self) -> usize {
-        self.inner.total_rows
+        self.inner.reader.shards().total_rows()
     }
 
     /// Number of shards in the archive.
     pub fn n_shards(&self) -> usize {
-        self.inner.entries.len()
+        self.inner.reader.shards().n_shards()
     }
 
     /// Manifest entries (row ranges, offsets, lengths, CRCs).
     pub fn entries(&self) -> &[ShardEntry] {
-        &self.inner.entries
+        self.inner.reader.shards().entries()
     }
 
     /// Snapshot of the decoded-shard cache counters.
@@ -353,51 +248,21 @@ impl<R: ReadAt> Archive<R> {
         Ok(schema)
     }
 
-    /// Reads shard `i`'s blob via positioned reads and validates its CRC.
-    fn shard_blob(&self, i: usize) -> Result<Vec<u8>> {
-        let entry = self
-            .inner
-            .entries
-            .get(i)
-            .ok_or(ServeError::Shard(ShardError::Corrupt(
-                "shard index out of range",
-            )))?;
-        let offset = u64::try_from(entry.offset)
-            .map_err(|_| ServeError::Shard(ShardError::Corrupt("shard offset exceeds u64")))?;
-        let mut blob = vec![0u8; entry.len];
-        self.inner.src.read_exact_at(offset, &mut blob)?;
-        if ds_codec::crc32::crc32(&blob) != entry.crc {
-            return Err(ServeError::Shard(ShardError::CrcMismatch { shard: i }));
-        }
-        ds_obs::counter("serve.shard_bytes_read", blob.len() as u64);
-        Ok(blob)
-    }
-
-    /// Decodes shard `i` from its blob (no cache involvement).
+    /// Decodes shard `i` (no cache involvement), counting the bytes the
+    /// reader fetches for it.
     fn decode_shard(&self, i: usize, parent: ds_obs::SpanId) -> Result<Arc<Table>> {
-        let blob = self.shard_blob(i)?;
-        let _sp = ds_obs::span_under(parent, "serve.decode_shard", i as u64);
-        let table = self.inner.decoder.decode_shard(&blob)?;
-        let entry = self
+        let table = self
             .inner
-            .entries
-            .get(i)
-            .ok_or(ServeError::Shard(ShardError::Corrupt(
-                "shard index out of range",
-            )))?;
-        // A CRC-valid blob can still disagree with the manifest about its
-        // row count; concatenating it anyway would silently misalign rows.
-        if table.nrows() != entry.rows.len() {
-            return Err(ServeError::Shard(ShardError::Corrupt(
-                "decoded shard row count disagrees with manifest",
-            )));
-        }
+            .reader
+            .decode_shard(i, parent, "serve.decode_shard")?;
+        let bytes = self.entries().get(i).map_or(0, |e| e.len);
+        ds_obs::counter("serve.shard_bytes_read", bytes as u64);
         Ok(Arc::new(table))
     }
 
     /// Cache-aware single-shard decode (promoting lookup + insert).
     fn shard_table_cached(&self, i: usize) -> Result<Arc<Table>> {
-        if self.inner.entries.is_empty() {
+        if self.n_shards() == 0 {
             // A zero-shard archive still decodes to an empty table.
             return Ok(Arc::new(Table::empty(Schema::default())));
         }
@@ -421,95 +286,65 @@ impl<R: ReadAt> Archive<R> {
     ///
     /// Cache lookups run in ascending shard order before any decode is
     /// scheduled; missing shards decode in parallel on the ds-exec pool;
-    /// inserts are applied in ascending shard order afterwards. This
+    /// inserts are applied in ascending shard order as they land. This
     /// keeps cache state (and therefore eviction) deterministic for a
     /// serial request stream at any thread count.
     pub fn read_rows_with_stats(&self, rows: Range<usize>) -> Result<(Table, ReadStats)> {
         let inner = &*self.inner;
-        let total = inner.total_rows;
-        let start = rows.start.min(total);
-        let end = rows.end.min(total).max(start);
+        let plan = inner.reader.plan(rows);
         let mut sp = ds_obs::span("serve.read_rows");
-        sp.add("rows", (end - start) as u64);
+        sp.add("rows", plan.rows.len() as u64);
         let root = sp.id();
         let mut stats = ReadStats {
-            shards_total: inner.entries.len(),
+            shards_total: self.n_shards(),
             ..ReadStats::default()
         };
-        let shards = ds_shard::shards_intersecting(&inner.entries, total, start..end);
-        if shards.is_empty() {
+        if plan.shards.is_empty() {
             // Empty request: answer with the right schema by probing the
-            // first shard (through the cache), like the in-memory path.
+            // first shard (through the cache), like the uncached path.
             let probe = self.shard_table_cached(0)?;
             return Ok((probe.slice_rows(0..0), stats));
         }
 
         // Phase 1: ordered cache lookups. `None` slots are misses.
-        let mut parts: Vec<Option<Arc<Table>>> = Vec::with_capacity(shards.len());
-        let mut misses: Vec<usize> = Vec::new();
-        for i in shards.clone() {
-            match inner.cache.get(i) {
-                Some(t) => {
-                    stats.cache_hits += 1;
-                    parts.push(Some(t));
-                }
-                None => {
-                    stats.cache_misses += 1;
-                    misses.push(i);
-                    parts.push(None);
-                }
-            }
-        }
+        let hits: Vec<Option<Arc<Table>>> =
+            plan.shards.clone().map(|i| inner.cache.get(i)).collect();
+        let misses: Vec<usize> = plan
+            .shards
+            .clone()
+            .zip(&hits)
+            .filter_map(|(i, hit)| hit.is_none().then_some(i))
+            .collect();
+        stats.cache_misses = misses.len();
+        stats.cache_hits = hits.len() - misses.len();
         stats.shards_decoded = misses.len();
 
-        // Phase 2: decode misses in parallel; first error in shard order
-        // wins, deterministically.
-        let decoded: Vec<Result<Arc<Table>>> = if misses.is_empty() {
-            Vec::new()
-        } else {
-            ds_exec::parallel_map(misses.len(), |k| {
-                let i = *misses.get(k).ok_or(ServeError::Shard(ShardError::Corrupt(
-                    "miss index out of range",
-                )))?;
-                self.decode_shard(i, root)
-            })
-        };
+        // Phases 2 and 3: decode the misses in parallel; insert each, in
+        // shard order, as it and its predecessors land.
+        let mut decoded = Vec::with_capacity(misses.len());
+        sweep(
+            misses.len(),
+            |m| -> Result<(usize, Arc<Table>)> {
+                let i = *misses
+                    .get(m)
+                    .ok_or(ShardError::Corrupt("miss index out of range"))?;
+                Ok((i, self.decode_shard(i, root)?))
+            },
+            |_, (i, table)| {
+                inner.cache.insert(i, Arc::clone(&table));
+                decoded.push(table);
+                Ok(())
+            },
+        )?;
 
-        // Phase 3: ordered inserts, filling the miss slots.
-        let mut decoded_iter = misses.iter().zip(decoded);
-        for slot in parts.iter_mut() {
-            if slot.is_none() {
-                let (i, res) =
-                    decoded_iter
-                        .next()
-                        .ok_or(ServeError::Shard(ShardError::Corrupt(
-                            "decoded shard went missing",
-                        )))?;
-                let t = res?;
-                inner.cache.insert(*i, Arc::clone(&t));
-                *slot = Some(t);
-            }
-        }
-
-        // Slice each shard to the requested sub-range and stitch.
-        let mut sliced: Vec<Table> = Vec::with_capacity(parts.len());
-        for (k, slot) in parts.into_iter().enumerate() {
-            let i = shards.start + k;
-            let entry = inner
-                .entries
-                .get(i)
-                .ok_or(ServeError::Shard(ShardError::Corrupt(
-                    "shard index out of range",
-                )))?;
-            let t = slot.ok_or(ServeError::Shard(ShardError::Corrupt(
-                "decoded shard went missing",
-            )))?;
-            let lo = start.max(entry.rows.start) - entry.rows.start;
-            let hi = end.min(entry.rows.end) - entry.rows.start;
-            sliced.push(t.slice_rows(lo..hi));
-        }
-        let table = Table::concat(&sliced).map_err(|e| ServeError::Core(DsError::Table(e)))?;
-        Ok((table, stats))
+        let mut decoded = decoded.iter();
+        let parts = hits
+            .iter()
+            .map(|hit| hit.as_ref().or_else(|| decoded.next()))
+            .map(|part| part.map(|table| Cow::Borrowed(table.as_ref())))
+            .collect::<Option<_>>()
+            .ok_or(ShardError::Corrupt("decoded shard went missing"))?;
+        Ok((inner.reader.stitch(&plan, parts)?, stats))
     }
 
     /// Streams rows `a..b` as CSV into `sink` without materializing the
@@ -527,11 +362,9 @@ impl<R: ReadAt> Archive<R> {
         header: bool,
     ) -> Result<u64> {
         let inner = &*self.inner;
-        let total = inner.total_rows;
-        let start = rows.start.min(total);
-        let end = rows.end.min(total).max(start);
+        let plan = inner.reader.plan(rows);
         let mut sp = ds_obs::span("serve.stream");
-        sp.add("rows", (end - start) as u64);
+        sp.add("rows", plan.rows.len() as u64);
         let root = sp.id();
         if header {
             let schema = self.schema()?;
@@ -539,54 +372,31 @@ impl<R: ReadAt> Archive<R> {
             ds_table::csv::write_csv_header(&schema, &mut head);
             sink.write_all(head.as_bytes())?;
         }
-        let shards = ds_shard::shards_intersecting(&inner.entries, total, start..end);
-        let base = shards.start;
-        let local_range = |i: usize| -> Result<Range<usize>> {
-            let entry = inner
-                .entries
-                .get(i)
-                .ok_or(ServeError::Shard(ShardError::Corrupt(
-                    "shard index out of range",
-                )))?;
-            let lo = start.max(entry.rows.start) - entry.rows.start;
-            let hi = end.min(entry.rows.end) - entry.rows.start;
-            Ok(lo..hi)
-        };
+        let entries = self.entries();
         let mut written: u64 = 0;
-        let mut first_err: Option<ServeError> = None;
-        ds_exec::parallel_map_consume(
-            shards.len(),
+        sweep(
+            plan.shards.len(),
             |k| -> Result<(String, u64)> {
-                let i = base + k;
+                let i = plan.shards.start + k;
                 let table = match inner.cache.peek(i) {
                     Some(t) => t,
                     None => self.decode_shard(i, root)?,
                 };
-                let r = local_range(i)?;
-                let n = (r.end - r.start) as u64;
+                let entry = entries
+                    .get(i)
+                    .ok_or(ShardError::Corrupt("shard index out of range"))?;
+                let cut = plan.local(entry);
+                let n = cut.len() as u64;
                 let mut text = String::new();
-                ds_table::csv::write_csv_rows(&table, r, &mut text);
+                ds_table::csv::write_csv_rows(&table, cut, &mut text);
                 Ok((text, n))
             },
-            |_k, res| {
-                if first_err.is_some() {
-                    return;
-                }
-                match res {
-                    Ok((text, n)) => {
-                        if let Err(e) = sink.write_all(text.as_bytes()) {
-                            first_err = Some(ServeError::Io(e));
-                        } else {
-                            written += n;
-                        }
-                    }
-                    Err(e) => first_err = Some(e),
-                }
+            |_, (text, n)| {
+                sink.write_all(text.as_bytes())?;
+                written += n;
+                Ok(())
             },
-        );
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        )?;
         sink.flush()?;
         Ok(written)
     }
@@ -678,19 +488,7 @@ mod tests {
     }
 
     #[test]
-    fn monolithic_and_garbage_inputs_are_not_sharded() {
-        let t = gen::corel_like(60, 9);
-        let cfg = DsConfig {
-            error_threshold: 0.05,
-            max_epochs: 2,
-            shard_rows: 0, // monolithic v1 archive
-            ..DsConfig::default()
-        };
-        let archive = compress(&t, &cfg).expect("compresses");
-        assert!(matches!(
-            Archive::open(archive.as_bytes().to_vec()),
-            Err(ServeError::NotSharded)
-        ));
+    fn garbage_and_empty_inputs_are_not_archives() {
         assert!(matches!(
             Archive::open(b"definitely not an archive".to_vec()),
             Err(ServeError::NotSharded)
@@ -699,6 +497,36 @@ mod tests {
             Archive::open(Vec::new()),
             Err(ServeError::NotSharded)
         ));
+    }
+
+    #[test]
+    fn a_monolithic_v1_archive_serves_as_one_shard() {
+        let t = gen::corel_like(60, 9);
+        let cfg = DsConfig {
+            error_threshold: 0.05,
+            max_epochs: 2,
+            shard_rows: 0, // monolithic v1 archive
+            ..DsConfig::default()
+        };
+        let v1 = compress(&t, &cfg).expect("compresses");
+        let full = decompress(&v1).expect("decodes");
+        let archive = Archive::open(v1.as_bytes().to_vec()).expect("v1 opens");
+        assert_eq!((archive.total_rows(), archive.n_shards()), (60, 1));
+        let (got, cold) = archive.read_rows_with_stats(10..25).expect("reads");
+        assert_eq!(got, full.slice_rows(10..25));
+        assert_eq!((cold.shards_decoded, cold.shards_total), (1, 1));
+        let (_, warm) = archive.read_rows_with_stats(40..60).expect("reads");
+        assert_eq!((warm.shards_decoded, warm.cache_hits), (0, 1));
+        let mut out: Vec<u8> = Vec::new();
+        protocol::serve_connection(&archive, &b"GET 10..13\nSTAT\n"[..], &mut out).expect("serves");
+        let mut want = String::from("OK 3\n");
+        ds_table::csv::write_csv_rows(&full, 10..13, &mut want);
+        want.push_str("OK rows=60 shards=1 ");
+        let text = String::from_utf8(out).expect("utf8");
+        assert!(text.starts_with(&want), "got: {text}");
+        let mut csv: Vec<u8> = Vec::new();
+        archive.stream_csv(0..60, &mut csv, true).expect("streams");
+        assert_eq!(String::from_utf8(csv).expect("utf8"), write_csv(&full));
     }
 
     #[test]
@@ -750,6 +578,71 @@ mod tests {
         assert!(text.contains(" codecs=legacy\n"), "got: {text}");
         assert!(text.contains("\nERR unknown request `FROB`"), "got: {text}");
         assert!(text.ends_with("BYE\n"), "got: {text}");
+    }
+
+    /// One client must not be able to make the server buffer an unbounded
+    /// line: 1 MiB without a newline is refused after the cap, unread.
+    #[test]
+    fn a_giant_request_line_is_refused_without_being_buffered() {
+        let (bytes, _) = fixture();
+        let archive = Archive::open(bytes.clone()).expect("opens");
+        let mut script = b"STAT\n".to_vec();
+        script.resize(script.len() + (1 << 20), b'A');
+        script.extend_from_slice(b"\nGET 0..1\n");
+        let mut input = script.as_slice();
+        let mut output: Vec<u8> = Vec::new();
+        let summary =
+            protocol::serve_connection(&archive, &mut input, &mut output).expect("serves");
+        assert_eq!((summary.requests, summary.errors), (2, 1));
+        let text = String::from_utf8(output).expect("utf8");
+        let (stat, err) = text.split_once('\n').expect("two lines");
+        assert!(stat.starts_with("OK rows=150"), "got: {text}");
+        assert_eq!(
+            err,
+            format!(
+                "ERR request line exceeds {} bytes, closing\n",
+                protocol::MAX_REQUEST_LINE
+            )
+        );
+        // Closed at the cap: the rest of the line, and the GET behind it,
+        // were never read.
+        assert!(input.len() >= (1 << 20) - protocol::MAX_REQUEST_LINE);
+        // A line of exactly the cap is still a (bad) request, not a close.
+        let mut script = vec![b'A'; protocol::MAX_REQUEST_LINE];
+        script.extend_from_slice(b"\nQUIT\n");
+        let mut output: Vec<u8> = Vec::new();
+        let summary =
+            protocol::serve_connection(&archive, script.as_slice(), &mut output).expect("serves");
+        assert_eq!((summary.requests, summary.errors), (2, 1));
+        assert!(output.ends_with(b"BYE\n"));
+    }
+
+    /// A client that connects and says nothing must not pin its handler
+    /// thread: the socket's read timeout ends the connection, typed.
+    #[test]
+    fn a_silent_client_is_dropped_at_the_read_timeout() {
+        use std::io::{BufRead, BufReader};
+        use std::net::{TcpListener, TcpStream};
+        let (bytes, _) = fixture();
+        let archive = Archive::open(bytes.clone()).expect("opens");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr");
+        // Wired as `dsqz serve --listen` wires a connection, with a short
+        // stand-in for `protocol::CLIENT_READ_TIMEOUT`.
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accepts");
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_millis(50)))
+                .expect("sets timeout");
+            let reader = BufReader::new(stream.try_clone().expect("clones"));
+            protocol::serve_connection(&archive, reader, stream).expect("serves")
+        });
+        let client = TcpStream::connect(addr).expect("connects");
+        let mut reply = String::new();
+        BufReader::new(client).read_line(&mut reply).expect("reads");
+        assert!(reply.starts_with("ERR idle"), "got: {reply}");
+        let summary = server.join().expect("joins");
+        assert_eq!((summary.requests, summary.errors), (0, 1));
     }
 
     /// A response must leave in one write: with the status line and the

@@ -23,6 +23,12 @@
 //! handler serves stdin/stdout and TCP sockets — anything `BufRead` in,
 //! `Write` out.
 //!
+//! A client cannot make the server hold more than one bounded line or
+//! wait forever: a request line longer than [`MAX_REQUEST_LINE`] bytes,
+//! or a socket silent past its read timeout ([`CLIENT_READ_TIMEOUT`] for
+//! `dsqz serve --listen`), is answered with `ERR`, counted in
+//! `serve.errors`, and the connection is closed.
+//!
 //! Every request feeds the live telemetry layer: per-verb counters, an
 //! error counter, a deterministic rows-per-request histogram, a
 //! runtime-class latency histogram (timing mode only), and a
@@ -31,10 +37,20 @@
 //! the live snapshot when it is armed (so they agree with `METRICS`),
 //! falling back to the cache's own counters otherwise.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 use std::ops::Range;
+use std::time::Duration;
 
 use crate::{Archive, ReadAt};
+
+/// Longest request line accepted, in bytes before the newline. A
+/// `GET a..b` is under 64; the cap is what one connection can make the
+/// server buffer.
+pub const MAX_REQUEST_LINE: usize = 4096;
+
+/// How long `dsqz serve --listen` lets an accepted socket stay silent
+/// before closing it, so an idle client cannot pin a handler thread.
+pub const CLIENT_READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,25 +154,51 @@ pub fn metrics_text<R: ReadAt>(archive: &Archive<R>) -> String {
 
 /// Serves one connection: reads request lines from `input` until EOF or
 /// `QUIT`, writing responses to `output`. Request handling errors go to
-/// the client as `ERR` lines; only transport failures (broken pipe,
-/// unreadable input) abort the loop.
+/// the client as `ERR` lines; an over-long line or a read timeout does
+/// too, and ends the connection; only other transport failures (broken
+/// pipe, unreadable input) abort the loop with an error.
 pub fn serve_connection<R: ReadAt, I: BufRead, O: Write>(
     archive: &Archive<R>,
-    input: I,
+    mut input: I,
     mut output: O,
 ) -> std::io::Result<ServeSummary> {
     let mut summary = ServeSummary::default();
-    for line in input.lines() {
-        let line = line?;
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        // One byte past the cap tells a line of exactly the cap from a
+        // longer one without reading (or buffering) the rest of it.
+        let mut bounded = input.by_ref().take(MAX_REQUEST_LINE as u64 + 1);
+        let overlong = match bounded.read_until(b'\n', &mut raw) {
+            Ok(0) => break,
+            Ok(_) => raw.len() > MAX_REQUEST_LINE && !raw.ends_with(b"\n"),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                summary.errors += 1;
+                ds_obs::counter("serve.errors", 1);
+                writeln!(output, "ERR idle past the read timeout, closing")?;
+                output.flush()?;
+                break;
+            }
+            Err(e) => return Err(e),
+        };
+        let line = String::from_utf8_lossy(&raw);
         if line.trim().is_empty() {
             continue;
         }
         let start_us = ds_obs::now_us();
-        let sp = ds_obs::span_at("serve.request", summary.requests);
+        let mut sp = ds_obs::span_at("serve.request", summary.requests);
         summary.requests += 1;
         ds_obs::counter("serve.requests", 1);
         let mut errored = false;
-        match parse_request(&line) {
+        let request = if overlong {
+            Err(format!(
+                "request line exceeds {MAX_REQUEST_LINE} bytes, closing"
+            ))
+        } else {
+            parse_request(&line)
+        };
+        let close = overlong || matches!(request, Ok(Request::Quit));
+        match request {
             Err(reason) => {
                 ds_obs::counter_labeled("serve.requests_by_verb", "err", 1);
                 errored = true;
@@ -165,9 +207,6 @@ pub fn serve_connection<R: ReadAt, I: BufRead, O: Write>(
             Ok(Request::Quit) => {
                 ds_obs::counter_labeled("serve.requests_by_verb", "quit", 1);
                 writeln!(output, "BYE")?;
-                output.flush()?;
-                finish_request(sp, start_us, errored);
-                break;
             }
             Ok(Request::Stat) => {
                 ds_obs::counter_labeled("serve.requests_by_verb", "stat", 1);
@@ -229,12 +268,8 @@ pub fn serve_connection<R: ReadAt, I: BufRead, O: Write>(
                         let mut response = format!("OK {nrows}\n");
                         ds_table::csv::write_csv_rows(&table, 0..nrows, &mut response);
                         output.write_all(response.as_bytes())?;
-                        let mut sp = sp;
                         sp.add("rows", nrows as u64);
                         sp.add("shards_decoded", stats.shards_decoded as u64);
-                        finish_request(sp, start_us, errored);
-                        output.flush()?;
-                        continue;
                     }
                     Err(e) => {
                         errored = true;
@@ -248,6 +283,9 @@ pub fn serve_connection<R: ReadAt, I: BufRead, O: Write>(
         }
         finish_request(sp, start_us, errored);
         output.flush()?;
+        if close {
+            break;
+        }
     }
     Ok(summary)
 }

@@ -51,16 +51,15 @@
 //! container *starts* with its first shard blob (itself a v1 `DSQZ`
 //! archive), so only the trailing magic distinguishes the formats.
 //!
-//! ## Streaming writes
+//! ## Reading
 //!
-//! [`write_sharded`] encodes shards on the `ds-exec` pool and flushes each
-//! blob to the sink in index order *the moment it and all its
-//! predecessors are ready*, while later shards are still encoding — the
-//! ordered-flush behaviour comes from `ds_exec::parallel_map_consume`, so
-//! the produced bytes are identical for any thread count.
+//! [`ShardReader`] is the one reader of this layout, over any positioned-read
+//! source ([`ReadAt`]): opening costs two reads (footer, manifest), each shard
+//! blob one more, CRC-checked as it is fetched. Borrowed in-memory bytes are a
+//! zero-copy source; a `File` is read with `pread` and never loaded whole.
 
-use std::io::Write;
-use std::ops::Range;
+use std::io::{self, Write};
+use std::ops::{Deref, Range};
 
 use ds_codec::{crc32, parq, registry, ByteReader, ByteWriter, CodecError};
 
@@ -87,12 +86,15 @@ const MAX_CHAIN_DICT: usize = 1 << 16;
 const MAX_CHAIN_COLS: usize = 1 << 20;
 
 /// Errors surfaced by the container layer itself (framing, manifest,
-/// integrity). Decode errors from shard *contents* are the caller's type;
-/// see [`OpError`].
+/// integrity). Decode errors from shard *contents* are the caller's type.
 #[derive(Debug)]
 pub enum ShardError {
-    /// The sink failed during a streaming write.
+    /// The sink failed during a write, or the source during a read.
     Io(std::io::Error),
+    /// The source does not end in the v2 footer magic, and the caller
+    /// offered no other way to read it (see
+    /// [`ShardReader::open_or_unframed`]): it is not a container at all.
+    NotContainer,
     /// The manifest's parq section or varint framing was malformed.
     Codec(CodecError),
     /// A structural invariant of the container was violated (with detail).
@@ -110,6 +112,12 @@ impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShardError::Io(e) => write!(f, "shard container i/o error: {e}"),
+            ShardError::NotContainer => {
+                write!(
+                    f,
+                    "not an archive: no container footer, no bare-blob header"
+                )
+            }
             ShardError::Codec(e) => write!(f, "shard manifest codec error: {e}"),
             ShardError::Corrupt(what) => write!(f, "corrupt shard container: {what}"),
             ShardError::Invalid(what) => write!(f, "invalid shard parameter: {what}"),
@@ -134,40 +142,6 @@ impl From<CodecError> for ShardError {
     }
 }
 
-/// Error from a parallel per-shard operation: either the container layer
-/// failed ([`ShardError`]) or the caller's encode/decode callback failed
-/// for a specific shard with the caller's own error type.
-#[derive(Debug)]
-pub enum OpError<E> {
-    /// Container framing / integrity failure.
-    Container(ShardError),
-    /// The caller's callback failed on one shard. Reported for the
-    /// lowest-indexed failing shard, deterministically.
-    Shard {
-        /// Index of the failing shard.
-        shard: usize,
-        /// The callback's error.
-        error: E,
-    },
-}
-
-impl<E> From<ShardError> for OpError<E> {
-    fn from(e: ShardError) -> Self {
-        OpError::Container(e)
-    }
-}
-
-impl<E: std::fmt::Display> std::fmt::Display for OpError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OpError::Container(e) => e.fmt(f),
-            OpError::Shard { shard, error } => write!(f, "shard {shard}: {error}"),
-        }
-    }
-}
-
-impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for OpError<E> {}
-
 /// One manifest entry, with the byte offset reconstructed from prefix
 /// sums at open time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -178,47 +152,48 @@ pub struct ShardEntry {
     pub offset: usize,
     /// Blob length in bytes.
     pub len: usize,
-    /// CRC-32 (IEEE) of the blob bytes.
-    pub crc: u32,
+    /// CRC-32 (IEEE) of the blob bytes; `None` for the one shard of an
+    /// unframed source, which has no manifest to record one in.
+    pub crc: Option<u32>,
 }
 
 /// True when `bytes` carries the v2 sharded-container footer. Cheap
 /// (magic + version + length plausibility); a positive answer still
 /// requires [`ShardReader::open`] to validate the manifest.
 pub fn is_sharded(bytes: &[u8]) -> bool {
-    if bytes.len() < FOOTER_LEN {
-        return false;
-    }
-    // ds-lint: allow(panic-free-decode) -- bytes.len() >= FOOTER_LEN checked above; footer is exactly FOOTER_LEN bytes
-    let footer = &bytes[bytes.len() - FOOTER_LEN..];
-    match footer_manifest_len(footer) {
-        Ok(manifest_len) => manifest_len
-            .checked_add(FOOTER_LEN)
-            .is_some_and(|end| end <= bytes.len()),
-        Err(_) => false,
-    }
+    matches!(read_footer(&bytes), Ok(Some(_)))
 }
 
-/// Validates the fixed 9-byte footer (magic + version) and returns the
-/// manifest length it declares. This is the first step of opening a
-/// container through *positioned* reads: read the trailing
-/// [`FOOTER_LEN`] bytes, learn how large the manifest region is, then
-/// read and [`parse_manifest`] exactly that region — no need to hold the
-/// shard blobs in memory at all.
-pub fn footer_manifest_len(footer: &[u8]) -> Result<usize, ShardError> {
-    if footer.len() != FOOTER_LEN {
-        return Err(ShardError::Corrupt("footer must be exactly 9 bytes"));
+/// Validates the fixed 9-byte footer and returns the manifest length it
+/// declares; `None` when the magic is absent (not a container at all,
+/// as opposed to a damaged one).
+fn footer_manifest_len(footer: &[u8]) -> Result<Option<u64>, ShardError> {
+    let Some((&[l0, l1, l2, l3, version], magic)) = footer.split_first_chunk::<5>() else {
+        return Ok(None);
+    };
+    if magic != FOOTER_MAGIC {
+        return Ok(None);
     }
-    // ds-lint: allow(panic-free-decode) -- footer length is checked to be exactly FOOTER_LEN (9) above, so 5..9 and [4] are in bounds
-    if &footer[5..9] != FOOTER_MAGIC {
-        return Err(ShardError::Corrupt("bad footer magic"));
-    }
-    // ds-lint: allow(panic-free-decode) -- footer length checked above; index 4 is in bounds
-    if footer[4] != FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(ShardError::Corrupt("unsupported container version"));
     }
-    // ds-lint: allow(panic-free-decode) -- footer length checked above; indexes 0..4 are in bounds
-    Ok(u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]) as usize)
+    Ok(Some(u64::from(u32::from_le_bytes([l0, l1, l2, l3]))))
+}
+
+/// Reads the trailing footer of `src`: the length of the shard region
+/// and of the manifest behind it, or `None` when `src` is not a
+/// container. The first of the two positioned reads of an open.
+fn read_footer<R: ReadAt>(src: &R) -> Result<Option<(u64, u64)>, ShardError> {
+    let Some(body) = src.size()?.checked_sub(FOOTER_LEN as u64) else {
+        return Ok(None);
+    };
+    let Some(manifest_len) = footer_manifest_len(&src.read_at(body, FOOTER_LEN)?)? else {
+        return Ok(None);
+    };
+    if manifest_len > body {
+        return Err(ShardError::Corrupt("manifest length exceeds container"));
+    }
+    Ok(Some((body - manifest_len, manifest_len)))
 }
 
 /// Per-shard, per-column codec chains recorded in a manifest's chain
@@ -313,18 +288,14 @@ fn parse_chain_section(body: &[u8], n_shards: usize) -> Result<ShardChains, Shar
 
 /// A parsed manifest: the structural metadata of a v2 container,
 /// decoupled from the shard blobs so it can be built from a positioned
-/// read of just the manifest region (see [`footer_manifest_len`]).
-#[derive(Debug)]
-pub struct ParsedManifest<'a> {
-    /// Total logical rows across all shards.
-    pub total_rows: usize,
-    /// The opaque shared blob (decoder weights; empty if none was set).
-    pub shared: &'a [u8],
+/// read of just the manifest region.
+struct ParsedManifest {
+    total_rows: usize,
+    /// Where the opaque shared blob sits inside the manifest region.
+    shared: Range<usize>,
     /// Per-shard entries with offsets reconstructed from prefix sums.
-    pub entries: Vec<ShardEntry>,
-    /// Recorded per-shard per-column codec chains; `None` for archives
-    /// written before chain recording (implicit legacy chain).
-    pub chains: Option<ShardChains>,
+    entries: Vec<ShardEntry>,
+    chains: Option<ShardChains>,
 }
 
 /// Parses and validates the manifest region of a container whose shard
@@ -332,10 +303,7 @@ pub struct ParsedManifest<'a> {
 /// Validates every structural invariant: lengths non-negative and summing
 /// to the shard region, row counts summing to the declared total. Typed
 /// errors on any corruption — never panics.
-pub fn parse_manifest(
-    manifest: &[u8],
-    shard_region: u64,
-) -> Result<ParsedManifest<'_>, ShardError> {
+fn parse_manifest(manifest: &[u8], shard_region: u64) -> Result<ParsedManifest, ShardError> {
     let shard_region = usize::try_from(shard_region)
         .map_err(|_| ShardError::Corrupt("shard region exceeds address space"))?;
     let mut r = ByteReader::new(manifest);
@@ -344,7 +312,8 @@ pub fn parse_manifest(
     if total_rows > ds_codec::MAX_DECODE_ELEMS {
         return Err(ShardError::Corrupt("total row count exceeds decode limit"));
     }
-    let shared = r.read_len_prefixed()?;
+    let shared_len = r.read_len_prefixed()?.len();
+    let shared = r.position().saturating_sub(shared_len)..r.position();
     let parq_bytes = r.read_len_prefixed()?;
     let mut columns = parq::read_table(parq_bytes)?.into_iter();
     let (rows, lens, crcs) = match (
@@ -385,7 +354,7 @@ pub fn parse_manifest(
             rows: row_start..row_end,
             offset,
             len,
-            crc,
+            crc: Some(crc),
         });
         offset = end;
         row_start = row_end;
@@ -419,32 +388,12 @@ pub fn parse_manifest(
     })
 }
 
-/// The contiguous range of shard indexes whose row ranges intersect
-/// `rows` (clamped to `total_rows`; empty request → empty range). The
-/// free-function form serves callers that hold a [`ParsedManifest`]'s
-/// entries without a [`ShardReader`] (positioned-read archive handles).
-pub fn shards_intersecting(
-    entries: &[ShardEntry],
-    total_rows: usize,
-    rows: Range<usize>,
-) -> Range<usize> {
-    let start = rows.start.min(total_rows);
-    let end = rows.end.min(total_rows);
-    if start >= end {
-        return 0..0;
-    }
-    let first = entries.partition_point(|e| e.rows.end <= start);
-    let last = entries.partition_point(|e| e.rows.start < end);
-    first..last
-}
-
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
 
 /// Appends shard blobs to a sink and emits the manifest + footer on
-/// [`finish`](ShardWriter::finish). Blobs must be pushed in index order;
-/// for overlap of encoding with I/O, drive it through [`write_sharded`].
+/// [`finish`](ShardWriter::finish). Blobs must be pushed in index order.
 pub struct ShardWriter<W: Write> {
     sink: W,
     written: u64,
@@ -606,104 +555,156 @@ impl<W: Write> ShardWriter<W> {
     }
 }
 
-/// Encodes `row_counts.len()` shards on the `ds-exec` pool and streams
-/// them into a [`ShardWriter`] over `sink`, overlapping encode compute
-/// with sink I/O: shard `i` is flushed the moment shards `0..=i` have
-/// finished encoding, while later shards are still running. The produced
-/// bytes are identical for any `DS_THREADS` setting.
-///
-/// On failure the first error in shard-index order is returned (later
-/// shards still finish encoding, but nothing further is written).
-pub fn write_sharded<W, B, E, F>(
-    sink: W,
-    shared: Vec<u8>,
-    row_counts: &[usize],
-    encode: F,
-) -> Result<(W, u64), OpError<E>>
-where
-    W: Write,
-    B: AsRef<[u8]> + Send,
-    E: Send,
-    F: Fn(usize) -> Result<B, E> + Sync,
-{
-    let mut writer = ShardWriter::new(sink);
-    writer.set_shared(shared);
-    let mut first_err: Option<OpError<E>> = None;
-    ds_exec::parallel_map_consume(row_counts.len(), encode, |i, blob| {
-        if first_err.is_some() {
-            return;
-        }
-        match blob {
-            Ok(b) => {
-                if let Err(e) = writer.push_shard(row_counts[i], b.as_ref()) {
-                    first_err = Some(OpError::Container(e));
-                }
-            }
-            Err(error) => first_err = Some(OpError::Shard { shard: i, error }),
-        }
-    });
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    writer.finish().map_err(OpError::Container)
-}
-
 // ---------------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------------
 
-/// The result of a partial read: decoded values for every intersecting
-/// shard plus the trim the caller must apply after concatenation.
-#[derive(Debug)]
-pub struct RangeRead<T> {
-    /// One decoded value per intersecting shard, in shard order.
-    pub parts: Vec<T>,
-    /// Rows to drop from the front of the concatenated parts.
-    pub skip: usize,
-    /// Rows to keep after `skip`.
-    pub take: usize,
-    /// How many shards were actually decoded (== `parts.len()`).
-    pub shards_decoded: usize,
+/// A positioned-read byte source: the random-access analogue of `Read`.
+///
+/// Implementations must be safe to call from many threads at once
+/// (`read_at` takes `&self`); `File` qualifies because pread does not
+/// touch the shared cursor.
+pub trait ReadAt: Send + Sync {
+    /// What a read hands back: a borrow for in-memory bytes (zero-copy),
+    /// an owned buffer for a file.
+    type Bytes: Deref<Target = [u8]> + Send + Sync;
+
+    /// Total size of the source in bytes.
+    fn size(&self) -> io::Result<u64>;
+
+    /// Reads exactly `len` bytes at `offset`, erroring (rather than
+    /// short-reading) if the source ends first. `len` is the caller's to
+    /// bound: an owning source allocates it.
+    fn read_at(&self, offset: u64, len: usize) -> io::Result<Self::Bytes>;
 }
 
-/// Zero-copy reader over a v2 container held in memory (or a mapping).
-/// Opening parses and validates the manifest only; shard blobs are
-/// touched — and CRC-checked — lazily, per read.
-pub struct ShardReader<'a> {
-    bytes: &'a [u8],
-    shared: &'a [u8],
+fn past_end() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "read past end of source")
+}
+
+/// Any borrowed in-memory bytes (`&[u8]`, `&Vec<u8>`, a mapping): reads
+/// are sub-slices with the lifetime of the borrow, not of the reader.
+impl<'a, T: AsRef<[u8]> + Sync + ?Sized> ReadAt for &'a T {
+    type Bytes = &'a [u8];
+
+    fn size(&self) -> io::Result<u64> {
+        u64::try_from((*self).as_ref().len()).map_err(|_| past_end())
+    }
+
+    fn read_at(&self, offset: u64, len: usize) -> io::Result<&'a [u8]> {
+        let start = usize::try_from(offset).map_err(|_| past_end())?;
+        let end = start.checked_add(len).ok_or_else(past_end)?;
+        (*self).as_ref().get(start..end).ok_or_else(past_end)
+    }
+}
+
+/// Owned bytes are a source too (a server holding its archive in memory);
+/// reads copy out, as a file's do.
+impl ReadAt for Vec<u8> {
+    type Bytes = Vec<u8>;
+
+    fn size(&self) -> io::Result<u64> {
+        self.as_slice().size()
+    }
+
+    fn read_at(&self, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        self.as_slice().read_at(offset, len).map(<[u8]>::to_vec)
+    }
+}
+
+impl ReadAt for std::fs::File {
+    type Bytes = Vec<u8>;
+
+    fn size(&self) -> io::Result<u64> {
+        Ok(self.metadata()?.len())
+    }
+
+    #[cfg(unix)]
+    fn read_at(&self, offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        let mut buf = vec![0u8; len];
+        std::os::unix::fs::FileExt::read_exact_at(self, &mut buf, offset)?;
+        Ok(buf)
+    }
+
+    #[cfg(windows)]
+    fn read_at(&self, mut offset: u64, len: usize) -> io::Result<Vec<u8>> {
+        use std::os::windows::fs::FileExt;
+        let mut buf = vec![0u8; len];
+        let mut rest = buf.as_mut_slice();
+        while !rest.is_empty() {
+            let n = self.seek_read(rest, offset)?;
+            if n == 0 {
+                return Err(past_end());
+            }
+            rest = rest.get_mut(n..).ok_or_else(past_end)?;
+            offset = offset.saturating_add(n as u64);
+        }
+        Ok(buf)
+    }
+}
+
+/// *The* reader of a v2 container, over any positioned-read source.
+/// Opening reads and validates the footer and the manifest only; shard
+/// blobs are fetched — and CRC-checked — one at a time, per
+/// [`shard_bytes`](Self::shard_bytes) call.
+pub struct ShardReader<R: ReadAt> {
+    src: R,
+    /// The manifest region as read at open, and where the shared blob
+    /// sits inside it; `None` for an unframed source.
+    manifest: Option<(R::Bytes, Range<usize>)>,
     entries: Vec<ShardEntry>,
     total_rows: usize,
     chains: Option<ShardChains>,
 }
 
-impl<'a> ShardReader<'a> {
-    /// Parses the footer and manifest, validating all structural
-    /// invariants (lengths non-negative and summing to the shard region,
-    /// row counts summing to the declared total). Returns a typed error
-    /// on any truncated or corrupted input — never panics.
-    pub fn open(bytes: &'a [u8]) -> Result<ShardReader<'a>, ShardError> {
-        if bytes.len() < FOOTER_LEN {
-            return Err(ShardError::Corrupt("container shorter than footer"));
-        }
-        // ds-lint: allow(panic-free-decode) -- bytes.len() >= FOOTER_LEN checked above; footer is exactly FOOTER_LEN bytes
-        let footer = &bytes[bytes.len() - FOOTER_LEN..];
-        let manifest_len = footer_manifest_len(footer)?;
-        let body_len = bytes.len() - FOOTER_LEN;
-        if manifest_len > body_len {
-            return Err(ShardError::Corrupt("manifest length exceeds container"));
-        }
-        let shard_region = body_len - manifest_len;
-        let region_u64 = u64::try_from(shard_region)
-            .map_err(|_| ShardError::Corrupt("shard region exceeds u64"))?;
-        // ds-lint: allow(panic-free-decode) -- shard_region <= body_len <= bytes.len(): body_len = len - FOOTER_LEN and manifest_len <= body_len checked above
-        let manifest = parse_manifest(&bytes[shard_region..body_len], region_u64)?;
+impl<R: ReadAt> ShardReader<R> {
+    /// Reads the footer and the manifest (two positioned reads) and
+    /// validates all structural invariants: lengths non-negative and
+    /// summing to the shard region, row counts summing to the declared
+    /// total. Returns a typed error on any truncated or corrupted input —
+    /// never panics.
+    pub fn open(src: R) -> Result<Self, ShardError> {
+        Self::open_or_unframed(src, |_| Ok(None))
+    }
+
+    /// [`open`](Self::open), except that a source without the footer
+    /// magic is offered to `unframed_rows`: if that recognises it as one
+    /// bare shard blob and says how many rows it holds, the whole source
+    /// is presented as a one-shard container with no shared blob, no
+    /// chains and no CRC (there is no manifest to hold one). This is how
+    /// ds-core reads its pre-container archive format through the same
+    /// reader; the crate itself stays ignorant of what a blob contains.
+    pub fn open_or_unframed(
+        src: R,
+        unframed_rows: impl FnOnce(&R) -> Result<Option<usize>, ShardError>,
+    ) -> Result<Self, ShardError> {
+        let Some((shard_region, manifest_len)) = read_footer(&src)? else {
+            let rows = unframed_rows(&src)?.ok_or(ShardError::NotContainer)?;
+            let len = usize::try_from(src.size()?)
+                .map_err(|_| ShardError::Corrupt("source exceeds address space"))?;
+            return Ok(ShardReader {
+                src,
+                manifest: None,
+                entries: vec![ShardEntry {
+                    rows: 0..rows,
+                    offset: 0,
+                    len,
+                    crc: None,
+                }],
+                total_rows: rows,
+                chains: None,
+            });
+        };
+        let manifest_len = usize::try_from(manifest_len)
+            .map_err(|_| ShardError::Corrupt("manifest exceeds address space"))?;
+        let bytes = src.read_at(shard_region, manifest_len)?;
+        let parsed = parse_manifest(&bytes, shard_region)?;
         Ok(ShardReader {
-            bytes,
-            shared: manifest.shared,
-            entries: manifest.entries,
-            total_rows: manifest.total_rows,
-            chains: manifest.chains,
+            src,
+            manifest: Some((bytes, parsed.shared)),
+            entries: parsed.entries,
+            total_rows: parsed.total_rows,
+            chains: parsed.chains,
         })
     }
 
@@ -718,8 +719,22 @@ impl<'a> ShardReader<'a> {
     }
 
     /// The opaque shared blob (empty if none was set).
-    pub fn shared(&self) -> &'a [u8] {
-        self.shared
+    pub fn shared(&self) -> &[u8] {
+        self.manifest
+            .as_ref()
+            .and_then(|(bytes, shared)| bytes.get(shared.clone()))
+            .unwrap_or(&[])
+    }
+
+    /// Bytes of manifest read at open (0 for an unframed source).
+    pub fn manifest_len(&self) -> usize {
+        self.manifest.as_ref().map_or(0, |(bytes, _)| bytes.len())
+    }
+
+    /// Whether this is the one-shard view of a source with no container
+    /// framing (see [`open_or_unframed`](Self::open_or_unframed)).
+    pub fn is_unframed(&self) -> bool {
+        self.manifest.is_none()
     }
 
     /// Recorded per-shard per-column codec chains; `None` for archives
@@ -736,84 +751,30 @@ impl<'a> ShardReader<'a> {
     /// The contiguous range of shard indexes whose row ranges intersect
     /// `rows` (clamped to the table; empty request → empty range).
     pub fn shards_intersecting(&self, rows: Range<usize>) -> Range<usize> {
-        shards_intersecting(&self.entries, self.total_rows, rows)
+        let start = rows.start.min(self.total_rows);
+        let end = rows.end.min(self.total_rows);
+        if start >= end {
+            return 0..0;
+        }
+        let first = self.entries.partition_point(|e| e.rows.end <= start);
+        let last = self.entries.partition_point(|e| e.rows.start < end);
+        first..last
     }
 
-    /// Returns shard `i`'s blob bytes after CRC validation.
-    pub fn shard_bytes(&self, i: usize) -> Result<&'a [u8], ShardError> {
+    /// Reads shard `i`'s blob (one positioned read; its extent was
+    /// validated against the source size at open) and checks its CRC.
+    pub fn shard_bytes(&self, i: usize) -> Result<R::Bytes, ShardError> {
         let entry = self
             .entries
             .get(i)
             .ok_or(ShardError::Corrupt("shard index out of range"))?;
-        let end = entry
-            .offset
-            .checked_add(entry.len)
-            .ok_or(ShardError::Corrupt("shard extent overflows"))?;
-        let blob = self
-            .bytes
-            .get(entry.offset..end)
-            .ok_or(ShardError::Corrupt("shard extent out of bounds"))?;
-        if crc32::crc32(blob) != entry.crc {
+        let offset = u64::try_from(entry.offset)
+            .map_err(|_| ShardError::Corrupt("shard offset exceeds u64"))?;
+        let blob = self.src.read_at(offset, entry.len)?;
+        if entry.crc.is_some_and(|crc| crc32::crc32(&blob) != crc) {
             return Err(ShardError::CrcMismatch { shard: i });
         }
         Ok(blob)
-    }
-
-    /// Decodes every shard in parallel (CRC validation included) and
-    /// returns the results in shard order. On failure the error for the
-    /// lowest-indexed failing shard is returned, deterministically.
-    pub fn read_all<T, E, F>(&self, decode: F) -> Result<Vec<T>, OpError<E>>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize, &'a [u8]) -> Result<T, E> + Sync,
-    {
-        self.decode_shards(0..self.entries.len(), &decode)
-    }
-
-    /// Decodes only the shards intersecting `rows`, in parallel, and
-    /// reports the skip/take trim to apply to the concatenated result.
-    pub fn read_rows<T, E, F>(
-        &self,
-        rows: Range<usize>,
-        decode: F,
-    ) -> Result<RangeRead<T>, OpError<E>>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize, &'a [u8]) -> Result<T, E> + Sync,
-    {
-        let start = rows.start.min(self.total_rows);
-        let end = rows.end.min(self.total_rows).max(start);
-        let shards = self.shards_intersecting(start..end);
-        let skip = if shards.is_empty() {
-            0
-        } else {
-            // ds-lint: allow(panic-free-decode) -- shards is non-empty, and partition_point returns indexes <= entries.len(), so shards.start < entries.len()
-            start - self.entries[shards.start].rows.start
-        };
-        let parts = self.decode_shards(shards.clone(), &decode)?;
-        Ok(RangeRead {
-            shards_decoded: parts.len(),
-            parts,
-            skip,
-            take: end - start,
-        })
-    }
-
-    fn decode_shards<T, E, F>(&self, shards: Range<usize>, decode: &F) -> Result<Vec<T>, OpError<E>>
-    where
-        T: Send,
-        E: Send,
-        F: Fn(usize, &'a [u8]) -> Result<T, E> + Sync,
-    {
-        let base = shards.start;
-        let results = ds_exec::parallel_map(shards.len(), |k| {
-            let i = base + k;
-            let blob = self.shard_bytes(i).map_err(OpError::Container)?;
-            decode(i, blob).map_err(|error| OpError::Shard { shard: i, error })
-        });
-        results.into_iter().collect()
     }
 }
 
@@ -911,14 +872,6 @@ mod tests {
             r.shard_bytes(1),
             Err(ShardError::CrcMismatch { shard: 1 })
         ));
-        // Parallel read surfaces it as a container error too.
-        let err = r
-            .read_all(|_, b| Ok::<_, std::convert::Infallible>(b.len()))
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            OpError::Container(ShardError::CrcMismatch { shard: 1 })
-        ));
     }
 
     #[test]
@@ -937,65 +890,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn read_rows_trims_and_counts_decoded_shards() {
-        let bytes = build(&[(10, b"s0"), (10, b"s1"), (10, b"s2"), (10, b"s3")], b"");
-        let r = ShardReader::open(&bytes).unwrap();
-        let got = r
-            .read_rows(15..32, |i, _| Ok::<_, std::convert::Infallible>(i))
-            .unwrap();
-        assert_eq!(got.parts, vec![1, 2, 3]);
-        assert_eq!(got.shards_decoded, 3);
-        assert_eq!(got.skip, 5);
-        assert_eq!(got.take, 17);
-        // Out-of-range request decodes nothing.
-        let got = r
-            .read_rows(40..50, |i, _| Ok::<_, std::convert::Infallible>(i))
-            .unwrap();
-        assert_eq!(got.shards_decoded, 0);
-        assert_eq!(got.take, 0);
-    }
-
-    #[test]
-    fn decode_error_reports_lowest_failing_shard() {
-        let bytes = build(&[(1, b"a"), (1, b"b"), (1, b"c")], b"");
-        let r = ShardReader::open(&bytes).unwrap();
-        let err = r
-            .read_all(|i, _| if i >= 1 { Err(i) } else { Ok(i) })
-            .unwrap_err();
-        assert!(matches!(err, OpError::Shard { shard: 1, error: 1 }));
-    }
-
-    #[test]
-    fn write_sharded_matches_serial_bytes_for_any_thread_count() {
-        let blobs: Vec<Vec<u8>> = (0..12u8)
-            .map(|i| {
-                (0..=i)
-                    .map(|k| k.wrapping_mul(37).wrapping_add(i))
-                    .collect()
-            })
-            .collect();
-        let row_counts: Vec<usize> = (0..12).map(|i| i + 1).collect();
-        let reference = {
-            let mut w = ShardWriter::new(Vec::new());
-            w.set_shared(b"sh".to_vec());
-            for (rc, b) in row_counts.iter().zip(&blobs) {
-                w.push_shard(*rc, b).unwrap();
-            }
-            w.finish().unwrap().0
-        };
-        for limit in [1, 2, 8] {
-            let out = ds_exec::with_thread_limit(limit, || {
-                write_sharded(Vec::new(), b"sh".to_vec(), &row_counts, |i| {
-                    Ok::<_, std::convert::Infallible>(blobs[i].clone())
-                })
-                .unwrap()
-                .0
-            });
-            assert_eq!(out, reference, "bytes diverged at limit {limit}");
         }
     }
 
@@ -1089,16 +983,44 @@ mod tests {
     }
 
     #[test]
-    fn write_sharded_reports_lowest_encode_error() {
-        let row_counts = [1usize; 6];
-        let err = write_sharded(Vec::new(), Vec::new(), &row_counts, |i| {
-            if i % 2 == 1 {
-                Err(i)
-            } else {
-                Ok(vec![0u8; 4])
-            }
+    fn every_source_kind_reads_the_same_container() {
+        let bytes = build(&[(3, b"abc"), (2, b"de")], b"sh");
+        let path = std::env::temp_dir().join(format!("ds_shard_src_{}", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let file = std::fs::File::open(&path).unwrap();
+        fn check<R: ReadAt>(r: ShardReader<R>) {
+            assert_eq!((r.total_rows(), r.n_shards()), (5, 2));
+            assert_eq!(r.shared(), b"sh");
+            assert_eq!(&*r.shard_bytes(1).unwrap(), b"de");
+            assert!(r.shard_bytes(2).is_err());
+        }
+        check(ShardReader::open(&bytes[..]).unwrap());
+        check(ShardReader::open(&bytes).unwrap());
+        check(ShardReader::open(bytes.clone()).unwrap());
+        check(ShardReader::open(file).unwrap());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_source_without_the_footer_is_not_a_container_unless_recognised() {
+        for bytes in [&b""[..], b"DSRG", b"some-bare-blob-without-a-footer"] {
+            assert!(matches!(
+                ShardReader::open(bytes),
+                Err(ShardError::NotContainer)
+            ));
+        }
+        let blob = b"some-bare-blob-without-a-footer";
+        let r = ShardReader::open_or_unframed(&blob[..], |src| {
+            Ok(src.starts_with(b"some").then_some(7))
         })
-        .unwrap_err();
-        assert!(matches!(err, OpError::Shard { shard: 1, error: 1 }));
+        .unwrap();
+        assert_eq!((r.total_rows(), r.n_shards()), (7, 1));
+        assert_eq!(r.entries()[0].crc, None);
+        assert_eq!(r.shard_bytes(0).unwrap(), blob);
+        assert!(r.shared().is_empty() && r.chains().is_none());
+        // A real container never reaches the fallback.
+        let bytes = build(&[(1, b"x")], b"");
+        let r = ShardReader::open_or_unframed(&bytes, |_| panic!("not consulted")).unwrap();
+        assert_eq!(r.entries()[0].crc, Some(crc32::crc32(b"x")));
     }
 }

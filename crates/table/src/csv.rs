@@ -444,8 +444,15 @@ pub(crate) fn bufs_into_table(schema: Schema, bufs: Vec<ColBuf>) -> Result<Table
     Table::new(schema, columns)
 }
 
+/// The schema-inference cell test: a cell is numeric iff, trimmed, it
+/// parses as a finite `f64`. Every inferring reader (whole-file, streamed,
+/// source-sniffing) uses this one function, so they cannot disagree.
+pub fn numeric_cell(cell: &str) -> Option<f64> {
+    cell.trim().parse::<f64>().ok().filter(|x| x.is_finite())
+}
+
 /// Parses CSV text inferring the schema: a column is numeric when every
-/// cell parses as a finite number (and the column is non-empty), else
+/// cell is a [`numeric_cell`] (and the column is non-empty), else
 /// categorical. Header row required.
 pub fn read_csv_infer(data: &str) -> Result<Table> {
     let mut chunks = CsvChunks::new(data.as_bytes(), WHOLE_FILE_CHUNK_ROWS)?;
@@ -472,10 +479,7 @@ pub fn read_csv_infer(data: &str) -> Result<Table> {
             let numeric: Option<Vec<f64>> = if values.is_empty() {
                 None
             } else {
-                values
-                    .iter()
-                    .map(|v| v.trim().parse::<f64>().ok().filter(|x| x.is_finite()))
-                    .collect()
+                values.iter().map(|v| numeric_cell(v)).collect()
             };
             let column = match numeric {
                 Some(nums) => Column::Num(nums),
