@@ -155,11 +155,11 @@ fn main() {
         let tc = TrainedCompressor::train(&t, &cfg).expect("probe training");
         let serial_ms = time_best(reps, || {
             ds_exec::with_thread_limit(1, || {
-                black_box(tc.materialize(&t).expect("probe materialize"));
+                black_box(tc.compress_batch(&t).expect("probe materialize"));
             })
         });
         let parallel_ms = time_best(reps, || {
-            black_box(tc.materialize(&t).expect("probe materialize"));
+            black_box(tc.compress_batch(&t).expect("probe materialize"));
         });
         probes.push(Probe {
             name: "materialize",

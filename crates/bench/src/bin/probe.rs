@@ -65,7 +65,7 @@ fn main() {
             println!("  epoch {i}: {l:.5}");
         }
     }
-    let a = tc.materialize(&t).unwrap();
+    let a = tc.compress_batch(&t).unwrap();
     let b = a.breakdown();
     let raw = t.raw_size();
     println!(

@@ -1,9 +1,10 @@
 //! `shard_probe` — measures what the v2 sharded container costs and buys:
 //!
-//! * size overhead of sharding vs a monolithic archive of the same table
-//!   (per-shard envelopes + manifest vs one envelope);
-//! * full-decode wall time, monolithic vs sharded (sharded decodes row
-//!   groups on the pool);
+//! * size overhead of 16 shards vs one shard covering the same table
+//!   (`shard_rows = 0`; the JSON keys keep their `mono` names): per-shard
+//!   envelopes + manifest rows vs one of each;
+//! * full-decode wall time, one shard vs 16 (row groups decode on the
+//!   pool);
 //! * partial-decode wall time for a 10%-of-rows range in the middle of
 //!   the table, with the number of shards actually decoded.
 //!
@@ -36,7 +37,7 @@ fn main() {
         ..Default::default()
     };
 
-    let mono = compress(&t, &base).expect("monolithic compress");
+    let mono = compress(&t, &base).expect("one-shard compress");
     let sharded = compress(
         &t,
         &DsConfig {

@@ -18,18 +18,21 @@
 //! parses as a finite number, categorical otherwise. `--error` is the
 //! relative per-column error bound for numeric columns (default 0 =
 //! lossless); `--tune` runs the paper's Fig. 5 hyperparameter search
-//! before compressing. `--shard-rows N` writes the v2 sharded container
-//! (row groups of N rows, streamed to the output file as they encode);
-//! `--rows A..B` then decompresses only the shards intersecting that
-//! half-open row range. `--sample-frac F` trains the model on a seeded
-//! fraction of the rows instead of all of them.
+//! before compressing. Every archive written is a v2 container:
+//! `--shard-rows N` cuts it into row groups of N rows, streamed to the
+//! output file as they encode (without the flag an in-memory `compress`
+//! writes one row group covering the table); `--rows A..B` then
+//! decompresses only the shards intersecting that half-open row range.
+//! `--sample-frac F` trains the model on a seeded fraction of the rows
+//! instead of all of them.
 //!
 //! `--stream` compresses without ever loading the whole CSV: the file is
 //! read twice with `--chunk-rows` rows resident at a time (pass 1 infers
 //! the schema, folds column statistics, and reservoir-samples training
-//! rows; pass 2 encodes shard row groups). The output is a sharded
-//! container, byte-identical to the in-memory `--shard-rows` path for the
-//! same seed and config.
+//! rows; pass 2 encodes shard row groups; shards default to `--chunk-rows`
+//! rows). It selects how the input is read, not a different encoder: the
+//! output is byte-identical to the in-memory path for the same seed and
+//! config.
 //!
 //! `recompress` does not trust file extensions: the input's magic bytes
 //! decide whether it is CSV, a v1 archive, or a v2 container, and `-`
@@ -51,8 +54,9 @@
 //! repeated and overlapping reads skip both I/O and decode work.
 //! `decompress` opens the file the same way — a `--rows A..B` query
 //! touches only the footer, the manifest, and the shards intersecting the
-//! range, never the whole file. A v1 archive (compressed without
-//! `--shard-rows`) reads and serves through the same path as one shard.
+//! range, never the whole file. A v1 archive (the single-blob format
+//! older builds wrote; read-only now) reads and serves through the same
+//! path as one shard.
 //!
 //! `serve` always runs with live telemetry armed: the `METRICS` verb
 //! (and `--metrics HOST:PORT`, a minimal HTTP GET responder for
@@ -72,8 +76,8 @@ mod args;
 
 use args::{ArgError, Parsed};
 use ds_core::{
-    compress, compress_csv_stream_to, compress_sharded_to, compress_stream_to, inspect,
-    open_source, open_source_reader, tune, DsArchive, DsConfig, TuneConfig,
+    compress_csv_stream_to, compress_sharded_to, compress_stream_to, inspect, open_source,
+    open_source_reader, tune, DsArchive, DsConfig, ShardedCompression, TuneConfig,
 };
 use ds_table::csv::{read_csv_infer, write_csv};
 use ds_table::gen::Dataset;
@@ -117,81 +121,127 @@ fn run(argv: &[String]) -> Result<(), String> {
     }
 }
 
-fn cmd_compress(p: &mut Parsed) -> Result<(), String> {
-    let input = p.positional(0)?;
-    let output = p.positional(1)?;
-    let error: f64 = p.flag_or("error", 0.0)?;
-    let code: usize = p.flag_or("code", 2)?;
-    let experts: usize = p.flag_or("experts", 1)?;
-    let epochs: usize = p.flag_or("epochs", 120)?;
-    let seed: u64 = p.flag_or("seed", 0)?;
-    let shard_rows: usize = p.flag_or("shard-rows", 0)?;
-    let sample_frac: f64 = p.flag_or("sample-frac", 1.0)?;
+/// What `compress` and `recompress` share: the one `DsConfig` their flags
+/// spell, and how to read the input and report the run.
+struct CompressFlags {
+    cfg: DsConfig,
+    chunk_rows: usize,
+    quiet: bool,
+    trace: String,
+    stats: bool,
+}
+
+/// Parses the flags common to `compress` and `recompress` (range checks
+/// on the config are ds-core's). A `streamed` input defaults its shard
+/// size to the chunk size, so memory stays bounded without `--shard-rows`;
+/// an in-memory table defaults to one shard.
+fn compress_flags(p: &mut Parsed, streamed: bool) -> Result<CompressFlags, String> {
     let chunk_rows: usize = p.flag_or("chunk-rows", 4096)?;
-    let trace: String = p.flag_or("trace", String::new())?;
-    let do_tune = p.switch("tune");
-    let do_stream = p.switch("stream");
-    let numeric_probe = p.switch("numeric-probe");
-    let quiet = p.switch("quiet");
-    let stats = p.switch("stats");
+    let shard_rows: usize = p.flag_or("shard-rows", 0)?;
+    let cfg = DsConfig {
+        error_threshold: p.flag_or("error", 0.0)?,
+        code_size: p.flag_or("code", 2)?,
+        n_experts: p.flag_or("experts", 1)?,
+        max_epochs: p.flag_or("epochs", 120)?,
+        seed: p.flag_or("seed", 0)?,
+        sample_frac: p.flag_or("sample-frac", 1.0)?,
+        numeric_probe: p.switch("numeric-probe"),
+        shard_rows: if streamed && shard_rows == 0 {
+            chunk_rows
+        } else {
+            shard_rows
+        },
+        ..Default::default()
+    };
+    let flags = CompressFlags {
+        cfg,
+        chunk_rows,
+        quiet: p.switch("quiet"),
+        trace: p.flag_or("trace", String::new())?,
+        stats: p.switch("stats"),
+    };
     p.finish()?;
-    // Mirrors the DsConfig validation so a typo fails before any work.
-    if !(0.0..=1.0).contains(&sample_frac) || sample_frac == 0.0 {
-        return Err(format!(
-            "invalid --sample-frac `{sample_frac}`: must be in (0,1]"
-        ));
-    }
     if chunk_rows == 0 {
         return Err("--chunk-rows must be > 0".to_string());
     }
+    arm_obs(&flags.trace, flags.stats);
+    Ok(flags)
+}
+
+/// Creates the output file every compress front end streams shards into.
+fn create_sink(output: &str) -> Result<std::io::BufWriter<std::fs::File>, String> {
+    let file = std::fs::File::create(output).map_err(|e| format!("create {output}: {e}"))?;
+    Ok(std::io::BufWriter::new(file))
+}
+
+/// The one summary line, then the trace/stats outputs.
+fn report_written<W>(
+    flags: &CompressFlags,
+    output: &str,
+    out: &ShardedCompression<W>,
+) -> Result<(), String> {
+    if !flags.quiet {
+        let b = out.breakdown;
+        eprintln!(
+            "{output}: {} bytes in {} shard(s) [decoder {}, codes {}, failures {}, metadata {}]",
+            out.total_bytes, out.n_shards, b.decoder, b.codes, b.failures, b.metadata
+        );
+    }
+    finish_obs(&flags.trace, flags.stats)
+}
+
+/// `dsqz compress`: a CSV file through the one staged pipeline. `--stream`
+/// selects the input adapter — two bounded-memory passes over the file
+/// instead of loading it — not a different encoder: for the same config
+/// the bytes are identical.
+fn cmd_compress(p: &mut Parsed) -> Result<(), String> {
+    let input = p.positional(0)?;
+    let output = p.positional(1)?;
+    let do_tune = p.switch("tune");
+    let do_stream = p.switch("stream");
+    let mut flags = compress_flags(p, do_stream)?;
     if do_stream && do_tune {
         return Err(
             "--stream is incompatible with --tune (tuning needs the full table in memory)"
                 .to_string(),
         );
     }
-    arm_obs(&trace, stats);
 
     if do_stream {
-        return cmd_compress_stream(
-            &input,
-            &output,
-            error,
-            code,
-            experts,
-            epochs,
-            seed,
-            shard_rows,
-            sample_frac,
-            chunk_rows,
-            numeric_probe,
-            quiet,
-            &trace,
-            stats,
-        );
+        let (out, info) = compress_csv_stream_to(
+            std::path::Path::new(&input),
+            &flags.cfg,
+            flags.chunk_rows,
+            create_sink(&output)?,
+        )
+        .map_err(|e| format!("compression failed: {e}"))?;
+        if !flags.quiet {
+            let cats = info
+                .schema
+                .fields()
+                .iter()
+                .filter(|f| f.ty == ds_table::ColumnType::Categorical)
+                .count();
+            eprintln!(
+                "{input}: {} rows, {cats} categorical + {} numeric columns (streamed, {} rows/chunk)",
+                info.rows,
+                info.schema.len() - cats,
+                flags.chunk_rows
+            );
+        }
+        return report_written(&flags, &output, &out);
     }
 
     let text = std::fs::read_to_string(&input).map_err(|e| format!("read {input}: {e}"))?;
     let table = read_csv_infer(&text).map_err(|e| format!("parse {input}: {e}"))?;
     let (cats, nums) = table.type_counts();
-    if !quiet {
+    if !flags.quiet {
         eprintln!(
             "{input}: {} rows, {cats} categorical + {nums} numeric columns, {} bytes raw",
             table.nrows(),
             table.raw_size()
         );
     }
-
-    let mut cfg = DsConfig {
-        error_threshold: error,
-        code_size: code,
-        n_experts: experts,
-        max_epochs: epochs,
-        seed,
-        sample_frac,
-        numeric_probe,
-        ..Default::default()
-    };
     if do_tune {
         let tune_cfg = TuneConfig {
             samples: vec![(table.nrows() / 4).max(256)],
@@ -200,12 +250,13 @@ fn cmd_compress(p: &mut Parsed) -> Result<(), String> {
             eps: 0.02,
             budget: 8,
             base: DsConfig {
-                max_epochs: epochs.min(40),
-                ..cfg.clone()
+                max_epochs: flags.cfg.max_epochs.min(40),
+                shard_rows: 0,
+                ..flags.cfg.clone()
             },
         };
         let outcome = tune(&table, &tune_cfg).map_err(|e| format!("tuning failed: {e}"))?;
-        if !quiet {
+        if !flags.quiet {
             eprintln!(
                 "tuned: code_size={} experts={} over {} trials",
                 outcome.config.code_size,
@@ -213,190 +264,41 @@ fn cmd_compress(p: &mut Parsed) -> Result<(), String> {
                 outcome.trials.len()
             );
         }
-        cfg.code_size = outcome.config.code_size;
-        cfg.n_experts = outcome.config.n_experts;
+        flags.cfg.code_size = outcome.config.code_size;
+        flags.cfg.n_experts = outcome.config.n_experts;
     }
-
-    if shard_rows > 0 {
-        // Sharded container: stream row groups straight to the output
-        // file as they finish encoding instead of buffering in memory.
-        cfg.shard_rows = shard_rows;
-        let file = std::fs::File::create(&output).map_err(|e| format!("create {output}: {e}"))?;
-        let out = compress_sharded_to(&table, &cfg, std::io::BufWriter::new(file))
-            .map_err(|e| format!("compression failed: {e}"))?;
-        if !quiet {
-            let b = out.breakdown;
-            eprintln!(
-                "{output}: {} bytes in {} shard(s) ({:.2}% of raw) [decoder {}, codes {}, failures {}, metadata {}]",
-                out.total_bytes,
-                out.n_shards,
-                100.0 * out.total_bytes as f64 / table.raw_size().max(1) as f64,
-                b.decoder,
-                b.codes,
-                b.failures,
-                b.metadata
-            );
-        }
-        return finish_obs(&trace, stats);
-    }
-
-    let archive = compress(&table, &cfg).map_err(|e| format!("compression failed: {e}"))?;
-    std::fs::write(&output, archive.as_bytes()).map_err(|e| format!("write {output}: {e}"))?;
-    if !quiet {
-        let b = archive.breakdown();
-        eprintln!(
-            "{output}: {} bytes ({:.2}% of raw) [decoder {}, codes {}, failures {}, metadata {}]",
-            archive.size(),
-            100.0 * archive.size() as f64 / table.raw_size().max(1) as f64,
-            b.decoder,
-            b.codes,
-            b.failures,
-            b.metadata
-        );
-    }
-    finish_obs(&trace, stats)
-}
-
-/// The `--stream` half of `compress`: bounded-memory two-pass pipeline
-/// over the CSV file, producing a sharded container byte-identical to the
-/// in-memory `--shard-rows` path.
-#[allow(clippy::too_many_arguments)]
-fn cmd_compress_stream(
-    input: &str,
-    output: &str,
-    error: f64,
-    code: usize,
-    experts: usize,
-    epochs: usize,
-    seed: u64,
-    shard_rows: usize,
-    sample_frac: f64,
-    chunk_rows: usize,
-    numeric_probe: bool,
-    quiet: bool,
-    trace: &str,
-    stats: bool,
-) -> Result<(), String> {
-    let cfg = DsConfig {
-        error_threshold: error,
-        code_size: code,
-        n_experts: experts,
-        max_epochs: epochs,
-        seed,
-        sample_frac,
-        numeric_probe,
-        // Streaming always writes the sharded container; default to the
-        // same row-group size as the reader chunks when not specified.
-        shard_rows: if shard_rows > 0 {
-            shard_rows
-        } else {
-            chunk_rows
-        },
-        ..Default::default()
-    };
-    let file = std::fs::File::create(output).map_err(|e| format!("create {output}: {e}"))?;
-    let (out, info) = compress_csv_stream_to(
-        std::path::Path::new(input),
-        &cfg,
-        chunk_rows,
-        std::io::BufWriter::new(file),
-    )
-    .map_err(|e| format!("compression failed: {e}"))?;
-    if !quiet {
-        let (cats, nums) = {
-            let cat = info
-                .schema
-                .fields()
-                .iter()
-                .filter(|f| f.ty == ds_table::ColumnType::Categorical)
-                .count();
-            (cat, info.schema.len() - cat)
-        };
-        eprintln!(
-            "{input}: {} rows, {cats} categorical + {nums} numeric columns (streamed, {chunk_rows} rows/chunk)",
-            info.rows
-        );
-        let b = out.breakdown;
-        eprintln!(
-            "{output}: {} bytes in {} shard(s) [decoder {}, codes {}, failures {}, metadata {}]",
-            out.total_bytes, out.n_shards, b.decoder, b.codes, b.failures, b.metadata
-        );
-    }
-    finish_obs(trace, stats)
+    let out = compress_sharded_to(&table, &flags.cfg, create_sink(&output)?)
+        .map_err(|e| format!("compression failed: {e}"))?;
+    report_written(&flags, &output, &out)
 }
 
 /// `dsqz recompress`: magic-byte source negotiation instead of trusting
 /// extensions. The input may be a CSV file, an existing v1/v2 archive
 /// (re-encoded under the new config without a CSV round trip), or `-`
 /// for stdin (any of those formats, spooled to a temp file so the
-/// two-pass pipeline can rewind a pipe). Always writes a v2 sharded
-/// container through the bounded-memory streaming path.
+/// two-pass pipeline can rewind a pipe). Always reads in bounded memory.
 fn cmd_recompress(p: &mut Parsed) -> Result<(), String> {
     let input = p.positional(0)?;
     let output = p.positional(1)?;
-    let error: f64 = p.flag_or("error", 0.0)?;
-    let code: usize = p.flag_or("code", 2)?;
-    let experts: usize = p.flag_or("experts", 1)?;
-    let epochs: usize = p.flag_or("epochs", 120)?;
-    let seed: u64 = p.flag_or("seed", 0)?;
-    let shard_rows: usize = p.flag_or("shard-rows", 0)?;
-    let sample_frac: f64 = p.flag_or("sample-frac", 1.0)?;
-    let chunk_rows: usize = p.flag_or("chunk-rows", 4096)?;
-    let trace: String = p.flag_or("trace", String::new())?;
-    let numeric_probe = p.switch("numeric-probe");
-    let quiet = p.switch("quiet");
-    let stats = p.switch("stats");
-    p.finish()?;
-    if !(0.0..=1.0).contains(&sample_frac) || sample_frac == 0.0 {
-        return Err(format!(
-            "invalid --sample-frac `{sample_frac}`: must be in (0,1]"
-        ));
-    }
-    if chunk_rows == 0 {
-        return Err("--chunk-rows must be > 0".to_string());
-    }
-    arm_obs(&trace, stats);
+    let flags = compress_flags(p, true)?;
 
     let source = if input == "-" {
-        open_source_reader(std::io::stdin(), chunk_rows).map_err(|e| format!("open stdin: {e}"))?
+        open_source_reader(std::io::stdin(), flags.chunk_rows)
+            .map_err(|e| format!("open stdin: {e}"))?
     } else {
-        open_source(std::path::Path::new(&input), chunk_rows)
+        open_source(std::path::Path::new(&input), flags.chunk_rows)
             .map_err(|e| format!("open {input}: {e}"))?
     };
-    if !quiet {
+    if !flags.quiet {
         eprintln!(
             "{input}: {} ({} columns)",
             source.kind().describe(),
             ds_table::stream::RowSource::schema(&source).len()
         );
     }
-
-    let cfg = DsConfig {
-        error_threshold: error,
-        code_size: code,
-        n_experts: experts,
-        max_epochs: epochs,
-        seed,
-        sample_frac,
-        numeric_probe,
-        shard_rows: if shard_rows > 0 {
-            shard_rows
-        } else {
-            chunk_rows
-        },
-        ..Default::default()
-    };
-    let file = std::fs::File::create(&output).map_err(|e| format!("create {output}: {e}"))?;
-    let out = compress_stream_to(&source, &cfg, std::io::BufWriter::new(file))
+    let out = compress_stream_to(&source, &flags.cfg, create_sink(&output)?)
         .map_err(|e| format!("recompression failed: {e}"))?;
-    if !quiet {
-        let b = out.breakdown;
-        eprintln!(
-            "{output}: {} bytes in {} shard(s) [decoder {}, codes {}, failures {}, metadata {}]",
-            out.total_bytes, out.n_shards, b.decoder, b.codes, b.failures, b.metadata
-        );
-    }
-    finish_obs(&trace, stats)
+    report_written(&flags, &output, &out)
 }
 
 /// Turns the ds-obs recorder on when `--trace` or `--stats` was given.

@@ -385,18 +385,31 @@ fn stream_flag_validation() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("incompatible"));
 
-    // Out-of-range --sample-frac fails fast, before touching the input.
+    // Out-of-range --sample-frac is ds-core's one config check, on every
+    // front end, before any training.
+    let dir = tmpdir("flagcheck");
+    let csv = dir.join("a.csv");
+    std::fs::write(&csv, "x,y\n1,a\n2,b\n").unwrap();
     for bad in ["0", "1.5", "-0.1"] {
-        let out = dsqz()
-            .args(["compress", "a.csv", "b.dsqz", "--sample-frac", bad])
-            .output()
-            .unwrap();
-        assert!(!out.status.success(), "--sample-frac {bad} accepted");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("sample-frac"),
-            "missing flag name in error for {bad}"
-        );
+        for front_end in [
+            &["compress"][..],
+            &["compress", "--stream"],
+            &["recompress"],
+        ] {
+            let out = dsqz()
+                .args(front_end)
+                .args([csv.to_str().unwrap(), dir.join("b.dsqz").to_str().unwrap()])
+                .args(["--sample-frac", bad])
+                .output()
+                .unwrap();
+            assert!(!out.status.success(), "--sample-frac {bad} accepted");
+            assert!(
+                String::from_utf8_lossy(&out.stderr).contains("sample_frac must be in (0,1]"),
+                "{front_end:?} --sample-frac {bad}: {out:?}"
+            );
+        }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 
     // Zero chunk rows is rejected.
     let out = dsqz()

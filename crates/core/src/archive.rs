@@ -1,4 +1,6 @@
-//! The self-contained compressed archive container.
+//! The self-contained v1 blob: the payload of every v2 shard, the output
+//! of [`crate::TrainedCompressor::compress_batch`], and — on its own — the
+//! read-only v1 archive format.
 //!
 //! Layout (little-endian, varint-framed):
 //!
@@ -99,26 +101,6 @@ impl DsArchive {
     /// archives loaded from raw bytes).
     pub fn column_chains(&self) -> &[Vec<u16>] {
         &self.column_chains
-    }
-}
-
-/// Which container framing an archive uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContainerKind {
-    /// Single-blob v1 archive (`DSQZ` header).
-    Monolithic,
-    /// Sharded row-group container v2 (`DSRG` footer).
-    Sharded,
-}
-
-/// Detects the container framing. Detection is footer-based: a v2
-/// container *starts* with its first shard blob, which is itself a v1
-/// archive, so only the trailing magic distinguishes the formats.
-pub fn container_kind(archive: &DsArchive) -> ContainerKind {
-    if ds_shard::is_sharded(&archive.bytes) {
-        ContainerKind::Sharded
-    } else {
-        ContainerKind::Monolithic
     }
 }
 
@@ -264,23 +246,23 @@ mod tests {
             ..Default::default()
         };
         let archive = crate::compress(&t, &cfg).expect("compresses");
-        assert_eq!(container_kind(&archive), ContainerKind::Sharded);
         let info = inspect(&archive).expect("inspects");
         assert_eq!(info.nrows, 100);
         assert_eq!(info.shards, 4);
         assert!(info.has_model);
         assert_eq!(info.columns.len(), t.ncols());
 
-        let mono = crate::compress(
-            &t,
-            &crate::DsConfig {
-                shard_rows: 0,
-                ..cfg
-            },
-        )
-        .unwrap();
-        assert_eq!(container_kind(&mono), ContainerKind::Monolithic);
-        assert_eq!(inspect(&mono).unwrap().shards, 0);
+        // shard_rows = 0 is one shard of the same container, and a v1
+        // blob (what a shard or a batch is) still reports 0.
+        let cfg = crate::DsConfig {
+            shard_rows: 0,
+            ..cfg
+        };
+        let one = crate::compress(&t, &cfg).unwrap();
+        assert_eq!(inspect(&one).unwrap().shards, 1);
+        let trained = crate::TrainedCompressor::train(&t, &cfg).unwrap();
+        let v1 = trained.compress_batch(&t).unwrap();
+        assert_eq!(inspect(&v1).unwrap().shards, 0);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! the preprocessed rows, one autoencoder trained per cluster, and the
 //! same materialization path with cluster ids as expert assignments.
 
-use crate::pipeline::{DsConfig, TrainedCompressor};
+use crate::materialize::{materialize, MaterializeOptions};
+use crate::pipeline::DsConfig;
 use crate::preprocess::preprocess;
 use crate::{DsArchive, DsError, Result};
 use ds_nn::moe::MoeConfig;
-use ds_nn::{Mat, ModelSpec, MoeAutoencoder};
+use ds_nn::{Mat, MoeAutoencoder};
 use ds_table::Table;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -114,7 +115,7 @@ fn sq_dist(a: &[f32], b: &[f32]) -> f32 {
 /// autoencoder per cluster, cluster ids as the expert mapping. `cfg`'s
 /// `n_experts` is the number of clusters.
 pub fn compress_kmeans(table: &Table, cfg: &DsConfig) -> Result<DsArchive> {
-    let prep = preprocess(table, &cfg_preprocess(cfg, table)?)?;
+    let prep = preprocess(table, &cfg.validated(table.ncols())?)?;
     if prep.model_cols.is_empty() || table.nrows() == 0 {
         // Degenerates to the plain pipeline.
         return crate::pipeline::compress(table, cfg);
@@ -122,80 +123,46 @@ pub fn compress_kmeans(table: &Table, cfg: &DsConfig) -> Result<DsArchive> {
     let assignments = kmeans(&prep.x, cfg.n_experts, 25, cfg.seed)?;
 
     // Train one expert per cluster, each on its own rows only.
-    let spec = ModelSpec {
-        heads: prep.heads.clone(),
-        code_size: cfg.code_size,
-        hidden: (prep.heads.len() * 2).max(4),
-        linear_single_layer: cfg.linear_single_layer,
-        numeric_loss_weight: cfg.numeric_loss_weight,
-        aux_width: 4,
-    };
+    let (spec, moe_cfg) = cfg.model_spec(&prep.heads);
     let mut experts = Vec::with_capacity(cfg.n_experts);
     for c in 0..cfg.n_experts {
-        let rows: Vec<usize> = assignments
+        let mut rows: Vec<usize> = assignments
             .iter()
             .enumerate()
             .filter(|&(_, &a)| a == c)
             .map(|(r, _)| r)
             .collect();
-        let moe_cfg = MoeConfig {
-            n_experts: 1,
-            batch_size: cfg.batch_size,
-            max_epochs: cfg.max_epochs,
-            tol: cfg.tol,
-            lr: cfg.lr,
-            lr_decay: cfg.lr_decay,
-            seed: cfg.seed.wrapping_add(c as u64 + 1),
-        };
-        let (xc, catc) = if rows.is_empty() {
+        if rows.is_empty() {
             // Train on one arbitrary row so the expert exists; no rows will
             // ever route to it.
-            let fallback_rows = [0usize];
-            (
-                prep.x.take_rows(&fallback_rows),
-                prep.cat_targets
-                    .iter()
-                    .map(|t| vec![t[0]])
-                    .collect::<Vec<_>>(),
-            )
-        } else {
-            (
-                prep.x.take_rows(&rows),
-                prep.cat_targets
-                    .iter()
-                    .map(|t| rows.iter().map(|&r| t[r]).collect())
-                    .collect(),
-            )
+            rows.push(0);
+        }
+        let moe_cfg = MoeConfig {
+            n_experts: 1,
+            seed: cfg.seed.wrapping_add(c as u64 + 1),
+            ..moe_cfg.clone()
         };
+        let xc = prep.x.take_rows(&rows);
+        let catc: Vec<Vec<u32>> = prep
+            .cat_targets
+            .iter()
+            .map(|t| rows.iter().map(|&r| t[r]).collect())
+            .collect();
         let (m, _) = MoeAutoencoder::train(&spec, &xc, &catc, &moe_cfg)?;
         experts.extend(m.into_experts());
     }
     let mut model = MoeAutoencoder::from_experts(experts);
-    if cfg.weight_truncate_bits > 0 && cfg.weight_truncate_bits < 24 {
-        model.truncate_weights(cfg.weight_truncate_bits);
-    }
+    cfg.truncate(&mut model);
 
-    // Reuse the standard materialization with cluster assignments.
-    let tc = TrainedCompressor::from_parts(prep, Some(model), cfg.clone(), table.nrows());
-    tc.materialize_with_assignments(table, &assignments)
-}
-
-fn cfg_preprocess(cfg: &DsConfig, table: &Table) -> Result<crate::preprocess::PreprocessOptions> {
-    let error_thresholds = match &cfg.per_column_errors {
-        Some(v) => {
-            if v.len() != table.ncols() {
-                return Err(DsError::InvalidConfig("per_column_errors arity mismatch"));
-            }
-            v.clone()
-        }
-        None => vec![cfg.error_threshold; table.ncols()],
+    // The standard materialization with cluster ids as expert assignments.
+    let opts = MaterializeOptions {
+        code_bits_candidates: cfg.code_bits_candidates.clone(),
+        order_free: cfg.order_free,
+        omit_decoder: false,
+        numeric_probe: cfg.numeric_probe,
     };
-    Ok(crate::preprocess::PreprocessOptions {
-        error_thresholds,
-        high_card_ratio: cfg.high_card_ratio,
-        max_train_card: cfg.max_train_card,
-        quantize_numerics: cfg.quantize_numerics,
-    })
+    let _sp = ds_obs::span("materialize");
+    materialize(table, &prep, Some(&model), &assignments, &opts)
 }
 
 #[cfg(test)]

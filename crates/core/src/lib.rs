@@ -52,7 +52,7 @@ pub mod source;
 pub mod stream;
 pub mod tune;
 
-pub use archive::{container_kind, inspect, ArchiveInfo, ContainerKind, DsArchive, SizeBreakdown};
+pub use archive::{inspect, ArchiveInfo, DsArchive, SizeBreakdown};
 pub use pipeline::{
     compress, compress_sharded_to, decompress, decompress_rows, decompress_rows_with_stats,
     DsConfig, ShardDecoder, ShardedCompression, ShardedDecodeStats, TrainedCompressor,

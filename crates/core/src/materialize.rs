@@ -590,6 +590,14 @@ pub(crate) fn encode_failures(
     Ok((main, w.into_vec(), col_stats, col_chains))
 }
 
+/// The §6.2 candidate-width rule: at least one width, each in 1..=32.
+pub(crate) fn check_code_bits(candidates: &[u8]) -> Result<()> {
+    if candidates.is_empty() || candidates.iter().any(|b| !(1..=32).contains(b)) {
+        return Err(DsError::InvalidConfig("code bits must be in 1..=32"));
+    }
+    Ok(())
+}
+
 /// Runs the full materialization: mapping, codes (choosing the best width),
 /// failures, decoder — and assembles the archive bytes.
 pub fn materialize(
@@ -615,14 +623,7 @@ pub fn materialize_with_patches(
     if assignments.len() != table.nrows() {
         return Err(DsError::InvalidConfig("one assignment per row required"));
     }
-    if opts.code_bits_candidates.is_empty()
-        || opts
-            .code_bits_candidates
-            .iter()
-            .any(|&b| !(1..=32).contains(&b))
-    {
-        return Err(DsError::InvalidConfig("code bits must be in 1..=32"));
-    }
+    check_code_bits(&opts.code_bits_candidates)?;
     if opts.order_free && !patches.is_empty() {
         // Patches are addressed by original row index; order-free storage
         // discards that order, so the combination cannot reconstruct.

@@ -2,15 +2,16 @@
 
 use crate::archive::{DsArchive, SizeBreakdown, MAGIC, VERSION};
 use crate::materialize::{
-    class_at_rank, dequantize_codes, materialize, MappingStrategy, MaterializeOptions,
+    check_code_bits, class_at_rank, dequantize_codes, MappingStrategy, MaterializeOptions,
 };
-use crate::preprocess::{preprocess, ColPlan, PreprocessOptions, Preprocessed};
+use crate::preprocess::{ColPlan, PreprocessOptions};
 use crate::reader::ArchiveReader;
 use crate::{DsError, Result};
 use ds_codec::{delta, gzlike, parq, rle, ByteReader};
 use ds_nn::autoencoder::DecodedBatch;
 use ds_nn::moe::{MoeConfig, TrainReport};
-use ds_nn::{serialize, ModelSpec, MoeAutoencoder};
+use ds_nn::{serialize, Head, ModelSpec, MoeAutoencoder};
+use ds_table::stream::TableSource;
 use ds_table::{Column, ColumnType, Table};
 
 /// All DeepSqueeze knobs in one place. `Default` matches the paper's
@@ -56,18 +57,18 @@ pub struct DsConfig {
     pub numeric_loss_weight: f32,
     /// Candidate code widths for §6.2 truncation.
     pub code_bits_candidates: Vec<u8>,
-    /// §6.4 order-free storage (relational tables).
+    /// §6.4 order-free storage (relational tables): rows come back
+    /// grouped by expert. Needs `shard_rows = 0`.
     pub order_free: bool,
     /// Mantissa bits zeroed from trained weights before materialization
     /// (16 = bf16-like; 0 disables). Shrinks the gzip-compressed decoder
     /// roughly 2× at negligible accuracy cost.
     pub weight_truncate_bits: u32,
-    /// Rows per shard for the v2 sharded container (0 = legacy
-    /// single-blob archive). When > 0, [`compress`] trains one model on
-    /// the whole table, then compresses each fixed-row-count row group
-    /// independently on the pool and lays them out so decompression can
-    /// decode shards in parallel — or only those intersecting a requested
-    /// row range ([`decompress_rows`]).
+    /// Rows per shard of the v2 container (0 = one shard covering every
+    /// row). One model is trained for the whole table; each row group is
+    /// then compressed independently on the pool and laid out so
+    /// decompression can decode shards in parallel — or only those
+    /// intersecting a requested row range ([`decompress_rows`]).
     pub shard_rows: usize,
     /// Let the per-chunk constant/FoR numeric model
     /// ([`ds_codec::registry::FOR_MODEL`]) compete for u32 streams. Off
@@ -107,14 +108,29 @@ impl Default for DsConfig {
 }
 
 impl DsConfig {
-    pub(crate) fn preprocess_options(&self, ncols: usize) -> Result<PreprocessOptions> {
+    /// The one configuration check, run by every compress entry point
+    /// before it reads a row; returns the preprocessing options the
+    /// config implies for a table of `ncols` columns.
+    pub(crate) fn validated(&self, ncols: usize) -> Result<PreprocessOptions> {
+        if !(self.sample_frac > 0.0 && self.sample_frac <= 1.0) {
+            return Err(DsError::InvalidConfig("sample_frac must be in (0,1]"));
+        }
+        check_code_bits(&self.code_bits_candidates)?;
+        if self.weight_truncate_bits >= 24 {
+            return Err(DsError::InvalidConfig("weight_truncate_bits must be < 24"));
+        }
+        if self.order_free && self.shard_rows > 0 {
+            // Rows regroup by expert within a shard, so only a single
+            // shard covering the table yields "grouped by expert".
+            return Err(DsError::InvalidConfig(
+                "order-free storage needs shard_rows = 0 (one shard)",
+            ));
+        }
         let error_thresholds = match &self.per_column_errors {
-            Some(v) => {
-                if v.len() != ncols {
-                    return Err(DsError::InvalidConfig("per_column_errors arity mismatch"));
-                }
-                v.clone()
+            Some(v) if v.len() != ncols => {
+                return Err(DsError::InvalidConfig("per_column_errors arity mismatch"));
             }
+            Some(v) => v.clone(),
             None => vec![self.error_threshold; ncols],
         };
         Ok(PreprocessOptions {
@@ -124,105 +140,58 @@ impl DsConfig {
             quantize_numerics: self.quantize_numerics,
         })
     }
+
+    /// The model shape and optimiser settings this config gives a table
+    /// with the given output heads.
+    pub(crate) fn model_spec(&self, heads: &[Head]) -> (ModelSpec, MoeConfig) {
+        let spec = ModelSpec {
+            heads: heads.to_vec(),
+            code_size: self.code_size,
+            hidden: (heads.len() * 2).max(4),
+            linear_single_layer: self.linear_single_layer,
+            numeric_loss_weight: self.numeric_loss_weight,
+            aux_width: 4,
+        };
+        let moe = MoeConfig {
+            n_experts: self.n_experts,
+            batch_size: self.batch_size,
+            max_epochs: self.max_epochs,
+            tol: self.tol,
+            lr: self.lr,
+            lr_decay: self.lr_decay,
+            seed: self.seed,
+        };
+        (spec, moe)
+    }
+
+    /// Zeroes `weight_truncate_bits` mantissa bits of the trained weights.
+    pub(crate) fn truncate(&self, model: &mut MoeAutoencoder) {
+        if self.weight_truncate_bits > 0 {
+            model.truncate_weights(self.weight_truncate_bits);
+        }
+    }
 }
 
-/// A trained model plus the preprocessing state it was fitted with —
-/// separate from [`compress`] so benchmarks can time training and
-/// materialization independently, and so the streaming scenario (§3) can
-/// reuse one model across batches.
+/// A trained model plus the column plans it was fitted under — separate
+/// from [`compress`] so benchmarks can time training and encoding
+/// independently, and so the streaming scenario (§3) can reuse one model
+/// across batches.
 pub struct TrainedCompressor {
-    pub(crate) prep: Preprocessed,
+    pub(crate) plans: Vec<ColPlan>,
     pub(crate) model: Option<MoeAutoencoder>,
     /// Training diagnostics (empty when the table had no model-visible
     /// columns).
     pub report: TrainReport,
     cfg: DsConfig,
-    nrows: usize,
 }
 
 impl TrainedCompressor {
-    /// Trains a compressor on `table` under `cfg`.
+    /// Trains a compressor on `table` under `cfg`: pass 1 of the staged
+    /// pipeline over the table, then the model fit — the same plans, sample
+    /// and model [`compress`] arrives at for the same table and config.
     pub fn train(table: &Table, cfg: &DsConfig) -> Result<Self> {
-        if !(0.0..=1.0).contains(&cfg.sample_frac) || cfg.sample_frac == 0.0 {
-            return Err(DsError::InvalidConfig("sample_frac must be in (0,1]"));
-        }
-        let prep = {
-            let mut sp = ds_obs::span("preprocess");
-            let prep = preprocess(table, &cfg.preprocess_options(table.ncols())?)?;
-            sp.add("rows", table.nrows() as u64);
-            sp.add("cols", table.ncols() as u64);
-            prep
-        };
-
-        let model = if prep.model_cols.is_empty() || table.nrows() == 0 {
-            None
-        } else {
-            let spec = ModelSpec {
-                heads: prep.heads.clone(),
-                code_size: cfg.code_size,
-                hidden: (prep.heads.len() * 2).max(4),
-                linear_single_layer: cfg.linear_single_layer,
-                numeric_loss_weight: cfg.numeric_loss_weight,
-                aux_width: 4,
-            };
-            let moe_cfg = MoeConfig {
-                n_experts: cfg.n_experts,
-                batch_size: cfg.batch_size,
-                max_epochs: cfg.max_epochs,
-                tol: cfg.tol,
-                lr: cfg.lr,
-                lr_decay: cfg.lr_decay,
-                seed: cfg.seed,
-            };
-            let (x_train, cat_train) = if cfg.sample_frac < 1.0 {
-                let target = ((table.nrows() as f64 * cfg.sample_frac).ceil() as usize)
-                    .clamp(1, table.nrows());
-                // Seeded sample of row indexes.
-                use rand::seq::SliceRandom;
-                use rand::SeedableRng;
-                let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed ^ 0x5A17);
-                let mut idx: Vec<usize> = (0..table.nrows()).collect();
-                idx.shuffle(&mut rng);
-                idx.truncate(target);
-                let x = prep.x.take_rows(&idx);
-                let cats = prep
-                    .cat_targets
-                    .iter()
-                    .map(|t| idx.iter().map(|&i| t[i]).collect())
-                    .collect();
-                (x, cats)
-            } else {
-                (prep.x.clone(), prep.cat_targets.clone())
-            };
-            let (mut model, report) = {
-                let mut sp = ds_obs::span("train");
-                let out = MoeAutoencoder::train(&spec, &x_train, &cat_train, &moe_cfg)?;
-                sp.add("rows", x_train.rows() as u64);
-                sp.add("epochs", out.1.epochs_run as u64);
-                out
-            };
-            if cfg.weight_truncate_bits > 0 {
-                if cfg.weight_truncate_bits >= 24 {
-                    return Err(DsError::InvalidConfig("weight_truncate_bits must be < 24"));
-                }
-                model.truncate_weights(cfg.weight_truncate_bits);
-            }
-            return Ok(TrainedCompressor {
-                prep,
-                model: Some(model),
-                report,
-                cfg: cfg.clone(),
-                nrows: table.nrows(),
-            });
-        };
-
-        Ok(TrainedCompressor {
-            prep,
-            model,
-            report: TrainReport::default(),
-            cfg: cfg.clone(),
-            nrows: table.nrows(),
-        })
+        let source = TableSource::new(table, table.nrows().max(1));
+        crate::stream::ingest(&source, cfg)?.train(&source, cfg)
     }
 
     /// The trained mixture (None when the table had no model-visible
@@ -231,72 +200,25 @@ impl TrainedCompressor {
         self.model.as_ref()
     }
 
-    /// Assembles a compressor from externally trained parts (the k-means
-    /// comparator builds its mixture outside the gate-training path).
-    pub(crate) fn from_parts(
-        prep: Preprocessed,
-        model: Option<MoeAutoencoder>,
-        cfg: DsConfig,
-        nrows: usize,
-    ) -> Self {
-        TrainedCompressor {
-            prep,
-            model,
-            report: TrainReport::default(),
-            cfg,
-            nrows,
-        }
-    }
-
-    /// Trains on an already-selected sample under already-fitted column
-    /// plans — stage three of the streaming pipeline, where the plans come
-    /// from a one-pass [`crate::preprocess::TableStats`] fold and the
-    /// sample from a deterministic reservoir. `total_rows` is the full
-    /// source's row count (the sample may be much smaller); it becomes the
-    /// compressor's `nrows` so shard accounting sees the real table size.
-    ///
-    /// With `sample == table` this is behaviourally identical to
-    /// [`train`](Self::train) at `sample_frac = 1.0`: the plans fitted by
-    /// the chunked fold match whole-table `preprocess` exactly, and the
-    /// model sees the same matrix in the same order.
-    pub(crate) fn train_from_sample(
-        plans: &[ColPlan],
-        sample: &Table,
-        total_rows: usize,
-        cfg: &DsConfig,
-    ) -> Result<Self> {
+    /// Fits the mixture on an already-selected `sample` under
+    /// already-fitted column `plans` — the one place a model is trained.
+    pub(crate) fn fit(plans: Vec<ColPlan>, sample: &Table, cfg: &DsConfig) -> Result<Self> {
         let (prep, _patches) = {
             let mut sp = ds_obs::span("apply_plans");
-            let out = crate::preprocess::apply_plans(sample, plans)?;
+            let out = crate::preprocess::apply_plans(sample, &plans)?;
             sp.add("rows", sample.nrows() as u64);
             out
         };
-        if prep.model_cols.is_empty() || total_rows == 0 || sample.nrows() == 0 {
-            return Ok(TrainedCompressor {
-                prep,
-                model: None,
-                report: TrainReport::default(),
-                cfg: cfg.clone(),
-                nrows: total_rows,
-            });
+        let mut trained = TrainedCompressor {
+            plans,
+            model: None,
+            report: TrainReport::default(),
+            cfg: cfg.clone(),
+        };
+        if prep.model_cols.is_empty() || sample.nrows() == 0 {
+            return Ok(trained);
         }
-        let spec = ModelSpec {
-            heads: prep.heads.clone(),
-            code_size: cfg.code_size,
-            hidden: (prep.heads.len() * 2).max(4),
-            linear_single_layer: cfg.linear_single_layer,
-            numeric_loss_weight: cfg.numeric_loss_weight,
-            aux_width: 4,
-        };
-        let moe_cfg = MoeConfig {
-            n_experts: cfg.n_experts,
-            batch_size: cfg.batch_size,
-            max_epochs: cfg.max_epochs,
-            tol: cfg.tol,
-            lr: cfg.lr,
-            lr_decay: cfg.lr_decay,
-            seed: cfg.seed,
-        };
+        let (spec, moe_cfg) = cfg.model_spec(&prep.heads);
         let (mut model, report) = {
             let mut sp = ds_obs::span("train");
             let out = MoeAutoencoder::train(&spec, &prep.x, &prep.cat_targets, &moe_cfg)?;
@@ -304,37 +226,10 @@ impl TrainedCompressor {
             sp.add("epochs", out.1.epochs_run as u64);
             out
         };
-        if cfg.weight_truncate_bits > 0 {
-            if cfg.weight_truncate_bits >= 24 {
-                return Err(DsError::InvalidConfig("weight_truncate_bits must be < 24"));
-            }
-            model.truncate_weights(cfg.weight_truncate_bits);
-        }
-        Ok(TrainedCompressor {
-            prep,
-            model: Some(model),
-            report,
-            cfg: cfg.clone(),
-            nrows: total_rows,
-        })
-    }
-
-    /// Materializes the archive for the table this compressor was trained
-    /// on (must be byte-identical to the training table).
-    pub fn materialize(&self, table: &Table) -> Result<DsArchive> {
-        if table.nrows() != self.nrows {
-            return Err(DsError::InvalidConfig(
-                "materialize: table differs from training table",
-            ));
-        }
-        let assignments = {
-            let _sp = ds_obs::span("assign");
-            match &self.model {
-                Some(m) => m.assign_by_loss(&self.prep.x, &self.prep.cat_targets)?,
-                None => vec![0; table.nrows()],
-            }
-        };
-        self.materialize_with_assignments(table, &assignments)
+        cfg.truncate(&mut model);
+        trained.model = Some(model);
+        trained.report = report;
+        Ok(trained)
     }
 
     /// Compresses a *new* table with the already-fitted plans and trained
@@ -343,22 +238,20 @@ impl TrainedCompressor {
     /// plans cannot represent (unseen categorical values, numerics outside
     /// the fitted error envelope) are stored verbatim as patches, so every
     /// reconstruction guarantee still holds. Retrain periodically if the
-    /// patch fraction grows.
+    /// patch fraction grows. The output is a self-contained v1 blob in
+    /// original row order.
     pub fn compress_batch(&self, table: &Table) -> Result<DsArchive> {
-        self.compress_batch_opts(table, false)
+        self.encode(table, false)
     }
 
-    /// [`compress_batch`](Self::compress_batch) with the decoder blob
-    /// optionally omitted — shard blobs in a v2 container share one
-    /// decoder via the container manifest instead of repeating it.
-    pub(crate) fn compress_batch_opts(
-        &self,
-        table: &Table,
-        omit_decoder: bool,
-    ) -> Result<DsArchive> {
+    /// Encodes `table` as one blob. As a container `shard` it omits the
+    /// decoder (the manifest stores it once) and follows `cfg.order_free`,
+    /// which validation allows only when that shard is the whole table —
+    /// so its plans saw every row and it carries no patches.
+    pub(crate) fn encode(&self, table: &Table, shard: bool) -> Result<DsArchive> {
         let (prep, patches) = {
             let _sp = ds_obs::span("apply_plans");
-            crate::preprocess::apply_plans(table, &self.prep.plans)?
+            crate::preprocess::apply_plans(table, &self.plans)?
         };
         let assignments = {
             let _sp = ds_obs::span("assign");
@@ -369,11 +262,8 @@ impl TrainedCompressor {
         };
         let opts = MaterializeOptions {
             code_bits_candidates: self.cfg.code_bits_candidates.clone(),
-            // Streaming batches always preserve row order: patches address
-            // cells by original row index, which order-free storage would
-            // scramble.
-            order_free: false,
-            omit_decoder,
+            order_free: shard && self.cfg.order_free,
+            omit_decoder: shard,
             numeric_probe: self.cfg.numeric_probe,
         };
         let _sp = ds_obs::span("materialize");
@@ -385,23 +275,6 @@ impl TrainedCompressor {
             &patches,
             &opts,
         )
-    }
-
-    /// Materializes with externally supplied expert assignments (used by
-    /// the k-means comparator, §7.4.2).
-    pub fn materialize_with_assignments(
-        &self,
-        table: &Table,
-        assignments: &[usize],
-    ) -> Result<DsArchive> {
-        let opts = MaterializeOptions {
-            code_bits_candidates: self.cfg.code_bits_candidates.clone(),
-            order_free: self.cfg.order_free,
-            omit_decoder: false,
-            numeric_probe: self.cfg.numeric_probe,
-        };
-        let _sp = ds_obs::span("materialize");
-        materialize(table, &self.prep, self.model.as_ref(), assignments, &opts)
     }
 
     /// The configuration this compressor was trained under.
@@ -419,23 +292,17 @@ impl TrainedCompressor {
     }
 }
 
-/// Compresses a table end-to-end: preprocess → train → materialize.
-///
-/// With `cfg.shard_rows > 0` the output is a v2 sharded container (one
-/// model trained on the whole table, row groups compressed independently
-/// and streamed out in order); otherwise the legacy single-blob archive.
+/// Compresses a table end-to-end: preprocess → train → materialize, into
+/// a v2 container held in memory ([`compress_sharded_to`] with a `Vec`
+/// sink).
 pub fn compress(table: &Table, cfg: &DsConfig) -> Result<DsArchive> {
-    if cfg.shard_rows > 0 {
-        let out = compress_sharded_to(table, cfg, Vec::new())?;
-        return Ok(DsArchive {
-            bytes: out.sink,
-            breakdown: out.breakdown,
-            failure_stats: Vec::new(),
-            column_chains: Vec::new(),
-        });
-    }
-    let _root = ds_obs::span("compress");
-    TrainedCompressor::train(table, cfg)?.materialize(table)
+    let out = compress_sharded_to(table, cfg, Vec::new())?;
+    Ok(DsArchive {
+        bytes: out.sink,
+        breakdown: out.breakdown,
+        failure_stats: out.failure_stats,
+        column_chains: Vec::new(),
+    })
 }
 
 /// Result of a sharded compression into a caller-supplied sink.
@@ -450,17 +317,22 @@ pub struct ShardedCompression<W> {
     /// once in the manifest; `codes`/`failures` are summed across shards;
     /// `metadata` absorbs per-shard envelopes and the container framing.
     pub breakdown: SizeBreakdown,
+    /// Per-column failure-stream bytes, summed across shards.
+    pub failure_stats: Vec<(String, usize)>,
 }
 
-/// Compresses an in-memory table into a v2 sharded container: one model
-/// trained on the whole table, row groups of `cfg.shard_rows` rows
-/// compressed independently on the pool and streamed into `sink` in index
-/// order. The produced bytes are identical for any `DS_THREADS`.
+/// Compresses an in-memory table into a v2 container written to `sink`:
+/// one model trained on the whole table, row groups of `cfg.shard_rows`
+/// rows (0 = one group covering the table) compressed independently on the
+/// pool and streamed out in index order. The produced bytes are identical
+/// for any `DS_THREADS`.
 ///
-/// This is a thin adapter: the table is wrapped in a
-/// [`ds_table::stream::TableSource`] and run through the exact same staged
-/// pipeline as true streaming input ([`crate::stream::compress_stream_to`]),
-/// so the in-memory and streaming paths cannot drift apart.
+/// This is an adapter: it only chooses how the table is chunked — one
+/// chunk per shard, so pass 2 hands chunks through without re-cutting —
+/// and runs the same staged pipeline as true streaming input
+/// ([`crate::stream::compress_stream_to`]), so the in-memory and streaming
+/// paths cannot drift apart. With one shard, pass 2 holds one extra copy
+/// of the table (the chunk).
 ///
 /// The decoder weights are stored once in the container manifest (shards
 /// carry empty decoder blobs), so sharding does not multiply the §6.1
@@ -470,7 +342,11 @@ pub fn compress_sharded_to<W: std::io::Write>(
     cfg: &DsConfig,
     sink: W,
 ) -> Result<ShardedCompression<W>> {
-    let source = ds_table::stream::TableSource::new(table, cfg.shard_rows.max(1));
+    let chunk_rows = match cfg.shard_rows {
+        0 => table.nrows(),
+        n => n,
+    };
+    let source = TableSource::new(table, chunk_rows.max(1));
     crate::stream::compress_stream_to(&source, cfg, sink)
 }
 
@@ -482,8 +358,8 @@ pub fn compress_sharded_to<W: std::io::Write>(
 /// in original order.
 ///
 /// Both container formats open through the one [`ArchiveReader`]: the v2
-/// sharded container, whose row groups are CRC-validated and decoded in
-/// parallel, and the v1 single-blob archive, as its one shard.
+/// container, whose row groups are CRC-validated and decoded in parallel,
+/// and the read-only v1 single-blob archive, as its one shard.
 pub fn decompress(archive: &DsArchive) -> Result<Table> {
     let root = ds_obs::span("decompress");
     let reader = ArchiveReader::open(archive.as_bytes())?;
@@ -1269,7 +1145,9 @@ mod tests {
     #[test]
     fn partial_read_works_on_monolithic_archives_too() {
         let t = gen::census_like(100, 25);
-        let archive = compress(&t, &fast_cfg(0.0)).unwrap();
+        let trained = TrainedCompressor::train(&t, &fast_cfg(0.0)).unwrap();
+        let archive = trained.compress_batch(&t).unwrap();
+        assert!(!ds_shard::is_sharded(archive.as_bytes()));
         let (part, stats) = decompress_rows_with_stats(&archive, 10..35).unwrap();
         assert_eq!(stats.shards_total, 1);
         assert_eq!(stats.shards_decoded, 1);
@@ -1312,8 +1190,6 @@ mod tests {
         cfg.order_free = true;
         cfg.shard_rows = 10;
         assert!(compress(&t, &cfg).is_err());
-        let cfg2 = fast_cfg(0.1);
-        assert!(compress_sharded_to(&t, &cfg2, Vec::new()).is_err()); // shard_rows == 0
     }
 
     #[test]

@@ -323,17 +323,34 @@ mod tests {
     #[test]
     fn a_v1_archive_is_a_container_of_one_shard() {
         let t = gen::monitor_like(90, 8);
+        let trained = crate::TrainedCompressor::train(
+            &t,
+            &DsConfig {
+                error_threshold: 0.1,
+                n_experts: 2,
+                ..cfg(0)
+            },
+        )
+        .expect("trains");
         for order_free in [false, true] {
-            let v1 = compress(
-                &t,
-                &DsConfig {
-                    error_threshold: 0.1,
-                    n_experts: 2,
-                    order_free,
-                    ..cfg(0)
-                },
-            )
-            .expect("compresses");
+            // `compress_batch` never writes order-free storage; old
+            // order-free v1 files came from a direct materialize call.
+            let v1 = if order_free {
+                use crate::materialize::{materialize, MaterializeOptions};
+                let (prep, _) = crate::preprocess::apply_plans(&t, &trained.plans).expect("plans");
+                let model = trained.model().expect("a model");
+                let assignments = model
+                    .assign_by_loss(&prep.x, &prep.cat_targets)
+                    .expect("assigns");
+                let opts = MaterializeOptions {
+                    order_free: true,
+                    omit_decoder: false,
+                    ..Default::default()
+                };
+                materialize(&t, &prep, Some(model), &assignments, &opts).expect("materializes")
+            } else {
+                trained.compress_batch(&t).expect("compresses")
+            };
             let full = decompress(&v1).expect("decodes");
             let reader = ArchiveReader::open(v1.as_bytes()).expect("opens");
             let shards = reader.shards();

@@ -331,7 +331,8 @@ mod tests {
         let dir = tmp_dir("arch");
         let t = gen::census_like(80, 11);
 
-        let v1 = crate::compress(&t, &quick_cfg()).unwrap();
+        let trained = crate::TrainedCompressor::train(&t, &quick_cfg()).unwrap();
+        let v1 = trained.compress_batch(&t).unwrap();
         let p1 = dir.join("a.v1");
         std::fs::write(&p1, v1.as_bytes()).unwrap();
         let src = open_source(&p1, 32).expect("opens v1");

@@ -1,22 +1,29 @@
-//! Staged streaming compression: bounded-memory, two-pass pipeline (§3e).
+//! The one write pipeline: staged, two-pass, bounded-memory (§3e).
 //!
-//! The monolithic `&Table` entry points are adapters over the stages in
-//! this module, which consume any [`RowSource`] — an iterator of
-//! fixed-size [`Table`] chunks that can be rewound for a second pass:
+//! Everything that writes a top-level archive runs these stages; the
+//! public entry points only contribute a source or a sink. `compress` /
+//! `compress_sharded_to` wrap a `&Table` in a [`RowSource`] (an iterator
+//! of fixed-size [`Table`] chunks that can be rewound for a second pass),
+//! [`compress_stream_to`] takes any `RowSource`, and
+//! [`compress_csv_stream_to`] reads a CSV whose schema is not yet known.
 //!
+//! 0. **Validate** — the one `DsConfig` check, before any row is read.
 //! 1. **Ingest** (pass 1) — fold every chunk into a mergeable
 //!    [`TableStats`] accumulator and, simultaneously, collect a seeded
-//!    reservoir sample of rows.
+//!    reservoir sample of rows. Two front ends ([`ingest`] over typed
+//!    chunks, [`ingest_csv`] over raw records) produce one [`Ingested`].
 //! 2. **Stats** — convert the accumulator into the per-column plans
 //!    whole-table `preprocess` would have fitted (proven equivalent by
 //!    the chunked-plan tests in [`crate::preprocess`]).
 //! 3. **Train** — fit the mixture on the sample only
-//!    ([`TrainedCompressor::train_from_sample`]).
+//!    ([`TrainedCompressor::fit`]).
 //! 4. **Encode** (pass 2) — re-read the source, regroup chunks into
-//!    exact `shard_rows` row groups, and push each encoded group through
-//!    the shared [`ds_shard::ShardWriter`] in index order.
+//!    exact `shard_rows` row groups (`shard_rows = 0`: one group of every
+//!    row), and push each encoded group through the shared
+//!    [`ds_shard::ShardWriter`] in index order.
 //!
-//! Peak memory is O(chunk + sample + model), never O(table).
+//! Peak memory is O(chunk + sample + shard window + model), never
+//! O(table) unless one shard is asked to hold it.
 //!
 //! ## Determinism contract
 //!
@@ -31,7 +38,7 @@
 
 use crate::archive::SizeBreakdown;
 use crate::pipeline::{DsConfig, ShardedCompression, TrainedCompressor};
-use crate::preprocess::{CatColStats, ColumnStats, NumColStats, TableStats};
+use crate::preprocess::{CatColStats, ColPlan, ColumnStats, NumColStats, TableStats};
 use crate::{DsError, Result};
 use ds_table::csv::CsvChunks;
 use ds_table::stream::{rows_to_table, CsvFileSource, RowSource};
@@ -53,8 +60,7 @@ fn splitmix64(mut z: u64) -> u64 {
 /// Keeps row `i` iff `hash(seed, i) < frac · 2⁶⁴` — a Bernoulli sample
 /// keyed by *absolute* row index, so the selection is identical no matter
 /// how the stream is chunked or which thread sees the row. The seed is
-/// derived as `cfg.seed ^ 0x5A17`, matching the salt the in-memory
-/// trainer uses for its shuffle sample.
+/// derived as `cfg.seed ^ 0x5A17`.
 struct Reservoir {
     seed: u64,
     threshold: u64,
@@ -151,60 +157,41 @@ impl Regrouper {
 // The staged pipeline
 // ---------------------------------------------------------------------------
 
-fn validate_cfg(cfg: &DsConfig) -> Result<()> {
-    if cfg.shard_rows == 0 {
-        return Err(DsError::InvalidConfig("shard_rows must be > 0"));
-    }
-    if cfg.order_free {
-        // Shard blobs carry patches addressed by row index; order-free
-        // storage would scramble them (same rule as compress_batch).
-        return Err(DsError::InvalidConfig(
-            "order-free storage is incompatible with sharding",
-        ));
-    }
-    if !(0.0..=1.0).contains(&cfg.sample_frac) || cfg.sample_frac == 0.0 {
-        return Err(DsError::InvalidConfig("sample_frac must be in (0,1]"));
-    }
-    Ok(())
+/// What pass 1 yields, whichever front end read the input: typed chunks
+/// ([`ingest`]) or raw CSV records ([`ingest_csv`]).
+pub(crate) struct Ingested {
+    schema: Schema,
+    plans: Vec<ColPlan>,
+    sample: Table,
+    total_rows: usize,
 }
 
-/// Guarantees training sees at least one row: a tiny `sample_frac` can
-/// leave the reservoir empty, in which case the source's first row is
-/// used — deterministic across chunk sizes, since row 0 is row 0 in
-/// every partition.
-fn finalize_sample(source: &dyn RowSource, sample: Table, total_rows: usize) -> Result<Table> {
-    let mut sp = ds_obs::span("reservoir");
-    let mut sample = sample;
-    if sample.nrows() == 0 && total_rows > 0 {
-        if let Some(first) = source.chunks()?.next() {
-            sample = first?.slice_rows(0..1);
+impl Ingested {
+    /// Fits the compressor on the sample. A tiny `sample_frac` can leave
+    /// the reservoir empty, in which case the source's first row is used —
+    /// deterministic across chunk sizes, since row 0 is row 0 in every
+    /// partition.
+    pub(crate) fn train(self, source: &dyn RowSource, cfg: &DsConfig) -> Result<TrainedCompressor> {
+        let mut sample = self.sample;
+        {
+            let mut sp = ds_obs::span("reservoir");
+            if sample.nrows() == 0 && self.total_rows > 0 {
+                if let Some(first) = source.chunks()?.next() {
+                    sample = first?.slice_rows(0..1);
+                }
+            }
+            sp.add("rows", sample.nrows() as u64);
         }
+        TrainedCompressor::fit(self.plans, &sample, cfg)
     }
-    sp.add("rows", sample.nrows() as u64);
-    Ok(sample)
 }
 
-/// Compresses any [`RowSource`] into a v2 sharded container via the
-/// staged two-pass pipeline (see module docs). `compress_sharded_to` is a
-/// thin adapter over this function; true streaming callers hand in a
-/// [`CsvFileSource`] (or use [`compress_csv_stream_to`], which also
-/// infers the schema in its first pass).
-pub fn compress_stream_to<W: Write>(
-    source: &dyn RowSource,
-    cfg: &DsConfig,
-    sink: W,
-) -> Result<ShardedCompression<W>> {
-    validate_cfg(cfg)?;
-    // The root span opens before ingest so every stage nests under it; its
-    // id is captured for the per-shard encode spans, which run on pool
-    // workers where this thread's span stack is not visible.
-    let root = ds_obs::span("compress");
-    let root_id = root.id();
+/// Pass 1 over typed chunks: validates `cfg`, then one stats fold plus
+/// reservoir selection.
+pub(crate) fn ingest(source: &dyn RowSource, cfg: &DsConfig) -> Result<Ingested> {
     let schema = source.schema().clone();
-    let opts = cfg.preprocess_options(schema.len())?;
+    let opts = cfg.validated(schema.len())?;
     let reservoir = Reservoir::new(cfg.sample_frac, cfg.seed);
-
-    // Pass 1: one-pass stats fold + reservoir selection.
     let mut stats = TableStats::new(&schema, &opts)?;
     let mut parts: Vec<Table> = Vec::new();
     {
@@ -239,46 +226,71 @@ pub fn compress_stream_to<W: Write>(
         let _sp = ds_obs::span("stats");
         stats.into_plans()?
     };
-    let sample = if parts.is_empty() {
-        Table::empty(schema.clone())
-    } else if parts.len() == 1 {
-        match parts.pop() {
-            Some(t) => t,
-            None => Table::empty(schema.clone()),
-        }
-    } else {
-        let merged = Table::concat(&parts).map_err(DsError::Table)?;
-        parts.clear();
-        merged
+    let sample = match parts.len() {
+        0 => Table::empty(schema.clone()),
+        1 => parts.swap_remove(0),
+        _ => Table::concat(&parts).map_err(DsError::Table)?,
     };
-    let sample = finalize_sample(source, sample, total_rows)?;
-    let trained = TrainedCompressor::train_from_sample(&plans, &sample, total_rows, cfg)?;
-    drop(sample);
-
-    // Pass 2: re-read, regroup, encode, stream out.
-    write_shards(
-        source,
-        &trained,
-        cfg.shard_rows,
+    Ok(Ingested {
+        schema,
+        plans,
+        sample,
         total_rows,
-        &schema,
-        root_id,
-        sink,
-    )
+    })
+}
+
+/// Everything after pass 1: fit on the sample, then pass 2 — re-read,
+/// regroup, encode, stream out.
+fn compress_ingested<W: Write>(
+    source: &dyn RowSource,
+    ingested: Ingested,
+    cfg: &DsConfig,
+    root_id: ds_obs::SpanId,
+    sink: W,
+) -> Result<ShardedCompression<W>> {
+    let total_rows = ingested.total_rows;
+    let trained = ingested.train(source, cfg)?;
+    write_shards(source, &trained, total_rows, root_id, sink)
+}
+
+/// Compresses any [`RowSource`] into a v2 container via the staged
+/// two-pass pipeline (see module docs). `compress` and
+/// `compress_sharded_to` are adapters over this function; true streaming
+/// callers hand in a [`CsvFileSource`] (or use [`compress_csv_stream_to`],
+/// which also infers the schema in its first pass).
+pub fn compress_stream_to<W: Write>(
+    source: &dyn RowSource,
+    cfg: &DsConfig,
+    sink: W,
+) -> Result<ShardedCompression<W>> {
+    // The root span opens before ingest so every stage nests under it; its
+    // id is captured for the per-shard encode spans, which run on pool
+    // workers where this thread's span stack is not visible.
+    let root = ds_obs::span("compress");
+    let ingested = ingest(source, cfg)?;
+    compress_ingested(source, ingested, cfg, root.id(), sink)
+}
+
+/// What pass 2 has pushed so far: the open container and the totals the
+/// result reports.
+struct Written<W: Write> {
+    writer: ds_shard::ShardWriter<W>,
+    shards: usize,
+    rows: usize,
+    breakdown: SizeBreakdown,
+    failure_stats: Vec<(String, usize)>,
 }
 
 /// One window of complete row groups: encode on the pool, push into the
-/// writer in index order. `shard_base`/`rows_base` are the global shard
-/// index and row offset of `groups[0]`.
+/// writer in index order.
 fn encode_window<W: Write>(
     trained: &TrainedCompressor,
     groups: &[Table],
-    shard_base: usize,
-    rows_base: usize,
     root_id: ds_obs::SpanId,
-    writer: &mut ds_shard::ShardWriter<W>,
-    breakdown: &mut SizeBreakdown,
+    out: &mut Written<W>,
 ) -> Result<()> {
+    // Global shard index and row offset of `groups[0]`.
+    let (shard_base, rows_base) = (out.shards, out.rows);
     let mut offsets = Vec::with_capacity(groups.len());
     let mut lo = rows_base;
     for g in groups {
@@ -304,7 +316,7 @@ fn encode_window<W: Write>(
             match groups.get(j) {
                 Some(g) => {
                     sp.add("rows", g.nrows() as u64);
-                    trained.compress_batch_opts(g, true)
+                    trained.encode(g, true)
                 }
                 None => Err(DsError::InvalidConfig(
                     "internal: window index out of range",
@@ -318,20 +330,30 @@ fn encode_window<W: Write>(
             match result {
                 Ok(archive) => {
                     let b = archive.breakdown();
-                    breakdown.codes += b.codes;
-                    breakdown.failures += b.failures;
+                    out.breakdown.codes += b.codes;
+                    out.breakdown.failures += b.failures;
+                    if out.failure_stats.is_empty() {
+                        out.failure_stats = archive.failure_stats().to_vec();
+                    } else {
+                        // Every shard encodes the same columns in order.
+                        for (sum, (_, bytes)) in
+                            out.failure_stats.iter_mut().zip(archive.failure_stats())
+                        {
+                            sum.1 += bytes;
+                        }
+                    }
                     let rows = groups.get(j).map(Table::nrows).unwrap_or(0);
                     // Record per-column codec chains in the manifest only
                     // when the probe is on: the default path must produce
                     // byte-identical containers to earlier builds.
                     let push = if trained.cfg().numeric_probe {
-                        writer.push_shard_with_chains(
+                        out.writer.push_shard_with_chains(
                             rows,
                             archive.as_bytes(),
                             archive.column_chains().to_vec(),
                         )
                     } else {
-                        writer.push_shard(rows, archive.as_bytes())
+                        out.writer.push_shard(rows, archive.as_bytes())
                     };
                     if let Err(e) = push {
                         first_err = Some(shard_failed(j, e.into()));
@@ -341,73 +363,57 @@ fn encode_window<W: Write>(
             }
         },
     );
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
+    if let Some(e) = first_err {
+        return Err(e);
     }
+    out.shards += groups.len();
+    out.rows = lo;
+    Ok(())
 }
 
-/// Pass 2: re-read `source`, cut `shard_rows` groups, and encode them in
-/// bounded windows (2× the pool width) so at most O(window · shard) rows
-/// are resident while later chunks are still being read.
+/// Pass 2: re-read `source`, cut `shard_rows` groups (one group of every
+/// row when `shard_rows` is 0), and encode them in bounded windows (2× the
+/// pool width) so at most O(window · shard) rows are resident while later
+/// chunks are still being read.
 fn write_shards<W: Write>(
     source: &dyn RowSource,
     trained: &TrainedCompressor,
-    shard_rows: usize,
     total_rows: usize,
-    schema: &Schema,
     root_id: ds_obs::SpanId,
     sink: W,
 ) -> Result<ShardedCompression<W>> {
-    let shared = trained.decoder_blob();
-    let mut breakdown = SizeBreakdown {
-        decoder: shared.len(),
-        ..Default::default()
+    let shard_rows = match trained.cfg().shard_rows {
+        0 => total_rows,
+        n => n,
     };
-    let mut writer = ds_shard::ShardWriter::new(sink);
-    writer.set_shared(shared);
+    let shared = trained.decoder_blob();
+    let mut out = Written {
+        breakdown: SizeBreakdown {
+            decoder: shared.len(),
+            ..Default::default()
+        },
+        writer: ds_shard::ShardWriter::new(sink),
+        shards: 0,
+        rows: 0,
+        failure_stats: Vec::new(),
+    };
+    out.writer.set_shared(shared);
     // Window size only affects scheduling, never bytes: groups are always
     // consumed in global index order.
     let window = ds_exec::effective_threads().saturating_mul(2).max(2);
     let mut regroup = Regrouper::new(shard_rows);
     let mut pending: Vec<Table> = Vec::new();
-    let mut shard_base = 0usize;
-    let mut rows_flushed = 0usize;
     let mut rows_seen = 0usize;
-    let flush = |pending: &mut Vec<Table>,
-                 shard_base: &mut usize,
-                 rows_flushed: &mut usize,
-                 take: usize,
-                 writer: &mut ds_shard::ShardWriter<W>,
-                 breakdown: &mut SizeBreakdown|
-     -> Result<()> {
-        let groups: Vec<Table> = pending.drain(..take.min(pending.len())).collect();
-        encode_window(
-            trained,
-            &groups,
-            *shard_base,
-            *rows_flushed,
-            root_id,
-            writer,
-            breakdown,
-        )?;
-        *shard_base += groups.len();
-        *rows_flushed += groups.iter().map(Table::nrows).sum::<usize>();
-        Ok(())
+    let mut flush = |pending: &mut Vec<Table>| -> Result<()> {
+        let groups: Vec<Table> = pending.drain(..window.min(pending.len())).collect();
+        encode_window(trained, &groups, root_id, &mut out)
     };
     for chunk in source.chunks()? {
         let chunk = chunk?;
         rows_seen += chunk.nrows();
         pending.extend(regroup.push(chunk)?);
         while pending.len() >= window {
-            flush(
-                &mut pending,
-                &mut shard_base,
-                &mut rows_flushed,
-                window,
-                &mut writer,
-                &mut breakdown,
-            )?;
+            flush(&mut pending)?;
         }
     }
     if rows_seen != total_rows {
@@ -418,29 +424,24 @@ fn write_shards<W: Write>(
     if let Some(tail) = regroup.finish()? {
         pending.push(tail);
     }
-    if total_rows == 0 && shard_base == 0 && pending.is_empty() {
+    if total_rows == 0 {
         // An empty source still gets one (zero-row) shard so the
         // container self-describes the schema.
-        pending.push(Table::empty(schema.clone()));
+        pending.push(Table::empty(source.schema().clone()));
     }
     while !pending.is_empty() {
-        flush(
-            &mut pending,
-            &mut shard_base,
-            &mut rows_flushed,
-            window,
-            &mut writer,
-            &mut breakdown,
-        )?;
+        flush(&mut pending)?;
     }
-    let (sink, total_bytes) = writer.finish()?;
+    let (sink, total_bytes) = out.writer.finish()?;
+    let mut breakdown = out.breakdown;
     let accounted = breakdown.decoder + breakdown.codes + breakdown.failures;
     breakdown.metadata = (total_bytes as usize).saturating_sub(accounted);
     Ok(ShardedCompression {
         sink,
         total_bytes,
-        n_shards: shard_base,
+        n_shards: out.shards,
         breakdown,
+        failure_stats: out.failure_stats,
     })
 }
 
@@ -484,24 +485,11 @@ impl ColProbe {
     }
 }
 
-/// Streaming CSV compression: reads the file twice with `chunk_rows` rows
-/// resident at a time. Pass 1 infers the schema (with `read_csv_infer`'s
-/// exact rules), folds column statistics, and reservoir-samples training
-/// rows; pass 2 re-reads and encodes shard row groups. For a fixed seed
-/// the output is byte-identical to loading the whole file and calling
-/// [`crate::compress_sharded_to`] with the same config.
-pub fn compress_csv_stream_to<W: Write>(
-    path: &Path,
-    cfg: &DsConfig,
-    chunk_rows: usize,
-    sink: W,
-) -> Result<(ShardedCompression<W>, CsvStreamInfo)> {
-    validate_cfg(cfg)?;
-    let chunk_rows = chunk_rows.max(1);
-    let root = ds_obs::span("compress");
-    let root_id = root.id();
-
-    // Pass 1 runs over raw string records (the schema is not yet known).
+/// Pass 1 over raw CSV records (the schema is not known until every cell
+/// has been seen): validates `cfg` against the header, then infers the
+/// schema with `read_csv_infer`'s exact rules while folding column
+/// statistics and reservoir-sampling training rows.
+fn ingest_csv(path: &Path, cfg: &DsConfig, chunk_rows: usize) -> Result<Ingested> {
     let file = std::fs::File::open(path).map_err(|e| TableError::Io(e.to_string()))?;
     let mut chunks = CsvChunks::new(std::io::BufReader::new(file), chunk_rows)?;
     let header: Vec<String> = chunks.header().to_vec();
@@ -511,7 +499,7 @@ pub fn compress_csv_stream_to<W: Write>(
             what: "empty column name in header",
         }));
     }
-    let opts = cfg.preprocess_options(header.len())?;
+    let opts = cfg.validated(header.len())?;
     let reservoir = Reservoir::new(cfg.sample_frac, cfg.seed);
     let mut probes: Vec<ColProbe> = opts
         .error_thresholds
@@ -541,7 +529,6 @@ pub fn compress_csv_stream_to<W: Write>(
         sp.add("rows", total_rows as u64);
         sp.add("chunks", n_chunks);
     }
-    drop(chunks);
 
     // Resolve each column exactly as read_csv_infer does: numeric iff the
     // column is non-empty and every cell parsed as a finite number.
@@ -571,31 +558,38 @@ pub fn compress_csv_stream_to<W: Write>(
         let _sp = ds_obs::span("stats");
         stats.into_plans()?
     };
-
-    let source = CsvFileSource::new(path, schema.clone(), chunk_rows);
     // Typed conversion of the sampled rows cannot hit numeric parse
     // errors: a column is only numeric when every cell parsed in pass 1.
     let sample = rows_to_table(&schema, sample_rows, 0).map_err(DsError::Table)?;
-    let sample = finalize_sample(&source, sample, total_rows)?;
-    let trained = TrainedCompressor::train_from_sample(&plans, &sample, total_rows, cfg)?;
-    drop(sample);
-
-    let out = write_shards(
-        &source,
-        &trained,
-        cfg.shard_rows,
+    Ok(Ingested {
+        schema,
+        plans,
+        sample,
         total_rows,
-        &schema,
-        root_id,
-        sink,
-    )?;
-    Ok((
-        out,
-        CsvStreamInfo {
-            rows: total_rows,
-            schema,
-        },
-    ))
+    })
+}
+
+/// Streaming CSV compression: reads the file twice with `chunk_rows` rows
+/// resident at a time. Pass 1 infers the schema ([`ingest_csv`]); pass 2
+/// re-reads the file as typed chunks and encodes shard row groups. For a
+/// fixed seed the output is byte-identical to loading the whole file and
+/// calling [`crate::compress_sharded_to`] with the same config.
+pub fn compress_csv_stream_to<W: Write>(
+    path: &Path,
+    cfg: &DsConfig,
+    chunk_rows: usize,
+    sink: W,
+) -> Result<(ShardedCompression<W>, CsvStreamInfo)> {
+    let chunk_rows = chunk_rows.max(1);
+    let root = ds_obs::span("compress");
+    let ingested = ingest_csv(path, cfg, chunk_rows)?;
+    let info = CsvStreamInfo {
+        rows: ingested.total_rows,
+        schema: ingested.schema.clone(),
+    };
+    let source = CsvFileSource::new(path, info.schema.clone(), chunk_rows);
+    let out = compress_ingested(&source, ingested, cfg, root.id(), sink)?;
+    Ok((out, info))
 }
 
 #[cfg(test)]
@@ -685,6 +679,32 @@ mod tests {
     }
 
     #[test]
+    fn every_entry_point_trains_the_same_model() {
+        // One sampler: the same table and config fit the same decoder
+        // whether they enter through `train` or through `compress`, at any
+        // shard size.
+        let t = gen::forest_like(200, 6);
+        for sample_frac in [1.0, 0.25] {
+            for shard_rows in [0, 64] {
+                let cfg = DsConfig {
+                    sample_frac,
+                    shard_rows,
+                    ..quick_cfg()
+                };
+                let trained = TrainedCompressor::train(&t, &cfg).unwrap();
+                let archive = crate::compress(&t, &cfg).unwrap();
+                let reader = ds_shard::ShardReader::open(archive.as_bytes()).unwrap();
+                assert!(!reader.shared().is_empty());
+                assert_eq!(
+                    trained.decoder_blob(),
+                    reader.shared(),
+                    "sample_frac {sample_frac}, shard_rows {shard_rows}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn empty_source_still_writes_one_shard() {
         let t = gen::monitor_like(10, 1).slice_rows(0..0);
         let src = TableSource::new(&t, 8);
@@ -741,11 +761,6 @@ mod tests {
     fn stream_rejects_bad_configs() {
         let t = gen::monitor_like(10, 1);
         let src = TableSource::new(&t, 4);
-        let no_shards = DsConfig {
-            shard_rows: 0,
-            ..quick_cfg()
-        };
-        assert!(compress_stream_to(&src, &no_shards, Vec::new()).is_err());
         let order_free = DsConfig {
             order_free: true,
             ..quick_cfg()

@@ -9,7 +9,9 @@
 //! * **Encode stability** — compressing the same deterministic table with
 //!   the same config must reproduce the committed archive bytes exactly,
 //!   so no refactor silently changes the default wire format. (New
-//!   manifest sections are opt-in: `numeric_probe` is off here.)
+//!   manifest sections are opt-in: `numeric_probe` is off here.) v1 is a
+//!   read-only *archive* format, but its blob is still what every shard
+//!   and `compress_batch` write, so `v1.dsqz` pins that blob writer.
 //!
 //! A third fixture (`v2_forged.dsqz`) carries a codec chain with an id
 //! from the future and pins the typed `UnknownCodec` error path on every
@@ -24,7 +26,9 @@
 //! (Regeneration is deterministic; on an unchanged format it rewrites
 //! identical bytes.)
 
-use ds_core::{compress, decompress, decompress_rows, DsArchive, DsConfig, DsError};
+use ds_core::{
+    compress, decompress, decompress_rows, DsArchive, DsConfig, DsError, TrainedCompressor,
+};
 use ds_table::csv::write_csv;
 use ds_table::gen;
 use std::path::PathBuf;
@@ -57,6 +61,12 @@ fn v1_cfg() -> DsConfig {
         seed: 9,
         ..DsConfig::default()
     }
+}
+
+/// The self-contained v1 blob of the fixture table.
+fn v1_blob(t: &ds_table::Table) -> DsArchive {
+    let trained = TrainedCompressor::train(t, &v1_cfg()).expect("trains");
+    trained.compress_batch(t).expect("compresses")
 }
 
 fn v2_cfg() -> DsConfig {
@@ -93,7 +103,7 @@ fn golden_v2_decodes_byte_identically() {
 
 #[test]
 fn compress_reproduces_golden_v1_bytes() {
-    let archive = compress(&fixture_table(), &v1_cfg()).expect("compresses");
+    let archive = v1_blob(&fixture_table());
     assert_eq!(
         archive.as_bytes(),
         &read_fixture("v1.dsqz")[..],
@@ -118,7 +128,7 @@ fn regenerate_golden_fixtures() {
     std::fs::create_dir_all(&dir).expect("create golden dir");
     let t = fixture_table();
 
-    let v1 = compress(&t, &v1_cfg()).expect("v1 compresses");
+    let v1 = v1_blob(&t);
     std::fs::write(dir.join("v1.dsqz"), v1.as_bytes()).expect("write v1");
 
     let v2 = compress(&t, &v2_cfg()).expect("v2 compresses");

@@ -4,7 +4,7 @@
 
 use ds_core::{
     compress, compress_stream_to, decompress, open_source, open_source_reader, DsArchive, DsConfig,
-    SourceKind,
+    SourceKind, TrainedCompressor,
 };
 use ds_table::csv::write_csv;
 use ds_table::gen;
@@ -51,16 +51,15 @@ fn recompress_of_archive_matches_compress_of_csv() {
     let v2_path = dir.join("t.v2");
     std::fs::write(&v2_path, v2.as_bytes()).unwrap();
 
-    let v1 = compress(
-        &reparsed,
-        &DsConfig {
-            shard_rows: 0,
-            ..cfg()
-        },
-    )
-    .expect("compresses v1");
+    let v1 = TrainedCompressor::train(&reparsed, &cfg())
+        .and_then(|trained| trained.compress_batch(&reparsed))
+        .expect("compresses v1");
     let v1_path = dir.join("t.v1");
     std::fs::write(&v1_path, v1.as_bytes()).unwrap();
+    assert_eq!(
+        open_source(&v1_path, 33).expect("opens").kind(),
+        SourceKind::ArchiveV1
+    );
 
     // Each input format, each thread count: one set of output bytes.
     let mut reference: Option<Vec<u8>> = None;

@@ -505,10 +505,12 @@ mod tests {
         let cfg = DsConfig {
             error_threshold: 0.05,
             max_epochs: 2,
-            shard_rows: 0, // monolithic v1 archive
             ..DsConfig::default()
         };
-        let v1 = compress(&t, &cfg).expect("compresses");
+        // A self-contained blob is exactly what a v1 archive file holds.
+        let v1 = ds_core::TrainedCompressor::train(&t, &cfg)
+            .and_then(|trained| trained.compress_batch(&t))
+            .expect("compresses");
         let full = decompress(&v1).expect("decodes");
         let archive = Archive::open(v1.as_bytes().to_vec()).expect("v1 opens");
         assert_eq!((archive.total_rows(), archive.n_shards()), (60, 1));

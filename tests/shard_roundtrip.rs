@@ -5,7 +5,7 @@
 
 use ds_core::{
     compress, compress_sharded_to, decompress, decompress_rows, decompress_rows_with_stats,
-    DsConfig,
+    DsConfig, TrainedCompressor,
 };
 use ds_table::csv::write_csv;
 use ds_table::gen::Dataset;
@@ -124,10 +124,14 @@ fn legacy_monolithic_archives_still_decode() {
     let cfg = DsConfig {
         error_threshold: 0.05,
         max_epochs: 2,
-        shard_rows: 0,
         ..Default::default()
     };
-    let archive = compress(&t, &cfg).expect("compresses");
+    // New archives are always v2; a `compress_batch` blob is byte-for-byte
+    // what a v1 archive file holds.
+    let archive = TrainedCompressor::train(&t, &cfg)
+        .and_then(|trained| trained.compress_batch(&t))
+        .expect("compresses");
+    assert!(!ds_shard::is_sharded(archive.as_bytes()));
     let full = decompress(&archive).expect("decodes");
     assert_eq!(full.nrows(), 120);
 

@@ -3,10 +3,12 @@
 //! out-of-bounds read. Mirrors the crate-level negative tests at the
 //! integration boundary where real files get cut short.
 
-use ds_core::{compress, decompress, decompress_rows, inspect, DsArchive, DsConfig};
+use ds_core::{
+    compress, decompress, decompress_rows, inspect, DsArchive, DsConfig, TrainedCompressor,
+};
 use ds_table::gen::Dataset;
 
-fn small_archive(shard_rows: usize) -> Vec<u8> {
+fn small_input(shard_rows: usize) -> (ds_table::Table, DsConfig) {
     // Monitor + lossy threshold trains a model, so v2 shards carry empty
     // decoder blobs and depend on the manifest's shared decoder — no
     // prefix of the container can masquerade as a complete v1 archive.
@@ -17,6 +19,11 @@ fn small_archive(shard_rows: usize) -> Vec<u8> {
         shard_rows,
         ..Default::default()
     };
+    (t, cfg)
+}
+
+fn small_archive(shard_rows: usize) -> Vec<u8> {
+    let (t, cfg) = small_input(shard_rows);
     compress(&t, &cfg).expect("compresses").as_bytes().to_vec()
 }
 
@@ -39,6 +46,18 @@ fn assert_every_prefix_errors(bytes: &[u8]) {
 
 #[test]
 fn every_truncation_of_a_v1_archive_errors() {
+    // New archives are always v2; `compress_batch` still writes the blob
+    // a v1 file holds.
+    let (t, cfg) = small_input(0);
+    let v1 = TrainedCompressor::train(&t, &cfg)
+        .and_then(|trained| trained.compress_batch(&t))
+        .expect("compresses");
+    assert!(!ds_shard::is_sharded(v1.as_bytes()));
+    assert_every_prefix_errors(v1.as_bytes());
+}
+
+#[test]
+fn every_truncation_of_a_one_shard_container_errors() {
     assert_every_prefix_errors(&small_archive(0));
 }
 
