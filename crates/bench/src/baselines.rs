@@ -27,7 +27,7 @@ pub fn to_parq_columns(table: &Table) -> Vec<(String, parq::ParqColumn)> {
         .zip(table.columns())
         .map(|(f, c)| {
             let col = match c {
-                Column::Cat(v) => parq::ParqColumn::Str(v.clone()),
+                Column::Cat(v) => parq::ParqColumn::Str(v.iter().map(str::to_owned).collect()),
                 Column::Num(v) => parq::ParqColumn::F64(v.clone()),
             };
             (f.name.clone(), col)

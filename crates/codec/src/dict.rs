@@ -63,6 +63,11 @@ impl Dictionary {
         self.values.iter().map(String::as_str)
     }
 
+    /// The values in code order, consuming the dictionary.
+    pub fn into_values(self) -> Vec<String> {
+        self.values
+    }
+
     /// Decodes a code column back to strings.
     pub fn decode_column(&self, codes: &[u32]) -> Result<Vec<String>> {
         codes

@@ -284,25 +284,46 @@ pub(crate) fn dequantize_codes(qcols: &[Vec<u32>], ranges: &[(f32, f32)], bits: 
     out
 }
 
-/// Rank of `target` under a probability row: number of classes strictly
-/// more probable, ties broken by class index (§6.3.1 — "sorted the
-/// predictions by decreasing probability … store the index").
-pub(crate) fn rank_of(probs: &[f32], card: usize, target: usize) -> u32 {
-    let pt = probs[target];
-    let mut rank = 0u32;
-    for (c, &p) in probs[..card].iter().enumerate() {
-        if p > pt || (p == pt && c < target) {
-            rank += 1;
-        }
-    }
-    rank
+/// The one ranking order both sides of the archive use (§6.3.1 — "sorted
+/// the predictions by decreasing probability … store the index"): class
+/// `a` ranks before class `b` when it is more probable under
+/// [`f32::total_cmp`], ties to the lower class index. A total order, so
+/// NaNs and signed zeros rank the same way for the writer and the reader.
+fn ranks_before(probs: &[f32], a: usize, b: usize) -> std::cmp::Ordering {
+    probs[b].total_cmp(&probs[a]).then(a.cmp(&b))
 }
 
-/// Inverse of [`rank_of`]: the class at `rank` under the same ordering.
-pub(crate) fn class_at_rank(probs: &[f32], card: usize, rank: u32) -> Option<usize> {
-    let mut order: Vec<usize> = (0..card).collect();
-    order.sort_by(|&a, &b| probs[b].total_cmp(&probs[a]).then(a.cmp(&b)));
-    order.get(rank as usize).copied()
+/// Rank of `target` among the first `card` classes of a probability row:
+/// how many of them rank before it.
+pub(crate) fn rank_of(probs: &[f32], card: usize, target: usize) -> u32 {
+    (0..card)
+        .filter(|&c| ranks_before(probs, c, target).is_lt())
+        .count() as u32
+}
+
+/// Inverse of [`rank_of`]: the class at `rank` under the same ordering,
+/// `None` when `rank` is not below `card` (or the row is narrower than
+/// `card`). Rank 0 — nearly every cell of a well-fitted model — is one
+/// argmax pass; deeper ranks select in `scratch`, which the caller reuses
+/// across a column so no cell allocates.
+pub(crate) fn class_at_rank(
+    probs: &[f32],
+    card: usize,
+    rank: u32,
+    scratch: &mut Vec<usize>,
+) -> Option<usize> {
+    let rank = rank as usize;
+    if rank >= card || card > probs.len() {
+        return None;
+    }
+    if rank == 0 {
+        return (0..card).min_by(|&a, &b| ranks_before(probs, a, b));
+    }
+    scratch.clear();
+    scratch.extend(0..card);
+    let (_, &mut class, _) =
+        scratch.select_nth_unstable_by(rank, |&a, &b| ranks_before(probs, a, b));
+    Some(class)
 }
 
 /// Per-column failure buffers, in storage order.
@@ -428,7 +449,7 @@ pub(crate) fn compute_failures(
             ColPlan::NumericRaw { .. } => FailureCol::RawDelta(vec![0.0; n]),
             ColPlan::Binary { .. } => FailureCol::Xor(vec![0; n]),
             ColPlan::Cat { .. } => FailureCol::Rank(vec![0; n]),
-            ColPlan::Fallback => FailureCol::Raw(vec![String::new(); n]),
+            ColPlan::Fallback => FailureCol::Raw(Vec::new()),
         })
         .collect();
     let mut rare: Vec<(usize, usize, u32)> = Vec::new();
@@ -441,11 +462,8 @@ pub(crate) fn compute_failures(
                 .expect("plan index valid")
                 .as_cat()
                 .ok_or(DsError::Corrupt("fallback column must be categorical"))?;
-            if let FailureCol::Raw(buf) = &mut per_col[i] {
-                for (pos, &orig) in layout.storage_to_original.iter().enumerate() {
-                    buf[pos] = values[orig].clone();
-                }
-            }
+            let stored = layout.storage_to_original.iter();
+            per_col[i] = FailureCol::Raw(stored.map(|&orig| values[orig].to_owned()).collect());
         }
     }
 
@@ -869,9 +887,10 @@ mod tests {
     #[test]
     fn rank_roundtrip_with_ties() {
         let probs = vec![0.2f32, 0.5, 0.2, 0.1];
+        let mut scratch = Vec::new();
         for target in 0..4 {
             let r = rank_of(&probs, 4, target);
-            assert_eq!(class_at_rank(&probs, 4, r), Some(target));
+            assert_eq!(class_at_rank(&probs, 4, r, &mut scratch), Some(target));
         }
         // The most probable class has rank 0.
         assert_eq!(rank_of(&probs, 4, 1), 0);
@@ -879,6 +898,75 @@ mod tests {
         assert_eq!(rank_of(&probs, 4, 0), 1);
         assert_eq!(rank_of(&probs, 4, 2), 2);
     }
+
+    /// The writer's rank and the reader's class are two views of one
+    /// order. At the parent commit `rank_of` compared with IEEE `>`/`==`
+    /// while `class_at_rank` sorted with `total_cmp`: for `[NaN, 0.5]`
+    /// and true class 1 the writer stored rank 0 and the reader returned
+    /// class 0.
+    #[test]
+    fn a_nan_probability_ranks_the_same_for_writer_and_reader() {
+        let probs = [f32::NAN, 0.5];
+        let mut scratch = Vec::new();
+        let rank = rank_of(&probs, 2, 1);
+        assert_eq!(class_at_rank(&probs, 2, rank, &mut scratch), Some(1));
+        // Positive NaN sorts above every number under total_cmp.
+        assert_eq!((rank_of(&probs, 2, 0), rank), (0, 1));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// `class_at_rank` inverts `rank_of` for every class, over rows
+        /// drawn from a small palette so ties, signed zeros, subnormals
+        /// and NaNs of both signs all collide often, with `card` allowed
+        /// to stop short of the row; a rank of `card` or more is refused.
+        #[test]
+        fn class_at_rank_inverts_rank_of(
+            picks in proptest::collection::vec(0usize..PALETTE.len(), 1..12),
+            short in 0usize..4,
+        ) {
+            let probs: Vec<f32> = picks.iter().map(|&p| PALETTE[p]).collect();
+            let card = probs.len().saturating_sub(short).max(1);
+            let mut scratch = Vec::new();
+            let mut ranks = Vec::new();
+            for target in 0..card {
+                let rank = rank_of(&probs, card, target);
+                proptest::prop_assert_eq!(
+                    class_at_rank(&probs, card, rank, &mut scratch),
+                    Some(target)
+                );
+                ranks.push(rank as usize);
+            }
+            // The ranks are a permutation of 0..card.
+            ranks.sort_unstable();
+            proptest::prop_assert_eq!(ranks, (0..card).collect::<Vec<_>>());
+            for beyond in [card, card + 1, u32::MAX as usize] {
+                proptest::prop_assert_eq!(
+                    class_at_rank(&probs, card, beyond as u32, &mut scratch),
+                    None
+                );
+            }
+            // A card wider than the row is refused, not indexed.
+            proptest::prop_assert_eq!(
+                class_at_rank(&probs, probs.len() + 1, 0, &mut scratch),
+                None
+            );
+        }
+    }
+
+    const PALETTE: [f32; 10] = [
+        0.0,
+        -0.0,
+        0.25,
+        0.25,
+        0.5,
+        1.0e-45, // smallest positive subnormal
+        -1.0e-45,
+        f32::NAN,
+        -f32::NAN,
+        f32::INFINITY,
+    ];
 
     #[test]
     fn code_quantization_roundtrip_accuracy() {

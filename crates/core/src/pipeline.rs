@@ -12,7 +12,7 @@ use ds_nn::autoencoder::DecodedBatch;
 use ds_nn::moe::{MoeConfig, TrainReport};
 use ds_nn::{serialize, Head, ModelSpec, MoeAutoencoder};
 use ds_table::stream::TableSource;
-use ds_table::{Column, ColumnType, Table};
+use ds_table::{CatColumn, Column, Table};
 
 /// All DeepSqueeze knobs in one place. `Default` matches the paper's
 /// stated defaults where it states them (two hidden layers of 2× the
@@ -622,12 +622,14 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
     }
 
     // ---- decode predictions and rebuild columns (storage order) -------------
-    // Output cells per column, in storage order.
+    // Output cells per column, in storage order. A fallback column's
+    // pool is its stored strings, so its codes are the storage positions.
     let mut out_cols: Vec<OutCol> = plans
         .iter()
         .map(|p| match p {
             ColPlan::Numeric { .. } | ColPlan::NumericRaw { .. } => OutCol::Num(vec![0.0; n]),
-            _ => OutCol::Str(vec![String::new(); n]),
+            ColPlan::Fallback => OutCol::Cat((0..n as u32).collect()),
+            ColPlan::Binary { .. } | ColPlan::Cat { .. } => OutCol::Cat(vec![0; n]),
         })
         .collect();
 
@@ -692,42 +694,25 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
         }
     }
 
-    // Fallback columns with no model at all (entire-table fallback).
-    if !has_model {
-        for (i, plan) in plans.iter().enumerate() {
-            if let ColPlan::Fallback = plan {
-                let values = match &failure_cols[i].1 {
-                    parq::ParqColumn::Str(v) => v,
-                    _ => return Err(DsError::Corrupt("fallback column malformed")),
-                };
-                if let OutCol::Str(buf) = &mut out_cols[i] {
-                    buf.clone_from_slice(values);
-                }
-            }
-        }
-    }
-
     // ---- rare (OTHER) second pass, in storage order per column --------------
     for (i, plan) in plans.iter().enumerate() {
-        if let ColPlan::Cat { dict, .. } = plan {
-            if let OutCol::Str(buf) = &mut out_cols[i] {
-                if buf.iter().any(|v| v == RARE_SENTINEL) {
-                    let stream = rare
-                        .get_mut(&i)
-                        .ok_or(DsError::Corrupt("missing rare stream"))?;
-                    for cell in buf.iter_mut() {
-                        if cell == RARE_SENTINEL {
-                            let code = stream
-                                .pop_front()
-                                .ok_or(DsError::Corrupt("rare stream exhausted"))?;
-                            *cell = dict
-                                .value_of(code)
-                                .ok_or(DsError::Corrupt("rare code outside dictionary"))?
-                                .to_owned();
-                        }
-                    }
-                }
+        let (ColPlan::Cat { dict, .. }, OutCol::Cat(buf)) = (plan, &mut out_cols[i]) else {
+            continue;
+        };
+        if !buf.contains(&RARE_CODE) {
+            continue;
+        }
+        let stream = rare
+            .get_mut(&i)
+            .ok_or(DsError::Corrupt("missing rare stream"))?;
+        for cell in buf.iter_mut().filter(|cell| **cell == RARE_CODE) {
+            let code = stream
+                .pop_front()
+                .ok_or(DsError::Corrupt("rare stream exhausted"))?;
+            if code as usize >= dict.len() {
+                return Err(DsError::Corrupt("rare code outside dictionary"));
             }
+            *cell = code;
         }
     }
 
@@ -754,57 +739,74 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
         patches.push(crate::preprocess::Patch { col, row, value });
     }
 
-    // ---- scatter back to original order and build the table -----------------
-    let mut named = Vec::with_capacity(ncols);
-    for ((name, plan), out) in names.into_iter().zip(&plans).zip(out_cols) {
-        let column = match (plan, out) {
-            (ColPlan::Numeric { .. } | ColPlan::NumericRaw { .. }, OutCol::Num(v)) => {
-                let mut orig = vec![0.0f64; n];
-                for (pos, &o) in storage_to_original.iter().enumerate() {
-                    orig[o] = v[pos];
-                }
-                Column::Num(orig)
-            }
-            (_, OutCol::Str(v)) => {
-                let mut orig = vec![String::new(); n];
-                for (pos, &o) in storage_to_original.iter().enumerate() {
-                    orig[o] = v[pos].clone();
-                }
-                Column::Cat(orig)
-            }
-            _ => return Err(DsError::Corrupt("column kind mismatch")),
-        };
-        debug_assert_eq!(
-            column.ty(),
-            match plan {
-                ColPlan::Numeric { .. } | ColPlan::NumericRaw { .. } => ColumnType::Numeric,
-                _ => ColumnType::Categorical,
-            }
-        );
-        named.push((name, column));
+    // ---- scatter back to original order ---------------------------------------
+    for out in &mut out_cols {
+        match out {
+            OutCol::Num(v) => *v = scatter(v, &storage_to_original),
+            OutCol::Cat(v) => *v = scatter(v, &storage_to_original),
+        }
     }
-    // Apply patches last (positions are original row indexes).
-    for p in &patches {
-        match (&mut named[p.col].1, &p.value) {
-            (Column::Num(v), crate::preprocess::PatchValue::Num(x)) => v[p.row] = *x,
-            (Column::Cat(v), crate::preprocess::PatchValue::Str(x)) => {
-                v[p.row] = x.clone();
+
+    // ---- value pools: the plan's dictionary, or the stored strings ------------
+    let mut pools: Vec<Vec<Box<str>>> = Vec::with_capacity(ncols);
+    for (plan, (_, failure)) in plans.into_iter().zip(failure_cols) {
+        let values = match (plan, failure) {
+            (ColPlan::Binary { dict } | ColPlan::Cat { dict, .. }, _) => dict.into_values(),
+            (ColPlan::Fallback, parq::ParqColumn::Str(values)) => values,
+            (ColPlan::Fallback, _) => return Err(DsError::Corrupt("fallback column malformed")),
+            (ColPlan::Numeric { .. } | ColPlan::NumericRaw { .. }, _) => Vec::new(),
+        };
+        pools.push(values.into_iter().map(String::into_boxed_str).collect());
+    }
+
+    // ---- patches last (positions are original row indexes) --------------------
+    for p in patches {
+        match (&mut out_cols[p.col], p.value) {
+            (OutCol::Num(v), crate::preprocess::PatchValue::Num(x)) => v[p.row] = x,
+            (OutCol::Cat(v), crate::preprocess::PatchValue::Str(x)) => {
+                let pool = &mut pools[p.col];
+                v[p.row] = u32::try_from(pool.len())
+                    .map_err(|_| DsError::Corrupt("value pool overflow"))?;
+                pool.push(x.into_boxed_str());
             }
             _ => return Err(DsError::Corrupt("patch type mismatch")),
         }
     }
+
+    // ---- build the table ---------------------------------------------------------
+    let mut named = Vec::with_capacity(ncols);
+    for ((name, out), pool) in names.into_iter().zip(out_cols).zip(pools) {
+        let column = match out {
+            OutCol::Num(v) => Column::Num(v),
+            // Checks every code against the pool: a code the streams
+            // never filled in, or a short fallback column, stops here.
+            OutCol::Cat(codes) => Column::Cat(CatColumn::from_parts(pool, codes)?),
+        };
+        named.push((name, column));
+    }
     Ok(Table::from_columns(named)?)
 }
 
-/// A sentinel that can never collide with dictionary contents because the
-/// rare pass replaces it before the table is built (dictionary values are
-/// user data, so the sentinel is an internal `\u{0}`-prefixed marker and
-/// any residue is an error surfaced by the rare-stream length check).
-const RARE_SENTINEL: &str = "\u{0}__DS_RARE__";
+/// `out[storage_to_original[pos]] = cells[pos]`.
+fn scatter<T: Copy + Default>(cells: &[T], storage_to_original: &[usize]) -> Vec<T> {
+    let mut out = vec![T::default(); cells.len()];
+    for (&cell, &orig) in cells.iter().zip(storage_to_original) {
+        out[orig] = cell;
+    }
+    out
+}
+
+/// The code an OTHER-class cell holds between the first pass, which knows
+/// only the class, and the rare pass, which reads the exact dictionary
+/// code from the rare stream. Every other code is checked against the
+/// dictionary's length as it is written, so it cannot collide, and any
+/// residue fails the final pool check.
+const RARE_CODE: u32 = u32::MAX;
 
 enum OutCol {
     Num(Vec<f64>),
-    Str(Vec<String>),
+    /// Codes into the column's value pool.
+    Cat(Vec<u32>),
 }
 
 /// Rebuilds one column's cells for one expert's rows from the decoded
@@ -862,14 +864,13 @@ fn fill_decode_column(
                 parq::ParqColumn::U32(v) => v,
                 _ => return Err(DsError::Corrupt("binary failures malformed")),
             };
-            if let OutCol::Str(buf) = out {
+            if dict.is_empty() {
+                return Err(DsError::Corrupt("binary dictionary empty"));
+            }
+            if let OutCol::Cat(buf) = out {
                 for (b, &pos) in rows.iter().enumerate() {
                     let bit = u32::from(decoded.simple.get(b, simple_slot) > 0.5) ^ xors[pos];
-                    let value = dict
-                        .value_of(bit)
-                        .or_else(|| dict.value_of(0))
-                        .ok_or(DsError::Corrupt("binary dictionary empty"))?;
-                    buf[pos] = value.to_owned();
+                    buf[pos] = if (bit as usize) < dict.len() { bit } else { 0 };
                 }
             }
         }
@@ -886,44 +887,29 @@ fn fill_decode_column(
             let probs = &decoded.cat_probs[cat_slot];
             let has_other = class_to_code.len() < *model_card;
             let other = *model_card - 1;
-            if let OutCol::Str(buf) = out {
+            let mut scratch = Vec::new();
+            if let OutCol::Cat(buf) = out {
                 for (b, &pos) in rows.iter().enumerate() {
-                    let class = class_at_rank(probs.row(b), *model_card, ranks[pos])
+                    let class = class_at_rank(probs.row(b), *model_card, ranks[pos], &mut scratch)
                         .ok_or(DsError::Corrupt("rank out of range"))?;
-                    let code = if has_other && class == other {
+                    buf[pos] = if has_other && class == other {
                         // OTHER: the exact code comes from the rare
                         // stream — but rare entries are ordered by
                         // storage position across experts, so they
-                        // are resolved in a second pass below.
-                        u32::MAX
+                        // are resolved in a second pass.
+                        RARE_CODE
                     } else {
                         class_to_code
                             .get(class)
                             .copied()
-                            .ok_or(DsError::Corrupt("class map too short"))?
+                            .filter(|&code| (code as usize) < dict.len())
+                            .ok_or(DsError::Corrupt("class maps outside the dictionary"))?
                     };
-                    if code == u32::MAX {
-                        buf[pos] = RARE_SENTINEL.to_owned();
-                    } else {
-                        let value = dict
-                            .value_of(code)
-                            .ok_or(DsError::Corrupt("code outside dictionary"))?;
-                        buf[pos] = value.to_owned();
-                    }
                 }
             }
         }
-        ColPlan::Fallback => {
-            let values = match failure {
-                parq::ParqColumn::Str(v) => v,
-                _ => return Err(DsError::Corrupt("fallback column malformed")),
-            };
-            if let OutCol::Str(buf) = out {
-                for &pos in rows {
-                    buf[pos] = values[pos].clone();
-                }
-            }
-        }
+        // Nothing predicted: the codes are the storage positions.
+        ColPlan::Fallback => {}
     }
     Ok(())
 }

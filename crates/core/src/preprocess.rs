@@ -23,7 +23,7 @@ use ds_codec::quant::Quantizer;
 use ds_codec::{ByteReader, ByteWriter, CodecError};
 use ds_nn::autoencoder::Head;
 use ds_nn::Mat;
-use ds_table::{Column, ColumnType, Schema, Table};
+use ds_table::{CatColumn, Column, ColumnType, Schema, Table};
 use std::collections::BTreeSet;
 
 /// How one original column participates in the pipeline.
@@ -317,6 +317,31 @@ impl CatColStats {
         self.freq[code] += 1;
     }
 
+    /// Folds a whole column in row order, interning each pool entry the
+    /// rows reference once — the dictionary still fills in order of first
+    /// appearance by row, whatever order the column's pool is in.
+    fn push_column(&mut self, col: &CatColumn) {
+        self.count += col.len();
+        if self.overflowed {
+            return;
+        }
+        let dict = &mut self.dict;
+        let codes = col.translate(|v| {
+            if dict.len() > DICT_CAP {
+                return 0;
+            }
+            dict.intern(v)
+        });
+        if self.dict.len() > DICT_CAP {
+            self.overflow();
+            return;
+        }
+        self.freq.resize(self.dict.len(), 0);
+        for code in codes {
+            self.freq[code as usize] += 1;
+        }
+    }
+
     fn overflow(&mut self) {
         self.overflowed = true;
         self.dict = Dictionary::new();
@@ -432,11 +457,7 @@ impl TableStats {
                         s.push(v);
                     }
                 }
-                (Column::Cat(values), ColumnStats::Cat(s)) => {
-                    for v in values {
-                        s.push(v);
-                    }
-                }
+                (Column::Cat(values), ColumnStats::Cat(s)) => s.push_column(values),
                 _ => return Err(DsError::InvalidConfig("chunk schema mismatch")),
             }
         }
@@ -656,40 +677,21 @@ pub fn apply_plans(table: &Table, plans: &[ColPlan]) -> Result<(Preprocessed, Ve
                 // Raw numeric failures store exact deltas; nothing to patch.
                 true_codes.push(None);
             }
-            (ColPlan::Binary { dict }, Column::Cat(values)) => {
-                let codes = values
-                    .iter()
-                    .enumerate()
-                    .map(|(r, v)| match dict.code_of(v) {
-                        Some(c) => c,
-                        None => {
-                            patches.push(Patch {
-                                col: i,
-                                row: r,
-                                value: PatchValue::Str(v.clone()),
-                            });
-                            0
-                        }
-                    })
-                    .collect();
-                true_codes.push(Some(codes));
-            }
-            (ColPlan::Cat { dict, .. }, Column::Cat(values)) => {
-                let codes = values
-                    .iter()
-                    .enumerate()
-                    .map(|(r, v)| match dict.code_of(v) {
-                        Some(c) => c,
-                        None => {
-                            patches.push(Patch {
-                                col: i,
-                                row: r,
-                                value: PatchValue::Str(v.clone()),
-                            });
-                            0
-                        }
-                    })
-                    .collect();
+            (ColPlan::Binary { dict } | ColPlan::Cat { dict, .. }, Column::Cat(values)) => {
+                // One dictionary probe per pool entry, not per cell. A
+                // value the plan has never seen is patched and coded 0.
+                const UNSEEN: u32 = u32::MAX;
+                let mut codes = values.translate(|v| dict.code_of(v).unwrap_or(UNSEEN));
+                for (r, code) in codes.iter_mut().enumerate() {
+                    if *code == UNSEEN {
+                        patches.push(Patch {
+                            col: i,
+                            row: r,
+                            value: PatchValue::Str(values[r].to_owned()),
+                        });
+                        *code = 0;
+                    }
+                }
                 true_codes.push(Some(codes));
             }
             (ColPlan::Fallback, Column::Cat(_)) => true_codes.push(None),
@@ -836,7 +838,7 @@ mod tests {
         let values: Vec<String> = (0..2000)
             .map(|i| format!("v{}", if i % 3 == 0 { i % 100 } else { i % 5 }))
             .collect();
-        let t = ds_table::Table::from_columns(vec![("c".into(), ds_table::Column::Cat(values))])
+        let t = ds_table::Table::from_columns(vec![("c".into(), ds_table::Column::cat(values))])
             .unwrap();
         let mut o = opts(1, 0.0);
         o.max_train_card = 16;
@@ -1009,7 +1011,7 @@ mod tests {
     fn dictionary_cap_forces_fallback() {
         let values: Vec<String> = (0..DICT_CAP + 10).map(|i| format!("u{i}")).collect();
         let n = values.len();
-        let t = ds_table::Table::from_columns(vec![("c".into(), ds_table::Column::Cat(values))])
+        let t = ds_table::Table::from_columns(vec![("c".into(), ds_table::Column::cat(values))])
             .unwrap();
         // high_card_ratio 2.0 would normally keep this column on the
         // model; the cap overrides it.

@@ -140,9 +140,13 @@ impl<R: ReadAt> ArchiveReader<R> {
 
     /// The one range stitch: cuts each decoded shard of `plan.shards`
     /// (`parts`, in shard order) to its overlap with `plan.rows` and
-    /// concatenates the cuts. A wholly wanted shard that is the caller's
-    /// to give away is moved, not copied, so a full decode copies each
-    /// cell once; a borrowed (cached) shard is always cut into a copy.
+    /// concatenates the cuts. A wholly wanted part is used as it is, a
+    /// partly wanted one is cut into a copy of the wanted rows. One part
+    /// is then the answer — moved when it is the caller's to give away or
+    /// already a cut, cloned when borrowed whole from a cache; several
+    /// cost one `memcpy` of each one's numbers and categorical codes into
+    /// the result. No cell's string is copied on any path: cuts, clones
+    /// and the result share the parts' value pools.
     pub fn stitch(&self, plan: &ReadPlan, parts: Vec<Cow<'_, Table>>) -> Result<Table> {
         let entries = self
             .shards
@@ -150,15 +154,18 @@ impl<R: ReadAt> ArchiveReader<R> {
             .get(plan.shards.clone())
             .filter(|entries| entries.len() == parts.len())
             .ok_or(ShardError::Corrupt("decoded shards do not match the plan"))?;
-        let cuts: Vec<Table> = parts
+        let cuts: Vec<Cow<'_, Table>> = parts
             .into_iter()
             .zip(entries)
-            .map(|(part, entry)| match (part, plan.local(entry)) {
-                (Cow::Owned(table), cut) if cut == (0..table.nrows()) => table,
-                (part, cut) => part.slice_rows(cut),
+            .map(|(part, entry)| match plan.local(entry) {
+                cut if cut == (0..part.nrows()) => part,
+                cut => Cow::Owned(part.slice_rows(cut)),
             })
             .collect();
-        Ok(Table::concat(&cuts)?)
+        match <[Cow<'_, Table>; 1]>::try_from(cuts) {
+            Ok([only]) => Ok(only.into_owned()),
+            Err(cuts) => Ok(Table::concat(&cuts)?),
+        }
     }
 
     /// Uncached read of `rows`: decodes the intersecting shards in

@@ -22,7 +22,7 @@
 use ds_codec::dict::Dictionary;
 use ds_codec::quant::Quantizer;
 use ds_codec::{parq, ByteReader, ByteWriter};
-use ds_table::{Column, Table};
+use ds_table::{CatColumn, Column, Table};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -141,9 +141,9 @@ fn discretize(table: &Table, error: f64) -> Result<Discretized> {
     for col in table.columns() {
         match col {
             Column::Cat(values) => {
-                let (dict, c) = Dictionary::encode_column(values);
+                let mut dict = Dictionary::new();
+                codes.push(values.translate(|v| dict.intern(v)));
                 kinds.push(ColKind::Cat(dict));
-                codes.push(c);
             }
             Column::Num(values) => {
                 let q = Quantizer::fit(values, error)?;
@@ -380,7 +380,10 @@ pub fn decompress(archive: &ItArchive) -> Result<Table> {
             codes.push(v);
         }
         let column = match &kinds[c] {
-            ColKind::Cat(dict) => Column::Cat(dict.decode_column(&codes)?),
+            ColKind::Cat(dict) => {
+                let pool: Vec<Box<str>> = dict.values().map(Box::from).collect();
+                Column::Cat(CatColumn::from_parts(pool, codes)?)
+            }
             ColKind::Num(q) => Column::Num(codes.iter().map(|&i| q.value_of(i)).collect()),
         };
         named.push((names[c].clone(), column));
@@ -447,9 +450,9 @@ mod tests {
         let other: Vec<String> = (0..3000).map(|i| format!("q{}", (i % 6) * 7)).collect();
         let third: Vec<String> = (0..3000).map(|i| format!("r{}", (i % 6) + 1)).collect();
         let t = Table::from_columns(vec![
-            ("a".into(), Column::Cat(values)),
-            ("b".into(), Column::Cat(other)),
-            ("c".into(), Column::Cat(third)),
+            ("a".into(), Column::cat(values)),
+            ("b".into(), Column::cat(other)),
+            ("c".into(), Column::cat(third)),
         ])
         .unwrap();
         let cfg = ItConfig {

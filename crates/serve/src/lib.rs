@@ -454,6 +454,46 @@ mod tests {
         assert_eq!(warm.cache_hits, 3);
     }
 
+    /// A hit copies codes, never strings: the table a hot GET returns
+    /// points at the cached shards' value pools. And the cache's byte
+    /// count is exactly what its residents measure.
+    #[test]
+    fn a_hot_get_shares_cached_pools_and_the_budget_counts_their_bytes() {
+        use ds_table::Column;
+        let t = gen::forest_like(120, 4);
+        let cfg = DsConfig {
+            error_threshold: 0.05,
+            max_epochs: 2,
+            shard_rows: 32,
+            ..DsConfig::default()
+        };
+        let bytes = compress(&t, &cfg).expect("compresses").as_bytes().to_vec();
+        let archive = Archive::open(bytes).expect("opens");
+        archive.read_rows(0..120).expect("warming read");
+        let resident: Vec<Arc<Table>> = (0..archive.n_shards())
+            .map(|i| archive.cache().peek(i).expect("every shard fits"))
+            .collect();
+        let stats = archive.cache_stats();
+        assert_eq!(stats.entries, 4);
+        assert_eq!(
+            stats.bytes,
+            resident.iter().map(|shard| shard.mem_size()).sum::<usize>()
+        );
+        // Rows 40..90 cut shard 1, take shard 2 whole; 70..80 is one cut.
+        for (rows, first) in [(40..90, 1), (70..80, 2), (64..96, 2)] {
+            let (got, read) = archive.read_rows_with_stats(rows.clone()).expect("hot");
+            assert_eq!((read.shards_decoded, got.nrows()), (0, rows.len()));
+            let mut categorical = 0;
+            for (hit, cached) in got.columns().iter().zip(resident[first].columns()) {
+                if let (Column::Cat(hit), Column::Cat(cached)) = (hit, cached) {
+                    assert!(Arc::ptr_eq(hit.pool(), cached.pool()), "rows {rows:?}");
+                    categorical += 1;
+                }
+            }
+            assert_eq!(categorical, 45);
+        }
+    }
+
     #[test]
     fn clamps_and_empty_ranges_keep_the_schema() {
         let (bytes, full) = fixture();

@@ -26,7 +26,7 @@ use ds_codec::dict::Dictionary;
 use ds_codec::quant::Quantizer;
 use ds_codec::rangecoder::{RangeDecoder, RangeEncoder, StaticModel};
 use ds_codec::{parq, ByteReader, ByteWriter};
-use ds_table::{Column, ColumnType, Table};
+use ds_table::{CatColumn, Column, ColumnType, Table};
 
 /// Errors from Squish compression/decompression.
 #[derive(Debug)]
@@ -178,9 +178,9 @@ pub fn compress(table: &Table, cfg: &SquishConfig) -> Result<SquishArchive> {
     for &i in &net_cols {
         match table.column(i).expect("index from enumerate") {
             Column::Cat(values) => {
-                let (dict, c) = Dictionary::encode_column(values);
+                let mut dict = Dictionary::new();
+                codes.push(values.translate(|v| dict.intern(v)));
                 kinds.push(ColKind::Cat(dict));
-                codes.push(c);
             }
             Column::Num(values) => {
                 let q = Quantizer::fit(values, cfg.error_threshold)?;
@@ -251,8 +251,8 @@ pub fn compress(table: &Table, cfg: &SquishConfig) -> Result<SquishArchive> {
                 .column(i)
                 .expect("valid index")
                 .as_cat()
-                .expect("fallback columns are categorical")
-                .to_vec();
+                .expect("fallback columns are categorical");
+            let values = values.iter().map(str::to_owned).collect();
             (name, parq::ParqColumn::Str(values))
         })
         .collect();
@@ -475,7 +475,7 @@ pub fn decompress(archive: &SquishArchive) -> Result<Table> {
             }
             match col {
                 parq::ParqColumn::Str(values) => {
-                    named.push((meta.name, Column::Cat(values)));
+                    named.push((meta.name, Column::Cat(values.into())));
                 }
                 _ => return Err(SquishError::Corrupt("fallback column wrong type")),
             }
@@ -485,7 +485,8 @@ pub fn decompress(archive: &SquishArchive) -> Result<Table> {
                 .ok_or(SquishError::Corrupt("missing network column"))?;
             let column = match (kind, meta.ty) {
                 (ColKind::Cat(dict), ColumnType::Categorical) => {
-                    Column::Cat(dict.decode_column(&code_col)?)
+                    let pool: Vec<Box<str>> = dict.values().map(Box::from).collect();
+                    Column::Cat(CatColumn::from_parts(pool, code_col)?)
                 }
                 (ColKind::Num(q), ColumnType::Numeric) => {
                     Column::Num(code_col.iter().map(|&i| q.value_of(i)).collect())

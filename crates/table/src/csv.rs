@@ -11,7 +11,8 @@
 //! line number where they were detected (quoted fields may span lines, so
 //! the line counter follows every `\n`, not the record count).
 
-use crate::{Column, ColumnType, Result, Schema, Table, TableError};
+use crate::column::write_number;
+use crate::{CatBuilder, Column, ColumnType, Result, Schema, Table, TableError};
 
 /// Length of `field` as the writer would emit it (with quoting).
 pub fn escaped_len(field: &str) -> usize {
@@ -68,7 +69,9 @@ pub fn write_csv_header(schema: &Schema, out: &mut String) {
 
 /// Appends the data rows `rows` of `table` (clamped to the table) as CSV
 /// lines to `out`, no header. Byte-for-byte identical to the matching
-/// slice of [`write_csv`]'s output.
+/// slice of [`write_csv`]'s output. Cells render straight into `out`:
+/// categorical values are read from the column's pool, numbers are
+/// formatted in place (their text never needs quoting).
 pub fn write_csv_rows(table: &Table, rows: std::ops::Range<usize>, out: &mut String) {
     let start = rows.start.min(table.nrows());
     let end = rows.end.min(table.nrows()).max(start);
@@ -77,8 +80,10 @@ pub fn write_csv_rows(table: &Table, rows: std::ops::Range<usize>, out: &mut Str
             if i > 0 {
                 out.push(',');
             }
-            let cell = c.format_cell(r);
-            write_field(out, &cell);
+            match c {
+                Column::Cat(v) => write_field(out, v.get(r).unwrap_or_default()),
+                Column::Num(v) => write_number(out, v.get(r).copied().unwrap_or_default()),
+            }
         }
         out.push('\n');
     }
@@ -386,7 +391,7 @@ impl<R: std::io::Read> CsvChunks<R> {
 
 /// Per-column accumulation buffer for typed row-to-column conversion.
 pub(crate) enum ColBuf {
-    Cat(Vec<String>),
+    Cat(CatBuilder),
     Num(Vec<f64>),
 }
 
@@ -396,7 +401,7 @@ pub(crate) fn col_bufs(schema: &Schema) -> Vec<ColBuf> {
         .fields()
         .iter()
         .map(|f| match f.ty {
-            ColumnType::Categorical => ColBuf::Cat(Vec::new()),
+            ColumnType::Categorical => ColBuf::Cat(CatBuilder::default()),
             ColumnType::Numeric => ColBuf::Num(Vec::new()),
         })
         .collect()
@@ -417,7 +422,7 @@ pub(crate) fn append_rows(
         }
         for (col, (value, buf)) in row.into_iter().zip(bufs.iter_mut()).enumerate() {
             match buf {
-                ColBuf::Cat(v) => v.push(value),
+                ColBuf::Cat(v) => v.push(&value),
                 ColBuf::Num(v) => {
                     let parsed = value.trim().parse::<f64>().map_err(|_| TableError::Parse {
                         row: base_row + r,
@@ -437,7 +442,7 @@ pub(crate) fn bufs_into_table(schema: Schema, bufs: Vec<ColBuf>) -> Result<Table
     let columns = bufs
         .into_iter()
         .map(|b| match b {
-            ColBuf::Cat(v) => Column::Cat(v),
+            ColBuf::Cat(v) => Column::Cat(v.finish()),
             ColBuf::Num(v) => Column::Num(v),
         })
         .collect();
@@ -483,7 +488,7 @@ pub fn read_csv_infer(data: &str) -> Result<Table> {
             };
             let column = match numeric {
                 Some(nums) => Column::Num(nums),
-                None => Column::Cat(values),
+                None => Column::Cat(values.into()),
             };
             (name, column)
         })
@@ -532,10 +537,7 @@ mod tests {
     #[test]
     fn roundtrip_simple() {
         let t = Table::from_columns(vec![
-            (
-                "name".into(),
-                Column::Cat(vec!["alice".into(), "bob".into()]),
-            ),
+            ("name".into(), Column::cat(["alice", "bob"])),
             ("score".into(), Column::Num(vec![1.5, -2.0])),
         ])
         .unwrap();
@@ -556,14 +558,15 @@ mod tests {
             String::new(),
         ];
         let t = Table::from_columns(vec![
-            ("name".into(), Column::Cat(tricky.clone())),
+            ("name".into(), Column::cat(&tricky)),
             ("score".into(), Column::Num(vec![1.0, 2.0, 3.0, 4.0, 5.0])),
         ])
         .unwrap();
         let csv = write_csv(&t);
         assert_eq!(csv.len(), t.raw_size());
         let back = read_csv(&csv, t.schema().clone()).unwrap();
-        assert_eq!(back.column(0).unwrap().as_cat().unwrap(), &tricky[..]);
+        let cells: Vec<&str> = back.column(0).unwrap().as_cat().unwrap().iter().collect();
+        assert_eq!(cells, tricky);
     }
 
     #[test]

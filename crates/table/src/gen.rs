@@ -15,7 +15,7 @@
 //!
 //! Everything is reproducible: same `(n, seed)` → identical table.
 
-use crate::{Column, Table};
+use crate::{CatBuilder, Column, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -132,6 +132,43 @@ fn quantize_to(v: f64, decimals: i32) -> f64 {
     (v * m).round() / m
 }
 
+/// A categorical column of labelled small integers under construction:
+/// a key's label is made once, on its first appearance, and repeated by
+/// code after that — no `String` and no hashing per cell, and the pool
+/// comes out in first-appearance order.
+struct Labelled {
+    cells: CatBuilder,
+    code_of: Vec<Option<u32>>,
+}
+
+impl Labelled {
+    fn new(rows: usize) -> Self {
+        Labelled {
+            cells: CatBuilder::with_capacity(rows),
+            code_of: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, key: usize, label: impl FnOnce(usize) -> String) {
+        if key >= self.code_of.len() {
+            self.code_of.resize(key + 1, None);
+        }
+        match self.code_of[key] {
+            Some(code) => self.cells.push_code(code),
+            None => self.code_of[key] = Some(self.cells.push_new(label(key))),
+        }
+    }
+
+    /// A value not worth remembering (near-unique tokens).
+    fn push_unkeyed(&mut self, value: String) {
+        self.cells.push_new(value);
+    }
+
+    fn finish(self) -> Column {
+        Column::Cat(self.cells.finish())
+    }
+}
+
 /// Corel-like: 32 numeric histogram columns in [0,1] lying near a
 /// 3-dimensional nonlinear manifold — image-feature histograms are
 /// projections of a few latent scene factors. Every column mixes several
@@ -194,9 +231,9 @@ pub fn forest_like(n: usize, seed: u64) -> Table {
     let mut hs_3pm = Vec::with_capacity(n);
     let mut hd_fire = Vec::with_capacity(n);
 
-    let mut wilderness: Vec<Vec<String>> = (0..4).map(|_| Vec::with_capacity(n)).collect();
-    let mut soil: Vec<Vec<String>> = (0..40).map(|_| Vec::with_capacity(n)).collect();
-    let mut cover = Vec::with_capacity(n);
+    let mut wilderness: Vec<Labelled> = (0..4).map(|_| Labelled::new(n)).collect();
+    let mut soil: Vec<Labelled> = (0..40).map(|_| Labelled::new(n)).collect();
+    let mut cover = Labelled::new(n);
 
     for _ in 0..n {
         let elev: f64 = rng.gen_range(1800.0..3900.0);
@@ -234,7 +271,7 @@ pub fn forest_like(n: usize, seed: u64) -> Table {
         }
         let w = w.min(3);
         for (k, col) in wilderness.iter_mut().enumerate() {
-            col.push(if k == w { "1" } else { "0" }.to_string());
+            col.push(usize::from(k == w), |bit| bit.to_string());
         }
 
         // Soil type: mostly a deterministic function of elevation band and
@@ -245,7 +282,7 @@ pub fn forest_like(n: usize, seed: u64) -> Table {
         }
         let s = s.min(39);
         for (k, col) in soil.iter_mut().enumerate() {
-            col.push(if k == s { "1" } else { "0" }.to_string());
+            col.push(usize::from(k == s), |bit| bit.to_string());
         }
 
         // Cover type: 7 classes driven by elevation and soil, 12% noise.
@@ -271,7 +308,7 @@ pub fn forest_like(n: usize, seed: u64) -> Table {
         if rng.gen::<f64>() < 0.12 {
             c = rng.gen_range(0..7);
         }
-        cover.push(format!("T{c}"));
+        cover.push(c, |c| format!("T{c}"));
     }
 
     let mut named: Vec<(String, Column)> = vec![
@@ -287,12 +324,12 @@ pub fn forest_like(n: usize, seed: u64) -> Table {
         ("hd_fire".into(), Column::Num(hd_fire)),
     ];
     for (k, col) in wilderness.into_iter().enumerate() {
-        named.push((format!("wild{k}"), Column::Cat(col)));
+        named.push((format!("wild{k}"), col.finish()));
     }
     for (k, col) in soil.into_iter().enumerate() {
-        named.push((format!("soil{k:02}"), Column::Cat(col)));
+        named.push((format!("soil{k:02}"), col.finish()));
     }
-    named.push(("cover".into(), Column::Cat(cover)));
+    named.push(("cover".into(), cover.finish()));
     Table::from_columns(named).expect("generator produces consistent columns")
 }
 
@@ -398,7 +435,7 @@ pub fn census_like(n: usize, seed: u64) -> Table {
     }
     let indep_zipfs: Vec<Zipf> = derived.iter().map(|d| Zipf::new(d.card, 1.2)).collect();
 
-    let mut cols: Vec<Vec<String>> = (0..COLS).map(|_| Vec::with_capacity(n)).collect();
+    let mut cols: Vec<Labelled> = (0..COLS).map(|_| Labelled::new(n)).collect();
     for _ in 0..n {
         let age = rng.gen_range(0..9usize);
         let sex = rng.gen_range(0..2usize);
@@ -422,7 +459,7 @@ pub fn census_like(n: usize, seed: u64) -> Table {
             age, sex, edu, income, state, division, region, occupation, industry,
         ];
         for (k, &v) in latents.iter().enumerate() {
-            cols[k].push(v.to_string());
+            cols[k].push(v, |v| v.to_string());
         }
         for (k, d) in derived.iter().enumerate() {
             let v = if d.source == usize::MAX {
@@ -434,7 +471,7 @@ pub fn census_like(n: usize, seed: u64) -> Table {
             } else {
                 d.map[latents[d.source] * latent_cards[d.source2] + latents[d.source2]]
             };
-            cols[9 + k].push(v.to_string());
+            cols[9 + k].push(v, |v| v.to_string());
         }
     }
 
@@ -458,7 +495,7 @@ pub fn census_like(n: usize, seed: u64) -> Table {
             } else {
                 format!("attr{k:02}")
             };
-            (name, Column::Cat(v))
+            (name, v.finish())
         })
         .collect();
     Table::from_columns(named).expect("generator produces consistent columns")
@@ -583,9 +620,9 @@ pub fn monitor_like(n: usize, seed: u64) -> Table {
 pub fn criteo_like(n: usize, seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
 
-    let mut click = Vec::with_capacity(n);
+    let mut click = Labelled::new(n);
     let mut nums: Vec<Vec<f64>> = (0..13).map(|_| Vec::with_capacity(n)).collect();
-    let mut cats: Vec<Vec<String>> = (0..26).map(|_| Vec::with_capacity(n)).collect();
+    let mut cats: Vec<Labelled> = (0..26).map(|_| Labelled::new(n)).collect();
 
     // Cardinalities: a mix of small, medium and huge.
     let cards = [
@@ -601,7 +638,7 @@ pub fn criteo_like(n: usize, seed: u64) -> Table {
         // Latent "user interest" drives label and several columns.
         let interest: f64 = rng.gen();
         let clicked = rng.gen::<f64>() < 0.08 + 0.3 * interest;
-        click.push(if clicked { "1" } else { "0" }.to_string());
+        click.push(usize::from(clicked), |bit| bit.to_string());
 
         for (j, col) in nums.iter_mut().enumerate() {
             // Log-normal-ish counters, sparser for higher j; clicks inflate
@@ -618,11 +655,11 @@ pub fn criteo_like(n: usize, seed: u64) -> Table {
 
         let mut drawn = vec![0usize; 26];
         for (j, col) in cats.iter_mut().enumerate() {
-            let v: String = match cards[j] {
+            match cards[j] {
                 0 => {
                     // High-cardinality hash: mostly unique hex tokens.
                     let h: u64 = rng.gen::<u64>() ^ (row as u64).wrapping_mul(0x9E37);
-                    format!("{h:016x}")
+                    col.push_unkeyed(format!("{h:016x}"));
                 }
                 c => {
                     let v = match j {
@@ -653,19 +690,18 @@ pub fn criteo_like(n: usize, seed: u64) -> Table {
                     };
                     drawn[j] = v;
                     debug_assert!(v < c);
-                    format!("v{v}")
+                    col.push(v, |v| format!("v{v}"));
                 }
-            };
-            col.push(v);
+            }
         }
     }
 
-    let mut named: Vec<(String, Column)> = vec![("click".into(), Column::Cat(click))];
+    let mut named: Vec<(String, Column)> = vec![("click".into(), click.finish())];
     for (j, v) in nums.into_iter().enumerate() {
         named.push((format!("i{:02}", j + 1), Column::Num(v)));
     }
     for (j, v) in cats.into_iter().enumerate() {
-        named.push((format!("c{:02}", j + 1), Column::Cat(v)));
+        named.push((format!("c{:02}", j + 1), v.finish()));
     }
     Table::from_columns(named).expect("generator produces consistent columns")
 }

@@ -181,7 +181,7 @@ mod tests {
             ("x".into(), Column::Num((0..n).map(|i| i as f64).collect())),
             (
                 "s".into(),
-                Column::Cat((0..n).map(|i| format!("v,{i}\"q\"")).collect()),
+                Column::cat((0..n).map(|i| format!("v,{i}\"q\""))),
             ),
         ])
         .unwrap()

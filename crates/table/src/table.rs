@@ -1,6 +1,6 @@
 //! The [`Table`] type: a schema plus equal-length columns.
 
-use crate::{Column, ColumnType, Field, Result, Schema, TableError};
+use crate::{CatColumn, Column, ColumnType, Field, Result, Schema, TableError};
 
 /// An immutable columnar table.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +44,7 @@ impl Table {
             .fields()
             .iter()
             .map(|f| match f.ty {
-                ColumnType::Categorical => Column::Cat(Vec::new()),
+                ColumnType::Categorical => Column::Cat(Default::default()),
                 ColumnType::Numeric => Column::Num(Vec::new()),
             })
             .collect();
@@ -109,19 +109,22 @@ impl Table {
             .schema
             .fields()
             .iter()
-            .map(|f| f.name.len() + 1) // name + comma/newline
+            .map(|f| crate::csv::escaped_len(&f.name) + 1) // name + comma/newline
             .sum();
         let mut body = 0usize;
+        let mut number = String::new();
         for c in &self.columns {
             match c {
                 Column::Cat(v) => {
-                    for s in v {
+                    for s in v.iter() {
                         body += crate::csv::escaped_len(s) + 1;
                     }
                 }
                 Column::Num(v) => {
                     for &x in v {
-                        body += crate::column::format_number(x).len() + 1;
+                        number.clear();
+                        crate::column::write_number(&mut number, x);
+                        body += number.len() + 1;
                     }
                 }
             }
@@ -129,16 +132,19 @@ impl Table {
         header + body
     }
 
-    /// Approximate resident bytes of the cell payload (8 per number,
-    /// string length per categorical cell). Used by the streaming
-    /// pipeline's `stream.peak_chunk_bytes` gauge; deliberately counts
-    /// content, not allocator capacity, so the figure is deterministic.
+    /// Resident bytes of the cell payload: 8 per number, 4 per
+    /// categorical code, and each categorical column's pool once (entry
+    /// bytes plus a 16-byte `Box<str>` each) — shared or not, so the
+    /// figure depends on the table alone. Counts content, not allocator
+    /// capacity, so it is deterministic: the shard cache budgets by it
+    /// and the streaming pipeline's `stream.peak_chunk_bytes` gauge
+    /// reports it.
     pub fn mem_size(&self) -> usize {
         self.columns
             .iter()
             .map(|c| match c {
                 Column::Num(v) => v.len() * 8,
-                Column::Cat(v) => v.iter().map(|s| s.len() + 24).sum(),
+                Column::Cat(v) => v.mem_size(),
             })
             .sum()
     }
@@ -164,7 +170,7 @@ impl Table {
             .iter()
             .map(|c| match c {
                 Column::Num(v) => Column::Num(v[start..end].to_vec()),
-                Column::Cat(v) => Column::Cat(v[start..end].to_vec()),
+                Column::Cat(v) => Column::Cat(v.slice(start..end)),
             })
             .collect();
         Table {
@@ -174,24 +180,41 @@ impl Table {
         }
     }
 
-    /// Concatenates tables with identical schemas, rows in argument order.
-    pub fn concat(parts: &[Table]) -> Result<Table> {
-        let first = parts.first().ok_or(TableError::SchemaMismatch)?;
-        let mut columns: Vec<Column> = first.columns.clone();
-        let mut nrows = first.nrows;
-        for part in &parts[1..] {
-            if part.schema != first.schema {
-                return Err(TableError::SchemaMismatch);
-            }
-            for (dst, src) in columns.iter_mut().zip(&part.columns) {
-                match (dst, src) {
-                    (Column::Num(d), Column::Num(s)) => d.extend_from_slice(s),
-                    (Column::Cat(d), Column::Cat(s)) => d.extend_from_slice(s),
-                    _ => return Err(TableError::SchemaMismatch),
-                }
-            }
-            nrows += part.nrows;
+    /// Concatenates tables with identical schemas, rows in argument order:
+    /// one copy of each part's numbers and categorical codes, with the
+    /// first part's categorical pools shared by every part that agrees
+    /// with them (the same allocation, or equal entries); a part that
+    /// does not has the pool entries its rows reference appended to a
+    /// private copy and its codes renumbered.
+    pub fn concat<T: std::borrow::Borrow<Table>>(parts: &[T]) -> Result<Table> {
+        let parts: Vec<&Table> = parts.iter().map(|part| part.borrow()).collect();
+        let first = *parts.first().ok_or(TableError::SchemaMismatch)?;
+        if parts.iter().any(|part| part.schema != first.schema) {
+            return Err(TableError::SchemaMismatch);
         }
+        let nrows = parts.iter().map(|part| part.nrows).sum();
+        // Equal schemas mean equal column counts and types.
+        let columns = first
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(i, column)| match column {
+                Column::Num(_) => {
+                    let mut joined = Vec::with_capacity(nrows);
+                    for part in &parts {
+                        let values = part.columns[i].as_num();
+                        joined.extend_from_slice(values.ok_or(TableError::SchemaMismatch)?);
+                    }
+                    Ok(Column::Num(joined))
+                }
+                Column::Cat(_) => {
+                    let cats: Option<Vec<&CatColumn>> =
+                        parts.iter().map(|part| part.columns[i].as_cat()).collect();
+                    let joined = cats.as_deref().and_then(CatColumn::concat);
+                    Ok(Column::Cat(joined.ok_or(TableError::SchemaMismatch)?))
+                }
+            })
+            .collect::<Result<Vec<Column>>>()?;
         Ok(Table {
             schema: first.schema.clone(),
             columns,
@@ -234,7 +257,7 @@ mod tests {
 
     fn small_table() -> Table {
         Table::from_columns(vec![
-            ("city".into(), Column::Cat(vec!["NYC".into(), "LA".into()])),
+            ("city".into(), Column::cat(["NYC", "LA"])),
             ("pop".into(), Column::Num(vec![8.4, 3.9])),
         ])
         .unwrap()
@@ -276,6 +299,22 @@ mod tests {
     }
 
     #[test]
+    fn mem_size_counts_numbers_codes_and_each_pool_once() {
+        let t = small_table();
+        // pop: 2 × 8. city: 2 codes × 4, pool "NYC" + "LA" = 5 bytes and
+        // two 16-byte boxes.
+        assert_eq!(t.mem_size(), 16 + 8 + 5 + 32);
+        // A cut shares the pool and still counts all of it: the figure
+        // is a function of the table, not of who else holds the pool.
+        assert_eq!(t.slice_rows(0..1).mem_size(), 8 + 4 + 5 + 32);
+        // Entries are counted as stored, duplicates and unused included.
+        let pool: Vec<Box<str>> = vec!["a".into(), "a".into(), "zz".into()];
+        let padded = CatColumn::from_parts(pool, vec![1]).unwrap();
+        let t = Table::from_columns(vec![("c".into(), Column::Cat(padded))]).unwrap();
+        assert_eq!(t.mem_size(), 4 + 4 + 48);
+    }
+
+    #[test]
     fn sample_is_deterministic_and_bounded() {
         let t = Table::from_columns(vec![(
             "x".into(),
@@ -297,10 +336,7 @@ mod tests {
     fn slice_rows_clamps_and_preserves_order() {
         let t = Table::from_columns(vec![
             ("x".into(), Column::Num((0..10).map(f64::from).collect())),
-            (
-                "s".into(),
-                Column::Cat((0..10).map(|i| format!("v{i}")).collect()),
-            ),
+            ("s".into(), Column::cat((0..10).map(|i| format!("v{i}")))),
         ])
         .unwrap();
         let s = t.slice_rows(3..7);
@@ -318,15 +354,12 @@ mod tests {
     fn concat_rebuilds_sliced_table() {
         let t = Table::from_columns(vec![
             ("x".into(), Column::Num((0..9).map(f64::from).collect())),
-            (
-                "s".into(),
-                Column::Cat((0..9).map(|i| format!("v{i}")).collect()),
-            ),
+            ("s".into(), Column::cat((0..9).map(|i| format!("v{i}")))),
         ])
         .unwrap();
         let parts: Vec<Table> = (0..3).map(|i| t.slice_rows(i * 3..i * 3 + 3)).collect();
         assert_eq!(Table::concat(&parts).unwrap(), t);
-        assert!(Table::concat(&[]).is_err());
+        assert!(Table::concat::<Table>(&[]).is_err());
         let other = small_table();
         assert!(Table::concat(&[t, other]).is_err());
     }

@@ -75,6 +75,6 @@ fn main() {
     let division = table.column_by_name("division").unwrap().as_cat().unwrap();
     println!(
         "example dependency: state={} always implies division={}",
-        state[0], division[0]
+        &state[0], &division[0]
     );
 }

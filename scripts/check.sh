@@ -25,14 +25,25 @@ allows="$(grep -r 'ds-lint: allow' crates --include=*.rs | wc -l)"
   exit 1
 }
 
+# One in-memory form for a categorical column (pool + codes): no string
+# payload, and no string sentinel on the decode path, in non-test code.
+if sed -s '/^#\[cfg(test)\]/,$d' crates/table/src/column.rs crates/table/src/table.rs \
+  crates/core/src/pipeline.rs | grep -nE 'RARE_SENTINEL|(Cat|Str)\(Vec<String>\)'; then
+  echo "a Vec<String> column payload or RARE_SENTINEL is back"
+  exit 1
+fi
+
+# First among the test steps: benchmark/ may not be edited by a PR that
+# claims a gain, so an API break that would force an edit there should
+# fail in seconds, not after the workspace suites.
+echo "==> dsbench tests (benchmark/ builds against crates/ from outside the workspace)"
+(cd benchmark && cargo test --offline -q)
+
 echo "==> cargo test (every crate)"
 cargo test -q --workspace
 
 echo "==> cargo test (DS_SIMD=off: scalar reference kernels)"
 DS_SIMD=off cargo test -q --workspace
-
-echo "==> dsbench tests (benchmark/ builds against crates/ from outside the workspace)"
-(cd benchmark && cargo test --offline -q)
 
 echo "==> bench_gate (committed baselines)"
 cargo run -q -p ds-bench --bin bench_gate

@@ -37,7 +37,7 @@ fn arb_nasty_table() -> impl Strategy<Value = Table> {
                 .collect::<String>()
         });
         let col = prop_oneof![
-            prop::collection::vec(cell, nrows..=nrows).prop_map(Column::Cat),
+            prop::collection::vec(cell, nrows..=nrows).prop_map(Column::cat),
             prop::collection::vec(-100.0f64..100.0, nrows..=nrows)
                 .prop_map(|v| Column::Num(v.into_iter().map(|x| x.round()).collect())),
         ];

@@ -57,7 +57,7 @@ fn unseen_categorical_values_are_patched_exactly() {
     // values: reconstruction must be EXACT via the patch mechanism.
     let train_vals: Vec<String> = (0..600).map(|i| format!("v{}", i % 4)).collect();
     let train = Table::from_columns(vec![
-        ("cat".into(), Column::Cat(train_vals)),
+        ("cat".into(), Column::cat(train_vals)),
         (
             "num".into(),
             Column::Num((0..600).map(|i| f64::from(i % 50)).collect()),
@@ -76,7 +76,7 @@ fn unseen_categorical_values_are_patched_exactly() {
         })
         .collect();
     let batch = Table::from_columns(vec![
-        ("cat".into(), Column::Cat(batch_vals.clone())),
+        ("cat".into(), Column::cat(&batch_vals)),
         (
             "num".into(),
             Column::Num((0..200).map(|i| f64::from(i % 50)).collect()),
@@ -87,8 +87,8 @@ fn unseen_categorical_values_are_patched_exactly() {
     let archive = tc.compress_batch(&batch).expect("batch compresses");
     let restored = decompress(&archive).expect("batch decodes");
     assert_eq!(
-        restored.column_by_name("cat").unwrap().as_cat().unwrap(),
-        &batch_vals[..],
+        restored.column_by_name("cat").unwrap(),
+        &Column::cat(&batch_vals),
         "unseen categorical values must reconstruct exactly via patches"
     );
 }
@@ -139,7 +139,7 @@ fn order_free_batches_still_reconstruct_unseen_values() {
     // order-free storage would scramble — `compress_batch` must therefore
     // preserve row order even when the config requests order-free.
     let train_vals: Vec<String> = (0..400).map(|i| format!("v{}", i % 3)).collect();
-    let train = Table::from_columns(vec![("cat".into(), Column::Cat(train_vals))]).expect("table");
+    let train = Table::from_columns(vec![("cat".into(), Column::cat(train_vals))]).expect("table");
     let mut config = cfg();
     config.order_free = true;
     let tc = TrainedCompressor::train(&train, &config).expect("trains");
@@ -153,12 +153,11 @@ fn order_free_batches_still_reconstruct_unseen_values() {
             }
         })
         .collect();
-    let batch =
-        Table::from_columns(vec![("cat".into(), Column::Cat(batch_vals.clone()))]).expect("table");
+    let batch = Table::from_columns(vec![("cat".into(), Column::cat(&batch_vals))]).expect("table");
     let archive = tc.compress_batch(&batch).expect("batch compresses");
     let restored = decompress(&archive).expect("batch decodes");
     assert_eq!(
-        restored.column_by_name("cat").unwrap().as_cat().unwrap(),
-        &batch_vals[..]
+        restored.column_by_name("cat").unwrap(),
+        &Column::cat(&batch_vals)
     );
 }
