@@ -392,34 +392,57 @@ pub fn ablations(rc: &RunConfig) -> ResultTable {
     t
 }
 
-/// Runs every experiment (honouring `DS_ONLY`) and writes CSVs.
-pub fn run_all() {
-    let rc = RunConfig::from_env();
-    let only: Option<Vec<String>> = std::env::var("DS_ONLY")
-        .ok()
-        .map(|v| v.split(',').map(|s| s.trim().to_lowercase()).collect());
-    let want = |name: &str| only.as_ref().is_none_or(|o| o.iter().any(|x| x == name));
+type Runner = fn(&RunConfig) -> ResultTable;
+
+/// Every experiment `run_all` knows, in the order it runs them.
+const RUNNERS: [(&str, Runner); 8] = [
+    ("table1", table1),
+    ("fig6", fig6),
+    ("table2", table2),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("ablations", ablations),
+];
+
+/// The experiments a `DS_ONLY` value selects (unset selects all). A name
+/// that is not an experiment is an error: skipping it would run nothing
+/// and still report success.
+fn select(only: Option<&str>) -> Result<Vec<(&'static str, Runner)>, String> {
+    let Some(only) = only else {
+        return Ok(RUNNERS.to_vec());
+    };
+    let names: Vec<String> = only.split(',').map(|s| s.trim().to_lowercase()).collect();
+    if let Some(bad) = names
+        .iter()
+        .find(|n| !RUNNERS.iter().any(|(name, _)| name == n))
+    {
+        let valid: Vec<&str> = RUNNERS.iter().map(|(name, _)| *name).collect();
+        return Err(format!(
+            "DS_ONLY={only:?}: no experiment named {bad:?} (valid: {})",
+            valid.join(", ")
+        ));
+    }
+    Ok(RUNNERS
+        .iter()
+        .filter(|(name, _)| names.iter().any(|n| n == name))
+        .copied()
+        .collect())
+}
+
+/// Runs every experiment (honouring `DS_ONLY`) and writes CSVs. Fails
+/// before running anything if an environment knob does not parse.
+pub fn run_all() -> Result<(), String> {
+    let rc = RunConfig::from_env()?;
+    let runners = select(crate::env_var("DS_ONLY")?.as_deref())?;
 
     println!(
         "DeepSqueeze paper-experiment harness (scale {}, epochs {:?})\n",
         rc.scale, rc.epochs
     );
     let t0 = Instant::now();
-    type Runner = fn(&RunConfig) -> ResultTable;
-    let runners: Vec<(&str, Runner)> = vec![
-        ("table1", table1),
-        ("fig6", fig6),
-        ("table2", table2),
-        ("fig7", fig7),
-        ("fig8", fig8),
-        ("fig9", fig9),
-        ("fig10", fig10),
-        ("ablations", ablations),
-    ];
     for (name, f) in runners {
-        if !want(name) {
-            continue;
-        }
         let start = Instant::now();
         let table = f(&rc);
         table.print();
@@ -433,6 +456,7 @@ pub fn run_all() {
         }
     }
     println!("total harness time: {:.1?}", t0.elapsed());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -445,6 +469,26 @@ mod tests {
             epochs: Some(3),
             seed: 7,
         }
+    }
+
+    #[test]
+    fn unknown_ds_only_name_is_an_error_listing_the_valid_ones() {
+        let err = select(Some("fig6,fig66")).unwrap_err();
+        assert!(
+            err.contains("DS_ONLY") && err.contains("\"fig66\""),
+            "{err}"
+        );
+        for (name, _) in RUNNERS {
+            assert!(err.contains(name), "{err} should list {name}");
+        }
+        assert!(select(Some("")).is_err());
+
+        let names = |only| -> Vec<&str> {
+            let picked = select(only).unwrap();
+            picked.iter().map(|(name, _)| *name).collect()
+        };
+        assert_eq!(names(Some(" Fig8 ,table1")), ["table1", "fig8"]);
+        assert_eq!(names(None).len(), RUNNERS.len());
     }
 
     #[test]

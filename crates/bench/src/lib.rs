@@ -1,4 +1,4 @@
-//! # ds-bench — benchmarks and the paper-experiment harness
+//! # ds-bench — the paper-experiment harness
 //!
 //! Regenerates every table and figure of the DeepSqueeze paper's
 //! evaluation (§7) on the synthetic dataset equivalents:
@@ -15,19 +15,19 @@
 //! | Fig. 10 (training sample-size sensitivity)     | [`experiments::fig10`] |
 //!
 //! The `paper_experiments` bench target (`cargo bench -p ds-bench`) runs
-//! them all; each also writes a CSV under `results/`. Environment knobs:
+//! them all; each also writes a CSV under `results/`. Throughput, latency
+//! and memory of the system itself are measured by `benchmark/run.sh`
+//! (dsbench), not here. Environment knobs (a value that does not parse is
+//! an error, never the default):
 //!
 //! * `DS_SCALE` — multiplies every dataset's default row count
 //!   (default 1.0; use 0.25 for a quick pass).
 //! * `DS_EPOCHS` — overrides the training epoch cap.
 //! * `DS_ONLY` — comma-separated experiment list
-//!   (`table1,fig6,table2,fig7,fig8,fig9,fig10`).
-
-#![allow(clippy::needless_range_loop)] // index-heavy numeric kernels read clearer with explicit loops
+//!   (`table1,fig6,table2,fig7,fig8,fig9,fig10,ablations`).
 
 pub mod baselines;
 pub mod experiments;
-pub mod gate;
 pub mod report;
 
 use ds_table::gen::Dataset;
@@ -45,17 +45,37 @@ pub struct RunConfig {
 
 impl RunConfig {
     /// Reads `DS_SCALE` / `DS_EPOCHS` from the environment.
-    pub fn from_env() -> Self {
-        let scale = std::env::var("DS_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0);
-        let epochs = std::env::var("DS_EPOCHS").ok().and_then(|v| v.parse().ok());
-        RunConfig {
+    pub fn from_env() -> Result<Self, String> {
+        Self::parse(
+            env_var("DS_SCALE")?.as_deref(),
+            env_var("DS_EPOCHS")?.as_deref(),
+        )
+    }
+
+    /// `from_env` over the two raw values. An unparsable value is an
+    /// error: falling back to the default would turn `DS_SCALE=0,25` into
+    /// the hour-long full-size run.
+    fn parse(scale: Option<&str>, epochs: Option<&str>) -> Result<Self, String> {
+        let scale = match scale {
+            None => 1.0,
+            Some(v) => v
+                .trim()
+                .parse::<f64>()
+                .ok()
+                .filter(|s| s.is_finite() && *s > 0.0)
+                .ok_or_else(|| format!("DS_SCALE={v:?}: expected a positive number, e.g. 0.25"))?,
+        };
+        let epochs = match epochs {
+            None => None,
+            Some(v) => Some(v.trim().parse::<usize>().map_err(|_| {
+                format!("DS_EPOCHS={v:?}: expected a whole number of epochs, e.g. 20")
+            })?),
+        };
+        Ok(RunConfig {
             scale,
             epochs,
             seed: 42,
-        }
+        })
     }
 
     /// Row count for a dataset under this configuration.
@@ -66,6 +86,16 @@ impl RunConfig {
     /// Epoch cap with a per-call default.
     pub fn epochs_or(&self, default: usize) -> usize {
         self.epochs.unwrap_or(default)
+    }
+}
+
+/// An environment variable: `None` when unset, an error naming it when
+/// it is set to something that is not UTF-8.
+pub(crate) fn env_var(name: &str) -> Result<Option<String>, String> {
+    match std::env::var(name) {
+        Ok(v) => Ok(Some(v)),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(v)) => Err(format!("{name}={v:?}: not valid UTF-8")),
     }
 }
 
@@ -135,6 +165,27 @@ mod tests {
             seed: 1,
         };
         assert_eq!(rc.epochs_or(99), 99);
+    }
+
+    #[test]
+    fn unparsable_scale_is_an_error_naming_the_variable_and_value() {
+        for bad in ["0,25", "", "fast", "nan", "0", "-1"] {
+            let err = RunConfig::parse(Some(bad), None).unwrap_err();
+            assert!(err.contains("DS_SCALE") && err.contains(bad), "{err}");
+        }
+        let rc = RunConfig::parse(Some(" 0.25 "), None).unwrap();
+        assert_eq!(rc.scale, 0.25);
+        assert_eq!(RunConfig::parse(None, None).unwrap().scale, 1.0);
+    }
+
+    #[test]
+    fn unparsable_epochs_is_an_error_naming_the_variable_and_value() {
+        for bad in ["ten", "", "-3", "2.5"] {
+            let err = RunConfig::parse(None, Some(bad)).unwrap_err();
+            assert!(err.contains("DS_EPOCHS") && err.contains(bad), "{err}");
+        }
+        assert_eq!(RunConfig::parse(None, Some("7")).unwrap().epochs, Some(7));
+        assert_eq!(RunConfig::parse(None, None).unwrap().epochs, None);
     }
 
     #[test]

@@ -551,6 +551,43 @@ mod tests {
         assert_eq!(on.id, FOR_MODEL, "offset cluster should be a FoR win");
         assert_eq!(decode_u32(on.tag, &on.payload).unwrap(), clustered);
         assert!(on.payload.len() < off.payload.len());
+
+        // The probe discriminates: a stream spanning the full u32 range
+        // has no frame to exploit, so FoR must lose even when allowed.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let wide: Vec<u32> = (0..4096)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 32) as u32
+            })
+            .collect();
+        let on = select_u32(&wide, true).unwrap();
+        assert_ne!(on.id, FOR_MODEL, "full-range stream is not a FoR win");
+        assert_eq!(decode_u32(on.tag, &on.payload).unwrap(), wide);
+    }
+
+    #[test]
+    fn every_table_codec_roundtrips_what_it_accepts() {
+        let clustered: Vec<u32> = (0..4096u32)
+            .map(|i| 1_000_000 + (i.wrapping_mul(2654435761) >> 22))
+            .collect();
+        let bits: Vec<u32> = (0..4096u32).map(|i| u32::from(i % 5 == 0)).collect();
+        for codec in u32_codecs() {
+            let mut accepted = 0;
+            for values in [&clustered, &bits, &Vec::new()] {
+                let Some(encoded) = (codec.encode)(values) else {
+                    continue;
+                };
+                accepted += 1;
+                assert_eq!(
+                    &(codec.decode)(&encoded).unwrap(),
+                    values,
+                    "codec id {}",
+                    codec.id.raw()
+                );
+            }
+            assert!(accepted > 0, "codec id {} took no stream", codec.id.raw());
+        }
     }
 
     #[test]

@@ -299,6 +299,9 @@ impl<'a> Workspace<'a> {
         }
         match call.path.len() {
             0 => None,
+            // `let run = ..; run(i)` calls through a local (a closure or
+            // fn pointer), whatever workspace fn happens to share the name.
+            1 if self.binds_locally(caller, name) => None,
             1 => self
                 .pick(self.free_fns.get(&(kr.clone(), name.to_string())), kr)
                 .or_else(|| {
@@ -326,6 +329,15 @@ impl<'a> Workspace<'a> {
                 self.pick(self.free_fns.get(&(kr.clone(), name.to_string())), kr)
             }
         }
+    }
+
+    /// True when fn `i` binds `name` itself, as a parameter or by `let`.
+    fn binds_locally(&self, i: usize, name: &str) -> bool {
+        let f = &self.fns[i];
+        f.params.iter().any(|p| p == name)
+            || f.summary.steps.iter().any(|s| {
+                matches!(&s.kind, StepKind::Assign { names, .. } if names.iter().any(|n| n == name))
+            })
     }
 
     /// True when the dataflow rule applies to fn `i`'s file.
@@ -937,6 +949,40 @@ mod tests {
             .map(|f| f.line)
             .collect();
         assert_eq!(lp, vec![3], "{findings:?}");
+    }
+
+    /// The shape of `ds_exec::Batch::execute_one` next to `ds-cli`'s
+    /// `fn run`: the only workspace fn of that name, in another crate.
+    #[test]
+    fn call_through_a_local_binding_is_not_a_workspace_fn() {
+        let findings = analyze(&[
+            (
+                "crates/cli/src/main.rs",
+                "fn run() { ds_exec::parallel_for(4, |_i| {}); }\n",
+            ),
+            (
+                "crates/exec/src/lib.rs",
+                "fn local(m: &Mutex<u32>, task: &dyn Fn()) {\n\
+                     let run = task;\n\
+                     let g = m.lock();\n\
+                     run();\n\
+                 }\n\
+                 fn param(m: &Mutex<u32>, run: &dyn Fn()) {\n\
+                     let g = m.lock();\n\
+                     run();\n\
+                 }\n\
+                 fn imported(m: &Mutex<u32>) {\n\
+                     let g = m.lock();\n\
+                     run();\n\
+                 }\n",
+            ),
+        ]);
+        let lp: Vec<u32> = findings
+            .iter()
+            .filter(|f| f.rule == LOCK_POOL)
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lp, vec![12], "{findings:?}");
     }
 
     #[test]

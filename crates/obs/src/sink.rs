@@ -44,18 +44,6 @@ pub fn clock_us() -> u64 {
     u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Best-of-`reps` wall-clock milliseconds for `f` — the shared probe
-/// timer (bench bins used to each carry their own copy of this).
-pub fn time_best_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 /// Escapes `s` as the body of a JSON string (no surrounding quotes):
 /// quotes, backslashes, and control characters per RFC 8259.
 pub fn json_escape(s: &str) -> String {

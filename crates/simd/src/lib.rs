@@ -96,40 +96,6 @@ fn detect() -> Level {
     Level::Scalar
 }
 
-/// CPU features relevant to kernel selection that the host actually has,
-/// for bench provenance (`BENCH_exec.json` records these so trajectory
-/// entries are comparable across hosts).
-pub fn detected_features() -> Vec<&'static str> {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let mut feats = vec!["sse2"]; // x86-64 baseline
-        if std::arch::is_x86_feature_detected!("ssse3") {
-            feats.push("ssse3");
-        }
-        if std::arch::is_x86_feature_detected!("sse4.1") {
-            feats.push("sse4.1");
-        }
-        if std::arch::is_x86_feature_detected!("avx") {
-            feats.push("avx");
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            feats.push("avx2");
-        }
-        if std::arch::is_x86_feature_detected!("fma") {
-            feats.push("fma");
-        }
-        feats
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        vec!["neon"]
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        Vec::new()
-    }
-}
-
 /// Caps a requested level at what the host can actually execute: the only
 /// runnable non-scalar level is the detected one (a NEON request on an
 /// AVX2 host is a wrong-ISA request, not a "lower" one — it degrades all
@@ -253,15 +219,5 @@ mod tests {
         assert_eq!(Level::Neon.lanes(), 4);
         assert_eq!(Level::Avx2.lanes(), 8);
         assert_eq!(LANE_GROUP, 8);
-    }
-
-    #[test]
-    fn detected_features_match_detected_level() {
-        let feats = detected_features();
-        match detected() {
-            Level::Avx2 => assert!(feats.contains(&"avx2")),
-            Level::Neon => assert!(feats.contains(&"neon")),
-            Level::Scalar => assert!(!feats.contains(&"avx2") && !feats.contains(&"neon")),
-        }
     }
 }

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, tests, and the execution-layer bench probe
-# in smoke mode. Run from the repo root:
+# Repo gate: formatting, lints, tests (crates, the DS_SIMD=off pass, and
+# dsbench's own tests, which smoke every workload through the real
+# binary), and a release-mode dsqz CLI smoke. Timing lives in
+# benchmark/run.sh, not here. Run from the repo root:
 #
 #   ./scripts/check.sh          # everything
-#   ./scripts/check.sh fast     # skip the release build + bench probe
+#   ./scripts/check.sh fast     # skip the release build + CLI smoke
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,10 +20,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> ds-lint (decode-safety, taint + determinism dataflow gate)"
 cargo run -q -p ds-lint
 # A suppression is a place the checker is not checking: the count may go
-# down, never up.
-allows="$(grep -r 'ds-lint: allow' crates --include=*.rs | wc -l)"
-[ "$allows" -le 96 ] || {
-  echo "ds-lint suppressions grew: $allows > 96"
+# down, never up. Product crates only: the linter's own sources and
+# fixtures spell out suppressions as test data.
+allows="$(grep -r 'ds-lint: allow' crates --include=*.rs | grep -v '^crates/lint/' | wc -l)"
+[ "$allows" -le 86 ] || {
+  echo "ds-lint suppressions grew: $allows > 86"
   exit 1
 }
 
@@ -45,40 +48,9 @@ cargo test -q --workspace
 echo "==> cargo test (DS_SIMD=off: scalar reference kernels)"
 DS_SIMD=off cargo test -q --workspace
 
-echo "==> bench_gate (committed baselines)"
-cargo run -q -p ds-bench --bin bench_gate
-
 if [ "$mode" = "full" ]; then
   echo "==> release build"
   cargo build --release -q --workspace
-
-  echo "==> exec_probe (smoke)"
-  SMOKE=1 BENCH_OUT=target/BENCH_exec.smoke.json \
-    cargo run --release -q -p ds-bench --bin exec_probe
-
-  echo "==> codec_probe (smoke)"
-  SMOKE=1 BENCH_OUT=target/BENCH_codec.smoke.json \
-    cargo run --release -q -p ds-bench --bin codec_probe
-
-  echo "==> shard_probe (smoke)"
-  SMOKE=1 BENCH_OUT=target/BENCH_shard.smoke.json \
-    cargo run --release -q -p ds-bench --bin shard_probe
-
-  echo "==> obs_probe (smoke)"
-  SMOKE=1 BENCH_OUT=target/BENCH_obs.smoke.json \
-    cargo run --release -q -p ds-bench --bin obs_probe
-
-  echo "==> stream_probe (smoke)"
-  SMOKE=1 BENCH_OUT=target/BENCH_stream.smoke.json \
-    cargo run --release -q -p ds-bench --bin stream_probe
-
-  echo "==> serve_probe (smoke)"
-  SMOKE=1 BENCH_OUT=target/BENCH_serve.smoke.json \
-    cargo run --release -q -p ds-bench --bin serve_probe
-
-  echo "==> bench_gate (smoke outputs)"
-  cargo run --release -q -p ds-bench --bin bench_gate -- \
-    --dir target --config scripts/bench_gate_smoke.toml
 
   echo "==> dsqz serve (stdio smoke: GET/STAT/METRICS)"
   smoke_dir="$(mktemp -d)"

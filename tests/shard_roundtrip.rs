@@ -96,6 +96,32 @@ fn ten_shard_partial_read_decodes_only_intersecting_shards() {
     assert_eq!(write_csv(&one), write_csv(&full.slice_rows(60..79)));
 }
 
+/// Sharding costs bytes (an envelope and a manifest row per shard, shorter
+/// entropy-coded streams) but not a multiple of them: 16 row groups of a
+/// small table stay within 3x of the same table in one shard.
+#[test]
+fn sixteen_shards_cost_at_most_three_times_one_shard() {
+    let t = Dataset::Monitor.generate(1600, 42);
+    let one_shard = DsConfig {
+        error_threshold: 0.05,
+        code_size: 2,
+        n_experts: 2,
+        max_epochs: 3,
+        ..Default::default()
+    };
+    let sixteen = DsConfig {
+        shard_rows: 100,
+        ..one_shard.clone()
+    };
+    let one = compress(&t, &one_shard).expect("compresses").size();
+    let many = compress(&t, &sixteen).expect("compresses").size();
+    assert!(
+        many <= 3 * one,
+        "16 shards: {many} B, one shard: {one} B ({:.2}x)",
+        many as f64 / one as f64
+    );
+}
+
 /// Sharded compression and partial decode are bit-identical whether the
 /// pool runs 1 or 8 threads.
 #[test]

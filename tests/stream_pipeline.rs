@@ -11,6 +11,12 @@ use ds_table::stream::rows_to_table;
 use ds_table::{Column, Table};
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::sync::{PoisonError, RwLock};
+
+/// The ds-obs recorder is process-global: the test that reads a gauge
+/// holds this for writing, every other test that runs the pipeline (and
+/// would record its own chunks into that gauge) holds it for reading.
+static RECORDER: RwLock<()> = RwLock::new(());
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ds_stream_pl_{name}_{}", std::process::id()));
@@ -86,6 +92,7 @@ proptest! {
 /// without reservoir sampling.
 #[test]
 fn streaming_csv_compress_matches_in_memory_bytes() {
+    let _shared = RECORDER.read().unwrap_or_else(PoisonError::into_inner);
     let dir = tmpdir("identity");
     let text = write_csv(&gen::census_like(300, 17));
     let path = dir.join("c.csv");
@@ -121,6 +128,7 @@ fn streaming_csv_compress_matches_in_memory_bytes() {
 /// depend on the thread count.
 #[test]
 fn streaming_bytes_are_thread_count_invariant() {
+    let _shared = RECORDER.read().unwrap_or_else(PoisonError::into_inner);
     let dir = tmpdir("threads");
     let t = gen::monitor_like(250, 5);
     let path = dir.join("m.csv");
@@ -147,5 +155,45 @@ fn streaming_bytes_are_thread_count_invariant() {
         .collect();
     assert_eq!(outputs[0], outputs[1], "1 vs 2 threads");
     assert_eq!(outputs[0], outputs[2], "1 vs 8 threads");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The memory bound of the streaming path, in its deterministic form: the
+/// largest chunk the pipeline ever holds (`stream.peak_chunk_bytes`) is
+/// set by `chunk_rows`, not by the length of the file. The 4N-row file is
+/// the N-row file's body four times over, so its chunks are the same
+/// chunks and the gauge must read exactly the same.
+#[test]
+fn peak_chunk_bytes_does_not_grow_with_the_row_count() {
+    let _exclusive = RECORDER.write().unwrap_or_else(PoisonError::into_inner);
+    let dir = tmpdir("peak");
+    let text = write_csv(&gen::monitor_like(200, 11));
+    let (header, body) = text.split_once('\n').unwrap();
+    let cfg = DsConfig {
+        error_threshold: 0.1,
+        max_epochs: 2,
+        shard_rows: 50,
+        seed: 3,
+        sample_frac: 0.1,
+        ..DsConfig::default()
+    };
+
+    let peak_for = |copies: usize| {
+        let path = dir.join(format!("m{copies}.csv"));
+        std::fs::write(&path, format!("{header}\n{}", body.repeat(copies))).unwrap();
+        ds_obs::enable(false);
+        let (_, info) = compress_csv_stream_to(&path, &cfg, 50, Vec::new()).unwrap();
+        let report = ds_obs::drain();
+        assert_eq!(info.rows, 200 * copies);
+        let gauge = report
+            .gauges
+            .iter()
+            .find(|g| g.name == "stream.peak_chunk_bytes")
+            .expect("the streaming pipeline records its peak chunk");
+        gauge.value
+    };
+    let (n, four_n) = (peak_for(1), peak_for(4));
+    assert!(n > 0);
+    assert_eq!(n, four_n, "peak chunk bytes grew with the row count");
     let _ = std::fs::remove_dir_all(&dir);
 }
