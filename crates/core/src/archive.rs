@@ -117,7 +117,10 @@ pub struct ArchiveInfo {
     pub n_experts: usize,
     /// Code dimensions (0 when no model).
     pub code_size: usize,
-    /// Stored code width in bits (0 when no model).
+    /// Stored code width in bits (0 when no model). Read from the first
+    /// shard's header; it is the archive's width, since the compressor
+    /// measures it once at fit time and writes every shard at it (archives
+    /// from before that chose per shard, and may differ past shard 0).
     pub code_bits: u8,
     /// Row-group shards in the container (0 = monolithic v1 archive).
     pub shards: usize,

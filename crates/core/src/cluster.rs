@@ -8,8 +8,8 @@
 //! the preprocessed rows, one autoencoder trained per cluster, and the
 //! same materialization path with cluster ids as expert assignments.
 
-use crate::materialize::{materialize, MaterializeOptions};
-use crate::pipeline::DsConfig;
+use crate::materialize::{materialize_with_patches, MaterializeOptions};
+use crate::pipeline::{choose_code_bits, DsConfig};
 use crate::preprocess::preprocess;
 use crate::{DsArchive, DsError, Result};
 use ds_nn::moe::MoeConfig;
@@ -154,15 +154,19 @@ pub fn compress_kmeans(table: &Table, cfg: &DsConfig) -> Result<DsArchive> {
     let mut model = MoeAutoencoder::from_experts(experts);
     cfg.truncate(&mut model);
 
-    // The standard materialization with cluster ids as expert assignments.
+    // The standard materialization with cluster ids as expert assignments:
+    // each row is encoded once, by its cluster's expert, and the one blob
+    // is written at the width that is smallest for the whole table.
+    let assigned = model.assign_with_codes(&prep.x, &prep.cat_targets, Some(&assignments))?;
+    let routed = (&model, &assigned);
     let opts = MaterializeOptions {
-        code_bits_candidates: cfg.code_bits_candidates.clone(),
+        code_bits: choose_code_bits(cfg, table, &prep, routed)?,
         order_free: cfg.order_free,
         omit_decoder: false,
         numeric_probe: cfg.numeric_probe,
     };
     let _sp = ds_obs::span("materialize");
-    materialize(table, &prep, Some(&model), &assignments, &opts)
+    materialize_with_patches(table, &prep, Some(routed), &[], &opts)
 }
 
 #[cfg(test)]

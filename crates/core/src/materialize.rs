@@ -5,9 +5,12 @@
 //! * **Decoder** (§6.1): only the decoder half of each expert, with a
 //!   final gzip-like pass over the exported weights.
 //! * **Codes** (§6.2): each code dimension is quantized ("truncated") to
-//!   `b` bits and stored as integers; `b` is chosen by actually measuring
-//!   `codes + failures` for each candidate width and keeping the smallest
-//!   total — truncation only pays if the extra failures don't eat the win.
+//!   `b` bits and stored as integers, at the one `b` this module is given.
+//!   `TrainedCompressor::fit` picks it once per archive, as the paper does
+//!   per dataset, by measuring [`encode_streams`] per candidate width on
+//!   the training sample — truncation only pays if the extra failures
+//!   don't eat the win — so a row of a row group costs one decoder pass
+//!   and one entropy pass, over the codes its assignment already made.
 //! * **Failures** (§6.3): rank-of-true-value for categorical columns
 //!   (mostly zeros → RLE/Huffman-friendly), XOR bitmaps for binary
 //!   columns, bucket-index deltas for quantized numerics — all through the
@@ -22,15 +25,14 @@ use crate::preprocess::{ColPlan, Patch, PatchValue, Preprocessed};
 use crate::{DsError, Result};
 use ds_codec::{delta, gzlike, parq, rle, ByteWriter};
 use ds_nn::autoencoder::DecodedBatch;
-use ds_nn::{serialize, Mat, MoeAutoencoder};
+use ds_nn::{serialize, Assignment, Mat, MoeAutoencoder};
 use ds_table::Table;
 
 /// Materialization knobs.
 #[derive(Debug, Clone)]
 pub struct MaterializeOptions {
-    /// Candidate code widths in bits (§6.2 truncation); the best total
-    /// wins. Must be in 1..=32.
-    pub code_bits_candidates: Vec<u8>,
+    /// Code width in bits (§6.2 truncation), in 1..=32.
+    pub code_bits: u8,
     /// §6.4: drop original row order (legal for relational tables); rows
     /// come back grouped by expert.
     pub order_free: bool,
@@ -44,17 +46,6 @@ pub struct MaterializeOptions {
     /// by default: any win changes the emitted bytes, so enabling it
     /// requires a reader that understands the recorded codec id.
     pub numeric_probe: bool,
-}
-
-impl Default for MaterializeOptions {
-    fn default() -> Self {
-        MaterializeOptions {
-            code_bits_candidates: vec![4, 8, 16],
-            order_free: false,
-            omit_decoder: false,
-            numeric_probe: false,
-        }
-    }
 }
 
 /// Expert-mapping strategies (§6.4).
@@ -80,7 +71,9 @@ pub(crate) struct RowLayout {
     pub payload: Vec<u8>,
     /// storage position → original row index.
     pub storage_to_original: Vec<usize>,
-    /// Per expert: storage positions of its rows (ascending).
+    /// Per expert: storage positions of its rows (ascending). Under every
+    /// strategy an expert's rows keep their original relative order, so
+    /// this is also each expert's rows in ascending original order.
     pub expert_rows: Vec<Vec<usize>>,
 }
 
@@ -127,11 +120,10 @@ pub(crate) fn plan_rows(
         let b = rle::encode(&labels);
         // Strategy C payload: adaptive arithmetic coding of the labels.
         let c = encode_labels_arith(assignments, n_experts)?;
-        let (best_len, which) = [(a.len(), 0u8), (b.len(), 1), (c.len(), 3)]
+        let (_, which) = [(a.len(), 0u8), (b.len(), 1), (c.len(), 3)]
             .into_iter()
             .min_by_key(|&(len, _)| len)
             .expect("three candidates");
-        let _ = best_len;
         match which {
             0 => (MappingStrategy::GroupedIndexes, a, grouped_storage.clone()),
             1 => (MappingStrategy::Labels, b, (0..n).collect()),
@@ -238,30 +230,6 @@ pub(crate) fn quantize_codes(
         quantized.push(qcols);
     }
     (CodeLayout { bits, ranges }, quantized)
-}
-
-/// Test/diagnostic re-export of [`quantize_codes`].
-pub fn quantize_codes_for_test(
-    per_expert_codes: &[ds_nn::Mat],
-    bits: u8,
-) -> (CodeLayoutPublic, Vec<Vec<Vec<u32>>>) {
-    let (l, q) = quantize_codes(per_expert_codes, bits);
-    (CodeLayoutPublic { ranges: l.ranges }, q)
-}
-
-/// Public mirror of the code layout for diagnostics.
-pub struct CodeLayoutPublic {
-    /// Per expert, per dimension (min, span).
-    pub ranges: Vec<Vec<(f32, f32)>>,
-}
-
-/// Test/diagnostic re-export of [`dequantize_codes`].
-pub fn dequantize_codes_for_test(
-    qcols: &[Vec<u32>],
-    ranges: &[(f32, f32)],
-    bits: u8,
-) -> ds_nn::Mat {
-    dequantize_codes(qcols, ranges, bits)
 }
 
 /// Rebuilds the approximate (dequantized) code matrix for one expert.
@@ -569,18 +537,17 @@ pub(crate) fn compute_failures(
 /// blob, the rare-stream blob, per-column byte stats, and the per-column
 /// registry codec chains the streams flowed through.
 pub(crate) fn encode_failures(
-    buffers: &FailureBuffers,
+    buffers: FailureBuffers,
     numeric_probe: bool,
 ) -> Result<(Vec<u8>, Vec<u8>, Vec<(String, usize)>, Vec<Vec<u16>>)> {
     let mut cols: Vec<(String, parq::ParqColumn)> = Vec::new();
-    for (i, fc) in buffers.per_col.iter().enumerate() {
+    for (i, fc) in buffers.per_col.into_iter().enumerate() {
         let name = format!("{i}");
         let col = match fc {
-            FailureCol::NumDelta(v) => parq::ParqColumn::I64(v.clone()),
-            FailureCol::RawDelta(v) => parq::ParqColumn::F64(v.clone()),
-            FailureCol::Xor(v) => parq::ParqColumn::U32(v.clone()),
-            FailureCol::Rank(v) => parq::ParqColumn::U32(v.clone()),
-            FailureCol::Raw(v) => parq::ParqColumn::Str(v.clone()),
+            FailureCol::NumDelta(v) => parq::ParqColumn::I64(v),
+            FailureCol::RawDelta(v) => parq::ParqColumn::F64(v),
+            FailureCol::Xor(v) | FailureCol::Rank(v) => parq::ParqColumn::U32(v),
+            FailureCol::Raw(v) => parq::ParqColumn::Str(v),
         };
         cols.push((name, col));
     }
@@ -608,40 +575,83 @@ pub(crate) fn encode_failures(
     Ok((main, w.into_vec(), col_stats, col_chains))
 }
 
-/// The §6.2 candidate-width rule: at least one width, each in 1..=32.
-pub(crate) fn check_code_bits(candidates: &[u8]) -> Result<()> {
-    if candidates.is_empty() || candidates.iter().any(|b| !(1..=32).contains(b)) {
-        return Err(DsError::InvalidConfig("code bits must be in 1..=32"));
+/// The §6.2 width rule: at least one width, each in 1..=32. Returns the
+/// first.
+pub(crate) fn check_code_bits(widths: &[u8]) -> Result<u8> {
+    match widths.first() {
+        Some(&first) if widths.iter().all(|b| (1..=32).contains(b)) => Ok(first),
+        _ => Err(DsError::InvalidConfig("code bits must be in 1..=32")),
     }
-    Ok(())
 }
 
-/// Runs the full materialization: mapping, codes (choosing the best width),
-/// failures, decoder — and assembles the archive bytes.
-pub fn materialize(
+/// A model and the assignment it made of the rows being materialized:
+/// which expert stores each row, and that expert's code for it.
+pub type Routed<'a> = (&'a MoeAutoencoder, &'a Assignment);
+
+/// One row group's codes, failures and rare streams at one code width.
+pub(crate) struct Streams {
+    code_layout: CodeLayout,
+    pub(crate) codes: Vec<u8>,
+    pub(crate) failures: Vec<u8>,
+    pub(crate) rare: Vec<u8>,
+    col_stats: Vec<(String, usize)>,
+    col_chains: Vec<Vec<u16>>,
+}
+
+/// The single-width encoder: quantizes the assigned codes to `bits`, runs
+/// each expert's decoder once over its dequantized codes, and
+/// entropy-codes the codes and the failures the predictions leave.
+pub(crate) fn encode_streams(
     table: &Table,
     prep: &Preprocessed,
-    model: Option<&MoeAutoencoder>,
-    assignments: &[usize],
-    opts: &MaterializeOptions,
-) -> Result<DsArchive> {
-    materialize_with_patches(table, prep, model, assignments, &[], opts)
+    routed: Option<Routed>,
+    layout: &RowLayout,
+    bits: u8,
+    numeric_probe: bool,
+) -> Result<Streams> {
+    // Each expert's codes in storage order, which within one expert is
+    // row order: a gather of what the assignment already computed.
+    let per_expert_codes: Vec<Mat> = routed.map_or_else(Vec::new, |(model, assigned)| {
+        let experts = 0..model.n_experts();
+        experts.map(|e| assigned.codes_of(e)).collect()
+    });
+    let (code_layout, quantized) = quantize_codes(&per_expert_codes, bits);
+    // Codes blob: k columns in storage order.
+    let codes = encode_code_blob(&quantized, layout, table.nrows(), numeric_probe)?;
+    let buffers = compute_failures(table, prep, layout, |e| {
+        let Some((model, _)) = routed else {
+            return Ok(None);
+        };
+        let dq = dequantize_codes(&quantized[e], &code_layout.ranges[e], bits);
+        Ok(Some(model.decode(e, &dq)?))
+    })?;
+    let (failures, rare, col_stats, col_chains) = encode_failures(buffers, numeric_probe)?;
+    Ok(Streams {
+        code_layout,
+        codes,
+        failures,
+        rare,
+        col_stats,
+        col_chains,
+    })
 }
 
-/// [`materialize`] plus verbatim patches for cells the plans cannot
-/// represent (streaming batches, §3).
+/// Runs the full materialization at `opts.code_bits`: mapping, codes,
+/// failures, decoder — and assembles the archive bytes, with `patches`
+/// kept verbatim for cells the plans cannot represent (streaming batches,
+/// §3). `routed: None` stores every row under one implicit expert with no
+/// model.
 pub fn materialize_with_patches(
     table: &Table,
     prep: &Preprocessed,
-    model: Option<&MoeAutoencoder>,
-    assignments: &[usize],
+    routed: Option<Routed>,
     patches: &[Patch],
     opts: &MaterializeOptions,
 ) -> Result<DsArchive> {
-    if assignments.len() != table.nrows() {
+    if routed.is_some_and(|(_, a)| a.labels.len() != table.nrows()) {
         return Err(DsError::InvalidConfig("one assignment per row required"));
     }
-    check_code_bits(&opts.code_bits_candidates)?;
+    check_code_bits(&[opts.code_bits])?;
     if opts.order_free && !patches.is_empty() {
         // Patches are addressed by original row index; order-free storage
         // discards that order, so the combination cannot reconstruct.
@@ -649,96 +659,45 @@ pub fn materialize_with_patches(
             "order-free storage is incompatible with patches",
         ));
     }
-    let has_model = model.is_some() && !prep.model_cols.is_empty() && table.nrows() > 0;
+    let n_experts = routed.map_or(1, |(m, _)| m.n_experts());
+    let one_expert = vec![0; table.nrows()];
+    let labels = routed.map_or(&one_expert, |(_, a)| &a.labels);
+    let layout = plan_rows(labels, n_experts, opts.order_free)?;
+    // The model only takes part when there is something for it to predict.
+    let routed = routed.filter(|_| !prep.model_cols.is_empty() && table.nrows() > 0);
+    let has_model = routed.is_some();
 
-    let n_experts = model.map(MoeAutoencoder::n_experts).unwrap_or(1);
-    let layout = plan_rows(assignments, n_experts, opts.order_free)?;
-
-    // ---- per-expert exact codes (f32) -------------------------------------
-    let per_expert_codes: Vec<Mat> = if has_model {
-        let model = model.expect("has_model");
-        // One pool task per expert (gather + encode); results collected in
-        // expert order so the archive is thread-count independent.
-        ds_exec::parallel_map(n_experts, |e| -> Result<Mat> {
-            let orig: Vec<usize> = layout.expert_rows[e]
-                .iter()
-                .map(|&pos| layout.storage_to_original[pos])
-                .collect();
-            let xb = prep.x.take_rows(&orig);
-            Ok(model.encode(e, &xb)?)
-        })
-        .into_iter()
-        .collect::<Result<_>>()?
-    } else {
-        Vec::new()
+    let streams = {
+        let _sp = ds_obs::span("encode");
+        encode_streams(
+            table,
+            prep,
+            routed,
+            &layout,
+            opts.code_bits,
+            opts.numeric_probe,
+        )?
     };
-
-    // ---- choose the code width by total (codes + failures) size -----------
-    #[allow(clippy::type_complexity)]
-    let mut best: Option<(
-        usize,
-        CodeLayout,
-        Vec<u8>,
-        Vec<u8>,
-        Vec<u8>,
-        Vec<(String, usize)>,
-        Vec<Vec<u16>>,
-    )> = None;
-    let encode_span = ds_obs::span("encode");
-    for &bits in &opts.code_bits_candidates {
-        let (code_layout, quantized) = quantize_codes(&per_expert_codes, bits);
-        // Codes blob: k columns in storage order.
-        let codes_blob = encode_code_blob(&quantized, &layout, table.nrows(), opts.numeric_probe)?;
-
-        let buffers = compute_failures(table, prep, &layout, |e| {
-            if !has_model || layout.expert_rows[e].is_empty() {
-                return Ok(None);
-            }
-            let dq = dequantize_codes(&quantized[e], &code_layout.ranges[e], bits);
-            let model = model.expect("has_model");
-            Ok(Some(model.decode(e, &dq)?))
-        })?;
-        let (failures_blob, rare_blob, col_stats, col_chains) =
-            encode_failures(&buffers, opts.numeric_probe)?;
-
-        let total = codes_blob.len() + failures_blob.len() + rare_blob.len();
-        if best.as_ref().is_none_or(|(t, ..)| total < *t) {
-            best = Some((
-                total,
-                code_layout,
-                codes_blob,
-                failures_blob,
-                rare_blob,
-                col_stats,
-                col_chains,
-            ));
-        }
-        if !has_model {
-            break; // width is irrelevant without a model
-        }
-    }
-    drop(encode_span);
-    let (_, code_layout, codes_blob, failures_blob, rare_blob, col_stats, col_chains) =
-        best.expect("at least one candidate evaluated");
+    let code_layout = &streams.code_layout;
+    let k = code_layout.ranges.first().map_or(0, Vec::len);
 
     if ds_obs::enabled() {
         // Per-expert utilization: how many rows each expert owns.
         for (e, rows) in layout.expert_rows.iter().enumerate() {
             ds_obs::counter_at("pipeline.expert_rows", e as u64, rows.len() as u64);
         }
-        // Codec byte flow for the winning candidate. Codes enter the parq
-        // writer as k u32 columns of nrows values each.
-        let k = code_layout.ranges.first().map(Vec::len).unwrap_or(0);
+        // Codec byte flow. Codes enter the parq writer as k u32 columns
+        // of nrows values each.
         ds_obs::counter("codec.parq.codes_in", (k * table.nrows() * 4) as u64);
-        ds_obs::counter("codec.parq.codes_out", codes_blob.len() as u64);
+        ds_obs::counter("codec.parq.codes_out", streams.codes.len() as u64);
         ds_obs::counter(
             "materialize.failures_bytes",
-            (failures_blob.len() + rare_blob.len()) as u64,
+            (streams.failures.len() + streams.rare.len()) as u64,
         );
         ds_obs::counter("materialize.patches", patches.len() as u64);
         // Per-column failure-stream bytes, labelled with the real schema
         // column name (encode_failures names streams by column index).
-        for (name, bytes) in &col_stats {
+        for (name, bytes) in &streams.col_stats {
             let label = name
                 .parse::<usize>()
                 .ok()
@@ -750,14 +709,15 @@ pub fn materialize_with_patches(
     }
 
     // ---- decoder blob -------------------------------------------------------
-    let decoder_blob = if has_model && !opts.omit_decoder {
-        let raw = serialize::export_decoders(model.expect("has_model"));
-        let blob = gzlike::compress(&raw);
-        ds_obs::counter("codec.gzlike.decoder_in", raw.len() as u64);
-        ds_obs::counter("codec.gzlike.decoder_out", blob.len() as u64);
-        blob
-    } else {
-        Vec::new()
+    let decoder_blob = match routed {
+        Some((model, _)) if !opts.omit_decoder => {
+            let raw = serialize::export_decoders(model);
+            let blob = gzlike::compress(&raw);
+            ds_obs::counter("codec.gzlike.decoder_in", raw.len() as u64);
+            ds_obs::counter("codec.gzlike.decoder_out", blob.len() as u64);
+            blob
+        }
+        _ => Vec::new(),
     };
 
     // ---- assemble -----------------------------------------------------------
@@ -774,14 +734,12 @@ pub fn materialize_with_patches(
     w.write_u8(u8::from(has_model));
     let mut decoder_bytes = 0;
     let mut codes_bytes = 0;
-    let mapping_bytes;
     if has_model {
         let before = w.len();
         w.write_len_prefixed(&decoder_blob);
         decoder_bytes = w.len() - before;
 
         // Code layout header (counted as metadata).
-        let k = code_layout.ranges.first().map(Vec::len).unwrap_or(0);
         w.write_varint(k as u64);
         w.write_u8(code_layout.bits);
         w.write_varint(n_experts as u64);
@@ -791,27 +749,22 @@ pub fn materialize_with_patches(
                 w.write_f32(span);
             }
         }
-
+    }
+    // The mapping is recorded with or without a model (then: a single
+    // implicit expert), so decompression can restore row order.
+    let before = w.len();
+    w.write_u8(layout.strategy as u8);
+    w.write_len_prefixed(&layout.payload);
+    let mapping_bytes = w.len() - before;
+    if has_model {
         let before = w.len();
-        w.write_u8(layout.strategy as u8);
-        w.write_len_prefixed(&layout.payload);
-        mapping_bytes = w.len() - before;
-
-        let before = w.len();
-        w.write_len_prefixed(&codes_blob);
+        w.write_len_prefixed(&streams.codes);
         codes_bytes = w.len() - before;
-    } else {
-        // Still record the mapping so decompression can restore row order
-        // (a single implicit expert).
-        let before = w.len();
-        w.write_u8(layout.strategy as u8);
-        w.write_len_prefixed(&layout.payload);
-        mapping_bytes = w.len() - before;
     }
 
     let before = w.len();
-    w.write_len_prefixed(&failures_blob);
-    w.write_bytes(&rare_blob);
+    w.write_len_prefixed(&streams.failures);
+    w.write_bytes(&streams.rare);
     // Patches: verbatim out-of-plan cells, gzlike-compressed.
     let mut pw = ByteWriter::new();
     pw.write_varint(patches.len() as u64);
@@ -842,8 +795,8 @@ pub fn materialize_with_patches(
             metadata,
         },
         bytes,
-        failure_stats: col_stats,
-        column_chains: col_chains,
+        failure_stats: streams.col_stats,
+        column_chains: streams.col_chains,
     })
 }
 

@@ -2,9 +2,10 @@
 
 use crate::archive::{DsArchive, SizeBreakdown, MAGIC, VERSION};
 use crate::materialize::{
-    check_code_bits, class_at_rank, dequantize_codes, MappingStrategy, MaterializeOptions,
+    check_code_bits, class_at_rank, dequantize_codes, encode_streams, plan_rows, MappingStrategy,
+    MaterializeOptions, Routed,
 };
-use crate::preprocess::{ColPlan, PreprocessOptions};
+use crate::preprocess::{ColPlan, PreprocessOptions, Preprocessed};
 use crate::reader::ArchiveReader;
 use crate::{DsError, Result};
 use ds_codec::{delta, gzlike, parq, rle, ByteReader};
@@ -55,7 +56,7 @@ pub struct DsConfig {
     pub quantize_numerics: bool,
     /// Relative weight of numeric MSE vs categorical cross-entropy.
     pub numeric_loss_weight: f32,
-    /// Candidate code widths for §6.2 truncation.
+    /// Candidate code widths for §6.2 truncation; the fit picks one.
     pub code_bits_candidates: Vec<u8>,
     /// §6.4 order-free storage (relational tables): rows come back
     /// grouped by expert. Needs `shard_rows = 0`.
@@ -183,6 +184,34 @@ pub struct TrainedCompressor {
     /// columns).
     pub report: TrainReport,
     cfg: DsConfig,
+    code_bits: u8,
+}
+
+/// The §6.2 width for an archive: the candidate whose `codes + failures +
+/// rare` streams of `table` are smallest in total, the earliest winning a
+/// tie. A single candidate is taken without measuring.
+pub(crate) fn choose_code_bits(
+    cfg: &DsConfig,
+    table: &Table,
+    prep: &Preprocessed,
+    routed: Routed,
+) -> Result<u8> {
+    let first = check_code_bits(&cfg.code_bits_candidates)?;
+    if cfg.code_bits_candidates.len() == 1 {
+        return Ok(first);
+    }
+    let mut sp = ds_obs::span("code_bits");
+    let layout = plan_rows(&routed.1.labels, routed.0.n_experts(), cfg.order_free)?;
+    let mut best = (usize::MAX, first);
+    for &bits in &cfg.code_bits_candidates {
+        let s = encode_streams(table, prep, Some(routed), &layout, bits, cfg.numeric_probe)?;
+        let size = s.codes.len() + s.failures.len() + s.rare.len();
+        if size < best.0 {
+            best = (size, bits);
+        }
+    }
+    sp.add("bits", u64::from(best.1));
+    Ok(best.1)
 }
 
 impl TrainedCompressor {
@@ -200,8 +229,15 @@ impl TrainedCompressor {
         self.model.as_ref()
     }
 
+    /// The §6.2 code width every shard and batch is written at.
+    pub fn code_bits(&self) -> u8 {
+        self.code_bits
+    }
+
     /// Fits the mixture on an already-selected `sample` under
-    /// already-fitted column `plans` — the one place a model is trained.
+    /// already-fitted column `plans` — the one place a model is trained —
+    /// and then measures the code width once, on as many leading sample
+    /// rows as a shard holds.
     pub(crate) fn fit(plans: Vec<ColPlan>, sample: &Table, cfg: &DsConfig) -> Result<Self> {
         let (prep, _patches) = {
             let mut sp = ds_obs::span("apply_plans");
@@ -214,6 +250,7 @@ impl TrainedCompressor {
             model: None,
             report: TrainReport::default(),
             cfg: cfg.clone(),
+            code_bits: check_code_bits(&cfg.code_bits_candidates)?,
         };
         if prep.model_cols.is_empty() || sample.nrows() == 0 {
             return Ok(trained);
@@ -227,6 +264,14 @@ impl TrainedCompressor {
             out
         };
         cfg.truncate(&mut model);
+        let head = match cfg.shard_rows {
+            0 => sample.nrows(),
+            n => n.min(sample.nrows()),
+        };
+        let head = sample.slice_rows(0..head);
+        let (prep, _patches) = crate::preprocess::apply_plans(&head, &trained.plans)?;
+        let assigned = model.assign_with_codes(&prep.x, &prep.cat_targets, None)?;
+        trained.code_bits = choose_code_bits(cfg, &head, &prep, (&model, &assigned))?;
         trained.model = Some(model);
         trained.report = report;
         Ok(trained)
@@ -253,15 +298,13 @@ impl TrainedCompressor {
             let _sp = ds_obs::span("apply_plans");
             crate::preprocess::apply_plans(table, &self.plans)?
         };
-        let assignments = {
+        let assigned = {
             let _sp = ds_obs::span("assign");
-            match &self.model {
-                Some(m) => m.assign_by_loss(&prep.x, &prep.cat_targets)?,
-                None => vec![0; table.nrows()],
-            }
+            let assign = |m: &MoeAutoencoder| m.assign_with_codes(&prep.x, &prep.cat_targets, None);
+            self.model.as_ref().map(assign).transpose()?
         };
         let opts = MaterializeOptions {
-            code_bits_candidates: self.cfg.code_bits_candidates.clone(),
+            code_bits: self.code_bits,
             order_free: shard && self.cfg.order_free,
             omit_decoder: shard,
             numeric_probe: self.cfg.numeric_probe,
@@ -270,8 +313,7 @@ impl TrainedCompressor {
         crate::materialize::materialize_with_patches(
             table,
             &prep,
-            self.model.as_ref(),
-            &assignments,
+            self.model.as_ref().zip(assigned.as_ref()),
             &patches,
             &opts,
         )
@@ -1176,6 +1218,90 @@ mod tests {
         cfg.order_free = true;
         cfg.shard_rows = 10;
         assert!(compress(&t, &cfg).is_err());
+    }
+
+    /// The rule every shard used to apply to itself — measure each
+    /// candidate width on the shard's own rows, keep the smallest — as a
+    /// loop over the single-width encoder, for the test below.
+    fn per_shard_code_bits(trained: &TrainedCompressor, table: &Table) -> Vec<u8> {
+        let model = trained.model().expect("a model");
+        let shard_rows = trained.cfg.shard_rows;
+        (0..table.nrows())
+            .step_by(shard_rows)
+            .map(|lo| {
+                let shard = table.slice_rows(lo..(lo + shard_rows).min(table.nrows()));
+                let (prep, _) = crate::preprocess::apply_plans(&shard, &trained.plans).unwrap();
+                let assigned = model
+                    .assign_with_codes(&prep.x, &prep.cat_targets, None)
+                    .unwrap();
+                choose_code_bits(&trained.cfg, &shard, &prep, (model, &assigned)).unwrap()
+            })
+            .collect()
+    }
+
+    /// Byte pin for moving the §6.2 choice from every shard to the fit:
+    /// on small tables of the three dsbench generators, under dsbench's
+    /// configs, the width measured once on the training sample is the
+    /// width each shard would have measured for itself, so the archives
+    /// are the bytes they were. The candidate order does not decide it.
+    #[test]
+    fn the_fitted_code_width_is_the_one_every_shard_would_pick() {
+        let base = DsConfig {
+            seed: 42,
+            shard_rows: 500,
+            ..Default::default()
+        };
+        let cases = [
+            (
+                gen::monitor_like(20_000, 7),
+                DsConfig {
+                    error_threshold: 0.05,
+                    code_size: 2,
+                    n_experts: 2,
+                    lr: 6e-3,
+                    max_epochs: 10,
+                    sample_frac: 0.02,
+                    shard_rows: 8192,
+                    ..base.clone()
+                },
+            ),
+            (
+                gen::forest_like(2000, 7),
+                DsConfig {
+                    error_threshold: 0.01,
+                    code_size: 4,
+                    lr: 6e-3,
+                    max_epochs: 5,
+                    ..base.clone()
+                },
+            ),
+            (
+                gen::census_like(1500, 42),
+                DsConfig {
+                    code_size: 6,
+                    n_experts: 2,
+                    lr: 8e-3,
+                    max_epochs: 10,
+                    ..base.clone()
+                },
+            ),
+        ];
+        for (table, cfg) in cases {
+            let trained = TrainedCompressor::train(&table, &cfg).unwrap();
+            let per_shard = per_shard_code_bits(&trained, &table);
+            assert!(per_shard.len() >= 3);
+            assert!(
+                per_shard.iter().all(|&b| b == trained.code_bits()),
+                "fit chose {} bits, the shards {per_shard:?}",
+                trained.code_bits()
+            );
+            let reversed = DsConfig {
+                code_bits_candidates: vec![16, 8, 4],
+                ..cfg
+            };
+            let again = TrainedCompressor::train(&table, &reversed).unwrap();
+            assert_eq!(again.code_bits(), trained.code_bits());
+        }
     }
 
     #[test]

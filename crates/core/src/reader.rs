@@ -343,18 +343,20 @@ mod tests {
             // `compress_batch` never writes order-free storage; old
             // order-free v1 files came from a direct materialize call.
             let v1 = if order_free {
-                use crate::materialize::{materialize, MaterializeOptions};
+                use crate::materialize::{materialize_with_patches, MaterializeOptions};
                 let (prep, _) = crate::preprocess::apply_plans(&t, &trained.plans).expect("plans");
                 let model = trained.model().expect("a model");
-                let assignments = model
-                    .assign_by_loss(&prep.x, &prep.cat_targets)
+                let assigned = model
+                    .assign_with_codes(&prep.x, &prep.cat_targets, None)
                     .expect("assigns");
                 let opts = MaterializeOptions {
+                    code_bits: trained.code_bits(),
                     order_free: true,
                     omit_decoder: false,
-                    ..Default::default()
+                    numeric_probe: false,
                 };
-                materialize(&t, &prep, Some(model), &assignments, &opts).expect("materializes")
+                materialize_with_patches(&t, &prep, Some((model, &assigned)), &[], &opts)
+                    .expect("materializes")
             } else {
                 trained.compress_batch(&t).expect("compresses")
             };

@@ -30,9 +30,9 @@ use crate::{NnError, Result};
 use rand::rngs::StdRng;
 use std::ops::Range;
 
-/// Rows per task of the forward-only [`Autoencoder::loss_per_tuple`].
-/// Fixed by this constant alone; each row's loss is independent of the
-/// chunking, so the value only sets task granularity.
+/// Rows per task of the forward-only [`Autoencoder::loss_and_codes`].
+/// Fixed by this constant alone; each row's loss and code are independent
+/// of the chunking, so the value only sets task granularity.
 const LOSS_CHUNK_ROWS: usize = 256;
 
 /// Per-column output-head kind.
@@ -393,17 +393,31 @@ impl Autoencoder {
         Ok((s.grads, s.losses))
     }
 
-    /// Per-tuple loss without computing gradients (gate assignment, eval):
-    /// forward-only row chunks on the shared pool. Bit-equal to the losses
-    /// [`Autoencoder::train_pass`] returns.
+    /// Per-tuple loss without computing gradients (eval): the losses of
+    /// [`Autoencoder::loss_and_codes`].
     pub fn loss_per_tuple(&self, x: &Mat, cat_targets: &[Vec<u32>]) -> Result<Vec<f32>> {
+        Ok(self.loss_and_codes(x, cat_targets)?.0)
+    }
+
+    /// Per-tuple loss and code from one forward pass (expert assignment):
+    /// forward-only row chunks on the shared pool. The losses are bit-equal
+    /// to those [`Autoencoder::train_pass`] returns, the codes to
+    /// [`Autoencoder::encode`] — the representation layer is the same
+    /// activation either way.
+    pub fn loss_and_codes(&self, x: &Mat, cat_targets: &[Vec<u32>]) -> Result<(Vec<f32>, Mat)> {
         self.check_batch(x, cat_targets, None)?;
         let parts = ds_exec::parallel_map_chunks(x.rows(), LOSS_CHUNK_ROWS, |_, rows| {
             let mut s = TrainScratch::new(self);
             self.pass(x, cat_targets, rows, None, false, &mut s);
-            s.losses
+            (s.losses, s.enc_acts.pop().expect("encoder nonempty"))
         });
-        Ok(parts.concat())
+        let mut losses = Vec::with_capacity(x.rows());
+        let mut codes = Vec::with_capacity(x.rows() * self.spec.code_size);
+        for (l, c) in &parts {
+            losses.extend_from_slice(l);
+            codes.extend_from_slice(c.data());
+        }
+        Ok((losses, Mat::from_vec(x.rows(), self.spec.code_size, codes)))
     }
 
     /// The forward pass and loss bookkeeping over `rows` of a batch that

@@ -37,7 +37,7 @@ mod simd;
 
 pub use autoencoder::{Autoencoder, DecodedBatch, Head, ModelSpec};
 pub use mat::Mat;
-pub use moe::{train_pass_data_parallel, MoeAutoencoder, MoeConfig, TrainReport};
+pub use moe::{train_pass_data_parallel, Assignment, MoeAutoencoder, MoeConfig, TrainReport};
 
 /// Errors surfaced by model construction and weight (de)serialization.
 #[derive(Debug, Clone, PartialEq, Eq)]

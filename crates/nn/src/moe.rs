@@ -164,6 +164,29 @@ pub struct TrainReport {
     pub epochs_run: usize,
 }
 
+/// An expert per tuple and what that expert's encoder made of it
+/// ([`MoeAutoencoder::assign_with_codes`]).
+#[derive(Debug, Clone)]
+pub struct Assignment {
+    /// Per row, the expert it is stored under.
+    pub labels: Vec<usize>,
+    /// Per row, that expert's code (rows × code size, input row order).
+    pub codes: Mat,
+}
+
+impl Assignment {
+    /// The rows labelled `expert`, ascending.
+    pub fn rows_of(&self, expert: usize) -> Vec<usize> {
+        let rows = 0..self.labels.len();
+        rows.filter(|&r| self.labels[r] == expert).collect()
+    }
+
+    /// The codes of the rows labelled `expert`, in row order.
+    pub fn codes_of(&self, expert: usize) -> Mat {
+        self.codes.take_rows(&self.rows_of(expert))
+    }
+}
+
 /// One [`Gate`] forward pass over a batch.
 struct GatePass {
     h: Mat,
@@ -508,27 +531,76 @@ impl MoeAutoencoder {
         }
     }
 
-    /// Assigns each tuple to "the model with the highest accuracy for
-    /// each tuple" (§5.2) by measuring the actual reconstruction loss
-    /// under every expert. The learned gate approximates this during
-    /// training; at materialization the mapping is stored explicitly, so
-    /// the exact assignment is both available and strictly better.
-    pub fn assign_by_loss(&self, x: &Mat, cat_targets: &[Vec<u32>]) -> Result<Vec<usize>> {
-        if self.experts.len() == 1 {
-            return Ok(vec![0; x.rows()]);
+    /// Labels every tuple with an expert and returns, with the labels,
+    /// each tuple's code under its expert — the one encoder result
+    /// materialization stores, bit-equal to [`MoeAutoencoder::encode`] of
+    /// that expert over its rows.
+    ///
+    /// With `routing: None` a tuple goes to "the model with the highest
+    /// accuracy for each tuple" (§5.2), by measuring the actual
+    /// reconstruction loss under every expert (the first expert wins
+    /// ties). The learned gate approximates this during training; at
+    /// materialization the mapping is stored explicitly, so the exact
+    /// assignment is both available and strictly better. The winner's code
+    /// is the representation layer of the forward pass that measured its
+    /// loss; a single expert needs no loss, only its encoder.
+    ///
+    /// `routing: Some(labels)` keeps a partition made elsewhere (the
+    /// k-means comparator of §7.4.2) and encodes each tuple once, under
+    /// its given expert.
+    pub fn assign_with_codes(
+        &self,
+        x: &Mat,
+        cat_targets: &[Vec<u32>],
+        routing: Option<&[usize]>,
+    ) -> Result<Assignment> {
+        let n = x.rows();
+        let Some((first, rest)) = self.experts.split_first() else {
+            return Err(NnError::InvalidSpec("need at least one expert"));
+        };
+        if let Some(labels) = routing {
+            if labels.len() != n || labels.iter().any(|&e| e >= self.experts.len()) {
+                return Err(NnError::InvalidSpec("routing must name one expert per row"));
+            }
+            let mut routed = Assignment {
+                labels: labels.to_vec(),
+                codes: Mat::zeros(n, first.spec().code_size),
+            };
+            for (e, expert) in self.experts.iter().enumerate() {
+                let rows = routed.rows_of(e);
+                let own = expert.encode(&x.take_rows(&rows))?;
+                for (b, &r) in rows.iter().enumerate() {
+                    routed.codes.row_mut(r).copy_from_slice(own.row(b));
+                }
+            }
+            return Ok(routed);
         }
-        let mut best = vec![0usize; x.rows()];
-        let mut best_loss = vec![f32::INFINITY; x.rows()];
+        let mut labels = vec![0usize; n];
+        if rest.is_empty() {
+            let codes = first.encode(x)?;
+            return Ok(Assignment { labels, codes });
+        }
+        // Rows start with the first expert and its code; a later expert
+        // takes a row only by a strictly smaller loss, so a row whose
+        // losses are all NaN stays where it started.
+        let mut best_loss = vec![f32::INFINITY; n];
+        let mut codes = Mat::zeros(0, 0);
         for (e, expert) in self.experts.iter().enumerate() {
-            let losses = expert.loss_per_tuple(x, cat_targets)?;
+            let (losses, own) = expert.loss_and_codes(x, cat_targets)?;
             for (r, &l) in losses.iter().enumerate() {
                 if l < best_loss[r] {
                     best_loss[r] = l;
-                    best[r] = e;
+                    labels[r] = e;
+                    if e > 0 {
+                        codes.row_mut(r).copy_from_slice(own.row(r));
+                    }
                 }
             }
+            if e == 0 {
+                codes = own;
+            }
         }
-        Ok(best)
+        Ok(Assignment { labels, codes })
     }
 
     /// Encodes rows with the given expert.

@@ -88,8 +88,8 @@ proptest! {
 
     /// The forward-only `loss_per_tuple` (row chunks on the pool, ragged
     /// last chunk included) must return exactly the losses the training
-    /// pass reports, and `assign_by_loss` exactly their per-row argmin
-    /// (first expert wins ties).
+    /// pass reports, and `assign_with_codes` label each row with exactly
+    /// their per-row argmin (first expert wins ties).
     #[test]
     fn forward_only_loss_matches_train_pass(
         kinds in proptest::collection::vec(0u8..7, 1..7),
@@ -117,7 +117,8 @@ proptest! {
         }
         let want: Vec<usize> = best.iter().map(|&(_, e)| e).collect();
         let model = MoeAutoencoder::from_experts(experts);
-        prop_assert_eq!(model.assign_by_loss(&x, &cat_targets).expect("assign"), want);
+        let got = model.assign_with_codes(&x, &cat_targets, None).expect("assign");
+        prop_assert_eq!(got.labels, want);
     }
 }
 
@@ -255,11 +256,81 @@ fn moe_training_thread_and_simd_invariant() {
                 }
             }
             assert_eq!(m1.assign(&x), m2.assign(&x), "{n_experts} experts, {what}");
-            assert_eq!(
-                m1.assign_by_loss(&x, &cat_targets).expect("assign"),
-                m2.assign_by_loss(&x, &cat_targets).expect("assign"),
-                "{n_experts} experts, {what}"
-            );
+            let by_loss = |m: &MoeAutoencoder| {
+                let a = m.assign_with_codes(&x, &cat_targets, None).expect("assign");
+                (a.labels, bits(&a.codes))
+            };
+            assert_eq!(by_loss(&m1), by_loss(m2), "{n_experts} experts, {what}");
         }
     }
+}
+
+/// The codes `assign_with_codes` hands to materialization are the stored
+/// encoder's output and nothing else: for 1, 2 and 3 experts, each
+/// expert's rows carry bit for bit what `encode` makes of those rows
+/// gathered, at every thread limit and on the scalar kernels; the labels
+/// are the per-row loss argmin (first expert wins ties); and a routing
+/// made elsewhere is kept as given and encoded the same way. Rows span
+/// several 256-row forward chunks with a ragged last one.
+#[test]
+fn assigned_codes_are_the_labelled_experts_encode() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let (spec, x, cat_targets) = mixed_batch(&[0, 3, 1, 0, 5, 0], 700, &mut rng);
+    for n_experts in [1usize, 2, 3] {
+        let experts: Vec<Autoencoder> = (0..n_experts)
+            .map(|_| Autoencoder::new(spec.clone(), &mut rng).expect("valid spec"))
+            .collect();
+        let mut best = vec![(f32::INFINITY, 0usize); x.rows()];
+        for (e, expert) in experts.iter().enumerate() {
+            let losses = expert.loss_per_tuple(&x, &cat_targets).expect("losses");
+            for (slot, &l) in best.iter_mut().zip(&losses) {
+                if l < slot.0 {
+                    *slot = (l, e);
+                }
+            }
+        }
+        let argmin: Vec<usize> = best.iter().map(|&(_, e)| e).collect();
+        let model = MoeAutoencoder::from_experts(experts);
+        let round_robin: Vec<usize> = (0..x.rows()).map(|r| r % n_experts).collect();
+
+        let check = |what: &str| {
+            for routing in [None, Some(&round_robin[..])] {
+                let got = model
+                    .assign_with_codes(&x, &cat_targets, routing)
+                    .expect("assigns");
+                assert_eq!(
+                    got.labels,
+                    routing.map_or(argmin.clone(), <[usize]>::to_vec),
+                    "{n_experts} experts, {what}"
+                );
+                assert_eq!((got.codes.rows(), got.codes.cols()), (x.rows(), 2));
+                for e in 0..n_experts {
+                    let rows: Vec<usize> = (0..x.rows()).filter(|&r| got.labels[r] == e).collect();
+                    assert_eq!(got.rows_of(e), rows);
+                    let want = model.encode(e, &x.take_rows(&rows)).expect("encodes");
+                    assert_eq!(
+                        bits(&got.codes_of(e)),
+                        bits(&want),
+                        "{n_experts} experts, expert {e}, {what}, routed {}",
+                        routing.is_some()
+                    );
+                }
+            }
+        };
+        for limit in [1usize, 2, 8] {
+            ds_exec::with_thread_limit(limit, || check(&format!("{limit} threads")));
+        }
+        ds_simd::with_level(ds_simd::Level::Scalar, || check("scalar kernels"));
+    }
+    // A routing that is short or names no expert is refused.
+    let model = MoeAutoencoder::from_experts(vec![
+        Autoencoder::new(spec.clone(), &mut rng).expect("valid spec")
+    ]);
+    assert!(model
+        .assign_with_codes(&x, &cat_targets, Some(&[0]))
+        .is_err());
+    let beyond = vec![1usize; x.rows()];
+    assert!(model
+        .assign_with_codes(&x, &cat_targets, Some(&beyond))
+        .is_err());
 }

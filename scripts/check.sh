@@ -36,6 +36,15 @@ if sed -s '/^#\[cfg(test)\]/,$d' crates/table/src/column.rs crates/table/src/tab
   exit 1
 fi
 
+# One code width per archive, measured at fit (pipeline.rs): the shard
+# encoder is straight-line and may not grow the per-shard candidate loop
+# — or the tuple type it needed — back.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/materialize.rs \
+  | grep -nE 'type_complexity|code_bits_candidates'; then
+  echo "materialize.rs chooses among code widths again (the fit does that, once)"
+  exit 1
+fi
+
 # First among the test steps: benchmark/ may not be edited by a PR that
 # claims a gain, so an API break that would force an edit there should
 # fail in seconds, not after the workspace suites.
@@ -61,6 +70,8 @@ if [ "$mode" = "full" ]; then
   ./target/release/dsqz compress "$smoke_dir/s.csv" "$smoke_dir/s.stream.dsqz" \
     --epochs 3 --stream --shard-rows 50 --chunk-rows 33 --quiet
   cmp "$smoke_dir/s.dsqz" "$smoke_dir/s.stream.dsqz"
+  ./target/release/dsqz inspect "$smoke_dir/s.dsqz" \
+    | grep -qE '^model: 1 expert\(s\), code size [0-9]+ × (4|8|16) bits$'
   ./target/release/dsqz recompress "$smoke_dir/s.csv" "$smoke_dir/s.re.dsqz" \
     --epochs 3 --shard-rows 50 --quiet
   cmp "$smoke_dir/s.dsqz" "$smoke_dir/s.re.dsqz"
