@@ -32,18 +32,37 @@ impl Default for AdamConfig {
 /// subnormal (see [`crate::dense::GRAD_FLOOR`] for why that matters).
 const MOMENT_FLOOR: f32 = 1e-30;
 
-/// One parameter's moment update: returns the new `(m, v)` for gradient
-/// `g`, with `g` floored at `GRAD_FLOOR` and the moments at
-/// [`MOMENT_FLOOR`].
-#[inline]
-fn update_moments(m: f32, v: f32, g: f32, cfg: &AdamConfig) -> (f32, f32) {
-    let g = flush(g);
-    let m = cfg.beta1 * m + (1.0 - cfg.beta1) * g;
-    let v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g;
-    (
-        if m.abs() < MOMENT_FLOOR { 0.0 } else { m },
-        if v < MOMENT_FLOOR { 0.0 } else { v },
-    )
+/// One Adam step over a parameter slice `w` with gradient `g` and moments
+/// `m`, `v`; `bc` holds this time step's two bias corrections. `g` is
+/// floored at `GRAD_FLOOR` and the moments at [`MOMENT_FLOOR`].
+///
+/// Straight-line per element — the floors are selects, and `/` and
+/// `sqrt` are correctly rounded at any vector width — so the loop
+/// vectorizes without changing a bit of any parameter.
+fn update(
+    w: &mut [f32],
+    g: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    cfg: &AdamConfig,
+    bc: (f32, f32),
+) {
+    assert!(
+        g.len() == w.len() && m.len() == w.len() && v.len() == w.len(),
+        "Adam shape mismatch"
+    );
+    let (b1, b2) = (cfg.beta1, cfg.beta2);
+    let (c1, c2) = (1.0 - b1, 1.0 - b2);
+    for (((w, &g), m), v) in w.iter_mut().zip(g).zip(m.iter_mut()).zip(v.iter_mut()) {
+        let g = flush(g);
+        let mt = b1 * *m + c1 * g;
+        let vt = b2 * *v + c2 * g * g;
+        let mt = if mt.abs() < MOMENT_FLOOR { 0.0 } else { mt };
+        let vt = if vt < MOMENT_FLOOR { 0.0 } else { vt };
+        *m = mt;
+        *v = vt;
+        *w -= cfg.lr * (mt / bc.0) / ((vt / bc.1).sqrt() + cfg.eps);
+    }
 }
 
 /// Optimizer state for one [`Dense`] layer.
@@ -81,23 +100,16 @@ impl AdamState {
         self.t += 1;
         let bc1 = 1.0 - cfg.beta1.powi(self.t as i32);
         let bc2 = 1.0 - cfg.beta2.powi(self.t as i32);
-
-        let w = layer.w.data_mut();
-        let g = grad.dw.data();
-        let m = self.mw.data_mut();
-        let v = self.vw.data_mut();
-        for i in 0..w.len() {
-            (m[i], v[i]) = update_moments(m[i], v[i], g[i], cfg);
-            let mhat = m[i] / bc1;
-            let vhat = v[i] / bc2;
-            w[i] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
-        }
-        for i in 0..layer.b.len() {
-            (self.mb[i], self.vb[i]) = update_moments(self.mb[i], self.vb[i], grad.db[i], cfg);
-            let mhat = self.mb[i] / bc1;
-            let vhat = self.vb[i] / bc2;
-            layer.b[i] -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
-        }
+        let (w, mw, vw) = (layer.w.data_mut(), self.mw.data_mut(), self.vw.data_mut());
+        update(w, grad.dw.data(), mw, vw, cfg, (bc1, bc2));
+        update(
+            &mut layer.b,
+            &grad.db,
+            &mut self.mb,
+            &mut self.vb,
+            cfg,
+            (bc1, bc2),
+        );
     }
 }
 

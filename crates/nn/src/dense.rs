@@ -34,10 +34,9 @@ impl Activation {
         match self {
             Activation::Identity => {}
             Activation::Relu => {
+                // A select, not a conditional store, so the loop vectorizes.
                 for (g, &v) in grad.data_mut().iter_mut().zip(y.data()) {
-                    if v <= 0.0 {
-                        *g = 0.0;
-                    }
+                    *g = if v <= 0.0 { 0.0 } else { *g };
                 }
             }
             Activation::Sigmoid => {

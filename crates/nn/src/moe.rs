@@ -121,6 +121,81 @@ impl ExpertSlot {
     }
 }
 
+/// What the gate's optimizer task of a minibatch step owns: the gate, its
+/// Adam state, this batch's forward pass and the backward buffers — all
+/// sized once per `train` call, so the step allocates nothing on a worker.
+/// Nothing here is touched by an expert's task.
+struct GateSlot {
+    gate: Gate,
+    adam: (AdamState, AdamState),
+    /// The batch's forward pass; its probabilities weight the experts.
+    pass: GatePass,
+    dlogits: Mat,
+    dh: Mat,
+    grads: (DenseGrad, DenseGrad),
+}
+
+impl GateSlot {
+    fn new(gate: Gate, batch_rows: usize) -> Self {
+        let (l1, l2) = (&gate.l1, &gate.l2);
+        let grad = |l: &Dense| DenseGrad {
+            dw: Mat::zeros(l.input_dim(), l.output_dim()),
+            db: vec![0.0; l.output_dim()],
+        };
+        GateSlot {
+            adam: (AdamState::for_layer(l1), AdamState::for_layer(l2)),
+            pass: GatePass {
+                h: Mat::zeros(batch_rows, l1.output_dim()),
+                logits: Mat::zeros(batch_rows, l2.output_dim()),
+                probs: Mat::zeros(batch_rows, l2.output_dim()),
+            },
+            dlogits: Mat::zeros(batch_rows, l2.output_dim()),
+            dh: Mat::zeros(batch_rows, l1.output_dim()),
+            grads: (grad(l1), grad(l2)),
+            gate,
+        }
+    }
+
+    /// One gradient step of the gate on the batch `x` whose forward pass
+    /// `self.pass` holds: given per-tuple per-expert losses `losses`
+    /// (B × E), minimize Σ gₑ·Lₑ.
+    fn step(&mut self, x: &Mat, losses: &Mat, cfg: &AdamConfig) {
+        let GateSlot {
+            gate,
+            adam,
+            pass,
+            dlogits,
+            dh,
+            grads,
+        } = self;
+        let g = &pass.probs;
+        let (b, e) = (g.rows(), g.cols());
+        // d(Σ g·L)/d logits = g ⊙ (L − Σ g·L) per row (softmax Jacobian).
+        dlogits.reset(b, e);
+        for r in 0..b {
+            let mut mean = 0.0;
+            for c in 0..e {
+                mean += g.get(r, c) * losses.get(r, c);
+            }
+            for c in 0..e {
+                dlogits.set(r, c, g.get(r, c) * (losses.get(r, c) - mean));
+            }
+        }
+        gate.l2
+            .backward_into(&pass.h, &pass.logits, dlogits, Some(dh), &mut grads.1);
+        gate.l1.backward_into(x, &pass.h, dh, None, &mut grads.0);
+        adam.0.step(&mut gate.l1, &grads.0, cfg);
+        adam.1.step(&mut gate.l2, &grads.1, cfg);
+    }
+}
+
+/// One optimizer task of a minibatch step. The state each variant borrows
+/// is disjoint from every other task's, so they run side by side.
+enum StepTask<'a> {
+    Expert(&'a mut ExpertSlot),
+    Gate(&'a mut GateSlot),
+}
+
 /// Training hyperparameters for the mixture.
 #[derive(Debug, Clone)]
 pub struct MoeConfig {
@@ -211,17 +286,24 @@ impl Gate {
         }
     }
 
-    /// Forward pass keeping what [`Gate::train_step`] needs back.
-    fn forward(&self, x: &Mat) -> GatePass {
-        let h = self.l1.forward(x);
-        let logits = self.l2.forward(&h);
-        let probs = softmax_rows(&logits);
-        GatePass { h, logits, probs }
+    /// Forward pass into `pass`, keeping what [`GateSlot::step`] needs
+    /// back.
+    fn forward_into(&self, x: &Mat, pass: &mut GatePass) {
+        self.l1.forward_into(x, &mut pass.h);
+        self.l2.forward_into(&pass.h, &mut pass.logits);
+        softmax_rows_into(&pass.logits, &mut pass.probs);
     }
 
     /// Softmax expert probabilities for a batch (B × E).
     pub fn probabilities(&self, x: &Mat) -> Mat {
-        self.forward(x).probs
+        let empty = || Mat::zeros(0, 0);
+        let mut pass = GatePass {
+            h: empty(),
+            logits: empty(),
+            probs: empty(),
+        };
+        self.forward_into(x, &mut pass);
+        pass.probs
     }
 
     /// Hard argmax assignment per tuple.
@@ -235,38 +317,6 @@ impl Gate {
                     .expect("at least one expert")
             })
             .collect()
-    }
-
-    /// One gradient step: given per-tuple per-expert losses `l` (B × E)
-    /// and this batch's forward pass, minimize Σ gₑ·Lₑ.
-    fn train_step(
-        &mut self,
-        x: &Mat,
-        pass: &GatePass,
-        losses: &Mat,
-        states: &mut (AdamState, AdamState),
-        cfg: &AdamConfig,
-    ) {
-        let g = &pass.probs;
-        let (b, e) = (g.rows(), g.cols());
-        // d(Σ g·L)/d logits = g ⊙ (L − Σ g·L) per row (softmax Jacobian).
-        let mut dlogits = Mat::zeros(b, e);
-        for r in 0..b {
-            let mut mean = 0.0;
-            for c in 0..e {
-                mean += g.get(r, c) * losses.get(r, c);
-            }
-            for c in 0..e {
-                dlogits.set(r, c, g.get(r, c) * (losses.get(r, c) - mean));
-            }
-        }
-        let mut dh = Mat::zeros(0, 0);
-        let (mut g1, mut g2) = (DenseGrad::empty(), DenseGrad::empty());
-        self.l2
-            .backward_into(&pass.h, &pass.logits, &mut dlogits, Some(&mut dh), &mut g2);
-        self.l1.backward_into(x, &pass.h, &mut dh, None, &mut g1);
-        states.0.step(&mut self.l1, &g1, cfg);
-        states.1.step(&mut self.l2, &g2, cfg);
     }
 }
 
@@ -298,24 +348,21 @@ impl MoeAutoencoder {
             .map(|_| Autoencoder::new(spec.clone(), &mut rng))
             .collect::<Result<_>>()?;
         experts[0].check_batch(x, cat_targets, None)?;
-        let mut gate = if cfg.n_experts > 1 {
-            Some(Gate::new(spec.input_dim(), cfg.n_experts, &mut rng))
-        } else {
-            None
-        };
+        let n = x.rows();
+        let batch_rows = cfg.batch_size.min(n);
+        let mut gate_slot = (cfg.n_experts > 1).then(|| {
+            let gate = Gate::new(spec.input_dim(), cfg.n_experts, &mut rng);
+            GateSlot::new(gate, batch_rows)
+        });
 
         let mut adam_cfg = AdamConfig {
             lr: cfg.lr,
             ..Default::default()
         };
-        let mut gate_states = gate
-            .as_ref()
-            .map(|g| (AdamState::for_layer(&g.l1), AdamState::for_layer(&g.l2)));
 
-        let n = x.rows();
         // One scratch per (expert, row-chunk) gradient task of a minibatch,
         // allocated once and reused by every step.
-        let max_chunks = ds_exec::chunk_count(cfg.batch_size.min(n), GRAD_CHUNK_ROWS);
+        let max_chunks = ds_exec::chunk_count(batch_rows, GRAD_CHUNK_ROWS);
         let mut work: Vec<TrainScratch> = (0..experts.len() * max_chunks)
             .map(|_| TrainScratch::new(&experts[0]))
             .collect();
@@ -333,6 +380,8 @@ impl MoeAutoencoder {
             })
             .collect();
 
+        // Per-tuple per-expert losses of a step (B × E), read by the gate.
+        let mut loss_mat = Mat::zeros(batch_rows, slots.len());
         let mut order: Vec<usize> = (0..n).collect();
         let mut report = TrainReport::default();
         let mut prev_loss = f32::MAX;
@@ -359,10 +408,12 @@ impl MoeAutoencoder {
                     .map(|t| chunk.iter().map(|&i| t[i]).collect())
                     .collect();
 
-                let gate_pass = gate.as_ref().map(|gate| gate.forward(&xb));
+                if let Some(gs) = gate_slot.as_mut() {
+                    gs.gate.forward_into(&xb, &mut gs.pass);
+                }
                 let ones;
-                let g = match &gate_pass {
-                    Some(pass) => &pass.probs,
+                let g = match &gate_slot {
+                    Some(gs) => &gs.pass.probs,
                     None => {
                         ones = Mat::from_vec(xb.rows(), 1, vec![1.0; xb.rows()]);
                         &ones
@@ -419,32 +470,36 @@ impl MoeAutoencoder {
                         &mut s[0],
                     );
                 });
-                // Reduce → clip → Adam touches one expert only: one task
-                // per expert, chunks reduced in ascending order inside it.
-                let max_norm = 5.0 * rows as f32;
-                ds_exec::parallel_chunks_mut(&mut slots, 1, |e, _, slot| {
-                    slot[0].step(&live[e * n_chunks..(e + 1) * n_chunks], max_norm, &adam_cfg);
-                });
-
                 // Folded here, in (expert, row) order, so the f64 sums and
                 // the ds-obs series do not depend on task scheduling.
-                let mut loss_mat = Mat::zeros(rows, slots.len());
-                for (e, slot) in slots.iter().enumerate() {
+                loss_mat.reset(rows, slots.len());
+                for e in 0..slots.len() {
                     let chunks = &live[e * n_chunks..(e + 1) * n_chunks];
                     for (r, &l) in chunks.iter().flat_map(|s| &s.losses).enumerate() {
                         loss_mat.set(r, e, l);
                         epoch_loss += f64::from(g.get(r, e) * l);
                     }
-                    if obs_on {
+                }
+                // Reduce → clip → Adam touches one expert only (chunks
+                // reduced in ascending order inside its task), and the gate
+                // step only the gate: one task each, side by side.
+                let max_norm = 5.0 * rows as f32;
+                let mut tasks: Vec<StepTask> = slots
+                    .iter_mut()
+                    .map(StepTask::Expert)
+                    .chain(gate_slot.as_mut().map(StepTask::Gate))
+                    .collect();
+                ds_exec::parallel_chunks_mut(&mut tasks, 1, |e, _, task| match &mut task[0] {
+                    StepTask::Expert(slot) => {
+                        slot.step(&live[e * n_chunks..(e + 1) * n_chunks], max_norm, &adam_cfg)
+                    }
+                    StepTask::Gate(gs) => gs.step(&xb, &loss_mat, &adam_cfg),
+                });
+                if obs_on {
+                    for slot in &slots {
                         grad_norm_sum += f64::from(slot.grad_norm);
                         grad_norm_n += 1;
                     }
-                }
-
-                if let (Some(gate), Some(pass), Some(states)) =
-                    (gate.as_mut(), &gate_pass, gate_states.as_mut())
-                {
-                    gate.train_step(&xb, pass, &loss_mat, states, &adam_cfg);
                 }
             }
 
@@ -481,6 +536,7 @@ impl MoeAutoencoder {
         }
 
         let experts = slots.into_iter().map(|s| s.model).collect();
+        let gate = gate_slot.map(|gs| gs.gate);
         Ok((MoeAutoencoder { experts, gate }, report))
     }
 
@@ -662,8 +718,9 @@ fn clip_grads(grads: &mut [crate::dense::DenseGrad], max_norm: f32) -> f32 {
     norm
 }
 
-fn softmax_rows(logits: &Mat) -> Mat {
-    let mut out = Mat::zeros(logits.rows(), logits.cols());
+/// Row-wise softmax of `logits` into `out` (reshaped to fit).
+fn softmax_rows_into(logits: &Mat, out: &mut Mat) {
+    out.reset(logits.rows(), logits.cols());
     for r in 0..logits.rows() {
         let row = logits.row(r);
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -677,7 +734,6 @@ fn softmax_rows(logits: &Mat) -> Mat {
             out.set(r, c, out.get(r, c) / sum);
         }
     }
-    out
 }
 
 #[cfg(test)]

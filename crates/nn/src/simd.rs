@@ -16,8 +16,14 @@
 //!   terms `p ≡ l (mod 8)` in ascending `p` — then reduces through the
 //!   pinned tree in [`reduce_lanes`]. The scalar fallback implements the
 //!   same 8 lanes and the same tree, making this schedule the reference
-//!   semantics; AVX2 maps it onto one 256-bit register, NEON onto two
-//!   128-bit ones, neither changing a single operation.
+//!   semantics; AVX2 maps a dot's lanes onto one 256-bit register (eight
+//!   dots in flight, or one register per lane across eight output
+//!   columns when `k` is short), NEON onto two 128-bit ones, neither
+//!   changing a single operation.
+//!
+//! The AVX2 kernels also choose register shapes by the product's shape
+//! (`k`, `n`); every shape runs the schedule above, so the choice never
+//! changes a bit either (DESIGN.md §3f, "Register shapes").
 //!
 //! Dispatch reads a [`Level`] chosen by the *caller* (`mat.rs` resolves
 //! `ds_simd::active()` once per public entry point, before any `ds-exec`
@@ -88,9 +94,10 @@ fn matmul_rows_scalar(a: &[f32], b: &[f32], k: usize, n: usize, row0: usize, out
             let a3 = &a[(row0 + i + 3) * k..(row0 + i + 4) * k];
             for p in kb..kend {
                 let (c0, c1, c2, c3) = (a0[p], a1[p], a2[p], a3[p]);
-                // Adding a `±0.0 · b` term is an exact no-op for finite
-                // `b`, so this skip cannot change results — it only
-                // exploits ReLU sparsity, like the scalar kernel's skip.
+                // Skipping is *not* a no-op in IEEE: `-0.0 + (+0.0 · b)`
+                // is `+0.0`, and `0.0 · ∞` is NaN. The skip exploits ReLU
+                // sparsity, so the predicate is part of the schedule
+                // (DESIGN.md §3f) and every level evaluates it identically.
                 if c0 == 0.0 && c1 == 0.0 && c2 == 0.0 && c3 == 0.0 {
                     continue;
                 }
@@ -141,6 +148,10 @@ unsafe fn matmul_rows_avx2(
 ) {
     use std::arch::x86_64::*;
     let r = out_rows.len() / n;
+    // Packed-coefficient buffers, filled per quad/panel below; entries
+    // past `live` are never read, so one zeroing per call suffices.
+    let mut coef = [0.0f32; 4 * KC];
+    let mut boff = [0usize; KC];
     let mut kb = 0;
     while kb < k {
         let kend = (kb + KC).min(k);
@@ -160,8 +171,6 @@ unsafe fn matmul_rows_avx2(
             // offsets) contiguously. The same p's are skipped as in the
             // scalar schedule — only the redundant re-evaluation per
             // j-block goes away.
-            let mut coef = [0.0f32; 4 * KC];
-            let mut boff = [0usize; KC];
             let mut live = 0usize;
             for p in kb..kend {
                 let (c0, c1, c2, c3) = (a0[p], a1[p], a2[p], a3[p]);
@@ -489,6 +498,29 @@ fn matmul_t_rows_scalar(
     }
 }
 
+/// Depths below this take the transposed narrow path of
+/// `matmul_t_rows_avx2`: every lane holds at most two terms, so a
+/// per-element dot would spend more on its reduction than on its terms.
+#[cfg(target_arch = "x86_64")]
+const NARROW_K: usize = 2 * ds_simd::LANE_GROUP;
+
+/// Output columns per transposed `B` panel of the narrow path.
+#[cfg(target_arch = "x86_64")]
+const NARROW_COLS: usize = 64;
+
+/// AVX2 [`matmul_t_rows`]. Two register shapes, one schedule:
+///
+/// * `k ≥ NARROW_K`: a 4-row × 2-column output tile keeps eight
+///   independent lane-group accumulators in flight (the dependent add
+///   chain of a single dot is what bounded the kernel), then closes all
+///   eight through the pinned tree at once ([`reduce8_avx2`]).
+/// * `k < NARROW_K`: `B` is transposed once per panel, so eight output
+///   columns share each broadcast `a[i][p]`; lane `l` of the schedule
+///   becomes a whole register of eight columns' lane-`l` partials, and the
+///   tree becomes elementwise vector adds.
+///
+/// # Safety
+/// The host must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn matmul_t_rows_avx2(
@@ -500,31 +532,234 @@ unsafe fn matmul_t_rows_avx2(
     out_rows: &mut [f32],
 ) {
     use std::arch::x86_64::*;
+    if k < NARROW_K {
+        matmul_t_narrow_avx2(a, b, k, n, row0, out_rows);
+        return;
+    }
     let r = out_rows.len() / n;
     let full = k - k % 8;
-    for j in 0..n {
-        let b_row = &b[j * k..(j + 1) * k];
-        for i in 0..r {
-            let a_row = &a[(row0 + i) * k..(row0 + i + 1) * k];
-            // Lane l of `acc` is exactly `lanes[l]` of the scalar
-            // schedule: the lanewise mul+add touches each partial sum
-            // with the same rounded ops in the same ascending-p order.
-            let mut acc = _mm256_setzero_ps();
+    let tail = tail_mask_avx2(k - full);
+    let mut i = 0;
+    while i + 4 <= r {
+        // Whole rows are sliced (bounds-checked) before their pointers are
+        // taken: every load below stays inside them.
+        let ap: [*const f32; 4] = std::array::from_fn(|ii| a[(row0 + i + ii) * k..][..k].as_ptr());
+        let mut j = 0;
+        while j + 2 <= n {
+            let bp = [b[j * k..][..k].as_ptr(), b[(j + 1) * k..][..k].as_ptr()];
+            // acc[ii + 4·jj] is the lane vector of output (i+ii, j+jj):
+            // lane l accumulates p ≡ l (mod 8) ascending, exactly
+            // `dot_lanes_scalar`'s lanes.
+            let mut acc = [_mm256_setzero_ps(); 8];
             let mut p = 0;
             while p < full {
-                let av = _mm256_loadu_ps(a_row.as_ptr().add(p));
-                let xv = _mm256_loadu_ps(b_row.as_ptr().add(p));
-                acc = _mm256_add_ps(acc, _mm256_mul_ps(av, xv));
+                let x0 = _mm256_loadu_ps(bp[0].add(p));
+                let x1 = _mm256_loadu_ps(bp[1].add(p));
+                for ii in 0..4 {
+                    let av = _mm256_loadu_ps(ap[ii].add(p));
+                    acc[ii] = _mm256_add_ps(acc[ii], _mm256_mul_ps(av, x0));
+                    acc[ii + 4] = _mm256_add_ps(acc[ii + 4], _mm256_mul_ps(av, x1));
+                }
                 p += 8;
             }
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-            for l in 0..(k - full) {
-                lanes[l] += a_row[full + l] * b_row[full + l];
+            if let Some(mask) = tail {
+                // The k % 8 tail terms land in lanes 0..k%8; the blend
+                // leaves every other lane untouched (never `+ 0.0`).
+                let live = _mm256_castsi256_ps(mask);
+                let x0 = _mm256_maskload_ps(bp[0].add(full), mask);
+                let x1 = _mm256_maskload_ps(bp[1].add(full), mask);
+                for ii in 0..4 {
+                    let av = _mm256_maskload_ps(ap[ii].add(full), mask);
+                    let s0 = _mm256_add_ps(acc[ii], _mm256_mul_ps(av, x0));
+                    let s1 = _mm256_add_ps(acc[ii + 4], _mm256_mul_ps(av, x1));
+                    acc[ii] = _mm256_blendv_ps(acc[ii], s0, live);
+                    acc[ii + 4] = _mm256_blendv_ps(acc[ii + 4], s1, live);
+                }
             }
-            out_rows[i * n + j] = reduce_lanes(lanes);
+            let mut sums = [0.0f32; 8];
+            _mm256_storeu_ps(sums.as_mut_ptr(), reduce8_avx2(acc));
+            for ii in 0..4 {
+                out_rows[(i + ii) * n + j] = sums[ii];
+                out_rows[(i + ii) * n + j + 1] = sums[ii + 4];
+            }
+            j += 2;
         }
+        if j < n {
+            for ii in 0..4 {
+                out_rows[(i + ii) * n + j] =
+                    dot_avx2(&a[(row0 + i + ii) * k..][..k], &b[j * k..][..k]);
+            }
+        }
+        i += 4;
     }
+    while i < r {
+        let a_row = &a[(row0 + i) * k..][..k];
+        for j in 0..n {
+            out_rows[i * n + j] = dot_avx2(a_row, &b[j * k..][..k]);
+        }
+        i += 1;
+    }
+}
+
+/// The `k < NARROW_K` shape of [`matmul_t_rows_avx2`].
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_t_narrow_avx2(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    row0: usize,
+    out_rows: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    debug_assert!(k < NARROW_K);
+    let r = out_rows.len() / n;
+    // bt[p·NARROW_COLS + jj] = b[jb + jj][p]. The 8 columns past a short
+    // panel's end hold zeros or an earlier panel's values; their results
+    // are computed and discarded.
+    let mut bt = [0.0f32; NARROW_K * NARROW_COLS + 8];
+    let mut jb = 0;
+    while jb < n {
+        let nb = (n - jb).min(NARROW_COLS);
+        for jj in 0..nb {
+            let b_row = &b[(jb + jj) * k..][..k];
+            for (p, &v) in b_row.iter().enumerate() {
+                bt[p * NARROW_COLS + jj] = v;
+            }
+        }
+        for i in 0..r {
+            let a_row = &a[(row0 + i) * k..][..k];
+            let o_row = &mut out_rows[i * n + jb..][..nb];
+            let mut jj = 0;
+            while jj < nb {
+                let col = bt.as_ptr().add(jj);
+                let zero = _mm256_setzero_ps();
+                // lane[l]: eight columns' lane-l partial sums, the terms
+                // p = l and p = l + 8 in that order when they exist.
+                let mut lane = [zero; 8];
+                for (l, acc) in lane.iter_mut().enumerate() {
+                    if l < k {
+                        let t = _mm256_mul_ps(
+                            _mm256_set1_ps(a_row[l]),
+                            _mm256_loadu_ps(col.add(l * NARROW_COLS)),
+                        );
+                        *acc = _mm256_add_ps(*acc, t);
+                    }
+                    if l + 8 < k {
+                        let p = l + 8;
+                        let t = _mm256_mul_ps(
+                            _mm256_set1_ps(a_row[p]),
+                            _mm256_loadu_ps(col.add(p * NARROW_COLS)),
+                        );
+                        *acc = _mm256_add_ps(*acc, t);
+                    }
+                }
+                let q0 = _mm256_add_ps(lane[0], lane[4]);
+                let q1 = _mm256_add_ps(lane[1], lane[5]);
+                let q2 = _mm256_add_ps(lane[2], lane[6]);
+                let q3 = _mm256_add_ps(lane[3], lane[7]);
+                let s = _mm256_add_ps(_mm256_add_ps(q0, q2), _mm256_add_ps(q1, q3));
+                let mut sums = [0.0f32; 8];
+                _mm256_storeu_ps(sums.as_mut_ptr(), s);
+                let w = (nb - jj).min(8);
+                o_row[jj..jj + w].copy_from_slice(&sums[..w]);
+                jj += 8;
+            }
+        }
+        jb += nb;
+    }
+}
+
+/// One lane-group dot at AVX2 width — the remainder rows and column of
+/// the 4×2 tile. Lane l of `acc` is exactly `lanes[l]` of the scalar
+/// schedule.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn dot_avx2(a_row: &[f32], b_row: &[f32]) -> f32 {
+    use std::arch::x86_64::*;
+    let k = a_row.len().min(b_row.len());
+    let full = k - k % 8;
+    let mut acc = _mm256_setzero_ps();
+    let mut p = 0;
+    while p < full {
+        let av = _mm256_loadu_ps(a_row.as_ptr().add(p));
+        let xv = _mm256_loadu_ps(b_row.as_ptr().add(p));
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(av, xv));
+        p += 8;
+    }
+    let mut lanes = [0.0f32; 8];
+    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+    for l in 0..(k - full) {
+        lanes[l] += a_row[full + l] * b_row[full + l];
+    }
+    reduce_lanes(lanes)
+}
+
+/// Mask selecting lanes `0..t`, or `None` when no vector is partial
+/// (`t` is 0 or 8).
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tail_mask_avx2(t: usize) -> Option<std::arch::x86_64::__m256i> {
+    use std::arch::x86_64::*;
+    const ONES: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+    (0 < t && t < 8).then(|| _mm256_loadu_si256(ONES[8 - t..].as_ptr().cast()))
+}
+
+/// [`reduce_lanes`] of eight lane vectors at once: lane `t` of the result
+/// is `reduce_lanes(v[t])`, through the same five adds in the same
+/// association (`l0+l4` … as a 128-bit half add, then `q0+q2` / `q1+q3`,
+/// then their sum), with the lanes transposed by shuffles instead of
+/// extracted one vector at a time.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn reduce8_avx2(v: [std::arch::x86_64::__m256; 8]) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    // [q(x) | q(y)] with q(x) = [x0+x4, x1+x5, x2+x6, x3+x7]; pairing v_t
+    // with v_{t+4} makes the result come out in order [v0 … v7].
+    let q04 = _mm256_add_ps(
+        _mm256_permute2f128_ps(v[0], v[4], 0x20),
+        _mm256_permute2f128_ps(v[0], v[4], 0x31),
+    );
+    let q15 = _mm256_add_ps(
+        _mm256_permute2f128_ps(v[1], v[5], 0x20),
+        _mm256_permute2f128_ps(v[1], v[5], 0x31),
+    );
+    let q26 = _mm256_add_ps(
+        _mm256_permute2f128_ps(v[2], v[6], 0x20),
+        _mm256_permute2f128_ps(v[2], v[6], 0x31),
+    );
+    let q37 = _mm256_add_ps(
+        _mm256_permute2f128_ps(v[3], v[7], 0x20),
+        _mm256_permute2f128_ps(v[3], v[7], 0x31),
+    );
+    // Per 128-bit half, [q0+q2, q1+q3] of two vectors: r01 holds v0, v1
+    // (low half) and v4, v5 (high half); r23 holds v2, v3 and v6, v7.
+    let r01 = _mm256_add_ps(
+        _mm256_shuffle_ps(q04, q15, 0x44),
+        _mm256_shuffle_ps(q04, q15, 0xEE),
+    );
+    let r23 = _mm256_add_ps(
+        _mm256_shuffle_ps(q26, q37, 0x44),
+        _mm256_shuffle_ps(q26, q37, 0xEE),
+    );
+    // (q0+q2) + (q1+q3) per vector.
+    _mm256_add_ps(
+        _mm256_shuffle_ps(r01, r23, 0x88),
+        _mm256_shuffle_ps(r01, r23, 0xDD),
+    )
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -589,9 +824,14 @@ pub(crate) fn t_matmul(
     if m == 0 || n == 0 {
         return;
     }
+    assert!(
+        a.len() >= k * m && b.len() >= k * n && out.len() >= m * n,
+        "t_matmul operand shorter than its shape"
+    );
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only reported after runtime AVX2 detection.
+        // SAFETY: Avx2 is only reported after runtime AVX2 detection, and
+        // the assert above bounds every pointer the kernel offsets.
         Level::Avx2 => unsafe { t_matmul_avx2(a, b, k, m, n, out) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on aarch64 builds.
@@ -617,18 +857,158 @@ fn t_matmul_scalar(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut
     }
 }
 
+/// Floats of `B` one depth panel of `t_matmul_avx2` may span (32 KiB), so
+/// the panel stays in L1 while every output row streams over it.
+#[cfg(target_arch = "x86_64")]
+const T_PANEL_FLOATS: usize = 8 * 1024;
+
+/// AVX2 [`t_matmul`]. From one vector of columns on, each output row
+/// packs its nonzero coefficients `a[p][i]` once per depth panel, in
+/// ascending `p`, and then runs 32-column register blocks (then 8-column
+/// ones, then scalars) over that list: per element the same skipped terms,
+/// the same `mul`/`add` in the same order as the axpy form, with the row
+/// held in registers instead of reloaded per `p`. Panels ascend and split
+/// `k` evenly, each no more than `T_PANEL_FLOATS` of `B`; a row's partial
+/// sums are stored between panels, which is exact. Below one vector,
+/// [`t_matmul_narrow_avx2`].
+///
+/// # Safety
+/// The host must support AVX2, and `a`, `b` must hold the rows the shape
+/// names (the pointer offsets are derived from it).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn t_matmul_avx2(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &mut [f32]) {
-    for p in 0..k {
-        let a_row = &a[p * m..(p + 1) * m];
-        let b_row = &b[p * n..(p + 1) * n];
-        for (i, &c) in a_row.iter().enumerate() {
-            if c == 0.0 {
-                continue;
+    use std::arch::x86_64::*;
+    if n < ds_simd::LANE_GROUP {
+        t_matmul_narrow_avx2(a, b, k, m, n, out);
+        return;
+    }
+    let panels = k.div_ceil((T_PANEL_FLOATS / n).clamp(1, KC)).max(1);
+    let depth = k.div_ceil(panels);
+    let mut coef = [0.0f32; KC];
+    let mut boff = [0usize; KC];
+    let mut kb = 0;
+    while kb < k {
+        let kend = (kb + depth).min(k);
+        for i in 0..m {
+            let o_row = &mut out[i * n..(i + 1) * n];
+            let mut live = 0usize;
+            for p in kb..kend {
+                let c = a[p * m + i];
+                if c == 0.0 {
+                    continue;
+                }
+                coef[live] = c;
+                boff[live] = p * n;
+                live += 1;
             }
-            axpy_avx2_body(&mut out[i * n..(i + 1) * n], c, b_row);
+            let (coef, boff) = (&coef[..live], &boff[..live]);
+            let o = o_row.as_mut_ptr();
+            let mut j = 0;
+            while j + 32 <= n {
+                let mut s0 = _mm256_loadu_ps(o.add(j));
+                let mut s1 = _mm256_loadu_ps(o.add(j + 8));
+                let mut s2 = _mm256_loadu_ps(o.add(j + 16));
+                let mut s3 = _mm256_loadu_ps(o.add(j + 24));
+                for (&c, &off) in coef.iter().zip(boff) {
+                    let cv = _mm256_set1_ps(c);
+                    let bp = b.as_ptr().add(off + j);
+                    s0 = _mm256_add_ps(s0, _mm256_mul_ps(cv, _mm256_loadu_ps(bp)));
+                    s1 = _mm256_add_ps(s1, _mm256_mul_ps(cv, _mm256_loadu_ps(bp.add(8))));
+                    s2 = _mm256_add_ps(s2, _mm256_mul_ps(cv, _mm256_loadu_ps(bp.add(16))));
+                    s3 = _mm256_add_ps(s3, _mm256_mul_ps(cv, _mm256_loadu_ps(bp.add(24))));
+                }
+                _mm256_storeu_ps(o.add(j), s0);
+                _mm256_storeu_ps(o.add(j + 8), s1);
+                _mm256_storeu_ps(o.add(j + 16), s2);
+                _mm256_storeu_ps(o.add(j + 24), s3);
+                j += 32;
+            }
+            while j + 8 <= n {
+                let mut s = _mm256_loadu_ps(o.add(j));
+                for (&c, &off) in coef.iter().zip(boff) {
+                    let bv = _mm256_loadu_ps(b.as_ptr().add(off + j));
+                    s = _mm256_add_ps(s, _mm256_mul_ps(_mm256_set1_ps(c), bv));
+                }
+                _mm256_storeu_ps(o.add(j), s);
+                j += 8;
+            }
+            while j < n {
+                let mut s = o_row[j];
+                for (&c, &off) in coef.iter().zip(boff) {
+                    s += c * b[off + j];
+                }
+                o_row[j] = s;
+                j += 1;
+            }
         }
+        kb = kend;
+    }
+}
+
+/// The `n < 8` shape of [`t_matmul_avx2`], where a row holds less than
+/// one vector: eight output rows `i..i+8` share one load
+/// of `a[p][i..i+8]` (contiguous in `A`'s row `p`) and the four columns of
+/// a group one broadcast each. The skip becomes a per-lane select —
+/// `o + c·b` where `c != 0` (NaN included), `o` untouched where
+/// `c == ±0` — so every element sees the scalar schedule's terms, in
+/// ascending `p`.
+///
+/// # Safety
+/// The host must support AVX2, and `a`, `b` must hold the rows the shape
+/// names (the pointer offsets are derived from it).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn t_matmul_narrow_avx2(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let zero = _mm256_setzero_ps();
+    let mut i = 0;
+    while i < m {
+        let rows = (m - i).min(8);
+        let tail = tail_mask_avx2(rows);
+        let mut j = 0;
+        while j < n {
+            let cols = (n - j).min(4);
+            // Lane t of s[jj] is out[i + t][j + jj]; lanes past the last
+            // row are computed and never stored.
+            let mut s = [zero; 4];
+            for (jj, acc) in s.iter_mut().enumerate().take(cols) {
+                let mut lanes = [0.0f32; 8];
+                for (t, v) in lanes.iter_mut().enumerate().take(rows) {
+                    *v = out[(i + t) * n + j + jj];
+                }
+                *acc = _mm256_loadu_ps(lanes.as_ptr());
+            }
+            for p in 0..k {
+                let ap = a[p * m + i..].as_ptr();
+                let c = match tail {
+                    Some(mask) => _mm256_maskload_ps(ap, mask),
+                    None => _mm256_loadu_ps(ap),
+                };
+                let live = _mm256_cmp_ps(c, zero, _CMP_NEQ_UQ);
+                let b_row = &b[p * n + j..][..cols];
+                for (acc, &bv) in s.iter_mut().zip(b_row) {
+                    let sum = _mm256_add_ps(*acc, _mm256_mul_ps(c, _mm256_set1_ps(bv)));
+                    *acc = _mm256_blendv_ps(*acc, sum, live);
+                }
+            }
+            for (jj, v) in s.iter().enumerate().take(cols) {
+                let mut lanes = [0.0f32; 8];
+                _mm256_storeu_ps(lanes.as_mut_ptr(), *v);
+                for (t, &x) in lanes.iter().enumerate().take(rows) {
+                    out[(i + t) * n + j + jj] = x;
+                }
+            }
+            j += cols;
+        }
+        i += rows;
     }
 }
 

@@ -37,6 +37,30 @@ fn products_at(level: Level, a: &Mat, b: &Mat, bt: &Mat, at: &Mat) -> (Mat, Mat,
     ds_simd::with_level(level, || (a.matmul(b), a.matmul_t(bt), at.t_matmul(b)))
 }
 
+/// `matmul_t` at the detected level and at scalar, as bits.
+fn matmul_t_both(a: &Mat, bt: &Mat) -> (Vec<u32>, Vec<u32>) {
+    let fast = ds_simd::with_level(ds_simd::detected(), || a.matmul_t(bt));
+    let slow = ds_simd::with_level(Level::Scalar, || a.matmul_t(bt));
+    (bits(&fast), bits(&slow))
+}
+
+/// A `k × m` layer input as the weight-gradient product sees it: ReLU
+/// zeros of both signs, and every third column entirely zero.
+fn relu_input(k: usize, m: usize, rng: &mut StdRng) -> Mat {
+    let mut a = rand_mat(k, m, rng);
+    for p in 0..k {
+        for i in 0..m {
+            let v = a.get(p, i);
+            if i % 3 == 2 || (v < 0.0 && rng.gen_bool(0.5)) {
+                a.set(p, i, 0.0);
+            } else if v < 0.0 {
+                a.set(p, i, -0.0);
+            }
+        }
+    }
+    a
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -119,6 +143,64 @@ proptest! {
             prop_assert_eq!(bits(&fast.1), bits(&slow.1));
             prop_assert_eq!(bits(&fast.2), bits(&slow.2));
         }
+    }
+
+    /// `matmul_t` below 16-deep (the code layer, a simple head, the gate's
+    /// logits) with at least one full 8-column block: the transposed path,
+    /// where the lane tree runs across output columns.
+    #[test]
+    fn matmul_t_narrow_depth(
+        m in 1usize..40,
+        k in 1usize..16,
+        n in 8usize..150,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (fast, slow) = matmul_t_both(&rand_mat(m, k, &mut rng), &rand_mat(n, k, &mut rng));
+        prop_assert_eq!(fast, slow);
+    }
+
+    /// `matmul_t` at hidden-layer depths with rows past the last 4-row
+    /// tile and an odd column count: the 4×2 tile, its lane tail and both
+    /// of its remainders.
+    #[test]
+    fn matmul_t_tiled_depth_with_remainders(
+        quads in 0usize..9,
+        extra_rows in 1usize..4,
+        k in 16usize..300,
+        half_n in 0usize..70,
+        seed in 0u64..10_000,
+    ) {
+        let (m, n) = (4 * quads + extra_rows, 2 * half_n + 1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (fast, slow) = matmul_t_both(&rand_mat(m, k, &mut rng), &rand_mat(n, k, &mut rng));
+        prop_assert_eq!(fast, slow);
+    }
+
+    /// `t_matmul` below 32 columns (vectorized along the output rows, the
+    /// skip as a per-lane select) and from 32 on (packed coefficients,
+    /// 32-column blocks), over a ReLU-sparse `A` holding `-0.0` and
+    /// all-zero columns, against a `B` with infinities: `0 · ∞` is NaN, so
+    /// a path that multiplied a coefficient the schedule skips would not
+    /// match scalar.
+    #[test]
+    fn t_matmul_skips_zeros_like_scalar(
+        k in 1usize..70,
+        m in 1usize..30,
+        n in 1usize..300,
+        seed in 0u64..10_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let at = relu_input(k, m, &mut rng);
+        let mut b = rand_mat(k, n, &mut rng);
+        for v in b.data_mut() {
+            if rng.gen_bool(0.01) {
+                *v = f32::INFINITY.copysign(*v);
+            }
+        }
+        let fast = ds_simd::with_level(ds_simd::detected(), || at.t_matmul(&b));
+        let slow = ds_simd::with_level(Level::Scalar, || at.t_matmul(&b));
+        prop_assert_eq!(bits(&fast), bits(&slow));
     }
 }
 

@@ -45,6 +45,15 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/materialize.rs \
   exit 1
 fi
 
+# The matmul schedules (DESIGN.md §3f) round every multiply and every add,
+# at every SIMD level: no fused multiply-add in the kernels, the matrix
+# layer or Adam, outside their tests.
+if sed -s '/^#\[cfg(test)\]/,$d' crates/nn/src/simd.rs crates/nn/src/mat.rs crates/nn/src/adam.rs \
+  | grep -nE '_mm(256)?_fn?m(add|sub)|vfm[as]q|vml[as]q|mul_add'; then
+  echo "a fused multiply-add is in ds-nn's kernels, matrix layer or Adam"
+  exit 1
+fi
+
 # First among the test steps: benchmark/ may not be edited by a PR that
 # claims a gain, so an API break that would force an edit there should
 # fail in seconds, not after the workspace suites.

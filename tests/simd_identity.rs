@@ -7,10 +7,23 @@
 //! the same lane-group determinism contract.
 
 use ds_core::{compress_stream_to, DsConfig};
+use ds_simd::Level;
 use ds_table::gen;
 use ds_table::stream::TableSource;
+use ds_table::Table;
 
-fn archive_bytes(level: ds_simd::Level, threads: usize) -> Vec<u8> {
+fn compress_at(t: &Table, cfg: &DsConfig, level: Level, threads: usize) -> Vec<u8> {
+    ds_exec::with_thread_limit(threads, || {
+        ds_simd::with_level(level, || {
+            let src = TableSource::new(t, 128);
+            let mut out = Vec::new();
+            compress_stream_to(&src, cfg, &mut out).expect("compress");
+            out
+        })
+    })
+}
+
+fn archive_bytes(level: Level, threads: usize) -> Vec<u8> {
     let t = gen::corel_like(600, 11);
     let cfg = DsConfig {
         error_threshold: 0.05,
@@ -20,19 +33,56 @@ fn archive_bytes(level: ds_simd::Level, threads: usize) -> Vec<u8> {
         shard_rows: 128,
         ..Default::default()
     };
-    ds_exec::with_thread_limit(threads, || {
-        ds_simd::with_level(level, || {
-            let src = TableSource::new(&t, 128);
-            let mut out = Vec::new();
-            compress_stream_to(&src, &cfg, &mut out).expect("compress");
-            out
-        })
-    })
+    compress_at(&t, &cfg, level, threads)
+}
+
+/// CRC-32 of the census and forest archives below, recorded when the
+/// kernels were still the one-dot `matmul_t` and the axpy `t_matmul`.
+const CENSUS_CRC: u32 = 0x5f42_f2de;
+const FOREST_CRC: u32 = 0xca23_866a;
+
+/// The categorical training path — categorical heads through the shared
+/// layer, numeric heads beside them, a 2-expert gate — pinned end to end:
+/// scalar and detected kernels at 1, 2 and 8 threads must write one
+/// archive, and its CRC-32 must be the one these inputs gave before the
+/// kernels took their current register shapes. The equality alone would
+/// pass a change to the accumulation schedule made in scalar and SIMD
+/// alike; the CRC does not. (The value also depends on the platform's
+/// `expf` / `tanhf` — ROADMAP item 3.)
+#[test]
+fn categorical_training_archives_are_pinned() {
+    let census = DsConfig {
+        error_threshold: 0.0,
+        code_size: 6,
+        n_experts: 2,
+        max_epochs: 2,
+        shard_rows: 200,
+        ..Default::default()
+    };
+    let forest = DsConfig {
+        error_threshold: 0.01,
+        code_size: 4,
+        ..census.clone()
+    };
+    for (name, table, cfg, want) in [
+        ("census", gen::census_like(400, 5), census, CENSUS_CRC),
+        ("forest", gen::forest_like(400, 6), forest, FOREST_CRC),
+    ] {
+        let reference = compress_at(&table, &cfg, Level::Scalar, 1);
+        for level in [Level::Scalar, ds_simd::detected()] {
+            for threads in [1, 2, 8] {
+                let bytes = compress_at(&table, &cfg, level, threads);
+                assert!(bytes == reference, "{name}: {level:?} at {threads} threads");
+            }
+        }
+        let crc = ds_codec::crc32::crc32(&reference);
+        assert_eq!(crc, want, "{name}: archive bytes moved (crc32 {crc:08x})");
+    }
 }
 
 #[test]
 fn kernel_level_never_changes_archive_bytes() {
-    let scalar = archive_bytes(ds_simd::Level::Scalar, 1);
+    let scalar = archive_bytes(Level::Scalar, 1);
     let auto = archive_bytes(ds_simd::detected(), 1);
     assert_eq!(
         scalar, auto,
