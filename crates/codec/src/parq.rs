@@ -638,6 +638,19 @@ mod tests {
     }
 
     #[test]
+    fn forged_arith_count_errors_instead_of_decoding_zeros() {
+        let values: Vec<u32> = (0..200).map(|i| i * 3 % 11).collect();
+        let payload = encode_u32_arith(&values).unwrap();
+        assert_eq!(decode_u32_arith(&payload).unwrap(), values);
+        // The same stream claiming 2^28 - 1 symbols: the range decoder runs
+        // out of bytes instead of decoding a gigabyte of padding.
+        let mut forged = ByteWriter::new();
+        forged.write_varint((1 << 28) - 1);
+        forged.write_bytes(&payload[2..]); // past the 2-byte varint of 200
+        assert!(decode_u32_arith(forged.as_slice()).is_err());
+    }
+
+    #[test]
     fn column_stats_sum_close_to_total() {
         let cols = named(vec![
             ParqColumn::U32((0..1000).map(|i| i % 5).collect()),

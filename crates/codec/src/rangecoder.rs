@@ -145,9 +145,10 @@ impl<'a> RangeDecoder<'a> {
             .ok_or(CodecError::Corrupt("rangecoder: cum exceeds code"))?;
         self.range = self.last_r * freq;
         while self.range < TOP {
-            // Missing trailing bytes decode as zeros: the encoder's finish()
-            // wrote 5 flush bytes, so a well-formed stream never underruns.
-            let byte = self.input.read_u8().unwrap_or(0);
+            // The encoder's finish() wrote 5 flush bytes, so a well-formed
+            // stream never underruns. Reading on as zeros would let a
+            // forged symbol count expand a few bytes into gigabytes.
+            let byte = self.input.read_u8()?;
             self.code = (self.code << 8) | u32::from(byte);
             self.range <<= 8;
         }

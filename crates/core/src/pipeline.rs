@@ -642,6 +642,11 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
     if failure_cols.len() != ncols {
         return Err(DsError::Corrupt("failure column count mismatch"));
     }
+    // Every failure stream holds one entry per stored row; the fill below
+    // indexes them by storage position.
+    if failure_cols.iter().any(|(_, col)| col.len() != n) {
+        return Err(DsError::Corrupt("failure stream length mismatch"));
+    }
 
     let n_rare = r.read_varint()? as usize;
     let mut rare: std::collections::HashMap<usize, std::collections::VecDeque<u32>> =
@@ -679,18 +684,37 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
     let mut simple_slot_of = vec![usize::MAX; ncols];
     let mut cat_slot_of = vec![usize::MAX; ncols];
     let mut s = 0usize;
-    let mut c = 0usize;
+    let mut cat_cards = Vec::new();
     for (i, plan) in plans.iter().enumerate() {
         match plan {
             ColPlan::Numeric { .. } | ColPlan::NumericRaw { .. } | ColPlan::Binary { .. } => {
                 simple_slot_of[i] = s;
                 s += 1;
             }
-            ColPlan::Cat { .. } => {
-                cat_slot_of[i] = c;
-                c += 1;
+            ColPlan::Cat { model_card, .. } => {
+                cat_slot_of[i] = cat_cards.len();
+                cat_cards.push(*model_card);
             }
             ColPlan::Fallback => {}
+        }
+    }
+    // The plans must describe the decoder's heads exactly: as many simple
+    // slots as simple heads, and each categorical plan's class count equal
+    // to its head's (at least 2). A shard whose plans disagree with the
+    // shared decoder would otherwise index past a head.
+    if let Some(spec) = model.and_then(|m| m.experts().first()).map(|e| e.spec()) {
+        let head_cards: Vec<usize> = spec
+            .heads
+            .iter()
+            .filter_map(|h| match h {
+                Head::Categorical { card } => Some(*card),
+                Head::Numeric | Head::Binary => None,
+            })
+            .collect();
+        if s != spec.heads.len() - head_cards.len() || cat_cards != head_cards {
+            return Err(DsError::Corrupt(
+                "column plans disagree with the decoder's heads",
+            ));
         }
     }
 

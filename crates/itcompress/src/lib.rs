@@ -197,7 +197,7 @@ fn fit_representatives(disc: &Discretized, n: usize, cfg: &ItConfig) -> (Vec<Vec
                     }
                 }
                 if let Some((&mode, _)) = counts
-                    .iter() // ds-lint: allow(determinism-reachability) -- max_by_key over (count, Reverse(value)) is a total order on distinct keys, so the winner is independent of hash iteration order
+                    .iter() // ds-lint: allow(deterministic-iteration) -- max_by_key over (count, Reverse(value)) is a total order on distinct keys, so the winner is independent of hash iteration order
                     .max_by_key(|&(&v, &cnt)| (cnt, std::cmp::Reverse(v)))
                 {
                     if rep[c] != mode {

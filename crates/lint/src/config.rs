@@ -25,11 +25,6 @@ pub struct RuleConfig {
     pub paths: Vec<String>,
     /// Path prefixes excluded from the rule even when `paths` matches.
     pub exclude: Vec<String>,
-    /// Extra taint-source call names (`tainted-alloc` only).
-    pub sources: Vec<String>,
-    /// Entry-point name prefixes (`determinism-reachability` only);
-    /// empty means the built-in defaults.
-    pub entries: Vec<String>,
 }
 
 /// Parsed `lint.toml`.
@@ -87,8 +82,6 @@ impl Config {
                     match key {
                         "paths" => entry.paths = values,
                         "exclude" => entry.exclude = values,
-                        "sources" => entry.sources = values,
-                        "entries" => entry.entries = values,
                         other => {
                             return Err(format!("lint.toml:{lineno}: unknown rule key `{other}`"))
                         }

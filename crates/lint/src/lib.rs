@@ -1,16 +1,16 @@
 //! `ds-lint` — workspace invariant checker for the DeepSqueeze crates.
 //!
-//! A std-only analyzer that enforces the project's decode-safety and
-//! determinism contracts (DESIGN.md §3c, §3h). v1's token-level rules
-//! (decoder paths must never panic on corrupt input, encoder paths must
-//! never depend on hash-seed iteration order or wall-clock time, every
-//! `unsafe` block must state its contract) are joined in v2 by three
-//! workspace dataflow rules built on a lightweight parser ([`parse`]),
-//! per-function summaries ([`ir`]), and a call graph ([`graph`]):
-//! `tainted-alloc`, `determinism-reachability`, and `lock-across-pool`.
-//! The binary walks `crates/*/src/**/*.rs` (in parallel over the
-//! `ds_exec` pool, with deterministic output), applies the rules scoped
-//! by `lint.toml`, and exits nonzero on any finding; it runs in
+//! A std-only, token-level analyzer that enforces the project's
+//! decode-safety and determinism contracts (DESIGN.md §3c): decoder paths
+//! must never panic on corrupt input, archive-writing code must never
+//! depend on hash-seed iteration order or wall-clock time, every `unsafe`
+//! block must state its contract, and no `MutexGuard` may stay live
+//! across a pool fan-out or blocking I/O. Each rule reads one file's
+//! token stream; none needs a parser or a call graph. The dynamic half
+//! of the decode contract (declared lengths driving allocations) is the
+//! counting-allocator mutator in `tests/decode_mutator.rs` (§3h). The
+//! binary walks `crates/*/src/**/*.rs`, applies the rules scoped by
+//! `lint.toml`, and exits nonzero on any finding; it runs in
 //! `scripts/check.sh` before the test step.
 //!
 //! The rule list is pinned here so the README rule table and
@@ -26,18 +26,13 @@
 //!     "no-wallclock-nondeterminism",
 //!     "unsafe-contract",
 //!     "target-feature-gate",
-//!     "tainted-alloc",
-//!     "determinism-reachability",
 //!     "lock-across-pool",
 //!     "bad-suppression",
 //! ]);
 //! ```
 
 pub mod config;
-pub mod graph;
-pub mod ir;
 pub mod lexer;
-pub mod parse;
 pub mod rules;
 
 use std::fmt;
@@ -70,55 +65,6 @@ impl fmt::Display for Finding {
             self.file, self.line, self.col, self.rule, self.message
         )
     }
-}
-
-/// Rust keywords that can show up where the expression scanner looks for
-/// identifiers; filtered so they never register as variable names.
-pub fn rules_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "as" | "async"
-            | "await"
-            | "box"
-            | "break"
-            | "const"
-            | "continue"
-            | "crate"
-            | "dyn"
-            | "else"
-            | "enum"
-            | "false"
-            | "fn"
-            | "for"
-            | "if"
-            | "impl"
-            | "in"
-            | "let"
-            | "loop"
-            | "match"
-            | "mod"
-            | "move"
-            | "mut"
-            | "pub"
-            | "ref"
-            | "return"
-            | "static"
-            | "struct"
-            | "super"
-            | "trait"
-            | "true"
-            | "type"
-            | "unsafe"
-            | "use"
-            | "where"
-            | "while"
-    )
-}
-
-/// Lints one file's source text. `rel_path` is repo-relative with `/`
-/// separators; it selects which rules apply per the config.
-pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    rules::check_file(rel_path, src, cfg)
 }
 
 /// Collects the repo-relative paths of every `.rs` file under `root` that
@@ -162,127 +108,19 @@ pub fn collect_files(root: &Path, cfg: &Config) -> io::Result<Vec<String>> {
     Ok(out)
 }
 
-/// Lints every matching file under `root`: the per-file pass (lex, parse,
-/// token rules) fans out over the `ds_exec` pool, then the workspace
-/// graph pass (call-graph dataflow rules) runs serially over the merged
-/// analyses. Returns `(files_scanned, findings)`; findings are ordered by
-/// (file, line, col, rule), identical regardless of `DS_THREADS`.
+/// Lints every matching file under `root`, one file at a time. Returns
+/// `(files_scanned, findings)`; findings are ordered by (file, line, col,
+/// rule).
 pub fn lint_root(root: &Path, cfg: &Config) -> Result<(usize, Vec<Finding>), String> {
     let files = collect_files(root, cfg).map_err(|e| format!("walking {}: {e}", root.display()))?;
-    let mut srcs = Vec::with_capacity(files.len());
+    let mut findings = Vec::new();
     for rel in &files {
         let abs: PathBuf = root.join(rel);
-        srcs.push(fs::read_to_string(&abs).map_err(|e| format!("reading {}: {e}", abs.display()))?);
+        let src =
+            fs::read_to_string(&abs).map_err(|e| format!("reading {}: {e}", abs.display()))?;
+        findings.extend(rules::check_file(rel, &src, cfg));
     }
-    // One task per file; parallel_map returns slots in index order, so
-    // the merge is deterministic byte-for-byte across thread counts.
-    let analyses: Vec<graph::FileAnalysis> = ds_exec::parallel_map(files.len(), |i| {
-        graph::analyze_file(&files[i], &srcs[i], cfg)
-    });
-    let mut findings: Vec<Finding> = analyses
-        .iter()
-        .flat_map(|a| a.findings.iter().cloned())
-        .collect();
-    findings.extend(graph::check_workspace(&analyses, cfg));
-    findings.sort_by(|a, b| {
-        (&a.file, a.line, a.col, a.rule, &a.message)
-            .cmp(&(&b.file, b.line, b.col, b.rule, &b.message))
-    });
-    findings.dedup();
     Ok((files.len(), findings))
-}
-
-/// Renders findings as a JSON document for CI diffing:
-/// `{"count": N, "findings": [{"file", "line", "col", "rule", "message"}]}`.
-pub fn to_json(findings: &[Finding]) -> String {
-    let mut s = String::from("{\"count\":");
-    s.push_str(&findings.len().to_string());
-    s.push_str(",\"findings\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"file\":\"");
-        json_escape_into(&mut s, &f.file);
-        s.push_str("\",\"line\":");
-        s.push_str(&f.line.to_string());
-        s.push_str(",\"col\":");
-        s.push_str(&f.col.to_string());
-        s.push_str(",\"rule\":\"");
-        json_escape_into(&mut s, f.rule);
-        s.push_str("\",\"message\":\"");
-        json_escape_into(&mut s, &f.message);
-        s.push_str("\"}");
-    }
-    s.push_str("]}");
-    s
-}
-
-/// Renders findings as a minimal SARIF 2.1.0 document so CI can attach
-/// them as code annotations. One run, one driver (`ds-lint`), every rule
-/// listed (stable order, so `ruleIndex` is meaningful), one result per
-/// finding with a physical location. Deterministic byte-for-byte for a
-/// given findings list.
-pub fn to_sarif(findings: &[Finding]) -> String {
-    let mut s = String::from(
-        "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\
-         \"name\":\"ds-lint\",\"rules\":[",
-    );
-    for (i, (name, desc)) in rules::RULES.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"id\":\"");
-        json_escape_into(&mut s, name);
-        s.push_str("\",\"shortDescription\":{\"text\":\"");
-        json_escape_into(&mut s, desc);
-        s.push_str("\"}}");
-    }
-    s.push_str("]}},\"results\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let rule_index = rules::RULES
-            .iter()
-            .position(|(name, _)| *name == f.rule)
-            .unwrap_or(0);
-        s.push_str("{\"ruleId\":\"");
-        json_escape_into(&mut s, f.rule);
-        s.push_str("\",\"ruleIndex\":");
-        s.push_str(&rule_index.to_string());
-        s.push_str(",\"level\":\"error\",\"message\":{\"text\":\"");
-        json_escape_into(&mut s, &f.message);
-        s.push_str(
-            "\"},\"locations\":[{\"physicalLocation\":{\
-                    \"artifactLocation\":{\"uri\":\"",
-        );
-        json_escape_into(&mut s, &f.file);
-        s.push_str("\"},\"region\":{\"startLine\":");
-        s.push_str(&f.line.to_string());
-        s.push_str(",\"startColumn\":");
-        s.push_str(&f.col.to_string());
-        s.push_str("}}}]}");
-    }
-    s.push_str("]}]}");
-    s
-}
-
-fn json_escape_into(out: &mut String, text: &str) {
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 fn rel_slash_path(root: &Path, path: &Path) -> Option<String> {
@@ -295,29 +133,4 @@ fn rel_slash_path(root: &Path, path: &Path) -> Option<String> {
         s.push_str(&comp.as_os_str().to_string_lossy());
     }
     Some(s)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_specials() {
-        let f = vec![Finding {
-            file: "a\"b.rs".to_string(),
-            line: 3,
-            col: 7,
-            rule: "panic-free-decode",
-            message: "line1\nline2\tend".to_string(),
-        }];
-        let j = to_json(&f);
-        assert!(j.contains("\"count\":1"));
-        assert!(j.contains("a\\\"b.rs"));
-        assert!(j.contains("line1\\nline2\\tend"));
-    }
-
-    #[test]
-    fn json_empty() {
-        assert_eq!(to_json(&[]), "{\"count\":0,\"findings\":[]}");
-    }
 }

@@ -1,7 +1,7 @@
 //! `ds-lint` CLI.
 //!
 //! ```text
-//! ds-lint [--root DIR] [--config FILE] [--format text|json|sarif] [--list-rules]
+//! ds-lint [--root DIR] [--config FILE] [--list-rules]
 //! ```
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = usage/config/io error.
@@ -10,19 +10,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ds_lint::config::Config;
-use ds_lint::{lint_root, rules, to_json, to_sarif};
-
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
+use ds_lint::{lint_root, rules};
 
 struct Args {
     root: PathBuf,
     config: Option<PathBuf>,
-    format: Format,
     list_rules: bool,
 }
 
@@ -30,7 +22,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         config: None,
-        format: Format::Text,
         list_rules: false,
     };
     let mut it = std::env::args().skip(1);
@@ -42,22 +33,9 @@ fn parse_args() -> Result<Args, String> {
             "--config" => {
                 args.config = Some(PathBuf::from(it.next().ok_or("--config requires a file")?));
             }
-            "--format" => match it.next().as_deref() {
-                Some("text") => args.format = Format::Text,
-                Some("json") => args.format = Format::Json,
-                Some("sarif") => args.format = Format::Sarif,
-                other => {
-                    return Err(format!(
-                        "--format must be `text`, `json`, or `sarif`, got {:?}",
-                        other.unwrap_or("<none>")
-                    ))
-                }
-            },
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: ds-lint [--root DIR] [--config FILE] [--format text|json|sarif] [--list-rules]"
-                );
+                println!("usage: ds-lint [--root DIR] [--config FILE] [--list-rules]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument `{other}`")),
@@ -105,25 +83,19 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match args.format {
-        Format::Json => println!("{}", to_json(&findings)),
-        Format::Sarif => println!("{}", to_sarif(&findings)),
-        Format::Text => {
-            for f in &findings {
-                println!("{f}");
-            }
-            let status = if findings.is_empty() {
-                "clean"
-            } else {
-                "FAILED"
-            };
-            println!(
-                "ds-lint: {} file(s) scanned, {} finding(s) — {status}",
-                scanned,
-                findings.len()
-            );
-        }
+    for f in &findings {
+        println!("{f}");
     }
+    let status = if findings.is_empty() {
+        "clean"
+    } else {
+        "FAILED"
+    };
+    println!(
+        "ds-lint: {} file(s) scanned, {} finding(s) — {status}",
+        scanned,
+        findings.len()
+    );
     if findings.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -1,4 +1,4 @@
-//! The rule engine: seven lexical invariant checks plus suppression
+//! The rule engine: eight lexical invariant checks plus suppression
 //! handling. See DESIGN.md §3c for the rationale behind each rule and the
 //! exemption policy.
 
@@ -12,7 +12,8 @@ pub const PANIC_FREE: &str = "panic-free-decode";
 pub const CHECKED_ARITH: &str = "checked-untrusted-arith";
 /// Rule: no raw `as usize/u32/u64` casts of length-like values.
 pub const RAW_CAST: &str = "no-raw-cast-len";
-/// Rule: no iteration over hash-ordered collections in deterministic code.
+/// Rule: no iteration over hash-ordered collections in archive-writing
+/// code.
 pub const DET_ITER: &str = "deterministic-iteration";
 /// Rule: no wall-clock or thread-identity reads outside bench/cli.
 pub const WALLCLOCK: &str = "no-wallclock-nondeterminism";
@@ -20,13 +21,8 @@ pub const WALLCLOCK: &str = "no-wallclock-nondeterminism";
 pub const UNSAFE_CONTRACT: &str = "unsafe-contract";
 /// Rule: `#[target_feature]` kernels stay unsafe, private, and dispatched.
 pub const TARGET_FEATURE_GATE: &str = "target-feature-gate";
-/// Dataflow rule: decode-derived lengths must be bounded before allocation.
-pub const TAINTED_ALLOC: &str = "tainted-alloc";
-/// Dataflow rule: fns reachable from archive-byte entry points stay
-/// deterministic.
-pub const DET_REACH: &str = "determinism-reachability";
-/// Dataflow rule: no `MutexGuard` live across a pool fan-out or blocking
-/// I/O.
+/// Rule: no `let`-bound lock guard live across a pool fan-out or blocking
+/// I/O call.
 pub const LOCK_POOL: &str = "lock-across-pool";
 /// Meta-rule: malformed or reason-less suppression comments.
 pub const BAD_SUPPRESSION: &str = "bad-suppression";
@@ -47,11 +43,11 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         DET_ITER,
-        "no iteration over HashMap/HashSet in codec/squish/nn/core unless the result is sorted",
+        "no iteration over HashMap/HashSet in archive-writing crates unless the result is sorted",
     ),
     (
         WALLCLOCK,
-        "SystemTime::now / Instant::now / thread id reads are banned outside bench and cli",
+        "SystemTime::now / Instant::now / thread::current() are banned outside bench and cli",
     ),
     (
         UNSAFE_CONTRACT,
@@ -62,16 +58,8 @@ pub const RULES: &[(&str, &str)] = &[
         "`#[target_feature]` fns must be unsafe, non-pub, and live behind a runtime detection gate",
     ),
     (
-        TAINTED_ALLOC,
-        "decode-derived lengths must pass a bounds check before with_capacity/vec![_;n]/reserve/take",
-    ),
-    (
-        DET_REACH,
-        "fns reachable from compress/encode/write_ entries must avoid clocks, thread ids, hash order, FMA",
-    ),
-    (
         LOCK_POOL,
-        "no MutexGuard may stay live across a ds_exec fan-out or a blocking I/O call",
+        "a `let` bound lock guard must be dropped before a pool fan-out or blocking I/O call",
     ),
     (
         BAD_SUPPRESSION,
@@ -119,22 +107,9 @@ const SORTERS: &[&str] = &[
 
 /// Checks one file and returns its findings, suppressions already applied.
 pub fn check_file(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    let lexed = lex(src);
-    let test_boundary = find_test_boundary(&lexed);
-    let suppressions = collect_suppressions(&lexed, test_boundary);
-    check_lexed(rel_path, &lexed, cfg, &suppressions, test_boundary)
-}
-
-/// Runs the token-level rules over an already-lexed file. Split from
-/// [`check_file`] so the parallel scan can lex once and share the result
-/// with the workspace graph pass.
-pub fn check_lexed(
-    rel_path: &str,
-    lexed: &Lexed,
-    cfg: &Config,
-    suppressions: &Suppressions,
-    test_boundary: u32,
-) -> Vec<Finding> {
+    let lexed = &lex(src);
+    let test_boundary = find_test_boundary(lexed);
+    let suppressions = collect_suppressions(lexed, test_boundary);
     let mut raw: Vec<Finding> = Vec::new();
     let mk = |line: u32, col: u32, rule: &'static str, message: String| Finding {
         file: rel_path.to_string(),
@@ -165,6 +140,9 @@ pub fn check_lexed(
     if cfg.rule_applies(TARGET_FEATURE_GATE, rel_path) {
         check_target_feature_gate(lexed, &mut raw, &mk);
     }
+    if cfg.rule_applies(LOCK_POOL, rel_path) {
+        check_lock_pool(lexed, &mut raw, &mk);
+    }
 
     let mut out: Vec<Finding> = raw
         .into_iter()
@@ -186,24 +164,24 @@ pub fn check_lexed(
 
 /// A `ds-lint:` comment that does not follow the grammar (reported by the
 /// `bad-suppression` meta-rule).
-pub struct MalformedSuppression {
+struct MalformedSuppression {
     /// 1-based line of the comment.
-    pub line: u32,
+    line: u32,
     /// What is wrong with it.
-    pub message: String,
+    message: String,
 }
 
 /// All suppression comments of one file, parsed.
-pub struct Suppressions {
+struct Suppressions {
     /// (line, rule) pairs silenced by a well-formed allow with a reason.
     allows: Vec<(u32, String)>,
     /// Grammar violations.
-    pub malformed: Vec<MalformedSuppression>,
+    malformed: Vec<MalformedSuppression>,
 }
 
 impl Suppressions {
     /// True when an allow with a reason targets `line` for `rule`.
-    pub fn silences(&self, line: u32, rule: &str) -> bool {
+    fn silences(&self, line: u32, rule: &str) -> bool {
         self.allows.iter().any(|(l, r)| *l == line && r == rule)
     }
 }
@@ -258,7 +236,7 @@ fn attribute_only_lines(lexed: &Lexed) -> Vec<bool> {
 /// a line of its own silences the next line that carries non-attribute
 /// code (doc comments and `#[...]` attributes between the allow and its
 /// item are skipped over).
-pub fn collect_suppressions(lexed: &Lexed, test_boundary: u32) -> Suppressions {
+fn collect_suppressions(lexed: &Lexed, test_boundary: u32) -> Suppressions {
     let mut sup = Suppressions {
         allows: Vec::new(),
         malformed: Vec::new(),
@@ -337,7 +315,7 @@ pub fn collect_suppressions(lexed: &Lexed, test_boundary: u32) -> Suppressions {
 /// First line of a `#[cfg(test)]` attribute, or `u32::MAX` when absent.
 /// Everything at or below it is test code and exempt from the rules (the
 /// repo convention keeps `mod tests` last in each file).
-pub fn find_test_boundary(lexed: &Lexed) -> u32 {
+fn find_test_boundary(lexed: &Lexed) -> u32 {
     let t = &lexed.toks;
     for i in 0..t.len().saturating_sub(6) {
         if t[i].is_punct("#")
@@ -681,7 +659,7 @@ fn check_raw_cast(
 /// bindings, typed fields, and typed parameters. Heuristic (a `Vec` *of*
 /// maps is recorded under the outer name too), but iteration over such a
 /// name is exactly what the rule wants a human to look at.
-pub fn hash_idents(toks: &[Tok]) -> Vec<String> {
+fn hash_idents(toks: &[Tok]) -> Vec<String> {
     let mut names = Vec::new();
     for i in 0..toks.len() {
         if !(toks[i].is_ident("HashMap") || toks[i].is_ident("HashSet")) {
@@ -811,17 +789,18 @@ fn check_wallclock(
                 format!("{}::now() makes output time-dependent", t[i].text),
             ));
         }
+        // Any use of the current thread's handle (id, name, park):
+        // every one of them names which worker ran the code.
         if t[i].is_ident("thread")
             && t.get(i + 1).is_some_and(|n| n.is_punct("::"))
             && t.get(i + 2).is_some_and(|n| n.is_ident("current"))
-            && t.get(i + 5).is_some_and(|n| n.is_punct("."))
-            && t.get(i + 6).is_some_and(|n| n.is_ident("id"))
+            && t.get(i + 3).is_some_and(|n| n.is_punct("("))
         {
             out.push(mk(
                 t[i].line,
                 t[i].col,
                 WALLCLOCK,
-                "thread::current().id() makes output scheduling-dependent".to_string(),
+                "thread::current() makes output scheduling-dependent".to_string(),
             ));
         }
     }
@@ -942,6 +921,150 @@ fn check_target_feature_gate(
                 TARGET_FEATURE_GATE,
                 format!("`#[target_feature]` fn `{name}` has no runtime detection gate in this file (is_x86_feature_detected / ds_simd)"),
             ));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// lock-across-pool
+// ---------------------------------------------------------------------------
+
+/// Fan-out entry points: the `ds_exec` pool's, plus ds-core's ordered
+/// `sweep` over it. A task that needs a lock its spawner holds waits
+/// forever, and the fixed-size pool with it.
+const POOL_FNS: &[&str] = &[
+    "parallel_for",
+    "parallel_map",
+    "parallel_for_chunks",
+    "parallel_map_chunks",
+    "parallel_map_consume",
+    "parallel_chunks_mut",
+    "sweep",
+];
+
+/// Blocking I/O calls: a lock held across one stalls every other
+/// connection or task contending for it.
+const BLOCKING_IO: &[&str] = &[
+    "write_all",
+    "flush",
+    "read_exact",
+    "read_exact_at",
+    "read_to_end",
+    "read_to_string",
+    "read_line",
+    "accept",
+];
+
+/// Index of the name of the call that ends `toks` (`… name(args)`).
+fn trailing_call(toks: &[Tok]) -> Option<usize> {
+    if !toks.last()?.is_punct(")") {
+        return None;
+    }
+    let mut depth = 0usize;
+    for j in (0..toks.len()).rev() {
+        if toks[j].is_punct(")") {
+            depth += 1;
+        } else if toks[j].is_punct("(") {
+            depth -= 1;
+            if depth == 0 {
+                let name = j.checked_sub(1)?;
+                return (toks[name].kind == TokKind::Ident).then_some(name);
+            }
+        }
+    }
+    None
+}
+
+/// The binding a `let` at `i` gives a lock guard, if it does: the
+/// initializer ends in `lock()` or `…_lock()`, optionally followed by
+/// `.unwrap()`, `.expect(..)` or `.unwrap_or_else(..)`. `let _ = …`
+/// drops the guard at once and binds nothing.
+fn guard_binding(t: &[Tok], i: usize) -> Option<&str> {
+    let mut j = i + 1;
+    if t.get(j)?.is_ident("mut") {
+        j += 1;
+    }
+    let name = t.get(j)?;
+    if name.kind != TokKind::Ident || name.text == "_" || is_keyword(&name.text) {
+        return None;
+    }
+    // The initializer runs from the `=` to the `;` that ends the
+    // statement (skipping a type annotation).
+    let mut depth = 0usize;
+    let mut eq = None;
+    let mut end = None;
+    for (k, tk) in t.iter().enumerate().skip(j + 1) {
+        match tk.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" if depth == 0 => return None,
+            ")" | "]" | "}" => depth -= 1,
+            "=" if depth == 0 && eq.is_none() => eq = Some(k),
+            ";" if depth == 0 => {
+                end = Some(k);
+                break;
+            }
+            _ => {}
+        }
+    }
+    let init = t.get(eq? + 1..end?)?;
+    let mut call = trailing_call(init)?;
+    if matches!(
+        init[call].text.as_str(),
+        "unwrap" | "expect" | "unwrap_or_else"
+    ) {
+        call = trailing_call(init.get(..call.checked_sub(1)?)?)?;
+    }
+    let callee = init[call].text.as_str();
+    (callee == "lock" || callee.ends_with("_lock")).then_some(name.text.as_str())
+}
+
+/// Tracks `let`-bound lock guards through each body: a guard lives until
+/// `drop(guard)` or the end of the block that bound it. A direct call to
+/// a [`POOL_FNS`] or [`BLOCKING_IO`] name while one lives is a finding.
+fn check_lock_pool(
+    lexed: &Lexed,
+    out: &mut Vec<Finding>,
+    mk: &impl Fn(u32, u32, &'static str, String) -> Finding,
+) {
+    let t = &lexed.toks;
+    // Live guards: (binding, brace depth of the block that bound it).
+    let mut guards: Vec<(&str, usize)> = Vec::new();
+    let mut depth = 0usize;
+    for (i, tok) in t.iter().enumerate() {
+        if tok.is_punct("{") {
+            depth += 1;
+        } else if tok.is_punct("}") {
+            depth = depth.saturating_sub(1);
+            guards.retain(|&(_, d)| d <= depth);
+        } else if tok.is_ident("let") {
+            if let Some(name) = guard_binding(t, i) {
+                guards.push((name, depth));
+            }
+        } else if tok.kind == TokKind::Ident && t.get(i + 1).is_some_and(|n| n.is_punct("(")) {
+            if tok.text == "drop" {
+                if let Some(arg) = t.get(i + 2) {
+                    guards.retain(|&(g, _)| g != arg.text);
+                }
+                continue;
+            }
+            let what = if POOL_FNS.contains(&tok.text.as_str()) {
+                "a pool fan-out"
+            } else if BLOCKING_IO.contains(&tok.text.as_str()) {
+                "blocking I/O"
+            } else {
+                continue;
+            };
+            if let Some((guard, _)) = guards.first() {
+                out.push(mk(
+                    tok.line,
+                    tok.col,
+                    LOCK_POOL,
+                    format!(
+                        "lock guard `{guard}` is live across {what} call `{}`; drop it first",
+                        tok.text
+                    ),
+                ));
+            }
         }
     }
 }

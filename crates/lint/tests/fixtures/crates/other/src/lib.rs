@@ -17,3 +17,7 @@ pub fn peek_bad(p: *const u8) -> u8 {
 pub fn unwrap_outside_decode_paths() -> u8 {
     Some(1u8).unwrap()
 }
+
+pub fn worker_name() -> Option<String> {
+    std::thread::current().name().map(str::to_owned)
+}

@@ -1,29 +1,73 @@
-//! The lexer → parser → summary pipeline must never panic, whatever
-//! bytes it is fed: ds-lint runs over every file in the workspace,
-//! including ones mid-edit, so "malformed input" is a normal state.
+//! The lexer and every rule must never panic, whatever bytes they are
+//! fed: ds-lint runs over every file in the workspace, including ones
+//! mid-edit, so "malformed input" is a normal state.
 
 use proptest::prelude::*;
 
-use ds_lint::ir::summarize;
+use ds_lint::config::Config;
 use ds_lint::lexer::lex;
-use ds_lint::parse::parse_items;
-use ds_lint::rules::hash_idents;
+use ds_lint::rules::check_file;
 
+/// Lexes `src`, then runs every rule over it (an empty `[rule]` table
+/// scopes each one to every path).
 fn analyze_arbitrary(src: &str) {
-    let lexed = lex(src);
-    let parsed = parse_items(&lexed);
-    let hash_names = hash_idents(&lexed.toks);
-    for def in &parsed.fns {
-        let _ = summarize(&lexed.toks, def.body.clone(), &hash_names);
-    }
+    let _ = lex(src);
+    let cfg = Config::parse("[scan]\ninclude = [\"crates/*/src\"]\n").expect("config parses");
+    let _ = check_file("crates/codec/src/fuzz.rs", src, &cfg);
 }
 
 /// Fragments that look like Rust — keywords, brackets, operators — so
-/// arbitrary orderings reach far deeper parser states than raw noise.
+/// arbitrary orderings reach far deeper rule states than raw noise.
 const FRAGMENTS: &[&str] = &[
-    "fn", "impl", "pub", "let", "if", "match", "for", "return", "{", "}", "(", ")", "[", "]", "<",
-    ">", "<<", ">>", "::", "->", ";", ",", ".", "=", "x", "Type", "self", "&mut", "'a", "\"str\"",
-    "0x1f", "//c",
+    "fn",
+    "impl",
+    "pub",
+    "let",
+    "if",
+    "match",
+    "for",
+    "in",
+    "return",
+    "unsafe",
+    "{",
+    "}",
+    "(",
+    ")",
+    "[",
+    "]",
+    "<",
+    ">",
+    "<<",
+    ">>",
+    "::",
+    "->",
+    ";",
+    ",",
+    ".",
+    "=",
+    "+",
+    "*",
+    "as",
+    "usize",
+    "x",
+    "len",
+    "Type",
+    "self",
+    "&mut",
+    "'a",
+    "\"str\"",
+    "0x1f",
+    "//c",
+    "lock",
+    "drop",
+    "parallel_for",
+    "HashMap",
+    "iter",
+    "#",
+    "target_feature",
+    "thread",
+    "current",
+    "// ds-lint: allow(",
 ];
 
 proptest! {
@@ -31,7 +75,7 @@ proptest! {
 
     /// Pure noise: arbitrary bytes, lossily decoded.
     #[test]
-    fn parser_never_panics_on_arbitrary_bytes(
+    fn rules_never_panic_on_arbitrary_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..400)
     ) {
         analyze_arbitrary(&String::from_utf8_lossy(&bytes));
@@ -39,7 +83,7 @@ proptest! {
 
     /// Structured noise: Rust-ish fragments glued in arbitrary orders.
     #[test]
-    fn parser_never_panics_on_rusty_fragments(
+    fn rules_never_panic_on_rusty_fragments(
         picks in prop::collection::vec(0usize..FRAGMENTS.len(), 0..120)
     ) {
         let src: Vec<&str> = picks.iter().map(|&i| FRAGMENTS[i]).collect();
@@ -50,15 +94,16 @@ proptest! {
     /// arbitrary point, and flip arbitrary bytes — unbalanced brackets
     /// and split multi-byte sequences included.
     #[test]
-    fn parser_never_panics_on_mangled_source(
-        cut in 0usize..200,
-        positions in prop::collection::vec(0usize..200, 0..8),
+    fn rules_never_panic_on_mangled_source(
+        cut in 0usize..260,
+        positions in prop::collection::vec(0usize..260, 0..8),
         values in prop::collection::vec(any::<u8>(), 0..8),
     ) {
         let base = "impl Reader { pub fn read<T: Copy>(&mut self, n: usize) -> Vec<T> {\n\
-                        let len = self.read_varint_usize();\n\
+                        let g = self.m.lock().unwrap();\n\
+                        let len = self.read_varint_usize() + n;\n\
                         if len > n { return Vec::new(); }\n\
-                        Vec::with_capacity(len)\n\
+                        drop(g); Vec::with_capacity(len as usize)\n\
                     } }\n";
         let mut bytes = base.as_bytes().to_vec();
         bytes.truncate(cut.min(bytes.len()));

@@ -299,6 +299,9 @@ impl Autoencoder {
         if x.cols() != self.spec.input_dim() {
             return Err(NnError::ShapeMismatch("encode: wrong input width"));
         }
+        if self.enc.is_empty() {
+            return Err(NnError::InvalidSpec("a decoder-only model cannot encode"));
+        }
         let mut cur = x.clone();
         for layer in &self.enc {
             cur = layer.forward(&cur);
@@ -740,19 +743,36 @@ impl Autoencoder {
             let shared = layers.remove(0);
             (Some(aux), Some(shared))
         };
-        // The encoder is irrelevant for a decoder-only model, but the type
-        // requires one; a 1-layer stub keeps `encode` well-defined (errors
-        // are preferable, so the stub maps to the right shape but fresh
-        // random weights are avoided by zeroing).
-        let enc = vec![Dense {
-            w: Mat::zeros(spec.input_dim(), spec.code_size),
-            b: vec![0.0; spec.code_size],
-            act: Activation::Identity,
-        }];
+        // Every shape the forward pass relies on, against the spec: a
+        // forged stream fails here rather than in a matmul assert, and the
+        // spec's widths are all backed by weight data.
+        let shape = |l: &Dense, input: usize, output: usize| {
+            l.input_dim() == input && l.output_dim() == output
+        };
+        let (k, h) = (spec.code_size, spec.hidden);
+        let trunk_dim = if trunk.is_empty() { k } else { h };
+        let cat_width = layout.cat.len().saturating_mul(spec.aux_width);
+        let shapes_agree = trunk
+            .iter()
+            .enumerate()
+            .all(|(i, l)| shape(l, if i == 0 { k } else { h }, h))
+            && simple_head
+                .as_ref()
+                .is_none_or(|l| shape(l, trunk_dim, layout.simple.len()))
+            && aux.as_ref().is_none_or(|l| shape(l, trunk_dim, cat_width))
+            && shared
+                .as_ref()
+                .is_none_or(|l| shape(l, cat_width.saturating_add(1), layout.max_card));
+        if !shapes_agree {
+            return Err(NnError::Corrupt(
+                "decoder layer shapes disagree with the spec",
+            ));
+        }
+        // A decoder-only model has no encoder: `encode` refuses.
         Ok(Autoencoder {
             spec,
             layout,
-            enc,
+            enc: Vec::new(),
             trunk,
             simple_head,
             aux,

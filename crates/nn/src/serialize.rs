@@ -43,6 +43,12 @@ impl<'a> Reader<'a> {
     fn f32(&mut self) -> Result<f32> {
         Ok(f32::from_bits(self.u32()?))
     }
+
+    /// How many 4-byte words are left: the most any declared count may
+    /// claim before it sizes an allocation.
+    fn words_left(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos) / 4
+    }
 }
 
 fn write_spec(out: &mut Vec<u8>, spec: &ModelSpec) {
@@ -66,7 +72,7 @@ fn write_spec(out: &mut Vec<u8>, spec: &ModelSpec) {
 
 fn read_spec(r: &mut Reader<'_>) -> Result<ModelSpec> {
     let n = r.u32()? as usize;
-    if n > 1 << 20 {
+    if n > r.words_left() {
         return Err(NnError::Corrupt("implausible head count"));
     }
     let mut heads = Vec::with_capacity(n);
@@ -117,6 +123,9 @@ fn read_layer(r: &mut Reader<'_>) -> Result<Dense> {
         return Err(NnError::Corrupt("implausible layer size"));
     }
     let act = activation_from_tag(r.u32()?)?;
+    if rows * cols + cols > r.words_left() {
+        return Err(NnError::Corrupt("truncated weight stream"));
+    }
     let mut data = Vec::with_capacity(rows * cols);
     for _ in 0..rows * cols {
         data.push(r.f32()?);
@@ -188,7 +197,6 @@ pub fn import_decoders(bytes: &[u8]) -> Result<MoeAutoencoder> {
         let layers = (0..n_layers)
             .map(|_| read_layer(&mut r))
             .collect::<Result<Vec<_>>>()?;
-        // ds-lint: allow(tainted-alloc) -- from_decoder_parts runs spec.validate() before any spec-sized allocation; validate()-style gates are outside the taint model (DESIGN.md §3h)
         experts.push(Autoencoder::from_decoder_parts(spec.clone(), layers)?);
     }
     Ok(MoeAutoencoder::from_experts(experts))

@@ -74,7 +74,6 @@ pub fn chow_liu(
             // the floating-point sum (and thus MST tie-breaks) run-to-run
             // nondeterministic.
             // ds-lint: allow(deterministic-iteration) -- collected entries are fully sorted on the next statement before the float accumulation
-            // ds-lint: allow(determinism-reachability) -- same justification: the sort on the next statement removes the hash-order dependence before any float accumulation
             let mut entries: Vec<(&(u32, u32), &f64)> = joint.iter().collect();
             entries.sort_by_key(|(k, _)| **k);
             let mut v = 0.0;
