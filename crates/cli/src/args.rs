@@ -1,7 +1,7 @@
 //! Tiny dependency-free argument parser: one subcommand, positional
 //! arguments, `--flag value` pairs, and boolean `--switch`es.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Argument-parsing failures.
@@ -23,7 +23,7 @@ impl fmt::Display for ArgError {
 }
 
 /// Known boolean switches (everything else taking `--x` consumes a value).
-const SWITCHES: &[&str] = &["tune", "quiet", "stats", "stream", "numeric-probe"];
+const SWITCHES: &[&str] = &["tune", "quiet", "stats", "stream"];
 
 /// Parsed command line.
 #[derive(Debug)]
@@ -31,9 +31,10 @@ pub struct Parsed {
     /// The subcommand.
     pub command: String,
     positionals: Vec<String>,
-    flags: HashMap<String, String>,
+    flags: BTreeMap<String, String>,
     switches: Vec<String>,
-    consumed_flags: Vec<String>,
+    /// Flag and switch names the command asked about.
+    consumed: Vec<String>,
 }
 
 impl Parsed {
@@ -42,7 +43,7 @@ impl Parsed {
         let mut it = argv.iter().peekable();
         let command = it.next().ok_or(ArgError::MissingCommand)?.clone();
         let mut positionals = Vec::new();
-        let mut flags = HashMap::new();
+        let mut flags = BTreeMap::new();
         let mut switches = Vec::new();
         while let Some(arg) = it.next() {
             if let Some(name) = arg.strip_prefix("--") {
@@ -63,7 +64,7 @@ impl Parsed {
             positionals,
             flags,
             switches,
-            consumed_flags: Vec::new(),
+            consumed: Vec::new(),
         })
     }
 
@@ -77,7 +78,7 @@ impl Parsed {
 
     /// Typed flag with a default.
     pub fn flag_or<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
-        self.consumed_flags.push(name.to_owned());
+        self.consumed.push(name.to_owned());
         match self.flags.get(name) {
             Some(raw) => raw
                 .parse()
@@ -87,18 +88,20 @@ impl Parsed {
     }
 
     /// Boolean switch presence.
-    pub fn switch(&self, name: &str) -> bool {
+    pub fn switch(&mut self, name: &str) -> bool {
+        self.consumed.push(name.to_owned());
         self.switches.iter().any(|s| s == name)
     }
 
-    /// Rejects unknown flags (catches typos like `--erorr`).
+    /// Rejects flags and switches the command never asked about: typos
+    /// like `--erorr`, and switches another command takes (`recompress
+    /// --tune`), which would otherwise be silently ignored.
     pub fn finish(&self) -> Result<(), String> {
-        for name in self.flags.keys() {
-            if !self.consumed_flags.iter().any(|c| c == name) {
-                return Err(format!("unknown flag --{name}"));
-            }
+        let mut given = self.flags.keys().chain(&self.switches);
+        match given.find(|name| !self.consumed.contains(name)) {
+            Some(name) => Err(format!("unknown flag --{name}")),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -138,6 +141,10 @@ mod tests {
         assert_eq!(err, ArgError::MissingValue("error".into()));
         let p = Parsed::parse(&argv(&["x", "--bogus", "1"])).unwrap();
         assert!(p.finish().unwrap_err().contains("--bogus"));
+        // A known switch the command never reads is refused too.
+        let mut p = Parsed::parse(&argv(&["x", "--tune", "--quiet"])).unwrap();
+        assert!(p.switch("quiet"));
+        assert!(p.finish().unwrap_err().contains("--tune"));
         let mut p = Parsed::parse(&argv(&["x", "--error", "abc"])).unwrap();
         assert!(p.flag_or("error", 0.0f64).is_err());
     }

@@ -3,9 +3,10 @@
 //! ```text
 //! dsqz compress   <in.csv> <out.dsqz> [--error F] [--code K] [--experts E]
 //!                 [--epochs N] [--seed S] [--shard-rows N] [--sample-frac F]
-//!                 [--stream] [--chunk-rows N] [--numeric-probe] [--tune]
-//!                 [--quiet] [--trace <f.jsonl>] [--stats]
-//! dsqz recompress <in.csv|in.dsqz|-> <out.dsqz> [compress flags]
+//!                 [--stream] [--chunk-rows N] [--tune] [--quiet]
+//!                 [--trace <f.jsonl>] [--stats]
+//! dsqz recompress <in.csv|in.dsqz|-> <out.dsqz> [compress flags except
+//!                 --stream and --tune]
 //! dsqz decompress <in.dsqz> <out.csv> [--rows A..B] [--trace <f.jsonl>] [--stats]
 //! dsqz serve      <in.dsqz> [--cache-mb N] [--listen HOST:PORT] [--max-conns N]
 //!                 [--metrics HOST:PORT] [--window N] [--trace <f.jsonl>] [--stats]
@@ -38,12 +39,16 @@
 //! decide whether it is CSV, a v1 archive, or a v2 container, and `-`
 //! reads any of those from stdin (spooled to a temp file so the two-pass
 //! pipeline can rewind). Re-encoding an existing archive under a new
-//! config — different shard size, error bound, or codec set — therefore
-//! needs no CSV round trip. `--numeric-probe` (both commands) tries the
-//! per-chunk constant/frame-of-reference numeric model on integer
-//! streams and records the chosen per-column codec chains in the v2
-//! manifest; `inspect` prints those chains and `serve`'s `STAT` reports
-//! the codec set in its `codecs=` field.
+//! config — different shard size or error bound — therefore needs no CSV
+//! round trip. `recompress` always streams and never tunes, so it
+//! refuses `--stream` and `--tune`, as every command refuses a flag or
+//! switch it does not read.
+//!
+//! An archive an older build wrote with its codec probe on carries
+//! per-column codec chains in its v2 manifest; `inspect` prints them and
+//! `serve`'s `STAT` reports the codec set in its `codecs=` field. This
+//! build records none: parq's own wire bytes say how each stream was
+//! encoded.
 //!
 //! `serve` opens an archive once and answers many row-range
 //! queries against it over a line protocol (`GET A..B` → CSV rows,
@@ -98,8 +103,8 @@ fn main() -> ExitCode {
 
 fn usage() -> &'static str {
     "usage:\n  \
-     dsqz compress   <in.csv> <out.dsqz> [--error F] [--code K] [--experts E] [--epochs N] [--seed S] [--shard-rows N] [--sample-frac F] [--stream] [--chunk-rows N] [--numeric-probe] [--tune] [--quiet] [--trace <f.jsonl>] [--stats]\n  \
-     dsqz recompress <in.csv|in.dsqz|-> <out.dsqz> [--error F] [--code K] [--experts E] [--epochs N] [--seed S] [--shard-rows N] [--sample-frac F] [--chunk-rows N] [--numeric-probe] [--quiet] [--trace <f.jsonl>] [--stats]\n  \
+     dsqz compress   <in.csv> <out.dsqz> [--error F] [--code K] [--experts E] [--epochs N] [--seed S] [--shard-rows N] [--sample-frac F] [--stream] [--chunk-rows N] [--tune] [--quiet] [--trace <f.jsonl>] [--stats]\n  \
+     dsqz recompress <in.csv|in.dsqz|-> <out.dsqz> [--error F] [--code K] [--experts E] [--epochs N] [--seed S] [--shard-rows N] [--sample-frac F] [--chunk-rows N] [--quiet] [--trace <f.jsonl>] [--stats]\n  \
      dsqz decompress <in.dsqz> <out.csv> [--rows A..B] [--trace <f.jsonl>] [--stats]\n  \
      dsqz serve      <in.dsqz> [--cache-mb N] [--listen HOST:PORT] [--max-conns N] [--metrics HOST:PORT] [--window N] [--trace <f.jsonl>] [--stats]\n  \
      dsqz top        <in.dsqz | HOST:PORT>\n  \
@@ -145,7 +150,6 @@ fn compress_flags(p: &mut Parsed, streamed: bool) -> Result<CompressFlags, Strin
         max_epochs: p.flag_or("epochs", 120)?,
         seed: p.flag_or("seed", 0)?,
         sample_frac: p.flag_or("sample-frac", 1.0)?,
-        numeric_probe: p.switch("numeric-probe"),
         shard_rows: if streamed && shard_rows == 0 {
             chunk_rows
         } else {
@@ -593,10 +597,7 @@ fn cmd_inspect(p: &mut Parsed) -> Result<(), String> {
                 }
             }
             None => {
-                let _ = writeln!(
-                    out,
-                    "codec chains: legacy (implicit; recorded when compressed with --numeric-probe)"
-                );
+                let _ = writeln!(out, "codec chains: not recorded (parq wire tags only)");
             }
         }
     }

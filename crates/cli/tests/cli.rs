@@ -461,6 +461,43 @@ fn errors_exit_nonzero() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A switch the command never reads is an error, as an unknown flag is,
+/// before any input is read or output created — not silently ignored.
+#[test]
+fn switches_a_command_does_not_read_are_refused() {
+    let dir = tmpdir("unread_switch");
+    let csv = dir.join("a.csv");
+    std::fs::write(&csv, "x,y\n1,a\n2,b\n3,a\n").unwrap();
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../core/tests/golden/v2.dsqz");
+    let out_path = dir.join("out");
+    let (csv, out) = (csv.to_str().unwrap(), out_path.to_str().unwrap());
+    for (args, switch) in [
+        (
+            ["recompress", csv, out, "--epochs", "1", "--tune"],
+            "--tune",
+        ),
+        (
+            ["recompress", csv, out, "--epochs", "1", "--stream"],
+            "--stream",
+        ),
+        (
+            ["decompress", golden, out, "--rows", "0..5", "--quiet"],
+            "--quiet",
+        ),
+    ] {
+        let res = dsqz().args(args).output().unwrap();
+        assert!(!res.status.success(), "{args:?} was accepted");
+        let stderr = String::from_utf8_lossy(&res.stderr);
+        assert_eq!(
+            stderr.lines().next(),
+            Some(format!("dsqz: unknown flag {switch}").as_str()),
+            "{args:?}: {stderr}"
+        );
+        assert!(!out_path.exists(), "{args:?} wrote its output");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn gen_rejects_unknown_dataset() {
     let out = dsqz()

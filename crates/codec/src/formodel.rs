@@ -11,9 +11,13 @@
 //!   a fraction of the bits the raw values need.
 //!
 //! The codec is registered in [`crate::registry`] under
-//! [`crate::registry::FOR_MODEL`]; archives record its id per column, so
-//! decoders that predate it reject the stream with a typed
-//! [`CodecError::UnknownCodec`] instead of misparsing.
+//! [`crate::registry::FOR_MODEL`] and is decode-only: no writer selects
+//! it. Archives written when it could compete hold it as parq wire byte
+//! 5, and a decoder that predates it rejects that byte with a typed
+//! [`CodecError::UnknownCodec`] instead of misparsing. It won none of
+//! the 3,273 failure streams of the three benchmark tables: those
+//! streams are residuals, ranks and codes already near zero, where a
+//! reference frame has nothing to remove.
 //!
 //! Wire format: `varint n`, then for each 1024-value chunk a mode byte —
 //! `0` (constant: `varint value`) or `1` (FoR: `varint min`, then the

@@ -92,22 +92,19 @@ pub(crate) fn decode_u32_arith(payload: &[u8]) -> Result<Vec<u32>> {
 }
 
 /// Encodes a u32 stream with the smallest applicable codec from the
-/// registry table (RLE / delta / bit-packing / Roaring / arith, plus the
-/// opt-in FoR probe). Returns the wire tag, the winner's registry id
-/// (for codec-chain recording) and the payload.
-fn encode_u32_best(values: &[u32], numeric_probe: bool) -> Result<(u8, u16, Vec<u8>)> {
-    let sel = registry::select_u32(values, numeric_probe)?;
-    Ok((sel.tag, sel.id.raw(), sel.payload))
-}
-
-fn decode_u32_best(tag: u8, payload: &[u8]) -> Result<Vec<u32>> {
-    registry::decode_u32(tag, payload)
+/// registry table (RLE / delta / bit-packing / Roaring / arith). Returns
+/// the winner's wire byte and the payload.
+fn encode_u32_best(values: &[u32]) -> Result<(u8, Vec<u8>)> {
+    let sel = registry::select_u32(values)?;
+    let byte = sel.id.wire_byte().ok_or(CodecError::InvalidParameter(
+        "parq: u32 codec id has no wire byte",
+    ))?;
+    Ok((byte, sel.payload))
 }
 
 /// Dictionary layout for f64 columns: sorted distinct values + u32 codes.
-/// Returns `None` when the cardinality is too high to pay off; the `u16`
-/// is the registry id of the inner code encoding.
-fn encode_f64_dict(values: &[f64], numeric_probe: bool) -> Result<Option<(Vec<u8>, u16)>> {
+/// Returns `None` when the cardinality is too high to pay off.
+fn encode_f64_dict(values: &[f64]) -> Result<Option<Vec<u8>>> {
     let mut distinct: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
     distinct.sort_unstable();
     distinct.dedup();
@@ -132,10 +129,10 @@ fn encode_f64_dict(values: &[f64], numeric_probe: bool) -> Result<Option<(Vec<u8
                 .expect("built from values") as u32
         })
         .collect();
-    let (tag, id, payload) = encode_u32_best(&codes, numeric_probe)?;
+    let (tag, payload) = encode_u32_best(&codes)?;
     w.write_u8(tag);
     w.write_len_prefixed(&payload);
-    Ok(Some((w.into_vec(), id)))
+    Ok(Some(w.into_vec()))
 }
 
 fn decode_f64_dict(payload: &[u8], nrows: usize) -> Result<Vec<f64>> {
@@ -149,7 +146,7 @@ fn decode_f64_dict(payload: &[u8], nrows: usize) -> Result<Vec<f64>> {
         prev = bits;
     }
     let tag = r.read_u8()?;
-    let codes = decode_u32_best(tag, r.read_len_prefixed()?)?;
+    let codes = registry::decode_u32(tag, r.read_len_prefixed()?)?;
     if codes.len() != nrows {
         return Err(CodecError::Corrupt("parq: f64 dict row count"));
     }
@@ -183,43 +180,29 @@ fn un_entropy(flag: u8, payload: &[u8]) -> Result<Vec<u8>> {
     }
 }
 
-/// Per-column byte cost and codec chain, reported by [`write_table`].
+/// Per-column byte cost, reported by [`write_table`].
 #[derive(Debug, Clone)]
 pub struct ColumnStats {
     /// Column name as stored.
     pub name: String,
     /// Bytes this column occupies in the container (payload + header).
     pub bytes: usize,
-    /// Registry codec ids the column's values flowed through, outermost
-    /// transform first (e.g. `dict → rle → gzlike`). See
-    /// [`crate::registry::chain_names`] for rendering.
-    pub chain: Vec<u16>,
 }
 
-/// Encodes one named column into a self-contained byte section, plus the
-/// registry codec-id chain the values flowed through.
+/// Encodes one named column into a self-contained byte section.
 ///
 /// Each section carries its own name, type tag, mode bytes and
 /// len-prefixed payload, so sections can be produced independently (and
 /// in parallel) and concatenated in column order — the result is
 /// byte-identical to a sequential single-writer encode.
-fn encode_column_section(
-    name: &str,
-    col: &ParqColumn,
-    numeric_probe: bool,
-) -> Result<(Vec<u8>, Vec<u16>)> {
+fn encode_column_section(name: &str, col: &ParqColumn) -> Result<Vec<u8>> {
     let mut w = ByteWriter::new();
-    let mut chain: Vec<u16> = Vec::new();
     w.write_len_prefixed(name.as_bytes());
     match col {
         ParqColumn::U32(values) => {
             w.write_u8(0);
-            let (tag, id, payload) = encode_u32_best(values, numeric_probe)?;
+            let (tag, payload) = encode_u32_best(values)?;
             let (flag, payload) = entropy_stage(payload);
-            chain.push(id);
-            if flag == 1 {
-                chain.push(registry::GZLIKE.raw());
-            }
             w.write_u8(tag);
             w.write_u8(flag);
             w.write_len_prefixed(&payload);
@@ -237,27 +220,18 @@ fn encode_column_section(
                 .map(|&v| u32::try_from(crate::varint::zigzag(v)).ok())
                 .collect();
             let direct = match zz {
-                Some(codes) => Some(encode_u32_best(&codes, numeric_probe)?),
+                Some(codes) => Some(encode_u32_best(&codes)?),
                 None => None,
             };
             match direct {
-                Some((tag, id, payload)) if payload.len() < delta_payload.len() => {
+                Some((tag, payload)) if payload.len() < delta_payload.len() => {
                     let (flag, payload) = entropy_stage(payload);
-                    chain.push(registry::ZIGZAG.raw());
-                    chain.push(id);
-                    if flag == 1 {
-                        chain.push(registry::GZLIKE.raw());
-                    }
                     w.write_u8(2 + flag); // 2 = zigzag raw, 3 = zigzag+gz
                     w.write_u8(tag);
                     w.write_len_prefixed(&payload);
                 }
                 _ => {
                     let (flag, payload) = entropy_stage(delta_payload);
-                    chain.push(registry::DELTA.raw());
-                    if flag == 1 {
-                        chain.push(registry::GZLIKE.raw());
-                    }
                     w.write_u8(flag); // 0 = delta raw, 1 = delta+gz
                     w.write_len_prefixed(&payload);
                 }
@@ -280,24 +254,15 @@ fn encode_column_section(
             }
             let xor_payload = raw.into_vec();
 
-            let dict_payload = encode_f64_dict(values, numeric_probe)?;
+            let dict_payload = encode_f64_dict(values)?;
             match dict_payload {
-                Some((dp, inner_id)) if dp.len() < xor_payload.len() => {
+                Some(dp) if dp.len() < xor_payload.len() => {
                     let (flag, payload) = entropy_stage(dp);
-                    chain.push(registry::DICT.raw());
-                    chain.push(inner_id);
-                    if flag == 1 {
-                        chain.push(registry::GZLIKE.raw());
-                    }
                     w.write_u8(2 + flag); // 2 = dict raw, 3 = dict+gz
                     w.write_len_prefixed(&payload);
                 }
                 _ => {
                     let (flag, payload) = entropy_stage(xor_payload);
-                    chain.push(registry::XOR_F64.raw());
-                    if flag == 1 {
-                        chain.push(registry::GZLIKE.raw());
-                    }
                     w.write_u8(flag); // 0 = xor raw, 1 = xor+gz
                     w.write_len_prefixed(&payload);
                 }
@@ -308,20 +273,15 @@ fn encode_column_section(
             let (dict, codes) = Dictionary::encode_column(values);
             let mut inner = ByteWriter::new();
             dict.write_to(&mut inner);
-            let (tag, id, payload) = encode_u32_best(&codes, numeric_probe)?;
+            let (tag, payload) = encode_u32_best(&codes)?;
             inner.write_u8(tag);
             inner.write_len_prefixed(&payload);
             let (flag, payload) = entropy_stage(inner.into_vec());
-            chain.push(registry::DICT.raw());
-            chain.push(id);
-            if flag == 1 {
-                chain.push(registry::GZLIKE.raw());
-            }
             w.write_u8(flag);
             w.write_len_prefixed(&payload);
         }
     }
-    Ok((w.into_vec(), chain))
+    Ok(w.into_vec())
 }
 
 /// Serializes named columns into a parq container.
@@ -329,28 +289,15 @@ fn encode_column_section(
 /// All columns must have equal length; returns per-column stats alongside
 /// the bytes. Columns encode in parallel (each into its own buffer) and
 /// concatenate in declaration order, so the container bytes do not depend
-/// on the thread count. Equivalent to [`write_table_opts`] with the
-/// numeric probe off — the historical byte-identical default.
+/// on the thread count.
 pub fn write_table(columns: &[(String, ParqColumn)]) -> Result<(Vec<u8>, Vec<ColumnStats>)> {
-    write_table_opts(columns, false)
-}
-
-/// [`write_table`] with codec selection knobs: `numeric_probe` lets the
-/// per-chunk constant/FoR model ([`crate::registry::FOR_MODEL`]) compete
-/// for u32 streams. Any win changes the emitted bytes, so callers that
-/// enable it must record the returned per-column chains in their
-/// container manifest.
-pub fn write_table_opts(
-    columns: &[(String, ParqColumn)],
-    numeric_probe: bool,
-) -> Result<(Vec<u8>, Vec<ColumnStats>)> {
     let nrows = columns.first().map(|(_, c)| c.len()).unwrap_or(0);
     if columns.iter().any(|(_, c)| c.len() != nrows) {
         return Err(CodecError::InvalidParameter("parq: ragged columns"));
     }
-    let sections: Vec<Result<(Vec<u8>, Vec<u16>)>> = ds_exec::parallel_map(columns.len(), |i| {
+    let sections: Vec<Result<Vec<u8>>> = ds_exec::parallel_map(columns.len(), |i| {
         let (name, col) = &columns[i]; // ds-lint: allow(panic-free-decode) -- encoder-side; parallel_map yields i < columns.len()
-        encode_column_section(name, col, numeric_probe)
+        encode_column_section(name, col)
     });
 
     let mut w = ByteWriter::new();
@@ -359,12 +306,11 @@ pub fn write_table_opts(
     w.write_varint(nrows as u64); // ds-lint: allow(no-raw-cast-len) -- widening usize -> u64, lossless on every supported target
     let mut stats = Vec::with_capacity(columns.len());
     for ((name, _), section) in columns.iter().zip(sections) {
-        let (bytes, chain) = section?;
+        let bytes = section?;
         w.write_bytes(&bytes);
         stats.push(ColumnStats {
             name: name.clone(),
             bytes: bytes.len(),
-            chain,
         });
     }
     Ok((w.into_vec(), stats))
@@ -388,7 +334,7 @@ fn decode_column_section(sec: &ColumnSection<'_>, nrows: usize) -> Result<ParqCo
     match sec.type_tag {
         0 => {
             let payload = un_entropy(sec.mode, sec.payload)?;
-            let values = decode_u32_best(sec.tag, &payload)?;
+            let values = registry::decode_u32(sec.tag, &payload)?;
             if values.len() != nrows {
                 return Err(CodecError::Corrupt("parq: row count mismatch"));
             }
@@ -397,7 +343,7 @@ fn decode_column_section(sec: &ColumnSection<'_>, nrows: usize) -> Result<ParqCo
         1 => {
             let values = if sec.mode >= 2 {
                 let payload = un_entropy(sec.mode & 1, sec.payload)?;
-                decode_u32_best(sec.tag, &payload)?
+                registry::decode_u32(sec.tag, &payload)?
                     .into_iter()
                     .map(|c| crate::varint::unzigzag(u64::from(c)))
                     .collect()
@@ -436,7 +382,7 @@ fn decode_column_section(sec: &ColumnSection<'_>, nrows: usize) -> Result<ParqCo
             let mut inner = ByteReader::new(&payload);
             let dict = Dictionary::read_from(&mut inner)?;
             let tag = inner.read_u8()?;
-            let codes = decode_u32_best(tag, inner.read_len_prefixed()?)?;
+            let codes = registry::decode_u32(tag, inner.read_len_prefixed()?)?;
             if codes.len() != nrows {
                 return Err(CodecError::Corrupt("parq: row count mismatch"));
             }
@@ -648,6 +594,28 @@ mod tests {
         forged.write_varint((1 << 28) - 1);
         forged.write_bytes(&payload[2..]); // past the 2-byte varint of 200
         assert!(decode_u32_arith(forged.as_slice()).is_err());
+    }
+
+    /// No writer selects the frame-of-reference codec, but archives
+    /// written when it could compete hold it as wire byte 5: a U32
+    /// column built by hand that way still reads.
+    #[test]
+    fn a_for_model_column_still_decodes() {
+        let values: Vec<u32> = (0..3000u32).map(|i| 1_000_000 + i % 97).collect();
+        let payload = crate::formodel::encode(&values);
+        let mut w = ByteWriter::new();
+        w.write_bytes(MAGIC);
+        w.write_varint(1); // columns
+        w.write_varint(values.len() as u64);
+        w.write_len_prefixed(b"f");
+        w.write_u8(0); // U32
+        w.write_u8(5); // FoR's wire byte: registry id 6 minus one
+        w.write_u8(0); // no entropy stage
+        w.write_len_prefixed(&payload);
+        assert_eq!(
+            read_table(w.as_slice()).unwrap(),
+            vec![("f".to_owned(), ParqColumn::U32(values))]
+        );
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! `registry` — the stable codec-id table that makes containers
-//! self-describing.
+//! `registry` — the stable codec-id table: the one numbering of every
+//! codec stage in this crate.
 //!
-//! Every codec stage in this crate owns a stable `u16` id. Containers
-//! record, per column, the *chain* of ids its bytes went through
-//! (e.g. `dict → rle → gzlike`), so decode dispatches on recorded ids
-//! instead of hardwired calls and a new codec is a registry entry, not a
-//! format break. An id this build does not know surfaces as the typed
+//! Every codec stage owns a stable `u16` id. Two places in an archive
+//! name codecs by it:
+//!
+//! * parq's column sections, whose one-byte u32 codec tag is the id
+//!   minus one ([`CodecId::wire_byte`]);
+//! * the per-column codec *chains* (e.g. `dict → rle → gzlike`) that
+//!   older builds could record in a v2 manifest. This build reads them
+//!   and never writes them; decode dispatches on the parq byte alone.
+//!
+//! An id this build does not know surfaces as the typed
 //! [`CodecError::UnknownCodec`] — "upgrade your decoder", never a panic
 //! and never a misparse.
 //!
@@ -22,12 +27,11 @@
 //!
 //! The subset of codecs that encode dense `u32` streams (the workhorse
 //! of parq's column sections) additionally registers probe/encode/decode
-//! entry points here. [`select_u32`] replays parq's historical
-//! "try every candidate, keep the strictly smaller" selection through
-//! the table — in table order, which is exactly the legacy wire-tag
-//! order, so default selections (and therefore archive bytes) are
-//! unchanged. The [`FOR_MODEL`] probe is opt-in: it only competes when
-//! the caller asks, because any win changes the emitted bytes.
+//! entry points here. [`select_u32`] is parq's "try every candidate, keep
+//! the strictly smaller" selection over the table, in id order. It skips
+//! [`FOR_MODEL`]: the frame-of-reference model stays decodable, because
+//! archives older builds wrote may hold it, but it won none of the 3,273
+//! failure streams of the three benchmark tables when it could compete.
 
 use crate::roaring::RoaringBitmap;
 use crate::{bitpack, delta, formodel, parq, rle, CodecError, Result};
@@ -40,6 +44,19 @@ impl CodecId {
     /// The raw wire value.
     pub fn raw(self) -> u16 {
         self.0
+    }
+
+    /// The byte parq records a u32 codec as: the id minus one. `None` for
+    /// ids no byte can spell (0 and above 256); every [`u32_codecs`] entry
+    /// has one.
+    pub fn wire_byte(self) -> Option<u8> {
+        u8::try_from(self.0.checked_sub(1)?).ok()
+    }
+
+    /// The id a parq wire byte names; the inverse of
+    /// [`wire_byte`](Self::wire_byte).
+    pub fn from_wire_byte(byte: u8) -> CodecId {
+        CodecId(u16::from(byte) + 1)
     }
 }
 
@@ -79,17 +96,6 @@ pub const XOR_F64: CodecId = CodecId(12);
 /// Zigzag i64 -> u32 reinterpretation ahead of a u32 codec.
 pub const ZIGZAG: CodecId = CodecId(13);
 
-/// Broad role of a codec stage, for tooling output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecKind {
-    /// Encodes a dense u32 stream (registered in the [`u32_codecs`] table).
-    U32Model,
-    /// Transforms bytes to bytes (entropy stages).
-    ByteStream,
-    /// Reshapes values ahead of another stage (dict, zigzag, xor).
-    Transform,
-}
-
 /// One registry row.
 #[derive(Debug, Clone, Copy)]
 pub struct CodecDescriptor {
@@ -97,76 +103,26 @@ pub struct CodecDescriptor {
     pub id: CodecId,
     /// Human-readable name, shown by `dsqz inspect` and ds-serve.
     pub name: &'static str,
-    /// Broad role.
-    pub kind: CodecKind,
+}
+
+const fn row(id: CodecId, name: &'static str) -> CodecDescriptor {
+    CodecDescriptor { id, name }
 }
 
 static DESCRIPTORS: &[CodecDescriptor] = &[
-    CodecDescriptor {
-        id: RLE,
-        name: "rle",
-        kind: CodecKind::U32Model,
-    },
-    CodecDescriptor {
-        id: DELTA,
-        name: "delta",
-        kind: CodecKind::U32Model,
-    },
-    CodecDescriptor {
-        id: BITPACK,
-        name: "bitpack",
-        kind: CodecKind::U32Model,
-    },
-    CodecDescriptor {
-        id: ROARING,
-        name: "roaring",
-        kind: CodecKind::U32Model,
-    },
-    CodecDescriptor {
-        id: ARITH,
-        name: "arith",
-        kind: CodecKind::U32Model,
-    },
-    CodecDescriptor {
-        id: FOR_MODEL,
-        name: "for",
-        kind: CodecKind::U32Model,
-    },
-    CodecDescriptor {
-        id: DICT,
-        name: "dict",
-        kind: CodecKind::Transform,
-    },
-    CodecDescriptor {
-        id: GZLIKE,
-        name: "gzlike",
-        kind: CodecKind::ByteStream,
-    },
-    CodecDescriptor {
-        id: HUFFMAN,
-        name: "huffman",
-        kind: CodecKind::ByteStream,
-    },
-    CodecDescriptor {
-        id: LZSS,
-        name: "lzss",
-        kind: CodecKind::ByteStream,
-    },
-    CodecDescriptor {
-        id: QUANT,
-        name: "quant",
-        kind: CodecKind::Transform,
-    },
-    CodecDescriptor {
-        id: XOR_F64,
-        name: "xor-f64",
-        kind: CodecKind::Transform,
-    },
-    CodecDescriptor {
-        id: ZIGZAG,
-        name: "zigzag",
-        kind: CodecKind::Transform,
-    },
+    row(RLE, "rle"),
+    row(DELTA, "delta"),
+    row(BITPACK, "bitpack"),
+    row(ROARING, "roaring"),
+    row(ARITH, "arith"),
+    row(FOR_MODEL, "for"),
+    row(DICT, "dict"),
+    row(GZLIKE, "gzlike"),
+    row(HUFFMAN, "huffman"),
+    row(LZSS, "lzss"),
+    row(QUANT, "quant"),
+    row(XOR_F64, "xor-f64"),
+    row(ZIGZAG, "zigzag"),
 ];
 
 /// Every registered codec, in id order.
@@ -225,13 +181,12 @@ pub struct U32Candidate {
     pub bytes: Option<Vec<u8>>,
 }
 
-/// Registry entry for a dense-u32 codec: stable id, legacy parq wire
-/// tag, and the three entry points selection and decode dispatch on.
+/// Registry entry for a dense-u32 codec: stable id (parq writes it as
+/// [`CodecId::wire_byte`]) and the three entry points selection and
+/// decode dispatch on.
 pub struct U32Codec {
     /// Stable registry id.
     pub id: CodecId,
-    /// Legacy single-byte wire tag inside parq column sections.
-    pub tag: u8,
     /// Sizes the stream; `None` when the codec does not apply.
     pub probe: fn(&[u32]) -> Option<U32Candidate>,
     /// Produces the encoding; `None` when the codec does not apply.
@@ -326,75 +281,56 @@ fn encode_for(values: &[u32]) -> Option<Vec<u8>> {
     Some(formodel::encode(values))
 }
 
-/// The dense-u32 codec table, in legacy wire-tag order. Selection walks
-/// it front to back with a strict `<`, so earlier entries win ties —
-/// exactly the historical preference order.
+/// The dense-u32 codec table, in id (and so wire-byte) order. Selection
+/// walks it front to back with a strict `<`, so earlier entries win ties
+/// — exactly the historical preference order.
 static U32_CODECS: &[U32Codec] = &[
     U32Codec {
         id: RLE,
-        tag: 0,
         probe: probe_rle,
         encode: encode_rle,
         decode: rle::decode,
     },
     U32Codec {
         id: DELTA,
-        tag: 1,
         probe: probe_delta,
         encode: encode_delta,
         decode: delta::decode_u32,
     },
     U32Codec {
         id: BITPACK,
-        tag: 2,
         probe: probe_bitpack,
         encode: encode_bitpack,
         decode: decode_bitpack,
     },
     U32Codec {
         id: ROARING,
-        tag: 3,
         probe: probe_roaring,
         encode: encode_roaring,
         decode: RoaringBitmap::decode_bit_stream,
     },
     U32Codec {
         id: ARITH,
-        tag: 4,
         probe: probe_arith,
         encode: parq::encode_u32_arith,
         decode: parq::decode_u32_arith,
     },
     U32Codec {
         id: FOR_MODEL,
-        tag: 5,
         probe: probe_for,
         encode: encode_for,
         decode: formodel::decode,
     },
 ];
 
-/// The dense-u32 codec table (legacy wire-tag order).
+/// The dense-u32 codec table, in id order.
 pub fn u32_codecs() -> &'static [U32Codec] {
     U32_CODECS
 }
 
-/// Looks up a u32 codec by its parq wire tag.
-pub fn u32_codec_for_tag(tag: u8) -> Option<&'static U32Codec> {
-    U32_CODECS.iter().find(|c| c.tag == tag)
-}
-
-/// Looks up a u32 codec by registry id.
-pub fn u32_codec(id: CodecId) -> Option<&'static U32Codec> {
-    U32_CODECS.iter().find(|c| c.id == id)
-}
-
-/// Outcome of [`select_u32`]: the winning codec's wire tag, registry id
-/// and payload.
+/// Outcome of [`select_u32`]: the winning codec's id and payload.
 pub struct U32Selection {
-    /// Legacy parq wire tag of the winner.
-    pub tag: u8,
-    /// Registry id of the winner (recorded in codec chains).
+    /// Registry id of the winner.
     pub id: CodecId,
     /// Encoded payload.
     pub payload: Vec<u8>,
@@ -403,15 +339,13 @@ pub struct U32Selection {
 /// Encodes a u32 stream with the smallest applicable codec from the
 /// registry table.
 ///
-/// Walks the table in wire-tag order keeping the strictly-smaller
-/// candidate, so with `numeric_probe` off the winner — and the bytes —
-/// match the historical hardcoded selection exactly. With it on, the
-/// [`FOR_MODEL`] probe competes too (and its wins change the bytes,
-/// which is why it is opt-in and its id is recorded in the chain).
-pub fn select_u32(values: &[u32], numeric_probe: bool) -> Result<U32Selection> {
+/// Walks the table in id order keeping the strictly-smaller candidate.
+/// [`FOR_MODEL`] is decode-only and never competes, so the winner — and
+/// the bytes — are the historical hardcoded selection's.
+pub fn select_u32(values: &[u32]) -> Result<U32Selection> {
     let mut best: Option<(&'static U32Codec, usize, Option<Vec<u8>>)> = None;
     for codec in U32_CODECS {
-        if codec.id == FOR_MODEL && !numeric_probe {
+        if codec.id == FOR_MODEL {
             continue;
         }
         let Some(candidate) = (codec.probe)(values) else {
@@ -435,18 +369,25 @@ pub fn select_u32(values: &[u32], numeric_probe: bool) -> Result<U32Selection> {
         ))?,
     };
     Ok(U32Selection {
-        tag: codec.tag,
         id: codec.id,
         payload,
     })
 }
 
-/// Decodes a u32 payload by its recorded wire tag. A tag this build has
-/// no codec for is an archive from the future: typed
-/// [`CodecError::UnknownCodec`], never a panic.
-pub fn decode_u32(tag: u8, payload: &[u8]) -> Result<Vec<u32>> {
-    let codec = u32_codec_for_tag(tag).ok_or(CodecError::UnknownCodec(u16::from(tag)))?;
-    (codec.decode)(payload)
+/// Decodes a u32 payload by its parq wire byte, which names the id
+/// `byte + 1`. An id this build does not know is an archive from the
+/// future: typed [`CodecError::UnknownCodec`] with that id. A known id
+/// that encodes no u32 stream (dict … zigzag) is a damaged byte:
+/// [`CodecError::Corrupt`].
+pub fn decode_u32(byte: u8, payload: &[u8]) -> Result<Vec<u32>> {
+    let id = CodecId::from_wire_byte(byte);
+    match U32_CODECS.iter().find(|c| c.id == id) {
+        Some(codec) => (codec.decode)(payload),
+        None if is_known(id.raw()) => Err(CodecError::Corrupt(
+            "parq: wire byte names a codec that encodes no u32 stream",
+        )),
+        None => Err(CodecError::UnknownCodec(id.raw())),
+    }
 }
 
 #[cfg(test)]
@@ -489,13 +430,27 @@ mod tests {
     }
 
     #[test]
-    fn tags_map_to_ids_and_back() {
-        for codec in u32_codecs() {
-            let by_tag = u32_codec_for_tag(codec.tag).unwrap();
-            assert_eq!(by_tag.id, codec.id);
-            assert_eq!(u32_codec(codec.id).unwrap().tag, codec.tag);
+    fn a_u32_codec_is_written_as_its_id_minus_one() {
+        // The parq bytes every archive carries: a failure here is a
+        // format break, not a test to update.
+        let pinned: &[(CodecId, u8)] = &[
+            (RLE, 0),
+            (DELTA, 1),
+            (BITPACK, 2),
+            (ROARING, 3),
+            (ARITH, 4),
+            (FOR_MODEL, 5),
+        ];
+        let table: Vec<CodecId> = u32_codecs().iter().map(|c| c.id).collect();
+        let ids: Vec<CodecId> = pinned.iter().map(|&(id, _)| id).collect();
+        assert_eq!(table, ids, "the u32 table is these six, in this order");
+        for &(id, byte) in pinned {
+            assert_eq!(id.wire_byte(), Some(byte));
+            assert_eq!(CodecId::from_wire_byte(byte), id);
         }
-        assert!(u32_codec_for_tag(200).is_none());
+        assert_eq!(CodecId(0).wire_byte(), None);
+        assert_eq!(CodecId(257).wire_byte(), None);
+        assert_eq!(CodecId::from_wire_byte(255), CodecId(256));
     }
 
     #[test]
@@ -535,35 +490,24 @@ mod tests {
             (0..5000).map(|i| (i % 7) as u32).collect(), // arith candidate
         ];
         for values in &streams {
-            for probe in [false, true] {
-                let sel = select_u32(values, probe).unwrap();
-                assert_eq!(&decode_u32(sel.tag, &sel.payload).unwrap(), values);
-            }
+            let sel = select_u32(values).unwrap();
+            let byte = sel.id.wire_byte().unwrap();
+            assert_eq!(&decode_u32(byte, &sel.payload).unwrap(), values);
         }
     }
 
     #[test]
-    fn default_selection_never_picks_for_model() {
+    fn selection_never_picks_for_model_which_still_decodes() {
+        // An offset cluster is FoR's best case: it would win, and is not
+        // offered the stream.
         let clustered: Vec<u32> = (0..4096u32).map(|i| 1_000_000_000 + i % 64).collect();
-        let off = select_u32(&clustered, false).unwrap();
-        assert_ne!(off.id, FOR_MODEL);
-        let on = select_u32(&clustered, true).unwrap();
-        assert_eq!(on.id, FOR_MODEL, "offset cluster should be a FoR win");
-        assert_eq!(decode_u32(on.tag, &on.payload).unwrap(), clustered);
-        assert!(on.payload.len() < off.payload.len());
-
-        // The probe discriminates: a stream spanning the full u32 range
-        // has no frame to exploit, so FoR must lose even when allowed.
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let wide: Vec<u32> = (0..4096)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 32) as u32
-            })
-            .collect();
-        let on = select_u32(&wide, true).unwrap();
-        assert_ne!(on.id, FOR_MODEL, "full-range stream is not a FoR win");
-        assert_eq!(decode_u32(on.tag, &on.payload).unwrap(), wide);
+        let sel = select_u32(&clustered).unwrap();
+        assert_ne!(sel.id, FOR_MODEL);
+        let for_bytes = formodel::encode(&clustered);
+        assert!(for_bytes.len() < sel.payload.len());
+        // What an archive written when FoR competed holds decodes.
+        let byte = FOR_MODEL.wire_byte().unwrap();
+        assert_eq!(decode_u32(byte, &for_bytes).unwrap(), clustered);
     }
 
     #[test]
@@ -591,10 +535,22 @@ mod tests {
     }
 
     #[test]
-    fn unknown_tag_is_typed_not_corrupt() {
+    fn a_wire_byte_naming_a_known_non_u32_codec_is_corrupt() {
+        // Byte 9 names id 10, lzss: this build knows it, and it encodes
+        // no u32 stream. Bytes 6..=12 name dict … zigzag.
+        for byte in 6..=12u8 {
+            assert!(
+                matches!(decode_u32(byte, &[1, 2, 3]), Err(CodecError::Corrupt(_))),
+                "byte {byte}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_wire_byte_naming_an_unknown_id_reports_that_id() {
         assert_eq!(
-            decode_u32(9, &[1, 2, 3]).unwrap_err(),
-            CodecError::UnknownCodec(9)
+            decode_u32(200, &[1, 2, 3]).unwrap_err(),
+            CodecError::UnknownCodec(201)
         );
     }
 }

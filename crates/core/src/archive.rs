@@ -55,10 +55,6 @@ pub struct DsArchive {
     /// Per-column failure-stream sizes (diagnostics; empty after
     /// [`DsArchive::from_bytes`]).
     pub(crate) failure_stats: Vec<(String, usize)>,
-    /// Per-column registry codec-id chains the failure streams flowed
-    /// through, aligned with `failure_stats` (compression-time metadata;
-    /// empty after [`DsArchive::from_bytes`]).
-    pub(crate) column_chains: Vec<Vec<u16>>,
 }
 
 impl DsArchive {
@@ -69,7 +65,6 @@ impl DsArchive {
             bytes,
             breakdown: SizeBreakdown::default(),
             failure_stats: Vec::new(),
-            column_chains: Vec::new(),
         }
     }
 
@@ -95,13 +90,6 @@ impl DsArchive {
     pub fn failure_stats(&self) -> &[(String, usize)] {
         &self.failure_stats
     }
-
-    /// Per-column registry codec-id chains of the failure streams,
-    /// aligned with [`failure_stats`](Self::failure_stats) (empty for
-    /// archives loaded from raw bytes).
-    pub fn column_chains(&self) -> &[Vec<u16>] {
-        &self.column_chains
-    }
 }
 
 /// Header-level description of an archive (no decompression needed).
@@ -124,9 +112,11 @@ pub struct ArchiveInfo {
     pub code_bits: u8,
     /// Row-group shards in the container (0 = monolithic v1 archive).
     pub shards: usize,
-    /// Recorded per-column codec chains (from the first shard's manifest
-    /// row); `None` for v1 archives and v2 containers written before
-    /// chain recording — those decode via the implicit legacy chain.
+    /// Per-column codec chains recorded in the manifest (the first
+    /// shard's row). Only containers an older build wrote under its codec
+    /// probe carry them; `None` for everything else, including every
+    /// archive this build writes. Decoding never consults them: parq's
+    /// own wire bytes say how each stream was encoded.
     pub codec_chains: Option<Vec<Vec<u16>>>,
 }
 

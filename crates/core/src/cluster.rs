@@ -163,7 +163,6 @@ pub fn compress_kmeans(table: &Table, cfg: &DsConfig) -> Result<DsArchive> {
         code_bits: choose_code_bits(cfg, table, &prep, routed)?,
         order_free: cfg.order_free,
         omit_decoder: false,
-        numeric_probe: cfg.numeric_probe,
     };
     let _sp = ds_obs::span("materialize");
     materialize_with_patches(table, &prep, Some(routed), &[], &opts)

@@ -41,11 +41,6 @@ pub struct MaterializeOptions {
     /// the container manifest instead of repeating it per row group;
     /// decompression then substitutes the shared blob.
     pub omit_decoder: bool,
-    /// Let the per-chunk constant/FoR numeric model
-    /// ([`ds_codec::registry::FOR_MODEL`]) compete for u32 streams. Off
-    /// by default: any win changes the emitted bytes, so enabling it
-    /// requires a reader that understands the recorded codec id.
-    pub numeric_probe: bool,
 }
 
 /// Expert-mapping strategies (§6.4).
@@ -534,12 +529,10 @@ pub(crate) fn compute_failures(
 }
 
 /// Serializes failure buffers into the columnar failure blob. Returns the
-/// blob, the rare-stream blob, per-column byte stats, and the per-column
-/// registry codec chains the streams flowed through.
+/// blob, the rare-stream blob, and per-column byte stats.
 pub(crate) fn encode_failures(
     buffers: FailureBuffers,
-    numeric_probe: bool,
-) -> Result<(Vec<u8>, Vec<u8>, Vec<(String, usize)>, Vec<Vec<u16>>)> {
+) -> Result<(Vec<u8>, Vec<u8>, Vec<(String, usize)>)> {
     let mut cols: Vec<(String, parq::ParqColumn)> = Vec::new();
     for (i, fc) in buffers.per_col.into_iter().enumerate() {
         let name = format!("{i}");
@@ -551,13 +544,8 @@ pub(crate) fn encode_failures(
         };
         cols.push((name, col));
     }
-    let (main, stats) = parq::write_table_opts(&cols, numeric_probe)?;
-    let mut col_stats = Vec::with_capacity(stats.len());
-    let mut col_chains = Vec::with_capacity(stats.len());
-    for s in stats {
-        col_stats.push((s.name, s.bytes));
-        col_chains.push(s.chain);
-    }
+    let (main, stats) = parq::write_table(&cols)?;
+    let col_stats = stats.into_iter().map(|s| (s.name, s.bytes)).collect();
 
     // Rare streams, one per column, already in (col, pos) order.
     let mut w = ByteWriter::new();
@@ -568,11 +556,10 @@ pub(crate) fn encode_failures(
     w.write_varint(by_col.len() as u64);
     for (col, codes) in by_col {
         w.write_varint(col as u64);
-        let (blob, _) =
-            parq::write_table_opts(&[("r".into(), parq::ParqColumn::U32(codes))], numeric_probe)?;
+        let (blob, _) = parq::write_table(&[("r".into(), parq::ParqColumn::U32(codes))])?;
         w.write_len_prefixed(&blob);
     }
-    Ok((main, w.into_vec(), col_stats, col_chains))
+    Ok((main, w.into_vec(), col_stats))
 }
 
 /// The §6.2 width rule: at least one width, each in 1..=32. Returns the
@@ -595,7 +582,6 @@ pub(crate) struct Streams {
     pub(crate) failures: Vec<u8>,
     pub(crate) rare: Vec<u8>,
     col_stats: Vec<(String, usize)>,
-    col_chains: Vec<Vec<u16>>,
 }
 
 /// The single-width encoder: quantizes the assigned codes to `bits`, runs
@@ -607,7 +593,6 @@ pub(crate) fn encode_streams(
     routed: Option<Routed>,
     layout: &RowLayout,
     bits: u8,
-    numeric_probe: bool,
 ) -> Result<Streams> {
     // Each expert's codes in storage order, which within one expert is
     // row order: a gather of what the assignment already computed.
@@ -617,7 +602,7 @@ pub(crate) fn encode_streams(
     });
     let (code_layout, quantized) = quantize_codes(&per_expert_codes, bits);
     // Codes blob: k columns in storage order.
-    let codes = encode_code_blob(&quantized, layout, table.nrows(), numeric_probe)?;
+    let codes = encode_code_blob(&quantized, layout, table.nrows())?;
     let buffers = compute_failures(table, prep, layout, |e| {
         let Some((model, _)) = routed else {
             return Ok(None);
@@ -625,14 +610,13 @@ pub(crate) fn encode_streams(
         let dq = dequantize_codes(&quantized[e], &code_layout.ranges[e], bits);
         Ok(Some(model.decode(e, &dq)?))
     })?;
-    let (failures, rare, col_stats, col_chains) = encode_failures(buffers, numeric_probe)?;
+    let (failures, rare, col_stats) = encode_failures(buffers)?;
     Ok(Streams {
         code_layout,
         codes,
         failures,
         rare,
         col_stats,
-        col_chains,
     })
 }
 
@@ -669,14 +653,7 @@ pub fn materialize_with_patches(
 
     let streams = {
         let _sp = ds_obs::span("encode");
-        encode_streams(
-            table,
-            prep,
-            routed,
-            &layout,
-            opts.code_bits,
-            opts.numeric_probe,
-        )?
+        encode_streams(table, prep, routed, &layout, opts.code_bits)?
     };
     let code_layout = &streams.code_layout;
     let k = code_layout.ranges.first().map_or(0, Vec::len);
@@ -796,7 +773,6 @@ pub fn materialize_with_patches(
         },
         bytes,
         failure_stats: streams.col_stats,
-        column_chains: streams.col_chains,
     })
 }
 
@@ -806,7 +782,6 @@ fn encode_code_blob(
     quantized: &[Vec<Vec<u32>>],
     layout: &RowLayout,
     nrows: usize,
-    numeric_probe: bool,
 ) -> Result<Vec<u8>> {
     let k = quantized
         .iter()
@@ -829,7 +804,7 @@ fn encode_code_blob(
         .enumerate()
         .map(|(d, v)| (format!("code{d}"), parq::ParqColumn::U32(v)))
         .collect();
-    let (blob, _) = parq::write_table_opts(&named, numeric_probe)?;
+    let (blob, _) = parq::write_table(&named)?;
     Ok(blob)
 }
 

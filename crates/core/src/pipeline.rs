@@ -15,6 +15,18 @@ use ds_nn::{serialize, Head, ModelSpec, MoeAutoencoder};
 use ds_table::stream::TableSource;
 use ds_table::{CatColumn, Column, Table};
 
+/// Minibatch size of every training run.
+const BATCH_SIZE: usize = 128;
+
+/// Relative weight of numeric MSE against categorical cross-entropy in
+/// the training loss.
+const NUMERIC_LOSS_WEIGHT: f32 = 2.0;
+
+/// High-cardinality fallback threshold (§4.1): a categorical column with
+/// `distinct / rows` above this (and more than 64 distinct values)
+/// bypasses the model.
+const HIGH_CARD_RATIO: f64 = 0.5;
+
 /// All DeepSqueeze knobs in one place. `Default` matches the paper's
 /// stated defaults where it states them (two hidden layers of 2× the
 /// column count, quantization on, single expert until tuned).
@@ -33,8 +45,6 @@ pub struct DsConfig {
     pub n_experts: usize,
     /// Training epochs cap.
     pub max_epochs: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
     /// Adam learning rate.
     pub lr: f32,
     /// Per-epoch multiplicative learning-rate decay (1.0 = constant).
@@ -46,16 +56,12 @@ pub struct DsConfig {
     /// Fraction of rows used for training (§5.3/§7.4.4); materialization
     /// always covers the full table.
     pub sample_frac: f64,
-    /// High-cardinality fallback threshold (§4.1).
-    pub high_card_ratio: f64,
     /// Skew clipping: maximum model classes per categorical column (§4.1).
     pub max_train_card: usize,
     /// Fig. 7 ablation: single linear layer baseline.
     pub linear_single_layer: bool,
     /// Fig. 7 ablation: disable numeric quantization.
     pub quantize_numerics: bool,
-    /// Relative weight of numeric MSE vs categorical cross-entropy.
-    pub numeric_loss_weight: f32,
     /// Candidate code widths for §6.2 truncation; the fit picks one.
     pub code_bits_candidates: Vec<u8>,
     /// §6.4 order-free storage (relational tables): rows come back
@@ -71,13 +77,6 @@ pub struct DsConfig {
     /// decompression can decode shards in parallel — or only those
     /// intersecting a requested row range ([`decompress_rows`]).
     pub shard_rows: usize,
-    /// Let the per-chunk constant/FoR numeric model
-    /// ([`ds_codec::registry::FOR_MODEL`]) compete for u32 streams. Off
-    /// by default so archive bytes stay identical to earlier builds;
-    /// when on, sharded containers record the per-column codec chains in
-    /// their manifest so readers can negotiate (an unknown id surfaces
-    /// as a typed `UnknownCodec` error, never a misparse).
-    pub numeric_probe: bool,
 }
 
 impl Default for DsConfig {
@@ -88,22 +87,18 @@ impl Default for DsConfig {
             code_size: 2,
             n_experts: 1,
             max_epochs: 120,
-            batch_size: 128,
             lr: 4e-3,
             lr_decay: 0.997,
             tol: 5e-4,
             seed: 0,
             sample_frac: 1.0,
-            high_card_ratio: 0.5,
             max_train_card: 256,
             linear_single_layer: false,
             quantize_numerics: true,
-            numeric_loss_weight: 2.0,
             code_bits_candidates: vec![4, 8, 16],
             order_free: false,
             weight_truncate_bits: 16,
             shard_rows: 0,
-            numeric_probe: false,
         }
     }
 }
@@ -136,7 +131,7 @@ impl DsConfig {
         };
         Ok(PreprocessOptions {
             error_thresholds,
-            high_card_ratio: self.high_card_ratio,
+            high_card_ratio: HIGH_CARD_RATIO,
             max_train_card: self.max_train_card,
             quantize_numerics: self.quantize_numerics,
         })
@@ -150,12 +145,12 @@ impl DsConfig {
             code_size: self.code_size,
             hidden: (heads.len() * 2).max(4),
             linear_single_layer: self.linear_single_layer,
-            numeric_loss_weight: self.numeric_loss_weight,
+            numeric_loss_weight: NUMERIC_LOSS_WEIGHT,
             aux_width: 4,
         };
         let moe = MoeConfig {
             n_experts: self.n_experts,
-            batch_size: self.batch_size,
+            batch_size: BATCH_SIZE,
             max_epochs: self.max_epochs,
             tol: self.tol,
             lr: self.lr,
@@ -204,7 +199,7 @@ pub(crate) fn choose_code_bits(
     let layout = plan_rows(&routed.1.labels, routed.0.n_experts(), cfg.order_free)?;
     let mut best = (usize::MAX, first);
     for &bits in &cfg.code_bits_candidates {
-        let s = encode_streams(table, prep, Some(routed), &layout, bits, cfg.numeric_probe)?;
+        let s = encode_streams(table, prep, Some(routed), &layout, bits)?;
         let size = s.codes.len() + s.failures.len() + s.rare.len();
         if size < best.0 {
             best = (size, bits);
@@ -307,7 +302,6 @@ impl TrainedCompressor {
             code_bits: self.code_bits,
             order_free: shard && self.cfg.order_free,
             omit_decoder: shard,
-            numeric_probe: self.cfg.numeric_probe,
         };
         let _sp = ds_obs::span("materialize");
         crate::materialize::materialize_with_patches(
@@ -343,7 +337,6 @@ pub fn compress(table: &Table, cfg: &DsConfig) -> Result<DsArchive> {
         bytes: out.sink,
         breakdown: out.breakdown,
         failure_stats: out.failure_stats,
-        column_chains: Vec::new(),
     })
 }
 

@@ -353,7 +353,6 @@ mod tests {
                     code_bits: trained.code_bits(),
                     order_free: true,
                     omit_decoder: false,
-                    numeric_probe: false,
                 };
                 materialize_with_patches(&t, &prep, Some((model, &assigned)), &[], &opts)
                     .expect("materializes")

@@ -343,19 +343,7 @@ fn encode_window<W: Write>(
                         }
                     }
                     let rows = groups.get(j).map(Table::nrows).unwrap_or(0);
-                    // Record per-column codec chains in the manifest only
-                    // when the probe is on: the default path must produce
-                    // byte-identical containers to earlier builds.
-                    let push = if trained.cfg().numeric_probe {
-                        out.writer.push_shard_with_chains(
-                            rows,
-                            archive.as_bytes(),
-                            archive.column_chains().to_vec(),
-                        )
-                    } else {
-                        out.writer.push_shard(rows, archive.as_bytes())
-                    };
-                    if let Err(e) = push {
+                    if let Err(e) = out.writer.push_shard(rows, archive.as_bytes()) {
                         first_err = Some(shard_failed(j, e.into()));
                     }
                 }
@@ -672,7 +660,6 @@ mod tests {
             bytes: reference.sink,
             breakdown: reference.breakdown,
             failure_stats: Vec::new(),
-            column_chains: Vec::new(),
         };
         let restored = decompress(&archive).unwrap();
         assert_eq!(restored.nrows(), t.nrows());
@@ -714,7 +701,6 @@ mod tests {
             bytes: out.sink,
             breakdown: out.breakdown,
             failure_stats: Vec::new(),
-            column_chains: Vec::new(),
         };
         assert_eq!(decompress(&archive).unwrap().nrows(), 0);
     }
@@ -792,7 +778,6 @@ mod tests {
             bytes: out.sink,
             breakdown: out.breakdown,
             failure_stats: Vec::new(),
-            column_chains: Vec::new(),
         };
         let restored = decompress(&archive).unwrap();
         assert_eq!(restored.nrows(), t.nrows());

@@ -8,14 +8,21 @@
 //!   old archives in the field.
 //! * **Encode stability** — compressing the same deterministic table with
 //!   the same config must reproduce the committed archive bytes exactly,
-//!   so no refactor silently changes the default wire format. (New
-//!   manifest sections are opt-in: `numeric_probe` is off here.) v1 is a
+//!   so no refactor silently changes the default wire format. v1 is a
 //!   read-only *archive* format, but its blob is still what every shard
 //!   and `compress_batch` write, so `v1.dsqz` pins that blob writer.
 //!
-//! A third fixture (`v2_forged.dsqz`) carries a codec chain with an id
-//! from the future and pins the typed `UnknownCodec` error path on every
-//! decode entry point — error, never panic.
+//! Two more v2 fixtures pin the manifest's codec-chain section, which
+//! this build reads and never writes:
+//!
+//! * `v2_forged.dsqz` is `v2.dsqz` with a hand-built chain section naming
+//!   an id from the future. It pins the typed `UnknownCodec` error path on
+//!   every decode entry point — error, never panic.
+//! * `v2_chains.dsqz` is frozen: the last build with an opt-in codec
+//!   probe wrote it from the same table and config with the probe on. Its
+//!   shard blobs are `v2.dsqz`'s, and its manifest adds a real chain
+//!   section (one chain, `bitpack`, for each of the 68 columns of every
+//!   shard). Regeneration does not touch it.
 //!
 //! Regenerate after an *intentional* format change with:
 //!
@@ -141,24 +148,73 @@ fn regenerate_golden_fixtures() {
     write_forged_fixture(v2.as_bytes(), &dir.join("v2_forged.dsqz"));
 }
 
-/// Rebuilds the v2 container with a per-column codec chain carrying
-/// [`FORGED_ID`] — structurally valid everywhere except the unknown id,
-/// so the typed rejection is attributable to the id alone.
+/// Appends to the v2 container a chain section (manifest section tag 1)
+/// giving every column of every shard the one chain `[FORGED_ID]` —
+/// structurally valid everywhere except the unknown id, so the typed
+/// rejection is attributable to the id alone.
 fn write_forged_fixture(v2_bytes: &[u8], path: &std::path::Path) {
     let reader = ds_shard::ShardReader::open(v2_bytes).expect("golden v2 parses");
     let ncols = fixture_table().ncols();
-    let mut writer = ds_shard::ShardWriter::new(Vec::new());
-    writer.set_shared(reader.shared().to_vec());
-    for i in 0..reader.n_shards() {
-        let blob = reader.shard_bytes(i).expect("shard bytes").to_vec();
-        let rows = reader.entries()[i].rows.len();
-        let chains = vec![vec![FORGED_ID]; ncols];
-        writer
-            .push_shard_with_chains(rows, &blob, chains)
-            .expect("push shard");
+    let mut body = ds_codec::ByteWriter::new();
+    body.write_varint(ncols as u64);
+    body.write_varint(1); // distinct chains
+    body.write_varint(1); // its length
+    body.write_varint(u64::from(FORGED_ID));
+    for _ in 0..reader.n_shards() * ncols {
+        body.write_varint(0); // every cell names chain 0
     }
-    let (bytes, _) = writer.finish().expect("finish forged container");
+    let mut section = ds_codec::ByteWriter::new();
+    section.write_u8(ds_shard::SECTION_CODEC_CHAINS);
+    section.write_len_prefixed(body.as_slice());
+
+    // The section goes at the manifest's end, ahead of the footer, whose
+    // manifest length grows by the section's size.
+    let (head, footer) = v2_bytes.split_at(v2_bytes.len() - ds_shard::FOOTER_LEN);
+    let (len, rest) = footer.split_at(4);
+    let manifest_len = u32::from_le_bytes(len.try_into().expect("4 bytes"));
+    let grown = manifest_len + u32::try_from(section.len()).expect("small section");
+    let mut bytes = head.to_vec();
+    bytes.extend_from_slice(section.as_slice());
+    bytes.extend_from_slice(&grown.to_le_bytes());
+    bytes.extend_from_slice(rest);
     std::fs::write(path, bytes).expect("write forged fixture");
+}
+
+#[test]
+fn golden_v2_chains_decodes_byte_identically() {
+    let bytes = read_fixture("v2_chains.dsqz");
+    let restored = decompress(&DsArchive::from_bytes(bytes.clone())).expect("decodes");
+    assert_eq!(
+        write_csv(&restored).into_bytes(),
+        read_fixture("expected.csv"),
+        "v2_chains decode drifted from the committed CSV"
+    );
+    // The chain section is all it adds to v2.dsqz: the same shard blobs.
+    let chains = ds_shard::ShardReader::open(&bytes).expect("opens");
+    let plain_bytes = read_fixture("v2.dsqz");
+    let plain = ds_shard::ShardReader::open(&plain_bytes).expect("opens");
+    assert_eq!(chains.n_shards(), plain.n_shards());
+    for i in 0..plain.n_shards() {
+        assert_eq!(
+            chains.shard_bytes(i).unwrap(),
+            plain.shard_bytes(i).unwrap()
+        );
+    }
+}
+
+#[test]
+fn recorded_chains_reach_inspect_and_stat() {
+    let bytes = read_fixture("v2_chains.dsqz");
+    let info = ds_core::inspect(&DsArchive::from_bytes(bytes.clone())).expect("inspects");
+    let chains = info.codec_chains.expect("a recorded chain section");
+    let bitpack = vec![ds_codec::registry::BITPACK.raw()];
+    assert_eq!(chains, vec![bitpack; 68]);
+
+    let archive = ds_serve::Archive::open(bytes).expect("serve opens");
+    assert_eq!(archive.codec_summary(), "bitpack");
+    // What this build writes records none.
+    let plain = ds_serve::Archive::open(read_fixture("v2.dsqz")).expect("serve opens");
+    assert_eq!(plain.codec_summary(), "legacy");
 }
 
 #[test]

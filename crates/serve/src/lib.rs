@@ -180,9 +180,8 @@ impl<R: ReadAt> Archive<R> {
         })
     }
 
-    /// Per-column codec chains recorded in the manifest; `None` for
-    /// containers that predate chain recording (they decode through the
-    /// implicit legacy chain).
+    /// Per-column codec chains recorded in the manifest; `None` unless an
+    /// older build recorded them (this build's writer never does).
     pub fn codec_chains(&self) -> Option<&ds_shard::ShardChains> {
         self.inner.reader.shards().chains()
     }
@@ -191,6 +190,7 @@ impl<R: ReadAt> Archive<R> {
     /// names appearing in any recorded chain (first-appearance order,
     /// comma-joined), or `legacy` when the manifest has no chain section.
     /// Unknown ids cannot reach here — manifest parsing rejects them.
+    /// `golden_archives.rs` pins it on a fixture with a recorded section.
     pub fn codec_summary(&self) -> String {
         let Some(chains) = self.codec_chains() else {
             return "legacy".to_owned();
@@ -615,8 +615,8 @@ mod tests {
             full.schema().len()
         ));
         assert!(text.starts_with(&want), "got: {text}");
-        // The fixture predates chain recording, so STAT reports the
-        // implicit legacy chain (the field itself must always be present).
+        // The writer records no chain section, so STAT reports `legacy`
+        // (the field itself must always be present).
         assert!(text.contains(" codecs=legacy\n"), "got: {text}");
         assert!(text.contains("\nERR unknown request `FROB`"), "got: {text}");
         assert!(text.ends_with("BYE\n"), "got: {text}");
@@ -729,32 +729,5 @@ mod tests {
             median < std::time::Duration::from_millis(20),
             "64-row GET median {median:?}"
         );
-    }
-
-    #[test]
-    fn stat_reports_recorded_codec_chains() {
-        use ds_codec::registry;
-        let t = gen::monitor_like(90, 11);
-        let cfg = ds_core::DsConfig {
-            error_threshold: 0.05,
-            max_epochs: 2,
-            shard_rows: 30,
-            numeric_probe: true,
-            ..Default::default()
-        };
-        let mut bytes = Vec::new();
-        ds_core::compress_sharded_to(&t, &cfg, &mut bytes).expect("compresses");
-        let archive = Archive::open(bytes).expect("opens");
-        let summary = archive.codec_summary();
-        assert_ne!(summary, "legacy");
-        // Every name in the summary is a registry name (no raw ids leak).
-        for name in summary.split(',') {
-            assert!(
-                registry::descriptors().iter().any(|d| d.name == name),
-                "unregistered name `{name}` in `{summary}`"
-            );
-        }
-        let chains = archive.codec_chains().expect("chains recorded");
-        assert_eq!(chains.n_cols(), t.ncols());
     }
 }

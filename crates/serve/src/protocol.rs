@@ -13,7 +13,8 @@
 //!   cache_bytes=<b> hits=<h> misses=<m> evictions=<v> errors=<x>
 //!   codecs=<names>` on one line (fields only ever append, for old
 //!   clients). `codecs` is the comma-joined set of registry codec names
-//!   in the manifest's chain section, or `legacy` when absent.
+//!   in the manifest's recorded chain section, which only archives older
+//!   builds wrote under their codec probe carry; otherwise `legacy`.
 //! * `METRICS`  → `OK <nbytes>` followed by exactly `nbytes` bytes of
 //!   Prometheus-style text exposition (see [`metrics_text`]).
 //! * `QUIT`     → `BYE`, then the connection closes.

@@ -38,12 +38,14 @@
 //! ```
 //!
 //! Sections are a *backward-compatible* manifest extension (still
-//! container v2): an archive that records none is byte-identical to the
-//! pre-section format, readers skip section tags they do not know, and a
-//! manifest with no sections decodes via the implicit legacy codec
-//! chain. Codec ids inside a chain section are validated against
-//! [`ds_codec::registry`] at parse time — an id from the future surfaces
-//! as the typed [`CodecError::UnknownCodec`], never a panic.
+//! container v2): readers skip section tags they do not know. The writer
+//! appends none. Older builds wrote the tag-1 chain section under an
+//! opt-in codec probe; this reader still parses it for `inspect` and
+//! `STAT`, and decoding never consults it (parq's own wire bytes say how
+//! each stream was encoded). Codec ids inside a chain section are
+//! validated against [`ds_codec::registry`] at parse time — an id from
+//! the future surfaces as the typed [`CodecError::UnknownCodec`], never a
+//! panic.
 //!
 //! Shard byte offsets are not stored — they are the prefix sums of the
 //! `len` column, which the reader reconstructs and cross-checks against
@@ -201,8 +203,8 @@ fn read_footer<R: ReadAt>(src: &R) -> Result<Option<(u64, u64)>, ShardError> {
 ///
 /// Chains repeat heavily across shards, so the wire format stores a
 /// dictionary of distinct chains plus one dictionary index per
-/// `(shard, column)` cell. Absence of the section means the archive
-/// predates chain recording and decodes via the implicit legacy chain.
+/// `(shard, column)` cell. Only archives older builds wrote under their
+/// codec probe carry the section.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardChains {
     n_cols: usize,
@@ -402,7 +404,6 @@ pub struct ShardWriter<W: Write> {
     lens: Vec<i64>,
     crcs: Vec<u32>,
     total_rows: u64,
-    chains: Vec<Vec<Vec<u16>>>,
 }
 
 impl<W: Write> ShardWriter<W> {
@@ -416,7 +417,6 @@ impl<W: Write> ShardWriter<W> {
             lens: Vec::new(),
             crcs: Vec::new(),
             total_rows: 0,
-            chains: Vec::new(),
         }
     }
 
@@ -457,77 +457,9 @@ impl<W: Write> ShardWriter<W> {
         Ok(())
     }
 
-    /// [`push_shard`](Self::push_shard) that also records the shard's
-    /// per-column codec chains for the manifest's chain section.
-    ///
-    /// Chain recording is all-or-none: either every shard in the
-    /// container records chains (with the same column count) or none
-    /// does — [`finish`](Self::finish) rejects a mix. Ids are *not*
-    /// validated here; the writer must be able to produce test vectors
-    /// with ids from the future, and readers validate on parse.
-    pub fn push_shard_with_chains(
-        &mut self,
-        row_count: usize,
-        blob: &[u8],
-        chains: Vec<Vec<u16>>,
-    ) -> Result<(), ShardError> {
-        if chains.is_empty() {
-            return Err(ShardError::Invalid("chain list must name every column"));
-        }
-        if chains.iter().any(|c| c.len() > MAX_CHAIN_LEN) {
-            return Err(ShardError::Invalid("codec chain too long"));
-        }
-        self.push_shard(row_count, blob)?;
-        self.chains.push(chains);
-        Ok(())
-    }
-
-    /// Serializes the chain section body (dictionary + indexes).
-    fn build_chain_section(chains: &[Vec<Vec<u16>>]) -> Result<Vec<u8>, ShardError> {
-        let n_cols = chains.first().map(|c| c.len()).unwrap_or(0);
-        if chains.iter().any(|c| c.len() != n_cols) {
-            return Err(ShardError::Invalid("chain column counts disagree"));
-        }
-        let mut dict: Vec<&[u16]> = Vec::new();
-        let mut index: Vec<usize> = Vec::with_capacity(chains.len() * n_cols);
-        for shard in chains {
-            for chain in shard {
-                let ix = match dict.iter().position(|d| *d == chain.as_slice()) {
-                    Some(ix) => ix,
-                    None => {
-                        dict.push(chain);
-                        dict.len() - 1
-                    }
-                };
-                index.push(ix);
-            }
-        }
-        if dict.len() > MAX_CHAIN_DICT {
-            return Err(ShardError::Invalid("too many distinct codec chains"));
-        }
-        let mut w = ByteWriter::new();
-        w.write_varint(n_cols as u64);
-        w.write_varint(dict.len() as u64);
-        for chain in &dict {
-            w.write_varint(chain.len() as u64);
-            for &id in *chain {
-                w.write_varint(u64::from(id));
-            }
-        }
-        for ix in index {
-            w.write_varint(ix as u64); // ds-lint: allow(no-raw-cast-len) -- widening usize -> u64, lossless on every supported target
-        }
-        Ok(w.into_vec())
-    }
-
     /// Writes the manifest and footer, returning the sink and the total
     /// container size in bytes.
     pub fn finish(mut self) -> Result<(W, u64), ShardError> {
-        if !self.chains.is_empty() && self.chains.len() != self.rows.len() {
-            return Err(ShardError::Invalid(
-                "codec chains recorded for only some shards",
-            ));
-        }
         let (parq_bytes, _stats) = parq::write_table(&[
             ("rows".to_string(), parq::ParqColumn::U32(self.rows)),
             ("len".to_string(), parq::ParqColumn::I64(self.lens)),
@@ -537,11 +469,6 @@ impl<W: Write> ShardWriter<W> {
         w.write_varint(self.total_rows);
         w.write_len_prefixed(&self.shared);
         w.write_len_prefixed(&parq_bytes);
-        if !self.chains.is_empty() {
-            let body = Self::build_chain_section(&self.chains)?;
-            w.write_u8(SECTION_CODEC_CHAINS);
-            w.write_len_prefixed(&body);
-        }
         let manifest = w.into_vec();
         let manifest_len = u32::try_from(manifest.len())
             .map_err(|_| ShardError::Invalid("manifest > u32 bytes"))?;
@@ -737,8 +664,8 @@ impl<R: ReadAt> ShardReader<R> {
         self.manifest.is_none()
     }
 
-    /// Recorded per-shard per-column codec chains; `None` for archives
-    /// written before chain recording (implicit legacy chain).
+    /// Per-shard per-column codec chains, when an older build recorded
+    /// them; `None` otherwise (this build's writer never does).
     pub fn chains(&self) -> Option<&ShardChains> {
         self.chains.as_ref()
     }
@@ -893,17 +820,48 @@ mod tests {
         }
     }
 
+    /// `bytes`, a container, with one more manifest section appended and
+    /// the footer's manifest length moved to cover it.
+    fn with_section(mut bytes: Vec<u8>, tag: u8, body: &[u8]) -> Vec<u8> {
+        let footer = bytes.split_off(bytes.len() - FOOTER_LEN);
+        let old_len = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
+        let mut section = ByteWriter::new();
+        section.write_u8(tag);
+        section.write_len_prefixed(body);
+        let extra = section.into_vec();
+        bytes.extend_from_slice(&extra);
+        bytes.extend_from_slice(&(old_len + extra.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&footer[4..]);
+        bytes
+    }
+
+    /// A chain-section body as older builds wrote it: the column count,
+    /// the distinct chains, then one dictionary index per (shard, column).
+    fn chain_body(n_cols: u64, dict: &[&[u16]], index: &[u64]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.write_varint(n_cols);
+        w.write_varint(dict.len() as u64);
+        for chain in dict {
+            w.write_varint(chain.len() as u64);
+            for &id in *chain {
+                w.write_varint(u64::from(id));
+            }
+        }
+        for &ix in index {
+            w.write_varint(ix);
+        }
+        w.into_vec()
+    }
+
     #[test]
-    fn chain_section_roundtrips_and_dedups() {
-        let c_rle = vec![registry::RLE.raw(), registry::GZLIKE.raw()];
-        let c_dict = vec![registry::DICT.raw(), registry::BITPACK.raw()];
-        let mut w = ShardWriter::new(Vec::new());
-        w.push_shard_with_chains(3, b"s0", vec![c_rle.clone(), c_dict.clone()])
-            .unwrap();
-        w.push_shard_with_chains(3, b"s1", vec![c_rle.clone(), c_rle.clone()])
-            .unwrap();
-        let (bytes, _) = w.finish().unwrap();
+    fn a_recorded_chain_section_parses() {
+        let c_rle = [registry::RLE.raw(), registry::GZLIKE.raw()];
+        let c_dict = [registry::DICT.raw(), registry::BITPACK.raw()];
+        let body = chain_body(2, &[&c_rle, &c_dict], &[0, 1, 0, 0]);
+        let plain = build(&[(3, b"s0"), (3, b"s1")], b"");
+        let bytes = with_section(plain, SECTION_CODEC_CHAINS, &body);
         let r = ShardReader::open(&bytes).unwrap();
+        assert_eq!(r.shard_bytes(1).unwrap(), b"s1");
         let chains = r.chains().expect("chains recorded");
         assert_eq!(chains.n_cols(), 2);
         // Three cells share c_rle: the dictionary holds 2 entries only.
@@ -916,30 +874,18 @@ mod tests {
     }
 
     #[test]
-    fn archives_without_chains_parse_as_legacy() {
+    fn the_writer_records_no_chains() {
         let bytes = build(&[(5, b"blob")], b"");
         let r = ShardReader::open(&bytes).unwrap();
         assert!(r.chains().is_none());
     }
 
     #[test]
-    fn chain_recording_is_all_or_none() {
-        let mut w = ShardWriter::new(Vec::new());
-        w.push_shard_with_chains(1, b"a", vec![vec![registry::RLE.raw()]])
-            .unwrap();
-        w.push_shard(1, b"b").unwrap();
-        assert!(matches!(w.finish(), Err(ShardError::Invalid(_))));
-    }
-
-    #[test]
     fn forged_codec_id_is_typed_unknown_on_open() {
-        // The writer deliberately does not validate ids, so an archive
-        // naming a codec from the future can be built — and the reader
-        // must reject it with the typed error, not a panic.
-        let mut w = ShardWriter::new(Vec::new());
-        w.push_shard_with_chains(2, b"blob", vec![vec![0xBEEF]])
-            .unwrap();
-        let (bytes, _) = w.finish().unwrap();
+        // An archive naming a codec from the future: the reader must
+        // reject it with the typed error, not a panic.
+        let body = chain_body(1, &[&[0xBEEF]], &[0]);
+        let bytes = with_section(build(&[(2, b"blob")], b""), SECTION_CODEC_CHAINS, &body);
         assert!(matches!(
             ShardReader::open(&bytes),
             Err(ShardError::Codec(CodecError::UnknownCodec(0xBEEF)))
@@ -948,20 +894,10 @@ mod tests {
 
     #[test]
     fn unknown_manifest_sections_are_skipped() {
-        // Append a section with an unassigned tag to a plain manifest;
-        // the reader must ignore it and still decode the container.
-        let mut w = ShardWriter::new(Vec::new());
-        w.push_shard(2, b"blob").unwrap();
-        let (mut bytes, _) = w.finish().unwrap();
-        let footer = bytes.split_off(bytes.len() - FOOTER_LEN);
-        let old_len = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
-        let mut section = ByteWriter::new();
-        section.write_u8(200);
-        section.write_len_prefixed(b"future metadata");
-        let extra = section.into_vec();
-        bytes.extend_from_slice(&extra);
-        bytes.extend_from_slice(&(old_len + extra.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&footer[4..]);
+        // A section with an unassigned tag on a plain manifest: the
+        // reader must ignore it and still decode the container.
+        let plain = build(&[(2, b"blob")], b"");
+        let bytes = with_section(plain, 200, b"future metadata");
         let r = ShardReader::open(&bytes).unwrap();
         assert_eq!(r.shard_bytes(0).unwrap(), b"blob");
         assert!(r.chains().is_none());
@@ -969,10 +905,8 @@ mod tests {
 
     #[test]
     fn corrupt_chain_sections_error_not_panic() {
-        let chain = vec![registry::DICT.raw(), registry::RLE.raw()];
-        let mut w = ShardWriter::new(Vec::new());
-        w.push_shard_with_chains(2, b"blob", vec![chain]).unwrap();
-        let (bytes, _) = w.finish().unwrap();
+        let body = chain_body(1, &[&[registry::DICT.raw(), registry::RLE.raw()]], &[0]);
+        let bytes = with_section(build(&[(2, b"blob")], b""), SECTION_CODEC_CHAINS, &body);
         assert!(ShardReader::open(&bytes).is_ok());
         // Flip every byte of the manifest region one at a time.
         for i in (bytes.len().saturating_sub(64))..bytes.len() {

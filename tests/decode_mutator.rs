@@ -17,7 +17,7 @@
 //!
 //! * the **codec sweep** writes header bombs (huge varints) at every offset
 //!   of valid encodings, for every codec decoder and for `parq`;
-//! * the **archive mutator** runs ~1,500 mutated archives, built from the
+//! * the **archive mutator** runs ~1,900 mutated archives, built from the
 //!   golden fixtures and a fresh monitor archive, through the read entry
 //!   points round-robin: bit flips, bombs, truncations, shard-blob edits
 //!   re-framed with a valid CRC, and shard swaps.
@@ -280,16 +280,14 @@ fn codec_targets() -> Vec<Target> {
                 .map_err(text)
         }),
     });
-    let (table, stats) = parq::write_table(&four_type_table()).expect("writes");
-    let f64_chain = &stats[2].chain;
+    let (table, _) = parq::write_table(&four_type_table()).expect("writes");
+    // The f64 column written alone: magic, two one-byte varints, the
+    // name "f" len-prefixed, type tag 2, then its mode byte.
+    let (f64_alone, _) = parq::write_table(&four_type_table()[2..3]).expect("writes");
     assert_eq!(
-        f64_chain.first(),
-        Some(&registry::DICT.raw()),
-        "the f64 column must take the dictionary layout"
-    );
-    assert!(
-        !f64_chain.contains(&registry::GZLIKE.raw()),
-        "the f64 column must skip the entropy stage, or bombs never reach its header"
+        f64_alone[9], 2,
+        "the f64 column must take the dictionary layout (mode 2) and skip the \
+         entropy stage (mode 3), or bombs never reach its header"
     );
     targets.push(Target {
         name: "parq::read_table".into(),
@@ -379,7 +377,9 @@ fn golden(name: &'static str) -> Fixture {
 }
 
 /// The goldens (v1 monolithic, v2 sharded, v2 with a forged codec id),
-/// plus a two-expert monitor archive in six shards, built once.
+/// a two-expert monitor archive in six shards, built once, and the v2
+/// golden with a valid codec-chain section, so bit flips in that section
+/// reach its parser past the id check.
 fn fixtures() -> &'static [Fixture] {
     static ALL: OnceLock<Vec<Fixture>> = OnceLock::new();
     ALL.get_or_init(|| {
@@ -401,6 +401,7 @@ fn fixtures() -> &'static [Fixture] {
                 bytes: monitor.as_bytes().to_vec(),
                 rows: 300,
             },
+            golden("v2_chains.dsqz"),
         ]
     })
 }
@@ -412,13 +413,11 @@ fn fixture(name: &str) -> &'static Fixture {
         .unwrap_or_else(|| panic!("no fixture {name}"))
 }
 
-/// A v2 container taken apart: shared blob, `(rows, blob)` per shard, and
-/// the recorded codec chains, if any.
+/// A v2 container taken apart: shared blob and `(rows, blob)` per shard.
 #[derive(Clone)]
 struct Framed {
     shared: Vec<u8>,
     shards: Vec<(usize, Vec<u8>)>,
-    chains: Option<Vec<Vec<Vec<u16>>>>,
 }
 
 /// `None` for bytes whose manifest does not open: a v1 archive, whose one
@@ -431,32 +430,19 @@ fn unframe(bytes: &[u8]) -> Option<Framed> {
             (rows, reader.shard_bytes(i).expect("blob").to_vec())
         })
         .collect();
-    let chains = reader.chains().map(|c| {
-        (0..reader.n_shards())
-            .map(|i| {
-                (0..c.n_cols())
-                    .map(|col| c.chain(i, col).expect("chain").to_vec())
-                    .collect()
-            })
-            .collect()
-    });
     Some(Framed {
         shared: reader.shared().to_vec(),
         shards,
-        chains,
     })
 }
 
-/// Writes the container back with fresh, valid CRCs.
+/// Writes the container back with fresh, valid CRCs (and without a codec
+/// chain section, which the writer never records).
 fn reframe(f: &Framed) -> Vec<u8> {
     let mut w = ShardWriter::new(Vec::new());
     w.set_shared(f.shared.clone());
-    for (i, (rows, blob)) in f.shards.iter().enumerate() {
-        match &f.chains {
-            Some(chains) => w.push_shard_with_chains(*rows, blob, chains[i].clone()),
-            None => w.push_shard(*rows, blob),
-        }
-        .expect("pushes");
+    for (rows, blob) in &f.shards {
+        w.push_shard(*rows, blob).expect("pushes");
     }
     w.finish().expect("finishes").0
 }
