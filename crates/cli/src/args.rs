@@ -23,7 +23,7 @@ impl fmt::Display for ArgError {
 }
 
 /// Known boolean switches (everything else taking `--x` consumes a value).
-const SWITCHES: &[&str] = &["tune", "quiet", "stats", "stream"];
+const SWITCHES: &[&str] = &["tune", "quiet", "stats"];
 
 /// Parsed command line.
 #[derive(Debug)]

@@ -3,10 +3,10 @@
 //! ```text
 //! dsqz compress   <in.csv> <out.dsqz> [--error F] [--code K] [--experts E]
 //!                 [--epochs N] [--seed S] [--shard-rows N] [--sample-frac F]
-//!                 [--stream] [--chunk-rows N] [--tune] [--quiet]
-//!                 [--trace <f.jsonl>] [--stats]
+//!                 [--chunk-rows N] [--tune] [--quiet] [--trace <f.jsonl>]
+//!                 [--stats]
 //! dsqz recompress <in.csv|in.dsqz|-> <out.dsqz> [compress flags except
-//!                 --stream and --tune]
+//!                 --tune]
 //! dsqz decompress <in.dsqz> <out.csv> [--rows A..B] [--trace <f.jsonl>] [--stats]
 //! dsqz serve      <in.dsqz> [--cache-mb N] [--listen HOST:PORT] [--max-conns N]
 //!                 [--metrics HOST:PORT] [--window N] [--trace <f.jsonl>] [--stats]
@@ -21,28 +21,27 @@
 //! lossless); `--tune` runs the paper's Fig. 5 hyperparameter search
 //! before compressing. Every archive written is a v2 container:
 //! `--shard-rows N` cuts it into row groups of N rows, streamed to the
-//! output file as they encode (without the flag an in-memory `compress`
-//! writes one row group covering the table); `--rows A..B` then
-//! decompresses only the shards intersecting that half-open row range.
-//! `--sample-frac F` trains the model on a seeded fraction of the rows
-//! instead of all of them.
+//! output file as they encode (without the flag `compress` writes one row
+//! group covering the table); `--rows A..B` then decompresses only the
+//! shards intersecting that half-open row range. `--sample-frac F` trains
+//! the model on a seeded fraction of the rows instead of all of them.
 //!
-//! `--stream` compresses without ever loading the whole CSV: the file is
-//! read twice with `--chunk-rows` rows resident at a time (pass 1 infers
-//! the schema, folds column statistics, and reservoir-samples training
-//! rows; pass 2 encodes shard row groups; shards default to `--chunk-rows`
-//! rows). It selects how the input is read, not a different encoder: the
-//! output is byte-identical to the in-memory path for the same seed and
-//! config.
+//! `compress` reads the CSV twice with `--chunk-rows` rows resident at a
+//! time (pass 1 infers the schema, folds column statistics, and
+//! reservoir-samples training rows; pass 2 encodes shard row groups). The
+//! bytes do not depend on `--chunk-rows`. Only `--tune` loads the table
+//! whole, and only pass 2 of a one-row-group archive holds it, so
+//! `--shard-rows` is what bounds memory on a large file. Outputs are
+//! renamed into place once complete: a failed run leaves none behind.
 //!
 //! `recompress` does not trust file extensions: the input's magic bytes
 //! decide whether it is CSV, a v1 archive, or a v2 container, and `-`
 //! reads any of those from stdin (spooled to a temp file so the two-pass
 //! pipeline can rewind). Re-encoding an existing archive under a new
 //! config — different shard size or error bound — therefore needs no CSV
-//! round trip. `recompress` always streams and never tunes, so it
-//! refuses `--stream` and `--tune`, as every command refuses a flag or
-//! switch it does not read.
+//! round trip. Its shards default to `--chunk-rows` rows. `recompress`
+//! never tunes, so it refuses `--tune`, as every command refuses a flag
+//! or switch it does not read.
 //!
 //! An archive an older build wrote with its codec probe on carries
 //! per-column codec chains in its v2 manifest; `inspect` prints them and
@@ -81,11 +80,13 @@ mod args;
 
 use args::{ArgError, Parsed};
 use ds_core::{
-    compress_csv_stream_to, compress_sharded_to, compress_stream_to, inspect, open_source,
-    open_source_reader, tune, DsArchive, DsConfig, ShardedCompression, TuneConfig,
+    compress_csv_stream_to, compress_stream_to, inspect, open_source, open_source_reader, tune,
+    DsArchive, DsConfig, ShardedCompression, TuneConfig,
 };
 use ds_table::csv::{read_csv_infer, write_csv};
 use ds_table::gen::Dataset;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -103,7 +104,7 @@ fn main() -> ExitCode {
 
 fn usage() -> &'static str {
     "usage:\n  \
-     dsqz compress   <in.csv> <out.dsqz> [--error F] [--code K] [--experts E] [--epochs N] [--seed S] [--shard-rows N] [--sample-frac F] [--stream] [--chunk-rows N] [--tune] [--quiet] [--trace <f.jsonl>] [--stats]\n  \
+     dsqz compress   <in.csv> <out.dsqz> [--error F] [--code K] [--experts E] [--epochs N] [--seed S] [--shard-rows N] [--sample-frac F] [--chunk-rows N] [--tune] [--quiet] [--trace <f.jsonl>] [--stats]\n  \
      dsqz recompress <in.csv|in.dsqz|-> <out.dsqz> [--error F] [--code K] [--experts E] [--epochs N] [--seed S] [--shard-rows N] [--sample-frac F] [--chunk-rows N] [--quiet] [--trace <f.jsonl>] [--stats]\n  \
      dsqz decompress <in.dsqz> <out.csv> [--rows A..B] [--trace <f.jsonl>] [--stats]\n  \
      dsqz serve      <in.dsqz> [--cache-mb N] [--listen HOST:PORT] [--max-conns N] [--metrics HOST:PORT] [--window N] [--trace <f.jsonl>] [--stats]\n  \
@@ -137,10 +138,10 @@ struct CompressFlags {
 }
 
 /// Parses the flags common to `compress` and `recompress` (range checks
-/// on the config are ds-core's). A `streamed` input defaults its shard
-/// size to the chunk size, so memory stays bounded without `--shard-rows`;
-/// an in-memory table defaults to one shard.
-fn compress_flags(p: &mut Parsed, streamed: bool) -> Result<CompressFlags, String> {
+/// on the config are ds-core's). Without `--shard-rows`, `chunked_shards`
+/// (`recompress`) makes shards of `--chunk-rows` rows, so memory stays
+/// bounded; `compress` writes one shard.
+fn compress_flags(p: &mut Parsed, chunked_shards: bool) -> Result<CompressFlags, String> {
     let chunk_rows: usize = p.flag_or("chunk-rows", 4096)?;
     let shard_rows: usize = p.flag_or("shard-rows", 0)?;
     let cfg = DsConfig {
@@ -150,7 +151,7 @@ fn compress_flags(p: &mut Parsed, streamed: bool) -> Result<CompressFlags, Strin
         max_epochs: p.flag_or("epochs", 120)?,
         seed: p.flag_or("seed", 0)?,
         sample_frac: p.flag_or("sample-frac", 1.0)?,
-        shard_rows: if streamed && shard_rows == 0 {
+        shard_rows: if chunked_shards && shard_rows == 0 {
             chunk_rows
         } else {
             shard_rows
@@ -172,18 +173,85 @@ fn compress_flags(p: &mut Parsed, streamed: bool) -> Result<CompressFlags, Strin
     Ok(flags)
 }
 
-/// Creates the output file every compress front end streams shards into.
-fn create_sink(output: &str) -> Result<std::io::BufWriter<std::fs::File>, String> {
-    let file = std::fs::File::create(output).map_err(|e| format!("create {output}: {e}"))?;
-    Ok(std::io::BufWriter::new(file))
+/// The output file of `compress`, `recompress` and `decompress`: written
+/// to a temp file named by the pid beside it, renamed onto the output by
+/// [`Output::commit`] once complete, and removed on drop otherwise. So
+/// `recompress x.dsqz x.dsqz` reads its input intact, and a failed run
+/// leaves no partial file and an existing output untouched. A device or a
+/// pipe (`/dev/stdout`) has nothing to rename onto and is written in place.
+struct Output {
+    file: std::io::BufWriter<std::fs::File>,
+    path: PathBuf,
+    /// The temp file, until it is renamed onto `path`.
+    tmp: Option<PathBuf>,
 }
 
-/// The one summary line, then the trace/stats outputs.
-fn report_written<W>(
+impl Output {
+    fn create(output: &str) -> Result<Output, String> {
+        let path = PathBuf::from(output);
+        let tmp = match path.file_name() {
+            Some(name) if !path.metadata().is_ok_and(|m| !m.is_file()) => {
+                let pid = std::process::id();
+                Some(path.with_file_name(format!(".{}.{pid}.tmp", name.to_string_lossy())))
+            }
+            _ => None,
+        };
+        let file = std::fs::File::create(tmp.as_ref().unwrap_or(&path))
+            .map_err(|e| format!("create {output}: {e}"))?;
+        Ok(Output {
+            file: std::io::BufWriter::new(file),
+            path,
+            tmp,
+        })
+    }
+
+    /// Flushes the data to disk and moves it onto the output path.
+    fn commit(&mut self) -> Result<(), String> {
+        let failed = |e: std::io::Error| format!("write {}: {e}", self.path.display());
+        self.file.flush().map_err(failed)?;
+        if let Some(tmp) = &self.tmp {
+            self.file.get_ref().sync_all().map_err(failed)?;
+            std::fs::rename(tmp, &self.path).map_err(failed)?;
+            self.tmp = None;
+            // The rename itself is durable once the directory is synced.
+            let dir = match self.path.parent() {
+                Some(dir) if !dir.as_os_str().is_empty() => dir,
+                _ => Path::new("."),
+            };
+            std::fs::File::open(dir)
+                .and_then(|d| d.sync_all())
+                .map_err(failed)?;
+        }
+        Ok(())
+    }
+}
+
+impl Write for Output {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl Drop for Output {
+    fn drop(&mut self) {
+        if let Some(tmp) = &self.tmp {
+            let _ = std::fs::remove_file(tmp);
+        }
+    }
+}
+
+/// Commits the output, then prints the one summary line and the
+/// trace/stats outputs.
+fn report_written(
     flags: &CompressFlags,
     output: &str,
-    out: &ShardedCompression<W>,
+    mut out: ShardedCompression<Output>,
 ) -> Result<(), String> {
+    out.sink.commit()?;
     if !flags.quiet {
         let b = out.breakdown;
         eprintln!(
@@ -194,59 +262,17 @@ fn report_written<W>(
     finish_obs(&flags.trace, flags.stats)
 }
 
-/// `dsqz compress`: a CSV file through the one staged pipeline. `--stream`
-/// selects the input adapter — two bounded-memory passes over the file
-/// instead of loading it — not a different encoder: for the same config
-/// the bytes are identical.
+/// `dsqz compress`: a CSV file through the one staged pipeline, two
+/// bounded-memory passes over the file. `--tune` loads the table once
+/// more, whole, because the search compresses samples of it in memory.
 fn cmd_compress(p: &mut Parsed) -> Result<(), String> {
     let input = p.positional(0)?;
     let output = p.positional(1)?;
     let do_tune = p.switch("tune");
-    let do_stream = p.switch("stream");
-    let mut flags = compress_flags(p, do_stream)?;
-    if do_stream && do_tune {
-        return Err(
-            "--stream is incompatible with --tune (tuning needs the full table in memory)"
-                .to_string(),
-        );
-    }
-
-    if do_stream {
-        let (out, info) = compress_csv_stream_to(
-            std::path::Path::new(&input),
-            &flags.cfg,
-            flags.chunk_rows,
-            create_sink(&output)?,
-        )
-        .map_err(|e| format!("compression failed: {e}"))?;
-        if !flags.quiet {
-            let cats = info
-                .schema
-                .fields()
-                .iter()
-                .filter(|f| f.ty == ds_table::ColumnType::Categorical)
-                .count();
-            eprintln!(
-                "{input}: {} rows, {cats} categorical + {} numeric columns (streamed, {} rows/chunk)",
-                info.rows,
-                info.schema.len() - cats,
-                flags.chunk_rows
-            );
-        }
-        return report_written(&flags, &output, &out);
-    }
-
-    let text = std::fs::read_to_string(&input).map_err(|e| format!("read {input}: {e}"))?;
-    let table = read_csv_infer(&text).map_err(|e| format!("parse {input}: {e}"))?;
-    let (cats, nums) = table.type_counts();
-    if !flags.quiet {
-        eprintln!(
-            "{input}: {} rows, {cats} categorical + {nums} numeric columns, {} bytes raw",
-            table.nrows(),
-            table.raw_size()
-        );
-    }
+    let mut flags = compress_flags(p, false)?;
     if do_tune {
+        let text = std::fs::read_to_string(&input).map_err(|e| format!("read {input}: {e}"))?;
+        let table = read_csv_infer(&text).map_err(|e| format!("parse {input}: {e}"))?;
         let tune_cfg = TuneConfig {
             samples: vec![(table.nrows() / 4).max(256)],
             codes: vec![1, 2, 4, 6],
@@ -271,9 +297,28 @@ fn cmd_compress(p: &mut Parsed) -> Result<(), String> {
         flags.cfg.code_size = outcome.config.code_size;
         flags.cfg.n_experts = outcome.config.n_experts;
     }
-    let out = compress_sharded_to(&table, &flags.cfg, create_sink(&output)?)
-        .map_err(|e| format!("compression failed: {e}"))?;
-    report_written(&flags, &output, &out)
+
+    let (out, info) = compress_csv_stream_to(
+        Path::new(&input),
+        &flags.cfg,
+        flags.chunk_rows,
+        Output::create(&output)?,
+    )
+    .map_err(|e| format!("compression failed: {e}"))?;
+    if !flags.quiet {
+        let cats = info
+            .schema
+            .fields()
+            .iter()
+            .filter(|f| f.ty == ds_table::ColumnType::Categorical)
+            .count();
+        eprintln!(
+            "{input}: {} rows, {cats} categorical + {} numeric columns",
+            info.rows,
+            info.schema.len() - cats
+        );
+    }
+    report_written(&flags, &output, out)
 }
 
 /// `dsqz recompress`: magic-byte source negotiation instead of trusting
@@ -290,7 +335,7 @@ fn cmd_recompress(p: &mut Parsed) -> Result<(), String> {
         open_source_reader(std::io::stdin(), flags.chunk_rows)
             .map_err(|e| format!("open stdin: {e}"))?
     } else {
-        open_source(std::path::Path::new(&input), flags.chunk_rows)
+        open_source(Path::new(&input), flags.chunk_rows)
             .map_err(|e| format!("open {input}: {e}"))?
     };
     if !flags.quiet {
@@ -300,9 +345,9 @@ fn cmd_recompress(p: &mut Parsed) -> Result<(), String> {
             ds_table::stream::RowSource::schema(&source).len()
         );
     }
-    let out = compress_stream_to(&source, &flags.cfg, create_sink(&output)?)
+    let out = compress_stream_to(&source, &flags.cfg, Output::create(&output)?)
         .map_err(|e| format!("recompression failed: {e}"))?;
-    report_written(&flags, &output, &out)
+    report_written(&flags, &output, out)
 }
 
 /// Turns the ds-obs recorder on when `--trace` or `--stats` was given.
@@ -343,20 +388,21 @@ fn cmd_decompress(p: &mut Parsed) -> Result<(), String> {
     // v1 archive is its own single shard).
     let file = std::fs::File::open(&input).map_err(|e| format!("read {input}: {e}"))?;
     let archive = ds_serve::Archive::open(file).map_err(|e| format!("decode {input}: {e}"))?;
+    let mut sink = Output::create(&output)?;
     if rows_spec.is_empty() {
-        let out_file =
-            std::fs::File::create(&output).map_err(|e| format!("create {output}: {e}"))?;
-        let mut sink = std::io::BufWriter::new(out_file);
         let n = archive
             .stream_csv(0..archive.total_rows(), &mut sink, true)
             .map_err(|e| format!("decode {input}: {e}"))?;
+        sink.commit()?;
         eprintln!("{output}: {n} rows restored");
     } else {
         let range = parse_row_range(&rows_spec)?;
         let (table, rstats) = archive
             .read_rows_with_stats(range)
             .map_err(|e| format!("decode {input}: {e}"))?;
-        std::fs::write(&output, write_csv(&table)).map_err(|e| format!("write {output}: {e}"))?;
+        sink.write_all(write_csv(&table).as_bytes())
+            .map_err(|e| format!("write {output}: {e}"))?;
+        sink.commit()?;
         eprintln!(
             "{output}: {} rows restored (decoded {}/{} shard(s))",
             table.nrows(),
@@ -468,7 +514,7 @@ fn serve_tcp(
 fn cmd_top(p: &mut Parsed) -> Result<(), String> {
     let target = p.positional(0)?;
     p.finish()?;
-    let text = if std::path::Path::new(&target).exists() {
+    let text = if Path::new(&target).exists() {
         top_self_probe(&target)?
     } else if target.contains(':') {
         top_scrape(&target)?
@@ -483,7 +529,7 @@ fn cmd_top(p: &mut Parsed) -> Result<(), String> {
 
 /// Fetches exposition text from a running server via the `METRICS` verb.
 fn top_scrape(addr: &str) -> Result<String, String> {
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{BufRead, BufReader, Read};
     let mut conn =
         std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     conn.write_all(b"METRICS\nQUIT\n")
@@ -547,7 +593,6 @@ fn parse_row_range(s: &str) -> Result<std::ops::Range<usize>, String> {
 }
 
 fn cmd_inspect(p: &mut Parsed) -> Result<(), String> {
-    use std::io::Write;
     let input = p.positional(0)?;
     p.finish()?;
     let bytes = std::fs::read(&input).map_err(|e| format!("read {input}: {e}"))?;

@@ -1,6 +1,8 @@
 //! End-to-end tests of the `dsqz` binary: gen → compress → inspect →
 //! decompress, plus failure modes (bad args, corrupt archives).
 
+use ds_core::{compress, DsConfig};
+use ds_table::csv::read_csv_infer;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -300,7 +302,6 @@ fn trace_and_stats_cover_the_pipeline_and_are_thread_invariant() {
 fn streaming_compress_matches_in_memory_and_roundtrips() {
     let dir = tmpdir("stream");
     let csv = dir.join("s.csv");
-    let mem = dir.join("mem.dsqz");
     let stream = dir.join("stream.dsqz");
     let back = dir.join("s_back.csv");
 
@@ -310,25 +311,7 @@ fn streaming_compress_matches_in_memory_and_roundtrips() {
         .unwrap()
         .success());
 
-    // In-memory sharded container...
-    assert!(dsqz()
-        .args([
-            "compress",
-            csv.to_str().unwrap(),
-            mem.to_str().unwrap(),
-            "--epochs",
-            "6",
-            "--shard-rows",
-            "100",
-            "--sample-frac",
-            "0.5",
-            "--quiet",
-        ])
-        .status()
-        .unwrap()
-        .success());
-    // ...and the streaming path with a chunk size that straddles shard
-    // boundaries must produce byte-identical output.
+    // A chunk size that straddles shard boundaries...
     let out = dsqz()
         .args([
             "compress",
@@ -340,19 +323,26 @@ fn streaming_compress_matches_in_memory_and_roundtrips() {
             "100",
             "--sample-frac",
             "0.5",
-            "--stream",
             "--chunk-rows",
             "73",
         ])
         .output()
         .unwrap();
-    assert!(out.status.success(), "stream compress failed: {out:?}");
+    assert!(out.status.success(), "compress failed: {out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("streamed"), "stream stderr: {stderr}");
+    assert!(stderr.contains(": 500 rows, "), "compress stderr: {stderr}");
+    // ...gives the bytes the library writes from the whole table in memory.
+    let table = read_csv_infer(&std::fs::read_to_string(&csv).unwrap()).unwrap();
+    let cfg = DsConfig {
+        max_epochs: 6,
+        shard_rows: 100,
+        sample_frac: 0.5,
+        ..DsConfig::default()
+    };
     assert_eq!(
-        std::fs::read(&mem).unwrap(),
         std::fs::read(&stream).unwrap(),
-        "--stream must be byte-identical to the in-memory sharded path"
+        compress(&table, &cfg).unwrap().as_bytes(),
+        "the CLI must write what `compress` of the parsed table writes"
     );
 
     // The streamed container decompresses back to the original CSV.
@@ -375,29 +365,15 @@ fn streaming_compress_matches_in_memory_and_roundtrips() {
 
 #[test]
 fn stream_flag_validation() {
-    // --stream and --tune cannot combine.
-    let out = dsqz()
-        .args([
-            "compress", "a.csv", "b.dsqz", "--stream", "--tune", "--quiet",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("incompatible"));
-
     // Out-of-range --sample-frac is ds-core's one config check, on every
     // front end, before any training.
     let dir = tmpdir("flagcheck");
     let csv = dir.join("a.csv");
     std::fs::write(&csv, "x,y\n1,a\n2,b\n").unwrap();
     for bad in ["0", "1.5", "-0.1"] {
-        for front_end in [
-            &["compress"][..],
-            &["compress", "--stream"],
-            &["recompress"],
-        ] {
+        for front_end in ["compress", "recompress"] {
             let out = dsqz()
-                .args(front_end)
+                .arg(front_end)
                 .args([csv.to_str().unwrap(), dir.join("b.dsqz").to_str().unwrap()])
                 .args(["--sample-frac", bad])
                 .output()
@@ -405,7 +381,7 @@ fn stream_flag_validation() {
             assert!(!out.status.success(), "--sample-frac {bad} accepted");
             assert!(
                 String::from_utf8_lossy(&out.stderr).contains("sample_frac must be in (0,1]"),
-                "{front_end:?} --sample-frac {bad}: {out:?}"
+                "{front_end} --sample-frac {bad}: {out:?}"
             );
         }
     }
@@ -413,18 +389,112 @@ fn stream_flag_validation() {
 
     // Zero chunk rows is rejected.
     let out = dsqz()
-        .args([
-            "compress",
-            "a.csv",
-            "b.dsqz",
-            "--stream",
-            "--chunk-rows",
-            "0",
-        ])
+        .args(["compress", "a.csv", "b.dsqz", "--chunk-rows", "0"])
         .output()
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("chunk-rows"));
+}
+
+/// Every file a command writes lands under a temp name and is renamed
+/// into place only once complete: a failed `compress` or `recompress`
+/// leaves no output behind and an existing output's bytes as they were.
+#[test]
+fn failed_writes_leave_no_output_behind() {
+    let dir = tmpdir("failed_write");
+    let ragged = dir.join("ragged.csv");
+    std::fs::write(&ragged, "x,y\n1,a\n2,b\n3\n").unwrap();
+    let good = dir.join("good.csv");
+    std::fs::write(&good, "x,y\n1,a\n2,b\n3,a\n").unwrap();
+    let out = dir.join("out.dsqz");
+    let listing = |want: &[&str]| {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, want);
+    };
+    // A ragged row fails pass 1; a bad config fails after the input opened.
+    let failing: [(&PathBuf, &[&str]); 2] = [
+        (&ragged, &["--epochs", "1"]),
+        (&good, &["--epochs", "1", "--sample-frac", "0"]),
+    ];
+    for command in ["compress", "recompress"] {
+        for (input, flags) in failing {
+            let _ = std::fs::remove_file(&out);
+            for existing in [None, Some(b"previous bytes".as_slice())] {
+                if let Some(bytes) = existing {
+                    std::fs::write(&out, bytes).unwrap();
+                }
+                let res = dsqz()
+                    .args([command, input.to_str().unwrap(), out.to_str().unwrap()])
+                    .args(flags)
+                    .output()
+                    .unwrap();
+                let case = format!("{command} {input:?} {flags:?} over {existing:?}");
+                assert!(!res.status.success(), "{case} succeeded");
+                match existing {
+                    None => listing(&["good.csv", "ragged.csv"]),
+                    Some(bytes) => {
+                        assert_eq!(std::fs::read(&out).unwrap(), bytes, "{case}");
+                        listing(&["good.csv", "out.dsqz", "ragged.csv"]);
+                    }
+                }
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `recompress x.dsqz x.dsqz` reads its input intact: the result is the
+/// archive `recompress` writes to another path.
+#[test]
+fn in_place_recompress_matches_recompress_elsewhere() {
+    let dir = tmpdir("in_place");
+    let csv = dir.join("c.csv");
+    let archive = dir.join("a.dsqz");
+    let elsewhere = dir.join("b.dsqz");
+    assert!(dsqz()
+        .args(["gen", "census", "200", csv.to_str().unwrap()])
+        .status()
+        .unwrap()
+        .success());
+    let quick = ["--epochs", "2", "--quiet"];
+    assert!(dsqz()
+        .args(["compress", csv.to_str().unwrap(), archive.to_str().unwrap()])
+        .args(quick)
+        .status()
+        .unwrap()
+        .success());
+    let reshard = ["--shard-rows", "64"];
+    let res = dsqz()
+        .args([
+            "recompress",
+            archive.to_str().unwrap(),
+            elsewhere.to_str().unwrap(),
+        ])
+        .args(quick)
+        .args(reshard)
+        .output()
+        .unwrap();
+    assert!(res.status.success(), "recompress failed: {res:?}");
+    let res = dsqz()
+        .args([
+            "recompress",
+            archive.to_str().unwrap(),
+            archive.to_str().unwrap(),
+        ])
+        .args(quick)
+        .args(reshard)
+        .output()
+        .unwrap();
+    assert!(res.status.success(), "in-place recompress failed: {res:?}");
+    assert_eq!(
+        std::fs::read(&archive).unwrap(),
+        std::fs::read(&elsewhere).unwrap()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -471,20 +541,20 @@ fn switches_a_command_does_not_read_are_refused() {
     let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../core/tests/golden/v2.dsqz");
     let out_path = dir.join("out");
     let (csv, out) = (csv.to_str().unwrap(), out_path.to_str().unwrap());
-    for (args, switch) in [
+    // `--stream` is gone: it now parses as a flag taking `--quiet` as its
+    // value, and no command reads a `--stream` flag.
+    let cases: [(&[&str], &str); 3] = [
         (
-            ["recompress", csv, out, "--epochs", "1", "--tune"],
+            &["recompress", csv, out, "--epochs", "1", "--tune"],
             "--tune",
         ),
+        (&["compress", csv, out, "--stream", "--quiet"], "--stream"),
         (
-            ["recompress", csv, out, "--epochs", "1", "--stream"],
-            "--stream",
-        ),
-        (
-            ["decompress", golden, out, "--rows", "0..5", "--quiet"],
+            &["decompress", golden, out, "--rows", "0..5", "--quiet"],
             "--quiet",
         ),
-    ] {
+    ];
+    for (args, switch) in cases {
         let res = dsqz().args(args).output().unwrap();
         assert!(!res.status.success(), "{args:?} was accepted");
         let stderr = String::from_utf8_lossy(&res.stderr);

@@ -54,8 +54,8 @@ pub mod tune;
 
 pub use archive::{inspect, ArchiveInfo, DsArchive, SizeBreakdown};
 pub use pipeline::{
-    compress, compress_sharded_to, decompress, decompress_rows, decompress_rows_with_stats,
-    DsConfig, ShardDecoder, ShardedCompression, ShardedDecodeStats, TrainedCompressor,
+    compress, decompress, decompress_rows, decompress_rows_with_stats, DsConfig, ShardDecoder,
+    ShardedCompression, ShardedDecodeStats, TrainedCompressor,
 };
 pub use reader::ArchiveReader;
 pub use source::{open_source, open_source_reader, OpenedSource, SourceKind};

@@ -329,10 +329,22 @@ impl TrainedCompressor {
 }
 
 /// Compresses a table end-to-end: preprocess → train → materialize, into
-/// a v2 container held in memory ([`compress_sharded_to`] with a `Vec`
-/// sink).
+/// a v2 container held in memory, row groups of `cfg.shard_rows` rows (0 =
+/// one group covering the table) sharing one model stored once.
+///
+/// This is an adapter: it only chooses how the table is chunked — one
+/// chunk per shard, so pass 2 hands chunks through without re-cutting —
+/// and runs the same staged pipeline as true streaming input
+/// ([`crate::stream::compress_stream_to`]), so the in-memory and streaming
+/// paths cannot drift apart. With one shard, pass 2 holds one extra copy
+/// of the table (the chunk).
 pub fn compress(table: &Table, cfg: &DsConfig) -> Result<DsArchive> {
-    let out = compress_sharded_to(table, cfg, Vec::new())?;
+    let chunk_rows = match cfg.shard_rows {
+        0 => table.nrows(),
+        n => n,
+    };
+    let source = TableSource::new(table, chunk_rows);
+    let out = crate::stream::compress_stream_to(&source, cfg, Vec::new())?;
     Ok(DsArchive {
         bytes: out.sink,
         breakdown: out.breakdown,
@@ -354,35 +366,6 @@ pub struct ShardedCompression<W> {
     pub breakdown: SizeBreakdown,
     /// Per-column failure-stream bytes, summed across shards.
     pub failure_stats: Vec<(String, usize)>,
-}
-
-/// Compresses an in-memory table into a v2 container written to `sink`:
-/// one model trained on the whole table, row groups of `cfg.shard_rows`
-/// rows (0 = one group covering the table) compressed independently on the
-/// pool and streamed out in index order. The produced bytes are identical
-/// for any `DS_THREADS`.
-///
-/// This is an adapter: it only chooses how the table is chunked — one
-/// chunk per shard, so pass 2 hands chunks through without re-cutting —
-/// and runs the same staged pipeline as true streaming input
-/// ([`crate::stream::compress_stream_to`]), so the in-memory and streaming
-/// paths cannot drift apart. With one shard, pass 2 holds one extra copy
-/// of the table (the chunk).
-///
-/// The decoder weights are stored once in the container manifest (shards
-/// carry empty decoder blobs), so sharding does not multiply the §6.1
-/// decoder cost.
-pub fn compress_sharded_to<W: std::io::Write>(
-    table: &Table,
-    cfg: &DsConfig,
-    sink: W,
-) -> Result<ShardedCompression<W>> {
-    let chunk_rows = match cfg.shard_rows {
-        0 => table.nrows(),
-        n => n,
-    };
-    let source = TableSource::new(table, chunk_rows.max(1));
-    crate::stream::compress_stream_to(&source, cfg, sink)
 }
 
 /// Decompresses an archive back into a table.

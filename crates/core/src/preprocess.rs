@@ -79,16 +79,6 @@ impl ColPlan {
         }
     }
 
-    /// True when this plan has an OTHER class for clipped tail values.
-    pub fn has_other_class(&self) -> bool {
-        match self {
-            ColPlan::Cat {
-                dict, model_card, ..
-            } => *model_card < dict.len(),
-            _ => false,
-        }
-    }
-
     /// Serializes the plan.
     pub fn write_to(&self, w: &mut ByteWriter) {
         match self {
@@ -267,16 +257,6 @@ impl NumColStats {
             d.insert(total_order_key(v));
         }
     }
-
-    fn merge(&mut self, other: &NumColStats) {
-        self.count += other.count;
-        self.saw_nan |= other.saw_nan;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        if let (Some(d), Some(o)) = (&mut self.distinct, &other.distinct) {
-            d.extend(o.iter().copied());
-        }
-    }
 }
 
 /// One-pass accumulator for a categorical column: the first-appearance
@@ -347,29 +327,6 @@ impl CatColStats {
         self.dict = Dictionary::new();
         self.freq = Vec::new();
     }
-
-    /// Ordered merge: `other` must hold the rows that followed `self`'s.
-    fn merge(&mut self, other: &CatColStats) {
-        self.count += other.count;
-        if self.overflowed {
-            return;
-        }
-        if other.overflowed {
-            self.overflow();
-            return;
-        }
-        for (value, &n) in other.dict.values().zip(&other.freq) {
-            let code = self.dict.intern(value) as usize;
-            if self.dict.len() > DICT_CAP {
-                self.overflow();
-                return;
-            }
-            if code == self.freq.len() {
-                self.freq.push(0);
-            }
-            self.freq[code] += n;
-        }
-    }
 }
 
 /// Streaming statistics for one column.
@@ -381,7 +338,7 @@ pub enum ColumnStats {
     Cat(CatColStats),
 }
 
-/// Mergeable one-pass statistics over a whole table, fed chunk by chunk.
+/// One-pass statistics over a whole table, fed chunk by chunk in row order.
 /// This is pass 1 of the streaming pipeline: after the last chunk,
 /// [`TableStats::into_plans`] produces exactly the [`ColPlan`]s that
 /// [`preprocess`] would fit on the concatenation of every chunk.
@@ -468,24 +425,6 @@ impl TableStats {
     /// Rows folded in so far.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Assembles two partial accumulations: `other` must cover the rows
-    /// immediately following `self`'s (dictionary codes are assigned in
-    /// first-appearance order, so merging is ordered, not commutative).
-    pub fn merge(&mut self, other: &TableStats) -> Result<()> {
-        if other.schema != self.schema {
-            return Err(DsError::InvalidConfig("chunk schema mismatch"));
-        }
-        for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
-            match (dst, src) {
-                (ColumnStats::Num(d), ColumnStats::Num(s)) => d.merge(s),
-                (ColumnStats::Cat(d), ColumnStats::Cat(s)) => d.merge(s),
-                _ => return Err(DsError::InvalidConfig("chunk schema mismatch")),
-            }
-        }
-        self.rows += other.rows;
-        Ok(())
     }
 
     /// Finalizes the accumulated statistics into per-column plans —
@@ -852,7 +791,6 @@ mod tests {
                 assert_eq!(*model_card, 16);
                 assert_eq!(class_to_code.len(), 15);
                 assert!(dict.len() > 16);
-                assert!(p.plans[0].has_other_class());
             }
             other => panic!("wrong plan {other:?}"),
         }
@@ -978,33 +916,10 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn stats_merge_is_ordered_concatenation() {
-        let t = gen::census_like(400, 13);
-        let o = opts(t.ncols(), 0.0);
-        let mut whole = TableStats::new(t.schema(), &o).unwrap();
-        whole.update(&t).unwrap();
-
-        let mut front = TableStats::new(t.schema(), &o).unwrap();
-        front.update(&t.slice_rows(0..150)).unwrap();
-        let mut back = TableStats::new(t.schema(), &o).unwrap();
-        back.update(&t.slice_rows(150..400)).unwrap();
-        front.merge(&back).unwrap();
-        assert_eq!(front.rows(), 400);
-        assert_eq!(
-            plan_bytes(&front.into_plans().unwrap()),
-            plan_bytes(&whole.into_plans().unwrap())
-        );
-
-        // Schema mismatch refused.
-        let other = gen::corel_like(10, 1);
-        let o2 = opts(other.ncols(), 0.0);
-        let s2 = TableStats::new(other.schema(), &o2).unwrap();
-        let mut s1 = TableStats::new(t.schema(), &o).unwrap();
-        assert!(s1.merge(&s2).is_err());
-        assert!(s1.update(&other).is_err());
+        // A chunk of another schema is refused.
+        let t = gen::census_like(10, 1);
+        let mut stats = TableStats::new(t.schema(), &opts(t.ncols(), 0.0)).unwrap();
+        assert!(stats.update(&gen::corel_like(10, 1)).is_err());
     }
 
     #[test]

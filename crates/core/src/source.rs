@@ -8,8 +8,9 @@
 //!   on the file, so recompression never holds the whole archive or the
 //!   whole table; or a v1 monolithic archive, the same thing with one
 //!   shard;
-//! * a CSV file (printable head, no NUL bytes) — schema inferred with
-//!   `read_csv_infer`'s cell test in one streaming pass;
+//! * a CSV file (printable head, no NUL bytes) — schema inferred by the
+//!   one column-type rule (`ds_table::csv::TypeInference`) in one
+//!   streaming pass;
 //! * anything else — a typed [`DsError::Corrupt`], never a guess.
 //!
 //! Whether the bytes are an archive, and of which kind, is the archive
@@ -23,9 +24,9 @@
 
 use crate::{ArchiveReader, DsError};
 use ds_shard::ShardError;
-use ds_table::csv::{numeric_cell, CsvChunks};
+use ds_table::csv::{CsvChunks, TypeInference};
 use ds_table::stream::{CsvFileSource, RowSource};
-use ds_table::{Field, Schema, Table, TableError};
+use ds_table::{Schema, Table, TableError};
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -76,10 +77,6 @@ impl OpenedSource {
 impl RowSource for OpenedSource {
     fn schema(&self) -> &Schema {
         self.inner.schema()
-    }
-
-    fn chunk_rows(&self) -> usize {
-        self.inner.chunk_rows()
     }
 
     fn chunks(&self) -> ds_table::Result<Box<dyn Iterator<Item = ds_table::Result<Table>> + '_>> {
@@ -160,43 +157,16 @@ fn io_err(e: std::io::Error) -> DsError {
     DsError::Table(TableError::Io(e.to_string()))
 }
 
-/// One streaming pass over a CSV file resolving each column's type with
-/// `read_csv_infer`'s rule: numeric iff the file has rows and every cell is
-/// a [`numeric_cell`].
+/// One streaming pass over a CSV file resolving each column's type by
+/// the one rule, [`TypeInference`].
 fn infer_csv_schema(path: &Path, chunk_rows: usize) -> crate::Result<Schema> {
     let file = std::fs::File::open(path).map_err(io_err)?;
-    let mut chunks = CsvChunks::new(BufReader::new(file), chunk_rows).map_err(DsError::Table)?;
-    let header: Vec<String> = chunks.header().to_vec();
-    if header.iter().any(String::is_empty) {
-        return Err(DsError::Table(TableError::Csv {
-            line: 1,
-            what: "empty column name in header",
-        }));
+    let mut chunks = CsvChunks::new(BufReader::new(file), chunk_rows)?;
+    let mut types = TypeInference::new(chunks.header())?;
+    while let Some(records) = chunks.next_chunk()? {
+        types.records(&records);
     }
-    let mut numeric_failures = vec![0u64; header.len()];
-    let mut rows = 0usize;
-    while let Some(records) = chunks.next_chunk().map_err(DsError::Table)? {
-        for record in &records {
-            for (value, failures) in record.iter().zip(numeric_failures.iter_mut()) {
-                if numeric_cell(value).is_none() {
-                    *failures += 1;
-                }
-            }
-        }
-        rows += records.len();
-    }
-    let fields: Vec<Field> = header
-        .into_iter()
-        .zip(&numeric_failures)
-        .map(|(name, &failures)| {
-            if rows > 0 && failures == 0 {
-                Field::numeric(name)
-            } else {
-                Field::categorical(name)
-            }
-        })
-        .collect();
-    Schema::new(fields).map_err(DsError::Table)
+    Ok(types.finish(chunks.rows_read())?)
 }
 
 /// [`RowSource`] over an open archive: each pass walks the shard index and
@@ -207,7 +177,6 @@ fn infer_csv_schema(path: &Path, chunk_rows: usize) -> crate::Result<Schema> {
 struct ArchiveSource {
     reader: ArchiveReader<std::fs::File>,
     schema: Schema,
-    chunk_rows: usize,
 }
 
 impl ArchiveSource {
@@ -215,11 +184,9 @@ impl ArchiveSource {
         // Shard 0 always exists (even empty containers carry one zero-row
         // shard) and fixes the schema shared by all shards.
         let first = reader.decode_shard(0, ds_obs::current(), "decode_shard")?;
-        let chunk_rows = first.nrows().max(1);
         Ok(ArchiveSource {
             reader,
             schema: first.schema().clone(),
-            chunk_rows,
         })
     }
 }
@@ -227,10 +194,6 @@ impl ArchiveSource {
 impl RowSource for ArchiveSource {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn chunk_rows(&self) -> usize {
-        self.chunk_rows
     }
 
     fn chunks(&self) -> ds_table::Result<Box<dyn Iterator<Item = ds_table::Result<Table>> + '_>> {
@@ -356,12 +319,16 @@ mod tests {
         std::fs::write(&p2, v2.as_bytes()).unwrap();
         let src = open_source(&p2, 32).expect("opens v2");
         assert_eq!(src.kind(), SourceKind::ArchiveV2);
-        assert_eq!(src.chunk_rows(), 24); // shards are the natural chunks
         let parts: Vec<Table> = src
             .chunks()
             .unwrap()
             .collect::<ds_table::Result<_>>()
             .unwrap();
+        // Shards are the natural chunks.
+        assert_eq!(
+            parts.iter().map(Table::nrows).collect::<Vec<_>>(),
+            [24, 24, 24, 8]
+        );
         assert_eq!(Table::concat(&parts).unwrap(), t);
         // Rewind: a second pass yields the same rows.
         let again: Vec<Table> = src

@@ -1,14 +1,14 @@
 //! The one write pipeline: staged, two-pass, bounded-memory (§3e).
 //!
 //! Everything that writes a top-level archive runs these stages; the
-//! public entry points only contribute a source or a sink. `compress` /
-//! `compress_sharded_to` wrap a `&Table` in a [`RowSource`] (an iterator
-//! of fixed-size [`Table`] chunks that can be rewound for a second pass),
+//! public entry points only contribute a source or a sink. `compress`
+//! wraps a `&Table` in a [`RowSource`] (an iterator of fixed-size
+//! [`Table`] chunks that can be rewound for a second pass),
 //! [`compress_stream_to`] takes any `RowSource`, and
 //! [`compress_csv_stream_to`] reads a CSV whose schema is not yet known.
 //!
 //! 0. **Validate** — the one `DsConfig` check, before any row is read.
-//! 1. **Ingest** (pass 1) — fold every chunk into a mergeable
+//! 1. **Ingest** (pass 1) — fold every chunk into a one-pass
 //!    [`TableStats`] accumulator and, simultaneously, collect a seeded
 //!    reservoir sample of rows. Two front ends ([`ingest`] over typed
 //!    chunks, [`ingest_csv`] over raw records) produce one [`Ingested`].
@@ -40,9 +40,9 @@ use crate::archive::SizeBreakdown;
 use crate::pipeline::{DsConfig, ShardedCompression, TrainedCompressor};
 use crate::preprocess::{CatColStats, ColPlan, ColumnStats, NumColStats, TableStats};
 use crate::{DsError, Result};
-use ds_table::csv::CsvChunks;
+use ds_table::csv::{CsvChunks, TypeInference};
 use ds_table::stream::{rows_to_table, CsvFileSource, RowSource};
-use ds_table::{ColumnType, Field, Schema, Table, TableError};
+use ds_table::{ColumnType, Schema, Table, TableError};
 use std::io::Write;
 use std::path::Path;
 
@@ -254,10 +254,10 @@ fn compress_ingested<W: Write>(
 }
 
 /// Compresses any [`RowSource`] into a v2 container via the staged
-/// two-pass pipeline (see module docs). `compress` and
-/// `compress_sharded_to` are adapters over this function; true streaming
-/// callers hand in a [`CsvFileSource`] (or use [`compress_csv_stream_to`],
-/// which also infers the schema in its first pass).
+/// two-pass pipeline (see module docs). `compress` is an adapter over
+/// this function; true streaming callers hand in a [`CsvFileSource`] (or
+/// use [`compress_csv_stream_to`], which also infers the schema in its
+/// first pass).
 pub fn compress_stream_to<W: Write>(
     source: &dyn RowSource,
     cfg: &DsConfig,
@@ -446,53 +446,28 @@ pub struct CsvStreamInfo {
     pub schema: Schema,
 }
 
-/// Dual-mode per-column probe: numeric and categorical statistics are
-/// tracked simultaneously during pass 1 because the column's type is not
-/// known until every cell has been seen.
-struct ColProbe {
-    num: NumColStats,
-    cat: CatColStats,
-    numeric_failures: u64,
-}
-
-impl ColProbe {
-    fn new(track_distinct: bool) -> Self {
-        ColProbe {
-            num: NumColStats::new(track_distinct),
-            cat: CatColStats::new(),
-            numeric_failures: 0,
-        }
-    }
-
-    fn push(&mut self, value: &str) {
-        self.cat.push(value);
-        match ds_table::csv::numeric_cell(value) {
-            Some(x) => self.num.push(x),
-            None => self.numeric_failures += 1,
-        }
-    }
-}
-
 /// Pass 1 over raw CSV records (the schema is not known until every cell
-/// has been seen): validates `cfg` against the header, then infers the
-/// schema with `read_csv_infer`'s exact rules while folding column
-/// statistics and reservoir-sampling training rows.
+/// has been seen): checks the header names and validates `cfg` against
+/// them before any data row is read, then resolves the schema by the one
+/// column-type rule ([`TypeInference`]) while folding column statistics
+/// and reservoir-sampling training rows.
 fn ingest_csv(path: &Path, cfg: &DsConfig, chunk_rows: usize) -> Result<Ingested> {
     let file = std::fs::File::open(path).map_err(|e| TableError::Io(e.to_string()))?;
     let mut chunks = CsvChunks::new(std::io::BufReader::new(file), chunk_rows)?;
-    let header: Vec<String> = chunks.header().to_vec();
-    if header.iter().any(String::is_empty) {
-        return Err(DsError::Table(TableError::Csv {
-            line: 1,
-            what: "empty column name in header",
-        }));
-    }
-    let opts = cfg.validated(header.len())?;
+    let mut types = TypeInference::new(chunks.header())?;
+    let opts = cfg.validated(chunks.header().len())?;
     let reservoir = Reservoir::new(cfg.sample_frac, cfg.seed);
-    let mut probes: Vec<ColProbe> = opts
+    // Dual-mode probes: a column's type is not known until every cell has
+    // been seen, so both of its statistics are folded meanwhile.
+    let mut probes: Vec<(NumColStats, CatColStats)> = opts
         .error_thresholds
         .iter()
-        .map(|&e| ColProbe::new(e == 0.0 && opts.quantize_numerics))
+        .map(|&e| {
+            (
+                NumColStats::new(e == 0.0 && opts.quantize_numerics),
+                CatColStats::new(),
+            )
+        })
         .collect();
     let mut sample_rows: Vec<Vec<String>> = Vec::new();
     let mut total_rows = 0usize;
@@ -503,9 +478,12 @@ fn ingest_csv(path: &Path, cfg: &DsConfig, chunk_rows: usize) -> Result<Ingested
             n_chunks += 1;
             let mut chunk_bytes = 0usize;
             for (r, record) in records.iter().enumerate() {
-                for (value, probe) in record.iter().zip(probes.iter_mut()) {
+                for (col, (value, (num, cat))) in record.iter().zip(&mut probes).enumerate() {
                     chunk_bytes += value.len() + 24;
-                    probe.push(value);
+                    cat.push(value);
+                    if let Some(x) = types.cell(col, value) {
+                        num.push(x);
+                    }
                 }
                 if reservoir.keep((total_rows + r) as u64) {
                     sample_rows.push(record.clone());
@@ -518,27 +496,14 @@ fn ingest_csv(path: &Path, cfg: &DsConfig, chunk_rows: usize) -> Result<Ingested
         sp.add("chunks", n_chunks);
     }
 
-    // Resolve each column exactly as read_csv_infer does: numeric iff the
-    // column is non-empty and every cell parsed as a finite number.
-    let fields: Vec<Field> = header
-        .iter()
-        .zip(&probes)
-        .map(|(name, p)| {
-            if total_rows > 0 && p.numeric_failures == 0 {
-                Field::numeric(name.clone())
-            } else {
-                Field::categorical(name.clone())
-            }
-        })
-        .collect();
-    let schema = Schema::new(fields).map_err(DsError::Table)?;
+    let schema = types.finish(total_rows)?;
     let cols: Vec<ColumnStats> = schema
         .fields()
         .iter()
         .zip(probes)
-        .map(|(f, p)| match f.ty {
-            ColumnType::Numeric => ColumnStats::Num(p.num),
-            ColumnType::Categorical => ColumnStats::Cat(p.cat),
+        .map(|(f, (num, cat))| match f.ty {
+            ColumnType::Numeric => ColumnStats::Num(num),
+            ColumnType::Categorical => ColumnStats::Cat(cat),
         })
         .collect();
     let stats = TableStats::from_parts(schema.clone(), opts, cols, total_rows)?;
@@ -560,8 +525,8 @@ fn ingest_csv(path: &Path, cfg: &DsConfig, chunk_rows: usize) -> Result<Ingested
 /// Streaming CSV compression: reads the file twice with `chunk_rows` rows
 /// resident at a time. Pass 1 infers the schema ([`ingest_csv`]); pass 2
 /// re-reads the file as typed chunks and encodes shard row groups. For a
-/// fixed seed the output is byte-identical to loading the whole file and
-/// calling [`crate::compress_sharded_to`] with the same config.
+/// fixed seed the output is byte-identical to loading the whole file with
+/// `read_csv_infer` and calling [`crate::compress`] with the same config.
 pub fn compress_csv_stream_to<W: Write>(
     path: &Path,
     cfg: &DsConfig,
@@ -583,7 +548,7 @@ pub fn compress_csv_stream_to<W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compress_sharded_to, decompress, DsArchive};
+    use crate::{compress, decompress, DsArchive};
     use ds_table::gen;
     use ds_table::stream::TableSource;
 
@@ -648,20 +613,15 @@ mod tests {
     fn streaming_bytes_match_in_memory_adapter_across_chunk_sizes() {
         let t = gen::census_like(200, 11);
         let cfg = quick_cfg();
-        let reference = compress_sharded_to(&t, &cfg, Vec::new()).unwrap();
+        let reference = compress(&t, &cfg).unwrap();
         for chunk in [1, 7, 64, 201] {
             let src = TableSource::new(&t, chunk);
             let out = compress_stream_to(&src, &cfg, Vec::new()).unwrap();
-            assert_eq!(out.sink, reference.sink, "chunk={chunk}");
-            assert_eq!(out.n_shards, reference.n_shards);
+            assert_eq!(out.sink, reference.as_bytes(), "chunk={chunk}");
+            assert_eq!(out.n_shards, t.nrows().div_ceil(cfg.shard_rows));
         }
         // And the container still decompresses to the right table shape.
-        let archive = DsArchive {
-            bytes: reference.sink,
-            breakdown: reference.breakdown,
-            failure_stats: Vec::new(),
-        };
-        let restored = decompress(&archive).unwrap();
+        let restored = decompress(&reference).unwrap();
         assert_eq!(restored.nrows(), t.nrows());
     }
 
@@ -716,9 +676,6 @@ mod tests {
         impl RowSource for Shrinking {
             fn schema(&self) -> &Schema {
                 self.table.schema()
-            }
-            fn chunk_rows(&self) -> usize {
-                8
             }
             fn chunks(
                 &self,

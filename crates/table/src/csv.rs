@@ -12,7 +12,7 @@
 //! the line counter follows every `\n`, not the record count).
 
 use crate::column::write_number;
-use crate::{CatBuilder, Column, ColumnType, Result, Schema, Table, TableError};
+use crate::{CatBuilder, Column, ColumnType, Field, Result, Schema, Table, TableError};
 
 /// Length of `field` as the writer would emit it (with quoting).
 pub fn escaped_len(field: &str) -> usize {
@@ -450,71 +450,119 @@ pub(crate) fn bufs_into_table(schema: Schema, bufs: Vec<ColBuf>) -> Result<Table
 }
 
 /// The schema-inference cell test: a cell is numeric iff, trimmed, it
-/// parses as a finite `f64`. Every inferring reader (whole-file, streamed,
-/// source-sniffing) uses this one function, so they cannot disagree.
+/// parses as a finite `f64`. [`TypeInference`] applies it to every cell.
 pub fn numeric_cell(cell: &str) -> Option<f64> {
     cell.trim().parse::<f64>().ok().filter(|x| x.is_finite())
 }
 
-/// Parses CSV text inferring the schema: a column is numeric when every
-/// cell is a [`numeric_cell`] (and the column is non-empty), else
-/// categorical. Header row required.
-pub fn read_csv_infer(data: &str) -> Result<Table> {
-    let mut chunks = CsvChunks::new(data.as_bytes(), WHOLE_FILE_CHUNK_ROWS)?;
-    if chunks.header().iter().any(|h| h.is_empty()) {
-        return Err(TableError::Csv {
-            line: 1,
-            what: "empty column name in header",
-        });
+/// The one column-type rule for CSV input, the "metadata specifying the
+/// column types" of §3.1: header names are non-empty and distinct
+/// (checked by [`TypeInference::new`], before any data row is read), and a
+/// column is numeric iff the file has rows and no cell of it failed
+/// [`numeric_cell`]. `read_csv_infer`, ds-core's source sniffing and its
+/// streaming CSV ingest all fold their cells through one of these.
+pub struct TypeInference {
+    names: Vec<String>,
+    failures: Vec<u64>,
+}
+
+impl TypeInference {
+    /// Checks the header names and starts with no cell seen.
+    pub fn new(header: &[String]) -> Result<Self> {
+        let mut seen = std::collections::HashSet::new();
+        if let Some(name) = header
+            .iter()
+            .find(|h| h.is_empty() || !seen.insert(h.as_str()))
+        {
+            let what = if name.is_empty() {
+                "empty column name in header"
+            } else {
+                "duplicate column name in header"
+            };
+            return Err(TableError::Csv { line: 1, what });
+        }
+        Ok(TypeInference {
+            names: header.to_vec(),
+            failures: vec![0; header.len()],
+        })
     }
-    let header: Vec<String> = chunks.header().to_vec();
-    let mut cells: Vec<Vec<String>> = header.iter().map(|_| Vec::new()).collect();
-    while let Some(rows) = chunks.next_chunk()? {
-        for row in rows {
-            for (value, col) in row.into_iter().zip(cells.iter_mut()) {
-                col.push(value);
+
+    /// Tests one cell of column `col`: its value when it is a
+    /// [`numeric_cell`], else `None` (and the column can no longer be
+    /// numeric). Inlined: streaming ingest calls it once per cell.
+    #[inline]
+    pub fn cell(&mut self, col: usize, value: &str) -> Option<f64> {
+        let x = numeric_cell(value);
+        if let (None, Some(failures)) = (x, self.failures.get_mut(col)) {
+            *failures += 1;
+        }
+        x
+    }
+
+    /// Tests every cell of every record.
+    pub fn records(&mut self, records: &[Vec<String>]) {
+        for record in records {
+            for (col, value) in record.iter().enumerate() {
+                self.cell(col, value);
             }
         }
     }
 
-    let named = header
-        .into_iter()
-        .zip(cells)
-        .map(|(name, values)| {
-            let numeric: Option<Vec<f64>> = if values.is_empty() {
-                None
-            } else {
-                values.iter().map(|v| numeric_cell(v)).collect()
-            };
-            let column = match numeric {
-                Some(nums) => Column::Num(nums),
-                None => Column::Cat(values.into()),
-            };
-            (name, column)
-        })
-        .collect();
-    Table::from_columns(named)
+    /// The schema of a file of `rows` data rows whose cells were all
+    /// tested.
+    pub fn finish(self, rows: usize) -> Result<Schema> {
+        let fields = self
+            .names
+            .into_iter()
+            .zip(self.failures)
+            .map(|(name, failures)| {
+                if rows > 0 && failures == 0 {
+                    Field::numeric(name)
+                } else {
+                    Field::categorical(name)
+                }
+            })
+            .collect();
+        Schema::new(fields)
+    }
+}
+
+/// Parses CSV text inferring the schema by the [`TypeInference`] rule.
+/// Header row required.
+pub fn read_csv_infer(data: &str) -> Result<Table> {
+    let mut chunks = CsvChunks::new(data.as_bytes(), WHOLE_FILE_CHUNK_ROWS)?;
+    let mut types = TypeInference::new(chunks.header())?;
+    let mut records = Vec::new();
+    while let Some(rows) = chunks.next_chunk()? {
+        types.records(&rows);
+        records.extend(rows);
+    }
+    let schema = types.finish(records.len())?;
+    crate::stream::rows_to_table(&schema, records, 0)
+}
+
+/// Checks a CSV header against the schema a reader was given: the same
+/// names in the same order.
+pub(crate) fn check_header(header: &[String], schema: &Schema) -> Result<()> {
+    let what = if header.len() != schema.len() {
+        "header arity does not match schema"
+    } else if header
+        .iter()
+        .zip(schema.fields())
+        .any(|(h, f)| h != &f.name)
+    {
+        "header name does not match schema"
+    } else {
+        return Ok(());
+    };
+    Err(TableError::Csv { line: 1, what })
 }
 
 /// Parses CSV text into a [`Table`] under an explicit schema (header row
 /// required; column order must match the schema).
 pub fn read_csv(data: &str, schema: Schema) -> Result<Table> {
     let mut chunks = CsvChunks::new(data.as_bytes(), WHOLE_FILE_CHUNK_ROWS)?;
-    if chunks.header().len() != schema.len() {
-        return Err(TableError::Csv {
-            line: 1,
-            what: "header arity does not match schema",
-        });
-    }
-    for (h, f) in chunks.header().iter().zip(schema.fields()) {
-        if h != &f.name {
-            return Err(TableError::Csv {
-                line: 1,
-                what: "header name does not match schema",
-            });
-        }
-    }
-
+    check_header(chunks.header(), &schema)?;
     let mut bufs = col_bufs(&schema);
     let mut base_row = 0usize;
     while let Some(rows) = chunks.next_chunk()? {
@@ -528,7 +576,6 @@ pub fn read_csv(data: &str, schema: Schema) -> Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Field;
 
     fn schema() -> Schema {
         Schema::new(vec![Field::categorical("name"), Field::numeric("score")]).unwrap()

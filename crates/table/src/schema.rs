@@ -99,25 +99,6 @@ impl Schema {
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.fields.iter().position(|f| f.name == name)
     }
-
-    /// Indexes of all categorical columns.
-    pub fn categorical_indexes(&self) -> Vec<usize> {
-        self.indexes_of(ColumnType::Categorical)
-    }
-
-    /// Indexes of all numeric columns.
-    pub fn numeric_indexes(&self) -> Vec<usize> {
-        self.indexes_of(ColumnType::Numeric)
-    }
-
-    fn indexes_of(&self, ty: ColumnType) -> Vec<usize> {
-        self.fields
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.ty == ty)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn index_lookup_and_type_partition() {
+    fn index_lookup() {
         let s = Schema::new(vec![
             Field::numeric("x"),
             Field::categorical("c"),
@@ -141,8 +122,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.index_of("c"), Some(1));
         assert_eq!(s.index_of("missing"), None);
-        assert_eq!(s.numeric_indexes(), vec![0, 2]);
-        assert_eq!(s.categorical_indexes(), vec![1]);
         assert_eq!(s.field(1).unwrap().ty, ColumnType::Categorical);
     }
 

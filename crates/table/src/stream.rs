@@ -23,10 +23,6 @@ pub trait RowSource {
     /// Schema every yielded chunk conforms to.
     fn schema(&self) -> &Schema;
 
-    /// Upper bound on rows per yielded chunk (each chunk except possibly
-    /// the last holds exactly this many rows).
-    fn chunk_rows(&self) -> usize;
-
     /// Starts a fresh pass over the rows. Chunks arrive in row order;
     /// a source with zero rows yields no chunks.
     fn chunks(&self) -> Result<Box<dyn Iterator<Item = Result<Table>> + '_>>;
@@ -53,10 +49,6 @@ impl<'a> TableSource<'a> {
 impl RowSource for TableSource<'_> {
     fn schema(&self) -> &Schema {
         self.table.schema()
-    }
-
-    fn chunk_rows(&self) -> usize {
-        self.chunk_rows
     }
 
     fn chunks(&self) -> Result<Box<dyn Iterator<Item = Result<Table>> + '_>> {
@@ -96,27 +88,10 @@ impl RowSource for CsvFileSource {
         &self.schema
     }
 
-    fn chunk_rows(&self) -> usize {
-        self.chunk_rows
-    }
-
     fn chunks(&self) -> Result<Box<dyn Iterator<Item = Result<Table>> + '_>> {
         let file = std::fs::File::open(&self.path).map_err(|e| TableError::Io(e.to_string()))?;
         let chunks = CsvChunks::new(BufReader::new(file), self.chunk_rows)?;
-        if chunks.header().len() != self.schema.len() {
-            return Err(TableError::Csv {
-                line: 1,
-                what: "header arity does not match schema",
-            });
-        }
-        for (h, f) in chunks.header().iter().zip(self.schema.fields()) {
-            if h != &f.name {
-                return Err(TableError::Csv {
-                    line: 1,
-                    what: "header name does not match schema",
-                });
-            }
-        }
+        crate::csv::check_header(chunks.header(), &self.schema)?;
         Ok(Box::new(CsvChunkIter {
             chunks,
             schema: &self.schema,

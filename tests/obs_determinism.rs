@@ -8,7 +8,7 @@
 //! One test function on purpose: the recorder is process-global, so this
 //! file must not run other recorder-touching tests concurrently.
 
-use ds_core::{compress_sharded_to, decompress, DsArchive, DsConfig};
+use ds_core::{compress, decompress, DsConfig};
 use ds_table::gen::Dataset;
 
 #[test]
@@ -26,8 +26,7 @@ fn timing_free_trace_is_identical_across_thread_limits() {
     let run = |limit: usize| {
         ds_exec::with_thread_limit(limit, || {
             ds_obs::enable(false);
-            let out = compress_sharded_to(&t, &cfg, Vec::new()).expect("compresses");
-            let archive = DsArchive::from_bytes(out.sink);
+            let archive = compress(&t, &cfg).expect("compresses");
             decompress(&archive).expect("decodes");
             ds_obs::sink::to_jsonl(&ds_obs::drain())
         })

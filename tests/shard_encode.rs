@@ -100,9 +100,6 @@ impl RowSource for BreaksInPassTwo<'_> {
     fn schema(&self) -> &Schema {
         self.table.schema()
     }
-    fn chunk_rows(&self) -> usize {
-        SHARD_ROWS
-    }
     fn chunks(&self) -> ds_table::Result<Box<dyn Iterator<Item = ds_table::Result<Table>> + '_>> {
         let encoding = self.passes.fetch_add(1, Ordering::SeqCst) > 0;
         let starts = (0..self.table.nrows()).step_by(SHARD_ROWS);

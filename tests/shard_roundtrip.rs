@@ -4,11 +4,12 @@
 //! intersecting shards), and results must not depend on the thread count.
 
 use ds_core::{
-    compress, compress_sharded_to, decompress, decompress_rows, decompress_rows_with_stats,
+    compress, compress_stream_to, decompress, decompress_rows, decompress_rows_with_stats,
     DsConfig, TrainedCompressor,
 };
 use ds_table::csv::write_csv;
 use ds_table::gen::Dataset;
+use ds_table::stream::TableSource;
 use ds_table::{Column, Table};
 use proptest::prelude::*;
 
@@ -197,7 +198,8 @@ fn shard_failure_names_the_shard_and_row_range() {
         shard_rows: 40,
         ..Default::default()
     };
-    let err = compress_sharded_to(&t, &cfg, FailingSink { writes_done: 0 })
+    let source = TableSource::new(&t, cfg.shard_rows);
+    let err = compress_stream_to(&source, &cfg, FailingSink { writes_done: 0 })
         .err()
         .expect("second shard flush must fail");
     let msg = err.to_string();

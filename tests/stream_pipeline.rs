@@ -4,11 +4,11 @@
 //! streaming compressor must emit byte-identical containers to the
 //! in-memory path, for any chunk size and any thread count.
 
-use ds_core::{compress_csv_stream_to, compress_sharded_to, DsConfig};
+use ds_core::{compress, compress_csv_stream_to, open_source, DsConfig, DsError};
 use ds_table::csv::{read_csv, read_csv_infer, write_csv, CsvChunks};
 use ds_table::gen;
 use ds_table::stream::rows_to_table;
-use ds_table::{Column, Table};
+use ds_table::{Column, Table, TableError};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::{PoisonError, RwLock};
@@ -110,13 +110,14 @@ fn streaming_csv_compress_matches_in_memory_bytes() {
             sample_frac,
             ..DsConfig::default()
         };
-        let reference = compress_sharded_to(&t, &cfg, Vec::new()).unwrap();
+        let reference = compress(&t, &cfg).unwrap();
         for chunk_rows in [7, 64, 100, 301] {
             let (out, info) = compress_csv_stream_to(&path, &cfg, chunk_rows, Vec::new()).unwrap();
             assert_eq!(info.rows, t.nrows());
             assert_eq!(&info.schema, t.schema(), "schema inference must agree");
             assert_eq!(
-                out.sink, reference.sink,
+                out.sink,
+                reference.as_bytes(),
                 "chunk_rows={chunk_rows} sample_frac={sample_frac}"
             );
         }
@@ -195,5 +196,34 @@ fn peak_chunk_bytes_does_not_grow_with_the_row_count() {
     let (n, four_n) = (peak_for(1), peak_for(4));
     assert!(n > 0);
     assert_eq!(n, four_n, "peak chunk bytes grew with the row count");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The column-type rule checks header names at the header: a duplicate
+/// name is reported before any data row is read — here, instead of the
+/// ragged row on line 3 — by every front end that infers a schema.
+#[test]
+fn duplicate_header_names_fail_before_any_row() {
+    let _shared = RECORDER.read().unwrap_or_else(PoisonError::into_inner);
+    let dir = tmpdir("dup_header");
+    let text = "a,a\n1,2\n3\n";
+    let path = dir.join("d.csv");
+    std::fs::write(&path, text).unwrap();
+    let duplicate = |e: &TableError| matches!(e, TableError::Csv { line: 1, what } if what.contains("duplicate column name"));
+
+    let err = read_csv_infer(text).expect_err("read_csv_infer");
+    assert!(duplicate(&err), "read_csv_infer: {err}");
+    let err = compress_csv_stream_to(&path, &DsConfig::default(), 1, Vec::new())
+        .err()
+        .expect("compress_csv_stream_to");
+    assert!(
+        matches!(&err, DsError::Table(e) if duplicate(e)),
+        "compress_csv_stream_to: {err}"
+    );
+    let err = open_source(&path, 1).err().expect("open_source");
+    assert!(
+        matches!(&err, DsError::Table(e) if duplicate(e)),
+        "open_source: {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
