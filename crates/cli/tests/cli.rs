@@ -363,6 +363,53 @@ fn streaming_compress_matches_in_memory_and_roundtrips() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `\r` that is not half of a `\r\n` terminator is data: in an
+/// unquoted cell it survives a lossless cycle (the writer quotes it), at
+/// any chunk size, while CRLF terminators are still dropped.
+#[test]
+fn bare_cr_in_a_cell_survives_a_lossless_cycle() {
+    let dir = tmpdir("bare_cr");
+    let want = "name,n\n\"ab\rcd\",1\n\"y\r\",3\n";
+    for (tag, input) in [
+        ("lf", "name,n\nab\rcd,1\ny\r,3\n"),
+        ("crlf", "name,n\r\nab\rcd,1\r\ny\r,3\r\n"),
+    ] {
+        let csv = dir.join(format!("{tag}.csv"));
+        std::fs::write(&csv, input).unwrap();
+        for chunk_rows in ["1", "4096"] {
+            let dsq = dir.join(format!("{tag}{chunk_rows}.dsqz"));
+            let back = dir.join(format!("{tag}{chunk_rows}.out.csv"));
+            let out = dsqz()
+                .args([
+                    "compress",
+                    csv.to_str().unwrap(),
+                    dsq.to_str().unwrap(),
+                    "--error",
+                    "0",
+                    "--epochs",
+                    "2",
+                    "--chunk-rows",
+                    chunk_rows,
+                    "--quiet",
+                ])
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "compress {tag}: {out:?}");
+            let out = dsqz()
+                .args(["decompress", dsq.to_str().unwrap(), back.to_str().unwrap()])
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "decompress {tag}: {out:?}");
+            assert_eq!(
+                std::fs::read_to_string(&back).unwrap(),
+                want,
+                "{tag}, chunk_rows {chunk_rows}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn stream_flag_validation() {
     // Out-of-range --sample-frac is ds-core's one config check, on every

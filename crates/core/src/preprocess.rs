@@ -322,6 +322,35 @@ impl CatColStats {
         }
     }
 
+    /// Continues this fold with `later`, the statistics of the rows that
+    /// follow: the result is the fold of both runs of rows in order (the
+    /// dictionary keeps first-appearance order, frequencies add, and the
+    /// cap trips exactly when the union of both runs exceeds it).
+    pub(crate) fn append(&mut self, later: CatColStats) {
+        self.count += later.count;
+        if self.overflowed {
+            return;
+        }
+        if later.overflowed {
+            self.overflow();
+            return;
+        }
+        for (code, &freq) in later.freq.iter().enumerate() {
+            let Some(value) = later.dict.value_of(code as u32) else {
+                continue;
+            };
+            let code = self.dict.intern(value) as usize;
+            if self.dict.len() > DICT_CAP {
+                self.overflow();
+                return;
+            }
+            if code == self.freq.len() {
+                self.freq.push(0);
+            }
+            self.freq[code] += freq;
+        }
+    }
+
     fn overflow(&mut self) {
         self.overflowed = true;
         self.dict = Dictionary::new();
@@ -941,6 +970,42 @@ mod tests {
         assert_eq!(stats.rows(), n);
         let plans = stats.into_plans().unwrap();
         assert!(matches!(plans[0], ColPlan::Fallback));
+    }
+
+    /// `append` of the stats of two consecutive runs of rows equals one
+    /// fold of all of them in order: dictionary order, frequencies, count,
+    /// and the cap, including a union that overflows when neither run does.
+    #[test]
+    fn appended_stats_equal_one_fold_in_row_order() {
+        let summary = |s: &CatColStats| {
+            let values: Vec<&str> = (0..s.dict.len() as u32)
+                .filter_map(|c| s.dict.value_of(c))
+                .collect();
+            format!("{values:?} {:?} {} {}", s.freq, s.count, s.overflowed)
+        };
+        let repeats: Vec<String> = (0..40).map(|i| format!("v{}", (i * 7) % 11)).collect();
+        let just_over: Vec<String> = (0..=DICT_CAP).map(|i| format!("u{i}")).collect();
+        let at_cap: Vec<String> = (0..DICT_CAP + 9)
+            .map(|i| format!("w{}", i % DICT_CAP))
+            .collect();
+        for values in [&repeats, &just_over, &at_cap] {
+            let mut whole = CatColStats::new();
+            values.iter().for_each(|v| whole.push(v));
+            for split in [0, 1, values.len() / 2, values.len() - 1, values.len()] {
+                let (head, tail) = values.split_at(split);
+                let mut a = CatColStats::new();
+                head.iter().for_each(|v| a.push(v));
+                let mut b = CatColStats::new();
+                tail.iter().for_each(|v| b.push(v));
+                a.append(b);
+                assert_eq!(
+                    summary(&a),
+                    summary(&whole),
+                    "split {split} of {}",
+                    values.len()
+                );
+            }
+        }
     }
 
     #[test]

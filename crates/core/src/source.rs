@@ -163,8 +163,8 @@ fn infer_csv_schema(path: &Path, chunk_rows: usize) -> crate::Result<Schema> {
     let file = std::fs::File::open(path).map_err(io_err)?;
     let mut chunks = CsvChunks::new(BufReader::new(file), chunk_rows)?;
     let mut types = TypeInference::new(chunks.header())?;
-    while let Some(records) = chunks.next_chunk()? {
-        types.records(&records);
+    while let Some(chunk) = chunks.next_chunk()? {
+        types.chunk(&chunk);
     }
     Ok(types.finish(chunks.rows_read())?)
 }

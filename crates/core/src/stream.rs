@@ -40,8 +40,8 @@ use crate::archive::SizeBreakdown;
 use crate::pipeline::{DsConfig, ShardedCompression, TrainedCompressor};
 use crate::preprocess::{CatColStats, ColPlan, ColumnStats, NumColStats, TableStats};
 use crate::{DsError, Result};
-use ds_table::csv::{CsvChunks, TypeInference};
-use ds_table::stream::{rows_to_table, CsvFileSource, RowSource};
+use ds_table::csv::{CsvChunk, CsvChunks, TypeInference};
+use ds_table::stream::{CsvFileSource, RowSource};
 use ds_table::{ColumnType, Schema, Table, TableError};
 use std::io::Write;
 use std::path::Path;
@@ -446,64 +446,112 @@ pub struct CsvStreamInfo {
     pub schema: Schema,
 }
 
+/// Pass-1 statistics of one CSV column while its type is open. The probe
+/// is numeric-first: a column folds numeric statistics until a cell fails
+/// [`ds_table::csv::numeric_cell`], and categorical statistics only from
+/// the chunk holding that cell on.
+struct ColProbe {
+    num: NumColStats,
+    /// Categorical statistics from row `cat_from` on; `None` while every
+    /// cell seen is numeric.
+    cat: Option<CatColStats>,
+    /// First row folded into `cat`: the start of the chunk where the
+    /// column first failed. Rows before it are refolded by
+    /// [`refold_prefixes`].
+    cat_from: usize,
+}
+
+impl ColProbe {
+    /// Folds column `col` of `chunk`, whose first row is table row `base`.
+    fn fold(&mut self, chunk: &CsvChunk, col: usize, base: usize) {
+        if self.cat.is_none() {
+            let num = &mut self.num;
+            if chunk.numeric_column(col, |x| num.push(x)).is_none() {
+                return;
+            }
+            // The column is categorical: its numeric statistics are dead.
+            self.num = NumColStats::new(false);
+            self.cat = Some(CatColStats::new());
+            self.cat_from = base;
+        }
+        if let Some(cat) = &mut self.cat {
+            for cell in chunk.column(col) {
+                cat.push(cell);
+            }
+        }
+    }
+}
+
+fn open_csv(
+    path: &Path,
+    chunk_rows: usize,
+) -> Result<CsvChunks<std::io::BufReader<std::fs::File>>> {
+    let file = std::fs::File::open(path).map_err(|e| TableError::Io(e.to_string()))?;
+    Ok(CsvChunks::new(std::io::BufReader::new(file), chunk_rows)?)
+}
+
 /// Pass 1 over raw CSV records (the schema is not known until every cell
 /// has been seen): checks the header names and validates `cfg` against
 /// them before any data row is read, then resolves the schema by the one
 /// column-type rule ([`TypeInference`]) while folding column statistics
-/// and reservoir-sampling training rows.
+/// (one pool task per column and chunk) and reservoir-sampling training
+/// rows as raw record bytes, typed once the schema is known.
 fn ingest_csv(path: &Path, cfg: &DsConfig, chunk_rows: usize) -> Result<Ingested> {
-    let file = std::fs::File::open(path).map_err(|e| TableError::Io(e.to_string()))?;
-    let mut chunks = CsvChunks::new(std::io::BufReader::new(file), chunk_rows)?;
+    let mut chunks = open_csv(path, chunk_rows)?;
     let mut types = TypeInference::new(chunks.header())?;
     let opts = cfg.validated(chunks.header().len())?;
     let reservoir = Reservoir::new(cfg.sample_frac, cfg.seed);
-    // Dual-mode probes: a column's type is not known until every cell has
-    // been seen, so both of its statistics are folded meanwhile.
-    let mut probes: Vec<(NumColStats, CatColStats)> = opts
+    let mut probes: Vec<ColProbe> = opts
         .error_thresholds
         .iter()
-        .map(|&e| {
-            (
-                NumColStats::new(e == 0.0 && opts.quantize_numerics),
-                CatColStats::new(),
-            )
+        .map(|&e| ColProbe {
+            num: NumColStats::new(e == 0.0 && opts.quantize_numerics),
+            cat: None,
+            cat_from: 0,
         })
         .collect();
-    let mut sample_rows: Vec<Vec<String>> = Vec::new();
+    let mut sample = CsvChunk::empty(probes.len());
     let mut total_rows = 0usize;
     {
         let mut sp = ds_obs::span("ingest");
         let mut n_chunks = 0u64;
-        while let Some(records) = chunks.next_chunk()? {
+        while let Some(chunk) = chunks.next_chunk()? {
             n_chunks += 1;
-            let mut chunk_bytes = 0usize;
-            for (r, record) in records.iter().enumerate() {
-                for (col, (value, (num, cat))) in record.iter().zip(&mut probes).enumerate() {
-                    chunk_bytes += value.len() + 24;
-                    cat.push(value);
-                    if let Some(x) = types.cell(col, value) {
-                        num.push(x);
-                    }
+            ds_obs::gauge_max("stream.peak_chunk_bytes", 0, chunk.mem_size() as u64);
+            let base = total_rows;
+            ds_exec::parallel_chunks_mut(&mut probes, 1, |col, _, probe| {
+                for p in probe {
+                    p.fold(&chunk, col, base);
                 }
-                if reservoir.keep((total_rows + r) as u64) {
-                    sample_rows.push(record.clone());
+            });
+            let n = chunk.nrows();
+            if reservoir.all {
+                sample.push_rows(&chunk, 0..n);
+            } else {
+                for r in (0..n).filter(|&r| reservoir.keep((base + r) as u64)) {
+                    sample.push_rows(&chunk, r..r + 1);
                 }
             }
-            total_rows += records.len();
-            ds_obs::gauge_max("stream.peak_chunk_bytes", 0, chunk_bytes as u64);
+            total_rows += n;
         }
         sp.add("rows", total_rows as u64);
         sp.add("chunks", n_chunks);
     }
+    for (col, p) in probes.iter().enumerate() {
+        if p.cat.is_some() {
+            types.fail(col);
+        }
+    }
+    refold_prefixes(path, chunk_rows, &mut probes)?;
 
     let schema = types.finish(total_rows)?;
     let cols: Vec<ColumnStats> = schema
         .fields()
         .iter()
         .zip(probes)
-        .map(|(f, (num, cat))| match f.ty {
-            ColumnType::Numeric => ColumnStats::Num(num),
-            ColumnType::Categorical => ColumnStats::Cat(cat),
+        .map(|(f, p)| match f.ty {
+            ColumnType::Numeric => ColumnStats::Num(p.num),
+            ColumnType::Categorical => ColumnStats::Cat(p.cat.unwrap_or_else(CatColStats::new)),
         })
         .collect();
     let stats = TableStats::from_parts(schema.clone(), opts, cols, total_rows)?;
@@ -513,13 +561,57 @@ fn ingest_csv(path: &Path, cfg: &DsConfig, chunk_rows: usize) -> Result<Ingested
     };
     // Typed conversion of the sampled rows cannot hit numeric parse
     // errors: a column is only numeric when every cell parsed in pass 1.
-    let sample = rows_to_table(&schema, sample_rows, 0).map_err(DsError::Table)?;
+    let sample = sample.to_table(&schema, 0).map_err(DsError::Table)?;
     Ok(Ingested {
         schema,
         plans,
         sample,
         total_rows,
     })
+}
+
+/// The column-restricted re-read behind the numeric-first probe: a column
+/// that first failed after chunk 0 has categorical statistics only from
+/// that chunk on. One more read of the file's head, as far as the latest
+/// such chunk, folds each such column's earlier rows, and the fold of
+/// those rows followed by the rest is exactly the fold of every cell in
+/// row order. Columns that failed in chunk 0 (or never) cost nothing.
+fn refold_prefixes(path: &Path, chunk_rows: usize, probes: &mut [ColProbe]) -> Result<()> {
+    let until: Vec<usize> = probes
+        .iter()
+        .map(|p| if p.cat.is_some() { p.cat_from } else { 0 })
+        .collect();
+    let Some(&last) = until.iter().max().filter(|&&m| m > 0) else {
+        return Ok(());
+    };
+    let _sp = ds_obs::span("refold");
+    let mut prefixes: Vec<Option<CatColStats>> = until
+        .iter()
+        .map(|&u| (u > 0).then(CatColStats::new))
+        .collect();
+    let mut chunks = open_csv(path, chunk_rows)?;
+    let mut base = 0usize;
+    while base < last {
+        let Some(chunk) = chunks.next_chunk()? else {
+            return Err(DsError::InvalidConfig("row source changed between passes"));
+        };
+        ds_exec::parallel_chunks_mut(&mut prefixes, 1, |col, _, prefix| {
+            let take = until.get(col).map_or(0, |&u| u.saturating_sub(base));
+            for stats in prefix.iter_mut().flatten() {
+                for cell in chunk.column(col).take(take) {
+                    stats.push(cell);
+                }
+            }
+        });
+        base += chunk.nrows();
+    }
+    for (p, prefix) in probes.iter_mut().zip(prefixes) {
+        if let (Some(mut prefix), Some(rest)) = (prefix, p.cat.as_mut()) {
+            prefix.append(std::mem::replace(rest, CatColStats::new()));
+            *rest = prefix;
+        }
+    }
+    Ok(())
 }
 
 /// Streaming CSV compression: reads the file twice with `chunk_rows` rows

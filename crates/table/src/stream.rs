@@ -95,7 +95,6 @@ impl RowSource for CsvFileSource {
         Ok(Box::new(CsvChunkIter {
             chunks,
             schema: &self.schema,
-            base_row: 0,
             fused: false,
         }))
     }
@@ -104,7 +103,6 @@ impl RowSource for CsvFileSource {
 struct CsvChunkIter<'a> {
     chunks: CsvChunks<BufReader<std::fs::File>>,
     schema: &'a Schema,
-    base_row: usize,
     fused: bool,
 }
 
@@ -117,10 +115,9 @@ impl Iterator for CsvChunkIter<'_> {
         }
         match self.chunks.next_chunk() {
             Ok(None) => None,
-            Ok(Some(rows)) => {
-                let base = self.base_row;
-                self.base_row += rows.len();
-                match rows_to_table(self.schema, rows, base) {
+            Ok(Some(chunk)) => {
+                let base = self.chunks.rows_read().saturating_sub(chunk.nrows());
+                match chunk.to_table(self.schema, base) {
                     Ok(t) => Some(Ok(t)),
                     Err(e) => {
                         self.fused = true;
@@ -134,15 +131,6 @@ impl Iterator for CsvChunkIter<'_> {
             }
         }
     }
-}
-
-/// Converts string records into a typed [`Table`] under `schema`.
-/// `base_row` is the 0-based table row index of `rows[0]`, used for
-/// numeric parse-error positions ([`TableError::Parse`]).
-pub fn rows_to_table(schema: &Schema, rows: Vec<Vec<String>>, base_row: usize) -> Result<Table> {
-    let mut bufs = crate::csv::col_bufs(schema);
-    crate::csv::append_rows(&mut bufs, rows, base_row)?;
-    crate::csv::bufs_into_table(schema.clone(), bufs)
 }
 
 #[cfg(test)]
@@ -220,16 +208,36 @@ mod tests {
     }
 
     #[test]
-    fn rows_to_table_reports_global_row_indexes() {
+    fn csv_file_source_reports_global_row_indexes() {
+        let dir = std::env::temp_dir().join("ds_table_stream_rows");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.csv");
+        let mut text = String::from("x\n");
+        for i in 0..101 {
+            text.push_str(&format!("{i}\n"));
+        }
+        text.push_str("oops\n");
+        std::fs::write(&path, text).unwrap();
         let schema = Schema::new(vec![Field::numeric("x")]).unwrap();
-        let rows = vec![vec!["1".to_string()], vec!["oops".to_string()]];
-        assert!(matches!(
-            rows_to_table(&schema, rows, 100),
-            Err(TableError::Parse {
-                row: 101,
-                col: 0,
-                ..
-            })
-        ));
+        for chunk_rows in [1, 7, 100, 4096] {
+            let src = CsvFileSource::new(&path, schema.clone(), chunk_rows);
+            let err = src
+                .chunks()
+                .unwrap()
+                .find_map(Result::err)
+                .expect("the last row does not parse");
+            assert!(
+                matches!(
+                    err,
+                    TableError::Parse {
+                        row: 101,
+                        col: 0,
+                        ..
+                    }
+                ),
+                "chunk_rows={chunk_rows}: {err}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,10 +4,10 @@
 //! streaming compressor must emit byte-identical containers to the
 //! in-memory path, for any chunk size and any thread count.
 
+use ds_core::preprocess::DICT_CAP;
 use ds_core::{compress, compress_csv_stream_to, open_source, DsConfig, DsError};
-use ds_table::csv::{read_csv, read_csv_infer, write_csv, CsvChunks};
+use ds_table::csv::{read_csv, read_csv_infer, write_csv, CsvChunks, TypeInference};
 use ds_table::gen;
-use ds_table::stream::rows_to_table;
 use ds_table::{Column, Table, TableError};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -61,7 +61,7 @@ fn arb_nasty_table() -> impl Strategy<Value = Table> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// CsvChunks reassembly ≡ read_csv for chunk sizes {1, 7, 64, rows+1},
+    /// CsvChunks reassembly (typed per chunk) ≡ read_csv for chunk sizes {1, 7, 64, rows+1},
     /// with a deliberately tiny refill buffer so quoted fields (including
     /// embedded newlines) split across both chunk and refill boundaries.
     #[test]
@@ -74,11 +74,10 @@ proptest! {
                 .expect("header parses");
             let mut parts = Vec::new();
             let mut base = 0usize;
-            while let Some(rows) = chunks.next_chunk().expect("chunk parses") {
-                prop_assert!(rows.len() <= chunk_rows);
-                let n = rows.len();
-                parts.push(rows_to_table(t.schema(), rows, base).expect("typed chunk"));
-                base += n;
+            while let Some(chunk) = chunks.next_chunk().expect("chunk parses") {
+                prop_assert!(chunk.nrows() <= chunk_rows);
+                parts.push(chunk.to_table(t.schema(), base).expect("typed chunk"));
+                base += chunk.nrows();
             }
             prop_assert_eq!(base, t.nrows());
             let reassembled = Table::concat(&parts).expect("same schema");
@@ -225,5 +224,104 @@ fn duplicate_header_names_fail_before_any_row() {
         matches!(&err, DsError::Table(e) if duplicate(e)),
         "open_source: {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A CSV whose `mixed` column looks numeric up to row `fail_at`, which
+/// holds a word. Its numbers repeat a few values, or are all distinct
+/// (`distinct`); `id` is numeric throughout and `tag` categorical.
+fn mixed_csv(rows: usize, fail_at: usize, distinct: bool) -> String {
+    let mut text = String::from("id,mixed,tag\n");
+    for r in 0..rows {
+        let mixed = match r {
+            _ if r == fail_at => "n/a".to_string(),
+            _ if distinct => format!("{}.5", r),
+            _ => format!("{}", r % 5),
+        };
+        text.push_str(&format!("{},{mixed},t{}\n", r * 3, r % 4));
+    }
+    text
+}
+
+/// The numeric-first probe types and folds a column exactly as the
+/// whole-file rule does, wherever its first non-numeric cell sits: row 0,
+/// mid-chunk, the first row of a later chunk, the last row, or after more
+/// than `DICT_CAP` distinct numbers. Checked at the chunk layer (every
+/// chunk and refill size: `TypeInference` and typed chunks against
+/// `read_csv_infer`) and through the pipeline (`compress_csv_stream_to`
+/// against `read_csv_infer` + `compress`, same schema and same bytes —
+/// the plans are in the bytes), at 1 and 2 threads.
+#[test]
+fn numeric_first_typing_matches_the_whole_file_rule() {
+    let _shared = RECORDER.read().unwrap_or_else(PoisonError::into_inner);
+    let dir = tmpdir("numeric_first");
+    let cases = [
+        ("row 0", mixed_csv(40, 0, false)),
+        ("mid-chunk", mixed_csv(40, 10, false)),
+        ("first row of a later chunk", mixed_csv(40, 14, false)),
+        ("last row", mixed_csv(40, 39, false)),
+        (
+            "past DICT_CAP",
+            mixed_csv(DICT_CAP + 100, DICT_CAP + 50, true),
+        ),
+    ];
+    let cfg = DsConfig {
+        error_threshold: 0.0,
+        max_epochs: 2,
+        shard_rows: 4096,
+        seed: 5,
+        sample_frac: 0.3,
+        ..DsConfig::default()
+    };
+    for (name, text) in &cases {
+        let whole = read_csv_infer(text).unwrap();
+        assert!(whole.schema().fields()[0].ty == ds_table::ColumnType::Numeric);
+        assert!(whole.schema().fields()[1].ty == ds_table::ColumnType::Categorical);
+        let path = dir.join("m.csv");
+        std::fs::write(&path, text).unwrap();
+        let reference = compress(&whole, &cfg).unwrap();
+        for threads in [1, 2] {
+            ds_exec::with_thread_limit(threads, || {
+                for chunk_rows in [1, 7, 4096] {
+                    for refill in [1, 3, 64 * 1024] {
+                        let mut chunks =
+                            CsvChunks::with_capacity(text.as_bytes(), chunk_rows, refill).unwrap();
+                        let mut types = TypeInference::new(chunks.header()).unwrap();
+                        let mut parts = Vec::new();
+                        while let Some(chunk) = chunks.next_chunk().unwrap() {
+                            types.chunk(&chunk);
+                            parts.push(chunk);
+                        }
+                        let schema = types.finish(chunks.rows_read()).unwrap();
+                        assert_eq!(&schema, whole.schema(), "{name}: chunk_rows {chunk_rows}");
+                        let mut base = 0;
+                        let typed: Vec<Table> = parts
+                            .iter()
+                            .map(|c| {
+                                let t = c.to_table(&schema, base).unwrap();
+                                base += c.nrows();
+                                t
+                            })
+                            .collect();
+                        assert!(
+                            Table::concat(&typed).unwrap() == whole,
+                            "{name}: chunk_rows {chunk_rows} refill {refill}"
+                        );
+                    }
+                    let (out, info) =
+                        compress_csv_stream_to(&path, &cfg, chunk_rows, Vec::new()).unwrap();
+                    assert_eq!(
+                        &info.schema,
+                        whole.schema(),
+                        "{name}: chunk_rows {chunk_rows}"
+                    );
+                    assert!(
+                        out.sink == reference.as_bytes(),
+                        "{name}: chunk_rows {chunk_rows}, {threads} thread(s)"
+                    );
+                }
+            });
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
