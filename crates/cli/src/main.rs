@@ -484,6 +484,13 @@ fn serve_tcp(
     let mut accepted = 0usize;
     for conn in listener.incoming() {
         let stream = conn.map_err(|e| format!("accept: {e}"))?;
+        // Reap the connections that have ended, so the list holds the
+        // live ones, not one handle per connection ever accepted.
+        let (ended, live) = handles
+            .into_iter()
+            .partition::<Vec<_>, _>(std::thread::JoinHandle::is_finished);
+        handles = live;
+        ended.into_iter().for_each(report_connection);
         let archive = archive.clone();
         handles.push(std::thread::spawn(move || -> std::io::Result<()> {
             stream.set_read_timeout(Some(ds_serve::protocol::CLIENT_READ_TIMEOUT))?;
@@ -495,15 +502,18 @@ fn serve_tcp(
             break;
         }
     }
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok(())) => {}
-            // One broken client must not take the server down with it.
-            Ok(Err(e)) => eprintln!("dsqz: connection error: {e}"),
-            Err(_) => eprintln!("dsqz: connection handler panicked"),
-        }
-    }
+    handles.into_iter().for_each(report_connection);
     Ok(())
+}
+
+/// Joins a connection's handler thread and reports how it ended: one
+/// broken client must not take the server down with it.
+fn report_connection(handle: std::thread::JoinHandle<std::io::Result<()>>) {
+    match handle.join() {
+        Ok(Ok(())) => {}
+        Ok(Err(e)) => eprintln!("dsqz: connection error: {e}"),
+        Err(_) => eprintln!("dsqz: connection handler panicked"),
+    }
 }
 
 /// `dsqz top`: a compact operator view of live serve telemetry. With a
@@ -663,12 +673,14 @@ fn cmd_gen(p: &mut Parsed) -> Result<(), String> {
         .find(|d| d.name().eq_ignore_ascii_case(&which))
         .ok_or_else(|| format!("unknown dataset `{which}`"))?;
     let table = dataset.generate(rows, seed);
-    std::fs::write(&output, write_csv(&table)).map_err(|e| format!("write {output}: {e}"))?;
+    // The CSV's length is the table's raw size by construction.
+    let csv = write_csv(&table);
+    std::fs::write(&output, &csv).map_err(|e| format!("write {output}: {e}"))?;
     eprintln!(
         "{output}: {} rows of {} ({} bytes)",
         table.nrows(),
         dataset.name(),
-        table.raw_size()
+        csv.len()
     );
     Ok(())
 }

@@ -733,7 +733,7 @@ fn serve_listens_on_tcp_and_shares_the_cache_across_connections() {
             "--listen",
             "127.0.0.1:0",
             "--max-conns",
-            "2",
+            "3",
         ])
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -749,42 +749,41 @@ fn serve_listens_on_tcp_and_shares_the_cache_across_connections() {
             break rest.trim().to_string();
         }
     };
+    // Sends `request`, then reads until the server closes the connection.
+    let exchange = |request: &[u8]| -> Vec<String> {
+        let mut c = TcpStream::connect(&addr).unwrap();
+        c.write_all(request).unwrap();
+        BufReader::new(c).lines().map(Result::unwrap).collect()
+    };
 
-    // Connection 1 decodes two shards into the shared cache.
-    let mut c1 = TcpStream::connect(&addr).unwrap();
-    c1.write_all(b"GET 60..70\nQUIT\n").unwrap();
-    let mut r1 = BufReader::new(c1.try_clone().unwrap());
-    let mut line = String::new();
-    r1.read_line(&mut line).unwrap();
-    assert_eq!(line, "OK 10\n");
-    let mut saw_bye = false;
-    for _ in 0..64 {
-        line.clear();
-        if r1.read_line(&mut line).unwrap() == 0 {
-            break;
-        }
-        if line == "BYE\n" {
-            saw_bye = true;
-            break;
-        }
-    }
-    assert!(saw_bye, "connection 1 never got BYE");
+    // Connection 1 decodes two shards into the shared cache, and has
+    // closed before connection 2 connects: the server reaps its handle
+    // on the next accept and keeps answering.
+    let first = exchange(b"GET 60..70\nQUIT\n");
+    assert_eq!(first.len(), 12, "status, 10 rows, BYE: {first:?}");
+    assert_eq!((first[0].as_str(), first[11].as_str()), ("OK 10", "BYE"));
 
     // Connection 2 sees the cache that connection 1 populated.
-    let mut c2 = TcpStream::connect(&addr).unwrap();
-    c2.write_all(b"STAT\nQUIT\n").unwrap();
-    let mut r2 = BufReader::new(c2.try_clone().unwrap());
-    line.clear();
-    r2.read_line(&mut line).unwrap();
-    assert!(line.starts_with("OK rows=300"), "stat: {line}");
+    let lines = exchange(b"STAT\nQUIT\n");
+    assert!(lines[0].starts_with("OK rows=300"), "stat: {}", lines[0]);
     assert!(
-        !line.contains("cache_entries=0"),
-        "cache must be warm: {line}"
+        !lines[0].contains("cache_entries=0"),
+        "cache must be warm: {}",
+        lines[0]
     );
 
-    // --max-conns 2 makes the server drain both connections and exit.
+    // Connection 3 is the last that --max-conns 3 accepts: it is served
+    // the same rows, then the server drains it and exits cleanly.
+    let lines = exchange(b"GET 60..62\nQUIT\n");
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    assert_eq!((lines[0].as_str(), lines[3].as_str()), ("OK 2", "BYE"));
+    assert_eq!(lines[1..3], first[1..3]);
+
     let status = child.wait().unwrap();
     assert!(status.success());
+    let mut rest = String::new();
+    std::io::Read::read_to_string(&mut stderr, &mut rest).unwrap();
+    assert!(!rest.contains("dsqz: connection"), "stderr: {rest}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

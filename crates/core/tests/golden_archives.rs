@@ -24,6 +24,16 @@
 //!   section (one chain, `bitpack`, for each of the 68 columns of every
 //!   shard). Regeneration does not touch it.
 //!
+//! One more pins how *lossy numeric* cells decode and print, which the
+//! census fixtures (all categorical, lossless) never exercise:
+//!
+//! * `v2_numeric.dsqz` holds 300 monitor rows (17 numeric columns) at
+//!   `error_threshold` 0.01 in three shards, and `expected_numeric.csv`
+//!   is its decoded CSV. The pin is decode-only: no test re-encodes the
+//!   table and compares archive bytes, so a change to what `compress`
+//!   writes leaves it valid; only a change to how this archive decodes,
+//!   or to how a number prints, breaks it.
+//!
 //! Regenerate after an *intentional* format change with:
 //!
 //! ```text
@@ -83,6 +93,20 @@ fn v2_cfg() -> DsConfig {
     }
 }
 
+/// The numeric fixture's table and config: lossy, so decoded cells are
+/// fractions that exercise the number writer.
+fn numeric_table() -> ds_table::Table {
+    gen::monitor_like(300, 7)
+}
+
+fn numeric_cfg() -> DsConfig {
+    DsConfig {
+        error_threshold: 0.01,
+        shard_rows: 100,
+        ..v1_cfg()
+    }
+}
+
 #[test]
 fn golden_v1_decodes_byte_identically() {
     let archive = DsArchive::from_bytes(read_fixture("v1.dsqz"));
@@ -106,6 +130,20 @@ fn golden_v2_decodes_byte_identically() {
     // Partial reads agree with the full decode.
     let part = decompress_rows(&archive, 40..70).expect("partial read");
     assert_eq!(part, restored.slice_rows(40..70));
+}
+
+#[test]
+fn golden_v2_numeric_decodes_byte_identically() {
+    let archive = DsArchive::from_bytes(read_fixture("v2_numeric.dsqz"));
+    let restored = decompress(&archive).expect("golden v2_numeric decodes");
+    let csv = write_csv(&restored);
+    assert_eq!(
+        csv.as_bytes(),
+        read_fixture("expected_numeric.csv"),
+        "v2_numeric decode or number rendering drifted from the committed CSV"
+    );
+    assert_eq!(restored.nrows(), 300);
+    assert_eq!(csv.len(), restored.raw_size());
 }
 
 #[test]
@@ -146,6 +184,12 @@ fn regenerate_golden_fixtures() {
     std::fs::write(dir.join("expected.csv"), write_csv(&restored)).expect("write csv");
 
     write_forged_fixture(v2.as_bytes(), &dir.join("v2_forged.dsqz"));
+
+    let numeric = compress(&numeric_table(), &numeric_cfg()).expect("v2_numeric compresses");
+    std::fs::write(dir.join("v2_numeric.dsqz"), numeric.as_bytes()).expect("write v2_numeric");
+    let restored = decompress(&numeric).expect("v2_numeric decodes");
+    std::fs::write(dir.join("expected_numeric.csv"), write_csv(&restored))
+        .expect("write numeric csv");
 }
 
 /// Appends to the v2 container a chain section (manifest section tag 1)
@@ -255,4 +299,73 @@ fn forged_codec_id_yields_typed_error_on_every_entry_point() {
         ) => drop(err),
         Err(err) => panic!("serve: wrong error {err:?}"),
     }
+}
+
+/// How a number printed before `write_number` wrote digits itself:
+/// `core::fmt` for every cell.
+fn fmt_number(v: f64) -> String {
+    if !v.is_finite() {
+        format!("{v}")
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        format!("{}", v as i64)
+    } else {
+        let s = format!("{v:.6}");
+        s.trim_end_matches('0').trim_end_matches('.').to_owned()
+    }
+}
+
+/// A CSV writer built on [`fmt_number`], quoting as RFC 4180 does.
+fn fmt_csv(t: &ds_table::Table) -> String {
+    let field = |s: &str| {
+        if s.contains([',', '"', '\n', '\r']) {
+            format!("\"{}\"", s.replace('"', "\"\""))
+        } else {
+            s.to_owned()
+        }
+    };
+    let names: Vec<String> = t.schema().fields().iter().map(|f| field(&f.name)).collect();
+    let mut out = names.join(",") + "\n";
+    for r in 0..t.nrows() {
+        let cells: Vec<String> = t
+            .columns()
+            .iter()
+            .map(|c| match c {
+                ds_table::Column::Cat(v) => field(&v[r]),
+                ds_table::Column::Num(v) => fmt_number(v[r]),
+            })
+            .collect();
+        out += &cells.join(",");
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn lossy_decodes_of_every_generator_render_as_core_fmt_does() {
+    let (mut fractions, mut fallbacks) = (0usize, 0usize);
+    for dataset in gen::Dataset::ALL {
+        let t = dataset.generate(400, 11);
+        let archive = compress(&t, &numeric_cfg()).expect("compresses");
+        let restored = decompress(&archive).expect("decodes");
+        let csv = write_csv(&restored);
+        assert!(
+            csv == fmt_csv(&restored),
+            "{}: CSV bytes differ",
+            dataset.name()
+        );
+        assert_eq!(csv.len(), restored.raw_size(), "{}", dataset.name());
+        for v in restored
+            .columns()
+            .iter()
+            .filter_map(|c| c.as_num())
+            .flatten()
+        {
+            if v.is_finite() && *v != v.trunc() {
+                fractions += 1;
+                fallbacks += usize::from(ds_table::fixed6_micros(*v).is_none());
+            }
+        }
+    }
+    eprintln!("{fractions} fractional cells, {fallbacks} rendered by core::fmt");
+    assert!(fractions > 10_000, "only {fractions} fractional cells");
 }

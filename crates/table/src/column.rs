@@ -329,12 +329,23 @@ impl Column {
 /// significant fractional digits, trailing zeros trimmed. Both the CSV
 /// writer and the raw-size accounting use this, so "raw bytes" is
 /// well-defined.
+///
+/// The text is that of `{}` of `v as i64` for an integer below 1e15, and
+/// otherwise that of `{v:.6}` with trailing zeros and `.` trimmed: a
+/// negative value keeps its sign even when it rounds to zero (`-1e-9`
+/// prints `-0`), while `-0.0` is an integer and prints `0`. Integers and
+/// every fraction whose rounding [`fixed6_micros`] proves go through one
+/// digit writer; the rest (near ties, huge values, non-finite) through
+/// `core::fmt`.
 pub fn write_number(out: &mut String, v: f64) {
-    // Writing into a `String` cannot fail.
+    let a = v.abs();
     if !v.is_finite() {
+        // Writing into a `String` cannot fail.
         let _ = write!(out, "{v}");
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        let _ = write!(out, "{}", v as i64);
+    } else if a < 1e15 && a == (a as u64) as f64 {
+        write_fixed6(out, v < 0.0, a as u64, 0);
+    } else if let Some(micros) = fixed6_micros(v) {
+        write_fixed6(out, v < 0.0, micros / 1_000_000, micros % 1_000_000);
     } else {
         let start = out.len();
         let _ = write!(out, "{v:.6}");
@@ -344,6 +355,85 @@ pub fn write_number(out: &mut String, v: f64) {
             .len();
         out.truncate(start + kept);
     }
+}
+
+/// `|v|·10^6` rounded to the nearest integer, when `f64` arithmetic
+/// proves which integer that is; `None` otherwise (then `write_number`
+/// falls back to `core::fmt`).
+///
+/// `s = |v|·1e6` is one correctly rounded product (`1e6` is exact), so
+/// the exact product lies within ½ ulp(s) of `s`. Below 2^52, truncating
+/// `s` gives its floor and `s − floor(s)` is exact. If that fraction is
+/// more than one ulp(s) from ½, the exact product sits on the same side
+/// of the tie as `s` (no other tie is nearer than ½), so rounding `s`
+/// rounds the exact value. `s·ε` bounds ulp(s) from above, which only
+/// widens the band that falls back. An exact tie never passes, so the
+/// tie rule of `{:.6}` never matters.
+pub fn fixed6_micros(v: f64) -> Option<u64> {
+    const LIMIT: f64 = (1u64 << 52) as f64;
+    let s = v.abs() * 1e6;
+    if s.is_nan() || s >= LIMIT {
+        return None;
+    }
+    let whole = s as u64;
+    let frac = s - whole as f64;
+    if (frac - 0.5).abs() <= s * f64::EPSILON {
+        return None;
+    }
+    Some(whole + u64::from(frac > 0.5))
+}
+
+/// `00`, `01`, …, `99`: two ASCII digits per entry.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// Writes the two digits of `n < 100` at `buf[at..at + 2]`.
+fn put_pair(buf: &mut [u8], at: usize, n: u64) {
+    let n = 2 * n as usize;
+    buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[n..n + 2]);
+}
+
+/// Appends `[-]int[.frac]` to `out`, where `frac < 10^6` counts
+/// millionths, printed to 6 places with trailing zeros trimmed. The cell
+/// is assembled right to left in a stack buffer and pushed once.
+fn write_fixed6(out: &mut String, negative: bool, mut int: u64, mut frac: u64) {
+    // Sign, 20 digits of a u64, '.', 6 fraction digits.
+    let mut buf = [0u8; 28];
+    let mut end = buf.len();
+    let mut at = end;
+    if frac != 0 {
+        for _ in 0..3 {
+            at -= 2;
+            put_pair(&mut buf, at, frac % 100);
+            frac /= 100;
+        }
+        at -= 1;
+        buf[at] = b'.';
+        while buf[end - 1] == b'0' {
+            end -= 1;
+        }
+    }
+    while int >= 100 {
+        at -= 2;
+        put_pair(&mut buf, at, int % 100);
+        int /= 100;
+    }
+    if int >= 10 {
+        at -= 2;
+        put_pair(&mut buf, at, int);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + int as u8;
+    }
+    if negative {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..end]).expect("ASCII digits"));
 }
 
 /// [`write_number`] into a fresh string.
@@ -386,6 +476,87 @@ mod tests {
         write_number(&mut out, 2.5);
         write_number(&mut out, 1e-9);
         assert_eq!(out, "10.2.50");
+        assert_eq!(format_number(-1e-9), "-0"); // rounds to zero, keeps its sign
+        assert_eq!(format_number(-0.9999996), "-1");
+    }
+
+    /// The rule [`write_number`] had before it wrote digits itself:
+    /// `core::fmt` for every cell.
+    fn fmt_reference(v: f64) -> String {
+        if !v.is_finite() {
+            format!("{v}")
+        } else if v == v.trunc() && v.abs() < 1e15 {
+            format!("{}", v as i64)
+        } else {
+            let s = format!("{v:.6}");
+            s.trim_end_matches('0').trim_end_matches('.').to_owned()
+        }
+    }
+
+    fn step_ulps(v: f64, by: i64) -> f64 {
+        f64::from_bits(v.to_bits().wrapping_add_signed(by))
+    }
+
+    #[test]
+    fn digit_writer_matches_core_fmt_or_falls_back() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5eed_f1c6);
+        let mut cases: Vec<f64> = vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        // Random bit patterns: every exponent, subnormals, NaN payloads.
+        cases.extend((0..100_000).map(|_| f64::from_bits(rng.gen())));
+        // Random magnitudes where fractional cells actually live.
+        cases.extend((0..100_000).map(|_| rng.gen_range(-1e4..1e4)));
+        // Nearest doubles to (k + ½)·10⁻⁶, and 1–8 ulps either side.
+        let ks = (0..2_000u64).chain((0..2_000).map(|_| rng.gen_range(0..1u64 << 40)));
+        for k in ks {
+            let tie = (k as f64 + 0.5) / 1e6;
+            for by in -8..=8 {
+                cases.push(step_ulps(tie, by));
+                cases.push(-step_ulps(tie, by));
+            }
+        }
+        // Exact ties (odd multiples of 2⁻⁷ are (k + ½)·10⁻⁶ exactly).
+        cases.extend((0..200).map(|k| f64::from(2 * k + 1) / 128.0));
+        // Negatives that round to -0, and to -1.
+        cases.extend([
+            -1e-9, -4.9e-7, -5e-7, -5.1e-7, -1e-300, -0.9999995, -0.9999996,
+        ]);
+        // Around the fast path's bound (2^52 millionths) and around 1e15.
+        for edge in [(1u64 << 52) as f64 / 1e6, 1e15, 1e15 - 0.5, 1e15 + 0.5] {
+            for by in -64..=64 {
+                cases.push(step_ulps(edge, by));
+                cases.push(-step_ulps(edge, by));
+            }
+        }
+        // Short decimals at every exponent from 1e-8 to 1e9.
+        for exp in -8..=9 {
+            for _ in 0..2_000 {
+                let digits = rng.gen_range(1..=9);
+                let mantissa = rng.gen_range(0..10u64.pow(digits));
+                let v: f64 = format!("{mantissa}e{}", exp - digits as i32 + 1)
+                    .parse()
+                    .unwrap();
+                cases.extend([v, -v]);
+            }
+        }
+
+        let mut out = String::from("x");
+        for &v in &cases {
+            out.truncate(1);
+            write_number(&mut out, v);
+            assert_eq!(out[1..], fmt_reference(v), "{v:e} ({:#x})", v.to_bits());
+        }
+        // A fast path that always fell back would pass the loop above:
+        // ordinary fractions must take the digit writer, ties must not.
+        let ordinary = (0..10_000).map(|_| rng.gen_range(-1e4..1e4));
+        assert_eq!(ordinary.filter(|&v| fixed6_micros(v).is_none()).count(), 0);
+        assert_eq!(fixed6_micros(0.123457), Some(123_457));
+        assert_eq!(fixed6_micros(-2.5), Some(2_500_000));
+        assert_eq!(fixed6_micros(2.5e-6), None); // within an ulp of a tie
+        assert_eq!(fixed6_micros(1.0 / 128.0), None); // 7812.5 millionths exactly
+        assert_eq!(fixed6_micros(5e9), None); // past 2^52 millionths
+        assert_eq!(fixed6_micros(f64::NAN), None);
     }
 
     #[test]

@@ -26,32 +26,44 @@ pub fn escaped_len(field: &str) -> usize {
     }
 }
 
+/// A byte that forces the field holding it to be quoted.
+fn special(b: u8) -> bool {
+    matches!(b, b',' | b'"' | b'\n' | b'\r')
+}
+
 fn needs_quoting(field: &str) -> bool {
-    field
-        .bytes()
-        .any(|b| b == b',' || b == b'"' || b == b'\n' || b == b'\r')
+    field.bytes().any(special)
 }
 
 fn write_field(out: &mut String, field: &str) {
-    if needs_quoting(field) {
-        out.push('"');
-        for ch in field.chars() {
-            if ch == '"' {
-                out.push('"');
+    match field.as_bytes() {
+        // One plain byte (flags, small labels): no scan and no copy call.
+        &[b] if !special(b) => out.push(char::from(b)),
+        _ if needs_quoting(field) => {
+            out.push('"');
+            for ch in field.chars() {
+                if ch == '"' {
+                    out.push('"');
+                }
+                out.push(ch);
             }
-            out.push(ch);
+            out.push('"');
         }
-        out.push('"');
-    } else {
-        out.push_str(field);
+        _ => out.push_str(field),
     }
 }
 
 /// Serializes a table to CSV (header row + data rows, `\n` line endings).
+/// Every cell is rendered once: the buffer grows as it fills rather than
+/// being sized up front by [`Table::raw_size`], which renders every
+/// number too.
 pub fn write_csv(table: &Table) -> String {
-    let mut out = String::with_capacity(table.raw_size());
+    let mut out = String::new();
     write_csv_header(table.schema(), &mut out);
     write_csv_rows(table, 0..table.nrows(), &mut out);
+    // Growth by doubling can leave up to half of a large buffer unused;
+    // hand the text back at its exact size, as the up-front sizing did.
+    out.shrink_to_fit();
     out
 }
 

@@ -21,7 +21,7 @@ mod column;
 mod schema;
 mod table;
 
-pub use column::{CatBuilder, CatColumn, Column};
+pub use column::{fixed6_micros, CatBuilder, CatColumn, Column};
 pub use schema::{ColumnType, Field, Schema};
 pub use table::Table;
 

@@ -155,6 +155,18 @@ if [ "$mode" = "full" ]; then
   head -n 1 "$smoke_dir/v1.out" | grep -qx 'OK 10'
   sed -n '2,11p' "$smoke_dir/v1.out" | cmp - "$smoke_dir/v1.want"
 
+  echo "==> dsqz on a lossy numeric v2 archive (decompress and GET print the committed bytes)"
+  numeric=crates/core/tests/golden/v2_numeric.dsqz
+  numeric_csv=crates/core/tests/golden/expected_numeric.csv
+  ./target/release/dsqz decompress "$numeric" "$smoke_dir/numeric.csv"
+  cmp "$smoke_dir/numeric.csv" "$numeric_csv"
+  n="$(($(wc -l < "$numeric_csv") - 1))"
+  printf 'GET 0..%d\nQUIT\n' "$n" \
+    | ./target/release/dsqz serve "$numeric" > "$smoke_dir/numeric.out"
+  head -n 1 "$smoke_dir/numeric.out" | grep -qx "OK $n"
+  tail -n +2 "$numeric_csv" > "$smoke_dir/numeric.want"
+  sed -n "2,$((n + 1))p" "$smoke_dir/numeric.out" | cmp - "$smoke_dir/numeric.want"
+
   echo "==> dsqz serve (--metrics HTTP scrape smoke)"
   sleep 5 | ./target/release/dsqz serve "$smoke_dir/s.dsqz" \
     --metrics 127.0.0.1:0 > /dev/null 2> "$smoke_dir/serve.err" &
