@@ -451,10 +451,11 @@ impl ShardDecoder {
     }
 }
 
-/// Decodes one self-contained v1 archive blob. `shared_model` supplies
-/// the already-parsed decoder for shard blobs that carry an empty decoder
-/// section (the sharded container stores the decoder once in its
-/// manifest; [`ShardDecoder`] parses it once per archive, not per shard).
+/// Decodes one self-contained v1 archive blob, which must end where its
+/// patch section does. `shared_model` supplies the already-parsed decoder
+/// for shard blobs that carry an empty decoder section (the sharded
+/// container stores the decoder once in its manifest; [`ShardDecoder`]
+/// parses it once per archive, not per shard).
 fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Result<Table> {
     let mut r = ByteReader::new(bytes);
     if r.read_bytes(4)? != MAGIC {
@@ -760,6 +761,12 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
 
     // ---- patches: verbatim out-of-plan cells (streaming batches) -------------
     let patch_blob = gzlike::decompress(r.read_len_prefixed()?)?;
+    // The patch section ends the blob. Bytes after it mean this is not
+    // one archive: a v2 container cut short, its footer lost, otherwise
+    // opens as a v1 archive of shard 0 alone.
+    if !r.is_empty() {
+        return Err(DsError::Corrupt("trailing bytes after the archive"));
+    }
     let mut pr = ByteReader::new(&patch_blob);
     let n_patches = pr.read_varint()? as usize;
     let mut patches = Vec::with_capacity(n_patches.min(1 << 20));

@@ -28,6 +28,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -178,15 +179,20 @@ impl Batch {
         while self.execute_one() {}
     }
 
-    /// Blocks until every task has completed, then re-raises the first
-    /// captured panic (if any) on the calling thread.
-    fn wait(&self) {
+    /// Blocks until every task has completed.
+    fn wait_done(&self) {
         if self.done.load(Ordering::Acquire) < self.n_tasks {
             let mut guard = self.done_lock.lock().unwrap();
             while self.done.load(Ordering::Acquire) < self.n_tasks {
                 guard = self.done_cv.wait(guard).unwrap();
             }
         }
+    }
+
+    /// [`Batch::wait_done`], then re-raises the first captured panic (if
+    /// any) on the calling thread.
+    fn wait(&self) {
+        self.wait_done();
         let payload = self.panic_payload.lock().unwrap().take();
         if let Some(payload) = payload {
             std::panic::resume_unwind(payload);
@@ -309,51 +315,92 @@ impl Pool {
     }
 }
 
-/// Dispatches `n_tasks` applications of `f`, inline or via the pool.
-/// Task *results* never depend on which path runs.
-fn run_tasks(n_tasks: usize, f: &(dyn Fn(usize) + Sync)) {
-    if n_tasks == 0 {
-        return;
+/// A batch published to the pool. Dropping it — also while unwinding —
+/// claims whatever tasks are left and blocks until every task has
+/// finished, which is what keeps the borrowed closure alive for every
+/// worker dereference; it is never leaked.
+struct InFlight<'f> {
+    batch: Arc<Batch>,
+    _task: PhantomData<&'f (dyn Fn(usize) + Sync)>,
+}
+
+impl InFlight<'_> {
+    /// Claims whatever tasks are left, waits for every task, then
+    /// re-raises the first captured panic.
+    fn join(self) {
+        self.batch.execute();
+        self.batch.wait();
     }
-    // Counted on every path (inline or pooled): task counts derive from
-    // problem sizes only, so the counter is thread-count-invariant.
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.batch.execute();
+        self.batch.wait_done();
+    }
+}
+
+/// The dispatch prologue of every parallel call. Counts the tasks — on
+/// every path, inline or pooled: task counts derive from problem sizes
+/// only, so the counter is thread-count-invariant — and returns `None`
+/// when the call runs inline on this thread (one task, a thread limit
+/// of 1, or a call from inside a pool task). Otherwise it publishes
+/// `task` as a batch, invites up to `limit - 1` workers, and runs
+/// `participate` on this thread marked as inside a pool task, so any
+/// nested parallel call from there runs inline instead of re-entering
+/// the pool (which could otherwise self-wait).
+fn dispatch<'f>(
+    n_tasks: usize,
+    task: &'f (dyn Fn(usize) + Sync),
+    notify_each: bool,
+    participate: impl FnOnce(&Batch),
+) -> Option<InFlight<'f>> {
+    if n_tasks == 0 {
+        return None;
+    }
     ds_obs::counter("exec.tasks", n_tasks as u64);
     let limit = effective_threads();
     if n_tasks == 1 || limit <= 1 || IN_POOL_TASK.with(Cell::get) {
-        for idx in 0..n_tasks {
-            f(idx);
-        }
-        return;
+        return None;
     }
 
     let pool = Pool::global();
     let invites = limit.min(n_tasks) - 1;
     pool.ensure_workers(invites);
     // SAFETY: erases the closure's borrow lifetime. The pointer is only
-    // dereferenced for claimed task indexes, and this frame blocks in
-    // `batch.wait()` until all of them finish, so the closure outlives
-    // every dereference (see the `Batch` doc comment).
+    // dereferenced for claimed task indexes, and the `InFlight` guard
+    // built before the submit borrows `task` for `'f` and blocks on drop
+    // — also when `participate` or the caller unwinds — until all of them
+    // finish, so the closure outlives every dereference (see the `Batch`
+    // doc comment).
     let run: &(dyn Fn(usize) + Sync + 'static) = unsafe {
-        std::mem::transmute::<&(dyn Fn(usize) + Sync), &(dyn Fn(usize) + Sync + 'static)>(f)
+        std::mem::transmute::<&(dyn Fn(usize) + Sync), &(dyn Fn(usize) + Sync + 'static)>(task)
     };
-    let batch = Arc::new(Batch::new(run, n_tasks, false));
-    pool.submit(&batch, invites);
+    let in_flight = InFlight {
+        batch: Arc::new(Batch::new(run, n_tasks, notify_each)),
+        _task: PhantomData,
+    };
+    pool.submit(&in_flight.batch, invites);
 
-    // Participate: mark this thread as "in a pool task" so any nested
-    // parallel call from inside `f` runs inline instead of re-entering
-    // the pool (which could otherwise self-wait).
     struct ClearFlag(bool);
     impl Drop for ClearFlag {
         fn drop(&mut self) {
             IN_POOL_TASK.with(|c| c.set(self.0));
         }
     }
-    {
-        let prev = IN_POOL_TASK.with(|c| c.replace(true));
-        let _clear = ClearFlag(prev);
-        batch.execute();
+    let prev = IN_POOL_TASK.with(|c| c.replace(true));
+    let _clear = ClearFlag(prev);
+    participate(&in_flight.batch);
+    Some(in_flight)
+}
+
+/// Dispatches `n_tasks` applications of `f`, inline or via the pool.
+/// Task *results* never depend on which path runs.
+fn run_tasks(n_tasks: usize, f: &(dyn Fn(usize) + Sync)) {
+    match dispatch(n_tasks, f, false, Batch::execute) {
+        Some(in_flight) => in_flight.join(),
+        None => (0..n_tasks).for_each(f),
     }
-    batch.wait();
 }
 
 // ---------------------------------------------------------------------------
@@ -398,17 +445,6 @@ pub fn chunk_count(n: usize, chunk: usize) -> usize {
     n.div_ceil(chunk.max(1))
 }
 
-/// Splits `0..n` into chunks of `chunk` items (last one short) and runs
-/// `f(chunk_index, index_range)` for each. Chunk boundaries depend only
-/// on `n` and `chunk`, never on the thread count.
-pub fn parallel_for_chunks(n: usize, chunk: usize, f: impl Fn(usize, Range<usize>) + Sync) {
-    let chunk = chunk.max(1);
-    run_tasks(chunk_count(n, chunk), &|c| {
-        let start = c * chunk;
-        f(c, start..(start + chunk).min(n));
-    });
-}
-
 /// Chunked variant of [`parallel_map`]: results come back in ascending
 /// chunk order, so order-sensitive reductions stay deterministic.
 pub fn parallel_map_chunks<T: Send>(
@@ -443,110 +479,67 @@ pub fn parallel_map_consume<T: Send>(
     f: impl Fn(usize) -> T + Sync,
     mut consume: impl FnMut(usize, T),
 ) {
-    if n_tasks == 0 {
-        return;
-    }
-    ds_obs::counter("exec.tasks", n_tasks as u64);
-    let limit = effective_threads();
-    if n_tasks == 1 || limit <= 1 || IN_POOL_TASK.with(Cell::get) {
-        for idx in 0..n_tasks {
-            consume(idx, f(idx));
-        }
-        return;
-    }
-
     let slots: Vec<Slot<T>> = (0..n_tasks)
         .map(|_| Slot(std::cell::UnsafeCell::new(None)))
         .collect();
     let ready: Vec<AtomicBool> = (0..n_tasks).map(|_| AtomicBool::new(false)).collect();
-    let run_inner = |idx: usize| {
+    let run = |idx: usize| {
         let value = f(idx);
         // SAFETY: each idx is claimed by exactly one task, so this slot
         // has a single writer; readers gate on the Release store below.
         unsafe { *slots[idx].0.get() = Some(value) };
         ready[idx].store(true, Ordering::Release);
     };
-
-    let pool = Pool::global();
-    let invites = limit.min(n_tasks) - 1;
-    pool.ensure_workers(invites);
-    let run_ref: &(dyn Fn(usize) + Sync) = &run_inner;
-    // SAFETY: same lifetime erasure as `run_tasks`; the `BatchGuard` below
-    // blocks until every task completes even if `consume` unwinds, so the
-    // closure (and the slot/ready buffers it borrows) outlive every
-    // worker dereference.
-    let run: &(dyn Fn(usize) + Sync + 'static) = unsafe {
-        std::mem::transmute::<&(dyn Fn(usize) + Sync), &(dyn Fn(usize) + Sync + 'static)>(run_ref)
-    };
-    let batch = Arc::new(Batch::new(run, n_tasks, true));
-    pool.submit(&batch, invites);
-
-    /// Drop guard: drains the cursor and waits for stragglers so the
-    /// erased closure cannot dangle if `consume` panics mid-stream.
-    struct BatchGuard<'a>(&'a Batch);
-    impl Drop for BatchGuard<'_> {
-        fn drop(&mut self) {
-            self.0.execute();
-            if self.0.done.load(Ordering::Acquire) < self.0.n_tasks {
-                let mut guard = self.0.done_lock.lock().unwrap();
-                while self.0.done.load(Ordering::Acquire) < self.0.n_tasks {
-                    guard = self.0.done_cv.wait(guard).unwrap();
-                }
-            }
-        }
-    }
-    let guard = BatchGuard(&batch);
-
+    // Hands every ready result at the front to `consume`, in index
+    // order; returns how many have been consumed so far.
     let mut next_flush = 0usize;
-    // Phase 1: participate in the batch, flushing the ready prefix
-    // between claimed tasks.
-    {
-        struct ClearFlag(bool);
-        impl Drop for ClearFlag {
-            fn drop(&mut self) {
-                IN_POOL_TASK.with(|c| c.set(self.0));
-            }
-        }
-        let prev = IN_POOL_TASK.with(|c| c.replace(true));
-        let _clear = ClearFlag(prev);
-        loop {
-            let claimed = batch.execute_one();
-            while next_flush < n_tasks && ready[next_flush].load(Ordering::Acquire) {
-                // SAFETY: the Acquire load of `ready` synchronizes with the
-                // task's Release store; the task has exclusive access only
-                // until then, so taking the value here is race-free.
-                let value = unsafe { (*slots[next_flush].0.get()).take() }.expect("ready slot");
-                consume(next_flush, value);
-                next_flush += 1;
-            }
-            if !claimed {
-                break;
-            }
-        }
-    }
-    // Phase 2: the cursor is exhausted; flush remaining results as the
-    // in-flight workers land them (every completion notifies done_cv
-    // because the batch was built with notify_each).
-    while next_flush < n_tasks {
-        if ready[next_flush].load(Ordering::Acquire) {
-            // SAFETY: as above.
+    let mut flush = || {
+        while next_flush < n_tasks && ready[next_flush].load(Ordering::Acquire) {
+            // SAFETY: the Acquire load of `ready` synchronizes with the
+            // task's Release store; the task has exclusive access only
+            // until then, so taking the value here is race-free.
             let value = unsafe { (*slots[next_flush].0.get()).take() }.expect("ready slot");
             consume(next_flush, value);
             next_flush += 1;
-            continue;
+        }
+        next_flush
+    };
+
+    // Phase 1: participate in the batch, flushing the ready prefix
+    // between claimed tasks.
+    let in_flight = dispatch(n_tasks, &run, true, |batch| {
+        while batch.execute_one() {
+            flush();
+        }
+    });
+    let Some(in_flight) = in_flight else {
+        for idx in 0..n_tasks {
+            consume(idx, f(idx));
+        }
+        return;
+    };
+    // Phase 2: the cursor is exhausted; flush remaining results as the
+    // in-flight workers land them (every completion notifies done_cv
+    // because the batch was built with notify_each).
+    let batch = &in_flight.batch;
+    loop {
+        let next = flush();
+        if next == n_tasks {
+            break;
         }
         if batch.done.load(Ordering::Acquire) >= n_tasks {
-            break; // the slot's task panicked; re-raised below
+            // Every task has finished, so every result is visible now: take
+            // any that landed after the flush above. What stays unflushed
+            // had its task panic, re-raised below.
+            flush();
+            break;
         }
         let mut g = batch.done_lock.lock().unwrap();
-        while batch.done.load(Ordering::Acquire) < n_tasks
-            && !ready[next_flush].load(Ordering::Acquire)
-        {
+        while batch.done.load(Ordering::Acquire) < n_tasks && !ready[next].load(Ordering::Acquire) {
             g = batch.done_cv.wait(g).unwrap();
         }
     }
-    drop(guard);
-    batch.wait(); // re-raises any captured panic
+    in_flight.join();
 }
 
 struct SendPtr<T>(*mut T);

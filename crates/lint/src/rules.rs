@@ -935,7 +935,6 @@ fn check_target_feature_gate(
 const POOL_FNS: &[&str] = &[
     "parallel_for",
     "parallel_map",
-    "parallel_for_chunks",
     "parallel_map_chunks",
     "parallel_map_consume",
     "parallel_chunks_mut",

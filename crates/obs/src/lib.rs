@@ -45,7 +45,7 @@ pub mod sink;
 pub use hist::Histogram;
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -84,10 +84,10 @@ pub(crate) fn peek_events<F: FnMut(&Event)>(mut f: F) {
     }
 }
 
-/// Consumes every buffered event, folding `f` over each — the compaction
-/// side of [`live`] epochs. Same commutativity requirement as
-/// [`peek_events`]. Events recorded concurrently with the sweep land in
-/// whichever shard slot the sweep has not reached yet or stay for the
+/// Consumes every buffered event, folding `f` over each — [`drain`] and
+/// the compaction side of [`live`] epochs. Same commutativity requirement
+/// as [`peek_events`]. Events recorded concurrently with the sweep land
+/// in whichever shard slot the sweep has not reached yet or stay for the
 /// next epoch; either way nothing is lost or double-counted.
 pub(crate) fn take_events<F: FnMut(Event)>(mut f: F) {
     for shard in &SHARDS {
@@ -478,7 +478,7 @@ pub fn span_under(parent: SpanId, name: &'static str, index: u64) -> Span {
 // ---------------------------------------------------------------------------
 
 /// One merged span in depth-first tree order.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRec {
     /// Deterministic identity ([`span_id`] of parent/name/index).
     pub id: u64,
@@ -582,13 +582,166 @@ impl Report {
     }
 }
 
-struct SpanAgg {
-    parent: u64,
-    name: &'static str,
-    index: Option<u64>,
-    count: u64,
-    dur_us: u64,
-    metrics: Vec<(&'static str, u64)>,
+/// Counter key: (name, label, index, runtime-class).
+pub type CounterKey = (&'static str, Option<String>, Option<u64>, bool);
+/// Gauge key: (name, index, runtime-class).
+pub type GaugeKey = (&'static str, Option<u64>, bool);
+/// Histogram key: (name, runtime-class).
+pub type HistKey = (&'static str, bool);
+
+/// Merged counters, high-water gauges and histograms in sorted maps: the
+/// one metric fold, behind [`drain`] and every [`live::Snapshot`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Metrics {
+    /// Summed counters.
+    pub counters: BTreeMap<CounterKey, u64>,
+    /// High-water gauges.
+    pub gauges: BTreeMap<GaugeKey, u64>,
+    /// Bucket-wise merged histograms.
+    pub hists: BTreeMap<HistKey, Histogram>,
+}
+
+impl Metrics {
+    /// Folds one event. Commutative and saturating, so the result depends
+    /// only on which events happened; spans and series pass through.
+    fn fold(&mut self, ev: &Event) {
+        match ev {
+            Event::Count {
+                name,
+                label,
+                index,
+                delta,
+                runtime,
+            } => {
+                let key = (*name, label.clone(), *index, *runtime);
+                let slot = self.counters.entry(key).or_insert(0);
+                *slot = slot.saturating_add(*delta);
+            }
+            Event::Gauge {
+                name,
+                index,
+                value,
+                runtime,
+            } => {
+                let slot = self.gauges.entry((name, *index, *runtime)).or_insert(0);
+                *slot = (*slot).max(*value);
+            }
+            Event::HistVal {
+                name,
+                value,
+                runtime,
+            } => self
+                .hists
+                .entry((name, *runtime))
+                .or_default()
+                .record(*value),
+            Event::Span { .. } | Event::Series { .. } => {}
+        }
+    }
+}
+
+/// Span events merged by identity, ids ascending: the one span fold.
+/// Repeats of an identity sum their counts, durations and metrics.
+#[derive(Default)]
+struct SpanFold(BTreeMap<u64, SpanRec>);
+
+impl SpanFold {
+    /// Folds one event (commutative, saturating); non-span events pass.
+    fn fold(&mut self, ev: &Event) {
+        let Event::Span {
+            id,
+            parent,
+            name,
+            index,
+            dur_us,
+            metrics,
+        } = ev
+        else {
+            return;
+        };
+        let rec = self.0.entry(*id).or_insert_with(|| SpanRec {
+            id: *id,
+            parent: *parent,
+            name,
+            index: *index,
+            count: 0,
+            dur_us: 0,
+            metrics: Vec::new(),
+            depth: 0,
+        });
+        rec.count = rec.count.saturating_add(1);
+        rec.dur_us = rec.dur_us.saturating_add(*dur_us);
+        for &(k, v) in metrics {
+            match rec.metrics.iter_mut().find(|(mk, _)| *mk == k) {
+                Some((_, total)) => *total = total.saturating_add(v),
+                None => rec.metrics.push((k, v)),
+            }
+        }
+    }
+
+    /// Indexes the folded spans by parent, once, for any number of walks.
+    fn into_tree(self) -> SpanTree {
+        let spans = self.0;
+        let mut children: HashMap<u64, Vec<u64>> = HashMap::new();
+        for (&id, s) in &spans {
+            children.entry(s.parent).or_default().push(id);
+        }
+        for ids in children.values_mut() {
+            ids.sort_by_key(|id| {
+                let s = &spans[id];
+                (s.name, s.index, *id)
+            });
+        }
+        SpanTree { spans, children }
+    }
+}
+
+/// Folded spans plus their child index.
+struct SpanTree {
+    spans: BTreeMap<u64, SpanRec>,
+    /// Each parent's children in (name, index, id) order.
+    children: HashMap<u64, Vec<u64>>,
+}
+
+impl SpanTree {
+    /// The drain's roots: top-level spans, then orphans (parent closed
+    /// after the drain, or never closed), both in child order — so an
+    /// orphan surfaces as an extra root rather than vanishing.
+    fn roots(&self) -> Vec<u64> {
+        let mut roots = self.children.get(&0).cloned().unwrap_or_default();
+        let mut orphans: Vec<&SpanRec> = self
+            .spans
+            .values()
+            .filter(|s| s.parent != 0 && !self.spans.contains_key(&s.parent))
+            .collect();
+        orphans.sort_by_key(|s| (s.name, s.index, s.id));
+        roots.extend(orphans.iter().map(|s| s.id));
+        roots
+    }
+
+    /// The one tree builder: appends the subtree under `root` to `out`,
+    /// depth-first from depth 0, children in (name, index, id) order and
+    /// metrics sorted by key. A span is emitted at most once per walk,
+    /// which guards against hash-collision cycles.
+    fn walk(&self, root: u64, out: &mut Vec<SpanRec>) {
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut stack: Vec<(u64, usize)> = vec![(root, 0)];
+        while let Some((id, depth)) = stack.pop() {
+            let Some(s) = self.spans.get(&id) else {
+                continue;
+            };
+            if !seen.insert(id) {
+                continue;
+            }
+            let mut rec = s.clone();
+            rec.depth = depth;
+            rec.metrics.sort_by_key(|&(k, _)| k);
+            out.push(rec);
+            if let Some(kids) = self.children.get(&id) {
+                stack.extend(kids.iter().rev().map(|&kid| (kid, depth + 1)));
+            }
+        }
+    }
 }
 
 /// Stops recording and returns the merged report. The merge is
@@ -597,130 +750,28 @@ struct SpanAgg {
 pub fn drain() -> Report {
     let timing = timing_enabled();
     STATE.store(OFF, Ordering::SeqCst);
-    let mut events: Vec<Event> = Vec::new();
-    for shard in &SHARDS {
-        events.append(&mut shard.lock().unwrap());
-    }
-
-    let mut spans: HashMap<u64, SpanAgg> = HashMap::new();
-    type CounterKey = (&'static str, Option<String>, Option<u64>, bool);
     type SeriesKey = (&'static str, Option<u64>);
-    let mut counters: BTreeMap<CounterKey, u64> = BTreeMap::new();
-    let mut gauges: BTreeMap<(&'static str, Option<u64>, bool), u64> = BTreeMap::new();
-    let mut hists: BTreeMap<(&'static str, bool), Histogram> = BTreeMap::new();
+    let mut metrics = Metrics::default();
+    let mut spans = SpanFold::default();
     let mut series: BTreeMap<SeriesKey, Vec<(u64, f64)>> = BTreeMap::new();
-
-    for ev in events {
-        match ev {
-            Event::Span {
-                id,
-                parent,
-                name,
-                index,
-                dur_us,
-                metrics,
-            } => {
-                let agg = spans.entry(id).or_insert_with(|| SpanAgg {
-                    parent,
-                    name,
-                    index,
-                    count: 0,
-                    dur_us: 0,
-                    metrics: Vec::new(),
-                });
-                agg.count += 1;
-                agg.dur_us += dur_us;
-                for (k, v) in metrics {
-                    match agg.metrics.iter_mut().find(|(mk, _)| *mk == k) {
-                        Some((_, total)) => *total += v,
-                        None => agg.metrics.push((k, v)),
-                    }
-                }
-            }
-            Event::Count {
-                name,
-                label,
-                index,
-                delta,
-                runtime,
-            } => {
-                *counters.entry((name, label, index, runtime)).or_insert(0) += delta;
-            }
-            Event::Gauge {
-                name,
-                index,
-                value,
-                runtime,
-            } => {
-                let slot = gauges.entry((name, index, runtime)).or_insert(0);
-                *slot = (*slot).max(value);
-            }
-            Event::HistVal {
-                name,
-                value,
-                runtime,
-            } => {
-                hists.entry((name, runtime)).or_default().record(value);
-            }
-            Event::Series { name, index, x, y } => {
-                series.entry((name, index)).or_default().push((x, y));
-            }
+    take_events(|ev| {
+        metrics.fold(&ev);
+        spans.fold(&ev);
+        if let Event::Series { name, index, x, y } = ev {
+            series.entry((name, index)).or_default().push((x, y));
         }
-    }
+    });
 
-    // Span tree: children of every parent in (name, index, id) order,
-    // emitted depth-first. Orphans (parent closed after the drain, or
-    // never closed) surface as extra roots rather than vanishing.
-    let mut children: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for (&id, agg) in &spans {
-        children.entry(agg.parent).or_default().push(id);
+    let tree = spans.into_tree();
+    let mut ordered: Vec<SpanRec> = Vec::with_capacity(tree.spans.len());
+    for root in tree.roots() {
+        tree.walk(root, &mut ordered);
     }
-    let key_of = |id: u64, spans: &HashMap<u64, SpanAgg>| {
-        let a = &spans[&id];
-        (a.name, a.index, id)
-    };
-    for ids in children.values_mut() {
-        ids.sort_by_key(|&id| key_of(id, &spans));
-    }
-    let mut roots: Vec<u64> = children.get(&0).cloned().unwrap_or_default();
-    let mut orphans: Vec<u64> = spans
-        .keys()
-        .copied()
-        .filter(|id| {
-            let p = spans[id].parent;
-            p != 0 && !spans.contains_key(&p)
-        })
-        .collect();
-    orphans.sort_by_key(|&id| key_of(id, &spans));
-    roots.extend(orphans);
-
-    let mut ordered: Vec<SpanRec> = Vec::with_capacity(spans.len());
-    let mut stack: Vec<(u64, usize)> = roots.into_iter().rev().map(|id| (id, 0)).collect();
-    let mut visited: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    while let Some((id, depth)) = stack.pop() {
-        if !visited.insert(id) {
-            continue; // hash-collision cycle guard
-        }
-        let agg = &spans[&id];
-        let mut metrics = agg.metrics.clone();
-        metrics.sort_by_key(|&(k, _)| k);
-        ordered.push(SpanRec {
-            id,
-            parent: agg.parent,
-            name: agg.name,
-            index: agg.index,
-            count: agg.count,
-            dur_us: agg.dur_us,
-            metrics,
-            depth,
-        });
-        if let Some(kids) = children.get(&id) {
-            for &kid in kids.iter().rev() {
-                stack.push((kid, depth + 1));
-            }
-        }
-    }
-
+    let Metrics {
+        counters,
+        gauges,
+        hists,
+    } = metrics;
     Report {
         timing,
         spans: ordered,

@@ -7,8 +7,10 @@
 //! everything, all the time, while requests keep landing. This module
 //! adds that without touching the recording fast path:
 //!
-//! * [`snapshot`] folds the buffered events into a [`Snapshot`] of merged
-//!   counters, high-water gauges, histograms, and per-name span rollups.
+//! * [`snapshot`] folds the buffered events, through the same fold as
+//!   [`crate::drain`], into a [`Snapshot`] of merged counters, high-water
+//!   gauges, histograms, and per-name span rollups (float series have no
+//!   windowed meaning and are left out).
 //!   Reads take the same per-shard mutexes writers use (briefly, one at a
 //!   time); the disabled/disarmed path stays a single relaxed atomic
 //!   load, and no new lock is ever taken when the recorder is off.
@@ -48,14 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::hist::Histogram;
-use crate::Event;
-
-/// Counter key: (name, label, index, runtime-class).
-pub type CounterKey = (&'static str, Option<String>, Option<u64>, bool);
-/// Gauge key: (name, index, runtime-class).
-pub type GaugeKey = (&'static str, Option<u64>, bool);
-/// Histogram key: (name, runtime-class).
-pub type HistKey = (&'static str, bool);
+use crate::{Event, Metrics, SpanFold, SpanRec};
 
 /// Cumulative rollup of every span with one name (indexes collapsed —
 /// `serve.request` indexes are unbounded, and a live view wants totals).
@@ -77,67 +72,23 @@ pub struct SpanRoll {
 pub struct Snapshot {
     /// Requests counted by [`on_request`] when this snapshot was taken.
     pub requests: u64,
-    /// Merged counters.
-    pub counters: BTreeMap<CounterKey, u64>,
-    /// Merged high-water gauges.
-    pub gauges: BTreeMap<GaugeKey, u64>,
-    /// Merged histograms.
-    pub hists: BTreeMap<HistKey, Histogram>,
+    /// Merged counters, gauges and histograms.
+    pub metrics: Metrics,
     /// Per-name span rollups.
     pub spans: BTreeMap<&'static str, SpanRoll>,
 }
 
 impl Snapshot {
-    /// Folds one recorder event into the snapshot (commutative).
-    fn fold(&mut self, ev: &Event) {
-        match ev {
-            Event::Span {
-                name,
-                dur_us,
-                metrics,
-                ..
-            } => {
-                let roll = self.spans.entry(name).or_default();
-                roll.count += 1;
-                roll.dur_us = roll.dur_us.saturating_add(*dur_us);
-                for (k, v) in metrics {
-                    let slot = roll.metrics.entry(k).or_insert(0);
-                    *slot = slot.saturating_add(*v);
-                }
+    /// Adds spans folded by identity to the per-name rollups.
+    fn roll_up(&mut self, spans: &SpanFold) {
+        for s in spans.0.values() {
+            let roll = self.spans.entry(s.name).or_default();
+            roll.count = roll.count.saturating_add(s.count);
+            roll.dur_us = roll.dur_us.saturating_add(s.dur_us);
+            for &(k, v) in &s.metrics {
+                let slot = roll.metrics.entry(k).or_insert(0);
+                *slot = slot.saturating_add(v);
             }
-            Event::Count {
-                name,
-                label,
-                index,
-                delta,
-                runtime,
-            } => {
-                let key = (*name, label.clone(), *index, *runtime);
-                let slot = self.counters.entry(key).or_insert(0);
-                *slot = slot.saturating_add(*delta);
-            }
-            Event::Gauge {
-                name,
-                index,
-                value,
-                runtime,
-            } => {
-                let slot = self.gauges.entry((name, *index, *runtime)).or_insert(0);
-                *slot = (*slot).max(*value);
-            }
-            Event::HistVal {
-                name,
-                value,
-                runtime,
-            } => {
-                self.hists
-                    .entry((name, *runtime))
-                    .or_default()
-                    .record(*value);
-            }
-            // Float series are a training/drain concern; a live view has
-            // no windowed meaning for them, so they are not snapshotted.
-            Event::Series { .. } => {}
         }
     }
 
@@ -151,19 +102,24 @@ impl Snapshot {
     pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
         let mut out = Snapshot {
             requests: self.requests.saturating_sub(earlier.requests),
-            gauges: self.gauges.clone(),
+            metrics: Metrics {
+                gauges: self.metrics.gauges.clone(),
+                ..Metrics::default()
+            },
             ..Snapshot::default()
         };
-        for (k, v) in &self.counters {
-            let prev = earlier.counters.get(k).copied().unwrap_or(0);
-            out.counters.insert(k.clone(), v.saturating_sub(prev));
+        for (k, v) in &self.metrics.counters {
+            let prev = earlier.metrics.counters.get(k).copied().unwrap_or(0);
+            out.metrics
+                .counters
+                .insert(k.clone(), v.saturating_sub(prev));
         }
-        for (k, h) in &self.hists {
-            let d = match earlier.hists.get(k) {
+        for (k, h) in &self.metrics.hists {
+            let d = match earlier.metrics.hists.get(k) {
                 Some(prev) => h.diff(prev),
                 None => h.clone(),
             };
-            out.hists.insert(*k, d);
+            out.metrics.hists.insert(*k, d);
         }
         for (name, roll) in &self.spans {
             let prev = earlier.spans.get(name);
@@ -184,7 +140,8 @@ impl Snapshot {
     /// Sum of every counter called `name`, over all labels and indexes
     /// (runtime-class included).
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters
+        self.metrics
+            .counters
             .iter()
             .filter(|((n, _, _, _), _)| *n == name)
             .map(|(_, v)| *v)
@@ -193,9 +150,10 @@ impl Snapshot {
 
     /// The merged histogram called `name` (deterministic class), if any.
     pub fn hist_named(&self, name: &'static str) -> Option<&Histogram> {
-        self.hists
+        self.metrics
+            .hists
             .get(&(name, false))
-            .or_else(|| self.hists.get(&(name, true)))
+            .or_else(|| self.metrics.hists.get(&(name, true)))
     }
 }
 
@@ -205,23 +163,6 @@ impl Snapshot {
 
 /// The name of the span whose subtrees the slow capturer retains.
 pub const REQUEST_SPAN: &str = "serve.request";
-
-/// One span inside a retained slow-request trace, in depth-first order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlowSpan {
-    /// Depth under the request root (root = 0).
-    pub depth: usize,
-    /// Span name.
-    pub name: &'static str,
-    /// Caller-supplied index, if the span had one.
-    pub index: Option<u64>,
-    /// Times this identity closed.
-    pub count: u64,
-    /// Summed wall-clock duration (0 when timing is off).
-    pub dur_us: u64,
-    /// Summed span metrics, sorted by key.
-    pub metrics: Vec<(&'static str, u64)>,
-}
 
 /// The full span subtree of one retained `serve.request`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -233,8 +174,8 @@ pub struct SlowTrace {
     /// Deterministic cost: the sum of the root span's metric values
     /// (rows, shards decoded, …) — the timing-free ranking key.
     pub cost: u64,
-    /// The subtree, root first, depth-first.
-    pub spans: Vec<SlowSpan>,
+    /// The subtree, root first at depth 0, depth-first.
+    pub spans: Vec<SpanRec>,
 }
 
 impl SlowTrace {
@@ -246,83 +187,31 @@ impl SlowTrace {
     }
 }
 
-/// Raw span event copy retained for subtree assembly.
-struct RawSpan {
-    id: u64,
-    parent: u64,
-    name: &'static str,
-    index: Option<u64>,
-    count: u64,
-    dur_us: u64,
-    metrics: Vec<(&'static str, u64)>,
-}
-
-/// Assembles the `serve.request` span subtrees out of a batch of raw
-/// span events. Events for one request always land in the same batch for
-/// serial request streams (the root span closes before [`on_request`]
-/// runs); under concurrent connections a request straddling an epoch
-/// boundary yields a truncated subtree — acceptable for a debugging aid.
-fn assemble_slow(raw: Vec<RawSpan>) -> Vec<SlowTrace> {
-    // Merge duplicate identities (repeat spans), deterministically keyed.
-    let mut by_id: BTreeMap<u64, RawSpan> = BTreeMap::new();
-    for ev in raw {
-        match by_id.get_mut(&ev.id) {
-            Some(agg) => {
-                agg.count += ev.count;
-                agg.dur_us = agg.dur_us.saturating_add(ev.dur_us);
-                for (k, v) in ev.metrics {
-                    match agg.metrics.iter_mut().find(|(mk, _)| *mk == k) {
-                        Some((_, total)) => *total = total.saturating_add(v),
-                        None => agg.metrics.push((k, v)),
-                    }
-                }
+/// Assembles the `serve.request` span subtrees out of one epoch's span
+/// fold, in ascending root id. Events for one request always land in the
+/// same epoch for serial request streams (the root span closes before
+/// [`on_request`] runs); under concurrent connections a request
+/// straddling an epoch boundary yields a truncated subtree — acceptable
+/// for a debugging aid.
+fn assemble_slow(spans: SpanFold) -> Vec<SlowTrace> {
+    let tree = spans.into_tree();
+    tree.spans
+        .values()
+        .filter(|s| s.name == REQUEST_SPAN)
+        .map(|root| {
+            let mut spans = Vec::new();
+            tree.walk(root.id, &mut spans);
+            SlowTrace {
+                request: root.index.unwrap_or(0),
+                dur_us: root.dur_us,
+                cost: root
+                    .metrics
+                    .iter()
+                    .fold(0, |c, &(_, v)| c.saturating_add(v)),
+                spans,
             }
-            None => {
-                by_id.insert(ev.id, ev);
-            }
-        }
-    }
-    let mut children: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    for (&id, ev) in &by_id {
-        children.entry(ev.parent).or_default().push(id);
-    }
-    for ids in children.values_mut() {
-        ids.sort_by_key(|id| {
-            let e = &by_id[id];
-            (e.name, e.index, *id)
-        });
-    }
-    let mut traces: Vec<SlowTrace> = Vec::new();
-    for (&root_id, root) in by_id.iter().filter(|(_, e)| e.name == REQUEST_SPAN) {
-        let mut spans: Vec<SlowSpan> = Vec::new();
-        let mut stack: Vec<(u64, usize)> = vec![(root_id, 0)];
-        while let Some((id, depth)) = stack.pop() {
-            let e = &by_id[&id];
-            let mut metrics = e.metrics.clone();
-            metrics.sort_by_key(|&(k, _)| k);
-            spans.push(SlowSpan {
-                depth,
-                name: e.name,
-                index: e.index,
-                count: e.count,
-                dur_us: e.dur_us,
-                metrics,
-            });
-            if let Some(kids) = children.get(&id) {
-                for &kid in kids.iter().rev() {
-                    stack.push((kid, depth + 1));
-                }
-            }
-        }
-        let cost = root.metrics.iter().map(|&(_, v)| v).sum();
-        traces.push(SlowTrace {
-            request: root.index.unwrap_or(0),
-            dur_us: root.dur_us,
-            cost,
-            spans,
-        });
-    }
-    traces
+        })
+        .collect()
 }
 
 /// Merges freshly assembled traces into the retained worst-`k` set. One
@@ -441,36 +330,22 @@ pub fn armed() -> bool {
     LIVE_ARMED.load(Ordering::Relaxed)
 }
 
-/// Folds events into `snap`, collecting raw span copies for slow-trace
-/// assembly. `consume` decides take vs peek.
-fn fold_events(snap: &mut Snapshot, raw: &mut Vec<RawSpan>, consume: bool) {
+/// Folds buffered events into `snap` — metrics directly, spans by
+/// identity and then into the rollups — and returns the span fold for
+/// slow-trace assembly. `consume` decides take vs peek.
+fn fold_events(snap: &mut Snapshot, consume: bool) -> SpanFold {
+    let mut spans = SpanFold::default();
     let mut eat = |ev: &Event| {
-        snap.fold(ev);
-        if let Event::Span {
-            id,
-            parent,
-            name,
-            index,
-            dur_us,
-            metrics,
-        } = ev
-        {
-            raw.push(RawSpan {
-                id: *id,
-                parent: *parent,
-                name,
-                index: *index,
-                count: 1,
-                dur_us: *dur_us,
-                metrics: metrics.clone(),
-            });
-        }
+        snap.metrics.fold(ev);
+        spans.fold(ev);
     };
     if consume {
         crate::take_events(|ev| eat(&ev));
     } else {
         crate::peek_events(eat);
     }
+    snap.roll_up(&spans);
+    spans
 }
 
 /// Counts one completed request; every `epoch_requests`-th call advances
@@ -491,25 +366,22 @@ pub fn on_request() {
     if !state.armed {
         return;
     }
-    // Epoch boundary: roll events into the cumulative base.
-    let mut raw: Vec<RawSpan> = Vec::new();
-    let boundary = if state.cfg.compact {
-        let mut base = std::mem::take(&mut state.base);
-        fold_events(&mut base, &mut raw, true);
-        base.requests = n;
-        state.base = base.clone();
-        merge_slow(&mut state.slow, assemble_slow(raw), state.cfg.slow_k);
-        base
+    // Epoch boundary: roll events into the cumulative base. Without
+    // compaction events stay buffered, so everything is recomputed.
+    let compact = state.cfg.compact;
+    let mut boundary = if compact {
+        std::mem::take(&mut state.base)
     } else {
-        // Non-compacting: events stay buffered; recompute from scratch.
-        let mut snap = Snapshot::default();
-        fold_events(&mut snap, &mut raw, false);
-        snap.requests = n;
-        let mut slow = Vec::new();
-        merge_slow(&mut slow, assemble_slow(raw), state.cfg.slow_k);
-        state.slow = slow;
-        snap
+        Snapshot::default()
     };
+    let spans = fold_events(&mut boundary, compact);
+    boundary.requests = n;
+    if compact {
+        state.base = boundary.clone();
+    } else {
+        state.slow.clear();
+    }
+    merge_slow(&mut state.slow, assemble_slow(spans), state.cfg.slow_k);
     state.ring.push_back(boundary);
     while state.ring.len() > state.cfg.windows.saturating_add(1) {
         state.ring.pop_front();
@@ -525,8 +397,7 @@ pub fn snapshot() -> Option<Snapshot> {
         return None;
     }
     let mut snap = state.base.clone();
-    let mut raw = Vec::new();
-    fold_events(&mut snap, &mut raw, false);
+    fold_events(&mut snap, false);
     snap.requests = LIVE_REQUESTS.load(Ordering::Relaxed);
     Some(snap)
 }
@@ -673,17 +544,17 @@ pub fn render_prometheus(snap: &Snapshot, window: Option<&Snapshot>, slow: &[Slo
     );
     let mut last_type = String::new();
 
-    for ((name, label, index, rt), v) in &snap.counters {
+    for ((name, label, index, rt), v) in &snap.metrics.counters {
         let n = metric_name(name);
         type_line(&mut out, &mut last_type, &n, "counter");
         let _ = writeln!(out, "{n}_total{} {v}", label_set(label, *index, *rt));
     }
-    for ((name, index, rt), v) in &snap.gauges {
+    for ((name, index, rt), v) in &snap.metrics.gauges {
         let n = metric_name(name);
         type_line(&mut out, &mut last_type, &n, "gauge");
         let _ = writeln!(out, "{n}{} {v}", label_set(&None, *index, *rt));
     }
-    for ((name, rt), h) in &snap.hists {
+    for ((name, rt), h) in &snap.metrics.hists {
         let n = metric_name(name);
         type_line(&mut out, &mut last_type, &n, "histogram");
         let rt_part = if *rt { ",rt=\"1\"" } else { "" };
@@ -704,12 +575,12 @@ pub fn render_prometheus(snap: &Snapshot, window: Option<&Snapshot>, slow: &[Slo
     }
 
     if let Some(w) = window {
-        for ((name, label, index, rt), v) in &w.counters {
+        for ((name, label, index, rt), v) in &w.metrics.counters {
             let n = format!("{}_window", metric_name(name));
             type_line(&mut out, &mut last_type, &n, "gauge");
             let _ = writeln!(out, "{n}{} {v}", label_set(label, *index, *rt));
         }
-        for ((name, rt), h) in &w.hists {
+        for ((name, rt), h) in &w.metrics.hists {
             let base = format!("{}_window", metric_name(name));
             let labels = label_set(&None, None, *rt);
             for (suffix, q) in QUANTILES {
@@ -1035,26 +906,30 @@ mod tests {
     fn snapshot_delta_subtracts_counters_and_hists_but_not_gauges() {
         let mut early = Snapshot::default();
         let mut late = Snapshot::default();
-        early.counters.insert(("c", None, None, false), 3);
-        late.counters.insert(("c", None, None, false), 10);
-        late.counters.insert(("new", None, None, false), 4);
-        early.gauges.insert(("g", None, false), 7);
-        late.gauges.insert(("g", None, false), 9);
+        early.metrics.counters.insert(("c", None, None, false), 3);
+        late.metrics.counters.insert(("c", None, None, false), 10);
+        late.metrics.counters.insert(("new", None, None, false), 4);
+        early.metrics.gauges.insert(("g", None, false), 7);
+        late.metrics.gauges.insert(("g", None, false), 9);
         let mut h_early = Histogram::new();
         h_early.record(1);
         let mut h_late = h_early.clone();
         h_late.record(100);
-        early.hists.insert(("h", false), h_early);
-        late.hists.insert(("h", false), h_late);
+        early.metrics.hists.insert(("h", false), h_early);
+        late.metrics.hists.insert(("h", false), h_late);
         early.requests = 5;
         late.requests = 12;
 
         let d = late.delta(&early);
         assert_eq!(d.requests, 7);
-        assert_eq!(d.counters[&("c", None, None, false)], 7);
-        assert_eq!(d.counters[&("new", None, None, false)], 4);
-        assert_eq!(d.gauges[&("g", None, false)], 9, "gauges carry current");
-        let dh = &d.hists[&("h", false)];
+        assert_eq!(d.metrics.counters[&("c", None, None, false)], 7);
+        assert_eq!(d.metrics.counters[&("new", None, None, false)], 4);
+        assert_eq!(
+            d.metrics.gauges[&("g", None, false)],
+            9,
+            "gauges carry current"
+        );
+        let dh = &d.metrics.hists[&("h", false)];
         assert_eq!(dh.count, 1);
         assert_eq!(dh.nonzero_buckets().len(), 1);
     }
@@ -1065,9 +940,10 @@ mod tests {
             requests: 3,
             ..Snapshot::default()
         };
-        snap.counters
+        snap.metrics
+            .counters
             .insert(("serve.requests", None, None, false), 3);
-        snap.counters.insert(
+        snap.metrics.counters.insert(
             (
                 "serve.requests_by_verb",
                 Some("we\"ird\\v\nerb".to_owned()),
@@ -1076,11 +952,13 @@ mod tests {
             ),
             2,
         );
-        snap.gauges.insert(("exec.peak", Some(1), false), 42);
+        snap.metrics
+            .gauges
+            .insert(("exec.peak", Some(1), false), 42);
         let mut h = Histogram::new();
         h.record(3);
         h.record(900);
-        snap.hists.insert(("serve.request_rows", false), h);
+        snap.metrics.hists.insert(("serve.request_rows", false), h);
 
         let text = render_prometheus(&snap, None, &[]);
         let (samples, _) = parse_prometheus(&text);
@@ -1103,10 +981,12 @@ mod tests {
         for v in [0u64, 1, 3, 3, 900, 70_000] {
             h.record(v);
         }
-        snap.hists.insert(("serve.request_rows", false), h.clone());
+        snap.metrics
+            .hists
+            .insert(("serve.request_rows", false), h.clone());
         let mut h_rt = Histogram::new();
         h_rt.record(17);
-        snap.hists.insert(("serve.request_us", true), h_rt);
+        snap.metrics.hists.insert(("serve.request_us", true), h_rt);
 
         let text = render_prometheus(&snap, None, &[]);
         let (samples, _) = parse_prometheus(&text);
