@@ -26,6 +26,7 @@
 
 use crate::dense::{flush, sigmoid, Activation, Dense, DenseGrad};
 use crate::mat::Mat;
+use crate::simd::{self, HeadOut, SharedColumn};
 use crate::{NnError, Result};
 use rand::rngs::StdRng;
 use std::ops::Range;
@@ -166,10 +167,10 @@ pub(crate) struct TrainScratch {
     simple_probs: Mat,
     simple_dz: Mat,
     aux_out: Mat,
-    /// The current categorical column, `B × card`: softmax probabilities,
-    /// overwritten in place by their cross-entropy gradient.
+    /// The current categorical column's logit gradient, `B × card`.
     cat: Mat,
-    sig_row: Vec<f32>,
+    /// The head kernels' lane buffers ([`simd::shared_softmax`]).
+    head_lanes: Vec<f32>,
     d_aux: Mat,
     /// Gradient wrt the output of the layer being back-propagated (starts
     /// as the sum of the heads' input gradients) …
@@ -195,7 +196,7 @@ impl TrainScratch {
             simple_dz: empty(),
             aux_out: empty(),
             cat: empty(),
-            sig_row: Vec::new(),
+            head_lanes: Vec::new(),
             d_aux: empty(),
             dy: empty(),
             dx: empty(),
@@ -331,11 +332,13 @@ impl Autoencoder {
         let mut cat_probs = Vec::with_capacity(self.layout.cat.len());
         if let (Some(aux), Some(shared)) = (&self.aux, &self.shared) {
             let aux_out = aux.forward(&t);
-            let mut sig_row = Vec::new();
+            let level = head_level(self.layout.cat.len());
+            let mut lanes = Vec::new();
             for (j, &(_, card)) in self.layout.cat.iter().enumerate() {
-                // Padded to `max_card`; entries past `card` stay zero.
-                let mut probs = Mat::zeros(codes.rows(), self.layout.max_card);
-                self.shared_probs_column(shared, &aux_out, j, card, &mut sig_row, &mut probs);
+                let mut probs = Mat::zeros(codes.rows(), card);
+                let col = self.shared_column(shared, &aux_out, j, card);
+                let out = HeadOut::Probs(probs.data_mut());
+                simd::shared_softmax(level, &col, out, &mut lanes);
                 cat_probs.push(probs);
             }
         }
@@ -363,6 +366,10 @@ impl Autoencoder {
             }
             if t.iter().any(|&code| code as usize >= card) {
                 return Err(NnError::ShapeMismatch("train: target code >= card"));
+            }
+            // The head kernels hold classes as f32 lanes, exact below 2²⁴.
+            if card > 1 << 24 {
+                return Err(NnError::InvalidSpec("train: cardinality above 2^24"));
             }
         }
         if let Some(w) = row_weights {
@@ -448,7 +455,7 @@ impl Autoencoder {
             simple_dz,
             aux_out,
             cat,
-            sig_row,
+            head_lanes,
             d_aux,
             dy,
             dx,
@@ -521,26 +528,26 @@ impl Autoencoder {
                 shared_grad.db.clear();
                 shared_grad.db.resize(shared.output_dim(), 0.0);
             }
+            let level = head_level(self.layout.cat.len() * if backward { 2 } else { 1 });
             for (j, &(_, card)) in self.layout.cat.iter().enumerate() {
-                cat.reset(b, card);
-                self.shared_probs_column(shared, aux_out, j, card, sig_row, cat);
+                let col = self.shared_column(shared, aux_out, j, card);
                 let targets = &cat_targets[j][rows.clone()];
-                for r in 0..b {
-                    let target = targets[r] as usize;
-                    let row = cat.row_mut(r);
-                    losses[r] += -row[target].max(1e-7).ln();
-                    if backward {
-                        // Softmax CE gradient: dz = p; dz[target] -= 1.
-                        let rw = weight_of(r);
-                        for (c, g) in row.iter_mut().enumerate() {
-                            let adj = if c == target { *g - 1.0 } else { *g };
-                            *g = flush(rw * adj);
-                        }
-                    }
+                if !backward {
+                    let out = HeadOut::Loss { targets, losses };
+                    simd::shared_softmax(level, &col, out, head_lanes);
+                    continue;
                 }
-                if backward {
-                    self.shared_backward_column(shared, aux_out, j, cat, shared_grad, d_aux);
-                }
+                cat.reset(b, card);
+                let out = HeadOut::Grad {
+                    targets,
+                    losses,
+                    row_weights,
+                    dz: cat.data_mut(),
+                    d_aux: d_aux.data_mut(),
+                };
+                simd::shared_softmax(level, &col, out, head_lanes);
+                let (dw, db) = (shared_grad.dw.data_mut(), &mut shared_grad.db);
+                simd::shared_backward(level, &col, cat.data(), dw, db);
             }
             if backward {
                 aux.backward_into(trunk_out, aux_out, d_aux, Some(dx), aux_grad);
@@ -568,9 +575,8 @@ impl Autoencoder {
         }
     }
 
-    /// Softmax probabilities of categorical column `j` into
-    /// `out[r][..card]` — the shared output layer followed by the masked
-    /// softmax, in one pass per row.
+    /// Categorical column `j`'s view of the shared layer for the head
+    /// kernels (DESIGN.md §3f, "Row lanes").
     ///
     /// Logically the shared layer sees the full auxiliary vector plus the
     /// signal node, with every inactive column's block masked to zero — the
@@ -580,86 +586,27 @@ impl Autoencoder {
     /// `aux_width`-node block, the signal row, and the bias; and the
     /// softmax reads only the column's own `card` logits, so only those
     /// are computed (each is independent of the others — skipping the
-    /// padding up to `max_card` changes no bit of the result).
-    fn shared_probs_column(
+    /// padding up to `max_card` changes no bit of the result). Backward,
+    /// only the active block and the signal row receive weight gradients,
+    /// and logits past `card` have none.
+    fn shared_column<'a>(
         &self,
-        shared: &Dense,
-        aux_out: &Mat,
+        shared: &'a Dense,
+        aux_out: &'a Mat,
         j: usize,
         card: usize,
-        sig_row: &mut Vec<f32>,
-        out: &mut Mat,
-    ) {
+    ) -> SharedColumn<'a> {
         let width = self.spec.aux_width;
-        let signal = self.signal(j);
-        let w_signal = shared.w.row(shared.input_dim() - 1);
-        sig_row.clear();
-        sig_row.extend(
-            w_signal[..card]
-                .iter()
-                .zip(&shared.b)
-                .map(|(&w, &bias)| signal * w + bias),
-        );
-        for r in 0..aux_out.rows() {
-            let row = &mut out.row_mut(r)[..card];
-            row.copy_from_slice(sig_row);
-            for c in j * width..(j + 1) * width {
-                let a = aux_out.get(r, c);
-                if a != 0.0 {
-                    for (o, &w) in row.iter_mut().zip(shared.w.row(c)) {
-                        *o += a * w;
-                    }
-                }
-            }
-            softmax_in_place(row);
-        }
-    }
-
-    /// Backward through the shared layer for column `j`, given the
-    /// column's `B × card` logit gradient `dz`: accumulates into
-    /// `shared_grad` and writes the active block of `d_aux`.
-    ///
-    /// The layer is Identity-activated and its input masked, so only the
-    /// active block and the signal row receive weight gradients, and the
-    /// input gradient is needed only for the active block. Logits past
-    /// `card` have no gradient (`+0.0`, and adding that to an accumulator
-    /// that started at `+0.0` is exact), so every loop stops at `card`.
-    fn shared_backward_column(
-        &self,
-        shared: &Dense,
-        aux_out: &Mat,
-        j: usize,
-        dz: &Mat,
-        shared_grad: &mut DenseGrad,
-        d_aux: &mut Mat,
-    ) {
-        let width = self.spec.aux_width;
-        let sig = self.signal(j);
-        let signal_row = shared.input_dim() - 1;
-        for r in 0..dz.rows() {
-            let dz_row = dz.row(r);
-            for c in j * width..(j + 1) * width {
-                let a = aux_out.get(r, c);
-                if a != 0.0 {
-                    for (dwv, &dzv) in shared_grad.dw.row_mut(c).iter_mut().zip(dz_row) {
-                        *dwv += a * dzv;
-                    }
-                }
-            }
-            for (dwv, &dzv) in shared_grad.dw.row_mut(signal_row).iter_mut().zip(dz_row) {
-                *dwv += sig * dzv;
-            }
-            for (dbv, &dzv) in shared_grad.db.iter_mut().zip(dz_row) {
-                *dbv += dzv;
-            }
-            // d_aux for the active block: dz · W[block]ᵀ.
-            for c in j * width..(j + 1) * width {
-                let mut acc = 0.0f32;
-                for (&dzv, &w) in dz_row.iter().zip(shared.w.row(c)) {
-                    acc += dzv * w;
-                }
-                d_aux.set(r, c, d_aux.get(r, c) + acc);
-            }
+        SharedColumn {
+            aux: aux_out.data(),
+            aux_cols: aux_out.cols(),
+            block: j * width,
+            width,
+            w: shared.w.data(),
+            w_cols: shared.output_dim(),
+            bias: &shared.b,
+            signal: self.signal(j),
+            card,
         }
     }
 
@@ -795,21 +742,12 @@ fn forward_chain(layers: &[Dense], input: &Mat, acts: &mut [Mat]) {
     }
 }
 
-/// Softmax of one row of logits, in place.
-fn softmax_in_place(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0;
-    for o in row.iter_mut() {
-        let e = (*o - max).exp();
-        *o = e;
-        sum += e;
-    }
-    if sum > 0.0 {
-        let inv = 1.0 / sum;
-        for o in row {
-            *o *= inv;
-        }
-    }
+/// The kernel level for the next `calls` head-kernel calls, counted like
+/// a product's — in one event, so a trace does not grow by one per call.
+fn head_level(calls: usize) -> ds_simd::Level {
+    let level = ds_simd::active();
+    ds_obs::counter_labeled("nn.simd_kernel", level.name(), calls as u64);
+    level
 }
 
 fn add_into(dst: &mut Mat, src: &Mat) {
@@ -817,6 +755,136 @@ fn add_into(dst: &mut Mat, src: &Mat) {
     debug_assert_eq!(dst.cols(), src.cols());
     for (d, &s) in dst.data_mut().iter_mut().zip(src.data()) {
         *d += s;
+    }
+}
+
+/// The per-row categorical head the row-lane kernels of `simd.rs`
+/// replaced, kept as the reference they must match bit for bit: the shared
+/// layer and masked softmax per row, the cross-entropy loop of
+/// [`Autoencoder::pass`], and the shared layer's backward per row.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// [`Autoencoder::signal`] of column `j`, the column count read off
+    /// `aux_out`.
+    pub(crate) fn signal(aux_out: &Mat, j: usize, width: usize) -> f32 {
+        (j + 1) as f32 / (aux_out.cols() / width) as f32
+    }
+
+    /// Softmax probabilities of categorical column `j` into
+    /// `out[r][..card]`.
+    pub(crate) fn shared_probs_column(
+        shared: &Dense,
+        aux_out: &Mat,
+        j: usize,
+        width: usize,
+        card: usize,
+        out: &mut Mat,
+    ) {
+        let signal = signal(aux_out, j, width);
+        let w_signal = shared.w.row(shared.input_dim() - 1);
+        let sig_row: Vec<f32> = w_signal[..card]
+            .iter()
+            .zip(&shared.b)
+            .map(|(&w, &bias)| signal * w + bias)
+            .collect();
+        for r in 0..aux_out.rows() {
+            let row = &mut out.row_mut(r)[..card];
+            row.copy_from_slice(&sig_row);
+            for c in j * width..(j + 1) * width {
+                let a = aux_out.get(r, c);
+                if a != 0.0 {
+                    for (o, &w) in row.iter_mut().zip(shared.w.row(c)) {
+                        *o += a * w;
+                    }
+                }
+            }
+            softmax_in_place(row);
+        }
+    }
+
+    /// Softmax of one row of logits, in place.
+    pub(crate) fn softmax_in_place(row: &mut [f32]) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0;
+        for o in row.iter_mut() {
+            let e = (*o - max).exp();
+            *o = e;
+            sum += e;
+        }
+        if sum > 0.0 {
+            let inv = 1.0 / sum;
+            for o in row {
+                *o *= inv;
+            }
+        }
+    }
+
+    /// Each row's cross-entropy into `losses`, and — when `backward` — the
+    /// probabilities in `cat` overwritten by their logit gradient.
+    pub(crate) fn cross_entropy(
+        cat: &mut Mat,
+        targets: &[u32],
+        row_weights: Option<&[f32]>,
+        losses: &mut [f32],
+        backward: bool,
+    ) {
+        let weight_of = |r: usize| row_weights.map_or(1.0, |w| w[r]);
+        for r in 0..cat.rows() {
+            let target = targets[r] as usize;
+            let row = cat.row_mut(r);
+            losses[r] += -row[target].max(1e-7).ln();
+            if backward {
+                // Softmax CE gradient: dz = p; dz[target] -= 1.
+                let rw = weight_of(r);
+                for (c, g) in row.iter_mut().enumerate() {
+                    let adj = if c == target { *g - 1.0 } else { *g };
+                    *g = flush(rw * adj);
+                }
+            }
+        }
+    }
+
+    /// Backward through the shared layer for column `j`, given the
+    /// column's `B × card` logit gradient `dz`: accumulates into
+    /// `shared_grad` and adds into the active block of `d_aux`.
+    pub(crate) fn shared_backward_column(
+        shared: &Dense,
+        aux_out: &Mat,
+        j: usize,
+        width: usize,
+        dz: &Mat,
+        shared_grad: &mut DenseGrad,
+        d_aux: &mut Mat,
+    ) {
+        let sig = signal(aux_out, j, width);
+        let signal_row = shared.input_dim() - 1;
+        for r in 0..dz.rows() {
+            let dz_row = dz.row(r);
+            for c in j * width..(j + 1) * width {
+                let a = aux_out.get(r, c);
+                if a != 0.0 {
+                    for (dwv, &dzv) in shared_grad.dw.row_mut(c).iter_mut().zip(dz_row) {
+                        *dwv += a * dzv;
+                    }
+                }
+            }
+            for (dwv, &dzv) in shared_grad.dw.row_mut(signal_row).iter_mut().zip(dz_row) {
+                *dwv += sig * dzv;
+            }
+            for (dbv, &dzv) in shared_grad.db.iter_mut().zip(dz_row) {
+                *dbv += dzv;
+            }
+            // d_aux for the active block: dz · W[block]ᵀ.
+            for c in j * width..(j + 1) * width {
+                let mut acc = 0.0f32;
+                for (&dzv, &w) in dz_row.iter().zip(shared.w.row(c)) {
+                    acc += dzv * w;
+                }
+                d_aux.set(r, c, d_aux.get(r, c) + acc);
+            }
+        }
     }
 }
 
@@ -850,8 +918,9 @@ mod tests {
         let dec = ae.decode(&code).unwrap();
         assert_eq!(dec.simple.cols(), 3); // 2 numeric + 1 binary
         assert_eq!(dec.cat_probs.len(), 2);
-        assert_eq!(dec.cat_probs[0].cols(), 4); // padded to max_card=4
-        assert_eq!(dec.cat_probs[1].cols(), 4);
+        // B × card each, not padded to max_card.
+        assert_eq!(dec.cat_probs[0].cols(), 4);
+        assert_eq!(dec.cat_probs[1].cols(), 3);
     }
 
     #[test]
@@ -872,7 +941,7 @@ mod tests {
     fn softmax_rows_sum_to_one_within_mask() {
         let mut p = Mat::from_vec(2, 4, vec![1.0, 2.0, 3.0, 0.0, -1.0, -2.0, -3.0, 0.0]);
         for r in 0..2 {
-            softmax_in_place(&mut p.row_mut(r)[..3]);
+            reference::softmax_in_place(&mut p.row_mut(r)[..3]);
             let s: f32 = p.row(r)[..3].iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
             assert_eq!(p.get(r, 3), 0.0, "masked entry must be zero");

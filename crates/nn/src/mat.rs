@@ -414,6 +414,240 @@ mod tests {
         );
     }
 
+    /// The categorical head's row-lane kernels must reproduce the per-row
+    /// code they replaced (`autoencoder::reference`) bit for bit at every
+    /// level: probabilities, losses, the logit gradient, the shared
+    /// layer's `dw`/`db`/signal row and `d_aux` — over row counts around
+    /// the 8-row lane block, class counts around the 8-class register,
+    /// auxiliary inputs holding `±0.0` (the skip) and weights holding NaN
+    /// and `±∞` (a multiplied skip, or a max that is not NaN-ignoring,
+    /// would show). The probabilities match to the NaN sign, which orders
+    /// them under `total_cmp` when a decoder ranks classes; the training
+    /// outputs match to every bit but a NaN's ([`nan_bits`]).
+    #[test]
+    fn head_kernels_bit_match_reference_rows() {
+        use crate::autoencoder::reference;
+        use crate::dense::{Activation, Dense, DenseGrad};
+        use crate::simd::{shared_backward, shared_softmax, HeadOut, SharedColumn};
+
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 40) as f32 / (1u32 << 24) as f32
+        };
+        let levels = [ds_simd::Level::Scalar, ds_simd::detected()];
+        // Four auxiliary nodes per column (the default), one, and nine: more
+        // than one lane block forward and one register group backward.
+        for (n_cat, width) in [(3usize, 4usize), (3, 1), (2, 9)] {
+            let aux_cols = n_cat * width;
+            for card in [2usize, 3, 7, 8, 9, 16, 51, 65] {
+                let w_cols = card + card % 3; // the padding past `card` is never read
+                let mut w: Vec<f32> = (0..(aux_cols + 1) * w_cols)
+                    .map(|_| (next() - 0.5) * 6.0)
+                    .collect();
+                for (i, v) in w.iter_mut().enumerate() {
+                    match i % 97 {
+                        13 => *v = f32::NAN,
+                        41 => *v = f32::INFINITY,
+                        71 => *v = f32::NEG_INFINITY,
+                        _ => {}
+                    }
+                }
+                let bias: Vec<f32> = (0..w_cols).map(|_| next() - 0.5).collect();
+                let shared = Dense {
+                    w: Mat::from_vec(aux_cols + 1, w_cols, w),
+                    b: bias,
+                    act: Activation::Identity,
+                };
+                for rows in [1usize, 7, 8, 9, 31, 32, 33, 256, 500] {
+                    let aux = Mat::from_vec(
+                        rows,
+                        aux_cols,
+                        (0..rows * aux_cols)
+                            .map(|_| match next() {
+                                u if u < 0.15 => 0.0,
+                                u if u < 0.25 => -0.0,
+                                u => u * 2.0 - 1.25,
+                            })
+                            .collect(),
+                    );
+                    let targets: Vec<u32> =
+                        (0..rows).map(|_| (next() * card as f32) as u32).collect();
+                    let weights: Vec<f32> = (0..rows).map(|r| (r % 4) as f32 * next()).collect();
+                    let start: Vec<f32> = (0..rows).map(|_| next()).collect();
+                    let dz_raw = Mat::from_vec(
+                        rows,
+                        card,
+                        (0..rows * card)
+                            .map(|i| match i % 23 {
+                                3 => -0.0,
+                                7 => f32::INFINITY,
+                                11 => f32::NAN,
+                                _ => next() - 0.5,
+                            })
+                            .collect(),
+                    );
+                    for j in 0..n_cat {
+                        let signal = reference::signal(&aux, j, width);
+                        let mut probs = Mat::zeros(rows, card);
+                        reference::shared_probs_column(&shared, &aux, j, width, card, &mut probs);
+                        for row_weights in [None, Some(&weights[..])] {
+                            let mut dz = probs.clone();
+                            let mut losses = start.clone();
+                            reference::cross_entropy(
+                                &mut dz,
+                                &targets,
+                                row_weights,
+                                &mut losses,
+                                true,
+                            );
+                            let mut grad = DenseGrad {
+                                dw: Mat::from_vec(
+                                    aux_cols + 1,
+                                    w_cols,
+                                    vec![0.25; (aux_cols + 1) * w_cols],
+                                ),
+                                db: vec![-0.5; w_cols],
+                            };
+                            let mut d_aux =
+                                Mat::from_vec(rows, aux_cols, vec![0.0; rows * aux_cols]);
+                            reference::shared_backward_column(
+                                &shared, &aux, j, width, &dz, &mut grad, &mut d_aux,
+                            );
+                            let mut raw_grad = DenseGrad {
+                                dw: grad.dw.clone(),
+                                db: grad.db.clone(),
+                            };
+                            reference::shared_backward_column(
+                                &shared,
+                                &aux,
+                                j,
+                                width,
+                                &dz_raw,
+                                &mut raw_grad,
+                                &mut d_aux.clone(),
+                            );
+                            let mut loss_only = start.clone();
+                            reference::cross_entropy(
+                                &mut probs.clone(),
+                                &targets,
+                                None,
+                                &mut loss_only,
+                                false,
+                            );
+
+                            for level in levels {
+                                let at = format!(
+                                    "{level:?} width {width} card {card} rows {rows} col {j} weights {}",
+                                    row_weights.is_some()
+                                );
+                                let col = SharedColumn {
+                                    aux: aux.data(),
+                                    aux_cols,
+                                    block: j * width,
+                                    width,
+                                    w: shared.w.data(),
+                                    w_cols,
+                                    bias: &shared.b,
+                                    signal,
+                                    card,
+                                };
+                                let mut scratch = Vec::new();
+                                let mut k_probs = Mat::zeros(rows, card);
+                                shared_softmax(
+                                    level,
+                                    &col,
+                                    HeadOut::Probs(k_probs.data_mut()),
+                                    &mut scratch,
+                                );
+                                assert_eq!(bits(&k_probs), bits(&probs), "probs, {at}");
+
+                                let mut k_losses = start.clone();
+                                let out = HeadOut::Loss {
+                                    targets: &targets,
+                                    losses: &mut k_losses,
+                                };
+                                shared_softmax(level, &col, out, &mut scratch);
+                                assert_eq!(nan_bits(&k_losses), nan_bits(&loss_only), "loss, {at}");
+
+                                let mut k_dz = Mat::zeros(rows, card);
+                                let mut k_losses = start.clone();
+                                let mut k_d_aux = Mat::zeros(rows, aux_cols);
+                                let out = HeadOut::Grad {
+                                    targets: &targets,
+                                    losses: &mut k_losses,
+                                    row_weights,
+                                    dz: k_dz.data_mut(),
+                                    d_aux: k_d_aux.data_mut(),
+                                };
+                                shared_softmax(level, &col, out, &mut scratch);
+                                let mut k_dw = Mat::from_vec(
+                                    aux_cols + 1,
+                                    w_cols,
+                                    vec![0.25; (aux_cols + 1) * w_cols],
+                                );
+                                let mut k_db = vec![-0.5; w_cols];
+                                shared_backward(
+                                    level,
+                                    &col,
+                                    k_dz.data(),
+                                    k_dw.data_mut(),
+                                    &mut k_db,
+                                );
+                                assert_eq!(nan_bits(k_dz.data()), nan_bits(dz.data()), "dz, {at}");
+                                assert_eq!(
+                                    nan_bits(&k_losses),
+                                    nan_bits(&losses),
+                                    "grad loss, {at}"
+                                );
+                                assert_eq!(
+                                    nan_bits(k_d_aux.data()),
+                                    nan_bits(d_aux.data()),
+                                    "d_aux, {at}"
+                                );
+                                assert_eq!(
+                                    nan_bits(k_dw.data()),
+                                    nan_bits(grad.dw.data()),
+                                    "dw, {at}"
+                                );
+                                assert_eq!(nan_bits(&k_db), nan_bits(&grad.db), "db, {at}");
+
+                                shared_backward(
+                                    level,
+                                    &col,
+                                    dz_raw.data(),
+                                    k_dw.data_mut(),
+                                    &mut k_db,
+                                );
+                                assert_eq!(
+                                    nan_bits(k_dw.data()),
+                                    nan_bits(raw_grad.dw.data()),
+                                    "dw of a raw dz, {at}"
+                                );
+                                assert_eq!(
+                                    nan_bits(&k_db),
+                                    nan_bits(&raw_grad.db),
+                                    "db of a raw dz, {at}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Bits of `v` with every NaN as `f32::NAN`'s: Rust leaves the sign
+    /// and payload of a NaN result unspecified (LLVM may commute an add of
+    /// two NaNs), so they are no part of a schedule. Every other bit is.
+    fn nan_bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
     #[test]
     fn matmul_bit_identical_across_thread_counts() {
         let a = arb_mat(137, 111, 7);

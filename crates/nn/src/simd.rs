@@ -25,6 +25,11 @@
 //! (`k`, `n`); every shape runs the schedule above, so the choice never
 //! changes a bit either (DESIGN.md §3f, "Register shapes").
 //!
+//! The categorical head's kernels ([`shared_softmax`], [`shared_backward`])
+//! keep the per-row code's own order instead, with rows (or classes) as
+//! the lanes: written once over [`Lanes`], they have a scalar and an AVX2
+//! variant (DESIGN.md §3f, "Row lanes").
+//!
 //! Dispatch reads a [`Level`] chosen by the *caller* (`mat.rs` resolves
 //! `ds_simd::active()` once per public entry point, before any `ds-exec`
 //! fan-out) so pool workers use the caller's kernel, not their own
@@ -1024,6 +1029,622 @@ unsafe fn t_matmul_neon(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out:
             }
             axpy_neon_body(&mut out[i * n..(i + 1) * n], c, b_row);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The shared categorical head (§5.1): row-lane softmax and its backward
+// ---------------------------------------------------------------------------
+
+/// Rows per lane block of [`shared_softmax`] (lanes are rows), and classes
+/// per register of [`shared_backward`] (lanes are classes).
+const HEAD_LANES: usize = ds_simd::LANE_GROUP;
+
+/// One categorical column of the parameter-shared head: what every head
+/// kernel reads. Row `r`'s logit `k` is `signal·w[sig][k] + bias[k]`, then
+/// `+ a·w[block + c][k]` for `c` ascending over the column's `width`
+/// auxiliary nodes, each term skipped where `a = aux[r][block + c]` is
+/// `±0` — the masked inputs of the other columns contribute nothing.
+pub(crate) struct SharedColumn<'a> {
+    /// Auxiliary-layer activations, `rows × aux_cols`, row-major.
+    pub aux: &'a [f32],
+    pub aux_cols: usize,
+    /// The column's first auxiliary node, and its node count.
+    pub block: usize,
+    pub width: usize,
+    /// Shared-layer weights, `(aux_cols + 1) × w_cols` (the last row is
+    /// the signal node's), and the layer's `w_cols` biases.
+    pub w: &'a [f32],
+    pub w_cols: usize,
+    pub bias: &'a [f32],
+    pub signal: f32,
+    /// The column's class count, at most `w_cols`: only these logits are
+    /// computed, read or written.
+    pub card: usize,
+}
+
+impl SharedColumn<'_> {
+    fn rows(&self) -> usize {
+        self.aux.len() / self.aux_cols
+    }
+}
+
+/// What [`shared_softmax`] leaves behind for a column's rows.
+pub(crate) enum HeadOut<'a> {
+    /// Decode: the probabilities, `rows × card`.
+    Probs(&'a mut [f32]),
+    /// Assignment: each row's cross-entropy `-ln max(p[target], 1e-7)`,
+    /// added to `losses[r]`.
+    Loss {
+        targets: &'a [u32],
+        losses: &'a mut [f32],
+    },
+    /// Training: the loss as above; the logit gradient
+    /// `dz = flush(rw·(p − onehot(target)))`, `rows × card`, with `rw`
+    /// the row's weight (1 without weights); and `dz · W[block]ᵀ` added
+    /// into the column's block of `d_aux` (`rows × aux_cols`).
+    Grad {
+        targets: &'a [u32],
+        losses: &'a mut [f32],
+        row_weights: Option<&'a [f32]>,
+        dz: &'a mut [f32],
+        d_aux: &'a mut [f32],
+    },
+}
+
+/// Softmax of one categorical column, optionally followed by its
+/// cross-entropy and the gradient flowing back to the logits and the
+/// auxiliary block ([`HeadOut`]).
+///
+/// Eight rows share each register. The `8 × width` block of `aux` is
+/// transposed once per eight rows, and each lane then runs the per-row
+/// schedule unchanged (DESIGN.md §3f, "Row lanes"): the logit order of
+/// [`SharedColumn`], with the skip a select (left out for a block with no
+/// `±0` input, where it never fires); the max as `f32::max`'s NaN-ignoring
+/// fold from `-∞`; `exp(z − max)` through the scalar libm `exp`; the sum
+/// in ascending `k`; the scaling by `1/sum` only where `sum > 0`. The
+/// `d_aux` dot runs in ascending `k` from `+0.0`. `scratch` holds the
+/// column's weights by class and the lanes' logits and probabilities.
+pub(crate) fn shared_softmax(
+    level: Level,
+    col: &SharedColumn<'_>,
+    out: HeadOut<'_>,
+    scratch: &mut Vec<f32>,
+) {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 is only reported after runtime AVX2 detection.
+        Level::Avx2 => unsafe { shared_softmax_avx2(col, out, scratch) },
+        // SAFETY: the `[f32; 8]` lanes are plain Rust.
+        _ => unsafe { shared_softmax_body::<[f32; HEAD_LANES]>(col, out, scratch) },
+    }
+}
+
+/// Backward through the shared layer for one column, given its
+/// `rows × card` logit gradient `dz`: adds `a·dz` into the block's rows of
+/// `dw` (skipped where `a` is `±0`), `signal·dz` into the signal row, and
+/// `dz` into `db`, each element in ascending row order.
+///
+/// Eight classes share each register, and a register's accumulators stay
+/// in it across all the rows; the class tail is a masked load and store.
+pub(crate) fn shared_backward(
+    level: Level,
+    col: &SharedColumn<'_>,
+    dz: &[f32],
+    dw: &mut [f32],
+    db: &mut [f32],
+) {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 is only reported after runtime AVX2 detection.
+        Level::Avx2 => unsafe { shared_backward_avx2(col, dz, dw, db) },
+        // SAFETY: the `[f32; 8]` lanes are plain Rust.
+        _ => unsafe { shared_backward_body::<[f32; HEAD_LANES]>(col, dz, dw, db) },
+    }
+}
+
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn shared_softmax_avx2(col: &SharedColumn<'_>, out: HeadOut<'_>, scratch: &mut Vec<f32>) {
+    shared_softmax_body::<std::arch::x86_64::__m256>(col, out, scratch);
+}
+
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn shared_backward_avx2(col: &SharedColumn<'_>, dz: &[f32], dw: &mut [f32], db: &mut [f32]) {
+    shared_backward_body::<std::arch::x86_64::__m256>(col, dz, dw, db);
+}
+
+/// Eight f32 lanes, each operation rounded once per lane exactly as its
+/// scalar spelling — the one vocabulary both head kernels are written in,
+/// so the `[f32; 8]` and `__m256` variants run one schedule.
+///
+/// # Safety
+/// Every method may use instructions of its type's level: call them only
+/// inside a kernel compiled for it.
+trait Lanes: Copy {
+    unsafe fn splat(v: f32) -> Self;
+    /// `src[..8]`.
+    unsafe fn load(src: &[f32]) -> Self;
+    /// `src[..n]`, `n ≤ 8`, zero past `n`.
+    unsafe fn load_n(src: &[f32], n: usize) -> Self;
+    /// Into `dst[..8]`.
+    unsafe fn store(self, dst: &mut [f32]);
+    /// Lanes `..n` into `dst[..n]`, `n ≤ 8`.
+    unsafe fn store_n(self, dst: &mut [f32], n: usize);
+    unsafe fn add(self, o: Self) -> Self;
+    unsafe fn sub(self, o: Self) -> Self;
+    unsafe fn mul(self, o: Self) -> Self;
+    unsafe fn div(self, o: Self) -> Self;
+    /// `f32::max(self, x)` as a fold from `-∞` sees it: a NaN `x` leaves
+    /// the running max. (Which zero two equal zeros return may differ;
+    /// the max only ever meets `z − max`, where it cannot show.)
+    unsafe fn max_fold(self, x: Self) -> Self;
+    /// `self + a·w` where `a != 0.0` (NaN included), `self` where `a` is
+    /// `±0`.
+    unsafe fn add_product_nonzero(self, a: Self, w: Self) -> Self;
+    /// Whether a lane is `±0`.
+    unsafe fn any_zero(self) -> bool;
+    /// `self` where `t == k`, `other` elsewhere.
+    unsafe fn where_eq(self, t: Self, k: Self, other: Self) -> Self;
+    /// `self·inv` where `sum > 0.0`, `self` elsewhere (NaN `sum` included).
+    unsafe fn scale_where_positive(self, inv: Self, sum: Self) -> Self;
+    /// [`crate::dense::flush`] per lane.
+    unsafe fn flush(self) -> Self;
+    /// The 8 × 8 transpose: lane `j` of result `i` is lane `i` of `v[j]`.
+    unsafe fn transpose8(v: [Self; HEAD_LANES]) -> [Self; HEAD_LANES];
+}
+
+impl Lanes for [f32; HEAD_LANES] {
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        [v; HEAD_LANES]
+    }
+    #[inline(always)]
+    unsafe fn load(src: &[f32]) -> Self {
+        src[..HEAD_LANES].try_into().expect("eight lanes")
+    }
+    #[inline(always)]
+    unsafe fn load_n(src: &[f32], n: usize) -> Self {
+        let mut v = [0.0; HEAD_LANES];
+        v[..n].copy_from_slice(&src[..n]);
+        v
+    }
+    #[inline(always)]
+    unsafe fn store(self, dst: &mut [f32]) {
+        dst[..HEAD_LANES].copy_from_slice(&self);
+    }
+    #[inline(always)]
+    unsafe fn store_n(self, dst: &mut [f32], n: usize) {
+        dst[..n].copy_from_slice(&self[..n]);
+    }
+    #[inline(always)]
+    unsafe fn add(self, o: Self) -> Self {
+        std::array::from_fn(|l| self[l] + o[l])
+    }
+    #[inline(always)]
+    unsafe fn sub(self, o: Self) -> Self {
+        std::array::from_fn(|l| self[l] - o[l])
+    }
+    #[inline(always)]
+    unsafe fn mul(self, o: Self) -> Self {
+        std::array::from_fn(|l| self[l] * o[l])
+    }
+    #[inline(always)]
+    unsafe fn div(self, o: Self) -> Self {
+        std::array::from_fn(|l| self[l] / o[l])
+    }
+    #[inline(always)]
+    unsafe fn max_fold(self, x: Self) -> Self {
+        std::array::from_fn(|l| self[l].max(x[l]))
+    }
+    #[inline(always)]
+    unsafe fn add_product_nonzero(self, a: Self, w: Self) -> Self {
+        std::array::from_fn(|l| {
+            if a[l] != 0.0 {
+                self[l] + a[l] * w[l]
+            } else {
+                self[l]
+            }
+        })
+    }
+    #[inline(always)]
+    unsafe fn any_zero(self) -> bool {
+        self.contains(&0.0)
+    }
+    #[inline(always)]
+    unsafe fn where_eq(self, t: Self, k: Self, other: Self) -> Self {
+        std::array::from_fn(|l| if t[l] == k[l] { self[l] } else { other[l] })
+    }
+    #[inline(always)]
+    unsafe fn scale_where_positive(self, inv: Self, sum: Self) -> Self {
+        std::array::from_fn(|l| {
+            if sum[l] > 0.0 {
+                self[l] * inv[l]
+            } else {
+                self[l]
+            }
+        })
+    }
+    #[inline(always)]
+    unsafe fn flush(self) -> Self {
+        self.map(crate::dense::flush)
+    }
+    #[inline(always)]
+    unsafe fn transpose8(v: [Self; HEAD_LANES]) -> [Self; HEAD_LANES] {
+        std::array::from_fn(|i| std::array::from_fn(|j| v[j][i]))
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes for std::arch::x86_64::__m256 {
+    #[inline(always)]
+    unsafe fn splat(v: f32) -> Self {
+        std::arch::x86_64::_mm256_set1_ps(v)
+    }
+    #[inline(always)]
+    unsafe fn load(src: &[f32]) -> Self {
+        std::arch::x86_64::_mm256_loadu_ps(src[..HEAD_LANES].as_ptr())
+    }
+    #[inline(always)]
+    unsafe fn load_n(src: &[f32], n: usize) -> Self {
+        use std::arch::x86_64::*;
+        match tail_mask_avx2(n) {
+            Some(mask) => _mm256_maskload_ps(src[..n].as_ptr(), mask),
+            None => Self::load(src),
+        }
+    }
+    #[inline(always)]
+    unsafe fn store(self, dst: &mut [f32]) {
+        std::arch::x86_64::_mm256_storeu_ps(dst[..HEAD_LANES].as_mut_ptr(), self);
+    }
+    #[inline(always)]
+    unsafe fn store_n(self, dst: &mut [f32], n: usize) {
+        use std::arch::x86_64::*;
+        match tail_mask_avx2(n) {
+            Some(mask) => _mm256_maskstore_ps(dst[..n].as_mut_ptr(), mask, self),
+            None => self.store(dst),
+        }
+    }
+    #[inline(always)]
+    unsafe fn add(self, o: Self) -> Self {
+        std::arch::x86_64::_mm256_add_ps(self, o)
+    }
+    #[inline(always)]
+    unsafe fn sub(self, o: Self) -> Self {
+        std::arch::x86_64::_mm256_sub_ps(self, o)
+    }
+    #[inline(always)]
+    unsafe fn mul(self, o: Self) -> Self {
+        std::arch::x86_64::_mm256_mul_ps(self, o)
+    }
+    #[inline(always)]
+    unsafe fn div(self, o: Self) -> Self {
+        std::arch::x86_64::_mm256_div_ps(self, o)
+    }
+    #[inline(always)]
+    unsafe fn max_fold(self, x: Self) -> Self {
+        // `maxps` returns its second operand when either is NaN.
+        std::arch::x86_64::_mm256_max_ps(x, self)
+    }
+    #[inline(always)]
+    unsafe fn add_product_nonzero(self, a: Self, w: Self) -> Self {
+        use std::arch::x86_64::*;
+        let live = _mm256_cmp_ps(a, _mm256_setzero_ps(), _CMP_NEQ_UQ);
+        _mm256_blendv_ps(self, _mm256_add_ps(self, _mm256_mul_ps(a, w)), live)
+    }
+    #[inline(always)]
+    unsafe fn any_zero(self) -> bool {
+        use std::arch::x86_64::*;
+        _mm256_movemask_ps(_mm256_cmp_ps(self, _mm256_setzero_ps(), _CMP_EQ_OQ)) != 0
+    }
+    #[inline(always)]
+    unsafe fn where_eq(self, t: Self, k: Self, other: Self) -> Self {
+        use std::arch::x86_64::*;
+        _mm256_blendv_ps(other, self, _mm256_cmp_ps(t, k, _CMP_EQ_OQ))
+    }
+    #[inline(always)]
+    unsafe fn scale_where_positive(self, inv: Self, sum: Self) -> Self {
+        use std::arch::x86_64::*;
+        let positive = _mm256_cmp_ps(sum, _mm256_setzero_ps(), _CMP_GT_OQ);
+        _mm256_blendv_ps(self, _mm256_mul_ps(self, inv), positive)
+    }
+    #[inline(always)]
+    unsafe fn flush(self) -> Self {
+        use std::arch::x86_64::*;
+        let abs = _mm256_andnot_ps(_mm256_set1_ps(-0.0), self);
+        let tiny = _mm256_cmp_ps(abs, _mm256_set1_ps(crate::dense::GRAD_FLOOR), _CMP_LT_OQ);
+        _mm256_blendv_ps(self, _mm256_setzero_ps(), tiny)
+    }
+    #[inline(always)]
+    unsafe fn transpose8(v: [Self; HEAD_LANES]) -> [Self; HEAD_LANES] {
+        use std::arch::x86_64::*;
+        // Pairs interleave, then quads, then the 128-bit halves swap.
+        let t0 = _mm256_unpacklo_ps(v[0], v[1]);
+        let t1 = _mm256_unpackhi_ps(v[0], v[1]);
+        let t2 = _mm256_unpacklo_ps(v[2], v[3]);
+        let t3 = _mm256_unpackhi_ps(v[2], v[3]);
+        let t4 = _mm256_unpacklo_ps(v[4], v[5]);
+        let t5 = _mm256_unpackhi_ps(v[4], v[5]);
+        let t6 = _mm256_unpacklo_ps(v[6], v[7]);
+        let t7 = _mm256_unpackhi_ps(v[6], v[7]);
+        let q0 = _mm256_shuffle_ps(t0, t2, 0x44);
+        let q1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+        let q2 = _mm256_shuffle_ps(t1, t3, 0x44);
+        let q3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+        let q4 = _mm256_shuffle_ps(t4, t6, 0x44);
+        let q5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+        let q6 = _mm256_shuffle_ps(t5, t7, 0x44);
+        let q7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+        [
+            _mm256_permute2f128_ps(q0, q4, 0x20),
+            _mm256_permute2f128_ps(q1, q5, 0x20),
+            _mm256_permute2f128_ps(q2, q6, 0x20),
+            _mm256_permute2f128_ps(q3, q7, 0x20),
+            _mm256_permute2f128_ps(q0, q4, 0x31),
+            _mm256_permute2f128_ps(q1, q5, 0x31),
+            _mm256_permute2f128_ps(q2, q6, 0x31),
+            _mm256_permute2f128_ps(q3, q7, 0x31),
+        ]
+    }
+}
+
+/// [`shared_softmax`] over lanes `V`.
+///
+/// # Safety
+/// `V`'s level must be available (see [`Lanes`]).
+#[inline(always)]
+unsafe fn shared_softmax_body<V: Lanes>(
+    col: &SharedColumn<'_>,
+    mut out: HeadOut<'_>,
+    scratch: &mut Vec<f32>,
+) {
+    const L: usize = HEAD_LANES;
+    let (rows, card, width) = (col.rows(), col.card, col.width);
+    // The column's weights by class: panel[k·pw] is the logit's start
+    // `signal·w[sig][k] + bias[k]`, panel[k·pw + 1 + c] is w[block + c][k].
+    let pw = width + 1;
+    scratch.clear();
+    scratch.resize(card * (pw + 2 * L), 0.0);
+    let (panel, rest) = scratch.split_at_mut(card * pw);
+    let sig_w = &col.w[col.aux_cols * col.w_cols..][..card];
+    for ((row, &w), &b) in panel.chunks_exact_mut(pw).zip(sig_w).zip(col.bias) {
+        row[0] = col.signal * w + b;
+    }
+    for c in 0..width {
+        let w_row = &col.w[(col.block + c) * col.w_cols..][..card];
+        for (row, &w) in panel.chunks_exact_mut(pw).zip(w_row) {
+            row[1 + c] = w;
+        }
+    }
+    // z[k·8 + l] is row r0 + l's logit k, then its `exp(z − max)`, then
+    // its gradient. Decode writes the probabilities to p: a select stored
+    // where it was loaded from becomes a masked store, which the next load
+    // cannot forward from.
+    let (z, p) = rest.split_at_mut(card * L);
+    let mut r0 = 0;
+    while r0 < rows {
+        let n = (rows - r0).min(L);
+        let mut max = V::splat(f32::NEG_INFINITY);
+        let mut cb = 0;
+        while cb < width {
+            let cw = (width - cb).min(L);
+            // at[c]: node block + cb + c of the eight rows. Lanes past the
+            // last row compute on zeros and are never stored.
+            // Nodes past `cw` may load with them; they are never read.
+            let mut at = [V::splat(0.0); L];
+            for (l, at) in at.iter_mut().enumerate().take(n) {
+                let src = &col.aux[(r0 + l) * col.aux_cols + col.block + cb..];
+                *at = if src.len() >= L {
+                    V::load(src)
+                } else {
+                    V::load_n(src, cw)
+                };
+            }
+            let at = V::transpose8(at);
+            // Without a ±0 input no lane skips a term: the selects can go.
+            let dense = !at[..cw].iter().any(|a| a.any_zero());
+            for (zk, row) in z.chunks_exact_mut(L).zip(panel.chunks_exact(pw)) {
+                let mut acc = if cb == 0 {
+                    V::splat(row[0])
+                } else {
+                    V::load(zk)
+                };
+                let w = &row[1 + cb..][..cw];
+                if dense {
+                    for (&a, &w) in at.iter().zip(w) {
+                        acc = acc.add(a.mul(V::splat(w)));
+                    }
+                } else {
+                    for (&a, &w) in at.iter().zip(w) {
+                        acc = acc.add_product_nonzero(a, V::splat(w));
+                    }
+                }
+                acc.store(zk);
+                if cb + cw == width {
+                    max = max.max_fold(acc);
+                }
+            }
+            cb += cw;
+        }
+        let mut lane_max = [0.0f32; L];
+        max.store(&mut lane_max);
+        for zk in z.chunks_exact_mut(L) {
+            for (v, &m) in zk.iter_mut().zip(&lane_max) {
+                *v = (*v - m).exp();
+            }
+        }
+        let mut sum = V::splat(0.0);
+        for zk in z.chunks_exact(L) {
+            sum = sum.add(V::load(zk));
+        }
+        let inv = V::splat(1.0).div(sum);
+        // The target class of each lane, as a float (exact: classes are
+        // below 2²⁴); lanes past the last row match no class.
+        let target_lanes = |targets: &[u32]| {
+            let mut t = [-1.0f32; L];
+            for (t, &target) in t.iter_mut().zip(&targets[r0..r0 + n]) {
+                *t = target as f32;
+            }
+            V::load(&t)
+        };
+        let rows_out = match &mut out {
+            HeadOut::Probs(probs) => {
+                for (pk, zk) in p.chunks_exact_mut(L).zip(z.chunks_exact(L)) {
+                    V::load(zk).scale_where_positive(inv, sum).store(pk);
+                }
+                Some((&mut **probs, &*p))
+            }
+            HeadOut::Loss { targets, losses } => {
+                let t = target_lanes(targets);
+                let mut p_target = V::splat(0.0);
+                for (k, zk) in z.chunks_exact(L).enumerate() {
+                    let p = V::load(zk).scale_where_positive(inv, sum);
+                    p_target = p.where_eq(t, V::splat(k as f32), p_target);
+                }
+                add_cross_entropy(p_target, &mut losses[r0..r0 + n]);
+                None
+            }
+            HeadOut::Grad {
+                targets,
+                losses,
+                row_weights,
+                dz,
+                d_aux,
+            } => {
+                let t = target_lanes(targets);
+                let rw = match row_weights {
+                    Some(w) => V::load_n(&w[r0..], n),
+                    None => V::splat(1.0),
+                };
+                let mut p_target = V::splat(0.0);
+                for (k, zk) in z.chunks_exact_mut(L).enumerate() {
+                    let (p, k) = (
+                        V::load(zk).scale_where_positive(inv, sum),
+                        V::splat(k as f32),
+                    );
+                    p_target = p.where_eq(t, k, p_target);
+                    let adj = p.sub(V::splat(1.0)).where_eq(t, k, p);
+                    rw.mul(adj).flush().store(zk);
+                }
+                add_cross_entropy(p_target, &mut losses[r0..r0 + n]);
+                let mut cb = 0;
+                while cb < width {
+                    let cw = (width - cb).min(L);
+                    let mut acc = [V::splat(0.0); L];
+                    for (zk, row) in z.chunks_exact(L).zip(panel.chunks_exact(pw)) {
+                        let dz = V::load(zk);
+                        for (acc, &w) in acc.iter_mut().zip(&row[1 + cb..][..cw]) {
+                            *acc = acc.add(dz.mul(V::splat(w)));
+                        }
+                    }
+                    let acc = V::transpose8(acc);
+                    for (l, &acc) in acc.iter().enumerate().take(n) {
+                        let dst = &mut d_aux[(r0 + l) * col.aux_cols + col.block + cb..];
+                        V::load_n(dst, cw).add(acc).store_n(dst, cw);
+                    }
+                    cb += cw;
+                }
+                Some((&mut **dz, &*z))
+            }
+        };
+        if let Some((rows_out, z)) = rows_out {
+            let mut kb = 0;
+            while kb < card {
+                let m = (card - kb).min(L);
+                let mut t = [V::splat(0.0); L];
+                for (t, zk) in t.iter_mut().zip(z[kb * L..].chunks_exact(L)) {
+                    *t = V::load(zk);
+                }
+                let t = V::transpose8(t);
+                for (l, &row) in t.iter().enumerate().take(n) {
+                    row.store_n(&mut rows_out[(r0 + l) * card + kb..], m);
+                }
+                kb += m;
+            }
+        }
+        r0 += n;
+    }
+}
+
+/// `losses[l] += -ln max(p, 1e-7)` for each live lane `l`, `p` the lane's
+/// probability of its target class.
+///
+/// # Safety
+/// `V`'s level must be available (see [`Lanes`]).
+#[inline(always)]
+unsafe fn add_cross_entropy<V: Lanes>(p_target: V, losses: &mut [f32]) {
+    let mut p = [0.0f32; HEAD_LANES];
+    p_target.store(&mut p);
+    for (loss, &p) in losses.iter_mut().zip(&p) {
+        *loss += -p.max(1e-7).ln();
+    }
+}
+
+/// Auxiliary nodes per register group of [`shared_backward_body`]: with
+/// the signal row's and the bias's, six accumulators stay in registers.
+const BACKWARD_GROUP: usize = 4;
+
+/// [`shared_backward`] over lanes `V`.
+///
+/// # Safety
+/// `V`'s level must be available (see [`Lanes`]).
+#[inline(always)]
+unsafe fn shared_backward_body<V: Lanes>(
+    col: &SharedColumn<'_>,
+    dz: &[f32],
+    dw: &mut [f32],
+    db: &mut [f32],
+) {
+    const G: usize = BACKWARD_GROUP;
+    let card = col.card;
+    let sig = V::splat(col.signal);
+    let mut kb = 0;
+    while kb < card {
+        let m = (card - kb).min(HEAD_LANES);
+        // The signal row and the bias ride along with the first group.
+        let sig_at = col.aux_cols * col.w_cols + kb;
+        let mut sig_acc = V::load_n(&dw[sig_at..], m);
+        let mut bias_acc = V::load_n(&db[kb..], m);
+        let mut cb = 0;
+        while cb < col.width {
+            let (first, g0, gw) = (cb == 0, col.block + cb, (col.width - cb).min(G));
+            let dw_at = |i: usize| (g0 + i) * col.w_cols + kb;
+            let mut acc = [V::splat(0.0); G];
+            for (i, acc) in acc.iter_mut().enumerate().take(gw) {
+                *acc = V::load_n(&dw[dw_at(i)..], m);
+            }
+            for (r, aux_row) in col.aux.chunks_exact(col.aux_cols).enumerate() {
+                // Classes past `m` may load with the row; they are never
+                // stored.
+                let src = &dz[r * card + kb..];
+                let d = if src.len() >= HEAD_LANES {
+                    V::load(src)
+                } else {
+                    V::load_n(src, m)
+                };
+                for (acc, &a) in acc.iter_mut().zip(&aux_row[g0..g0 + gw]) {
+                    if a != 0.0 {
+                        *acc = acc.add(V::splat(a).mul(d));
+                    }
+                }
+                if first {
+                    sig_acc = sig_acc.add(sig.mul(d));
+                    bias_acc = bias_acc.add(d);
+                }
+            }
+            for (i, acc) in acc.iter().enumerate().take(gw) {
+                acc.store_n(&mut dw[dw_at(i)..], m);
+            }
+            cb += gw;
+        }
+        sig_acc.store_n(&mut dw[sig_at..], m);
+        bias_acc.store_n(&mut db[kb..], m);
+        kb += m;
     }
 }
 

@@ -53,6 +53,16 @@ if sed '/^#\[cfg(test)\]/,$d' crates/core/src/materialize.rs \
   exit 1
 fi
 
+# One categorical head path (DESIGN.md §3f, "Row lanes"): the shared
+# layer's logits, softmax, cross-entropy and backward run in ds-nn's simd
+# kernels, for training, assignment and decode alike; the autoencoder hands
+# them a column and computes none of it itself.
+if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/autoencoder.rs \
+  | grep -nE '\.exp\(|NEG_INFINITY|\.max\(1e-7\)|shared\.w\.(row|get)|fn (softmax|shared_(probs|backward))'; then
+  echo "autoencoder.rs computes a categorical logit or softmax outside the simd kernels"
+  exit 1
+fi
+
 # The matmul schedules (DESIGN.md §3f) round every multiply and every add,
 # at every SIMD level, and archive bytes may not depend on whether the host
 # fuses them: no fused multiply-add anywhere in a product crate's non-test

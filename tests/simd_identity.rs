@@ -6,7 +6,7 @@
 //! training path, the codec hot loops, and the checksums all sit behind
 //! the same lane-group determinism contract.
 
-use ds_core::{compress_stream_to, DsConfig};
+use ds_core::{compress_stream_to, decompress, DsArchive, DsConfig};
 use ds_simd::Level;
 use ds_table::gen;
 use ds_table::stream::TableSource;
@@ -48,7 +48,9 @@ const FOREST_CRC: u32 = 0xca23_866a;
 /// kernels took their current register shapes. The equality alone would
 /// pass a change to the accumulation schedule made in scalar and SIMD
 /// alike; the CRC does not. (The value also depends on the platform's
-/// `expf` / `tanhf` — ROADMAP item 3.)
+/// `expf` / `tanhf` — ROADMAP item 3.) The decode path is pinned the same
+/// way: every level and thread count reads the archive back into one
+/// table, and the lossless census archive reads back into its source.
 #[test]
 fn categorical_training_archives_are_pinned() {
     let census = DsConfig {
@@ -77,6 +79,29 @@ fn categorical_training_archives_are_pinned() {
         }
         let crc = ds_codec::crc32::crc32(&reference);
         assert_eq!(crc, want, "{name}: archive bytes moved (crc32 {crc:08x})");
+
+        let archive = DsArchive::from_bytes(reference);
+        let decode_at = |level: Level, threads: usize| {
+            ds_exec::with_thread_limit(threads, || {
+                ds_simd::with_level(level, || decompress(&archive).expect("decompress"))
+            })
+        };
+        let decoded = decode_at(Level::Scalar, 1);
+        for level in [Level::Scalar, ds_simd::detected()] {
+            for threads in [1, 2, 8] {
+                let t = decode_at(level, threads);
+                assert!(
+                    t == decoded,
+                    "{name}: decode at {level:?}, {threads} threads"
+                );
+            }
+        }
+        if name == "census" {
+            assert!(
+                decoded == table,
+                "census: the lossless archive must decode to its source"
+            );
+        }
     }
 }
 
