@@ -46,7 +46,8 @@ pub fn encode_with_width(values: &[u64], width: u32) -> Vec<u8> {
 }
 
 /// Accelerated packer: stages bits in a u64 accumulator and flushes whole
-/// bytes in bulk instead of the bit-at-a-time [`BitWriter`] loop.
+/// bytes in bulk, one slice per value instead of [`BitWriter`]'s byte
+/// pushes.
 /// Byte-identical to the BitWriter layout — bits land LSB-first in the
 /// same order and the final partial byte is zero-padded the same way.
 ///
@@ -109,8 +110,8 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u64>> {
 }
 
 /// Accelerated unpacker: loads an unaligned 8-byte little-endian window
-/// per value and shifts, instead of the byte-at-a-time [`BitReader`]
-/// loop. Byte-identical to the BitReader path for the same payload.
+/// per value and shifts, without [`BitReader`]'s per-value bounds check.
+/// Byte-identical to the BitReader path for the same payload.
 ///
 /// Infallible by construction: the caller has already verified that
 /// `n * width` bits fit in `payload`, and since the bit offset within the
@@ -122,20 +123,8 @@ fn unpack_fast(payload: &[u8], n: usize, width: u32, out: &mut Vec<u64>) {
     let step = width as usize;
     let mut bit = 0usize;
     for _ in 0..n {
-        let start = bit / 8;
-        let shift = (bit % 8) as u32;
-        let word = match payload.get(start..).and_then(|s| s.first_chunk::<8>()) {
-            Some(window) => u64::from_le_bytes(*window),
-            None => {
-                // Tail: fewer than 8 bytes remain past `start`; zero-pad.
-                let mut window = [0u8; 8];
-                for (dst, src) in window.iter_mut().zip(payload.get(start..).unwrap_or(&[])) {
-                    *dst = *src;
-                }
-                u64::from_le_bytes(window)
-            }
-        };
-        out.push((word >> shift) & mask);
+        let word = crate::bitstream::peek_at(payload, bit);
+        out.push(word & mask);
         bit += step;
     }
 }

@@ -7,11 +7,16 @@
 use crate::{CodecError, Result};
 
 /// Accumulates bits into a byte vector, LSB-first.
+///
+/// Bits are staged in a u64 and flushed a whole byte at a time; the byte
+/// layout is the one a bit-at-a-time writer produces.
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: Vec<u8>,
-    /// Bits used in the final byte of `buf` (0 means byte-aligned).
-    bit_pos: u8,
+    /// Staged bits not yet in `buf`, LSB-first; fewer than 8 between calls.
+    acc: u64,
+    /// Number of staged bits in `acc`.
+    nacc: u32,
 }
 
 impl BitWriter {
@@ -20,29 +25,18 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Appends the low `nbits` bits of `value` (LSB-first). `nbits` ≤ 57 so
-    /// the staging arithmetic cannot overflow a u64.
+    /// Appends the low `nbits` bits of `value` (LSB-first); higher bits of
+    /// `value` are ignored. `nbits` ≤ 57, so with at most 7 bits staged
+    /// the accumulator cannot overflow.
     pub fn write_bits(&mut self, value: u64, nbits: u32) {
         debug_assert!(nbits <= 57, "write_bits supports at most 57 bits");
         debug_assert!(nbits == 64 || value < (1u64 << nbits.max(1)) || nbits == 0);
-        let mut v = value;
-        let mut n = nbits;
-        while n > 0 {
-            if self.bit_pos == 0 {
-                self.buf.push(0);
-            }
-            let last = self.buf.len() - 1;
-            let free = 8 - self.bit_pos;
-            let take = free.min(n as u8);
-            let mask = if take == 64 {
-                u64::MAX
-            } else {
-                (1u64 << take) - 1
-            };
-            self.buf[last] |= ((v & mask) as u8) << self.bit_pos; // ds-lint: allow(panic-free-decode) -- writer-side; last = buf.len()-1 directly after a push, buf is non-empty
-            v >>= take;
-            n -= u32::from(take);
-            self.bit_pos = (self.bit_pos + take) % 8;
+        self.acc |= (value & ((1u64 << nbits) - 1)) << self.nacc;
+        self.nacc += nbits;
+        while self.nacc >= 8 {
+            self.buf.push(self.acc as u8);
+            self.acc >>= 8;
+            self.nacc -= 8;
         }
     }
 
@@ -53,17 +47,36 @@ impl BitWriter {
 
     /// Total number of bits written.
     pub fn bit_len(&self) -> usize {
-        if self.bit_pos == 0 {
-            self.buf.len() * 8
-        } else {
-            (self.buf.len() - 1) * 8 + self.bit_pos as usize
-        }
+        self.buf.len() * 8 + self.nacc as usize
     }
 
     /// Finishes the stream, zero-padding the final byte.
-    pub fn into_vec(self) -> Vec<u8> {
+    pub fn into_vec(mut self) -> Vec<u8> {
+        if self.nacc > 0 {
+            self.buf.push(self.acc as u8);
+        }
         self.buf
     }
+}
+
+/// The stream bits of `buf` from bit `pos` on, LSB-first: the unaligned
+/// little-endian u64 at byte `pos / 8`, zero-padded past the end of `buf`,
+/// shifted past the `pos % 8` bits already read — at least 57 real bits
+/// where the buffer has them, zeros after its end.
+#[inline]
+pub(crate) fn peek_at(buf: &[u8], pos: usize) -> u64 {
+    let start = pos / 8;
+    let word = match buf.get(start..).and_then(|s| s.first_chunk::<8>()) {
+        Some(window) => u64::from_le_bytes(*window),
+        None => {
+            let mut window = [0u8; 8];
+            for (dst, src) in window.iter_mut().zip(buf.get(start..).unwrap_or(&[])) {
+                *dst = *src;
+            }
+            u64::from_le_bytes(window)
+        }
+    };
+    word >> (pos % 8)
 }
 
 /// Reads bits LSB-first from a byte slice.
@@ -90,26 +103,30 @@ impl<'a> BitReader<'a> {
         self.bit_len() - self.pos
     }
 
-    /// Reads `nbits` bits (≤ 57), returning them LSB-aligned.
-    pub fn read_bits(&mut self, nbits: u32) -> Result<u64> {
-        debug_assert!(nbits <= 57);
+    /// The next bits without consuming them, LSB-aligned: at least 57 of
+    /// them are the stream's where it has that many, the rest zeros.
+    #[inline]
+    pub(crate) fn peek(&self) -> u64 {
+        peek_at(self.buf, self.pos)
+    }
+
+    /// Consumes `nbits` bits, or fails with [`CodecError::UnexpectedEof`]
+    /// (consuming nothing) when fewer remain.
+    #[inline]
+    pub(crate) fn consume(&mut self, nbits: u32) -> Result<()> {
         if self.remaining_bits() < nbits as usize {
             return Err(CodecError::UnexpectedEof);
         }
-        let mut out = 0u64;
-        let mut got = 0u32;
-        while got < nbits {
-            let byte = self.buf[self.pos / 8]; // ds-lint: allow(panic-free-decode) -- pos/8 < buf.len() is implied by the remaining_bits() guard at entry; this is the hot path of every bit-level decoder
-            let off = (self.pos % 8) as u32;
-            let avail = 8 - off;
-            let take = avail.min(nbits - got);
-            let mask = ((1u16 << take) - 1) as u8;
-            let chunk = (byte >> off) & mask;
-            out |= u64::from(chunk) << got;
-            got += take;
-            self.pos += take as usize;
-        }
-        Ok(out)
+        self.pos += nbits as usize;
+        Ok(())
+    }
+
+    /// Reads `nbits` bits (≤ 57), returning them LSB-aligned.
+    pub fn read_bits(&mut self, nbits: u32) -> Result<u64> {
+        debug_assert!(nbits <= 57);
+        let value = self.peek() & ((1u64 << nbits) - 1);
+        self.consume(nbits)?;
+        Ok(value)
     }
 
     /// Reads a single bit.

@@ -12,7 +12,7 @@
 //! §6.1 and the per-column entropy stage of [`crate::parq`].
 
 use crate::{
-    bitstream::{BitReader, BitWriter},
+    bitstream::{peek_at, BitWriter},
     huffman::CodeBook,
     lzss::{self, Token, MAX_MATCH, MIN_MATCH},
     ByteReader, ByteWriter, CodecError, Result,
@@ -102,18 +102,18 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     let tokens = lzss::tokenize(data);
 
     // Gather frequencies for both trees.
-    let mut lit_freq = vec![0u64; LITLEN_SYMBOLS];
-    let mut dist_freq = vec![0u64; DIST_BUCKETS.len()];
+    let mut lit_freq = [0u64; LITLEN_SYMBOLS];
+    let mut dist_freq = [0u64; DIST_BUCKETS.len()];
     for t in &tokens {
         match *t {
-            Token::Literal(b) => lit_freq[b as usize] += 1, // ds-lint: allow(panic-free-decode) -- encoder-side; u8 < 256 < LITLEN_SYMBOLS
+            Token::Literal(b) => lit_freq[usize::from(b)] += 1,
             Token::Match { len, dist } => {
                 lit_freq[LEN_BASE as usize + bucket_of(&LEN_BUCKETS, len)] += 1;
                 dist_freq[bucket_of(&DIST_BUCKETS, dist)] += 1;
             }
         }
     }
-    lit_freq[END_OF_BLOCK as usize] += 1; // ds-lint: allow(panic-free-decode) -- encoder-side; END_OF_BLOCK = 256 < LITLEN_SYMBOLS
+    lit_freq[usize::from(END_OF_BLOCK)] += 1;
 
     let lit_book = CodeBook::from_frequencies(&lit_freq).expect("alphabet within bounds"); // ds-lint: allow(panic-free-decode) -- encoder-side invariant: LITLEN_SYMBOLS = 281 <= MAX_SYMBOLS
     let dist_book = CodeBook::from_frequencies(&dist_freq).expect("alphabet within bounds"); // ds-lint: allow(panic-free-decode) -- encoder-side invariant: 30 distance buckets <= MAX_SYMBOLS
@@ -160,41 +160,62 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Decompresses a stream produced by [`compress`].
+///
+/// One loop, one bit load per token: a literal/length code (≤ 15 bits),
+/// its extra bits (≤ 6), a distance code (≤ 15) and its extra bits (≤ 13)
+/// span at most 49 bits, inside the ≥ 57 one [`peek_at`] returns. Each
+/// step still checks its span against the bits the payload really has,
+/// so a stream cut anywhere fails where a bit-at-a-time reader would.
 pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>> {
     let mut r = ByteReader::new(bytes);
     let raw_len = r.read_varint_usize()?;
     let lit_book = CodeBook::read_from(&mut r)?;
     let dist_book = CodeBook::read_from(&mut r)?;
     let payload = r.read_len_prefixed()?;
-    let mut bits = BitReader::new(payload);
+    let payload_bits = payload.len().checked_mul(8).ok_or(CodecError::Overflow)?;
 
     // Cap the up-front allocation: `raw_len` is untrusted, and asking the
     // allocator for an absurd capacity aborts the process rather than
     // returning an error. Growth beyond the cap is amortized push; the
     // overrun check below still bounds total output by raw_len.
     let mut out: Vec<u8> = Vec::with_capacity(raw_len.min(1 << 20));
+    // Bit cursor into `payload`, and the stream bits from it on.
+    let mut pos = 0usize;
     loop {
-        let sym = lit_book.decode_symbol(&mut bits)?;
+        let mut word = peek_at(payload, pos);
+        // Consumes the low `n` bits of `word`, or fails as an EOF when
+        // the payload does not hold them.
+        let mut take = |n: u32, word: &mut u64| -> Result<usize> {
+            if payload_bits - pos < n as usize {
+                return Err(CodecError::UnexpectedEof);
+            }
+            pos += n as usize;
+            let bits = (*word & ((1u64 << n) - 1)) as usize;
+            *word >>= n;
+            Ok(bits)
+        };
+
+        let (n, sym) = lit_book.resolve(word);
+        take(n, &mut word)?;
+        let sym = sym?;
         if sym == END_OF_BLOCK {
             break;
         }
-        if sym < 256 {
-            out.push(sym as u8);
+        if let Ok(byte) = u8::try_from(sym) {
+            out.push(byte);
             continue;
         }
-        let lb = (sym - LEN_BASE) as usize;
-        if lb >= LEN_BUCKETS.len() {
+        let Some(&(lbase, lextra)) = LEN_BUCKETS.get(usize::from(sym - LEN_BASE)) else {
             return Err(CodecError::Corrupt("gzlike: bad length symbol"));
-        }
-        let (lbase, lextra) = LEN_BUCKETS[lb];
-        let len = lbase as usize + bits.read_bits(u32::from(lextra))? as usize; // ds-lint: allow(no-raw-cast-len) -- read_bits returns at most 6 extra bits here, value < 64 fits any usize
+        };
+        let len = usize::from(lbase) + take(u32::from(lextra), &mut word)?;
 
-        let db = dist_book.decode_symbol(&mut bits)? as usize; // ds-lint: allow(no-raw-cast-len) -- decode_symbol yields a u16; widening to usize is lossless
-        if db >= DIST_BUCKETS.len() {
+        let (n, db) = dist_book.resolve(word);
+        take(n, &mut word)?;
+        let Some(&(dbase, dextra)) = DIST_BUCKETS.get(usize::from(db?)) else {
             return Err(CodecError::Corrupt("gzlike: bad distance symbol"));
-        }
-        let (dbase, dextra) = DIST_BUCKETS[db];
-        let dist = dbase as usize + bits.read_bits(u32::from(dextra))? as usize; // ds-lint: allow(no-raw-cast-len) -- read_bits returns at most 13 extra bits here, value < 8192 fits any usize
+        };
+        let dist = usize::from(dbase) + take(u32::from(dextra), &mut word)?;
 
         if !(MIN_MATCH..=MAX_MATCH).contains(&len) {
             return Err(CodecError::Corrupt("gzlike: match length out of range"));
@@ -207,11 +228,19 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>> {
             return Err(CodecError::Corrupt("gzlike: output overruns raw length"));
         }
         let start = out.len() - dist;
-        for k in 0..len {
-            let b = *out
-                .get(start + k)
-                .ok_or(CodecError::Corrupt("gzlike: copy out of window"))?;
-            out.push(b);
+        if dist >= len {
+            // Source and destination do not overlap: one bulk copy of
+            // `start..start + len`, which ends at or before `out.len()`.
+            out.extend_from_within(start..new_len - dist);
+        } else {
+            // An overlapping reference replicates the bytes it is still
+            // writing, so it is copied byte by byte.
+            for k in start..new_len - dist {
+                let b = *out
+                    .get(k)
+                    .ok_or(CodecError::Corrupt("gzlike: copy out of window"))?;
+                out.push(b);
+            }
         }
     }
     if out.len() != raw_len {
@@ -223,6 +252,110 @@ pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::BitReader;
+
+    /// The decoder `decompress` replaced: one `decode_symbol` and one
+    /// `read_bits` per field over a [`BitReader`], and a byte-by-byte copy
+    /// for every back-reference. `one_loop_decoder_matches_reference`
+    /// holds the one loop to its results and its errors.
+    fn decompress_reference(bytes: &[u8]) -> Result<Vec<u8>> {
+        let mut r = ByteReader::new(bytes);
+        let raw_len = r.read_varint_usize()?;
+        let lit_book = CodeBook::read_from(&mut r)?;
+        let dist_book = CodeBook::read_from(&mut r)?;
+        let payload = r.read_len_prefixed()?;
+        let mut bits = BitReader::new(payload);
+        let mut out: Vec<u8> = Vec::with_capacity(raw_len.min(1 << 20));
+        loop {
+            let sym = lit_book.decode_symbol(&mut bits)?;
+            if sym == END_OF_BLOCK {
+                break;
+            }
+            if sym < 256 {
+                out.push(sym as u8);
+                continue;
+            }
+            let lb = (sym - LEN_BASE) as usize;
+            if lb >= LEN_BUCKETS.len() {
+                return Err(CodecError::Corrupt("gzlike: bad length symbol"));
+            }
+            let (lbase, lextra) = LEN_BUCKETS[lb];
+            let len = lbase as usize + bits.read_bits(u32::from(lextra))? as usize;
+            let db = dist_book.decode_symbol(&mut bits)? as usize;
+            if db >= DIST_BUCKETS.len() {
+                return Err(CodecError::Corrupt("gzlike: bad distance symbol"));
+            }
+            let (dbase, dextra) = DIST_BUCKETS[db];
+            let dist = dbase as usize + bits.read_bits(u32::from(dextra))? as usize;
+            if !(MIN_MATCH..=MAX_MATCH).contains(&len) {
+                return Err(CodecError::Corrupt("gzlike: match length out of range"));
+            }
+            if dist == 0 || dist > out.len() {
+                return Err(CodecError::Corrupt("gzlike: distance before start"));
+            }
+            let new_len = out.len().checked_add(len).ok_or(CodecError::Overflow)?;
+            if new_len > raw_len {
+                return Err(CodecError::Corrupt("gzlike: output overruns raw length"));
+            }
+            let start = out.len() - dist;
+            for k in 0..len {
+                let b = *out
+                    .get(start + k)
+                    .ok_or(CodecError::Corrupt("gzlike: copy out of window"))?;
+                out.push(b);
+            }
+        }
+        if out.len() != raw_len {
+            return Err(CodecError::Corrupt("gzlike: length mismatch"));
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn one_loop_decoder_matches_reference() {
+        let mut seed = 0x6A11_u32;
+        let mut next = move || {
+            seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            seed >> 8
+        };
+        let noise: Vec<u8> = (0..3000).map(|_| next() as u8).collect();
+        let runs: Vec<u8> = (0..40u8)
+            .flat_map(|i| vec![i % 3; 1 + usize::from(i) * 7])
+            .collect();
+        let text = b"age,workclass,education,42,Private,Bachelors\n".repeat(40);
+        let mut mixed = noise[..700].to_vec();
+        mixed.extend_from_slice(&text);
+        mixed.extend_from_slice(&noise[..700]);
+        for data in [
+            &b""[..],
+            b"a",
+            b"abcabcabcabc",
+            &noise,
+            &runs,
+            &text,
+            &mixed,
+        ] {
+            let enc = compress(data);
+            assert_eq!(decompress(&enc), decompress_reference(&enc));
+            assert_eq!(decompress(&enc).unwrap(), data);
+            for cut in 0..enc.len() {
+                assert_eq!(
+                    decompress(&enc[..cut]),
+                    decompress_reference(&enc[..cut]),
+                    "cut at {cut} of {}",
+                    enc.len()
+                );
+            }
+            for _ in 0..400 {
+                let mut bad = enc.clone();
+                for _ in 0..=next() % 3 {
+                    let bit = next() as usize % (bad.len() * 8);
+                    bad[bit / 8] ^= 1 << (bit % 8);
+                }
+                assert_eq!(decompress(&bad), decompress_reference(&bad), "{bad:02x?}");
+            }
+        }
+    }
 
     fn roundtrip(data: &[u8]) {
         let enc = compress(data);

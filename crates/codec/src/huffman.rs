@@ -17,13 +17,23 @@ pub const MAX_CODE_LEN: u32 = 15;
 /// Maximum alphabet size supported by the 12-bit symbol paths.
 pub const MAX_SYMBOLS: usize = 4096;
 
+/// Code lengths a [`CodeBook`]'s decode table resolves in one lookup.
+/// Longer codes (rare by construction: each is used at most once per
+/// 2^11 symbols) take the canonical walk.
+const TABLE_BITS: u32 = 11;
+const TABLE_SIZE: usize = 1 << TABLE_BITS;
+const TABLE_MASK: usize = TABLE_SIZE - 1;
+
 /// A canonical Huffman code book: per-symbol (code, length) for encoding
 /// plus the canonical tables needed for decoding.
 #[derive(Debug, Clone)]
 pub struct CodeBook {
     lengths: Vec<u8>,
-    /// Encoding table: MSB-first code value per symbol (0 where unused).
+    /// Encoding table: each symbol's code bit-reversed into stream order,
+    /// so one LSB-first `write_bits` emits it MSB first (0 where unused).
     codes: Vec<u32>,
+    /// `count[len]`: number of symbols with a code of that length.
+    count: [u32; (MAX_CODE_LEN + 2) as usize],
     /// `first_code[len]`: canonical first code of each length.
     first_code: [u32; (MAX_CODE_LEN + 2) as usize],
     /// `first_index[len]`: index into `sorted_symbols` of the first symbol
@@ -31,6 +41,20 @@ pub struct CodeBook {
     first_index: [u32; (MAX_CODE_LEN + 2) as usize],
     /// Symbols sorted by (length, symbol), i.e., canonical order.
     sorted_symbols: Vec<u16>,
+    /// Read side only ([`CodeBook::from_lengths`]): the one-lookup table
+    /// for codes of up to [`TABLE_BITS`] bits.
+    table: Option<Box<DecodeTable>>,
+}
+
+/// Maps the next `mask.count_ones()` stream bits to the code they start
+/// with: `len << 12 | symbol`, or 0 when that code is longer than the
+/// table (or no code starts with those bits) and the walk decides.
+#[derive(Debug, Clone)]
+struct DecodeTable {
+    /// `2^bits - 1` for `bits = min(longest code, TABLE_BITS)`: a book
+    /// of short codes fills only the front of `entries`.
+    mask: usize,
+    entries: [u16; TABLE_SIZE],
 }
 
 impl CodeBook {
@@ -38,76 +62,112 @@ impl CodeBook {
     ///
     /// Symbols with zero frequency get no code. An alphabet where at most
     /// one symbol occurs still produces a 1-bit code so the encoder always
-    /// has something to emit.
+    /// has something to emit. This is the write side: the book has no
+    /// decode table, so [`CodeBook::decode_symbol`] on it walks.
     pub fn from_frequencies(freqs: &[u64]) -> Result<Self> {
         if freqs.len() > MAX_SYMBOLS {
             return Err(CodecError::InvalidParameter("huffman: alphabet too large"));
         }
-        let lengths = build_lengths(freqs);
-        Self::from_lengths(lengths)
+        Self::canonical(build_lengths(freqs))
     }
 
-    /// Reconstructs a code book from its serialized code lengths.
+    /// Reconstructs a code book from its serialized code lengths, with its
+    /// decode table.
     pub fn from_lengths(lengths: Vec<u8>) -> Result<Self> {
+        let mut book = Self::canonical(lengths)?;
+        book.table = Some(book.decode_table());
+        Ok(book)
+    }
+
+    /// Validates `lengths` and assigns the canonical codes.
+    fn canonical(lengths: Vec<u8>) -> Result<Self> {
         if lengths.len() > MAX_SYMBOLS {
             return Err(CodecError::Corrupt("huffman: alphabet too large"));
         }
         // Validate Kraft inequality; a over-full code is undecodable.
         let mut kraft: u64 = 0;
-        let mut used = 0usize;
+        let mut count = [0u32; (MAX_CODE_LEN + 2) as usize];
         for &l in &lengths {
-            if l as u32 > MAX_CODE_LEN {
+            if u32::from(l) > MAX_CODE_LEN {
                 return Err(CodecError::Corrupt("huffman: code length too long"));
             }
             if l > 0 {
                 kraft += 1u64 << (MAX_CODE_LEN - u32::from(l));
-                used += 1;
+                count[usize::from(l)] += 1;
             }
         }
-        if used > 0 && kraft > 1u64 << MAX_CODE_LEN {
+        if kraft > 1u64 << MAX_CODE_LEN {
             return Err(CodecError::Corrupt("huffman: over-subscribed code"));
         }
 
-        // Canonical assignment: count per length, then first codes.
-        let mut count = [0u32; (MAX_CODE_LEN + 2) as usize];
-        for &l in &lengths {
-            count[l as usize] += 1;
-        }
-        count[0] = 0;
+        // Canonical assignment: first codes and first indexes per length.
+        // Counts sum to at most MAX_SYMBOLS and codes stay below 2^16.
         let mut first_code = [0u32; (MAX_CODE_LEN + 2) as usize];
         let mut first_index = [0u32; (MAX_CODE_LEN + 2) as usize];
         let mut code = 0u32;
         let mut index = 0u32;
         for len in 1..=(MAX_CODE_LEN + 1) as usize {
-            // ds-lint: allow(checked-untrusted-arith) -- count entries sum to <= MAX_SYMBOLS (4096) and code <= 2^16, far below u32::MAX
-            code = (code + count[len - 1]) << 1;
+            code = code
+                .checked_add(count[len - 1])
+                .ok_or(CodecError::Overflow)?
+                << 1;
             first_code[len] = code;
             first_index[len] = index;
-            if len <= MAX_CODE_LEN as usize {
-                index += count[len];
-            }
+            index += count[len];
         }
-        let mut sorted: Vec<u16> = (0..lengths.len() as u16)
-            .filter(|&s| lengths[s as usize] > 0) // ds-lint: allow(panic-free-decode) -- s ranges over 0..lengths.len()
+        let mut sorted: Vec<u16> = (0u16..)
+            .zip(&lengths)
+            .filter(|&(_, &l)| l > 0)
+            .map(|(s, _)| s)
             .collect();
-        sorted.sort_by_key(|&s| (lengths[s as usize], s)); // ds-lint: allow(panic-free-decode) -- sorted holds indices drawn from 0..lengths.len()
+        sorted.sort_by_key(|&s| (lengths.get(usize::from(s)), s));
 
-        // Per-symbol code values for the encoder.
+        // Per-symbol codes for the encoder, bit-reversed into stream order.
         let mut next_code = first_code;
         let mut codes = vec![0u32; lengths.len()];
         for &s in &sorted {
-            let l = lengths[s as usize] as usize; // ds-lint: allow(panic-free-decode) -- sorted holds indices drawn from 0..lengths.len()
-            codes[s as usize] = next_code[l]; // ds-lint: allow(panic-free-decode) -- codes has lengths.len() entries; s comes from the same range
+            let (Some(&l), Some(c)) = (lengths.get(usize::from(s)), codes.get_mut(usize::from(s)))
+            else {
+                continue;
+            };
+            let l = usize::from(l);
+            *c = next_code[l].reverse_bits() >> (32 - l);
             next_code[l] += 1;
         }
 
         Ok(CodeBook {
             lengths,
             codes,
+            count,
             first_code,
             first_index,
             sorted_symbols: sorted,
+            table: None,
         })
+    }
+
+    /// Fills the decode table: each code of `len ≤ bits` owns every
+    /// index whose low `len` bits are its stream-order bits.
+    fn decode_table(&self) -> Box<DecodeTable> {
+        let longest = self.lengths.iter().copied().max().unwrap_or(0);
+        let bits = u32::from(longest).min(TABLE_BITS);
+        let mut table = Box::new(DecodeTable {
+            mask: (1 << bits) - 1,
+            entries: [0; TABLE_SIZE],
+        });
+        for ((symbol, &len), &code) in (0u16..).zip(&self.lengths).zip(&self.codes) {
+            let len = u32::from(len);
+            if len == 0 || len > bits {
+                continue;
+            }
+            let entry = (len << 12) as u16 | symbol;
+            let mut i = code as usize;
+            while i <= table.mask {
+                table.entries[i & TABLE_MASK] = entry;
+                i += 1 << len;
+            }
+        }
+        table
     }
 
     /// Code lengths (serialize these to reconstruct the book).
@@ -117,55 +177,79 @@ impl CodeBook {
 
     /// Emits `symbol` into `bits` (MSB of the code first).
     pub fn encode_symbol(&self, bits: &mut BitWriter, symbol: u16) -> Result<()> {
-        let len = *self
-            .lengths
-            .get(symbol as usize)
-            .ok_or(CodecError::InvalidParameter("huffman: symbol out of range"))?;
+        let (Some(&len), Some(&code)) = (
+            self.lengths.get(usize::from(symbol)),
+            self.codes.get(usize::from(symbol)),
+        ) else {
+            return Err(CodecError::InvalidParameter("huffman: symbol out of range"));
+        };
         if len == 0 {
             return Err(CodecError::InvalidParameter(
                 "huffman: symbol has no code (zero frequency)",
             ));
         }
-        let code = self.codes[symbol as usize]; // ds-lint: allow(panic-free-decode) -- lengths.get(symbol) above proved symbol in bounds; codes.len() == lengths.len()
-                                                // BitWriter is LSB-first; emit the code bits MSB-first one by one.
-        for i in (0..len).rev() {
-            bits.write_bit((code >> i) & 1 == 1);
-        }
+        bits.write_bits(u64::from(code), u32::from(len));
         Ok(())
     }
 
     /// Decodes one symbol from `bits`.
     pub fn decode_symbol(&self, bits: &mut BitReader<'_>) -> Result<u16> {
-        let mut code = 0u32;
-        for len in 1..=MAX_CODE_LEN as usize {
-            code = (code << 1) | u32::from(bits.read_bit()?);
-            let count_at_len = self.count_at(len);
-            if count_at_len > 0 {
-                let first = self.first_code[len];
-                // ds-lint: allow(checked-untrusted-arith) -- first <= 2^15 and count_at_len <= MAX_SYMBOLS, the u32 sum cannot wrap
-                if code < first + count_at_len {
-                    if code < first {
-                        return Err(CodecError::Corrupt("huffman: invalid code"));
-                    }
-                    let idx = self.first_index[len] + (code - first);
-                    return self
-                        .sorted_symbols
-                        .get(idx as usize)
-                        .copied()
-                        .ok_or(CodecError::Corrupt("huffman: invalid code"));
-                }
-            }
-        }
-        Err(CodecError::Corrupt("huffman: code exceeds max length"))
+        let (n, symbol) = self.resolve(bits.peek());
+        bits.consume(n)?;
+        symbol
     }
 
-    fn count_at(&self, len: usize) -> u32 {
-        if len < MAX_CODE_LEN as usize {
-            // ds-lint: allow(checked-untrusted-arith) -- len < 15 here, len + 1 cannot overflow
-            self.first_index[len + 1] - self.first_index[len]
-        } else {
-            self.sorted_symbols.len() as u32 - self.first_index[len]
+    /// Resolves the code at the bottom of `word` — the next stream bits,
+    /// LSB-first, zero-padded past the end — to the number of bits it
+    /// spans and its symbol, or the error those bits prove. The caller
+    /// checks the span against the bits it really has: a span past the
+    /// end is [`CodecError::UnexpectedEof`], whatever the padding decoded
+    /// to, exactly as a bit-at-a-time reader would have stopped there.
+    #[inline]
+    pub(crate) fn resolve(&self, word: u64) -> (u32, Result<u16>) {
+        if let Some(table) = &self.table {
+            let entry = table.entries[(word as usize) & table.mask & TABLE_MASK];
+            if entry != 0 {
+                return (u32::from(entry >> 12), Ok(entry & 0x0FFF));
+            }
         }
+        self.walk(word)
+    }
+
+    /// The canonical walk: extends the code MSB-first one stream bit at a
+    /// time until it falls inside some length's range.
+    fn walk(&self, word: u64) -> (u32, Result<u16>) {
+        let mut code = 0u32;
+        let per_len = self
+            .count
+            .iter()
+            .zip(&self.first_code)
+            .zip(&self.first_index);
+        for (len, ((&count, &first), &index)) in (0u32..)
+            .zip(per_len)
+            .take(MAX_CODE_LEN as usize + 1)
+            .skip(1)
+        {
+            code = (code << 1) | ((word >> (len - 1)) & 1) as u32;
+            if count == 0 {
+                continue;
+            }
+            if code < first {
+                return (len, Err(CodecError::Corrupt("huffman: invalid code")));
+            }
+            if code - first < count {
+                let symbol = self
+                    .sorted_symbols
+                    .get((index + (code - first)) as usize)
+                    .copied()
+                    .ok_or(CodecError::Corrupt("huffman: invalid code"));
+                return (len, symbol);
+            }
+        }
+        (
+            MAX_CODE_LEN,
+            Err(CodecError::Corrupt("huffman: code exceeds max length")),
+        )
     }
 
     /// Serializes the code-length table (4 bits per symbol).
@@ -367,6 +451,229 @@ pub fn decode_bytes(bytes: &[u8]) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-at-a-time canonical walk the decode table replaced, kept
+    /// as the reference `table_decoder_matches_reference_walk` checks the
+    /// table decoder against: one `read_bit` per code bit, EOF at the
+    /// first bit the stream does not have.
+    fn decode_symbol_reference(book: &CodeBook, bits: &mut BitReader<'_>) -> Result<u16> {
+        let mut code = 0u32;
+        for len in 1..=MAX_CODE_LEN as usize {
+            code = (code << 1) | u32::from(bits.read_bit()?);
+            let count_at_len = if len < MAX_CODE_LEN as usize {
+                book.first_index[len + 1] - book.first_index[len]
+            } else {
+                book.sorted_symbols.len() as u32 - book.first_index[len]
+            };
+            if count_at_len > 0 {
+                let first = book.first_code[len];
+                if code < first + count_at_len {
+                    if code < first {
+                        return Err(CodecError::Corrupt("huffman: invalid code"));
+                    }
+                    let idx = book.first_index[len] + (code - first);
+                    return book
+                        .sorted_symbols
+                        .get(idx as usize)
+                        .copied()
+                        .ok_or(CodecError::Corrupt("huffman: invalid code"));
+                }
+            }
+        }
+        Err(CodecError::Corrupt("huffman: code exceeds max length"))
+    }
+
+    /// xorshift64*, for the seeded books and streams below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Decodes `payload` to exhaustion (at most `limit` symbols) with
+    /// both decoders and asserts the same symbols, the same cursor after
+    /// each, and the same error where they stop.
+    fn assert_decoders_agree(book: &CodeBook, payload: &[u8], limit: usize) {
+        let mut fast = BitReader::new(payload);
+        let mut slow = BitReader::new(payload);
+        for k in 0..limit {
+            let a = book.decode_symbol(&mut fast);
+            let b = decode_symbol_reference(book, &mut slow);
+            assert_eq!(
+                a,
+                b,
+                "symbol {k} of {payload:02x?}, lengths {:?}",
+                book.lengths()
+            );
+            if a.is_err() {
+                return;
+            }
+            assert_eq!(fast.remaining_bits(), slow.remaining_bits(), "symbol {k}");
+        }
+    }
+
+    /// Code-length tables of every shape the decoder must handle: books
+    /// built from skewed frequencies (complete codes up to 15 bits),
+    /// random lengths under Kraft (incomplete codes, whose free patterns
+    /// are invalid), single-symbol books, and books whose codes are all
+    /// longer than the table.
+    fn random_books(rng: &mut Rng) -> Vec<CodeBook> {
+        let mut books = Vec::new();
+        for _ in 0..60 {
+            let n = 1 + rng.below(300) as usize;
+            let freqs: Vec<u64> = (0..n)
+                .map(|_| match rng.below(4) {
+                    0 => 0,
+                    1 => 1,
+                    2 => 1 + rng.below(50),
+                    _ => 1u64 << rng.below(30),
+                })
+                .collect();
+            let lengths = CodeBook::from_frequencies(&freqs)
+                .unwrap()
+                .lengths()
+                .to_vec();
+            books.push(CodeBook::from_lengths(lengths).unwrap());
+        }
+        while books.len() < 120 {
+            let n = 1 + rng.below(64) as usize;
+            let lo = rng.below(15) as u8;
+            let lengths: Vec<u8> = (0..n)
+                .map(|_| {
+                    if rng.below(3) == 0 {
+                        0
+                    } else {
+                        lo + 1 + rng.below(u64::from(15 - lo)) as u8
+                    }
+                })
+                .collect();
+            if let Ok(book) = CodeBook::from_lengths(lengths) {
+                books.push(book);
+            }
+        }
+        for len in 1..=15u8 {
+            let mut lengths = vec![0u8; 1 + rng.below(20) as usize];
+            let at = rng.below(lengths.len() as u64) as usize;
+            lengths[at] = len;
+            books.push(CodeBook::from_lengths(lengths).unwrap());
+        }
+        books.push(CodeBook::from_lengths(vec![0; 5]).unwrap());
+        books.push(CodeBook::from_lengths(Vec::new()).unwrap());
+        // Only codes past the table: 2^12 symbols of 12 bits, and 15-bit
+        // codes beside one short one.
+        books.push(CodeBook::from_lengths(vec![12; MAX_SYMBOLS]).unwrap());
+        let mut deep = vec![15u8; 1000];
+        deep[7] = 1;
+        books.push(CodeBook::from_lengths(deep).unwrap());
+        books
+    }
+
+    /// A payload of valid codes for `book` (random bytes when it has no
+    /// symbol), then a few random trailing bytes.
+    fn valid_stream(book: &CodeBook, rng: &mut Rng) -> Vec<u8> {
+        let symbols: Vec<u16> = (0u16..)
+            .zip(book.lengths())
+            .filter(|&(_, &l)| l > 0)
+            .map(|(s, _)| s)
+            .collect();
+        let mut bits = BitWriter::new();
+        if !symbols.is_empty() {
+            for _ in 0..rng.below(200) {
+                let s = symbols[rng.below(symbols.len() as u64) as usize];
+                book.encode_symbol(&mut bits, s).unwrap();
+            }
+        }
+        let mut out = bits.into_vec();
+        for _ in 0..rng.below(4) {
+            out.push(rng.next() as u8);
+        }
+        out
+    }
+
+    #[test]
+    fn table_decoder_matches_reference_walk() {
+        let mut rng = Rng(0x7AB1_E5EED);
+        for book in random_books(&mut rng) {
+            // Random bits: arbitrary, often invalid, codes.
+            for _ in 0..8 {
+                let noise: Vec<u8> = (0..rng.below(40)).map(|_| rng.next() as u8).collect();
+                assert_decoders_agree(&book, &noise, usize::MAX);
+            }
+            let stream = valid_stream(&book, &mut rng);
+            assert_decoders_agree(&book, &stream, usize::MAX);
+            // Cut at every bit: every byte prefix, with the bits past the
+            // cut in its last byte cleared (the zero padding a shorter
+            // stream would leave).
+            for cut in 0..=stream.len().min(48) * 8 {
+                let mut prefix = stream[..cut.div_ceil(8)].to_vec();
+                if cut % 8 != 0 {
+                    if let Some(last) = prefix.last_mut() {
+                        *last &= (1u8 << (cut % 8)) - 1;
+                    }
+                }
+                assert_decoders_agree(&book, &prefix, usize::MAX);
+            }
+            // Seeded bit flips.
+            for _ in 0..16 {
+                if stream.is_empty() {
+                    break;
+                }
+                let mut bad = stream.clone();
+                let bit = rng.below(bad.len() as u64 * 8) as usize;
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert_decoders_agree(&book, &bad, usize::MAX);
+            }
+        }
+    }
+
+    #[test]
+    fn decode_table_covers_exactly_the_short_codes() {
+        let mut rng = Rng(0xC0DE_B00C);
+        for book in random_books(&mut rng) {
+            let Some(table) = &book.table else {
+                panic!("a book read from lengths has a decode table");
+            };
+            let longest = book.lengths().iter().copied().max().unwrap_or(0);
+            let bits = u32::from(longest).min(TABLE_BITS);
+            assert_eq!(table.mask, (1usize << bits) - 1);
+            for (i, &entry) in table.entries.iter().enumerate() {
+                if i > table.mask {
+                    assert_eq!(entry, 0);
+                    continue;
+                }
+                // Entry i is the code the reference walk reads from the
+                // index bits, when that code fits the table.
+                let word = (i as u64).to_le_bytes();
+                let mut r = BitReader::new(&word);
+                let want = decode_symbol_reference(&book, &mut r);
+                let used = 64 - r.remaining_bits() as u32;
+                match want {
+                    Ok(s) if used <= bits => {
+                        assert_eq!(entry, (used << 12) as u16 | s, "index {i}")
+                    }
+                    _ => assert_eq!(entry, 0, "index {i}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_books_decode_by_the_walk() {
+        let book = CodeBook::from_frequencies(&[5, 3, 0, 1, 1]).unwrap();
+        assert!(book.table.is_none(), "the write side builds no table");
+        let mut rng = Rng(0x00E4_C0DE);
+        let stream = valid_stream(&book, &mut rng);
+        assert_decoders_agree(&book, &stream, usize::MAX);
+    }
 
     #[test]
     fn roundtrip_skewed_bytes() {

@@ -6,6 +6,8 @@
 //! these tokens; this module also offers a raw byte-oriented container for
 //! testing the matcher in isolation.
 
+use std::cell::RefCell;
+
 use crate::{ByteReader, ByteWriter, CodecError, Result};
 
 /// Sliding window size (matches DEFLATE).
@@ -17,6 +19,7 @@ pub const MAX_MATCH: usize = 258;
 
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
+const HASH_MASK: usize = HASH_SIZE - 1;
 /// How many chain links to follow before giving up (greedy/fast profile).
 const MAX_CHAIN: usize = 64;
 
@@ -36,11 +39,62 @@ pub enum Token {
 
 #[inline]
 fn hash4(data: &[u8], i: usize) -> usize {
-    // Multiplicative hash of 4 bytes; data must have 4 bytes at i.
-    // ds-lint: allow(panic-free-decode) -- encoder-side; callers guarantee i < data.len() - 3 (hash_limit)
-    let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+    // Multiplicative hash of the 4 bytes at i (callers keep i < hash_limit,
+    // so they exist; a short tail would hash as 0).
+    let v = data
+        .get(i..)
+        .and_then(|s| s.first_chunk::<4>())
+        .map_or(0, |b| u32::from_le_bytes(*b));
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
+
+/// Length of the common prefix of `ahead` and `behind`, at most `max`
+/// (≤ `ahead.len()`, and `behind` is the longer slice). Eight bytes per
+/// step: the first differing byte of two little-endian words is their
+/// XOR's lowest set byte.
+#[inline]
+fn common_prefix(ahead: &[u8], behind: &[u8], max: usize) -> usize {
+    let mut l = 0usize;
+    while max - l >= 8 {
+        let (Some(a), Some(b)) = (
+            ahead.get(l..).and_then(|s| s.first_chunk::<8>()),
+            behind.get(l..).and_then(|s| s.first_chunk::<8>()),
+        ) else {
+            break;
+        };
+        let diff = u64::from_le_bytes(*a) ^ u64::from_le_bytes(*b);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    let tail = ahead.get(l..max).unwrap_or(&[]);
+    l + tail
+        .iter()
+        .zip(behind.get(l..).unwrap_or(&[]))
+        .take_while(|(a, b)| a == b)
+        .count()
+}
+
+/// The hash heads [`tokenize`] reuses on one thread, so a call does not
+/// zero a table: `slot[h]` holds `base + position` of the latest position
+/// with hash `h`, and a value below the current call's `base` (a slot
+/// last set by an earlier call, or never) reads as empty. After a call,
+/// `base` moves past every position it stored. 256 KB per thread.
+struct Heads {
+    slot: Box<[u64; HASH_SIZE]>,
+    base: u64,
+}
+
+thread_local! {
+    static HEADS: RefCell<Heads> = RefCell::new(Heads {
+        slot: Box::new([0; HASH_SIZE]),
+        base: 1,
+    });
+}
+
+/// Chain link for "no earlier position".
+const NONE: usize = usize::MAX;
 
 /// Tokenizes `data` with a greedy hash-chain matcher.
 pub fn tokenize(data: &[u8]) -> Vec<Token> {
@@ -49,41 +103,44 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
         tokens.extend(data.iter().map(|&b| Token::Literal(b)));
         return tokens;
     }
+    HEADS.with(|heads| tokenize_with(data, &mut heads.borrow_mut(), &mut tokens));
+    tokens
+}
 
-    // head[h] = most recent position with hash h; prev[i % WINDOW] = previous
-    // position in the same chain.
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; WINDOW_SIZE];
+fn tokenize_with(data: &[u8], heads: &mut Heads, tokens: &mut Vec<Token>) {
+    let base = heads.base;
+    let slot = &mut heads.slot;
+    // The head of hash h's chain, as a position of this call.
+    let head_of = |slot: &[u64; HASH_SIZE], h: usize| match slot[h & HASH_MASK].checked_sub(base) {
+        Some(p) => p as usize,
+        None => NONE,
+    };
+    // prev[p % WINDOW_SIZE] = the previous position in p's chain. Only
+    // inserted positions are read back, so the initial contents never are.
+    let mut prev = vec![0usize; data.len().min(WINDOW_SIZE)];
 
     let mut i = 0usize;
     let hash_limit = data.len() - MIN_MATCH + 1;
     while i < data.len() {
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
+        let ahead = data.get(i..).unwrap_or(&[]);
         if i < hash_limit {
-            let h = hash4(data, i);
-            let mut cand = head[h]; // ds-lint: allow(panic-free-decode) -- h < HASH_SIZE by construction (top HASH_BITS of a u32) and head.len() == HASH_SIZE
+            let mut cand = head_of(slot, hash4(data, i));
             let mut chains = 0usize;
             let min_pos = i.saturating_sub(WINDOW_SIZE);
+            let max_len = ahead.len().min(MAX_MATCH);
             // `cand < i` also guards against stale chain entries after the
             // prev[] ring wraps, which can alias to newer positions.
-            while cand != usize::MAX && cand < i && cand >= min_pos && chains < MAX_CHAIN {
+            while cand != NONE && cand < i && cand >= min_pos && chains < MAX_CHAIN {
+                let behind = data.get(cand..).unwrap_or(&[]);
                 // Quick reject on the byte just past the current best.
-                // ds-lint: allow(panic-free-decode, checked-untrusted-arith) -- encoder-side probe: cand < i < data.len() and best_len <= MAX_MATCH, the sums are bounds-checked before use
-                if best_len == 0
-                    // ds-lint: allow(checked-untrusted-arith) -- encoder-side; cand < data.len() and best_len <= MAX_MATCH = 258 cannot overflow usize
-                    || (cand + best_len < data.len()
-                        // ds-lint: allow(checked-untrusted-arith) -- encoder-side; i < data.len() and best_len <= MAX_MATCH
-                        && i + best_len < data.len()
-                        // ds-lint: allow(panic-free-decode, checked-untrusted-arith) -- both sums were just checked < data.len()
-                        && data[cand + best_len] == data[i + best_len])
-                {
-                    let max_len = (data.len() - i).min(MAX_MATCH);
-                    let mut l = 0usize;
-                    // ds-lint: allow(panic-free-decode) -- encoder-side; l < max_len <= data.len() - i and cand < i keep both indexes in bounds
-                    while l < max_len && data[cand + l] == data[i + l] {
-                        l += 1;
-                    }
+                let extends = match (ahead.get(best_len), behind.get(best_len)) {
+                    (Some(a), Some(b)) => a == b,
+                    _ => false,
+                };
+                if best_len == 0 || extends {
+                    let l = common_prefix(ahead, behind, max_len);
                     if l > best_len {
                         best_len = l;
                         best_dist = i - cand;
@@ -100,33 +157,26 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
             }
         }
 
-        if best_len >= MIN_MATCH {
+        // Insert every position this token covers (one for a literal)
+        // into the chains, so later matches can reference inside it.
+        let covered = if best_len >= MIN_MATCH {
             tokens.push(Token::Match {
                 len: best_len as u16,
                 dist: best_dist as u16,
             });
-            // Insert every covered position into the chains so later matches
-            // can reference inside this one.
-            let end = (i + best_len).min(hash_limit); // ds-lint: allow(checked-untrusted-arith) -- encoder-side; best_len <= MAX_MATCH and i < data.len()
-            let mut j = i;
-            while j < end {
-                let h = hash4(data, j);
-                prev[j % WINDOW_SIZE] = head[h]; // ds-lint: allow(panic-free-decode) -- h < HASH_SIZE by construction
-                head[h] = j; // ds-lint: allow(panic-free-decode) -- h < HASH_SIZE by construction
-                j += 1;
-            }
-            i += best_len;
+            best_len
         } else {
-            tokens.push(Token::Literal(data[i])); // ds-lint: allow(panic-free-decode) -- encoder-side; i < data.len() is the loop condition
-            if i < hash_limit {
-                let h = hash4(data, i);
-                prev[i % WINDOW_SIZE] = head[h]; // ds-lint: allow(panic-free-decode) -- h < HASH_SIZE by construction
-                head[h] = i; // ds-lint: allow(panic-free-decode) -- h < HASH_SIZE by construction
-            }
-            i += 1;
+            tokens.push(Token::Literal(ahead.first().copied().unwrap_or(0)));
+            1
+        };
+        for j in (i..hash_limit).take(covered) {
+            let h = hash4(data, j);
+            prev[j % WINDOW_SIZE] = head_of(slot, h);
+            slot[h & HASH_MASK] = base + j as u64;
         }
+        i += covered;
     }
-    tokens
+    heads.base = base + data.len() as u64;
 }
 
 /// Expands a token stream back into bytes.
@@ -138,8 +188,8 @@ pub fn detokenize(tokens: &[Token], size_hint: usize) -> Result<Vec<u8>> {
         match *t {
             Token::Literal(b) => out.push(b),
             Token::Match { len, dist } => {
-                let len = len as usize; // ds-lint: allow(no-raw-cast-len) -- widening u16 -> usize, lossless on every supported target
-                let dist = dist as usize;
+                let len = usize::from(len);
+                let dist = usize::from(dist);
                 if dist == 0 || dist > out.len() {
                     return Err(CodecError::Corrupt("lzss: distance before start"));
                 }

@@ -9,6 +9,8 @@
 //! 1. the standalone **Parquet baseline** of the paper's evaluation, and
 //! 2. the backend DeepSqueeze materializes failures into (§6.3).
 
+use std::borrow::Cow;
+
 use crate::{
     delta, dict::Dictionary, gzlike, registry, ByteReader, ByteWriter, CodecError, Result,
 };
@@ -172,10 +174,12 @@ fn entropy_stage(payload: Vec<u8>) -> (u8, Vec<u8>) {
     }
 }
 
-fn un_entropy(flag: u8, payload: &[u8]) -> Result<Vec<u8>> {
+/// Undoes [`entropy_stage`]: a stored payload (flag 0) is decoded from
+/// the archive bytes in place, only a squeezed one is expanded.
+fn un_entropy(flag: u8, payload: &[u8]) -> Result<Cow<'_, [u8]>> {
     match flag {
-        0 => Ok(payload.to_vec()),
-        1 => gzlike::decompress(payload),
+        0 => Ok(Cow::Borrowed(payload)),
+        1 => gzlike::decompress(payload).map(Cow::Owned),
         _ => Err(CodecError::Corrupt("parq: bad entropy flag")),
     }
 }

@@ -427,12 +427,17 @@ pub struct ShardDecoder {
 
 impl ShardDecoder {
     /// Parses the container's shared decoder blob (gzlike-compressed
-    /// weights; an empty blob means the container has no shared decoder).
+    /// weights; an empty blob means the container has no shared decoder)
+    /// inside a `decoder_import` span, which records the blob's
+    /// compressed (`bytes_in`) and raw (`bytes_out`) sizes.
     pub fn from_shared_blob(shared: &[u8]) -> Result<ShardDecoder> {
         if shared.is_empty() {
             return Ok(ShardDecoder { model: None });
         }
+        let mut sp = ds_obs::span("decoder_import");
+        sp.add("bytes_in", shared.len() as u64);
         let weights = gzlike::decompress(shared)?;
+        sp.add("bytes_out", weights.len() as u64);
         Ok(ShardDecoder {
             model: Some(serialize::import_decoders(&weights)?),
         })

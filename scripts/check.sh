@@ -23,8 +23,8 @@ cargo run -q -p ds-lint
 # down, never up. Product crates only: the linter's own sources and
 # fixtures spell out suppressions as test data.
 allows="$(grep -r 'ds-lint: allow' crates --include=*.rs | grep -v '^crates/lint/' | wc -l)"
-[ "$allows" -le 83 ] || {
-  echo "ds-lint suppressions grew: $allows > 83"
+[ "$allows" -le 54 ] || {
+  echo "ds-lint suppressions grew: $allows > 54"
   exit 1
 }
 
@@ -41,6 +41,19 @@ fi
 if sed -s '/^#\[cfg(test)\]/,$d' crates/table/src/*.rs crates/core/src/*.rs \
   | grep -n 'Vec<Vec<String>>'; then
   echo "a Vec<Vec<String>> of CSV records is back in ds-table or ds-core"
+  exit 1
+fi
+
+# One Huffman decoder (DESIGN.md, ds-codec): a symbol is resolved from a
+# peeked word, through the decode table or the canonical walk over that
+# word, never read one bit at a time; and gzlike decodes in its one loop
+# over a local bit buffer, not through a BitReader, in non-test code.
+if sed '/^#\[cfg(test)\]/,$d' crates/codec/src/huffman.rs | grep -n 'read_bit('; then
+  echo "huffman.rs decodes with a per-bit read_bit loop again"
+  exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/codec/src/gzlike.rs | grep -n 'BitReader'; then
+  echo "gzlike.rs decodes through a BitReader again (one loop over a local bit buffer)"
   exit 1
 fi
 

@@ -41,4 +41,30 @@ fn timing_free_trace_is_identical_across_thread_limits() {
     );
     assert_eq!(t1, t2, "trace differs between 1 and 2 threads");
     assert_eq!(t1, t8, "trace differs between 1 and 8 threads");
+
+    // The decode's own trace attributes the shared decoder's import: one
+    // `decoder_import` span under `decompress`, with the blob's
+    // compressed and raw sizes.
+    let archive = compress(&t, &cfg).expect("compresses");
+    ds_obs::enable(false);
+    decompress(&archive).expect("decodes");
+    let report = ds_obs::drain();
+    let root = report.span_named("decompress").expect("a decompress span");
+    let import = report
+        .span_named("decoder_import")
+        .expect("a decoder_import span");
+    assert_eq!(import.parent, root.id);
+    let metric = |key: &str| {
+        import
+            .metrics
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map_or(0, |&(_, v)| v)
+    };
+    assert!(metric("bytes_in") > 0, "{:?}", import.metrics);
+    assert!(
+        metric("bytes_out") > metric("bytes_in"),
+        "{:?}",
+        import.metrics
+    );
 }
