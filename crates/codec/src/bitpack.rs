@@ -4,10 +4,7 @@
 //! so each value needs only `ceil(log2(max+1))` bits. This is the "plain"
 //! compact representation the [`crate::parq`] container falls back on.
 
-use crate::{
-    bitstream::BitReader, bitstream::BitWriter, dispatch, ByteReader, ByteWriter, CodecError,
-    Result,
-};
+use crate::{bitstream::BitWriter, ByteReader, ByteWriter, CodecError, Result};
 
 /// Minimum bits needed to represent `max_value` (at least 1).
 pub fn width_for(max_value: u64) -> u32 {
@@ -31,55 +28,18 @@ pub fn encode_with_width(values: &[u64], width: u32) -> Vec<u8> {
     let mut out = ByteWriter::with_capacity(values.len() * width as usize / 8 + 8);
     out.write_varint(values.len() as u64);
     out.write_u8(width as u8);
-    if dispatch::accelerated("codec.bitpack_pack") {
-        pack_fast(values, width, &mut out);
-    } else {
-        let mut bits = BitWriter::new();
-        let mask = (1u64 << width) - 1;
-        for &v in values {
-            debug_assert!(v <= mask, "value wider than pack width");
-            bits.write_bits(v & mask, width);
-        }
-        out.write_bytes(&bits.into_vec());
-    }
-    out.into_vec()
-}
-
-/// Accelerated packer: stages bits in a u64 accumulator and flushes whole
-/// bytes in bulk, one slice per value instead of [`BitWriter`]'s byte
-/// pushes.
-/// Byte-identical to the BitWriter layout — bits land LSB-first in the
-/// same order and the final partial byte is zero-padded the same way.
-///
-/// Invariant: at the top of each iteration `nbits ≤ 7`, and `width ≤ 57`,
-/// so `(v & mask) << nbits` never sheds bits and `nbits + width ≤ 64`.
-fn pack_fast(values: &[u64], width: u32, out: &mut ByteWriter) {
-    let mask = (1u64 << width) - 1;
-    let mut acc = 0u64;
-    let mut nbits = 0u32;
-    for &v in values {
-        debug_assert!(v <= mask, "value wider than pack width");
-        acc |= (v & mask) << nbits;
-        nbits += width;
-        if nbits >= 8 {
-            let staged = acc.to_le_bytes();
-            let take = (nbits / 8) as usize;
-            out.write_bytes(&staged[..take]); // ds-lint: allow(panic-free-decode) -- writer-side; take = nbits/8 ≤ 8, the size of a u64's le-bytes
-            if take == 8 {
-                acc = 0;
-                nbits = 0;
-            } else {
-                acc >>= take * 8;
-                nbits -= take as u32 * 8;
-            }
-        }
-    }
-    if nbits > 0 {
-        out.write_u8(acc as u8);
-    }
+    let mut bits = BitWriter::after(out.into_vec());
+    bits.write_all(values, width);
+    bits.into_vec()
 }
 
 /// Unpacks a stream produced by [`encode`]/[`encode_with_width`].
+///
+/// Each value is one [`crate::bitstream::peek_at`] window, masked to
+/// `width`, with no per-value bounds check: the payload is checked to hold
+/// `n * width` bits up front, and since the bit offset within a window's
+/// first byte is ≤ 7 and `width ≤ 57`, a zero-padded window at the buffer
+/// tail still holds all of a value's real bits.
 pub fn decode(bytes: &[u8]) -> Result<Vec<u64>> {
     let mut r = ByteReader::new(bytes);
     let n = r.read_varint_usize()?;
@@ -97,36 +57,15 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u64>> {
     if payload.len() * 8 < needed_bits {
         return Err(CodecError::UnexpectedEof);
     }
-    let mut out = Vec::with_capacity(n);
-    if dispatch::accelerated("codec.bitpack_unpack") {
-        unpack_fast(payload, n, width, &mut out);
-    } else {
-        let mut bits = BitReader::new(payload);
-        for _ in 0..n {
-            out.push(bits.read_bits(width)?);
-        }
-    }
-    Ok(out)
-}
-
-/// Accelerated unpacker: loads an unaligned 8-byte little-endian window
-/// per value and shifts, without [`BitReader`]'s per-value bounds check.
-/// Byte-identical to the BitReader path for the same payload.
-///
-/// Infallible by construction: the caller has already verified that
-/// `n * width` bits fit in `payload`, and since the bit offset within the
-/// first window byte is ≤ 7 and `width ≤ 57`, every value spans at most
-/// 64 bits — a zero-padded window at the buffer tail still holds all of
-/// its real bits.
-fn unpack_fast(payload: &[u8], n: usize, width: u32, out: &mut Vec<u64>) {
     let mask = (1u64 << width) - 1;
     let step = width as usize;
+    let mut out = Vec::with_capacity(n);
     let mut bit = 0usize;
     for _ in 0..n {
-        let word = crate::bitstream::peek_at(payload, bit);
-        out.push(word & mask);
+        out.push(crate::bitstream::peek_at(payload, bit) & mask);
         bit += step;
     }
+    Ok(out)
 }
 
 /// Size of the packed output without materializing it.
@@ -205,9 +144,29 @@ mod tests {
         assert_eq!(decode(&enc).unwrap(), data);
     }
 
-    /// The accelerated pack/unpack must be byte- and value-identical to
-    /// the BitWriter/BitReader reference at every supported width,
-    /// including counts that leave partial final bytes.
+    /// The bit-at-a-time layout both loops must keep: value `i`'s bit `b`
+    /// is stream bit `i * width + b`, LSB-first within each byte.
+    fn pack_reference(values: &[u64], width: u32) -> Vec<u8> {
+        let w = width as usize;
+        let mut out = vec![0u8; (values.len() * w).div_ceil(8)];
+        for (i, &v) in values.iter().enumerate() {
+            for b in 0..w {
+                if v >> b & 1 == 1 {
+                    out[(i * w + b) / 8] |= 1 << ((i * w + b) % 8);
+                }
+            }
+        }
+        out
+    }
+
+    /// The pre-`peek_at` decoder: one `BitReader::read_bits` per value.
+    fn unpack_reference(payload: &[u8], n: usize, width: u32) -> Result<Vec<u64>> {
+        let mut bits = crate::bitstream::BitReader::new(payload);
+        (0..n).map(|_| bits.read_bits(width)).collect()
+    }
+
+    /// Pack and unpack must equal the bit-at-a-time references at every
+    /// supported width, including counts that leave partial final bytes.
     #[test]
     fn fast_paths_match_reference_all_widths() {
         let mut state = 0x243F_6A88_85A3_08D3u64;
@@ -221,15 +180,13 @@ mod tests {
             let masked: Vec<u64> = data.iter().map(|&v| v & mask).collect();
             for take in [0usize, 1, 7, 8, 9, 64, 731] {
                 let vals = &masked[..take];
-                let fast =
-                    ds_simd::with_level(ds_simd::detected(), || encode_with_width(vals, width));
-                let slow =
-                    ds_simd::with_level(ds_simd::Level::Scalar, || encode_with_width(vals, width));
-                assert_eq!(fast, slow, "pack width {width}, {take} values");
-                let dec_fast = ds_simd::with_level(ds_simd::detected(), || decode(&fast));
-                let dec_slow = ds_simd::with_level(ds_simd::Level::Scalar, || decode(&fast));
-                assert_eq!(dec_fast.as_ref().unwrap(), vals, "unpack width {width}");
-                assert_eq!(dec_fast, dec_slow);
+                let enc = encode_with_width(vals, width);
+                let header = crate::varint::encoded_len(take as u64) + 1;
+                let payload = &enc[header..];
+                assert_eq!(payload, pack_reference(vals, width), "pack width {width}");
+                let dec = decode(&enc);
+                assert_eq!(dec.as_ref().unwrap(), vals, "unpack width {width}");
+                assert_eq!(dec, unpack_reference(payload, take, width));
             }
         }
     }

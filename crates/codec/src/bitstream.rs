@@ -25,19 +25,32 @@ impl BitWriter {
         Self::default()
     }
 
+    /// A writer whose stream starts after the bytes already in `buf`, so a
+    /// byte-aligned header and its bit payload share one buffer.
+    /// [`Self::bit_len`] counts those bytes too.
+    pub(crate) fn after(buf: Vec<u8>) -> Self {
+        BitWriter {
+            buf,
+            ..Self::default()
+        }
+    }
+
     /// Appends the low `nbits` bits of `value` (LSB-first); higher bits of
     /// `value` are ignored. `nbits` ≤ 57, so with at most 7 bits staged
     /// the accumulator cannot overflow.
     pub fn write_bits(&mut self, value: u64, nbits: u32) {
-        debug_assert!(nbits <= 57, "write_bits supports at most 57 bits");
-        debug_assert!(nbits == 64 || value < (1u64 << nbits.max(1)) || nbits == 0);
-        self.acc |= (value & ((1u64 << nbits) - 1)) << self.nacc;
-        self.nacc += nbits;
-        while self.nacc >= 8 {
-            self.buf.push(self.acc as u8);
-            self.acc >>= 8;
-            self.nacc -= 8;
+        stage(&mut self.buf, &mut self.acc, &mut self.nacc, value, nbits);
+    }
+
+    /// Appends every value of `values` at `nbits` bits each, exactly as
+    /// one [`Self::write_bits`] per value would, with the staged bits held
+    /// in locals across the loop rather than in `self`.
+    pub(crate) fn write_all(&mut self, values: &[u64], nbits: u32) {
+        let (mut acc, mut nacc) = (self.acc, self.nacc);
+        for &v in values {
+            stage(&mut self.buf, &mut acc, &mut nacc, v, nbits);
         }
+        (self.acc, self.nacc) = (acc, nacc);
     }
 
     /// Appends a single bit.
@@ -56,6 +69,22 @@ impl BitWriter {
             self.buf.push(self.acc as u8);
         }
         self.buf
+    }
+}
+
+/// The one flush rule of [`BitWriter`]: stages the low `nbits` bits of
+/// `value` above the `nacc` bits in `acc`, then pushes every whole byte to
+/// `buf`, leaving fewer than 8 bits staged.
+#[inline(always)]
+fn stage(buf: &mut Vec<u8>, acc: &mut u64, nacc: &mut u32, value: u64, nbits: u32) {
+    debug_assert!(nbits <= 57, "write_bits supports at most 57 bits");
+    debug_assert!(value < (1u64 << nbits.max(1)) || nbits == 0);
+    *acc |= (value & ((1u64 << nbits) - 1)) << *nacc;
+    *nacc += nbits;
+    while *nacc >= 8 {
+        buf.push(*acc as u8);
+        *acc >>= 8;
+        *nacc -= 8;
     }
 }
 

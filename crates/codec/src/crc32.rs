@@ -25,8 +25,6 @@ const fn build_table() -> [u32; 256] {
     table
 }
 
-static TABLE: [u32; 256] = build_table();
-
 /// Slice-by-16 table family: `TABLES[k][v]` is the CRC state contribution
 /// of byte `v` followed by `k` zero bytes. `TABLES[0]` is the classic
 /// byte table; each further table advances the previous one by one zero
@@ -57,8 +55,10 @@ fn tab(k: usize, b: u32) -> u32 {
 }
 
 /// Folds `bytes` 16 at a time through the slice-by-16 tables, handling
-/// any non-multiple-of-16 tail with the reference byte loop. State-
-/// identical to the byte-at-a-time loop for every input.
+/// any non-multiple-of-16 tail (and any input under 16 bytes) one byte at
+/// a time through the byte table `TABLES[0]`. State-identical to the
+/// byte-at-a-time loop for every input, so incremental and one-shot
+/// checksums agree at every split.
 fn update_slice16(state: u32, bytes: &[u8]) -> u32 {
     let mut c = state;
     let mut blocks = bytes.chunks_exact(16);
@@ -98,7 +98,7 @@ fn update_slice16(state: u32, bytes: &[u8]) -> u32 {
             ^ tab(0, x3 >> 24);
     }
     for &b in blocks.remainder() {
-        c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        c = tab(0, c ^ u32::from(b)) ^ (c >> 8);
     }
     c
 }
@@ -124,15 +124,7 @@ impl Crc32 {
 
     /// Folds `bytes` into the running checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        if bytes.len() >= 16 && crate::dispatch::accelerated("codec.crc32") {
-            self.state = update_slice16(self.state, bytes);
-            return;
-        }
-        let mut c = self.state;
-        for &b in bytes {
-            c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.state = c;
+        self.state = update_slice16(self.state, bytes);
     }
 
     /// Finishes and returns the checksum value.
@@ -173,9 +165,21 @@ mod tests {
         assert_eq!(acc.finish(), crc32(&data));
     }
 
-    /// The slice-by-16 path must equal the byte-at-a-time reference for
-    /// every length around the 16-byte block boundary, from every
-    /// starting state a streaming update can produce.
+    /// The byte-at-a-time loop over a freshly built byte table.
+    fn update_reference(state: u32, bytes: &[u8]) -> u32 {
+        let table = build_table();
+        bytes.iter().fold(state, |c, &b| {
+            table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+        })
+    }
+
+    fn crc32_reference(bytes: &[u8]) -> u32 {
+        update_reference(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+    }
+
+    /// The slice-by-16 loop must equal the byte-at-a-time reference for
+    /// every length around the 16-byte block boundary, and an accumulator
+    /// split anywhere in the input must land on the same checksum.
     #[test]
     fn slice16_matches_reference_all_alignments() {
         let data: Vec<u8> = (0..200u32)
@@ -183,41 +187,41 @@ mod tests {
             .collect();
         for take in 0..data.len() {
             let slice = &data[..take];
-            let fast = ds_simd::with_level(ds_simd::detected(), || crc32(slice));
-            let slow = ds_simd::with_level(ds_simd::Level::Scalar, || crc32(slice));
-            assert_eq!(fast, slow, "length {take}");
+            let want = crc32_reference(slice);
+            assert_eq!(crc32(slice), want, "length {take}");
+            for split in 0..=take {
+                let (a, b) = slice.split_at(split);
+                let mut acc = Crc32::new();
+                acc.update(a);
+                acc.update(b);
+                assert_eq!(acc.finish(), want, "length {take}, split {split}");
+            }
         }
     }
 
-    /// Canonical vectors must hold with the accelerated path forced on
-    /// (lengths ≥ 16 so slice-by-16 actually runs on capable hosts).
+    /// Canonical vectors at lengths ≥ 16, so whole blocks run.
     #[test]
     fn slice16_known_vectors() {
-        ds_simd::with_level(ds_simd::detected(), || {
-            assert_eq!(
-                crc32(b"The quick brown fox jumps over the lazy dog"),
-                0x414F_A339
-            );
-            assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
-            assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
-        });
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
     }
 
-    /// Incremental updates that split mid-block must agree with one-shot
-    /// across the fast and reference paths.
+    /// Incremental updates that split mid-block must agree with the
+    /// one-shot reference.
     #[test]
     fn slice16_incremental_matches_one_shot() {
         let data: Vec<u8> = (0..=255u8).cycle().take(4_099).collect();
-        let expected = ds_simd::with_level(ds_simd::Level::Scalar, || crc32(&data));
+        let expected = crc32_reference(&data);
         for split in [1usize, 15, 16, 17, 100, 4_098] {
-            let got = ds_simd::with_level(ds_simd::detected(), || {
-                let mut acc = Crc32::new();
-                let (a, b) = data.split_at(split);
-                acc.update(a);
-                acc.update(b);
-                acc.finish()
-            });
-            assert_eq!(got, expected, "split {split}");
+            let mut acc = Crc32::new();
+            let (a, b) = data.split_at(split);
+            acc.update(a);
+            acc.update(b);
+            assert_eq!(acc.finish(), expected, "split {split}");
         }
     }
 

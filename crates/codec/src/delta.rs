@@ -5,7 +5,7 @@
 //! side of expert mappings (§6.4), and for bucket-index failure deltas on
 //! numeric columns (§6.3.2).
 
-use crate::{dispatch, varint, ByteReader, ByteWriter, CodecError, Result};
+use crate::{varint, ByteReader, ByteWriter, CodecError, Result};
 
 /// Encodes `values` as first value + zigzag deltas.
 pub fn encode_i64(values: &[i64]) -> Vec<u8> {
@@ -15,92 +15,33 @@ pub fn encode_i64(values: &[i64]) -> Vec<u8> {
         return w.into_vec();
     };
     varint::write_i64(&mut w, first);
-    match dispatch::level("codec.delta_encode") {
-        #[cfg(target_arch = "x86_64")]
-        ds_simd::Level::Avx2 => {
-            // SAFETY: reached only when ds_simd detected AVX2 at runtime.
-            unsafe { encode_deltas_avx2(&mut w, values) }
-        }
-        _ => encode_deltas_scalar(&mut w, values),
+    for pair in values.windows(2) {
+        varint::write_i64(&mut w, pair[1].wrapping_sub(pair[0]));
     }
     w.into_vec()
-}
-
-/// Reference delta loop: one zigzag varint per consecutive difference.
-fn encode_deltas_scalar(w: &mut ByteWriter, values: &[i64]) {
-    for pair in values.windows(2) {
-        varint::write_i64(w, pair[1].wrapping_sub(pair[0]));
-    }
-}
-
-/// AVX2 delta loop: computes four wrapping differences and their zigzag
-/// mappings per iteration into a stack scratch block, then varint-writes
-/// them. Identical output to [`encode_deltas_scalar`] — `_mm256_sub_epi64`
-/// is wrapping like `wrapping_sub`, the lane-wise `(d << 1) ^ (d >> 63)`
-/// matches [`varint::zigzag`] bit-for-bit, and the varint serialization is
-/// shared.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn encode_deltas_avx2(w: &mut ByteWriter, values: &[i64]) {
-    use core::arch::x86_64::*;
-    let n = values.len() - 1; // caller guarantees values is non-empty
-    let zero = _mm256_setzero_si256();
-    let mut i = 0usize;
-    while i + 4 <= n {
-        // SAFETY: i + 4 ≤ n = len - 1, so both 4-lane loads read inside
-        // `values`; loadu has no alignment requirement.
-        let (cur, older) = unsafe {
-            (
-                _mm256_loadu_si256(values.as_ptr().add(i + 1).cast()),
-                _mm256_loadu_si256(values.as_ptr().add(i).cast()),
-            )
-        };
-        let d = _mm256_sub_epi64(cur, older);
-        // Arithmetic shift right by 63 spelled as a signed compare:
-        // all-ones exactly where the delta is negative.
-        let sign = _mm256_cmpgt_epi64(zero, d);
-        let zz = _mm256_xor_si256(_mm256_slli_epi64::<1>(d), sign);
-        let mut scratch = [0u64; 4];
-        // SAFETY: scratch is exactly 32 bytes; storeu is unaligned-safe.
-        unsafe { _mm256_storeu_si256(scratch.as_mut_ptr().cast(), zz) };
-        for &z in &scratch {
-            varint::write_u64(w, z);
-        }
-        i += 4;
-    }
-    if let Some(tail) = values.get(i..) {
-        encode_deltas_scalar(w, tail);
-    }
 }
 
 /// Decodes a stream produced by [`encode_i64`].
 pub fn decode_i64(bytes: &[u8]) -> Result<Vec<i64>> {
     let mut r = ByteReader::new(bytes);
     let n = r.read_varint_usize()?;
-    if n > bytes.len().saturating_mul(64).max(1024) {
-        return Err(CodecError::Corrupt("delta: implausible element count"));
+    // Every value takes at least one byte, so a count past the bytes left
+    // cannot be backed, and must not size an allocation.
+    if n > r.remaining() {
+        return Err(CodecError::Corrupt(
+            "delta: element count exceeds stream length",
+        ));
     }
-    if dispatch::accelerated("codec.delta_decode") {
-        return decode_i64_fast(r, n);
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut prev = 0i64;
-    for i in 0..n {
-        let d = varint::read_i64(&mut r)?;
-        let v = if i == 0 { d } else { prev.wrapping_add(d) };
-        out.push(v);
-        prev = v;
-    }
-    Ok(out)
+    decode_values(r, n)
 }
 
-/// Accelerated decoder: delta streams are dominated by runs of one-byte
-/// varints (small deltas), so this path checks four continuation bits at
-/// a time and decodes such runs without per-byte cursor bookkeeping,
-/// falling back to the shared varint reader whenever a multi-byte value
-/// (or the stream tail) interrupts the run. Value- and error-identical
-/// to the reference loop in [`decode_i64`].
-fn decode_i64_fast(mut r: ByteReader<'_>, n: usize) -> Result<Vec<i64>> {
+/// Reads `n` zigzag-varint values (the first absolute, the rest deltas).
+/// Delta streams are dominated by runs of one-byte varints (small deltas),
+/// so this checks four continuation bits at a time and decodes such runs
+/// without per-byte cursor bookkeeping, falling back to the shared varint
+/// reader whenever a multi-byte value (or the stream tail) interrupts the
+/// run. Value- and error-identical to one `varint::read_i64` per value.
+fn decode_values(mut r: ByteReader<'_>, n: usize) -> Result<Vec<i64>> {
     let mut out = Vec::with_capacity(n);
     if n == 0 {
         return Ok(out);
@@ -201,47 +142,123 @@ mod tests {
         assert!(decode_i64(&enc[..enc.len() - 1]).is_err());
     }
 
-    /// The accelerated encode (AVX2 zigzag-delta blocks) and decode
-    /// (unrolled one-byte runs) must be byte-/value-identical to the
-    /// reference loops, across small-delta runs, multi-byte interruptions
-    /// and ragged tails.
+    /// The per-varint loop [`decode_values`] replaced.
+    fn decode_values_reference(mut r: ByteReader<'_>, n: usize) -> Result<Vec<i64>> {
+        let mut out = Vec::with_capacity(n);
+        let mut prev = 0i64;
+        for i in 0..n {
+            let d = varint::read_i64(&mut r)?;
+            let v = if i == 0 { d } else { prev.wrapping_add(d) };
+            out.push(v);
+            prev = v;
+        }
+        Ok(out)
+    }
+
+    /// Runs both value loops on `bytes` after its count, whatever the
+    /// count says (up to a bound that keeps test allocations small), and
+    /// asserts they return the same values or the same error.
+    fn assert_loops_agree(bytes: &[u8]) {
+        let mut r = ByteReader::new(bytes);
+        let Ok(n) = r.read_varint_usize() else {
+            return;
+        };
+        if n > 4 * bytes.len() + 64 {
+            return;
+        }
+        assert_eq!(
+            decode_values(r.clone(), n),
+            decode_values_reference(r, n),
+            "stream {bytes:02x?}"
+        );
+    }
+
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
+        *state
+    }
+
+    /// The one-byte-run decoder must equal the per-varint reference on
+    /// small-delta runs, multi-byte interruptions, wide values and ragged
+    /// tails, and every stream must round-trip.
     #[test]
     fn fast_paths_match_reference() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut data = vec![0i64];
         for i in 0..1000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(11);
-            // Mostly small deltas with occasional large jumps, so the
-            // one-byte fast runs and the fallback both execute.
-            let jump = if i % 37 == 0 {
-                (state >> 8) as i64
+            let s = lcg(&mut state);
+            // Mostly small deltas with large jumps at irregular places,
+            // so the one-byte runs and the fallback both execute, and a
+            // multi-byte value lands at every position of a four-byte run.
+            let jump = if i % 37 == 0 || (s >> 20).is_multiple_of(23) {
+                (s >> 8) as i64
             } else {
-                ((state >> 58) as i64) - 16
+                ((s >> 58) as i64) - 16
             };
             let prev = *data.last().unwrap();
             data.push(prev.wrapping_add(jump));
         }
-        for take in [0usize, 1, 2, 3, 4, 5, 6, 40, 1001] {
-            let vals = &data[..take];
-            let fast = ds_simd::with_level(ds_simd::detected(), || encode_i64(vals));
-            let slow = ds_simd::with_level(ds_simd::Level::Scalar, || encode_i64(vals));
-            assert_eq!(fast, slow, "encode, {take} values");
-            let dec_fast = ds_simd::with_level(ds_simd::detected(), || decode_i64(&fast));
-            let dec_slow = ds_simd::with_level(ds_simd::Level::Scalar, || decode_i64(&fast));
-            assert_eq!(dec_fast.as_ref().unwrap(), vals, "decode, {take} values");
-            assert_eq!(dec_fast, dec_slow);
+        let wide: Vec<i64> = (0..300).map(|_| lcg(&mut state) as i64).collect();
+        let extremes = [i64::MIN, i64::MAX, 0, -1, 1, i64::MIN, -64, 63, 64, -65];
+        for vals in [&data[..], &wide[..], &extremes[..]] {
+            for take in [0usize, 1, 2, 3, 4, 5, 6, 40, vals.len()] {
+                let vals = &vals[..take.min(vals.len())];
+                let enc = encode_i64(vals);
+                assert_eq!(decode_i64(&enc).unwrap(), vals, "{take} values");
+                assert_loops_agree(&enc);
+            }
         }
     }
 
-    /// Truncation must error identically on both decode paths.
+    /// Both loops must fail alike on every truncation, on over-long and
+    /// unterminated varints, and on seeded garbage.
     #[test]
     fn fast_decode_matches_reference_on_truncation() {
-        let enc = encode_i64(&[5, 6, 7, 8, 9, 1 << 40]);
-        for cut in 1..enc.len() {
-            let fast = ds_simd::with_level(ds_simd::detected(), || decode_i64(&enc[..cut]));
-            let slow = ds_simd::with_level(ds_simd::Level::Scalar, || decode_i64(&enc[..cut]));
-            assert_eq!(fast, slow, "cut {cut}");
+        let mut state = 0x0DDB_A11Fu64;
+        let mut vals = vec![5, 6, 7, 8, 9, 1 << 40, -3, 0, 0, 0, 0, i64::MIN, 2];
+        vals.extend((0..40).map(|_| (lcg(&mut state) >> 60) as i64));
+        let enc = encode_i64(&vals);
+        for cut in 0..enc.len() {
+            assert_loops_agree(&enc[..cut]);
+            assert!(decode_i64(&enc[..cut]).is_err(), "cut {cut}");
         }
+        // Eleven continuation bytes: longer than any u64 varint, in the
+        // first value, inside a run and at the tail.
+        let long = [0xFFu8; 11];
+        for at in [1usize, 2, 6, 9] {
+            let mut bytes = vec![12u8, 0, 2, 4, 6, 8, 10, 12, 14];
+            bytes.splice(at.min(bytes.len()).., long);
+            assert_loops_agree(&bytes);
+            assert!(decode_i64(&bytes).is_err());
+        }
+        for len in 0..300 {
+            let garbage: Vec<u8> = (0..len).map(|_| (lcg(&mut state) >> 56) as u8).collect();
+            assert_loops_agree(&garbage);
+            let mut small = garbage.clone();
+            if let Some(b) = small.first_mut() {
+                *b = (len as u8) & 0x7F; // a count the bytes can back
+            }
+            assert_loops_agree(&small);
+        }
+    }
+
+    /// A count the stream cannot back is `Corrupt` before anything is
+    /// reserved: ~10 KB claiming 60× its length in elements.
+    #[test]
+    fn count_beyond_stream_length_is_corrupt() {
+        let body = vec![0u8; 10_000];
+        let mut w = ByteWriter::new();
+        w.write_varint(60 * body.len() as u64);
+        w.write_bytes(&body);
+        assert!(matches!(
+            decode_i64(w.as_slice()),
+            Err(CodecError::Corrupt(_))
+        ));
+        // One byte per value is the most a stream can be asked to back.
+        let mut w = ByteWriter::new();
+        w.write_varint(body.len() as u64);
+        w.write_bytes(&body);
+        assert_eq!(decode_i64(w.as_slice()).unwrap(), vec![0i64; body.len()]);
     }
 
     #[test]

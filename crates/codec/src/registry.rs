@@ -8,7 +8,7 @@
 //!   minus one ([`CodecId::wire_byte`]);
 //! * the per-column codec *chains* (e.g. `dict → rle → gzlike`) that
 //!   older builds could record in a v2 manifest. This build reads them
-//!   and never writes them; decode dispatches on the parq byte alone.
+//!   and never writes them; decode picks the codec by the parq byte alone.
 //!
 //! An id this build does not know surfaces as the typed
 //! [`CodecError::UnknownCodec`] — "upgrade your decoder", never a panic
@@ -183,7 +183,7 @@ pub struct U32Candidate {
 
 /// Registry entry for a dense-u32 codec: stable id (parq writes it as
 /// [`CodecId::wire_byte`]) and the three entry points selection and
-/// decode dispatch on.
+/// decode call through.
 pub struct U32Codec {
     /// Stable registry id.
     pub id: CodecId,

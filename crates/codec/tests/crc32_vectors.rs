@@ -14,38 +14,49 @@ fn empty_input() {
     assert_eq!(crc32(b""), 0);
 }
 
-/// The canonical check value must hold regardless of which kernel the
-/// runtime dispatch picks — slice-by-16 on accelerated hosts, the byte
-/// table under `DS_SIMD=off`.
-#[test]
-fn canonical_check_value_at_every_level() {
-    // Long enough that the slice-by-16 path actually engages (≥ 16
-    // bytes), with the classic 9-byte vector as its tail.
-    let mut padded = Vec::from(&b"0000000000000000"[..]);
-    padded.extend_from_slice(b"123456789");
-    let reference = ds_simd::with_level(ds_simd::Level::Scalar, || crc32(&padded));
-    let fast = ds_simd::with_level(ds_simd::detected(), || crc32(&padded));
-    assert_eq!(fast, reference);
-    ds_simd::with_level(ds_simd::detected(), || {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    });
+/// CRC-32 one bit at a time, straight from the polynomial: no table, so
+/// it shares nothing with the slice-by-16 loop it checks.
+fn crc32_bitwise(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    c ^ 0xFFFF_FFFF
 }
 
-/// A resumable accumulator must be able to cross kernel levels mid-stream
-/// without corrupting its state: the state format is a plain CRC register,
-/// not kernel-specific.
+/// Long enough that a whole 16-byte block runs, with the classic 9-byte
+/// vector as its tail.
 #[test]
-fn incremental_across_levels_matches_one_shot() {
+fn canonical_check_value_through_the_block_loop() {
+    let mut padded = Vec::from(&b"0000000000000000"[..]);
+    padded.extend_from_slice(b"123456789");
+    assert_eq!(crc32(&padded), crc32_bitwise(&padded));
+    assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+}
+
+/// A resumable accumulator fed in uneven pieces, each crossing block
+/// boundaries, must land on the one-shot and bitwise checksums: the state
+/// is a plain CRC register.
+#[test]
+fn incremental_across_splits_matches_one_shot() {
     let data: Vec<u8> = (0..40_000u32)
         .map(|i| (i.wrapping_mul(2_654_435_761) >> 21) as u8)
         .collect();
     let one_shot = crc32(&data);
+    assert_eq!(one_shot, crc32_bitwise(&data));
     let mut acc = Crc32::new();
     let (a, rest) = data.split_at(10_001);
     let (b, c) = rest.split_at(20_000);
-    ds_simd::with_level(ds_simd::detected(), || acc.update(a));
-    ds_simd::with_level(ds_simd::Level::Scalar, || acc.update(b));
-    ds_simd::with_level(ds_simd::detected(), || acc.update(c));
+    acc.update(a);
+    acc.update(b);
+    acc.update(c);
     assert_eq!(acc.finish(), one_shot);
 }
 

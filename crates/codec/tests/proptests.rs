@@ -83,57 +83,6 @@ proptest! {
         prop_assert_eq!(gzlike::decompress(&enc).unwrap(), data);
     }
 
-    /// Runtime kernel selection must never change bytes: the accelerated
-    /// pack/delta/crc paths and their scalar references (DS_SIMD=off)
-    /// must agree on arbitrary inputs — encoded bytes, decoded values,
-    /// and checksums alike.
-    #[test]
-    fn simd_and_scalar_paths_byte_identical(
-        ints in prop::collection::vec(any::<i64>(), 0..300),
-        codes in prop::collection::vec(0u64..(1 << 45), 0..300),
-        raw in prop::collection::vec(any::<u8>(), 0..600),
-    ) {
-        let detected = ds_simd::detected();
-        let scalar = ds_simd::Level::Scalar;
-
-        let d_fast = ds_simd::with_level(detected, || delta::encode_i64(&ints));
-        let d_slow = ds_simd::with_level(scalar, || delta::encode_i64(&ints));
-        prop_assert_eq!(&d_fast, &d_slow);
-        prop_assert_eq!(
-            ds_simd::with_level(detected, || delta::decode_i64(&d_fast)),
-            ds_simd::with_level(scalar, || delta::decode_i64(&d_fast))
-        );
-
-        let b_fast = ds_simd::with_level(detected, || bitpack::encode(&codes));
-        let b_slow = ds_simd::with_level(scalar, || bitpack::encode(&codes));
-        prop_assert_eq!(&b_fast, &b_slow);
-        prop_assert_eq!(
-            ds_simd::with_level(detected, || bitpack::decode(&b_fast)),
-            ds_simd::with_level(scalar, || bitpack::decode(&b_fast))
-        );
-
-        prop_assert_eq!(
-            ds_simd::with_level(detected, || ds_codec::crc32::crc32(&raw)),
-            ds_simd::with_level(scalar, || ds_codec::crc32::crc32(&raw))
-        );
-    }
-
-    /// Garbage decoding must behave identically (same value or same
-    /// error) whichever kernel level is active.
-    #[test]
-    fn simd_and_scalar_decoders_agree_on_garbage(
-        data in prop::collection::vec(any::<u8>(), 0..400),
-    ) {
-        prop_assert_eq!(
-            ds_simd::with_level(ds_simd::detected(), || delta::decode_i64(&data)),
-            ds_simd::with_level(ds_simd::Level::Scalar, || delta::decode_i64(&data))
-        );
-        prop_assert_eq!(
-            ds_simd::with_level(ds_simd::detected(), || bitpack::decode(&data)),
-            ds_simd::with_level(ds_simd::Level::Scalar, || bitpack::decode(&data))
-        );
-    }
-
     #[test]
     fn decoders_never_panic_on_garbage(data in prop::collection::vec(any::<u8>(), 0..400)) {
         let _ = rle::decode(&data);

@@ -23,8 +23,8 @@ cargo run -q -p ds-lint
 # down, never up. Product crates only: the linter's own sources and
 # fixtures spell out suppressions as test data.
 allows="$(grep -r 'ds-lint: allow' crates --include=*.rs | grep -v '^crates/lint/' | wc -l)"
-[ "$allows" -le 54 ] || {
-  echo "ds-lint suppressions grew: $allows > 54"
+[ "$allows" -le 53 ] || {
+  echo "ds-lint suppressions grew: $allows > 53"
   exit 1
 }
 
@@ -54,6 +54,16 @@ if sed '/^#\[cfg(test)\]/,$d' crates/codec/src/huffman.rs | grep -n 'read_bit(';
 fi
 if sed '/^#\[cfg(test)\]/,$d' crates/codec/src/gzlike.rs | grep -n 'BitReader'; then
   echo "gzlike.rs decodes through a BitReader again (one loop over a local bit buffer)"
+  exit 1
+fi
+
+# One loop per codec stage (DESIGN.md §3f): ds-codec's loops run the same
+# on every host, in safe Rust, so its non-test source selects no SIMD level
+# and its manifest does not depend on ds-simd. DS_SIMD picks ds-nn kernels.
+if { sed -s '/^#\[cfg(test)\]/,$d' crates/codec/src/*.rs \
+  | grep -nE 'ds_simd|target_feature|dispatch'; } \
+  || grep -n 'ds-simd' crates/codec/Cargo.toml; then
+  echo "ds-codec selects a loop by SIMD level again (one loop per stage)"
   exit 1
 fi
 
@@ -101,7 +111,7 @@ echo "==> dsbench tests (benchmark/ builds against crates/ from outside the work
 echo "==> cargo test (every crate)"
 cargo test -q --workspace
 
-echo "==> cargo test (DS_SIMD=off: scalar reference kernels)"
+echo "==> cargo test (DS_SIMD=off: ds-nn's scalar kernels)"
 DS_SIMD=off cargo test -q --workspace
 
 if [ "$mode" = "full" ]; then
