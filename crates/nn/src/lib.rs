@@ -4,10 +4,10 @@
 //! the paper's model construction stage (§5) needs:
 //!
 //! * [`mat`] — row-major `f32` matrices with the handful of BLAS-like
-//!   operations backpropagation requires, backed by AVX2/NEON/scalar
-//!   micro-kernels selected at runtime through `ds-simd` (all variants
-//!   implement one fixed accumulation schedule, so the selection never
-//!   changes an output bit).
+//!   operations backpropagation requires, backed by micro-kernels written
+//!   once over eight `f32` lanes, run as AVX2 registers or plain Rust as
+//!   `ds-simd` selects at runtime (one fixed accumulation schedule either
+//!   way, so the selection never changes an output bit).
 //! * [`dense`] — fully connected layers with Xavier initialization.
 //! * [`adam`] — the Adam optimizer.
 //! * [`autoencoder`] — the paper's autoencoder: a symmetric encoder/decoder

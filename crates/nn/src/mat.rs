@@ -1,16 +1,16 @@
 //! Row-major `f32` matrices with the operations backpropagation needs.
 //!
-//! The products run on the [`crate::simd`] micro-kernels (AVX2/NEON/
-//! scalar, selected once per call via `ds_simd::active()` *before* any
-//! fan-out, so pool workers inherit the caller's choice). Once `m·k·n`
-//! crosses [`PAR_MIN_ELEMS`] the row ranges additionally fan out over the
-//! `ds-exec` pool. Every kernel variant implements the same fixed
-//! accumulation schedule (`matmul`/`t_matmul`: strictly ascending `p` per
-//! element; `matmul_t`: 8-lane partial sums + a pinned reduction tree —
-//! see DESIGN.md §3f), and chunk boundaries depend only on the shapes —
-//! so results are bit-identical across any `DS_THREADS` *and* `DS_SIMD`
-//! setting (the determinism contract decompression relies on). No BLAS
-//! dependency required.
+//! The products run on the [`crate::simd`] micro-kernels (one body per
+//! product, over AVX2 or plain-Rust lanes selected once per call via
+//! `ds_simd::active()` *before* any fan-out, so pool workers inherit the
+//! caller's choice). Once `m·k·n` crosses [`PAR_MIN_ELEMS`] the row ranges
+//! additionally fan out over the `ds-exec` pool. Both lane instances
+//! implement the same fixed accumulation schedule (`matmul`/`t_matmul`:
+//! strictly ascending `p` per element; `matmul_t`: 8-lane partial sums + a
+//! pinned reduction tree — see DESIGN.md §3f), and chunk boundaries depend
+//! only on the shapes — so results are bit-identical across any
+//! `DS_THREADS` *and* `DS_SIMD` setting (the determinism contract
+//! decompression relies on). No BLAS dependency required.
 
 use crate::simd;
 
@@ -670,7 +670,7 @@ mod tests {
         m.data().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// `DS_SIMD=off` (scalar fallback) and the detected level must agree
+    /// `DS_SIMD=off` (`[f32; 8]` lanes) and the detected level must agree
     /// bit-for-bit on all three products, small and blocked paths alike.
     /// Vacuous on scalar-only hosts — the identity still holds.
     #[test]

@@ -1,10 +1,10 @@
-//! SIMD bit-identity contract: the AVX2/NEON kernels and the scalar
-//! fallback implement one fixed accumulation schedule (DESIGN.md §3f),
+//! SIMD bit-identity contract: each kernel's `[f32; 8]` and `__m256`
+//! instances implement one fixed accumulation schedule (DESIGN.md §3f),
 //! so forcing `Level::Scalar` must reproduce the host-detected level
-//! bit-for-bit on every shape — including the awkward ones the vector
-//! paths handle with tail code. On scalar-only hosts these tests are
-//! vacuously true (both sides run the same kernel); on AVX2/NEON hosts
-//! they pin the vector implementations to the scalar spec.
+//! bit-for-bit on every shape — including the awkward ones the register
+//! shapes handle with tail code. On hosts without AVX2 these tests are
+//! vacuously true (both sides run the same instance); on AVX2 hosts they
+//! pin the `__m256` instance to the plain-Rust one.
 
 use ds_nn::Mat;
 use ds_simd::Level;
@@ -216,7 +216,7 @@ fn simd_bit_identical_degenerate_shapes() {
         (5, 5, 0),
         (0, 0, 0),
         (1, 1, 1),
-        (3, 2, 1), // k=2 < NEON's 4 and AVX2's 8 lanes
+        (3, 2, 1), // k=2, below the 8 lanes
         (4, 7, 8), // k=7 just under the 8-lane group
     ] {
         let a = rand_mat(m, k, &mut rng);

@@ -1,20 +1,19 @@
 //! Runtime SIMD kernel selection (std-only).
 //!
-//! `ds-nn`'s matmul kernels and `ds-codec`'s bit-twiddling loops each ship
-//! several implementations of the same maths: an AVX2 variant, a NEON
-//! variant, and a portable scalar fallback. All variants implement one
-//! *fixed accumulation schedule* (DESIGN.md §3f), so which one runs never
-//! changes a single output bit — it only changes how fast the bits arrive.
-//! This crate owns the decision of which variant runs:
+//! `ds-nn`'s kernels are written once, over eight-lane values that run
+//! either as plain Rust or as AVX2 registers. Both implement one *fixed
+//! accumulation schedule* (DESIGN.md §3f), so which one runs never changes
+//! a single output bit — it only changes how fast the bits arrive. This
+//! crate owns the decision of which one runs:
 //!
 //! 1. **Detection.** At first use the host CPU is probed
-//!    (`is_x86_feature_detected!("avx2")` on x86-64; NEON is baseline on
-//!    aarch64) and the best supported [`Level`] is cached for the process.
-//! 2. **Override.** `DS_SIMD=auto|off|avx2|neon` (mirroring `DS_THREADS`)
-//!    caps the choice: `off` forces the scalar fallback everywhere,
-//!    `avx2`/`neon` request a specific ISA and quietly fall back to
-//!    scalar when the host cannot execute it — requesting an unsupported
-//!    ISA must never SIGILL. Unparsable values behave like `auto`.
+//!    (`is_x86_feature_detected!("avx2")` on x86-64) and the best supported
+//!    [`Level`] is cached for the process.
+//! 2. **Override.** `DS_SIMD=auto|off|avx2` (mirroring `DS_THREADS`)
+//!    caps the choice: `off` forces the scalar level everywhere, `avx2`
+//!    requests AVX2 and quietly falls back to scalar when the host cannot
+//!    execute it — requesting an unsupported ISA must never SIGILL.
+//!    Unparsable values behave like `auto`.
 //! 3. **Scoped override.** [`with_level`] pins a level for the current
 //!    thread only, like `ds_exec::with_thread_limit` — concurrent tests
 //!    can compare kernels without racing on the process environment.
@@ -34,12 +33,9 @@ use std::sync::OnceLock;
 /// than it detects, never a higher one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Level {
-    /// Portable fallback. Implements the pinned lane-group schedule in
-    /// plain Rust; the reference semantics every other level must match.
+    /// Plain Rust, on every host: the kernels' eight lanes as `[f32; 8]`.
     Scalar,
-    /// 128-bit ARM Advanced SIMD (baseline on aarch64): 4 f32 lanes.
-    Neon,
-    /// 256-bit x86 AVX2: 8 f32 lanes.
+    /// 256-bit x86 AVX2: the eight lanes in one register.
     Avx2,
 }
 
@@ -48,26 +44,13 @@ impl Level {
     pub fn name(self) -> &'static str {
         match self {
             Level::Scalar => "scalar",
-            Level::Neon => "neon",
             Level::Avx2 => "avx2",
-        }
-    }
-
-    /// Hardware f32 lanes per register at this level (1 for scalar). The
-    /// *accumulation* lane group is always [`LANE_GROUP`], independent of
-    /// the register width — NEON emulates it with two registers.
-    pub fn lanes(self) -> usize {
-        match self {
-            Level::Scalar => 1,
-            Level::Neon => 4,
-            Level::Avx2 => 8,
         }
     }
 }
 
-/// Width of the fixed accumulation lane group shared by every kernel
-/// variant: dot products hold this many partial sums regardless of the
-/// register width actually used (DESIGN.md §3f).
+/// Lanes of every kernel value, at every level: a dot product holds this
+/// many partial sums (DESIGN.md §3f).
 pub const LANE_GROUP: usize = 8;
 
 /// Best level the running CPU can execute, ignoring any override.
@@ -85,21 +68,13 @@ fn detect() -> Level {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-fn detect() -> Level {
-    // NEON is part of the aarch64 baseline; no runtime probe needed.
-    Level::Neon
-}
-
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn detect() -> Level {
     Level::Scalar
 }
 
 /// Caps a requested level at what the host can actually execute: the only
-/// runnable non-scalar level is the detected one (a NEON request on an
-/// AVX2 host is a wrong-ISA request, not a "lower" one — it degrades all
-/// the way to scalar rather than being silently rebadged).
+/// runnable non-scalar level is the detected one.
 fn cap(level: Level, detected: Level) -> Level {
     if level == detected {
         level
@@ -117,7 +92,6 @@ fn resolve(env: Option<&str>, detected: Level) -> Level {
             Level::Scalar
         }
         Some(v) if v.eq_ignore_ascii_case("avx2") => cap(Level::Avx2, detected),
-        Some(v) if v.eq_ignore_ascii_case("neon") => cap(Level::Neon, detected),
         _ => detected,
     }
 }
@@ -174,21 +148,17 @@ mod tests {
     fn resolve_priority_order() {
         // `off` always wins, whatever the host has.
         assert_eq!(resolve(Some("off"), Level::Avx2), Level::Scalar);
-        assert_eq!(resolve(Some("OFF"), Level::Neon), Level::Scalar);
+        assert_eq!(resolve(Some("OFF"), Level::Avx2), Level::Scalar);
         assert_eq!(resolve(Some("scalar"), Level::Avx2), Level::Scalar);
         // Specific requests are capped at the detected level.
         assert_eq!(resolve(Some("avx2"), Level::Avx2), Level::Avx2);
         assert_eq!(resolve(Some("avx2"), Level::Scalar), Level::Scalar);
-        assert_eq!(resolve(Some("neon"), Level::Neon), Level::Neon);
-        assert_eq!(resolve(Some("neon"), Level::Scalar), Level::Scalar);
-        // Wrong-ISA requests degrade all the way to scalar, never to a
-        // rebadged "lower" level the host also cannot run.
-        assert_eq!(resolve(Some("neon"), Level::Avx2), Level::Scalar);
-        assert_eq!(resolve(Some("avx2"), Level::Neon), Level::Scalar);
-        // auto / unset / garbage take the detected level.
+        // auto / unset / garbage take the detected level; `neon` selects
+        // nothing and reads like any unknown value.
         assert_eq!(resolve(Some("auto"), Level::Avx2), Level::Avx2);
-        assert_eq!(resolve(None, Level::Neon), Level::Neon);
+        assert_eq!(resolve(None, Level::Scalar), Level::Scalar);
         assert_eq!(resolve(Some("avx512"), Level::Avx2), Level::Avx2);
+        assert_eq!(resolve(Some("neon"), Level::Avx2), Level::Avx2);
         assert_eq!(resolve(Some(" off "), Level::Avx2), Level::Scalar);
     }
 
@@ -206,7 +176,6 @@ mod tests {
     #[test]
     fn active_never_exceeds_detected() {
         with_level(Level::Avx2, || assert!(active() <= detected()));
-        with_level(Level::Neon, || assert!(active() <= detected()));
         assert!(active() <= detected());
     }
 
@@ -214,10 +183,6 @@ mod tests {
     fn names_and_lanes_are_stable() {
         assert_eq!(Level::Scalar.name(), "scalar");
         assert_eq!(Level::Avx2.name(), "avx2");
-        assert_eq!(Level::Neon.name(), "neon");
-        assert_eq!(Level::Scalar.lanes(), 1);
-        assert_eq!(Level::Neon.lanes(), 4);
-        assert_eq!(Level::Avx2.lanes(), 8);
         assert_eq!(LANE_GROUP, 8);
     }
 }

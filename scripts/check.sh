@@ -67,6 +67,19 @@ if { sed -s '/^#\[cfg(test)\]/,$d' crates/codec/src/*.rs \
   exit 1
 fi
 
+# One body per ds-nn kernel (DESIGN.md §3f): simd.rs writes each kernel once
+# over `Lanes`, so its non-test source holds no aarch64 variant, no AVX2
+# intrinsic outside the `__m256` lanes' module, and no `unsafe fn` but the
+# `#[target_feature]` entry.
+simd_rs="$(sed '/^#\[cfg(test)\]/,$d' crates/nn/src/simd.rs)"
+if grep -n 'target_arch = "aarch64"' <<< "$simd_rs" \
+  || sed '/^mod avx2 {$/,/^}$/d' <<< "$simd_rs" | grep -n '_mm256_' \
+  || awk '/unsafe fn/ && prev !~ /#\[target_feature/ { print NR ": " $0; bad = 1 }
+      { prev = $0 } END { exit !bad }' <<< "$simd_rs"; then
+  echo "simd.rs writes a kernel twice again (aarch64 code, an AVX2 intrinsic outside the lanes, or an unsafe fn)"
+  exit 1
+fi
+
 # One code width per archive, measured at fit (pipeline.rs): the shard
 # encoder is straight-line and may not grow the per-shard candidate loop
 # — or the tuple type it needed — back.
