@@ -68,9 +68,11 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u64>> {
     Ok(out)
 }
 
-/// Size of the packed output without materializing it.
-pub fn encoded_size(values: &[u64]) -> usize {
-    let width = width_for(values.iter().copied().max().unwrap_or(0)) as usize;
+/// Size of the packed output without materializing it (nor widening
+/// narrower values to `u64` first).
+pub fn encoded_size<T: Copy + Into<u64>>(values: &[T]) -> usize {
+    let max = values.iter().map(|&v| v.into()).max().unwrap_or(0);
+    let width = width_for(max) as usize;
     let payload = (values.len() * width).div_ceil(8);
     crate::varint::encoded_len(values.len() as u64) + 1 + payload
 }

@@ -9,14 +9,18 @@ use crate::{varint, ByteReader, ByteWriter, CodecError, Result};
 
 /// Encodes `values` as first value + zigzag deltas.
 pub fn encode_i64(values: &[i64]) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(values.len() + 16);
-    w.write_varint(values.len() as u64);
-    let Some((&first, _)) = values.split_first() else {
-        return w.into_vec();
-    };
-    varint::write_i64(&mut w, first);
-    for pair in values.windows(2) {
-        varint::write_i64(&mut w, pair[1].wrapping_sub(pair[0]));
+    encode_values(values.len(), values.iter().copied())
+}
+
+/// Writes the count, then each value's zigzag delta from the one before
+/// it (the first from 0, so it is stored whole).
+fn encode_values(n: usize, values: impl Iterator<Item = i64>) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(n + 16);
+    w.write_varint(n as u64);
+    let mut prev = 0i64;
+    for v in values {
+        varint::write_i64(&mut w, v.wrapping_sub(prev));
+        prev = v;
     }
     w.into_vec()
 }
@@ -75,11 +79,19 @@ fn decode_values(mut r: ByteReader<'_>, n: usize) -> Result<Vec<i64>> {
 
 /// Encoded size of [`encode_i64`] output without allocating it.
 pub fn encoded_size_i64(values: &[i64]) -> usize {
-    let mut size = varint::encoded_len(values.len() as u64);
+    size_of_values(values.len(), values.iter().copied())
+}
+
+/// Encoded size of [`encode_u32`] output, read from the `u32`s in place.
+pub fn encoded_size_u32(values: &[u32]) -> usize {
+    size_of_values(values.len(), values.iter().map(|&v| i64::from(v)))
+}
+
+fn size_of_values(n: usize, values: impl Iterator<Item = i64>) -> usize {
+    let mut size = varint::encoded_len(n as u64);
     let mut prev = 0i64;
-    for (i, &v) in values.iter().enumerate() {
-        let d = if i == 0 { v } else { v.wrapping_sub(prev) };
-        size += varint::encoded_len(varint::zigzag(d));
+    for v in values {
+        size += varint::encoded_len(varint::zigzag(v.wrapping_sub(prev)));
         prev = v;
     }
     size
@@ -87,8 +99,7 @@ pub fn encoded_size_i64(values: &[i64]) -> usize {
 
 /// Convenience wrapper for unsigned sequences (e.g., sorted row indexes).
 pub fn encode_u32(values: &[u32]) -> Vec<u8> {
-    let widened: Vec<i64> = values.iter().map(|&v| i64::from(v)).collect();
-    encode_i64(&widened)
+    encode_values(values.len(), values.iter().map(|&v| i64::from(v)))
 }
 
 /// Decodes [`encode_u32`] output, rejecting values outside `u32`.

@@ -1,16 +1,20 @@
 //! `parq` — a Parquet-like columnar storage container (§2.2).
 //!
-//! Stores a table column-by-column. For every column the writer *tries*
-//! each applicable encoding (plain, RLE, delta, bit-packing, dictionary)
-//! and keeps the smallest, then runs an optional [`crate::gzlike`] entropy
-//! stage — mirroring how Parquet composes columnar encodings with a
-//! general-purpose compressor. It serves two roles in the reproduction:
+//! Stores a table column-by-column. For every column the writer sizes
+//! each applicable encoding (plain, RLE, delta, bit-packing, dictionary,
+//! adaptive range coding) and keeps the smallest, then runs an optional
+//! [`crate::gzlike`] entropy stage — mirroring how Parquet composes
+//! columnar encodings with a general-purpose compressor. A candidate whose
+//! size is arithmetic is encoded only if it wins, and the entropy stage
+//! skips a range-coded (`ARITH`) payload, which it never shrinks. It
+//! serves two roles in the reproduction:
 //!
 //! 1. the standalone **Parquet baseline** of the paper's evaluation, and
 //! 2. the backend DeepSqueeze materializes failures into (§6.3).
 
 use std::borrow::Cow;
 
+use crate::rangecoder::AdaptiveModel;
 use crate::{
     delta, dict::Dictionary, gzlike, registry, ByteReader, ByteWriter, CodecError, Result,
 };
@@ -53,7 +57,6 @@ impl ParqColumn {
 const ARITH_MAX_ALPHABET: u32 = 4096;
 
 pub(crate) fn encode_u32_arith(values: &[u32]) -> Option<Vec<u8>> {
-    use crate::rangecoder::{AdaptiveModel, RangeEncoder};
     let max = values.iter().copied().max()?;
     if max >= ARITH_MAX_ALPHABET || values.len() < 64 {
         return None;
@@ -62,16 +65,12 @@ pub(crate) fn encode_u32_arith(values: &[u32]) -> Option<Vec<u8>> {
     w.write_varint(values.len() as u64);
     w.write_varint(u64::from(max) + 1);
     let mut model = AdaptiveModel::new(max as usize + 1).ok()?;
-    let mut enc = RangeEncoder::new();
-    for &v in values {
-        model.encode(&mut enc, v as usize).ok()?;
-    }
-    w.write_len_prefixed(&enc.finish());
+    let stream = model.encode_all(values.iter().map(|&v| v as usize)).ok()?;
+    w.write_len_prefixed(&stream);
     Some(w.into_vec())
 }
 
 pub(crate) fn decode_u32_arith(payload: &[u8]) -> Result<Vec<u32>> {
-    use crate::rangecoder::{AdaptiveModel, RangeDecoder};
     let mut r = ByteReader::new(payload);
     let n = r.read_varint_usize()?;
     let alphabet = r.read_varint()?;
@@ -84,13 +83,7 @@ pub(crate) fn decode_u32_arith(payload: &[u8]) -> Result<Vec<u32>> {
         ));
     }
     let stream = r.read_len_prefixed()?;
-    let mut model = AdaptiveModel::new(alphabet as usize)?;
-    let mut dec = RangeDecoder::new(stream)?;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        out.push(model.decode(&mut dec)? as u32); // ds-lint: allow(no-raw-cast-len) -- decode() returns a symbol < alphabet <= ARITH_MAX_ALPHABET, which fits u32
-    }
-    Ok(out)
+    AdaptiveModel::new(alphabet as usize)?.decode_all(stream, n)
 }
 
 /// Encodes a u32 stream with the smallest applicable codec from the
@@ -174,6 +167,19 @@ fn entropy_stage(payload: Vec<u8>) -> (u8, Vec<u8>) {
     }
 }
 
+/// [`entropy_stage`] for a u32 codec's payload, skipping an `ARITH` one:
+/// range-coder output is near-uniform bytes, which gzlike does not shrink
+/// (`tests/parq_selector.rs` checks this against the always-squeezing
+/// writer on every generator's streams). The flag byte stays, so the
+/// reader is unchanged.
+fn u32_entropy_stage(tag: u8, payload: Vec<u8>) -> (u8, Vec<u8>) {
+    if registry::ARITH.wire_byte() == Some(tag) {
+        (0, payload)
+    } else {
+        entropy_stage(payload)
+    }
+}
+
 /// Undoes [`entropy_stage`]: a stored payload (flag 0) is decoded from
 /// the archive bytes in place, only a squeezed one is expanded.
 fn un_entropy(flag: u8, payload: &[u8]) -> Result<Cow<'_, [u8]>> {
@@ -206,7 +212,7 @@ fn encode_column_section(name: &str, col: &ParqColumn) -> Result<Vec<u8>> {
         ParqColumn::U32(values) => {
             w.write_u8(0);
             let (tag, payload) = encode_u32_best(values)?;
-            let (flag, payload) = entropy_stage(payload);
+            let (flag, payload) = u32_entropy_stage(tag, payload);
             w.write_u8(tag);
             w.write_u8(flag);
             w.write_len_prefixed(&payload);
@@ -217,8 +223,9 @@ fn encode_column_section(name: &str, col: &ParqColumn) -> Result<Vec<u8>> {
             // direct zigzag reuse of the u32 encodings (failure-delta
             // streams are mostly zeros — delta coding those *doubles*
             // the nonzero count). The u32 path needs every zigzagged
-            // value to fit 32 bits.
-            let delta_payload = delta::encode_i64(values);
+            // value to fit 32 bits. Delta's size is arithmetic, so it is
+            // encoded only when it wins.
+            let delta_size = delta::encoded_size_i64(values);
             let zz: Option<Vec<u32>> = values
                 .iter()
                 .map(|&v| u32::try_from(crate::varint::zigzag(v)).ok())
@@ -228,14 +235,14 @@ fn encode_column_section(name: &str, col: &ParqColumn) -> Result<Vec<u8>> {
                 None => None,
             };
             match direct {
-                Some((tag, payload)) if payload.len() < delta_payload.len() => {
-                    let (flag, payload) = entropy_stage(payload);
+                Some((tag, payload)) if payload.len() < delta_size => {
+                    let (flag, payload) = u32_entropy_stage(tag, payload);
                     w.write_u8(2 + flag); // 2 = zigzag raw, 3 = zigzag+gz
                     w.write_u8(tag);
                     w.write_len_prefixed(&payload);
                 }
                 _ => {
-                    let (flag, payload) = entropy_stage(delta_payload);
+                    let (flag, payload) = entropy_stage(delta::encode_i64(values));
                     w.write_u8(flag); // 0 = delta raw, 1 = delta+gz
                     w.write_len_prefixed(&payload);
                 }

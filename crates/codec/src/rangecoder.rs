@@ -1,11 +1,15 @@
 //! Arithmetic coding via a byte-oriented range coder, plus adaptive
 //! frequency models backed by Fenwick trees.
 //!
-//! This is the entropy-coding substrate for the Squish baseline (§2.3 of
-//! the DeepSqueeze paper): Squish walks a Bayesian network and arithmetic-
-//! codes each attribute under its conditional distribution. The coder is
-//! the classic carry-propagating design (as in LZMA): 32-bit range, 64-bit
-//! low accumulator, renormalizing a byte at a time.
+//! Two users share the coder. The Squish baseline (§2.3 of the
+//! DeepSqueeze paper) walks a Bayesian network and codes each attribute
+//! under a [`StaticModel`] one symbol at a time through [`RangeEncoder`] /
+//! [`RangeDecoder`]. parq's `ARITH` u32 codec and DeepSqueeze's expert
+//! labels code a whole stream under one [`AdaptiveModel`] with its
+//! [`AdaptiveModel::encode_all`] / [`AdaptiveModel::decode_all`] loops,
+//! which keep the coder state in locals from the first symbol to the last.
+//! The coder is the classic carry-propagating design (as in LZMA): 32-bit
+//! range, 64-bit low accumulator, renormalizing a byte at a time.
 
 use crate::{ByteReader, CodecError, Result};
 
@@ -71,20 +75,12 @@ impl RangeEncoder {
     }
 
     fn shift_low(&mut self) {
-        if (self.low as u32) < 0xFF00_0000 || (self.low >> 32) != 0 {
-            let carry = (self.low >> 32) as u8; // 0 or 1
-                                                // The very first pushed byte is the initial cache (0); the
-                                                // decoder skips it, keeping both sides byte-aligned (as in LZMA).
-            self.out.push(self.cache.wrapping_add(carry));
-            for _ in 0..self.pending {
-                self.out.push(0xFFu8.wrapping_add(carry));
-            }
-            self.pending = 0;
-            self.cache = (self.low >> 24) as u8;
-        } else {
-            self.pending += 1;
-        }
-        self.low = (self.low << 8) & 0xFFFF_FFFF;
+        shift_low(
+            &mut self.low,
+            &mut self.cache,
+            &mut self.pending,
+            &mut self.out,
+        );
     }
 
     /// Flushes the remaining state and returns the coded bytes.
@@ -94,6 +90,27 @@ impl RangeEncoder {
         }
         self.out
     }
+}
+
+/// Emits the top byte of `low` (LZMA's carry scheme): a byte that a later
+/// carry can still change is held back as `cache` plus `pending` 0xFF
+/// bytes, and written once the carry is known.
+#[inline(always)]
+fn shift_low(low: &mut u64, cache: &mut u8, pending: &mut u64, out: &mut Vec<u8>) {
+    if (*low as u32) < 0xFF00_0000 || (*low >> 32) != 0 {
+        let carry = (*low >> 32) as u8; // 0 or 1
+                                        // The very first pushed byte is the initial cache (0); the decoder
+                                        // skips it, keeping both sides byte-aligned (as in LZMA).
+        out.push(cache.wrapping_add(carry));
+        for _ in 0..*pending {
+            out.push(0xFFu8.wrapping_add(carry));
+        }
+        *pending = 0;
+        *cache = (*low >> 24) as u8;
+    } else {
+        *pending += 1;
+    }
+    *low = (*low << 8) & 0xFFFF_FFFF;
 }
 
 /// Decodes a stream produced by [`RangeEncoder`].
@@ -170,13 +187,21 @@ impl<'a> RangeDecoder<'a> {
     }
 }
 
-/// Adaptive frequency model over a fixed alphabet, Fenwick-tree backed so
-/// both cumulative queries and updates are O(log n).
+/// Adaptive frequency model over a fixed alphabet: a frequency array
+/// beside a Fenwick tree, so a symbol's frequency is one load and its
+/// cumulative count one O(log n) walk.
+///
+/// [`AdaptiveModel::encode_all`] and [`AdaptiveModel::decode_all`] code a
+/// whole stream in one loop that keeps the coder state in locals; they
+/// write and read exactly the bytes of a [`RangeEncoder`] /
+/// [`RangeDecoder`] driven one symbol at a time.
 #[derive(Debug, Clone)]
 pub struct AdaptiveModel {
-    /// Fenwick tree over per-symbol frequencies (1-indexed internally).
+    /// Fenwick tree over `freq` (1-indexed: `tree[0]` is unused, and
+    /// `tree[i]` sums `freq[i - lowbit(i) .. i]`).
     tree: Vec<u32>,
-    n: usize,
+    /// Per-symbol frequencies; `freq.len()` is the alphabet size.
+    freq: Vec<u32>,
     total: u32,
     increment: u32,
 }
@@ -189,31 +214,29 @@ impl AdaptiveModel {
 
     /// Creates a model with a custom adaptation increment.
     pub fn with_increment(alphabet: usize, increment: u32) -> Result<Self> {
-        if alphabet == 0 || alphabet as u64 * 2 > u64::from(MAX_TOTAL) {
-            return Err(CodecError::InvalidParameter(
+        let symbols = u32::try_from(alphabet)
+            .ok()
+            .filter(|&a| a != 0 && u64::from(a) * 2 <= u64::from(MAX_TOTAL))
+            .ok_or(CodecError::InvalidParameter(
                 "rangecoder: alphabet size unsupported",
-            ));
-        }
-        let mut m = AdaptiveModel {
-            tree: vec![0; alphabet + 1],
-            n: alphabet,
-            total: 0,
+            ))?;
+        Ok(AdaptiveModel {
+            // All ones: node i covers lowbit(i) symbols of frequency 1.
+            tree: (0..=symbols).map(|i| i & i.wrapping_neg()).collect(),
+            freq: vec![1; alphabet],
+            total: symbols,
             increment,
-        };
-        for s in 0..alphabet {
-            m.add(s, 1);
-        }
-        Ok(m)
+        })
     }
 
     /// Alphabet size.
     pub fn len(&self) -> usize {
-        self.n
+        self.freq.len()
     }
 
     /// True if the alphabet is empty (never: construction forbids it).
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.freq.is_empty()
     }
 
     /// Current total frequency.
@@ -221,72 +244,173 @@ impl AdaptiveModel {
         self.total
     }
 
-    fn add(&mut self, symbol: usize, delta: u32) {
-        let mut i = symbol + 1;
-        while i <= self.n {
-            // ds-lint: allow(panic-free-decode) -- tree.len() == n + 1 by construction and i <= n is the loop bound
-            self.tree[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-        self.total += delta;
-    }
-
-    /// Cumulative frequency of symbols strictly below `symbol`.
+    /// Cumulative frequency of symbols strictly below `symbol`
+    /// (`symbol <= len()`).
     pub fn cum(&self, symbol: usize) -> u32 {
         let mut i = symbol;
         let mut s = 0;
         while i > 0 {
-            // ds-lint: allow(panic-free-decode) -- callers pass symbol <= n and i only decreases; tree.len() == n + 1
-            s += self.tree[i];
-            i -= i & i.wrapping_neg();
+            s += self.tree.get(i).copied().unwrap_or(0);
+            i &= i - 1;
         }
         s
     }
 
-    /// Frequency of `symbol`.
+    /// Frequency of `symbol` (0 outside the alphabet).
     pub fn freq(&self, symbol: usize) -> u32 {
-        self.cum(symbol + 1) - self.cum(symbol)
-    }
-
-    /// Finds the symbol whose interval contains cumulative value `target`.
-    pub fn find(&self, target: u32) -> usize {
-        // Standard Fenwick binary lift.
-        let mut pos = 0usize;
-        let mut rem = target;
-        let mut mask = self.n.next_power_of_two();
-        while mask > 0 {
-            let next = pos + mask;
-            // ds-lint: allow(panic-free-decode) -- next <= n is checked first and tree.len() == n + 1
-            if next <= self.n && self.tree[next] <= rem {
-                rem -= self.tree[next]; // ds-lint: allow(panic-free-decode) -- same next <= n guard on this branch
-                pos = next;
-            }
-            mask >>= 1;
-        }
-        pos.min(self.n - 1)
+        self.freq.get(symbol).copied().unwrap_or(0)
     }
 
     /// Bumps `symbol`'s frequency, halving all counts when the total nears
     /// the coder's precision limit.
     pub fn update(&mut self, symbol: usize) {
-        self.add(symbol, self.increment);
+        let Some(f) = self.freq.get_mut(symbol) else {
+            return;
+        };
+        *f += self.increment;
+        let mut i = symbol + 1;
+        while let Some(node) = self.tree.get_mut(i) {
+            *node += self.increment;
+            i += i & i.wrapping_neg();
+        }
+        self.total += self.increment;
         if self.total >= MAX_TOTAL {
             self.rescale();
         }
     }
 
+    /// Halves every frequency (keeping each at least 1) and rebuilds the
+    /// tree from the array in O(n): each node adds itself into its parent.
     fn rescale(&mut self) {
-        let freqs: Vec<u32> = (0..self.n).map(|s| (self.freq(s) / 2).max(1)).collect();
-        self.tree.iter_mut().for_each(|v| *v = 0);
-        self.total = 0;
-        for (s, f) in freqs.into_iter().enumerate() {
-            self.add(s, f);
+        self.freq.iter_mut().for_each(|f| *f = (*f / 2).max(1));
+        self.total = self.freq.iter().sum();
+        for (node, &f) in self.tree.iter_mut().skip(1).zip(&self.freq) {
+            *node = f;
+        }
+        for i in 1..self.tree.len() {
+            let own = self.tree.get(i).copied().unwrap_or(0);
+            if let Some(parent) = self.tree.get_mut(i + (i & i.wrapping_neg())) {
+                *parent += own;
+            }
         }
     }
 
-    /// Encodes `symbol` under the current distribution, then adapts.
+    /// Range-codes every symbol of `symbols` under the adapting model and
+    /// returns the finished stream: the bytes a [`RangeEncoder`] fed one
+    /// symbol at a time and then finished would hold.
+    pub fn encode_all(&mut self, symbols: impl IntoIterator<Item = usize>) -> Result<Vec<u8>> {
+        let mut low = 0u64;
+        let mut range = u32::MAX;
+        let mut cache = 0u8;
+        let mut pending = 0u64;
+        let mut out = Vec::new();
+        for symbol in symbols {
+            let freq = self.freq(symbol);
+            if freq == 0 {
+                return Err(CodecError::InvalidParameter(
+                    "rangecoder: symbol out of range",
+                ));
+            }
+            let r = range / self.total;
+            low += u64::from(self.cum(symbol)) * u64::from(r);
+            range = r * freq;
+            while range < TOP {
+                shift_low(&mut low, &mut cache, &mut pending, &mut out);
+                range <<= 8;
+            }
+            self.update(symbol);
+        }
+        for _ in 0..5 {
+            shift_low(&mut low, &mut cache, &mut pending, &mut out);
+        }
+        Ok(out)
+    }
+
+    /// Decodes `n` symbols of a stream [`AdaptiveModel::encode_all`] wrote,
+    /// adapting as it goes. At most 2^20 symbols are reserved up front;
+    /// the rest must be backed by the stream's bytes.
+    ///
+    /// Each symbol takes one Fenwick lift, which finds the symbol and its
+    /// cumulative count together by testing `(acc + tree[next]) · r ≤ code`
+    /// rather than dividing `code` by `r` (exact: `c ≤ ⌊code/r⌋ ⇔ c·r ≤
+    /// code`). A lift that runs off the alphabet — a damaged stream whose
+    /// `code` points past the total — lands on the last symbol. A stream
+    /// too short to prime, or that runs out mid-symbol, is
+    /// [`CodecError::UnexpectedEof`].
+    pub fn decode_all(&mut self, stream: &[u8], n: usize) -> Result<Vec<u32>> {
+        // The first byte is the encoder's initial cache (always 0).
+        let Some((&[_, b0, b1, b2, b3], mut rest)) = stream.split_first_chunk::<5>() else {
+            return Err(CodecError::UnexpectedEof);
+        };
+        let mut code = u32::from_be_bytes([b0, b1, b2, b3]);
+        let mut range = u32::MAX;
+        let last = self.freq.len() - 1;
+        let top = self.freq.len().next_power_of_two();
+        let mut out = Vec::with_capacity(n.min(1 << 20));
+        for _ in 0..n {
+            let r = range / self.total;
+            let mut pos = 0usize;
+            let mut acc = 0u32;
+            let mut mask = top;
+            while mask > 0 {
+                if let Some(&node) = self.tree.get(pos + mask) {
+                    // acc + node is a cumulative count, so the product is
+                    // at most total · r <= range: no overflow.
+                    if (acc + node) * r <= code {
+                        acc += node;
+                        pos += mask;
+                    }
+                }
+                mask >>= 1;
+            }
+            let (symbol, cum) = if pos > last {
+                (last, self.total - self.freq(last))
+            } else {
+                (pos, acc)
+            };
+            code -= cum * r;
+            range = r * self.freq(symbol);
+            while range < TOP {
+                // The encoder wrote 5 flush bytes, so a well-formed stream
+                // never underruns. Reading on as zeros would let a forged
+                // symbol count expand a few bytes into gigabytes.
+                let Some((&byte, tail)) = rest.split_first() else {
+                    return Err(CodecError::UnexpectedEof);
+                };
+                rest = tail;
+                code = (code << 8) | u32::from(byte);
+                range <<= 8;
+            }
+            self.update(symbol);
+            out.push(symbol as u32);
+        }
+        Ok(out)
+    }
+
+    /// Finds the symbol whose interval contains cumulative value `target`
+    /// (the per-symbol reference for the lift in `decode_all`).
+    #[cfg(test)]
+    pub fn find(&self, target: u32) -> usize {
+        let mut pos = 0usize;
+        let mut rem = target;
+        let mut mask = self.len().next_power_of_two();
+        while mask > 0 {
+            if let Some(&node) = self.tree.get(pos + mask) {
+                if node <= rem {
+                    rem -= node;
+                    pos += mask;
+                }
+            }
+            mask >>= 1;
+        }
+        pos.min(self.len() - 1)
+    }
+
+    /// Encodes `symbol` under the current distribution, then adapts: the
+    /// per-symbol reference `encode_all` is tested against.
+    #[cfg(test)]
     pub fn encode(&mut self, enc: &mut RangeEncoder, symbol: usize) -> Result<()> {
-        if symbol >= self.n {
+        if symbol >= self.len() {
             return Err(CodecError::InvalidParameter(
                 "rangecoder: symbol out of range",
             ));
@@ -296,7 +420,9 @@ impl AdaptiveModel {
         Ok(())
     }
 
-    /// Decodes one symbol and adapts, mirroring [`AdaptiveModel::encode`].
+    /// Decodes one symbol and adapts, mirroring [`AdaptiveModel::encode`]:
+    /// the per-symbol reference `decode_all` is tested against.
+    #[cfg(test)]
     pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> Result<usize> {
         let f = dec.decode_freq(self.total)?;
         let symbol = self.find(f);
@@ -348,21 +474,17 @@ impl StaticModel {
 
     /// Total scaled frequency.
     pub fn total(&self) -> u32 {
-        // ds-lint: allow(panic-free-decode) -- from_counts always pushes the leading 0, so cum is never empty
-        *self.cum.last().expect("cum never empty")
+        self.cum.last().copied().unwrap_or(0)
     }
 
     /// Encodes `symbol`.
     pub fn encode(&self, enc: &mut RangeEncoder, symbol: usize) -> Result<()> {
-        if symbol >= self.len() {
+        let Some(&[cum, end]) = self.cum.get(symbol..).and_then(<[u32]>::first_chunk) else {
             return Err(CodecError::InvalidParameter(
                 "rangecoder: symbol out of range",
             ));
-        }
-        // ds-lint: allow(panic-free-decode) -- symbol < len() was rejected above; cum has len()+1 entries
-        let cum = self.cum[symbol];
-        let freq = self.cum[symbol + 1] - cum; // ds-lint: allow(panic-free-decode) -- same symbol < len() guard; symbol+1 <= len()
-        enc.encode(cum, freq, self.total());
+        };
+        enc.encode(cum, end - cum, self.total());
         Ok(())
     }
 
@@ -375,10 +497,10 @@ impl StaticModel {
             Err(i) => i - 1,
         }
         .min(self.len() - 1);
-        // ds-lint: allow(panic-free-decode) -- symbol is clamped to len()-1 above; cum has len()+1 entries
-        let cum = self.cum[symbol];
-        let freq = self.cum[symbol + 1] - cum; // ds-lint: allow(panic-free-decode) -- symbol+1 <= len() after the clamp above
-        dec.update(cum, freq)?;
+        let Some(&[cum, end]) = self.cum.get(symbol..).and_then(<[u32]>::first_chunk) else {
+            return Err(CodecError::Corrupt("rangecoder: symbol past the table"));
+        };
+        dec.update(cum, end - cum)?;
         Ok(symbol)
     }
 }
@@ -523,6 +645,150 @@ mod tests {
         let mut m = AdaptiveModel::new(4).unwrap();
         let mut enc = RangeEncoder::new();
         assert!(m.encode(&mut enc, 4).is_err());
+    }
+}
+
+/// The whole-stream loops against the per-symbol reference they replace:
+/// the same bytes out of `encode_all`, and out of `decode_all` the same
+/// symbols or the same error, on seeded streams and on damaged copies.
+#[cfg(test)]
+mod whole_stream {
+    use super::*;
+
+    /// xorshift64*: a fixed stream for every input below.
+    fn rng(seed: u64) -> impl FnMut() -> u64 {
+        let mut x = seed;
+        move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    /// `len` skewed symbols below `alphabet`.
+    fn stream(alphabet: usize, len: usize, seed: u64) -> Vec<usize> {
+        let mut next = rng(seed);
+        (0..len)
+            .map(|_| {
+                let r = next();
+                if r.is_multiple_of(4) {
+                    (r >> 32) as usize % alphabet
+                } else {
+                    (r >> 8).trailing_zeros() as usize % alphabet
+                }
+            })
+            .collect()
+    }
+
+    fn reference_encode(m: &mut AdaptiveModel, symbols: &[usize]) -> Result<Vec<u8>> {
+        let mut enc = RangeEncoder::new();
+        for &s in symbols {
+            m.encode(&mut enc, s)?;
+        }
+        Ok(enc.finish())
+    }
+
+    fn reference_decode(m: &mut AdaptiveModel, bytes: &[u8], n: usize) -> Result<Vec<u32>> {
+        let mut dec = RangeDecoder::new(bytes)?;
+        (0..n)
+            .map(|_| m.decode(&mut dec).map(|s| s as u32))
+            .collect()
+    }
+
+    /// (alphabet, increment, symbols): small and wide alphabets, one past
+    /// a rescale at the default increment and one rescaling often.
+    const CASES: &[(usize, u32, usize)] = &[
+        (1, 32, 100),
+        (2, 32, 3_000),
+        (8, 32, 150_000),
+        (300, 32, 20_000),
+        (4096, 32, 30_000),
+        (3, 4096, 40_000),
+    ];
+
+    #[test]
+    fn loops_write_and_read_what_the_per_symbol_coder_does() {
+        for (k, &(alphabet, inc, len)) in CASES.iter().enumerate() {
+            let symbols = stream(alphabet, len, 0x5EED ^ k as u64);
+            let model = AdaptiveModel::with_increment(alphabet, inc).unwrap();
+            let want = reference_encode(&mut model.clone(), &symbols).unwrap();
+            let mut looped = model.clone();
+            assert_eq!(
+                looped.encode_all(symbols.iter().copied()).unwrap(),
+                want,
+                "alphabet {alphabet}"
+            );
+            let decoded = model.clone().decode_all(&want, len).unwrap();
+            assert_eq!(
+                decoded,
+                reference_decode(&mut model.clone(), &want, len).unwrap()
+            );
+            let symbols: Vec<u32> = symbols.iter().map(|&s| s as u32).collect();
+            assert_eq!(decoded, symbols, "alphabet {alphabet}");
+        }
+    }
+
+    #[test]
+    fn damaged_streams_decode_alike() {
+        let mut next = rng(0xDA4A);
+        for (k, &(alphabet, inc, len)) in CASES.iter().enumerate() {
+            let len = len.min(4_000);
+            let symbols = stream(alphabet, len, 0xBAD ^ k as u64);
+            let model = AdaptiveModel::with_increment(alphabet, inc).unwrap();
+            let good = model.clone().encode_all(symbols).unwrap();
+            let mut damaged: Vec<Vec<u8>> = (0..=good.len().min(12))
+                .map(|cut| good[..cut].to_vec())
+                .collect();
+            damaged.push(good[..good.len() / 2].to_vec());
+            for _ in 0..40 {
+                let mut bad = good.clone();
+                let at = (next() % bad.len() as u64) as usize;
+                bad[at] ^= 1 << (next() % 8);
+                damaged.push(bad);
+            }
+            for bytes in &damaged {
+                // More symbols than were written, too: the loops must run
+                // out of bytes at the same symbol.
+                for n in [len, len + 50] {
+                    assert_eq!(
+                        model.clone().decode_all(bytes, n),
+                        reference_decode(&mut model.clone(), bytes, n),
+                        "alphabet {alphabet}, {} bytes, n {n}",
+                        bytes.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_symbol_is_refused_alike() {
+        let model = AdaptiveModel::new(4).unwrap();
+        let err = model.clone().encode_all([0, 3, 4, 1]).unwrap_err();
+        assert_eq!(
+            err,
+            reference_encode(&mut model.clone(), &[0, 3, 4, 1]).unwrap_err()
+        );
+    }
+
+    #[test]
+    fn rescale_rebuilds_the_tree_the_updates_would() {
+        let mut m = AdaptiveModel::with_increment(37, 999).unwrap();
+        for s in stream(37, 20_000, 7) {
+            m.update(s);
+        }
+        // A tree built by adding each halved frequency in turn.
+        let mut want = vec![0u32; m.len() + 1];
+        for (s, &f) in m.freq.iter().enumerate() {
+            let mut i = s + 1;
+            while i < want.len() {
+                want[i] += f;
+                i += i & i.wrapping_neg();
+            }
+        }
+        assert_eq!(m.tree, want);
+        assert_eq!(m.total, m.freq.iter().sum::<u32>());
     }
 }
 

@@ -27,8 +27,11 @@
 //!
 //! The subset of codecs that encode dense `u32` streams (the workhorse
 //! of parq's column sections) additionally registers probe/encode/decode
-//! entry points here. [`select_u32`] is parq's "try every candidate, keep
-//! the strictly smaller" selection over the table, in id order. It skips
+//! entry points here. [`select_u32`] is parq's "size every candidate,
+//! keep the strictly smaller" selection over the table, in id order. RLE,
+//! delta and bitpack sizes are arithmetic on the `u32` slice, so only the
+//! winner among them is ever encoded; Roaring and `ARITH` size by
+//! encoding, and hand their bytes over when they win. It skips
 //! [`FOR_MODEL`]: the frame-of-reference model stays decodable, because
 //! archives older builds wrote may hold it, but it won none of the 3,273
 //! failure streams of the three benchmark tables when it could compete.
@@ -206,34 +209,27 @@ fn encode_rle(values: &[u32]) -> Option<Vec<u8>> {
     Some(rle::encode(values))
 }
 
-fn widen_i64(values: &[u32]) -> Vec<i64> {
-    values.iter().map(|&v| i64::from(v)).collect()
-}
-
 fn probe_delta(values: &[u32]) -> Option<U32Candidate> {
     Some(U32Candidate {
-        size: delta::encoded_size_i64(&widen_i64(values)),
+        size: delta::encoded_size_u32(values),
         bytes: None,
     })
 }
 
 fn encode_delta(values: &[u32]) -> Option<Vec<u8>> {
-    Some(delta::encode_i64(&widen_i64(values)))
-}
-
-fn widen_u64(values: &[u32]) -> Vec<u64> {
-    values.iter().map(|&v| u64::from(v)).collect()
+    Some(delta::encode_u32(values))
 }
 
 fn probe_bitpack(values: &[u32]) -> Option<U32Candidate> {
     Some(U32Candidate {
-        size: bitpack::encoded_size(&widen_u64(values)),
+        size: bitpack::encoded_size(values),
         bytes: None,
     })
 }
 
 fn encode_bitpack(values: &[u32]) -> Option<Vec<u8>> {
-    Some(bitpack::encode(&widen_u64(values)))
+    let wide: Vec<u64> = values.iter().map(|&v| u64::from(v)).collect();
+    Some(bitpack::encode(&wide))
 }
 
 fn decode_bitpack(payload: &[u8]) -> Result<Vec<u32>> {
@@ -493,6 +489,32 @@ mod tests {
             let sel = select_u32(values).unwrap();
             let byte = sel.id.wire_byte().unwrap();
             assert_eq!(&decode_u32(byte, &sel.payload).unwrap(), values);
+        }
+    }
+
+    #[test]
+    fn a_size_only_probe_reports_the_encoded_size() {
+        let streams: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![u32::MAX; 3],
+            (0..3000).map(|i| (i * 2654435761u64) as u32).collect(),
+            (0..3000)
+                .map(|i| (i * 2654435761u64) as u32 >> 19)
+                .collect(),
+            (0..3000).map(|i| 4_000_000_000 - i * 1_000_000).collect(),
+            (0..3000).map(|i| (i / 64) as u32 % 3).collect(),
+        ];
+        for values in &streams {
+            for codec in u32_codecs() {
+                let Some(candidate) = (codec.probe)(values) else {
+                    continue;
+                };
+                let encoded = (codec.encode)(values).expect("a probed codec encodes");
+                assert_eq!(candidate.size, encoded.len(), "codec {}", codec.id);
+                if let Some(bytes) = candidate.bytes {
+                    assert_eq!(bytes, encoded, "codec {}", codec.id);
+                }
+            }
         }
     }
 

@@ -1,12 +1,15 @@
-//! Pins the bytes the bit-level codecs write: the CRC-32 of
-//! `gzlike::compress`, `lzss::compress`, `huffman::encode_bytes` /
-//! `encode_symbols` and `bitpack::encode` on fixed, seeded inputs.
+//! Pins the bytes the codecs write: the CRC-32 of `gzlike::compress`,
+//! `lzss::compress`, `huffman::encode_bytes` / `encode_symbols`,
+//! `bitpack::encode`, parq's adaptive range coder (`ARITH`) and
+//! `parq::write_table` on fixed, seeded inputs.
 //!
 //! Every archive stores these streams, so a rewrite of the bit writer,
-//! the Huffman encoder or the LZSS match finder must leave each CRC
-//! below unchanged. A failure here means archive bytes moved.
+//! the Huffman encoder, the LZSS match finder, the range coder or parq's
+//! codec selection must leave each CRC below unchanged. A failure here
+//! means archive bytes moved.
 
 use ds_codec::crc32::crc32;
+use ds_codec::parq::{self, ParqColumn};
 use ds_codec::{bitpack, gzlike, huffman, lzss};
 
 /// xorshift64*: a fixed stream for every input below.
@@ -225,4 +228,179 @@ fn bitpack_bytes_are_pinned() {
         .collect();
     got.push(crc32(&bitpack::encode(&[])));
     assert!(got == want, "bitpack: {got:#010x?}");
+}
+
+/// A stream of `len` symbols below `alphabet`: geometric ranks of a seeded
+/// permutation, so a few symbols dominate and the rest appear rarely.
+fn skewed_symbols(alphabet: u32, len: usize, seed: u64) -> Vec<u32> {
+    let mut rng = Rng(seed);
+    let mut perm: Vec<u32> = (0..alphabet).collect();
+    for i in (1..perm.len()).rev() {
+        perm.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+    }
+    let mut out: Vec<u32> = (0..len)
+        .map(|_| {
+            let r = rng.next();
+            let rank = if r.is_multiple_of(5) {
+                (r >> 32) % u64::from(alphabet)
+            } else {
+                u64::from((r >> 8).trailing_zeros()) % u64::from(alphabet)
+            };
+            perm[rank as usize]
+        })
+        .collect();
+    // The largest symbol, once: the alphabet is exactly `alphabet` wide.
+    if let Some(last) = out.last_mut() {
+        *last = alphabet - 1;
+    }
+    out
+}
+
+/// The `ARITH` entry of the u32 codec table: parq's adaptive range coder.
+fn arith() -> &'static ds_codec::registry::U32Codec {
+    ds_codec::registry::u32_codecs()
+        .iter()
+        .find(|c| c.id == ds_codec::registry::ARITH)
+        .expect("ARITH is in the u32 table")
+}
+
+#[test]
+fn arith_bytes_are_pinned() {
+    // (alphabet, symbols): the 300,000-symbol stream passes the first
+    // rescale (total 2^22 at increment 32 comes after ~131k symbols) twice.
+    let cases: [(u32, usize); 5] = [
+        (1, 200),
+        (2, 5_000),
+        (8, 300_000),
+        (300, 20_000),
+        (4096, 40_000),
+    ];
+    let want = [
+        0xdf06_2f67u32,
+        0xf4de_185e,
+        0x9f4f_d09a,
+        0x0115_90a7,
+        0x297e_9870,
+    ];
+    let got: Vec<u32> = cases
+        .iter()
+        .map(|&(alphabet, len)| {
+            let values = skewed_symbols(alphabet, len, 0x5EED_A417 ^ u64::from(alphabet));
+            assert_eq!(values.iter().max(), Some(&(alphabet - 1)));
+            let enc = (arith().encode)(&values).expect("arith takes the stream");
+            assert_eq!(
+                (arith().decode)(&enc).unwrap(),
+                values,
+                "alphabet {alphabet}"
+            );
+            crc32(&enc)
+        })
+        .collect();
+    assert!(got == want, "arith: {got:#010x?}");
+}
+
+/// One-column parq tables, one per layout the writer can choose.
+fn parq_tables() -> Vec<(&'static str, ParqColumn)> {
+    let mut rng = Rng(0x5EED_9A49);
+    let n = 6_000usize;
+    let mut walk = 0i64;
+    let mut level = 20.0f64;
+    vec![
+        (
+            "u32_arith",
+            ParqColumn::U32(skewed_symbols(11, n, 0x5EED_0011)),
+        ),
+        (
+            "u32_bitpack",
+            ParqColumn::U32((0..n).map(|_| (rng.next() >> 44) as u32).collect()),
+        ),
+        (
+            "u32_rle",
+            ParqColumn::U32((0..n).map(|i| (i / 700) as u32 * 3).collect()),
+        ),
+        (
+            "u32_delta",
+            ParqColumn::U32((0..n as u32).map(|i| 1_000_000 + i * 37).collect()),
+        ),
+        (
+            "i64_zigzag",
+            ParqColumn::I64(
+                skewed_symbols(9, n, 0x5EED_1064)
+                    .into_iter()
+                    .map(|s| i64::from(s) - 4)
+                    .collect(),
+            ),
+        ),
+        (
+            "i64_delta",
+            ParqColumn::I64(
+                (0..n)
+                    .map(|_| {
+                        walk += ((rng.next() % 1_000) as i64 + 1) << 33;
+                        walk
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "f64_xor",
+            ParqColumn::F64(
+                (0..n)
+                    .map(|_| {
+                        level += (rng.next() % 2001) as f64 / 1000.0 - 1.0;
+                        level
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "f64_dict",
+            ParqColumn::F64(
+                skewed_symbols(40, n, 0x5EED_F64D)
+                    .into_iter()
+                    .map(|s| f64::from(s) * 0.25 - 3.0)
+                    .collect(),
+            ),
+        ),
+        (
+            "str",
+            ParqColumn::Str(
+                skewed_symbols(60, n, 0x5EED_0057)
+                    .into_iter()
+                    .map(|s| format!("city-{s}"))
+                    .collect(),
+            ),
+        ),
+    ]
+}
+
+#[test]
+fn parq_tables_are_pinned() {
+    // Each table's CRC, and the byte after its type tag: the u32 codec's
+    // wire byte (arith 4, bitpack 2, rle 0, delta 1), the I64 mode
+    // (2 = zigzag into a u32 codec, 1 = delta + gzlike), the F64 mode
+    // (1 = xor + gzlike, 3 = dictionary + gzlike) or the Str entropy flag.
+    let want: [(&str, u32, u8); 9] = [
+        ("u32_arith", 0x77dc_1916, 4),
+        ("u32_bitpack", 0x29e4_b18e, 2),
+        ("u32_rle", 0xcee0_cf2d, 0),
+        ("u32_delta", 0x75a0_1c29, 1),
+        ("i64_zigzag", 0x25cd_16fe, 2),
+        ("i64_delta", 0x558e_9ded, 1),
+        ("f64_xor", 0x1bcd_6b0f, 1),
+        ("f64_dict", 0x577b_3be4, 3),
+        ("str", 0x9169_109d, 1),
+    ];
+    let got: Vec<(&str, u32, u8)> = parq_tables()
+        .into_iter()
+        .map(|(name, col)| {
+            let table = vec![("c".to_owned(), col)];
+            let (bytes, _) = parq::write_table(&table).unwrap();
+            assert_eq!(parq::read_table(&bytes).unwrap(), table, "{name}");
+            // Magic, the column count, a two-byte row count, the name
+            // "c" len-prefixed and the type tag come first.
+            (name, crc32(&bytes), bytes[10])
+        })
+        .collect();
+    assert!(got == want, "parq: {got:#010x?}");
 }

@@ -23,6 +23,7 @@
 use crate::archive::{DsArchive, SizeBreakdown, MAGIC, VERSION};
 use crate::preprocess::{ColPlan, Patch, PatchValue, Preprocessed};
 use crate::{DsError, Result};
+use ds_codec::rangecoder::AdaptiveModel;
 use ds_codec::{delta, gzlike, parq, rle, ByteWriter};
 use ds_nn::autoencoder::DecodedBatch;
 use ds_nn::{serialize, Assignment, Mat, MoeAutoencoder};
@@ -142,40 +143,34 @@ pub(crate) fn plan_rows(
 
 /// Arithmetic-codes per-row expert labels with an adaptive model.
 pub(crate) fn encode_labels_arith(assignments: &[usize], n_experts: usize) -> Result<Vec<u8>> {
-    use ds_codec::rangecoder::{AdaptiveModel, RangeEncoder};
     let mut w = ByteWriter::new();
     w.write_varint(assignments.len() as u64);
     if assignments.is_empty() || n_experts < 2 {
         return Ok(w.into_vec());
     }
-    let mut model = AdaptiveModel::new(n_experts)?;
-    let mut enc = RangeEncoder::new();
-    for &a in assignments {
-        model.encode(&mut enc, a)?;
-    }
-    w.write_len_prefixed(&enc.finish());
+    let stream = AdaptiveModel::new(n_experts)?.encode_all(assignments.iter().copied())?;
+    w.write_len_prefixed(&stream);
     Ok(w.into_vec())
 }
 
-/// Inverse of [`encode_labels_arith`].
-pub(crate) fn decode_labels_arith(payload: &[u8], n_experts: usize) -> Result<Vec<usize>> {
-    use ds_codec::rangecoder::{AdaptiveModel, RangeDecoder};
+/// Inverse of [`encode_labels_arith`] for a table of `rows` rows: a
+/// payload that counts any other number of labels is corrupt, before
+/// anything is sized from it.
+pub(crate) fn decode_labels_arith(
+    payload: &[u8],
+    n_experts: usize,
+    rows: usize,
+) -> Result<Vec<usize>> {
     let mut r = ds_codec::ByteReader::new(payload);
-    let n = r.read_varint()? as usize;
-    if n > ds_codec::MAX_DECODE_ELEMS {
-        return Err(DsError::Corrupt("label count exceeds decode limit"));
+    if r.read_varint()? != rows as u64 {
+        return Err(DsError::Corrupt("label count mismatch"));
     }
-    if n == 0 || n_experts < 2 {
-        return Ok(vec![0; n]);
+    if rows == 0 || n_experts < 2 {
+        return Ok(vec![0; rows]);
     }
     let stream = r.read_len_prefixed()?;
-    let mut model = AdaptiveModel::new(n_experts)?;
-    let mut dec = RangeDecoder::new(stream)?;
-    let mut out = Vec::with_capacity(n.min(1 << 24));
-    for _ in 0..n {
-        out.push(model.decode(&mut dec)?);
-    }
-    Ok(out)
+    let labels = AdaptiveModel::new(n_experts)?.decode_all(stream, rows)?;
+    Ok(labels.into_iter().map(|l| l as usize).collect())
 }
 
 /// Quantization layout of the materialized codes.

@@ -578,7 +578,12 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
             let mut pr = ByteReader::new(payload);
             let mut expert = Vec::with_capacity(n);
             for e in 0..n_experts {
-                let count = pr.read_varint()? as usize;
+                // A group holds rows no earlier group took: a count past
+                // them is corrupt before it sizes anything.
+                let count = usize::try_from(pr.read_varint()?)
+                    .ok()
+                    .filter(|&c| c <= n - expert.len())
+                    .ok_or(DsError::Corrupt("group sizes mismatch"))?;
                 expert.extend(std::iter::repeat_n(e, count));
             }
             if expert.len() != n {
@@ -587,10 +592,7 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
             ((0..n).collect(), expert)
         }
         MappingStrategy::ArithLabels => {
-            let expert = crate::materialize::decode_labels_arith(payload, n_experts)?;
-            if expert.len() != n {
-                return Err(DsError::Corrupt("label count mismatch"));
-            }
+            let expert = crate::materialize::decode_labels_arith(payload, n_experts, n)?;
             if expert.iter().any(|&e| e >= n_experts) {
                 return Err(DsError::Corrupt("label out of range"));
             }
@@ -602,6 +604,8 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
     let mut code_cols: Vec<Vec<u32>> = Vec::new();
     if has_model {
         let codes_blob = r.read_len_prefixed()?;
+        let mut sp = ds_obs::span("codes");
+        sp.add("bytes_in", codes_blob.len() as u64);
         if !codes_blob.is_empty() {
             let cols = parq::read_table(codes_blob)?;
             if cols.len() != code_k {
@@ -616,11 +620,25 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
         } else if code_k != 0 && n > 0 {
             return Err(DsError::Corrupt("missing codes"));
         }
+        sp.add("bytes_out", (n * code_cols.len() * 4) as u64);
     }
 
     // ---- failures --------------------------------------------------------------
+    // The failure table and the rare streams: `bytes_out` counts the
+    // decoded values (4 or 8 bytes each, a string's own bytes).
+    let mut sp = ds_obs::span("failures");
     let failures_blob = r.read_len_prefixed()?;
+    let mut bytes_in = failures_blob.len();
     let failure_cols = parq::read_table(failures_blob)?;
+    let mut bytes_out: usize = failure_cols
+        .iter()
+        .map(|(_, col)| match col {
+            parq::ParqColumn::U32(v) => v.len() * 4,
+            parq::ParqColumn::I64(v) => v.len() * 8,
+            parq::ParqColumn::F64(v) => v.len() * 8,
+            parq::ParqColumn::Str(v) => v.iter().map(String::len).sum(),
+        })
+        .sum();
     if failure_cols.len() != ncols {
         return Err(DsError::Corrupt("failure column count mismatch"));
     }
@@ -636,13 +654,18 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
     for _ in 0..n_rare {
         let col = r.read_varint()? as usize;
         let blob = r.read_len_prefixed()?;
+        bytes_in += blob.len();
         let t = parq::read_table(blob)?;
         let values = match t.into_iter().next() {
             Some((_, parq::ParqColumn::U32(v))) => v,
             _ => return Err(DsError::Corrupt("rare stream malformed")),
         };
+        bytes_out += values.len() * 4;
         rare.insert(col, values.into());
     }
+    sp.add("bytes_in", bytes_in as u64);
+    sp.add("bytes_out", bytes_out as u64);
+    drop(sp);
 
     // ---- per-expert storage rows -------------------------------------------
     let mut expert_rows: Vec<Vec<usize>> = vec![Vec::new(); n_experts];

@@ -23,8 +23,8 @@ cargo run -q -p ds-lint
 # down, never up. Product crates only: the linter's own sources and
 # fixtures spell out suppressions as test data.
 allows="$(grep -r 'ds-lint: allow' crates --include=*.rs | grep -v '^crates/lint/' | wc -l)"
-[ "$allows" -le 53 ] || {
-  echo "ds-lint suppressions grew: $allows > 53"
+[ "$allows" -le 43 ] || {
+  echo "ds-lint suppressions grew: $allows > 43"
   exit 1
 }
 
@@ -64,6 +64,17 @@ if { sed -s '/^#\[cfg(test)\]/,$d' crates/codec/src/*.rs \
   | grep -nE 'ds_simd|target_feature|dispatch'; } \
   || grep -n 'ds-simd' crates/codec/Cargo.toml; then
   echo "ds-codec selects a loop by SIMD level again (one loop per stage)"
+  exit 1
+fi
+
+# One adaptive range-coding path (DESIGN.md, ds-codec): parq's ARITH codec
+# and the expert labels code a whole stream through AdaptiveModel's
+# encode_all / decode_all loops; the per-symbol coder (RangeEncoder,
+# RangeDecoder, AdaptiveModel::encode / decode) is Squish's and the
+# loops' test reference, never called from their non-test source.
+if sed -s '/^#\[cfg(test)\]/,$d' crates/codec/src/parq.rs crates/core/src/materialize.rs \
+  | grep -nE 'RangeEncoder|RangeDecoder|\.(en|de)code\(&mut '; then
+  echo "parq.rs or materialize.rs range-codes one symbol at a time again (use encode_all / decode_all)"
   exit 1
 fi
 

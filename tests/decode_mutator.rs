@@ -650,6 +650,35 @@ const RECIPES: &[(&str, usize, usize, &[u8])] = &[
     // A forged layer size: a 256 MiB weight buffer allocated before the
     // stream ran out.
     ("v1.dsqz", 0, 2287, &[0x7e]),
+    // The mapping (offset 119,106 of v1, 805 of monitor_like's shard 0)
+    // rewritten to strategy 2 with one group of 2^40 rows: the group was
+    // filled before its count was checked, and the 8 TiB allocation
+    // aborted the process.
+    (
+        "v1.dsqz",
+        0,
+        119_106,
+        &[0x02, 0x06, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20],
+    ),
+    // The mapping rewritten to strategy 3 counting 2^27 labels over a
+    // 5-byte stream: one expert zero-filled 1 GiB of labels, two reserved
+    // 128 MiB, before the count was checked against the rows.
+    (
+        "v1.dsqz",
+        0,
+        119_106,
+        &[
+            0x03, 0x0a, 0x80, 0x80, 0x80, 0x40, 0x05, 0x00, 0x12, 0x34, 0x56, 0x78,
+        ],
+    ),
+    (
+        "monitor_like",
+        0,
+        805,
+        &[
+            0x03, 0x0a, 0x80, 0x80, 0x80, 0x40, 0x05, 0x00, 0x12, 0x34, 0x56, 0x78,
+        ],
+    ),
 ];
 
 #[test]

@@ -44,7 +44,8 @@ fn timing_free_trace_is_identical_across_thread_limits() {
 
     // The decode's own trace attributes the shared decoder's import: one
     // `decoder_import` span under `decompress`, with the blob's
-    // compressed and raw sizes.
+    // compressed and raw sizes; and inside each shard, the codes and the
+    // failures.
     let archive = compress(&t, &cfg).expect("compresses");
     ds_obs::enable(false);
     decompress(&archive).expect("decodes");
@@ -67,4 +68,32 @@ fn timing_free_trace_is_identical_across_thread_limits() {
         "{:?}",
         import.metrics
     );
+
+    // Each shard decode holds one `codes` and one `failures` span, each
+    // with the bytes it read and the decoded bytes it produced.
+    let shards: Vec<_> = report
+        .spans
+        .iter()
+        .filter(|s| s.name == "decode_shard")
+        .collect();
+    assert!(shards.len() > 1, "{} decode_shard spans", shards.len());
+    for shard in shards {
+        for stage in ["codes", "failures"] {
+            let children: Vec<_> = report
+                .spans
+                .iter()
+                .filter(|s| s.parent == shard.id && s.name == stage)
+                .collect();
+            assert_eq!(children.len(), 1, "{stage} under {:?}", shard.index);
+            let get = |key: &str| {
+                children[0]
+                    .metrics
+                    .iter()
+                    .find(|(k, _)| *k == key)
+                    .map_or(0, |&(_, v)| v)
+            };
+            assert!(get("bytes_in") > 0, "{stage}: {:?}", children[0].metrics);
+            assert!(get("bytes_out") > 0, "{stage}: {:?}", children[0].metrics);
+        }
+    }
 }
