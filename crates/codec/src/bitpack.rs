@@ -14,8 +14,8 @@ pub fn width_for(max_value: u64) -> u32 {
 /// Packs `values` at the minimum width for their maximum.
 ///
 /// Layout: varint count, u8 width, packed payload.
-pub fn encode(values: &[u64]) -> Vec<u8> {
-    let width = width_for(values.iter().copied().max().unwrap_or(0));
+pub fn encode<T: Copy + Into<u64>>(values: &[T]) -> Vec<u8> {
+    let width = width_for(values.iter().map(|&v| v.into()).max().unwrap_or(0));
     encode_with_width(values, width)
 }
 
@@ -23,7 +23,7 @@ pub fn encode(values: &[u64]) -> Vec<u8> {
 ///
 /// Values wider than `width` are a caller bug and are masked off in release
 /// builds (debug-asserted).
-pub fn encode_with_width(values: &[u64], width: u32) -> Vec<u8> {
+pub fn encode_with_width<T: Copy + Into<u64>>(values: &[T], width: u32) -> Vec<u8> {
     debug_assert!((1..=57).contains(&width));
     let mut out = ByteWriter::with_capacity(values.len() * width as usize / 8 + 8);
     out.write_varint(values.len() as u64);
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn roundtrip_empty() {
-        assert_eq!(decode(&encode(&[])).unwrap(), Vec::<u64>::new());
+        assert_eq!(decode(&encode::<u64>(&[])).unwrap(), Vec::<u64>::new());
     }
 
     #[test]
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn truncated_payload_errors() {
-        let enc = encode(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        let enc = encode(&[1u64, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         assert!(decode(&enc[..enc.len() - 2]).is_err());
     }
 

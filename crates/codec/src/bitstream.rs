@@ -1,5 +1,5 @@
 //! Bit-granular readers/writers shared by [`crate::huffman`],
-//! [`crate::bitpack`] and the binary-failure XOR encoding in DeepSqueeze.
+//! [`crate::gzlike`] and [`crate::bitpack`].
 //!
 //! Bits are packed LSB-first within each byte, which keeps the packer
 //! branch-free and matches the fixed-width layout [`crate::bitpack`] expects.
@@ -42,20 +42,21 @@ impl BitWriter {
         stage(&mut self.buf, &mut self.acc, &mut self.nacc, value, nbits);
     }
 
-    /// Appends every value of `values` at `nbits` bits each, exactly as
-    /// one [`Self::write_bits`] per value would, with the staged bits held
-    /// in locals across the loop rather than in `self`.
-    pub(crate) fn write_all(&mut self, values: &[u64], nbits: u32) {
+    /// Appends each `(value, nbits)` field in turn, exactly as one
+    /// [`Self::write_bits`] per field would, with the staged bits held in
+    /// locals across the loop rather than in `self`.
+    #[inline]
+    pub(crate) fn write_fields(&mut self, fields: impl IntoIterator<Item = (u64, u32)>) {
         let (mut acc, mut nacc) = (self.acc, self.nacc);
-        for &v in values {
+        for (v, nbits) in fields {
             stage(&mut self.buf, &mut acc, &mut nacc, v, nbits);
         }
         (self.acc, self.nacc) = (acc, nacc);
     }
 
-    /// Appends a single bit.
-    pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(u64::from(bit), 1);
+    /// Appends every value of `values` at `nbits` bits each.
+    pub(crate) fn write_all<T: Copy + Into<u64>>(&mut self, values: &[T], nbits: u32) {
+        self.write_fields(values.iter().map(|&v| (v.into(), nbits)));
     }
 
     /// Total number of bits written.
@@ -158,8 +159,9 @@ impl<'a> BitReader<'a> {
         Ok(value)
     }
 
-    /// Reads a single bit.
-    pub fn read_bit(&mut self) -> Result<bool> {
+    /// Reads a single bit: the tests' bit-at-a-time reference reader.
+    #[cfg(test)]
+    pub(crate) fn read_bit(&mut self) -> Result<bool> {
         Ok(self.read_bits(1)? != 0)
     }
 }
@@ -196,7 +198,7 @@ mod tests {
         let mut w = BitWriter::new();
         let pattern = [true, false, false, true, true, true, false, true, true];
         for &b in &pattern {
-            w.write_bit(b);
+            w.write_bits(u64::from(b), 1);
         }
         let bytes = w.into_vec();
         assert_eq!(bytes.len(), 2); // 9 bits -> 2 bytes
@@ -204,6 +206,29 @@ mod tests {
         for &b in &pattern {
             assert_eq!(r.read_bit().unwrap(), b);
         }
+    }
+
+    #[test]
+    fn write_fields_matches_write_bits() {
+        let fields: Vec<(u64, u32)> = (0..500u64)
+            .map(|i| {
+                let nbits = (i * 7 % 58) as u32;
+                (
+                    i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & ((1u64 << nbits) - 1),
+                    nbits,
+                )
+            })
+            .collect();
+        // Three bits staged first, so the fields start mid-byte.
+        let mut all = BitWriter::new();
+        all.write_bits(0b101, 3);
+        all.write_fields(fields.iter().copied());
+        let mut want = BitWriter::new();
+        want.write_bits(0b101, 3);
+        for &(v, n) in &fields {
+            want.write_bits(v, n);
+        }
+        assert_eq!(all.into_vec(), want.into_vec());
     }
 
     #[test]
@@ -224,9 +249,9 @@ mod tests {
     #[test]
     fn lsb_first_layout() {
         let mut w = BitWriter::new();
-        w.write_bit(true); // bit 0
-        w.write_bit(false); // bit 1
-        w.write_bit(true); // bit 2
+        w.write_bits(1, 1); // bit 0
+        w.write_bits(0, 1); // bit 1
+        w.write_bits(1, 1); // bit 2
         assert_eq!(w.into_vec(), vec![0b0000_0101]);
     }
 }

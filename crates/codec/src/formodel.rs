@@ -179,7 +179,7 @@ mod tests {
         w.write_varint(2);
         w.write_u8(1);
         w.write_varint(u64::from(u32::MAX));
-        w.write_len_prefixed(&bitpack::encode(&[0, 1 << 33]));
+        w.write_len_prefixed(&bitpack::encode(&[0u64, 1 << 33]));
         assert!(decode(w.as_slice()).is_err());
     }
 

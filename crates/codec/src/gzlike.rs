@@ -115,46 +115,35 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     }
     lit_freq[usize::from(END_OF_BLOCK)] += 1;
 
-    let lit_book = CodeBook::from_frequencies(&lit_freq).expect("alphabet within bounds"); // ds-lint: allow(panic-free-decode) -- encoder-side invariant: LITLEN_SYMBOLS = 281 <= MAX_SYMBOLS
-    let dist_book = CodeBook::from_frequencies(&dist_freq).expect("alphabet within bounds"); // ds-lint: allow(panic-free-decode) -- encoder-side invariant: 30 distance buckets <= MAX_SYMBOLS
+    let lit_book = CodeBook::from_frequencies(&lit_freq);
+    let dist_book = CodeBook::from_frequencies(&dist_freq);
 
     let mut w = ByteWriter::with_capacity(data.len() / 2 + 64);
     w.write_varint(data.len() as u64);
     lit_book.write_to(&mut w);
     dist_book.write_to(&mut w);
 
-    let mut bits = BitWriter::new();
-    for t in &tokens {
-        match *t {
-            Token::Literal(b) => {
-                lit_book
-                    .encode_symbol(&mut bits, u16::from(b))
-                    // ds-lint: allow(panic-free-decode) -- encoder-side invariant: this literal was counted in lit_freq above
-                    .expect("literal has observed frequency");
-            }
-            Token::Match { len, dist } => {
-                let lb = bucket_of(&LEN_BUCKETS, len);
-                let (lbase, lextra) = LEN_BUCKETS[lb];
-                lit_book
-                    .encode_symbol(&mut bits, LEN_BASE + lb as u16)
-                    // ds-lint: allow(panic-free-decode) -- encoder-side invariant: this bucket was counted in lit_freq above
-                    .expect("length bucket has observed frequency");
-                bits.write_bits(u64::from(len - lbase), u32::from(lextra));
+    // One field per token: a literal's code, or a match's length code,
+    // length extra bits, distance code and distance extra bits, ≤ 49 bits
+    // in all. Every symbol written was counted above, so each has a code.
+    let fields = tokens.iter().map(|t| match *t {
+        Token::Literal(b) => lit_book.code(u16::from(b)),
+        Token::Match { len, dist } => {
+            let lb = bucket_of(&LEN_BUCKETS, len);
+            let (lbase, lextra) = LEN_BUCKETS[lb];
+            let (mut field, mut nbits) = lit_book.code(LEN_BASE + lb as u16);
+            field |= u64::from(len - lbase) << nbits;
+            nbits += u32::from(lextra);
 
-                let db = bucket_of(&DIST_BUCKETS, dist);
-                let (dbase, dextra) = DIST_BUCKETS[db];
-                dist_book
-                    .encode_symbol(&mut bits, db as u16)
-                    // ds-lint: allow(panic-free-decode) -- encoder-side invariant: this bucket was counted in dist_freq above
-                    .expect("distance bucket has observed frequency");
-                bits.write_bits(u64::from(dist - dbase), u32::from(dextra));
-            }
+            let db = bucket_of(&DIST_BUCKETS, dist);
+            let (dbase, dextra) = DIST_BUCKETS[db];
+            let (code, n) = dist_book.code(db as u16);
+            field |= (code | u64::from(dist - dbase) << n) << nbits;
+            (field, nbits + n + u32::from(dextra))
         }
-    }
-    lit_book
-        .encode_symbol(&mut bits, END_OF_BLOCK)
-        // ds-lint: allow(panic-free-decode) -- encoder-side invariant: EOB frequency is bumped unconditionally above
-        .expect("EOB always has frequency");
+    });
+    let mut bits = BitWriter::new();
+    bits.write_fields(fields.chain([lit_book.code(END_OF_BLOCK)]));
     w.write_len_prefixed(&bits.into_vec());
     w.into_vec()
 }

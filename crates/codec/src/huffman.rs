@@ -1,10 +1,12 @@
-//! Canonical Huffman coding over small symbol alphabets.
+//! Canonical Huffman code books over small fixed alphabets.
 //!
-//! Used as the entropy stage of [`crate::gzlike`] (mirroring DEFLATE's
-//! literal/length and distance trees) and directly for rank-encoded
-//! categorical failures (§6.3.1 of the paper). Code lengths are limited to
-//! [`MAX_CODE_LEN`] bits and the table serializes as 4-bit lengths, so the
-//! header cost is `alphabet/2` bytes.
+//! The entropy stage of [`crate::gzlike`], mirroring DEFLATE's
+//! literal/length and distance trees; there is no standalone Huffman
+//! container. Code lengths are limited to [`MAX_CODE_LEN`] bits and the
+//! table serializes as 4-bit lengths, so the header cost is `alphabet/2`
+//! bytes.
+
+use std::collections::VecDeque;
 
 use crate::{
     bitstream::{BitReader, BitWriter},
@@ -58,59 +60,58 @@ struct DecodeTable {
 }
 
 impl CodeBook {
-    /// Builds a length-limited canonical code book from symbol frequencies.
+    /// Builds a length-limited canonical code book from the symbol
+    /// frequencies of a fixed alphabet of at most [`MAX_SYMBOLS`] symbols.
     ///
     /// Symbols with zero frequency get no code. An alphabet where at most
     /// one symbol occurs still produces a 1-bit code so the encoder always
     /// has something to emit. This is the write side: the book has no
-    /// decode table, so [`CodeBook::decode_symbol`] on it walks.
-    pub fn from_frequencies(freqs: &[u64]) -> Result<Self> {
-        if freqs.len() > MAX_SYMBOLS {
-            return Err(CodecError::InvalidParameter("huffman: alphabet too large"));
-        }
+    /// decode table.
+    pub fn from_frequencies<const N: usize>(freqs: &[u64; N]) -> Self {
+        const { assert!(N <= MAX_SYMBOLS, "huffman: alphabet too large") };
         Self::canonical(build_lengths(freqs))
     }
 
     /// Reconstructs a code book from its serialized code lengths, with its
     /// decode table.
     pub fn from_lengths(lengths: Vec<u8>) -> Result<Self> {
-        let mut book = Self::canonical(lengths)?;
+        if lengths.len() > MAX_SYMBOLS {
+            return Err(CodecError::Corrupt("huffman: alphabet too large"));
+        }
+        if lengths.iter().any(|&l| u32::from(l) > MAX_CODE_LEN) {
+            return Err(CodecError::Corrupt("huffman: code length too long"));
+        }
+        let mut book = Self::canonical(lengths);
+        // Kraft inequality: an over-full code is undecodable.
+        let kraft: u64 = (0..=MAX_CODE_LEN)
+            .zip(&book.count)
+            .skip(1)
+            .map(|(len, &n)| u64::from(n) << (MAX_CODE_LEN - len))
+            .sum();
+        if kraft > 1u64 << MAX_CODE_LEN {
+            return Err(CodecError::Corrupt("huffman: over-subscribed code"));
+        }
         book.table = Some(book.decode_table());
         Ok(book)
     }
 
-    /// Validates `lengths` and assigns the canonical codes.
-    fn canonical(lengths: Vec<u8>) -> Result<Self> {
-        if lengths.len() > MAX_SYMBOLS {
-            return Err(CodecError::Corrupt("huffman: alphabet too large"));
-        }
-        // Validate Kraft inequality; a over-full code is undecodable.
-        let mut kraft: u64 = 0;
+    /// Assigns the canonical codes of `lengths`: at most [`MAX_SYMBOLS`]
+    /// of them, each at most [`MAX_CODE_LEN`].
+    fn canonical(lengths: Vec<u8>) -> Self {
         let mut count = [0u32; (MAX_CODE_LEN + 2) as usize];
-        for &l in &lengths {
-            if u32::from(l) > MAX_CODE_LEN {
-                return Err(CodecError::Corrupt("huffman: code length too long"));
-            }
-            if l > 0 {
-                kraft += 1u64 << (MAX_CODE_LEN - u32::from(l));
-                count[usize::from(l)] += 1;
-            }
-        }
-        if kraft > 1u64 << MAX_CODE_LEN {
-            return Err(CodecError::Corrupt("huffman: over-subscribed code"));
+        for &l in lengths.iter().filter(|&&l| l > 0) {
+            count[usize::from(l)] += 1;
         }
 
-        // Canonical assignment: first codes and first indexes per length.
-        // Counts sum to at most MAX_SYMBOLS and codes stay below 2^16.
+        // First codes and first indexes per length. Counts sum to at most
+        // MAX_SYMBOLS, so codes stay below 2^28 (the add never saturates),
+        // even for lengths that break Kraft, which `from_lengths` rejects.
         let mut first_code = [0u32; (MAX_CODE_LEN + 2) as usize];
         let mut first_index = [0u32; (MAX_CODE_LEN + 2) as usize];
         let mut code = 0u32;
         let mut index = 0u32;
         for len in 1..=(MAX_CODE_LEN + 1) as usize {
-            code = code
-                .checked_add(count[len - 1])
-                .ok_or(CodecError::Overflow)?
-                << 1;
+            code = code.saturating_add(count[len - 1]) << 1;
             first_code[len] = code;
             first_index[len] = index;
             index += count[len];
@@ -135,7 +136,7 @@ impl CodeBook {
             next_code[l] += 1;
         }
 
-        Ok(CodeBook {
+        CodeBook {
             lengths,
             codes,
             count,
@@ -143,7 +144,7 @@ impl CodeBook {
             first_index,
             sorted_symbols: sorted,
             table: None,
-        })
+        }
     }
 
     /// Fills the decode table: each code of `len ≤ bits` owns every
@@ -175,25 +176,33 @@ impl CodeBook {
         &self.lengths
     }
 
+    /// `symbol`'s code in stream order and its length in bits, or `(0, 0)`
+    /// for a symbol the book has no code for.
+    #[inline]
+    pub(crate) fn code(&self, symbol: u16) -> (u64, u32) {
+        match (
+            self.codes.get(usize::from(symbol)),
+            self.lengths.get(usize::from(symbol)),
+        ) {
+            (Some(&code), Some(&len)) => (u64::from(code), u32::from(len)),
+            _ => (0, 0),
+        }
+    }
+
     /// Emits `symbol` into `bits` (MSB of the code first).
     pub fn encode_symbol(&self, bits: &mut BitWriter, symbol: u16) -> Result<()> {
-        let (Some(&len), Some(&code)) = (
-            self.lengths.get(usize::from(symbol)),
-            self.codes.get(usize::from(symbol)),
-        ) else {
-            return Err(CodecError::InvalidParameter("huffman: symbol out of range"));
-        };
-        if len == 0 {
-            return Err(CodecError::InvalidParameter(
-                "huffman: symbol has no code (zero frequency)",
-            ));
+        match self.code(symbol) {
+            (_, 0) => Err(CodecError::InvalidParameter("huffman: symbol has no code")),
+            (code, len) => {
+                bits.write_bits(code, len);
+                Ok(())
+            }
         }
-        bits.write_bits(u64::from(code), u32::from(len));
-        Ok(())
     }
 
     /// Decodes one symbol from `bits`.
-    pub fn decode_symbol(&self, bits: &mut BitReader<'_>) -> Result<u16> {
+    #[cfg(test)]
+    pub(crate) fn decode_symbol(&self, bits: &mut BitReader<'_>) -> Result<u16> {
         let (n, symbol) = self.resolve(bits.peek());
         bits.consume(n)?;
         symbol
@@ -278,174 +287,79 @@ impl CodeBook {
     }
 }
 
-/// Builds length-limited Huffman code lengths from frequencies.
+/// Builds Huffman code lengths from frequencies, limited to
+/// [`MAX_CODE_LEN`] bits.
+///
+/// The tree merges the two lightest nodes until one is left. Leaves are
+/// sorted once by `(frequency, symbol)`, and internal nodes are made in
+/// order of weight, so the lightest node is always at the front of one of
+/// two queues: the leaves, or the internal nodes in the order they were
+/// made. On equal weight the leaf goes first, then the earlier node.
+/// Depths are then assigned from the root down over the merge record.
 fn build_lengths(freqs: &[u64]) -> Vec<u8> {
-    let used: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect(); // ds-lint: allow(panic-free-decode) -- encoder-side; i ranges over 0..freqs.len()
-    let mut lengths = vec![0u8; freqs.len()];
-    match used.len() {
-        0 => return lengths,
-        1 => {
-            // ds-lint: allow(panic-free-decode) -- encoder-side; used.len() == 1 in this arm and its entries index freqs/lengths
-            lengths[used[0]] = 1;
-            return lengths;
-        }
-        _ => {}
-    }
+    let mut leaves: Vec<(u64, usize)> = freqs
+        .iter()
+        .copied()
+        .zip(0..)
+        .filter(|&(f, _)| f > 0)
+        .collect();
+    leaves.sort_unstable();
+    let n = leaves.len();
 
-    // Standard heap-based Huffman tree over the used symbols.
-    #[derive(PartialEq, Eq)]
-    struct Node {
-        weight: u64,
-        id: usize,
+    // Node ids: leaf `i` of `leaves` is `i`, the `k`-th merge is `n + k`.
+    let mut queued = leaves.iter().map(|&(f, _)| f).zip(0..).peekable();
+    let mut made: VecDeque<(u64, usize)> = VecDeque::new();
+    let mut merges: Vec<[usize; 2]> = Vec::with_capacity(n.saturating_sub(1));
+    let mut lightest = |made: &mut VecDeque<(u64, usize)>| match (queued.peek(), made.front()) {
+        (Some(&(leaf, _)), Some(&(node, _))) if node < leaf => made.pop_front(),
+        (Some(_), _) => queued.next(),
+        (None, _) => made.pop_front(),
+    };
+    while let (Some(a), Some(b)) = (lightest(&mut made), lightest(&mut made)) {
+        made.push_back((a.0.saturating_add(b.0), n + merges.len()));
+        merges.push([a.1, b.1]);
     }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Min-heap via reversed comparison; tie-break on id for
-            // determinism across platforms.
-            other
-                .weight
-                .cmp(&self.weight)
-                .then_with(|| other.id.cmp(&self.id))
-        }
-    }
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
+    let mut depths = vec![0u32; n + merges.len()];
+    for (node, children) in merges.iter().enumerate().rev() {
+        let depth = depths.get(n + node).map_or(0, |d| d + 1);
+        for &child in children {
+            if let Some(d) = depths.get_mut(child) {
+                *d = depth;
+            }
         }
     }
 
-    let n = used.len();
-    // parent[i] for tree nodes; leaves are 0..n, internals n..2n-1.
-    let mut parent = vec![usize::MAX; 2 * n - 1];
-    let mut heap = std::collections::BinaryHeap::with_capacity(n);
-    for (leaf, &sym) in used.iter().enumerate() {
-        heap.push(Node {
-            weight: freqs[sym], // ds-lint: allow(panic-free-decode) -- encoder-side; used holds indices into freqs by construction
-            id: leaf,
-        });
-    }
-    let mut next_internal = n;
-    while heap.len() > 1 {
-        let a = heap.pop().expect("heap len checked"); // ds-lint: allow(panic-free-decode) -- encoder-side; heap.len() > 1 is the loop condition
-        let b = heap.pop().expect("heap len checked"); // ds-lint: allow(panic-free-decode) -- encoder-side; heap.len() > 1 is the loop condition
-        parent[a.id] = next_internal; // ds-lint: allow(panic-free-decode) -- encoder-side; node ids stay below 2n-1 == parent.len()
-        parent[b.id] = next_internal; // ds-lint: allow(panic-free-decode) -- encoder-side; node ids stay below 2n-1 == parent.len()
-        heap.push(Node {
-            weight: a.weight.saturating_add(b.weight),
-            id: next_internal,
-        });
-        next_internal += 1;
-    }
-
-    // Depth of each leaf = chain length to the root.
-    let mut depths = vec![0u32; n];
-    for (leaf, depth) in depths.iter_mut().enumerate() {
-        let mut d = 0;
-        let mut cur = leaf;
-        // ds-lint: allow(panic-free-decode) -- encoder-side; cur walks parent links, all < 2n-1 == parent.len()
-        while parent[cur] != usize::MAX {
-            cur = parent[cur]; // ds-lint: allow(panic-free-decode) -- encoder-side; same parent-link invariant
-            d += 1;
-        }
-        *depth = d.max(1);
-    }
-
-    // Length-limit to MAX_CODE_LEN: clamp, then restore the Kraft sum by
-    // deepening the least-frequent symbols (cheapest in expected bits).
+    // Clamp the leaves to 1..=MAX_CODE_LEN, then restore the Kraft sum
+    // (in units of 2^-MAX_CODE_LEN) by deepening the least frequent
+    // symbols first: `leaves` is already in that order.
     let limit = MAX_CODE_LEN;
-    let one = 1u64 << limit; // Kraft unit: lengths weighted as 2^(limit-len)
-    let mut kraft: u64 = 0;
-    for d in depths.iter_mut() {
-        if *d > limit {
-            *d = limit;
-        }
-        kraft += 1u64 << (limit - *d);
+    depths.truncate(n);
+    for d in &mut depths {
+        *d = (*d).clamp(1, limit);
     }
-    if kraft > one {
-        // Order leaves by ascending frequency so we lengthen cheap symbols.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&l| freqs[used[l]]); // ds-lint: allow(panic-free-decode) -- encoder-side; order and used both index 0..n
-        'outer: loop {
-            for &l in &order {
-                // ds-lint: allow(panic-free-decode) -- encoder-side; order holds 0..n and depths.len() == n
-                if depths[l] < limit {
-                    kraft -= 1u64 << (limit - depths[l]); // ds-lint: allow(panic-free-decode) -- encoder-side; same l < n bound
-                    depths[l] += 1; // ds-lint: allow(panic-free-decode) -- encoder-side; same l < n bound
-                    kraft += 1u64 << (limit - depths[l]); // ds-lint: allow(panic-free-decode) -- encoder-side; same l < n bound
-                    if kraft <= one {
-                        break 'outer;
-                    }
-                }
+    let mut kraft: u64 = depths.iter().map(|&d| 1u64 << (limit - d)).sum();
+    while kraft > 1 << limit {
+        let mut deepened = false;
+        for d in depths.iter_mut().filter(|d| **d < limit) {
+            *d += 1;
+            kraft -= 1 << (limit - *d);
+            deepened = true;
+            if kraft <= 1 << limit {
+                break;
             }
-            // ds-lint: allow(panic-free-decode) -- encoder-side; order holds 0..n
-            if order.iter().all(|&l| depths[l] >= limit) {
-                break; // cannot happen for n <= 2^limit, defensive
-            }
+        }
+        if !deepened {
+            break; // cannot happen for n <= 2^limit, defensive
         }
     }
 
-    for (leaf, &sym) in used.iter().enumerate() {
-        // ds-lint: allow(panic-free-decode) -- encoder-side; sym indexes freqs/lengths and leaf < n == depths.len()
-        lengths[sym] = depths[leaf] as u8;
+    let mut lengths = vec![0u8; freqs.len()];
+    for (&(_, symbol), &d) in leaves.iter().zip(&depths) {
+        if let Some(l) = lengths.get_mut(symbol) {
+            *l = d as u8;
+        }
     }
     lengths
-}
-
-/// Compresses a `u16` symbol stream with a static canonical code.
-///
-/// Layout: varint symbol-count, serialized code book, bit payload.
-pub fn encode_symbols(symbols: &[u16], alphabet: usize) -> Result<Vec<u8>> {
-    if alphabet > MAX_SYMBOLS {
-        return Err(CodecError::InvalidParameter("huffman: alphabet too large"));
-    }
-    let mut freqs = vec![0u64; alphabet];
-    for &s in symbols {
-        *freqs
-            .get_mut(s as usize)
-            .ok_or(CodecError::InvalidParameter("huffman: symbol out of range"))? += 1;
-    }
-    let book = CodeBook::from_frequencies(&freqs)?;
-    let mut w = ByteWriter::new();
-    w.write_varint(symbols.len() as u64);
-    book.write_to(&mut w);
-    let mut bits = BitWriter::new();
-    for &s in symbols {
-        book.encode_symbol(&mut bits, s)?;
-    }
-    w.write_len_prefixed(&bits.into_vec());
-    Ok(w.into_vec())
-}
-
-/// Decompresses a stream produced by [`encode_symbols`].
-pub fn decode_symbols(bytes: &[u8]) -> Result<Vec<u16>> {
-    let mut r = ByteReader::new(bytes);
-    let n = r.read_varint_usize()?;
-    if n > bytes.len().saturating_mul(256).max(4096) {
-        return Err(CodecError::Corrupt("huffman: implausible symbol count"));
-    }
-    let book = CodeBook::read_from(&mut r)?;
-    let payload = r.read_len_prefixed()?;
-    let mut bits = BitReader::new(payload);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(book.decode_symbol(&mut bits)?);
-    }
-    Ok(out)
-}
-
-/// Byte-oriented convenience wrappers used by callers compressing raw data.
-pub fn encode_bytes(data: &[u8]) -> Vec<u8> {
-    let symbols: Vec<u16> = data.iter().map(|&b| u16::from(b)).collect();
-    // ds-lint: allow(panic-free-decode) -- encoder-side invariant: a 256-symbol byte alphabet never exceeds MAX_SYMBOLS
-    encode_symbols(&symbols, 256).expect("byte alphabet is always valid")
-}
-
-/// Inverse of [`encode_bytes`].
-pub fn decode_bytes(bytes: &[u8]) -> Result<Vec<u8>> {
-    decode_symbols(bytes)?
-        .into_iter()
-        .map(|s| u8::try_from(s).map_err(|_| CodecError::Corrupt("huffman: not a byte symbol")))
-        .collect()
 }
 
 #[cfg(test)]
@@ -481,6 +395,145 @@ mod tests {
             }
         }
         Err(CodecError::Corrupt("huffman: code exceeds max length"))
+    }
+
+    /// The heap-based builder `build_lengths` replaced: a binary heap of
+    /// `(weight, id)` nodes (leaves in symbol order, then internal nodes
+    /// in the order they are made), leaf depths by walking parent links,
+    /// then the same clamp and deepening pass.
+    fn build_lengths_reference(freqs: &[u64]) -> Vec<u8> {
+        let used: Vec<usize> = (0..freqs.len()).filter(|&i| freqs[i] > 0).collect();
+        let mut lengths = vec![0u8; freqs.len()];
+        match used.len() {
+            0 => return lengths,
+            1 => {
+                lengths[used[0]] = 1;
+                return lengths;
+            }
+            _ => {}
+        }
+
+        // Standard heap-based Huffman tree over the used symbols.
+        #[derive(PartialEq, Eq)]
+        struct Node {
+            weight: u64,
+            id: usize,
+        }
+        impl Ord for Node {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                // Min-heap via reversed comparison; tie-break on id for
+                // determinism across platforms.
+                other
+                    .weight
+                    .cmp(&self.weight)
+                    .then_with(|| other.id.cmp(&self.id))
+            }
+        }
+        impl PartialOrd for Node {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        let n = used.len();
+        // parent[i] for tree nodes; leaves are 0..n, internals n..2n-1.
+        let mut parent = vec![usize::MAX; 2 * n - 1];
+        let mut heap = std::collections::BinaryHeap::with_capacity(n);
+        for (leaf, &sym) in used.iter().enumerate() {
+            heap.push(Node {
+                weight: freqs[sym],
+                id: leaf,
+            });
+        }
+        let mut next_internal = n;
+        while heap.len() > 1 {
+            let a = heap.pop().expect("heap len checked");
+            let b = heap.pop().expect("heap len checked");
+            parent[a.id] = next_internal;
+            parent[b.id] = next_internal;
+            heap.push(Node {
+                weight: a.weight.saturating_add(b.weight),
+                id: next_internal,
+            });
+            next_internal += 1;
+        }
+
+        // Depth of each leaf = chain length to the root.
+        let mut depths = vec![0u32; n];
+        for (leaf, depth) in depths.iter_mut().enumerate() {
+            let mut d = 0;
+            let mut cur = leaf;
+            while parent[cur] != usize::MAX {
+                cur = parent[cur];
+                d += 1;
+            }
+            *depth = d.max(1);
+        }
+
+        // Length-limit to MAX_CODE_LEN: clamp, then restore the Kraft sum by
+        // deepening the least-frequent symbols (cheapest in expected bits).
+        let limit = MAX_CODE_LEN;
+        let one = 1u64 << limit; // Kraft unit: lengths weighted as 2^(limit-len)
+        let mut kraft: u64 = 0;
+        for d in depths.iter_mut() {
+            if *d > limit {
+                *d = limit;
+            }
+            kraft += 1u64 << (limit - *d);
+        }
+        if kraft > one {
+            // Order leaves by ascending frequency so we lengthen cheap symbols.
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&l| freqs[used[l]]);
+            'outer: loop {
+                for &l in &order {
+                    if depths[l] < limit {
+                        kraft -= 1u64 << (limit - depths[l]);
+                        depths[l] += 1;
+                        kraft += 1u64 << (limit - depths[l]);
+                        if kraft <= one {
+                            break 'outer;
+                        }
+                    }
+                }
+                if order.iter().all(|&l| depths[l] >= limit) {
+                    break; // cannot happen for n <= 2^limit, defensive
+                }
+            }
+        }
+
+        for (leaf, &sym) in used.iter().enumerate() {
+            lengths[sym] = depths[leaf] as u8;
+        }
+        lengths
+    }
+
+    #[test]
+    fn build_lengths_matches_the_heap_builder() {
+        let mut rng = Rng(0xB01D_1E57);
+        for case in 0..1500u32 {
+            let n = 1 + match case % 3 {
+                0 => rng.below(16),
+                1 => rng.below(300),
+                _ => rng.below(MAX_SYMBOLS as u64),
+            } as usize;
+            let shape = rng.below(4);
+            let freqs: Vec<u64> = (0..n)
+                .map(|_| match shape {
+                    // Equal weights: every tie-break matters.
+                    0 => rng.below(3),
+                    1 => rng.below(1000),
+                    // Exponential: deep trees past the 15-bit limit.
+                    2 => (1u64 << rng.below(40)) * u64::from(rng.below(4) != 0),
+                    _ => rng.next() >> rng.below(64),
+                })
+                .collect();
+            assert_eq!(
+                build_lengths(&freqs),
+                build_lengths_reference(&freqs),
+                "case {case}: {freqs:?}"
+            );
+        }
     }
 
     /// xorshift64*, for the seeded books and streams below.
@@ -529,19 +582,18 @@ mod tests {
     fn random_books(rng: &mut Rng) -> Vec<CodeBook> {
         let mut books = Vec::new();
         for _ in 0..60 {
+            // An alphabet of `n` symbols: the trailing zeros get no code.
             let n = 1 + rng.below(300) as usize;
-            let freqs: Vec<u64> = (0..n)
-                .map(|_| match rng.below(4) {
+            let mut freqs = [0u64; 300];
+            for f in &mut freqs[..n] {
+                *f = match rng.below(4) {
                     0 => 0,
                     1 => 1,
                     2 => 1 + rng.below(50),
                     _ => 1u64 << rng.below(30),
-                })
-                .collect();
-            let lengths = CodeBook::from_frequencies(&freqs)
-                .unwrap()
-                .lengths()
-                .to_vec();
+                };
+            }
+            let lengths = CodeBook::from_frequencies(&freqs).lengths()[..n].to_vec();
             books.push(CodeBook::from_lengths(lengths).unwrap());
         }
         while books.len() < 120 {
@@ -668,11 +720,44 @@ mod tests {
 
     #[test]
     fn encoder_books_decode_by_the_walk() {
-        let book = CodeBook::from_frequencies(&[5, 3, 0, 1, 1]).unwrap();
+        let book = CodeBook::from_frequencies(&[5, 3, 0, 1, 1]);
         assert!(book.table.is_none(), "the write side builds no table");
         let mut rng = Rng(0x00E4_C0DE);
         let stream = valid_stream(&book, &mut rng);
         assert_decoders_agree(&book, &stream, usize::MAX);
+    }
+
+    /// Codes `symbols` under a book built from their counts over an
+    /// `N`-symbol alphabet, as the serialized book then the bit payload,
+    /// and checks that [`decode`] reads them back.
+    fn roundtrip<const N: usize>(symbols: &[u16]) -> Vec<u8> {
+        let mut freqs = [0u64; N];
+        for &s in symbols {
+            freqs[usize::from(s)] += 1;
+        }
+        let book = CodeBook::from_frequencies(&freqs);
+        let mut w = ByteWriter::new();
+        book.write_to(&mut w);
+        let mut bits = BitWriter::new();
+        for &s in symbols {
+            book.encode_symbol(&mut bits, s).unwrap();
+        }
+        w.write_len_prefixed(&bits.into_vec());
+        let enc = w.into_vec();
+        assert_eq!(decode(&enc, symbols.len()).unwrap(), symbols);
+        enc
+    }
+
+    /// Reads a book written by [`CodeBook::write_to`], then `n` symbols.
+    fn decode(enc: &[u8], n: usize) -> Result<Vec<u16>> {
+        let mut r = ByteReader::new(enc);
+        let book = CodeBook::read_from(&mut r)?;
+        let mut bits = BitReader::new(r.read_len_prefixed()?);
+        (0..n).map(|_| book.decode_symbol(&mut bits)).collect()
+    }
+
+    fn bytes(data: &[u8]) -> Vec<u16> {
+        data.iter().map(|&b| u16::from(b)).collect()
     }
 
     #[test]
@@ -681,8 +766,7 @@ mod tests {
         data.extend(vec![b'b'; 1000]);
         data.extend(vec![b'c'; 100]);
         data.extend(b"defghij".repeat(10));
-        let enc = encode_bytes(&data);
-        assert_eq!(decode_bytes(&enc).unwrap(), data);
+        let enc = roundtrip::<256>(&bytes(&data));
         // Highly skewed input must compress well below 8 bits/symbol.
         assert!(
             enc.len() < data.len() / 4,
@@ -694,28 +778,26 @@ mod tests {
 
     #[test]
     fn roundtrip_empty_and_single_symbol() {
-        assert_eq!(decode_bytes(&encode_bytes(&[])).unwrap(), Vec::<u8>::new());
-        let data = vec![42u8; 500];
-        assert_eq!(decode_bytes(&encode_bytes(&data)).unwrap(), data);
+        roundtrip::<256>(&[]);
+        roundtrip::<256>(&[42; 500]);
     }
 
     #[test]
     fn roundtrip_all_256_byte_values() {
         let data: Vec<u8> = (0..=255u8).cycle().take(4096).collect();
-        assert_eq!(decode_bytes(&encode_bytes(&data)).unwrap(), data);
+        roundtrip::<256>(&bytes(&data));
     }
 
     #[test]
     fn roundtrip_large_alphabet_symbols() {
         let symbols: Vec<u16> = (0..2000u16).chain(0..2000).chain(500..600).collect();
-        let enc = encode_symbols(&symbols, 2048).unwrap();
-        assert_eq!(decode_symbols(&enc).unwrap(), symbols);
+        roundtrip::<2048>(&symbols);
     }
 
     #[test]
     fn length_limiting_kicks_in_for_exponential_frequencies() {
         // Fibonacci-ish frequencies force deep Huffman trees.
-        let mut freqs = vec![0u64; 64];
+        let mut freqs = [0u64; 64];
         let mut a = 1u64;
         let mut b = 1u64;
         for f in freqs.iter_mut() {
@@ -724,7 +806,7 @@ mod tests {
             a = b;
             b = c;
         }
-        let book = CodeBook::from_frequencies(&freqs).unwrap();
+        let book = CodeBook::from_frequencies(&freqs);
         assert!(book.lengths().iter().all(|&l| u32::from(l) <= MAX_CODE_LEN));
         // The resulting code must still be decodable.
         let symbols: Vec<u16> = (0..64u16).collect();
@@ -747,7 +829,7 @@ mod tests {
 
     #[test]
     fn encoding_unseen_symbol_is_an_error() {
-        let book = CodeBook::from_frequencies(&[10, 0, 5]).unwrap();
+        let book = CodeBook::from_frequencies(&[10, 0, 5]);
         let mut bits = BitWriter::new();
         assert!(book.encode_symbol(&mut bits, 1).is_err());
         assert!(book.encode_symbol(&mut bits, 9).is_err());
@@ -755,20 +837,21 @@ mod tests {
 
     #[test]
     fn corrupt_stream_errors_not_panics() {
-        let enc = encode_bytes(b"some reasonably long test input for huffman");
+        let symbols = bytes(b"some reasonably long test input for huffman");
+        let enc = roundtrip::<256>(&symbols);
         for cut in [1, enc.len() / 2, enc.len() - 1] {
-            let _ = decode_bytes(&enc[..cut]); // must not panic
+            let _ = decode(&enc[..cut], symbols.len()); // must not panic
         }
         let mut flipped = enc.clone();
         let last = flipped.len() - 1;
         flipped[last] ^= 0xFF;
-        let _ = decode_bytes(&flipped); // may error or mis-decode, not panic
+        let _ = decode(&flipped, symbols.len()); // may error or mis-decode, not panic
     }
 
     #[test]
     fn codebook_serialization_roundtrip() {
-        let freqs: Vec<u64> = (1..=40).map(|i| i * i).collect();
-        let book = CodeBook::from_frequencies(&freqs).unwrap();
+        let freqs: [u64; 40] = std::array::from_fn(|i| (i as u64 + 1).pow(2));
+        let book = CodeBook::from_frequencies(&freqs);
         let mut w = ByteWriter::new();
         book.write_to(&mut w);
         let bytes = w.into_vec();
@@ -779,7 +862,7 @@ mod tests {
 
     #[test]
     fn two_symbol_alphabet_uses_one_bit_each() {
-        let book = CodeBook::from_frequencies(&[100, 1]).unwrap();
+        let book = CodeBook::from_frequencies(&[100, 1]);
         assert_eq!(book.lengths(), &[1, 1]);
     }
 }

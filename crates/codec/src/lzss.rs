@@ -3,12 +3,9 @@
 //! Produces a token stream of literals and `(length, distance)` matches
 //! found with a hash-chain match finder over a 32 KiB window — the same
 //! shape DEFLATE feeds its Huffman stage. [`crate::gzlike`] entropy-codes
-//! these tokens; this module also offers a raw byte-oriented container for
-//! testing the matcher in isolation.
+//! these tokens; they have no container of their own.
 
 use std::cell::RefCell;
-
-use crate::{ByteReader, ByteWriter, CodecError, Result};
 
 /// Sliding window size (matches DEFLATE).
 pub const WINDOW_SIZE: usize = 32 * 1024;
@@ -179,122 +176,74 @@ fn tokenize_with(data: &[u8], heads: &mut Heads, tokens: &mut Vec<Token>) {
     heads.base = base + data.len() as u64;
 }
 
-/// Expands a token stream back into bytes.
-pub fn detokenize(tokens: &[Token], size_hint: usize) -> Result<Vec<u8>> {
-    // size_hint is untrusted when called from `decompress`; cap the
-    // allocation so corrupt headers cannot abort the process.
-    let mut out: Vec<u8> = Vec::with_capacity(size_hint.min(1 << 20));
-    for t in tokens {
-        match *t {
-            Token::Literal(b) => out.push(b),
-            Token::Match { len, dist } => {
-                let len = usize::from(len);
-                let dist = usize::from(dist);
-                if dist == 0 || dist > out.len() {
-                    return Err(CodecError::Corrupt("lzss: distance before start"));
-                }
-                if !(MIN_MATCH..=MAX_MATCH).contains(&len) {
-                    return Err(CodecError::Corrupt("lzss: bad match length"));
-                }
-                let start = out.len() - dist;
-                // Byte-by-byte copy: overlapping matches (dist < len) are
-                // legal and replicate runs, exactly like LZ77.
-                for k in 0..len {
-                    let b = *out
-                        .get(start + k)
-                        .ok_or(CodecError::Corrupt("lzss: copy out of window"))?;
-                    out.push(b);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Simple standalone container: varint-framed tokens, no entropy stage.
-///
-/// [`crate::gzlike`] supersedes this for real use; it exists so the matcher
-/// can be tested and benchmarked without the Huffman stage.
-pub fn compress(data: &[u8]) -> Vec<u8> {
-    let tokens = tokenize(data);
-    let mut w = ByteWriter::with_capacity(data.len() / 2 + 16);
-    w.write_varint(data.len() as u64);
-    w.write_varint(tokens.len() as u64);
-    for t in &tokens {
-        match *t {
-            Token::Literal(b) => {
-                w.write_u8(0);
-                w.write_u8(b);
-            }
-            Token::Match { len, dist } => {
-                w.write_u8(1);
-                w.write_varint(u64::from(len));
-                w.write_varint(u64::from(dist));
-            }
-        }
-    }
-    w.into_vec()
-}
-
-/// Inverse of [`compress`].
-pub fn decompress(bytes: &[u8]) -> Result<Vec<u8>> {
-    let mut r = ByteReader::new(bytes);
-    let raw_len = r.read_varint_usize()?;
-    let ntok = r.read_varint_usize()?;
-    if ntok > bytes.len().saturating_mul(2).max(1024) {
-        return Err(CodecError::Corrupt("lzss: implausible token count"));
-    }
-    let mut tokens = Vec::with_capacity(ntok);
-    for _ in 0..ntok {
-        match r.read_u8()? {
-            0 => tokens.push(Token::Literal(r.read_u8()?)),
-            1 => {
-                let len = r.read_varint()?;
-                let dist = r.read_varint()?;
-                let len = u16::try_from(len).map_err(|_| CodecError::Corrupt("lzss: len"))?;
-                let dist = u16::try_from(dist).map_err(|_| CodecError::Corrupt("lzss: dist"))?;
-                tokens.push(Token::Match { len, dist });
-            }
-            _ => return Err(CodecError::Corrupt("lzss: bad token tag")),
-        }
-    }
-    let out = detokenize(&tokens, raw_len)?;
-    if out.len() != raw_len {
-        return Err(CodecError::Corrupt("lzss: length mismatch"));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CodecError, Result};
+
+    /// Expands a token stream back into bytes: the reference the tests
+    /// below hold [`tokenize`] to (gzlike's decoder does the same copies).
+    fn detokenize(tokens: &[Token]) -> Result<Vec<u8>> {
+        let mut out: Vec<u8> = Vec::new();
+        for t in tokens {
+            match *t {
+                Token::Literal(b) => out.push(b),
+                Token::Match { len, dist } => {
+                    let len = usize::from(len);
+                    let dist = usize::from(dist);
+                    if dist == 0 || dist > out.len() {
+                        return Err(CodecError::Corrupt("lzss: distance before start"));
+                    }
+                    if !(MIN_MATCH..=MAX_MATCH).contains(&len) {
+                        return Err(CodecError::Corrupt("lzss: bad match length"));
+                    }
+                    // Byte-by-byte copy: overlapping matches (dist < len)
+                    // are legal and replicate runs, exactly like LZ77.
+                    let start = out.len() - dist;
+                    for k in start..start + len {
+                        out.push(out[k]);
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// Tokenizes `data`, checks the tokens expand back to it, and returns
+    /// them.
+    fn roundtrip(data: &[u8]) -> Vec<Token> {
+        let tokens = tokenize(data);
+        assert_eq!(detokenize(&tokens).unwrap(), data);
+        tokens
+    }
 
     #[test]
     fn roundtrip_repetitive_text() {
         let data = b"the quick brown fox jumps over the lazy dog. ".repeat(200);
-        let enc = compress(&data);
-        assert_eq!(decompress(&enc).unwrap(), data);
-        assert!(enc.len() < data.len() / 3, "repetitive input must shrink");
+        let tokens = roundtrip(&data);
+        assert!(
+            tokens.len() < data.len() / 3,
+            "repetitive input must shrink"
+        );
     }
 
     #[test]
     fn roundtrip_empty_short_and_incompressible() {
-        assert_eq!(decompress(&compress(&[])).unwrap(), Vec::<u8>::new());
-        assert_eq!(decompress(&compress(b"abc")).unwrap(), b"abc");
+        assert!(roundtrip(&[]).is_empty());
+        assert_eq!(roundtrip(b"abc").len(), 3);
         // Pseudo-random bytes: must roundtrip even though they won't shrink.
         let data: Vec<u8> = (0..5000u32)
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
-        assert_eq!(decompress(&compress(&data)).unwrap(), data);
+        roundtrip(&data);
     }
 
     #[test]
     fn overlapping_match_replicates_runs() {
         let data = vec![7u8; 10_000];
-        let enc = compress(&data);
-        // ~39 max-length matches at a few bytes each in the raw container.
-        assert!(enc.len() < 300, "got {}", enc.len());
-        assert_eq!(decompress(&enc).unwrap(), data);
+        // One literal, then ~39 max-length matches one byte back.
+        let tokens = roundtrip(&data);
+        assert!(tokens.len() < 45, "got {}", tokens.len());
     }
 
     #[test]
@@ -305,16 +254,19 @@ mod tests {
         let mut data = block.clone();
         data.extend((0..20_000u32).map(|i| (i.wrapping_mul(40503) >> 7) as u8));
         data.extend_from_slice(&block);
-        let enc = compress(&data);
-        assert_eq!(decompress(&enc).unwrap(), data);
+        let far = roundtrip(&data)
+            .into_iter()
+            .filter(|t| matches!(t, Token::Match { dist, .. } if usize::from(*dist) > 20_000))
+            .count();
+        assert!(far > 0, "no match reached back past the noise");
     }
 
     #[test]
     fn detokenize_rejects_bad_distances() {
         let toks = [Token::Match { len: 4, dist: 1 }];
-        assert!(detokenize(&toks, 4).is_err()); // nothing in window yet
+        assert!(detokenize(&toks).is_err()); // nothing in window yet
         let toks = [Token::Literal(1), Token::Match { len: 4, dist: 9 }];
-        assert!(detokenize(&toks, 5).is_err()); // distance past start
+        assert!(detokenize(&toks).is_err()); // distance past start
     }
 
     #[test]
@@ -323,21 +275,12 @@ mod tests {
             Token::Literal(1),
             Token::Match { len: 2, dist: 1 }, // below MIN_MATCH
         ];
-        assert!(detokenize(&toks, 3).is_err());
+        assert!(detokenize(&toks).is_err());
         let toks = [
             Token::Literal(1),
             Token::Match { len: 300, dist: 1 }, // above MAX_MATCH
         ];
-        assert!(detokenize(&toks, 301).is_err());
-    }
-
-    #[test]
-    fn corrupt_container_errors() {
-        let enc = compress(b"hello hello hello hello hello");
-        assert!(decompress(&enc[..enc.len() - 1]).is_err());
-        let mut bad = enc;
-        bad[0] ^= 0x55; // claimed raw length now wrong
-        assert!(decompress(&bad).is_err());
+        assert!(detokenize(&toks).is_err());
     }
 
     #[test]

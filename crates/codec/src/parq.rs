@@ -115,15 +115,15 @@ fn encode_f64_dict(values: &[f64]) -> Result<Option<Vec<u8>>> {
         w.write_varint(bits.wrapping_sub(prev));
         prev = bits;
     }
-    let codes: Vec<u32> = values
+    let codes = values
         .iter()
-        .map(|v| {
-            distinct
-                .binary_search(&v.to_bits())
-                // ds-lint: allow(panic-free-decode) -- encoder-side invariant: distinct was built from these exact values
-                .expect("built from values") as u32
+        .map(|v| match distinct.binary_search(&v.to_bits()) {
+            Ok(code) => Ok(code as u32),
+            Err(_) => Err(CodecError::InvalidParameter(
+                "parq: value missing from its dictionary",
+            )),
         })
-        .collect();
+        .collect::<Result<Vec<u32>>>()?;
     let (tag, payload) = encode_u32_best(&codes)?;
     w.write_u8(tag);
     w.write_len_prefixed(&payload);
@@ -307,14 +307,18 @@ pub fn write_table(columns: &[(String, ParqColumn)]) -> Result<(Vec<u8>, Vec<Col
         return Err(CodecError::InvalidParameter("parq: ragged columns"));
     }
     let sections: Vec<Result<Vec<u8>>> = ds_exec::parallel_map(columns.len(), |i| {
-        let (name, col) = &columns[i]; // ds-lint: allow(panic-free-decode) -- encoder-side; parallel_map yields i < columns.len()
+        let (name, col) = columns
+            .get(i)
+            .ok_or(CodecError::InvalidParameter("parq: no such column"))?;
         encode_column_section(name, col)
     });
 
     let mut w = ByteWriter::new();
     w.write_bytes(MAGIC);
     w.write_varint(columns.len() as u64);
-    w.write_varint(nrows as u64); // ds-lint: allow(no-raw-cast-len) -- widening usize -> u64, lossless on every supported target
+    w.write_varint(
+        u64::try_from(nrows).map_err(|_| CodecError::InvalidParameter("parq: too many rows"))?,
+    );
     let mut stats = Vec::with_capacity(columns.len());
     for ((name, _), section) in columns.iter().zip(sections) {
         let bytes = section?;
@@ -464,7 +468,12 @@ pub fn read_table(bytes: &[u8]) -> Result<Vec<(String, ParqColumn)>> {
         });
     }
     let decoded: Vec<Result<ParqColumn>> = ds_exec::parallel_map(sections.len(), |i| {
-        decode_column_section(&sections[i], nrows) // ds-lint: allow(panic-free-decode) -- parallel_map yields i < sections.len()
+        decode_column_section(
+            sections
+                .get(i)
+                .ok_or(CodecError::Corrupt("parq: no such column"))?,
+            nrows,
+        )
     });
     sections
         .into_iter()

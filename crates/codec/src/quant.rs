@@ -96,22 +96,14 @@ impl Quantizer {
                 match values.binary_search_by(|probe| probe.total_cmp(&v)) {
                     Ok(i) => i as u32,
                     // Unseen value (sample-trained): nearest neighbour.
-                    Err(i) => {
-                        if i == 0 {
-                            0
-                        } else if i >= values.len() {
-                            (values.len() - 1) as u32
-                        } else {
-                            // ds-lint: allow(panic-free-decode) -- binary_search returned Err(i) with 0 < i < len, so both neighbours exist
-                            let lo = values[i - 1];
-                            let hi = values[i]; // ds-lint: allow(panic-free-decode) -- same guard: i < values.len() checked above
-                            if (v - lo).abs() <= (hi - v).abs() {
-                                (i - 1) as u32
-                            } else {
-                                i as u32
-                            }
+                    Err(i) => match (i.checked_sub(1).and_then(|j| values.get(j)), values.get(i)) {
+                        (Some(&lo), Some(&hi)) if (v - lo).abs() <= (hi - v).abs() => {
+                            (i - 1) as u32
                         }
-                    }
+                        (Some(_), None) => (i - 1) as u32,
+                        (Some(_), Some(_)) => i as u32,
+                        (None, _) => 0,
+                    },
                 }
             }
         }
@@ -125,14 +117,11 @@ impl Quantizer {
                 let b = f64::from(index.min(buckets - 1));
                 min + range * (b + 0.5) / f64::from(*buckets)
             }
-            Quantizer::Exact { values } => {
-                if values.is_empty() {
-                    0.0
-                } else {
-                    // ds-lint: allow(panic-free-decode) -- index is clamped with .min(len - 1) and values is non-empty here
-                    values[(index as usize).min(values.len() - 1)]
-                }
-            }
+            Quantizer::Exact { values } => values
+                .get(index as usize)
+                .or(values.last())
+                .copied()
+                .unwrap_or(0.0),
         }
     }
 

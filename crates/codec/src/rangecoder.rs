@@ -63,17 +63,6 @@ impl RangeEncoder {
         }
     }
 
-    /// Encodes a single bit under probability `p1_num/ (1<<12)` of being 1.
-    pub fn encode_bit(&mut self, bit: bool, p1_num: u32) {
-        let total = 1 << 12;
-        let p1 = p1_num.clamp(1, total - 1);
-        if bit {
-            self.encode(0, p1, total);
-        } else {
-            self.encode(p1, total - p1, total);
-        }
-    }
-
     fn shift_low(&mut self) {
         shift_low(
             &mut self.low,
@@ -170,20 +159,6 @@ impl<'a> RangeDecoder<'a> {
             self.range <<= 8;
         }
         Ok(())
-    }
-
-    /// Decodes a bit encoded by [`RangeEncoder::encode_bit`].
-    pub fn decode_bit(&mut self, p1_num: u32) -> Result<bool> {
-        let total = 1 << 12;
-        let p1 = p1_num.clamp(1, total - 1);
-        let f = self.decode_freq(total)?;
-        if f < p1 {
-            self.update(0, p1)?;
-            Ok(true)
-        } else {
-            self.update(p1, total - p1)?;
-            Ok(false)
-        }
     }
 }
 
@@ -596,21 +571,6 @@ mod tests {
         let mut dec = RangeDecoder::new(&bytes).unwrap();
         for s in 0..3 {
             assert_eq!(model.decode(&mut dec).unwrap(), s);
-        }
-    }
-
-    #[test]
-    fn bit_coder_roundtrip() {
-        let bits: Vec<bool> = (0..10_000).map(|i| i % 7 == 0).collect();
-        let mut enc = RangeEncoder::new();
-        for &b in &bits {
-            enc.encode_bit(b, 585); // ~1/7 probability of 1
-        }
-        let bytes = enc.finish();
-        assert!(bytes.len() < bits.len() / 8); // beats 1 bit per symbol
-        let mut dec = RangeDecoder::new(&bytes).unwrap();
-        for &b in &bits {
-            assert_eq!(dec.decode_bit(585).unwrap(), b);
         }
     }
 

@@ -228,8 +228,7 @@ fn probe_bitpack(values: &[u32]) -> Option<U32Candidate> {
 }
 
 fn encode_bitpack(values: &[u32]) -> Option<Vec<u8>> {
-    let wide: Vec<u64> = values.iter().map(|&v| u64::from(v)).collect();
-    Some(bitpack::encode(&wide))
+    Some(bitpack::encode(values))
 }
 
 fn decode_bitpack(payload: &[u8]) -> Result<Vec<u32>> {

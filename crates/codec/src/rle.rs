@@ -7,21 +7,20 @@
 
 use crate::{ByteReader, ByteWriter, CodecError, Result};
 
+/// The (value, run length) pairs of `values`, in order.
+fn runs(values: &[u32]) -> impl Iterator<Item = (u32, usize)> + '_ {
+    values
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len()))
+}
+
 /// Encodes `values` as (value, run-length) varint pairs.
 pub fn encode(values: &[u32]) -> Vec<u8> {
     let mut w = ByteWriter::with_capacity(values.len() / 4 + 16);
     w.write_varint(values.len() as u64);
-    let mut i = 0;
-    while i < values.len() {
-        let v = values[i]; // ds-lint: allow(panic-free-decode) -- encoder-side; i < values.len() is the loop condition
-        let mut run = 1usize;
-        // ds-lint: allow(panic-free-decode) -- encoder-side; i + run < values.len() guards the index
-        while i + run < values.len() && values[i + run] == v {
-            run += 1;
-        }
+    for (v, run) in runs(values) {
         w.write_varint(u64::from(v));
         w.write_varint(run as u64);
-        i += run;
     }
     w.into_vec()
 }
@@ -56,19 +55,10 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<u32>> {
 /// codec chooser in [`crate::parq`].
 pub fn encoded_size(values: &[u32]) -> usize {
     use crate::varint::encoded_len;
-    let mut size = encoded_len(values.len() as u64);
-    let mut i = 0;
-    while i < values.len() {
-        let v = values[i]; // ds-lint: allow(panic-free-decode) -- encoder-side; i < values.len() is the loop condition
-        let mut run = 1usize;
-        // ds-lint: allow(panic-free-decode) -- encoder-side; i + run < values.len() guards the index
-        while i + run < values.len() && values[i + run] == v {
-            run += 1;
-        }
-        size += encoded_len(u64::from(v)) + encoded_len(run as u64);
-        i += run;
-    }
-    size
+    encoded_len(values.len() as u64)
+        + runs(values)
+            .map(|(v, run)| encoded_len(u64::from(v)) + encoded_len(run as u64))
+            .sum::<usize>()
 }
 
 #[cfg(test)]

@@ -22,58 +22,6 @@ enum Container {
 }
 
 impl Container {
-    fn len(&self) -> usize {
-        match self {
-            Container::Array(v) => v.len(),
-            Container::Bitmap(b) => b.iter().map(|w| w.count_ones() as usize).sum(),
-        }
-    }
-
-    fn contains(&self, low: u16) -> bool {
-        match self {
-            Container::Array(v) => v.binary_search(&low).is_ok(),
-            // ds-lint: allow(panic-free-decode) -- u16/64 <= 1023 and the bitmap is a fixed [u64; 1024]
-            Container::Bitmap(b) => b[usize::from(low) / 64] >> (usize::from(low) % 64) & 1 == 1,
-        }
-    }
-
-    fn insert(&mut self, low: u16) -> bool {
-        match self {
-            Container::Array(v) => match v.binary_search(&low) {
-                Ok(_) => false,
-                Err(pos) => {
-                    v.insert(pos, low);
-                    if v.len() > ARRAY_MAX {
-                        *self = self.to_bitmap();
-                    }
-                    true
-                }
-            },
-            Container::Bitmap(b) => {
-                // ds-lint: allow(panic-free-decode) -- u16/64 <= 1023 and the bitmap is a fixed [u64; 1024]
-                let word = &mut b[usize::from(low) / 64];
-                let mask = 1u64 << (usize::from(low) % 64);
-                let fresh = *word & mask == 0;
-                *word |= mask;
-                fresh
-            }
-        }
-    }
-
-    fn to_bitmap(&self) -> Container {
-        match self {
-            Container::Bitmap(_) => self.clone(),
-            Container::Array(v) => {
-                let mut b = Box::new([0u64; 1024]);
-                for &low in v {
-                    // ds-lint: allow(panic-free-decode) -- u16/64 <= 1023 and the bitmap is a fixed [u64; 1024]
-                    b[usize::from(low) / 64] |= 1 << (usize::from(low) % 64);
-                }
-                Container::Bitmap(b)
-            }
-        }
-    }
-
     fn iter(&self) -> Box<dyn Iterator<Item = u16> + '_> {
         match self {
             Container::Array(v) => Box::new(v.iter().copied()),
@@ -91,59 +39,47 @@ impl Container {
 }
 
 /// A compressed set of u32 values.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoaringBitmap {
     /// (high 16 bits, container), sorted by key.
     chunks: Vec<(u16, Container)>,
 }
 
 impl RoaringBitmap {
-    /// Empty bitmap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds from any iterator of values.
-    pub fn from_values(values: impl IntoIterator<Item = u32>) -> Self {
-        let mut bm = RoaringBitmap::new();
-        for v in values {
-            bm.insert(v);
-        }
-        bm
-    }
-
-    /// Inserts `value`; returns true if it was newly added.
-    pub fn insert(&mut self, value: u32) -> bool {
-        let high = (value >> 16) as u16;
-        let low = value as u16;
-        match self.chunks.binary_search_by_key(&high, |&(k, _)| k) {
-            // ds-lint: allow(panic-free-decode) -- i comes from binary_search Ok, so it is in bounds
-            Ok(i) => self.chunks[i].1.insert(low),
-            Err(i) => {
-                self.chunks.insert(i, (high, Container::Array(vec![low])));
-                true
-            }
-        }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, value: u32) -> bool {
-        let high = (value >> 16) as u16;
-        let low = value as u16;
-        self.chunks
-            .binary_search_by_key(&high, |&(k, _)| k)
-            // ds-lint: allow(panic-free-decode) -- i comes from binary_search Ok, so it is in bounds
-            .is_ok_and(|i| self.chunks[i].1.contains(low))
-    }
-
-    /// Number of set values.
-    pub fn len(&self) -> usize {
-        self.chunks.iter().map(|(_, c)| c.len()).sum()
-    }
-
-    /// True when no values are set.
-    pub fn is_empty(&self) -> bool {
-        self.chunks.is_empty()
+    /// The set of positions where `bits` is nonzero. Each 2^16-position
+    /// chunk with any becomes an array when it holds at most
+    /// [`ARRAY_MAX`] of them, else a bitmap.
+    fn from_bit_stream(bits: &[u32]) -> Self {
+        let chunks = bits
+            .chunks(1 << 16)
+            .zip(0..=u16::MAX)
+            .filter_map(|(chunk, high)| {
+                let ones = chunk.iter().filter(|&&b| b != 0).count();
+                if ones == 0 {
+                    return None;
+                }
+                let container = if ones <= ARRAY_MAX {
+                    Container::Array(
+                        (0..=u16::MAX)
+                            .zip(chunk)
+                            .filter(|&(_, &b)| b != 0)
+                            .map(|(low, _)| low)
+                            .collect(),
+                    )
+                } else {
+                    let mut words = Box::new([0u64; 1024]);
+                    for (word, bits) in words.iter_mut().zip(chunk.chunks(64)) {
+                        *word = bits
+                            .iter()
+                            .rev()
+                            .fold(0, |acc, &b| acc << 1 | u64::from(b != 0));
+                    }
+                    Container::Bitmap(words)
+                };
+                Some((high, container))
+            })
+            .collect();
+        RoaringBitmap { chunks }
     }
 
     /// Iterates set values in ascending order.
@@ -237,12 +173,7 @@ impl RoaringBitmap {
     /// binary-failure use case). Returns the serialized bitmap prefixed
     /// with the stream length.
     pub fn encode_bit_stream(bits: &[u32]) -> Vec<u8> {
-        let bm = RoaringBitmap::from_values(
-            bits.iter()
-                .enumerate()
-                .filter(|&(_, &b)| b != 0)
-                .map(|(i, _)| i as u32),
-        );
+        let bm = RoaringBitmap::from_bit_stream(bits);
         let mut w = ByteWriter::new();
         w.write_varint(bits.len() as u64);
         w.write_len_prefixed(&bm.to_bytes());
@@ -261,11 +192,8 @@ impl RoaringBitmap {
         let bm = RoaringBitmap::from_bytes(r.read_len_prefixed()?)?;
         let mut out = vec![0u32; n];
         for v in bm.iter() {
-            let idx = v as usize;
-            if idx >= n {
-                return Err(CodecError::Corrupt("roaring: bit index out of range"));
-            }
-            out[idx] = 1; // ds-lint: allow(panic-free-decode) -- idx >= n rejected as Corrupt just above; out has length n
+            *out.get_mut(v as usize)
+                .ok_or(CodecError::Corrupt("roaring: bit index out of range"))? = 1;
         }
         Ok(out)
     }
@@ -275,39 +203,43 @@ impl RoaringBitmap {
 mod tests {
     use super::*;
 
+    /// A 0/1 stream with ones exactly at `positions`.
+    fn ones_at(positions: impl IntoIterator<Item = usize>, n: usize) -> Vec<u32> {
+        let mut bits = vec![0u32; n];
+        for p in positions {
+            bits[p] = 1;
+        }
+        bits
+    }
+
     #[test]
-    fn insert_contains_iter() {
-        let mut bm = RoaringBitmap::new();
-        assert!(bm.insert(5));
-        assert!(!bm.insert(5));
-        assert!(bm.insert(100_000));
-        assert!(bm.insert(0));
-        assert!(bm.contains(5) && bm.contains(100_000) && bm.contains(0));
-        assert!(!bm.contains(6));
+    fn iter_lists_the_ones() {
+        let bits = ones_at([0, 5, 100_000], 100_001);
+        let bm = RoaringBitmap::from_bit_stream(&bits);
         assert_eq!(bm.iter().collect::<Vec<_>>(), vec![0, 5, 100_000]);
-        assert_eq!(bm.len(), 3);
+        assert_eq!(bm.chunks.len(), 2);
     }
 
     #[test]
     fn dense_chunk_promotes_to_bitmap() {
-        // More than 4096 values in one chunk forces the bitset container.
-        let bm = RoaringBitmap::from_values(0..10_000u32);
-        assert_eq!(bm.len(), 10_000);
-        for v in [0u32, 4095, 4096, 9_999] {
-            assert!(bm.contains(v));
-        }
-        assert!(!bm.contains(10_000));
-        // Ascending iteration survives the promotion.
-        let collected: Vec<u32> = bm.iter().collect();
-        assert_eq!(collected.len(), 10_000);
-        assert!(collected.windows(2).all(|w| w[0] < w[1]));
+        // More than 4096 ones in one chunk make it the bitset container.
+        let bm = RoaringBitmap::from_bit_stream(&vec![1; 10_000]);
+        assert!(matches!(bm.chunks[..], [(0, Container::Bitmap(_))]));
+        let bm = RoaringBitmap::from_bit_stream(&vec![1; 4096]);
+        assert!(matches!(&bm.chunks[..], [(0, Container::Array(v))] if v.len() == 4096));
+        // Ascending iteration over the bitset.
+        let collected: Vec<u32> = RoaringBitmap::from_bit_stream(&vec![1; 10_000])
+            .iter()
+            .collect();
+        assert_eq!(collected, (0..10_000).collect::<Vec<_>>());
     }
 
     #[test]
     fn serialization_roundtrip_sparse_and_dense() {
-        let sparse = RoaringBitmap::from_values([1u32, 70_000, 70_001, 4_000_000]);
-        let dense = RoaringBitmap::from_values((0..20_000u32).filter(|v| v % 3 != 0));
-        for bm in [sparse, dense] {
+        let sparse = ones_at([1, 70_000, 70_001, 4_000_000], 4_000_001);
+        let dense: Vec<u32> = (0..20_000).map(|v| u32::from(v % 3 != 0)).collect();
+        for bits in [sparse, dense] {
+            let bm = RoaringBitmap::from_bit_stream(&bits);
             let bytes = bm.to_bytes();
             assert_eq!(RoaringBitmap::from_bytes(&bytes).unwrap(), bm);
         }
@@ -316,8 +248,8 @@ mod tests {
     #[test]
     fn sparse_bitmap_is_small() {
         // 10 scattered values should take tens of bytes, not kilobytes.
-        let bm = RoaringBitmap::from_values((0..10u32).map(|i| i * 1_000_003));
-        assert!(bm.to_bytes().len() < 128);
+        let bits = ones_at((0..10).map(|i| i * 1_000_003), 9_000_028);
+        assert!(RoaringBitmap::from_bit_stream(&bits).to_bytes().len() < 128);
     }
 
     #[test]
@@ -340,30 +272,37 @@ mod tests {
 
     #[test]
     fn corrupt_inputs_error_not_panic() {
-        let bm = RoaringBitmap::from_values(0..5000u32);
-        let bytes = bm.to_bytes();
+        let bytes = RoaringBitmap::from_bit_stream(&vec![1; 5000]).to_bytes();
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             let _ = RoaringBitmap::from_bytes(&bytes[..cut]);
         }
         let mut bad = bytes.clone();
         bad[0] = 0xFF;
         let _ = RoaringBitmap::from_bytes(&bad);
-        // Out-of-order chunks rejected.
-        let a = RoaringBitmap::from_values([1u32]);
-        let b = RoaringBitmap::from_values([100_000u32]);
+        // Claim two chunks but supply one: must not panic.
+        let mut ab = RoaringBitmap::from_bit_stream(&ones_at([100_000], 100_001)).to_bytes();
+        ab[0] = 2;
+        let _ = RoaringBitmap::from_bytes(&ab);
+    }
+
+    #[test]
+    fn out_of_range_position_is_corrupt() {
+        // A bitmap with a one at 70,000 under a 10-bit stream length.
         let mut w = ByteWriter::new();
-        w.write_varint(2);
-        // chunk high=1 then high=0: out of order
-        let mut ab = b.to_bytes();
-        let _ = a;
-        ab[0] = 2; // claim two chunks but supply garbage ordering
-        let _ = RoaringBitmap::from_bytes(&ab); // must not panic
+        w.write_varint(10);
+        w.write_len_prefixed(
+            &RoaringBitmap::from_bit_stream(&ones_at([70_000], 70_001)).to_bytes(),
+        );
+        assert_eq!(
+            RoaringBitmap::decode_bit_stream(w.as_slice()),
+            Err(CodecError::Corrupt("roaring: bit index out of range"))
+        );
     }
 
     #[test]
     fn empty_bitmap() {
-        let bm = RoaringBitmap::new();
-        assert!(bm.is_empty());
+        let bm = RoaringBitmap::from_bit_stream(&[]);
+        assert!(bm.chunks.is_empty());
         assert_eq!(RoaringBitmap::from_bytes(&bm.to_bytes()).unwrap(), bm);
     }
 }

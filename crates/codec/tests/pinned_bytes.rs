@@ -1,6 +1,7 @@
 //! Pins the bytes the codecs write: the CRC-32 of `gzlike::compress`,
-//! `lzss::compress`, `huffman::encode_bytes` / `encode_symbols`,
-//! `bitpack::encode`, parq's adaptive range coder (`ARITH`) and
+//! `lzss::tokenize`'s tokens and a Huffman `CodeBook`'s lengths and codes
+//! (each framed as a raw container below), `bitpack::encode`, parq's
+//! adaptive range coder (`ARITH`), the roaring bit stream and
 //! `parq::write_table` on fixed, seeded inputs.
 //!
 //! Every archive stores these streams, so a rewrite of the bit writer,
@@ -8,9 +9,13 @@
 //! codec selection must leave each CRC below unchanged. A failure here
 //! means archive bytes moved.
 
+use ds_codec::bitstream::BitWriter;
 use ds_codec::crc32::crc32;
+use ds_codec::huffman::CodeBook;
+use ds_codec::lzss::{self, Token};
 use ds_codec::parq::{self, ParqColumn};
-use ds_codec::{bitpack, gzlike, huffman, lzss};
+use ds_codec::roaring::RoaringBitmap;
+use ds_codec::{bitpack, gzlike, ByteWriter};
 
 /// xorshift64*: a fixed stream for every input below.
 struct Rng(u64);
@@ -139,6 +144,46 @@ fn gzlike_bytes_are_pinned() {
     assert!(got == want, "gzlike: {got:#010x?}");
 }
 
+/// Frames `lzss::tokenize`'s tokens as a raw container: varint input
+/// length, varint token count, then per token a tag byte (0 literal, 1
+/// match) and its byte or its varint length and distance.
+fn lzss_container(data: &[u8], tokens: &[Token]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.write_varint(data.len() as u64);
+    w.write_varint(tokens.len() as u64);
+    for t in tokens {
+        match *t {
+            Token::Literal(b) => {
+                w.write_u8(0);
+                w.write_u8(b);
+            }
+            Token::Match { len, dist } => {
+                w.write_u8(1);
+                w.write_varint(u64::from(len));
+                w.write_varint(u64::from(dist));
+            }
+        }
+    }
+    w.into_vec()
+}
+
+/// Expands `tokens` back into bytes, copying matches byte by byte.
+fn lzss_expand(tokens: &[Token]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for t in tokens {
+        match *t {
+            Token::Literal(b) => out.push(b),
+            Token::Match { len, dist } => {
+                let start = out.len() - usize::from(dist);
+                for k in start..start + usize::from(len) {
+                    out.push(out[k]);
+                }
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn lzss_bytes_are_pinned() {
     let want = [
@@ -152,30 +197,55 @@ fn lzss_bytes_are_pinned() {
     let got: Vec<(&str, u32)> = byte_inputs()
         .into_iter()
         .map(|(name, data)| {
-            let enc = lzss::compress(&data);
-            assert_eq!(lzss::decompress(&enc).unwrap(), data, "{name}");
-            (name, crc32(&enc))
+            let tokens = lzss::tokenize(&data);
+            assert_eq!(lzss_expand(&tokens), data, "{name}");
+            (name, crc32(&lzss_container(&data, &tokens)))
         })
         .collect();
     assert!(got == want, "lzss: {got:#010x?}");
 }
 
+/// Symbol counts over an alphabet of `N` symbols.
+fn frequencies<const N: usize>(symbols: &[u16]) -> [u64; N] {
+    let mut freqs = [0u64; N];
+    for &s in symbols {
+        freqs[usize::from(s)] += 1;
+    }
+    freqs
+}
+
+/// A static canonical Huffman container: varint symbol count, the code
+/// book's serialized lengths, then the len-prefixed bit payload.
+fn huffman_container(symbols: &[u16], book: &CodeBook) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.write_varint(symbols.len() as u64);
+    book.write_to(&mut w);
+    let mut bits = BitWriter::new();
+    for &s in symbols {
+        book.encode_symbol(&mut bits, s).unwrap();
+    }
+    w.write_len_prefixed(&bits.into_vec());
+    w.into_vec()
+}
+
 #[test]
 fn huffman_bytes_are_pinned() {
+    // (input, CRC of the container, CRC of the code lengths alone).
     let want = [
-        ("empty", 0xe950_ae5cu32),
-        ("one", 0x7c26_9d0e),
-        ("three", 0x4f73_b126),
-        ("text100", 0x968e_6bba),
-        ("all256", 0xc266_26d1),
-        ("weights", 0xa7f2_3203),
+        ("empty", 0xe950_ae5cu32, 0x0d96_8558u32),
+        ("one", 0x7c26_9d0e, 0x69aa_e8d0),
+        ("three", 0x4f73_b126, 0xc6f9_0a84),
+        ("text100", 0x968e_6bba, 0xfc58_4121),
+        ("all256", 0xc266_26d1, 0xc6a2_e560),
+        ("weights", 0xa7f2_3203, 0x6f58_9bb2),
     ];
-    let got: Vec<(&str, u32)> = byte_inputs()
+    let got: Vec<(&str, u32, u32)> = byte_inputs()
         .into_iter()
         .map(|(name, data)| {
-            let enc = huffman::encode_bytes(&data);
-            assert_eq!(huffman::decode_bytes(&enc).unwrap(), data, "{name}");
-            (name, crc32(&enc))
+            let symbols: Vec<u16> = data.iter().map(|&b| u16::from(b)).collect();
+            let book = CodeBook::from_frequencies(&frequencies::<256>(&symbols));
+            let enc = huffman_container(&symbols, &book);
+            (name, crc32(&enc), crc32(book.lengths()))
         })
         .collect();
     assert!(got == want, "huffman: {got:#010x?}");
@@ -184,15 +254,12 @@ fn huffman_bytes_are_pinned() {
 #[test]
 fn huffman_wide_alphabet_is_pinned() {
     let symbols = wide_symbols();
-    let enc = huffman::encode_symbols(&symbols, 4096).unwrap();
-    assert_eq!(huffman::decode_symbols(&enc).unwrap(), symbols);
+    let book = CodeBook::from_frequencies(&frequencies::<4096>(&symbols));
+    let enc = huffman_container(&symbols, &book);
     assert_eq!(crc32(&enc), 0xfc45_f35f, "{:#010x}", crc32(&enc));
+    let lengths = crc32(book.lengths());
+    assert_eq!(lengths, 0xa05e_a854, "{lengths:#010x}");
     // The skew must reach past a 12-bit decode table.
-    let freqs = symbols.iter().fold(vec![0u64; 4096], |mut f, &s| {
-        f[s as usize] += 1;
-        f
-    });
-    let book = huffman::CodeBook::from_frequencies(&freqs).unwrap();
     assert_eq!(book.lengths().iter().copied().max(), Some(15));
 }
 
@@ -226,7 +293,7 @@ fn bitpack_bytes_are_pinned() {
             crc32(&enc)
         })
         .collect();
-    got.push(crc32(&bitpack::encode(&[])));
+    got.push(crc32(&bitpack::encode::<u64>(&[])));
     assert!(got == want, "bitpack: {got:#010x?}");
 }
 
@@ -403,4 +470,65 @@ fn parq_tables_are_pinned() {
         })
         .collect();
     assert!(got == want, "parq: {got:#010x?}");
+}
+
+/// 0/1 streams for the roaring bit-stream layout: no chunk, one array
+/// chunk per 2^16 positions, the 4,096-element array/bitmap switch from
+/// both sides, and bitmap chunks throughout.
+fn bit_streams() -> Vec<(&'static str, Vec<u32>)> {
+    let mut rng = Rng(0x5EED_B175);
+    let chunk = 1usize << 16;
+    let exactly = |ones: usize| {
+        let mut bits = vec![0u32; 2 * chunk + 5];
+        // `ones` set positions spread over the second chunk.
+        for k in 0..ones {
+            bits[chunk + k * (chunk / ones)] = 1;
+        }
+        bits
+    };
+    vec![
+        ("empty", Vec::new()),
+        ("zeros", vec![0; 70_000]),
+        (
+            "sparse",
+            (0..3 * chunk + 123)
+                .map(|_| u32::from(rng.next().is_multiple_of(997)))
+                .collect(),
+        ),
+        ("array4096", exactly(4096)),
+        ("bitmap4097", exactly(4097)),
+        ("ones", vec![1; 2 * chunk + 77]),
+    ]
+}
+
+#[test]
+fn roaring_bytes_are_pinned() {
+    let want = [
+        ("empty", 0xe65a_e853u32),
+        ("zeros", 0x7766_ef53),
+        ("sparse", 0x6b04_7884),
+        ("array4096", 0xfc3d_7956),
+        ("bitmap4097", 0xe068_ad91),
+        ("ones", 0x18b4_e86c),
+    ];
+    let got: Vec<(&str, u32)> = bit_streams()
+        .into_iter()
+        .map(|(name, bits)| {
+            let enc = RoaringBitmap::encode_bit_stream(&bits);
+            assert_eq!(
+                RoaringBitmap::decode_bit_stream(&enc).unwrap(),
+                bits,
+                "{name}"
+            );
+            // 4,096 positions fit an array (a varint each, < 8 KiB); one
+            // more makes the chunk an 8 KiB bitmap.
+            match name {
+                "array4096" => assert!(enc.len() < 8192, "{name}: {}", enc.len()),
+                "bitmap4097" => assert!(enc.len() > 8192, "{name}: {}", enc.len()),
+                _ => {}
+            }
+            (name, crc32(&enc))
+        })
+        .collect();
+    assert!(got == want, "roaring: {got:#010x?}");
 }

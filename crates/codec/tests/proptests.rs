@@ -1,7 +1,7 @@
 //! Property-based tests for every codec: arbitrary inputs must roundtrip,
 //! and arbitrary (corrupt) bytes must never panic a decoder.
 
-use ds_codec::{bitpack, delta, dict::Dictionary, gzlike, huffman, lzss, parq, rle};
+use ds_codec::{bitpack, delta, dict::Dictionary, gzlike, parq, rle};
 use proptest::prelude::*;
 
 proptest! {
@@ -49,22 +49,24 @@ proptest! {
         prop_assert_eq!(restored.decode_column(&codes).unwrap(), values);
     }
 
+    // The Huffman and LZSS stages have no containers of their own: these
+    // run their generators through gzlike, which is both stages.
     #[test]
     fn huffman_roundtrip(data in prop::collection::vec(any::<u8>(), 0..2000)) {
-        let enc = huffman::encode_bytes(&data);
-        prop_assert_eq!(huffman::decode_bytes(&enc).unwrap(), data);
+        let enc = gzlike::compress(&data);
+        prop_assert_eq!(gzlike::decompress(&enc).unwrap(), data);
     }
 
     #[test]
     fn lzss_roundtrip(data in prop::collection::vec(any::<u8>(), 0..4000)) {
-        let enc = lzss::compress(&data);
-        prop_assert_eq!(lzss::decompress(&enc).unwrap(), data);
+        let enc = gzlike::compress(&data);
+        prop_assert_eq!(gzlike::decompress(&enc).unwrap(), data);
     }
 
     #[test]
     fn lzss_roundtrip_low_entropy(data in prop::collection::vec(0u8..4, 0..6000)) {
-        let enc = lzss::compress(&data);
-        prop_assert_eq!(lzss::decompress(&enc).unwrap(), data);
+        let enc = gzlike::compress(&data);
+        prop_assert_eq!(gzlike::decompress(&enc).unwrap(), data);
     }
 
     #[test]
@@ -88,8 +90,6 @@ proptest! {
         let _ = rle::decode(&data);
         let _ = delta::decode_i64(&data);
         let _ = bitpack::decode(&data);
-        let _ = huffman::decode_bytes(&data);
-        let _ = lzss::decompress(&data);
         let _ = gzlike::decompress(&data);
         let _ = parq::read_table(&data);
         let _ = Dictionary::from_bytes(&data);

@@ -36,7 +36,7 @@ use std::sync::{Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
 use ds_codec::dict::Dictionary;
 use ds_codec::parq::{self, ParqColumn};
-use ds_codec::{delta, gzlike, huffman, lzss, registry, ByteReader};
+use ds_codec::{delta, gzlike, registry, ByteReader};
 use ds_core::{compress, decompress, decompress_rows_with_stats, open_source, DsArchive, DsConfig};
 use ds_serve::Archive;
 use ds_shard::{ShardReader, ShardWriter};
@@ -255,20 +255,15 @@ fn codec_targets() -> Vec<Target> {
         encodings: vec![delta::encode_i64(&ints)],
         decode: Box::new(|b| delta::decode_i64(b).map(|v| bytes_of(&v)).map_err(text)),
     });
+    // The text, and every byte value once then a skewed repeat: a literal
+    // book over the whole byte alphabet, with codes of many lengths.
+    let bytes: Vec<u8> = (0..=255u8)
+        .chain((0..1000u32).map(|i| (i * i % 251) as u8))
+        .collect();
     targets.push(Target {
         name: "gzlike::decompress".into(),
-        encodings: vec![gzlike::compress(&sample)],
+        encodings: vec![gzlike::compress(&sample), gzlike::compress(&bytes)],
         decode: Box::new(|b| gzlike::decompress(b).map(|v| v.len()).map_err(text)),
-    });
-    targets.push(Target {
-        name: "lzss::decompress".into(),
-        encodings: vec![lzss::compress(&sample)],
-        decode: Box::new(|b| lzss::decompress(b).map(|v| v.len()).map_err(text)),
-    });
-    targets.push(Target {
-        name: "huffman::decode_bytes".into(),
-        encodings: vec![huffman::encode_bytes(&sample)],
-        decode: Box::new(|b| huffman::decode_bytes(b).map(|v| v.len()).map_err(text)),
     });
     let words: Vec<String> = (0..30).map(|i| format!("value-{}", i * 13 % 17)).collect();
     targets.push(Target {
