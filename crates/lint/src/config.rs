@@ -9,13 +9,21 @@
 //! [rule.panic-free-decode]
 //! paths = ["crates/codec/src"]
 //! exclude = ["crates/codec/src/generated.rs"]
+//!
+//! [forbid.one-kernel-body]
+//! paths = ["crates/nn/src/simd.rs"]
+//! tokens = ['target_arch = "aarch64"']
+//! reason = "DESIGN §3f: each kernel is written once"
 //! ```
 //!
-//! Section headers, string values, and arrays of strings. Anything else
-//! (inline tables, multi-line strings, numbers) is a configuration error —
-//! the parser fails loudly rather than guessing.
+//! Section headers, string values (`"basic"` without escapes, or
+//! `'literal'`, which may hold a `"`), and single-line arrays of strings.
+//! Anything else (inline tables, multi-line strings, numbers) is a
+//! configuration error — the parser fails loudly rather than guessing.
 
 use std::collections::BTreeMap;
+
+use crate::rules::Pattern;
 
 /// Per-rule path scoping.
 #[derive(Debug, Default, Clone)]
@@ -27,6 +35,29 @@ pub struct RuleConfig {
     pub exclude: Vec<String>,
 }
 
+impl RuleConfig {
+    /// True when `path` is in scope: `paths` is empty or a prefix of it
+    /// matches, and no `exclude` prefix does.
+    pub fn applies(&self, path: &str) -> bool {
+        let included = self.paths.is_empty() || self.paths.iter().any(|p| path_has_prefix(path, p));
+        included && !self.exclude.iter().any(|p| path_has_prefix(path, p))
+    }
+}
+
+/// One `[forbid.<name>]` section: token sequences the `forbidden-pattern`
+/// rule reports in the section's paths.
+#[derive(Debug, Clone)]
+pub struct Forbid {
+    /// Section name after `forbid.`.
+    pub name: String,
+    /// `paths` / `exclude`, read like a rule's.
+    pub scope: RuleConfig,
+    /// `tokens`: any one of them is a finding.
+    pub patterns: Vec<Pattern>,
+    /// `reason`: why, naming the DESIGN section the entry enforces.
+    pub reason: String,
+}
+
 /// Parsed `lint.toml`.
 #[derive(Debug, Default, Clone)]
 pub struct Config {
@@ -36,6 +67,8 @@ pub struct Config {
     pub exclude: Vec<String>,
     /// Rule name → scoping. Rules absent from the map run everywhere.
     pub rules: BTreeMap<String, RuleConfig>,
+    /// `[forbid.*]` sections, in file order.
+    pub forbids: Vec<Forbid>,
 }
 
 impl Config {
@@ -62,6 +95,17 @@ impl Config {
                 if let Some(rule) = name.strip_prefix("rule.") {
                     cfg.rules.entry(rule.to_string()).or_default();
                 }
+                if let Some(forbid) = name.strip_prefix("forbid.") {
+                    if cfg.forbids.iter().any(|f| f.name == forbid) {
+                        return Err(format!("lint.toml:{lineno}: duplicate section `{name}`"));
+                    }
+                    cfg.forbids.push(Forbid {
+                        name: forbid.to_string(),
+                        scope: RuleConfig::default(),
+                        patterns: Vec::new(),
+                        reason: String::new(),
+                    });
+                }
                 continue;
             }
             let (key, value) = line
@@ -87,6 +131,31 @@ impl Config {
                         }
                     }
                 }
+                Some(s) if s.starts_with("forbid.") => {
+                    let Some(entry) = cfg.forbids.last_mut() else {
+                        return Err(format!("lint.toml:{lineno}: key outside any section"));
+                    };
+                    match key {
+                        "paths" => entry.scope.paths = values,
+                        "exclude" => entry.scope.exclude = values,
+                        "tokens" => {
+                            entry.patterns = values
+                                .iter()
+                                .map(|v| Pattern::parse(v))
+                                .collect::<Result<_, _>>()
+                                .map_err(|e| format!("lint.toml:{lineno}: {e}"))?;
+                        }
+                        "reason" => match values.as_slice() {
+                            [reason] if !value.trim().starts_with('[') => {
+                                entry.reason.clone_from(reason)
+                            }
+                            _ => return Err(format!("lint.toml:{lineno}: `reason` is one string")),
+                        },
+                        other => {
+                            return Err(format!("lint.toml:{lineno}: unknown forbid key `{other}`"))
+                        }
+                    }
+                }
                 Some(other) => {
                     return Err(format!("lint.toml:{lineno}: unknown section `{other}`"))
                 }
@@ -98,6 +167,16 @@ impl Config {
         if cfg.include.is_empty() {
             return Err("lint.toml: [scan] include must list at least one pattern".to_string());
         }
+        if let Some(f) = cfg
+            .forbids
+            .iter()
+            .find(|f| f.patterns.is_empty() || f.reason.is_empty())
+        {
+            return Err(format!(
+                "lint.toml: [forbid.{}] needs `tokens` and a `reason`",
+                f.name
+            ));
+        }
         Ok(cfg)
     }
 
@@ -105,14 +184,7 @@ impl Config {
     /// `path`: the rule has no scoping, or a `paths` prefix matches and no
     /// `exclude` prefix does.
     pub fn rule_applies(&self, rule: &str, path: &str) -> bool {
-        match self.rules.get(rule) {
-            None => true,
-            Some(rc) => {
-                let included =
-                    rc.paths.is_empty() || rc.paths.iter().any(|p| path_has_prefix(path, p));
-                included && !rc.exclude.iter().any(|p| path_has_prefix(path, p))
-            }
-        }
+        self.rules.get(rule).is_none_or(|rc| rc.applies(path))
     }
 
     /// True when `path` is excluded from scanning entirely.
@@ -145,15 +217,24 @@ pub fn pattern_matches_dir(path: &str, pattern: &str) -> bool {
     true
 }
 
+/// Tracks which quote, if any, a scan is inside: a `"` string may hold a
+/// `'` and a `'` string a `"`.
+fn step_quote(open: &mut Option<char>, c: char) {
+    match *open {
+        None if c == '"' || c == '\'' => *open = Some(c),
+        Some(q) if q == c => *open = None,
+        _ => {}
+    }
+}
+
 fn strip_comment(line: &str) -> &str {
     // A `#` outside quotes starts a comment.
-    let mut in_str = false;
+    let mut open = None;
     for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
+        if c == '#' && open.is_none() {
+            return &line[..i];
         }
+        step_quote(&mut open, c);
     }
     line
 }
@@ -180,25 +261,25 @@ fn parse_string_or_array(value: &str) -> Result<Vec<String>, String> {
 fn split_top_level_commas(s: &str) -> Vec<&str> {
     let mut parts = Vec::new();
     let mut start = 0usize;
-    let mut in_str = false;
+    let mut open = None;
     for (i, c) in s.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            ',' if !in_str => {
-                parts.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
+        if c == ',' && open.is_none() {
+            parts.push(&s[start..i]);
+            start = i + 1;
         }
+        step_quote(&mut open, c);
     }
     parts.push(&s[start..]);
     parts
 }
 
 fn parse_string(s: &str) -> Result<String, String> {
-    let inner = s
-        .strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
+    let unquote = |q: char| s.strip_prefix(q).and_then(|r| r.strip_suffix(q));
+    if let Some(literal) = unquote('\'').filter(|l| !l.contains('\'')) {
+        return Ok(literal.to_string());
+    }
+    let inner = unquote('"')
+        .filter(|i| !i.contains('"'))
         .ok_or_else(|| format!("expected a quoted string, got `{s}`"))?;
     if inner.contains('\\') {
         return Err("escape sequences are not supported in lint.toml strings".to_string());
@@ -269,6 +350,45 @@ exclude = ["crates/bench", "crates/cli"]
         ));
         assert!(!pattern_matches_dir("crates/codec/tests", "crates/*/src"));
         assert!(!pattern_matches_dir("crates", "crates/*/src"));
+    }
+
+    #[test]
+    fn forbid_sections_and_literal_strings() {
+        let cfg = Config::parse(
+            "[scan]\ninclude = [\"crates/*/src\"]\n\
+             [forbid.no-arm]\n\
+             paths = [\"crates/nn/src\"]\n\
+             exclude = [\"crates/nn/src/x.rs\"]\n\
+             tokens = ['target_arch = \"aarch64\"', \"*mul_add*\"] # '\"' in a comment\n\
+             reason = \"DESIGN §3f, one body\"\n",
+        )
+        .unwrap();
+        let f = &cfg.forbids[0];
+        assert_eq!(f.name, "no-arm");
+        assert_eq!(f.patterns[0].source, "target_arch = \"aarch64\"");
+        assert_eq!(f.patterns.len(), 2);
+        assert_eq!(f.reason, "DESIGN §3f, one body");
+        assert!(f.scope.applies("crates/nn/src/simd.rs"));
+        assert!(!f.scope.applies("crates/nn/src/x.rs"));
+        assert!(!f.scope.applies("crates/codec/src/lib.rs"));
+    }
+
+    #[test]
+    fn malformed_forbid_sections_error() {
+        let base = "[scan]\ninclude = [\"a\"]\n[forbid.x]\n";
+        // Missing tokens or reason, an array reason, an unknown key, an
+        // empty or commented pattern, a duplicate section.
+        for bad in [
+            "reason = \"r\"\n",
+            "tokens = [\"a\"]\n",
+            "tokens = [\"a\"]\nreason = [\"r\"]\n",
+            "tokens = [\"a\"]\nreason = \"r\"\nscope = \"b\"\n",
+            "tokens = [\" \"]\nreason = \"r\"\n",
+            "tokens = [\"a // b\"]\nreason = \"r\"\n",
+            "tokens = [\"a\"]\nreason = \"r\"\n[forbid.x]\n",
+        ] {
+            assert!(Config::parse(&format!("{base}{bad}")).is_err(), "{bad}");
+        }
     }
 
     #[test]

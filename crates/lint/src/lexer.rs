@@ -27,7 +27,7 @@ pub enum TokKind {
 pub struct Tok {
     /// Token kind.
     pub kind: TokKind,
-    /// Source text of the token (literals may be abbreviated to a prefix).
+    /// Source text of the token.
     pub text: String,
     /// 1-based source line.
     pub line: u32,
@@ -52,6 +52,8 @@ impl Tok {
 pub struct Comment {
     /// 1-based line the comment starts on.
     pub line: u32,
+    /// 1-based byte column the comment starts at.
+    pub col: u32,
     /// Comment text including the `//` / `/*` introducer.
     pub text: String,
 }
@@ -131,12 +133,14 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 out.comments.push(Comment {
                     line,
+                    col: col!(start),
                     text: src[start..i].to_string(),
                 });
             }
             b'/' if i + 1 < b.len() && b[i + 1] == b'*' => {
                 let start = i;
                 let start_line = line;
+                let start_col = col!(i);
                 let mut depth = 1usize;
                 i += 2;
                 while i < b.len() && depth > 0 {
@@ -156,19 +160,24 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 out.comments.push(Comment {
                     line: start_line,
+                    col: start_col,
                     text: src[start..i.min(b.len())].to_string(),
                 });
             }
             b'"' => {
                 let (tok_line, tok_col) = (line, col!(i));
+                let start = i;
                 i += 1;
                 consume_string_body(b, &mut i, &mut line, &mut line_start);
-                push_tok(&mut out, TokKind::Literal, "\"…\"", tok_line, tok_col);
+                let lit = text(src, start, i);
+                push_tok(&mut out, TokKind::Literal, lit, tok_line, tok_col);
             }
             b'r' | b'b' if starts_raw_or_byte_string(b, i) => {
                 let (tok_line, tok_col) = (line, col!(i));
+                let start = i;
                 consume_prefixed_string(b, &mut i, &mut line, &mut line_start);
-                push_tok(&mut out, TokKind::Literal, "\"…\"", tok_line, tok_col);
+                let lit = text(src, start, i);
+                push_tok(&mut out, TokKind::Literal, lit, tok_line, tok_col);
             }
             b'\'' => {
                 let (tok_line, tok_col) = (line, col!(i));
@@ -188,6 +197,7 @@ pub fn lex(src: &str) -> Lexed {
                 } else {
                     // Char literal: consume until the closing quote,
                     // honouring backslash escapes.
+                    let start = i;
                     i += 1;
                     while i < b.len() {
                         match b[i] {
@@ -200,7 +210,8 @@ pub fn lex(src: &str) -> Lexed {
                             _ => i += 1,
                         }
                     }
-                    push_tok(&mut out, TokKind::Literal, "'…'", tok_line, tok_col);
+                    let lit = text(src, start, i);
+                    push_tok(&mut out, TokKind::Literal, lit, tok_line, tok_col);
                 }
             }
             c if c == b'_' || c.is_ascii_alphabetic() => {
@@ -269,6 +280,17 @@ pub fn lex(src: &str) -> Lexed {
         }
     }
     out
+}
+
+/// `src[start..end]`, clamped to the source and widened to whole chars: an
+/// escape at the very end can step the cursor past the last byte, and a
+/// mangled literal can end inside a multi-byte char.
+fn text(src: &str, start: usize, end: usize) -> &str {
+    let mut end = end.min(src.len());
+    while !src.is_char_boundary(end) {
+        end += 1;
+    }
+    &src[start..end]
 }
 
 fn push_tok(out: &mut Lexed, kind: TokKind, text: &str, line: u32, col: u32) {

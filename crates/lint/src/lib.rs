@@ -5,13 +5,17 @@
 //! must never panic on corrupt input, archive-writing code must never
 //! depend on hash-seed iteration order or wall-clock time, every `unsafe`
 //! block must state its contract, and no `MutexGuard` may stay live
-//! across a pool fan-out or blocking I/O. Each rule reads one file's
-//! token stream; none needs a parser or a call graph. The dynamic half
-//! of the decode contract (declared lengths driving allocations) is the
-//! counting-allocator mutator in `tests/decode_mutator.rs` (§3h). The
-//! binary walks `crates/*/src/**/*.rs`, applies the rules scoped by
-//! `lint.toml`, and exits nonzero on any finding; it runs in
-//! `scripts/check.sh` before the test step.
+//! across a pool fan-out or blocking I/O. The architecture rules ("one
+//! form per thing", no fused multiply-add) are `[forbid.<name>]` token
+//! patterns in `lint.toml`, read by the `forbidden-pattern` rule. Each
+//! rule reads one file's token stream; none needs a parser or a call
+//! graph, and none applies inside a `#[cfg(test)]` item
+//! ([`rules::TestRegions`]). The dynamic half of the decode contract
+//! (declared lengths driving allocations) is the counting-allocator
+//! mutator in `tests/decode_mutator.rs` (§3h). The binary walks
+//! `crates/*/src/**/*.rs`, applies the rules scoped by `lint.toml`, and
+//! exits nonzero on any finding; `tests/workspace.rs` runs the same check
+//! under `cargo test`.
 //!
 //! The rule list is pinned here so the README rule table and
 //! `--list-rules` cannot drift silently:
@@ -27,6 +31,7 @@
 //!     "unsafe-contract",
 //!     "target-feature-gate",
 //!     "lock-across-pool",
+//!     "forbidden-pattern",
 //!     "bad-suppression",
 //! ]);
 //! ```

@@ -1,8 +1,8 @@
-//! The rule engine: eight lexical invariant checks plus suppression
+//! The rule engine: nine lexical invariant checks plus suppression
 //! handling. See DESIGN.md §3c for the rationale behind each rule and the
 //! exemption policy.
 
-use crate::config::Config;
+use crate::config::{Config, Forbid};
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 use crate::Finding;
 
@@ -24,6 +24,9 @@ pub const TARGET_FEATURE_GATE: &str = "target-feature-gate";
 /// Rule: no `let`-bound lock guard live across a pool fan-out or blocking
 /// I/O call.
 pub const LOCK_POOL: &str = "lock-across-pool";
+/// Rule: no token sequence a `[forbid.<name>]` section of `lint.toml`
+/// names, in that section's paths.
+pub const FORBIDDEN: &str = "forbidden-pattern";
 /// Meta-rule: malformed or reason-less suppression comments.
 pub const BAD_SUPPRESSION: &str = "bad-suppression";
 
@@ -60,6 +63,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         LOCK_POOL,
         "a `let` bound lock guard must be dropped before a pool fan-out or blocking I/O call",
+    ),
+    (
+        FORBIDDEN,
+        "no token sequence a `[forbid.<name>]` section of lint.toml names, in that section's paths",
     ),
     (
         BAD_SUPPRESSION,
@@ -108,8 +115,8 @@ const SORTERS: &[&str] = &[
 /// Checks one file and returns its findings, suppressions already applied.
 pub fn check_file(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     let lexed = &lex(src);
-    let test_boundary = find_test_boundary(lexed);
-    let suppressions = collect_suppressions(lexed, test_boundary);
+    let tests = TestRegions::find(lexed);
+    let suppressions = collect_suppressions(lexed, &tests);
     let mut raw: Vec<Finding> = Vec::new();
     let mk = |line: u32, col: u32, rule: &'static str, message: String| Finding {
         file: rel_path.to_string(),
@@ -143,10 +150,15 @@ pub fn check_file(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     if cfg.rule_applies(LOCK_POOL, rel_path) {
         check_lock_pool(lexed, &mut raw, &mk);
     }
+    if cfg.rule_applies(FORBIDDEN, rel_path) {
+        for forbid in cfg.forbids.iter().filter(|f| f.scope.applies(rel_path)) {
+            check_forbidden(lexed, forbid, &mut raw, &mk);
+        }
+    }
 
     let mut out: Vec<Finding> = raw
         .into_iter()
-        .filter(|f| f.line < test_boundary)
+        .filter(|f| !tests.contains(f.line, f.col))
         .filter(|f| !suppressions.silences(f.line, f.rule))
         .collect();
     if cfg.rule_applies(BAD_SUPPRESSION, rel_path) {
@@ -236,14 +248,14 @@ fn attribute_only_lines(lexed: &Lexed) -> Vec<bool> {
 /// a line of its own silences the next line that carries non-attribute
 /// code (doc comments and `#[...]` attributes between the allow and its
 /// item are skipped over).
-fn collect_suppressions(lexed: &Lexed, test_boundary: u32) -> Suppressions {
+fn collect_suppressions(lexed: &Lexed, tests: &TestRegions) -> Suppressions {
     let mut sup = Suppressions {
         allows: Vec::new(),
         malformed: Vec::new(),
     };
     let attr_only = attribute_only_lines(lexed);
     for c in &lexed.comments {
-        if c.line >= test_boundary {
+        if tests.contains(c.line, c.col) {
             continue;
         }
         let target_line = if lexed.line_has_code(c.line) {
@@ -312,24 +324,128 @@ fn collect_suppressions(lexed: &Lexed, test_boundary: u32) -> Suppressions {
     sup
 }
 
-/// First line of a `#[cfg(test)]` attribute, or `u32::MAX` when absent.
-/// Everything at or below it is test code and exempt from the rules (the
-/// repo convention keeps `mod tests` last in each file).
-fn find_test_boundary(lexed: &Lexed) -> u32 {
-    let t = &lexed.toks;
-    for i in 0..t.len().saturating_sub(6) {
-        if t[i].is_punct("#")
-            && t[i + 1].is_punct("[")
-            && t[i + 2].is_ident("cfg")
-            && t[i + 3].is_punct("(")
-            && t[i + 4].is_ident("test")
-            && t[i + 5].is_punct(")")
-            && t[i + 6].is_punct("]")
-        {
-            return t[i].line;
+// ---------------------------------------------------------------------------
+// Test regions
+// ---------------------------------------------------------------------------
+
+/// The source spans of one file's `#[cfg(test)]` items, where no rule
+/// applies (tests may unwrap, and reference implementations may keep the
+/// code a rule forbids). A `#[cfg(test)]` attribute covers the item it is
+/// attached to, from that item's first outer attribute through its last
+/// token: the `}` that closes its body, or the `;` or `,` that ends it.
+/// The attribute may sit anywhere: on a module, on a fn inside an `impl`,
+/// on a field. Only the exact `#[cfg(test)]` spelling counts; an inner
+/// `#![cfg(test)]` marks nothing, so such a file is checked in full.
+pub struct TestRegions {
+    /// Inclusive `(line, col)` start and end of each test item.
+    spans: Vec<((u32, u32), (u32, u32))>,
+}
+
+impl TestRegions {
+    /// Finds every `#[cfg(test)]` item of `lexed`.
+    pub fn find(lexed: &Lexed) -> TestRegions {
+        let t = &lexed.toks;
+        let pos = |k: usize| (t[k].line, t[k].col);
+        let mut spans = Vec::new();
+        for i in 0..t.len() {
+            let is_cfg_test = t[i].is_punct("#")
+                && t.get(i + 1).is_some_and(|n| n.is_punct("["))
+                && t.get(i + 2).is_some_and(|n| n.is_ident("cfg"))
+                && t.get(i + 3).is_some_and(|n| n.is_punct("("))
+                && t.get(i + 4).is_some_and(|n| n.is_ident("test"))
+                && t.get(i + 5).is_some_and(|n| n.is_punct(")"))
+                && t.get(i + 6).is_some_and(|n| n.is_punct("]"));
+            if is_cfg_test {
+                spans.push((pos(item_start(t, i)), pos(item_end(t, i))));
+            }
+        }
+        TestRegions { spans }
+    }
+
+    /// True when the token or comment at (`line`, `col`) lies in a test
+    /// item.
+    pub fn contains(&self, line: u32, col: u32) -> bool {
+        self.spans
+            .iter()
+            .any(|&(start, end)| start <= (line, col) && (line, col) <= end)
+    }
+}
+
+/// Index of the first outer attribute of the run that holds the attribute
+/// starting at `attr` (`#[allow(..)] #[cfg(test)] fn` starts at `#[allow`).
+fn item_start(t: &[Tok], attr: usize) -> usize {
+    let mut start = attr;
+    while start >= 2 && t[start - 1].is_punct("]") {
+        let mut depth = 0usize;
+        let mut open = None;
+        for j in (0..start).rev() {
+            if t[j].is_punct("]") {
+                depth += 1;
+            } else if t[j].is_punct("[") {
+                depth -= 1;
+                if depth == 0 {
+                    open = Some(j);
+                    break;
+                }
+            }
+        }
+        match open {
+            Some(j) if j >= 1 && t[j - 1].is_punct("#") => start = j - 1,
+            _ => break,
         }
     }
-    u32::MAX
+    start
+}
+
+/// Index of the last token of the item whose attribute starts at `attr`:
+/// past the item's outer attributes, the first `;` or `,` at bracket depth
+/// 0, or the `}` that closes the first brace group opened at depth 0. A
+/// `let`, `use`, `static`, `type` or `const NAME` item ends only at its
+/// `;` (its initializer may hold braces). An unmatched closer ends the item
+/// just before it, and an unterminated one runs to the end of the file.
+fn item_end(t: &[Tok], attr: usize) -> usize {
+    let mut k = attr;
+    while t.get(k).is_some_and(|n| n.is_punct("#")) && t.get(k + 1).is_some_and(|n| n.is_punct("["))
+    {
+        k = matching_bracket(t, k + 1) + 1;
+    }
+    let mut head = k;
+    while t.get(head).is_some_and(|n| n.is_ident("pub")) {
+        head += 1;
+        if t.get(head).is_some_and(|n| n.is_punct("(")) {
+            head = t[head..]
+                .iter()
+                .position(|n| n.is_punct(")"))
+                .map_or(t.len(), |p| head + p + 1);
+        }
+    }
+    let ends_at_semicolon = t.get(head).is_some_and(|n| {
+        n.is_ident("let")
+            || n.is_ident("use")
+            || n.is_ident("static")
+            || n.is_ident("type")
+            || (n.is_ident("const")
+                && t.get(head + 1)
+                    .is_some_and(|m| m.kind == TokKind::Ident && !is_keyword(&m.text)))
+    });
+    let mut depth = 0usize;
+    for (j, tok) in t.iter().enumerate().skip(k) {
+        match tok.text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                if depth == 0 {
+                    return j.saturating_sub(1).max(attr);
+                }
+                depth -= 1;
+                if depth == 0 && tok.text == "}" && !ends_at_semicolon {
+                    return j;
+                }
+            }
+            ";" | "," if depth == 0 => return j,
+            _ => {}
+        }
+    }
+    t.len() - 1
 }
 
 // ---------------------------------------------------------------------------
@@ -1068,6 +1184,139 @@ fn check_lock_pool(
     }
 }
 
+// ---------------------------------------------------------------------------
+// forbidden-pattern
+// ---------------------------------------------------------------------------
+
+/// One token of a [`Pattern`]: matched by kind and exact text, or, for an
+/// identifier holding `*`, by a glob over identifier texts.
+#[derive(Debug, Clone)]
+enum PatTok {
+    Exact(TokKind, String),
+    /// The glob's text split at each `*`.
+    Glob(Vec<String>),
+}
+
+impl PatTok {
+    fn new(kind: TokKind, text: String) -> PatTok {
+        if kind == TokKind::Ident && text.contains('*') {
+            PatTok::Glob(text.split('*').map(str::to_string).collect())
+        } else {
+            PatTok::Exact(kind, text)
+        }
+    }
+
+    fn matches(&self, tok: &Tok) -> bool {
+        match self {
+            PatTok::Exact(kind, text) => tok.kind == *kind && tok.text == *text,
+            PatTok::Glob(parts) => tok.kind == TokKind::Ident && glob_match(parts, &tok.text),
+        }
+    }
+}
+
+/// A token sequence a `[forbid.<name>]` section names. It is written as
+/// Rust and lexed by the same lexer as the source, so `Vec<Vec<String>>`
+/// and `Vec < Vec < String >>` are one pattern, and a string literal
+/// matches only the same literal. A `*` touching an identifier makes it a
+/// glob (`*mul_add*` matches every identifier containing `mul_add`).
+#[derive(Debug, Clone)]
+pub struct Pattern {
+    /// The pattern as written in `lint.toml`.
+    pub source: String,
+    toks: Vec<PatTok>,
+}
+
+impl Pattern {
+    /// Lexes `source` into a pattern; a pattern with no token or with a
+    /// comment (which would silently drop the rest of it) is an error.
+    pub fn parse(source: &str) -> Result<Pattern, String> {
+        let lexed = lex(source);
+        if !lexed.comments.is_empty() {
+            return Err(format!("pattern `{source}` holds a comment"));
+        }
+        // (kind, text, end column): a `*` and an identifier that touch
+        // merge into one glob.
+        let mut toks: Vec<(TokKind, String, u32)> = Vec::new();
+        let globbable = |kind: TokKind, text: &str| kind == TokKind::Ident || text == "*";
+        for tok in lexed.toks {
+            let end = tok.col + tok.text.len() as u32;
+            if let Some((kind, text, last_end)) = toks.last_mut() {
+                if *last_end == tok.col && globbable(*kind, text) && globbable(tok.kind, &tok.text)
+                {
+                    *kind = TokKind::Ident;
+                    text.push_str(&tok.text);
+                    *last_end = end;
+                    continue;
+                }
+            }
+            toks.push((tok.kind, tok.text, end));
+        }
+        if toks.is_empty() {
+            return Err("a pattern must hold at least one token".to_string());
+        }
+        Ok(Pattern {
+            source: source.to_string(),
+            toks: toks
+                .into_iter()
+                .map(|(kind, text, _)| PatTok::new(kind, text))
+                .collect(),
+        })
+    }
+
+    /// True when the pattern matches `t` starting at token `i`.
+    fn matches_at(&self, t: &[Tok], i: usize) -> bool {
+        t.get(i..i + self.toks.len())
+            .is_some_and(|window| self.toks.iter().zip(window).all(|(p, tok)| p.matches(tok)))
+    }
+}
+
+/// Glob match of `text` against a pattern split at its `*`s (`parts`),
+/// where each `*` matches any run, possibly empty.
+fn glob_match(parts: &[String], text: &str) -> bool {
+    // Most identifiers are shorter than the glob's literal text.
+    if text.len() < parts.iter().map(String::len).sum() {
+        return false;
+    }
+    let Some((first, parts)) = parts.split_first() else {
+        return false;
+    };
+    let Some(mut rest) = text.strip_prefix(first.as_str()) else {
+        return false;
+    };
+    let Some((last, middle)) = parts.split_last() else {
+        return rest.is_empty(); // no `*`: the whole text
+    };
+    for part in middle {
+        match rest.find(part.as_str()) {
+            Some(at) => rest = &rest[at + part.len()..],
+            None => return false,
+        }
+    }
+    rest.ends_with(last.as_str())
+}
+
+fn check_forbidden(
+    lexed: &Lexed,
+    forbid: &Forbid,
+    out: &mut Vec<Finding>,
+    mk: &impl Fn(u32, u32, &'static str, String) -> Finding,
+) {
+    let t = &lexed.toks;
+    for i in 0..t.len() {
+        for pattern in forbid.patterns.iter().filter(|p| p.matches_at(t, i)) {
+            out.push(mk(
+                t[i].line,
+                t[i].col,
+                FORBIDDEN,
+                format!(
+                    "[forbid.{}] `{}`: {}",
+                    forbid.name, pattern.source, forbid.reason
+                ),
+            ));
+        }
+    }
+}
+
 /// True when the line itself or the contiguous comment-only block directly
 /// above it contains `SAFETY:`.
 fn has_safety_comment(lexed: &Lexed, line: u32) -> bool {
@@ -1082,4 +1331,117 @@ fn has_safety_comment(lexed: &Lexed, line: u32) -> bool {
         l -= 1;
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The (first, last) line of each test region of `src`.
+    fn region_lines(src: &str) -> Vec<(u32, u32)> {
+        TestRegions::find(&lex(src))
+            .spans
+            .iter()
+            .map(|&((l0, _), (l1, _))| (l0, l1))
+            .collect()
+    }
+
+    #[test]
+    fn a_test_attribute_covers_exactly_its_item() {
+        let src = "\
+fn a() {}
+#[allow(dead_code)]
+#[cfg(test)]
+#[inline]
+pub(crate) fn b() {
+    let _ = [1; 2];
+}
+fn c() {}
+#[cfg(test)]
+use std::fmt;
+#[cfg(test)]
+const K: Foo = Foo { a: 1 };
+#[cfg(test)]
+mod m;
+struct S {
+    #[cfg(test)]
+    x: u8,
+    y: u8,
+}
+fn d() {
+    #[cfg(test)]
+    let v = {
+        1
+    };
+    v
+}
+";
+        assert_eq!(
+            region_lines(src),
+            [(2, 7), (9, 10), (11, 12), (13, 14), (16, 17), (21, 24)]
+        );
+        let tests = TestRegions::find(&lex(src));
+        assert!(!tests.contains(1, 1) && !tests.contains(8, 1) && !tests.contains(18, 5));
+        assert!(tests.contains(6, 9));
+    }
+
+    #[test]
+    fn an_unterminated_or_trailing_attribute_stays_in_bounds() {
+        assert_eq!(region_lines("fn f() {\n#[cfg(test)]\n}\n"), [(2, 2)]);
+        assert_eq!(region_lines("#[cfg(test)]\nmod m {\nfn x() {}\n"), [(1, 3)]);
+        assert_eq!(region_lines("#[cfg(test)"), []);
+        // An inner attribute marks nothing.
+        assert_eq!(region_lines("#![cfg(test)]\nfn f() {}\n"), []);
+    }
+
+    fn glob_match(pat: &str, text: &str) -> bool {
+        let parts: Vec<String> = pat.split('*').map(str::to_string).collect();
+        super::glob_match(&parts, text)
+    }
+
+    #[test]
+    fn globs_match_identifiers_only() {
+        assert!(glob_match("*mul_add*", "mul_add"));
+        assert!(glob_match("*mul_add*", "wrapping_mul_add_x"));
+        assert!(glob_match("_mm*_fmadd*", "_mm256_fmadd_ps"));
+        assert!(!glob_match("_mm*_fmadd*", "_mm256_add_ps"));
+        assert!(glob_match("fn*", "fn"));
+        assert!(glob_match("a*b*a", "aba"));
+        assert!(!glob_match("a*b*a", "ab"));
+        assert!(!glob_match("read_bit", "read_bits"));
+        assert!(glob_match("*", ""));
+    }
+
+    #[test]
+    fn patterns_lex_like_source() {
+        let hits = |pattern: &str, src: &str| {
+            let p = Pattern::parse(pattern).expect("pattern parses");
+            let t = &lex(src).toks;
+            (0..t.len()).filter(|&i| p.matches_at(t, i)).count()
+        };
+        // Spacing does not matter; the lexer's `>>` is one token either way.
+        assert_eq!(hits("Vec < Vec < String >>", "x: Vec<Vec<String>>"), 1);
+        assert_eq!(hits("*Vec<Vec<String>>", "Option<MyVec<Vec<String>>>"), 1);
+        // A `*` touching an identifier is a glob; a spaced one multiplies.
+        assert_eq!(hits("*read_bit(", "r.read_bit() + r.read_bits(4)"), 1);
+        assert_eq!(hits("a * b", "a * b; ab"), 1);
+        // Literals match by their full text; comments never match.
+        assert_eq!(
+            hits(
+                r#"target_arch = "aarch64""#,
+                r#"cfg(target_arch = "x86_64")"#
+            ),
+            0
+        );
+        assert_eq!(
+            hits(
+                r#"target_arch = "aarch64""#,
+                r#"cfg(target_arch = "aarch64")"#
+            ),
+            1
+        );
+        assert_eq!(hits("mul_add", "// mul_add\nlet s = \"mul_add\";"), 0);
+        assert!(Pattern::parse("a // b").is_err());
+        assert!(Pattern::parse("  ").is_err());
+    }
 }

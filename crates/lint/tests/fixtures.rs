@@ -1,7 +1,8 @@
 //! Self-test: runs the rule engine over a known-bad fixture tree and
 //! asserts the exact rule/file/line of every finding, the suppression
-//! grammar, test-module skipping, rule scoping, and the binary's output
-//! and exit codes.
+//! grammar, test-item skipping, rule scoping, and the binary's output
+//! and exit codes; then runs the repo's own `lint.toml` over the
+//! `forbid/` tree, where each `[forbid.*]` entry trips on its fixture.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -18,7 +19,7 @@ fn lint_fixtures() -> Vec<Finding> {
     let toml = std::fs::read_to_string(root.join("lint.toml")).expect("fixture lint.toml");
     let cfg = Config::parse(&toml).expect("fixture config parses");
     let (files, findings) = lint_root(&root, &cfg).expect("lint_root");
-    assert_eq!(files, 11, "fixture tree should scan exactly 11 files");
+    assert_eq!(files, 13, "fixture tree should scan exactly 13 files");
     findings
 }
 
@@ -66,6 +67,23 @@ fn cfg_test_modules_are_skipped() {
     assert_eq!(
         rule_lines(&findings, "crates/codec/src/test_mod.rs"),
         vec![]
+    );
+}
+
+#[test]
+fn cfg_test_exempts_only_the_item_it_is_attached_to() {
+    let findings = lint_fixtures();
+    // The indented `#[cfg(test)] fn first` (line 11's unwrap) is exempt;
+    // `last`, after it in the same impl, is not.
+    assert_eq!(
+        rule_lines(&findings, "crates/codec/src/test_fn_in_impl.rs"),
+        vec![("panic-free-decode", 15)]
+    );
+    // A mid-file `#[cfg(test)] mod reference` (line 11's unwrap) is
+    // exempt; the fn after it is not.
+    assert_eq!(
+        rule_lines(&findings, "crates/codec/src/test_mod_mid_file.rs"),
+        vec![("panic-free-decode", 16)]
     );
 }
 
@@ -212,4 +230,75 @@ fn binary_output_and_exit_codes() {
         .output()
         .expect("run ds-lint with bad config");
     assert_eq!(out.status.code(), Some(2));
+}
+
+/// The repo's `lint.toml` over `fixtures/forbid`, whose files sit at the
+/// paths the `[forbid.*]` entries guard.
+fn lint_forbid_fixtures() -> (Config, Vec<Finding>) {
+    let repo_toml = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../lint.toml");
+    let toml = std::fs::read_to_string(repo_toml).expect("repo lint.toml");
+    let cfg = Config::parse(&toml).expect("repo lint.toml parses");
+    let (files, findings) = lint_root(&fixture_root().join("forbid"), &cfg).expect("lint_root");
+    assert_eq!(files, 11, "forbid tree should scan exactly 11 files");
+    (cfg, findings)
+}
+
+/// The `[forbid.<name>]` entry a finding's message names.
+fn forbid_entry(f: &Finding) -> &str {
+    f.message
+        .strip_prefix("[forbid.")
+        .and_then(|m| m.split_once(']'))
+        .map_or("", |(name, _)| name)
+}
+
+#[test]
+fn every_forbid_entry_trips_on_its_fixture() {
+    let (cfg, findings) = lint_forbid_fixtures();
+    let got: Vec<(&str, &str, &str, u32)> = findings
+        .iter()
+        .map(|f| (f.rule, forbid_entry(f), f.file.as_str(), f.line))
+        .collect();
+    let fp = "forbidden-pattern";
+    assert_eq!(
+        got,
+        vec![
+            (
+                fp,
+                "one-loop-per-codec-stage",
+                "crates/codec/src/bitpack.rs",
+                4
+            ),
+            (
+                fp,
+                "one-gzlike-decode-loop",
+                "crates/codec/src/gzlike.rs",
+                3
+            ),
+            (fp, "one-huffman-decoder", "crates/codec/src/huffman.rs", 4),
+            (fp, "one-adaptive-range-path", "crates/codec/src/parq.rs", 4),
+            (fp, "one-csv-record-form", "crates/core/src/ingest.rs", 3),
+            (fp, "one-code-width", "crates/core/src/materialize.rs", 4),
+            (fp, "one-head-path", "crates/nn/src/autoencoder.rs", 4),
+            (fp, "no-fused-multiply-add", "crates/nn/src/mat.rs", 4),
+            (fp, "one-kernel-body", "crates/nn/src/simd.rs", 3),
+            (fp, "one-categorical-form", "crates/table/src/column.rs", 5),
+        ]
+    );
+    // A new entry needs a fixture that trips it.
+    for forbid in &cfg.forbids {
+        assert!(
+            got.iter().any(|g| g.1 == forbid.name),
+            "[forbid.{}] has no fixture in tests/fixtures/forbid",
+            forbid.name
+        );
+    }
+}
+
+#[test]
+fn comments_strings_and_test_items_never_trip_a_forbid() {
+    let (_, findings) = lint_forbid_fixtures();
+    // `quoted.rs` names `mul_add`, `ds_simd`, `dispatch` and
+    // `target_feature` in doc comments, a plain comment and a string
+    // literal, and calls `mul_add` in a `#[cfg(test)]` fn.
+    assert_eq!(rule_lines(&findings, "crates/codec/src/quoted.rs"), vec![]);
 }

@@ -1,19 +1,48 @@
-//! The lexer and every rule must never panic, whatever bytes they are
-//! fed: ds-lint runs over every file in the workspace, including ones
-//! mid-edit, so "malformed input" is a normal state.
+//! The lexer, the test-region finder, the pattern parser and every rule
+//! must never panic, whatever bytes they are fed: ds-lint runs over every
+//! file in the workspace, including ones mid-edit, so "malformed input" is
+//! a normal state.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use ds_lint::config::Config;
-use ds_lint::lexer::lex;
-use ds_lint::rules::check_file;
+use ds_lint::rules::{check_file, Pattern};
 
-/// Lexes `src`, then runs every rule over it (an empty `[rule]` table
-/// scopes each one to every path).
+/// A config whose rules all apply to the fuzzed path (an empty `[rule]`
+/// table scopes each one to every path), with a `[forbid.*]` entry
+/// holding every pattern shape: exact tokens, globs, a literal.
+const FUZZ_TOML: &str = r##"
+[scan]
+include = ["crates/*/src"]
+
+[forbid.fuzz]
+tokens = ["*x*", "*", ".lock(&mut", "fn *", "#[cfg(test)]", '"str"', "*len>>", "0x1f"]
+reason = "fuzz"
+"##;
+
+/// The fuzz config, and the repo's own `lint.toml` (whose codec-scoped
+/// forbids apply to the fuzzed path).
+fn configs() -> &'static [Config; 2] {
+    static CONFIGS: OnceLock<[Config; 2]> = OnceLock::new();
+    CONFIGS.get_or_init(|| {
+        let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../lint.toml");
+        let repo = std::fs::read_to_string(repo).expect("repo lint.toml");
+        [
+            Config::parse(FUZZ_TOML).expect("fuzz config parses"),
+            Config::parse(&repo).expect("repo lint.toml parses"),
+        ]
+    })
+}
+
+/// Parses `src` as a pattern, then runs every rule over it under each
+/// config (`check_file` lexes it and finds its test regions first).
 fn analyze_arbitrary(src: &str) {
-    let _ = lex(src);
-    let cfg = Config::parse("[scan]\ninclude = [\"crates/*/src\"]\n").expect("config parses");
-    let _ = check_file("crates/codec/src/fuzz.rs", src, &cfg);
+    let _ = Pattern::parse(src);
+    for cfg in configs() {
+        let _ = check_file("crates/codec/src/fuzz.rs", src, cfg);
+    }
 }
 
 /// Fragments that look like Rust — keywords, brackets, operators — so
@@ -68,6 +97,18 @@ const FRAGMENTS: &[&str] = &[
     "thread",
     "current",
     "// ds-lint: allow(",
+    "#[cfg(test)]",
+    "cfg",
+    "test",
+    "mod",
+    "const",
+    "static",
+    "use",
+    "pub(crate)",
+    "*",
+    "mul_add",
+    "ds_simd",
+    "\"aarch64\"",
 ];
 
 proptest! {
@@ -95,11 +136,12 @@ proptest! {
     /// and split multi-byte sequences included.
     #[test]
     fn rules_never_panic_on_mangled_source(
-        cut in 0usize..260,
-        positions in prop::collection::vec(0usize..260, 0..8),
+        cut in 0usize..320,
+        positions in prop::collection::vec(0usize..320, 0..8),
         values in prop::collection::vec(any::<u8>(), 0..8),
     ) {
-        let base = "impl Reader { pub fn read<T: Copy>(&mut self, n: usize) -> Vec<T> {\n\
+        let base = "impl Reader { #[cfg(test)] fn t() { x.mul_add(1.0, 2.0); }\n\
+                    pub fn read<T: Copy>(&mut self, n: usize) -> Vec<T> {\n\
                         let g = self.m.lock().unwrap();\n\
                         let len = self.read_varint_usize() + n;\n\
                         if len > n { return Vec::new(); }\n\

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo gate: formatting, lints, tests (crates, the DS_SIMD=off pass, and
-# dsbench's own tests, which smoke every workload through the real
-# binary), and a release-mode dsqz CLI smoke. Timing lives in
+# Repo gate: formatting, clippy, two simd.rs source checks, tests (crates,
+# where ds-lint runs over the workspace, the DS_SIMD=off pass, and dsbench's
+# own tests, which smoke every workload through the real binary), and a
+# release-mode dsqz CLI smoke. Timing lives in
 # benchmark/run.sh, not here. Run from the repo root:
 #
 #   ./scripts/check.sh          # everything
@@ -17,120 +18,19 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> ds-lint (decode-safety, determinism and lock-scope gate)"
-cargo run -q -p ds-lint
-# A suppression is a place the checker is not checking: the count may go
-# down, never up. Product crates only: the linter's own sources and
-# fixtures spell out suppressions as test data.
-allows="$(grep -r 'ds-lint: allow' crates --include=*.rs | grep -v '^crates/lint/' | wc -l)"
-[ "$allows" -le 3 ] || {
-  echo "ds-lint suppressions grew: $allows > 3"
-  exit 1
-}
-# ds-codec parses every untrusted byte, so its non-test source is checked
-# by every rule with no exemption at all.
-if sed -s '/^#\[cfg(test)\]/,$d' crates/codec/src/*.rs | grep -n 'ds-lint: allow'; then
-  echo "ds-codec suppresses a ds-lint rule again"
-  exit 1
-fi
-
-# One in-memory form for a categorical column (pool + codes): no string
-# payload, and no string sentinel on the decode path, in non-test code.
-if sed -s '/^#\[cfg(test)\]/,$d' crates/table/src/column.rs crates/table/src/table.rs \
-  crates/core/src/pipeline.rs | grep -nE 'RARE_SENTINEL|(Cat|Str)\(Vec<String>\)'; then
-  echo "a Vec<String> column payload or RARE_SENTINEL is back"
-  exit 1
-fi
-
-# One CSV record form (csv::CsvChunk): both passes hold a chunk as one
-# byte buffer plus field offsets, never a string per cell, in non-test code.
-if sed -s '/^#\[cfg(test)\]/,$d' crates/table/src/*.rs crates/core/src/*.rs \
-  | grep -n 'Vec<Vec<String>>'; then
-  echo "a Vec<Vec<String>> of CSV records is back in ds-table or ds-core"
-  exit 1
-fi
-
-# One Huffman decoder (DESIGN.md, ds-codec): a symbol is resolved from a
-# peeked word, through the decode table or the canonical walk over that
-# word, never read one bit at a time; and gzlike decodes in its one loop
-# over a local bit buffer, not through a BitReader, in non-test code.
-if sed '/^#\[cfg(test)\]/,$d' crates/codec/src/huffman.rs | grep -n 'read_bit('; then
-  echo "huffman.rs decodes with a per-bit read_bit loop again"
-  exit 1
-fi
-if sed '/^#\[cfg(test)\]/,$d' crates/codec/src/gzlike.rs | grep -n 'BitReader'; then
-  echo "gzlike.rs decodes through a BitReader again (one loop over a local bit buffer)"
-  exit 1
-fi
-
-# One loop per codec stage (DESIGN.md §3f): ds-codec's loops run the same
-# on every host, in safe Rust, so its non-test source selects no SIMD level
-# and its manifest does not depend on ds-simd. DS_SIMD picks ds-nn kernels.
-if { sed -s '/^#\[cfg(test)\]/,$d' crates/codec/src/*.rs \
-  | grep -nE 'ds_simd|target_feature|dispatch'; } \
-  || grep -n 'ds-simd' crates/codec/Cargo.toml; then
-  echo "ds-codec selects a loop by SIMD level again (one loop per stage)"
-  exit 1
-fi
-
-# One adaptive range-coding path (DESIGN.md, ds-codec): parq's ARITH codec
-# and the expert labels code a whole stream through AdaptiveModel's
-# encode_all / decode_all loops; the per-symbol coder (RangeEncoder,
-# RangeDecoder, AdaptiveModel::encode / decode) is Squish's and the
-# loops' test reference, never called from their non-test source.
-if sed -s '/^#\[cfg(test)\]/,$d' crates/codec/src/parq.rs crates/core/src/materialize.rs \
-  | grep -nE 'RangeEncoder|RangeDecoder|\.(en|de)code\(&mut '; then
-  echo "parq.rs or materialize.rs range-codes one symbol at a time again (use encode_all / decode_all)"
-  exit 1
-fi
-
-# One body per ds-nn kernel (DESIGN.md §3f): simd.rs writes each kernel once
-# over `Lanes`, so its non-test source holds no aarch64 variant, no AVX2
-# intrinsic outside the `__m256` lanes' module, and no `unsafe fn` but the
-# `#[target_feature]` entry.
+# ds-lint's rules, the suppression ceiling and the architecture rules run
+# in `cargo test` (crates/lint/tests/workspace.rs). Two simd.rs checks need
+# context a token pattern does not have, so they stay here: simd.rs writes
+# each kernel once over `Lanes` (DESIGN.md §3f), with no AVX2 intrinsic
+# outside the `__m256` lanes' module and no `unsafe fn` but the
+# `#[target_feature]` entry, in its non-test source.
 simd_rs="$(sed '/^#\[cfg(test)\]/,$d' crates/nn/src/simd.rs)"
-if grep -n 'target_arch = "aarch64"' <<< "$simd_rs" \
-  || sed '/^mod avx2 {$/,/^}$/d' <<< "$simd_rs" | grep -n '_mm256_' \
+if sed '/^mod avx2 {$/,/^}$/d' <<< "$simd_rs" | grep -n '_mm256_' \
   || awk '/unsafe fn/ && prev !~ /#\[target_feature/ { print NR ": " $0; bad = 1 }
       { prev = $0 } END { exit !bad }' <<< "$simd_rs"; then
-  echo "simd.rs writes a kernel twice again (aarch64 code, an AVX2 intrinsic outside the lanes, or an unsafe fn)"
+  echo "simd.rs writes a kernel twice again (an AVX2 intrinsic outside the lanes, or an unsafe fn)"
   exit 1
 fi
-
-# One code width per archive, measured at fit (pipeline.rs): the shard
-# encoder is straight-line and may not grow the per-shard candidate loop
-# — or the tuple type it needed — back.
-if sed '/^#\[cfg(test)\]/,$d' crates/core/src/materialize.rs \
-  | grep -nE 'type_complexity|code_bits_candidates'; then
-  echo "materialize.rs chooses among code widths again (the fit does that, once)"
-  exit 1
-fi
-
-# One categorical head path (DESIGN.md §3f, "Row lanes"): the shared
-# layer's logits, softmax, cross-entropy and backward run in ds-nn's simd
-# kernels, for training, assignment and decode alike; the autoencoder hands
-# them a column and computes none of it itself.
-if sed '/^#\[cfg(test)\]/,$d' crates/nn/src/autoencoder.rs \
-  | grep -nE '\.exp\(|NEG_INFINITY|\.max\(1e-7\)|shared\.w\.(row|get)|fn (softmax|shared_(probs|backward))'; then
-  echo "autoencoder.rs computes a categorical logit or softmax outside the simd kernels"
-  exit 1
-fi
-
-# The matmul schedules (DESIGN.md §3f) round every multiply and every add,
-# at every SIMD level, and archive bytes may not depend on whether the host
-# fuses them: no fused multiply-add anywhere in a product crate's non-test
-# source.
-fma="$(find crates -path crates/lint -prune -o -path '*/src/*.rs' -print | sort \
-  | while read -r f; do
-    sed '/^#\[cfg(test)\]/,$d' "$f" \
-      | grep -nE '_mm(256)?_fn?m(add|sub)|vfm[as]q|vml[as]q|mul_add' \
-      | sed "s|^|$f:|" || true
-  done)"
-[ -z "$fma" ] || {
-  echo "$fma"
-  echo "a fused multiply-add is in a product crate's source"
-  exit 1
-}
 
 # First among the test steps: benchmark/ may not be edited by a PR that
 # claims a gain, so an API break that would force an edit there should
