@@ -1,5 +1,6 @@
 //! Arithmetic coding via a byte-oriented range coder, plus adaptive
-//! frequency models backed by Fenwick trees.
+//! frequency models: a bare frequency array for alphabets of at most 64
+//! symbols, the same array beside a Fenwick tree for wider ones.
 //!
 //! Two users share the coder. The Squish baseline (§2.3 of the
 //! DeepSqueeze paper) walks a Bayesian network and codes each attribute
@@ -8,6 +9,10 @@
 //! labels code a whole stream under one [`AdaptiveModel`] with its
 //! [`AdaptiveModel::encode_all`] / [`AdaptiveModel::decode_all`] loops,
 //! which keep the coder state in locals from the first symbol to the last.
+//! Both layouts adapt alike, so the bytes do not depend on the layout: a
+//! small alphabet finds each decoded symbol by a scan from symbol 0, which
+//! the skewed failure and code streams end within a few steps, where a
+//! wide one lifts through the tree.
 //! The coder is the classic carry-propagating design (as in LZMA): 32-bit
 //! range, 64-bit low accumulator, renormalizing a byte at a time.
 
@@ -162,18 +167,37 @@ impl<'a> RangeDecoder<'a> {
     }
 }
 
-/// Adaptive frequency model over a fixed alphabet: a frequency array
-/// beside a Fenwick tree, so a symbol's frequency is one load and its
-/// cumulative count one O(log n) walk.
+/// Alphabets of at most this many symbols keep no Fenwick tree: a linear
+/// scan from symbol 0 finds a decoded symbol, and an update touches one
+/// frequency. Measured, not guessed (DESIGN §3 `rangecoder`): on a
+/// uniform stream, the worst case for a scan, decoding costs 1.09–1.16x
+/// the lift at 64 symbols and 1.21–1.25x at 72; on the skewed failure and
+/// code streams of the benchmark archives the scan wins at every alphabet
+/// they hold. A forged stream costs at most this many steps per symbol.
+const FLAT_MAX_ALPHABET: usize = 64;
+
+/// Frequency added to a symbol each time it is coded.
+const INCREMENT: u32 = 32;
+
+/// Adaptive frequency model over a fixed alphabet, in one of two layouts
+/// chosen by the alphabet size:
 ///
-/// [`AdaptiveModel::encode_all`] and [`AdaptiveModel::decode_all`] code a
-/// whole stream in one loop that keeps the coder state in locals; they
-/// write and read exactly the bytes of a [`RangeEncoder`] /
+/// - *flat* (at most [`FLAT_MAX_ALPHABET`] symbols): the frequency array
+///   and its total only; a symbol's cumulative count is the sum of the
+///   frequencies below it;
+/// - *tree* (wider alphabets): the same array beside a Fenwick tree, so a
+///   cumulative count is one O(log n) walk.
+///
+/// Both adapt identically, so a stream's bytes do not depend on the
+/// layout. [`AdaptiveModel::encode_all`] and [`AdaptiveModel::decode_all`]
+/// code a whole stream in one loop that keeps the coder state in locals;
+/// they write and read exactly the bytes of a [`RangeEncoder`] /
 /// [`RangeDecoder`] driven one symbol at a time.
 #[derive(Debug, Clone)]
 pub struct AdaptiveModel {
     /// Fenwick tree over `freq` (1-indexed: `tree[0]` is unused, and
-    /// `tree[i]` sums `freq[i - lowbit(i) .. i]`).
+    /// `tree[i]` sums `freq[i - lowbit(i) .. i]`); empty in the flat
+    /// layout.
     tree: Vec<u32>,
     /// Per-symbol frequencies; `freq.len()` is the alphabet size.
     freq: Vec<u32>,
@@ -184,44 +208,42 @@ pub struct AdaptiveModel {
 impl AdaptiveModel {
     /// Creates a model with every symbol at frequency 1 (Laplace prior).
     pub fn new(alphabet: usize) -> Result<Self> {
-        Self::with_increment(alphabet, 32)
+        Self::build(alphabet, INCREMENT)
     }
 
-    /// Creates a model with a custom adaptation increment.
-    pub fn with_increment(alphabet: usize, increment: u32) -> Result<Self> {
+    fn build(alphabet: usize, increment: u32) -> Result<Self> {
         let symbols = u32::try_from(alphabet)
             .ok()
             .filter(|&a| a != 0 && u64::from(a) * 2 <= u64::from(MAX_TOTAL))
             .ok_or(CodecError::InvalidParameter(
                 "rangecoder: alphabet size unsupported",
             ))?;
-        Ok(AdaptiveModel {
+        let tree = if alphabet <= FLAT_MAX_ALPHABET {
+            Vec::new()
+        } else {
             // All ones: node i covers lowbit(i) symbols of frequency 1.
-            tree: (0..=symbols).map(|i| i & i.wrapping_neg()).collect(),
+            (0..=symbols).map(|i| i & i.wrapping_neg()).collect()
+        };
+        Ok(AdaptiveModel {
+            tree,
             freq: vec![1; alphabet],
             total: symbols,
             increment,
         })
     }
 
-    /// Alphabet size.
-    pub fn len(&self) -> usize {
-        self.freq.len()
-    }
-
-    /// True if the alphabet is empty (never: construction forbids it).
-    pub fn is_empty(&self) -> bool {
-        self.freq.is_empty()
-    }
-
-    /// Current total frequency.
-    pub fn total(&self) -> u32 {
-        self.total
-    }
-
-    /// Cumulative frequency of symbols strictly below `symbol`
-    /// (`symbol <= len()`).
-    pub fn cum(&self, symbol: usize) -> u32 {
+    /// Cumulative frequency of the symbols below `symbol` (`symbol <=
+    /// len()`): a sum over the array, or a walk down the tree.
+    #[inline(always)]
+    fn prefix<const FLAT: bool>(&self, symbol: usize) -> u32 {
+        if FLAT {
+            // The sum is below `total < MAX_TOTAL`, so it never wraps;
+            // wrapping adds let the loop vectorize under overflow checks.
+            return self
+                .freq
+                .get(..symbol)
+                .map_or(0, |below| below.iter().fold(0, |s, &f| s.wrapping_add(f)));
+        }
         let mut i = symbol;
         let mut s = 0;
         while i > 0 {
@@ -231,22 +253,20 @@ impl AdaptiveModel {
         s
     }
 
-    /// Frequency of `symbol` (0 outside the alphabet).
-    pub fn freq(&self, symbol: usize) -> u32 {
-        self.freq.get(symbol).copied().unwrap_or(0)
-    }
-
-    /// Bumps `symbol`'s frequency, halving all counts when the total nears
-    /// the coder's precision limit.
-    pub fn update(&mut self, symbol: usize) {
+    /// Bumps `symbol`'s frequency (and its tree path), halving all counts
+    /// when the total nears the coder's precision limit.
+    #[inline(always)]
+    fn adapt<const FLAT: bool>(&mut self, symbol: usize) {
         let Some(f) = self.freq.get_mut(symbol) else {
             return;
         };
         *f += self.increment;
-        let mut i = symbol + 1;
-        while let Some(node) = self.tree.get_mut(i) {
-            *node += self.increment;
-            i += i & i.wrapping_neg();
+        if !FLAT {
+            let mut i = symbol + 1;
+            while let Some(node) = self.tree.get_mut(i) {
+                *node += self.increment;
+                i += i & i.wrapping_neg();
+            }
         }
         self.total += self.increment;
         if self.total >= MAX_TOTAL {
@@ -255,7 +275,8 @@ impl AdaptiveModel {
     }
 
     /// Halves every frequency (keeping each at least 1) and rebuilds the
-    /// tree from the array in O(n): each node adds itself into its parent.
+    /// tree, if there is one, from the array in O(n): each node adds
+    /// itself into its parent.
     fn rescale(&mut self) {
         self.freq.iter_mut().for_each(|f| *f = (*f / 2).max(1));
         self.total = self.freq.iter().sum();
@@ -270,30 +291,81 @@ impl AdaptiveModel {
         }
     }
 
+    /// The decoded symbol and its cumulative count, by a scan from symbol
+    /// 0 (flat) or a Fenwick lift (tree). Both test `(acc + freq) · r ≤
+    /// code` rather than dividing `code` by `r` (exact: `c ≤ ⌊code/r⌋ ⇔
+    /// c·r ≤ code`; `acc + freq` is a cumulative count, so the product is
+    /// at most `total · r ≤ range`). A search that runs off the alphabet
+    /// — a damaged stream whose `code` points past the total — lands on
+    /// the last symbol with `cum = total − freq(last)`.
+    #[inline(always)]
+    fn locate<const FLAT: bool>(&self, code: u32, r: u32) -> (usize, u32) {
+        let last = self.freq.len() - 1;
+        if FLAT {
+            let mut symbol = 0;
+            let mut cum = 0u32;
+            for &f in self.freq.iter().take(last) {
+                if (cum + f) * r > code {
+                    break;
+                }
+                cum += f;
+                symbol += 1;
+            }
+            return (symbol, cum);
+        }
+        let mut pos = 0usize;
+        let mut acc = 0u32;
+        let mut mask = self.freq.len().next_power_of_two();
+        while mask > 0 {
+            if let Some(&node) = self.tree.get(pos + mask) {
+                if (acc + node) * r <= code {
+                    acc += node;
+                    pos += mask;
+                }
+            }
+            mask >>= 1;
+        }
+        if pos > last {
+            (last, self.total - self.freq.get(last).copied().unwrap_or(0))
+        } else {
+            (pos, acc)
+        }
+    }
+
     /// Range-codes every symbol of `symbols` under the adapting model and
     /// returns the finished stream: the bytes a [`RangeEncoder`] fed one
     /// symbol at a time and then finished would hold.
     pub fn encode_all(&mut self, symbols: impl IntoIterator<Item = usize>) -> Result<Vec<u8>> {
+        if self.tree.is_empty() {
+            self.encode_with::<true>(symbols)
+        } else {
+            self.encode_with::<false>(symbols)
+        }
+    }
+
+    fn encode_with<const FLAT: bool>(
+        &mut self,
+        symbols: impl IntoIterator<Item = usize>,
+    ) -> Result<Vec<u8>> {
         let mut low = 0u64;
         let mut range = u32::MAX;
         let mut cache = 0u8;
         let mut pending = 0u64;
         let mut out = Vec::new();
         for symbol in symbols {
-            let freq = self.freq(symbol);
-            if freq == 0 {
+            let Some(&freq) = self.freq.get(symbol) else {
                 return Err(CodecError::InvalidParameter(
                     "rangecoder: symbol out of range",
                 ));
-            }
+            };
             let r = range / self.total;
-            low += u64::from(self.cum(symbol)) * u64::from(r);
+            low += u64::from(self.prefix::<FLAT>(symbol)) * u64::from(r);
             range = r * freq;
             while range < TOP {
                 shift_low(&mut low, &mut cache, &mut pending, &mut out);
                 range <<= 8;
             }
-            self.update(symbol);
+            self.adapt::<FLAT>(symbol);
         }
         for _ in 0..5 {
             shift_low(&mut low, &mut cache, &mut pending, &mut out);
@@ -303,48 +375,30 @@ impl AdaptiveModel {
 
     /// Decodes `n` symbols of a stream [`AdaptiveModel::encode_all`] wrote,
     /// adapting as it goes. At most 2^20 symbols are reserved up front;
-    /// the rest must be backed by the stream's bytes.
-    ///
-    /// Each symbol takes one Fenwick lift, which finds the symbol and its
-    /// cumulative count together by testing `(acc + tree[next]) · r ≤ code`
-    /// rather than dividing `code` by `r` (exact: `c ≤ ⌊code/r⌋ ⇔ c·r ≤
-    /// code`). A lift that runs off the alphabet — a damaged stream whose
-    /// `code` points past the total — lands on the last symbol. A stream
-    /// too short to prime, or that runs out mid-symbol, is
+    /// the rest must be backed by the stream's bytes. A stream too short
+    /// to prime, or that runs out mid-symbol, is
     /// [`CodecError::UnexpectedEof`].
     pub fn decode_all(&mut self, stream: &[u8], n: usize) -> Result<Vec<u32>> {
+        if self.tree.is_empty() {
+            self.decode_with::<true>(stream, n)
+        } else {
+            self.decode_with::<false>(stream, n)
+        }
+    }
+
+    fn decode_with<const FLAT: bool>(&mut self, stream: &[u8], n: usize) -> Result<Vec<u32>> {
         // The first byte is the encoder's initial cache (always 0).
         let Some((&[_, b0, b1, b2, b3], mut rest)) = stream.split_first_chunk::<5>() else {
             return Err(CodecError::UnexpectedEof);
         };
         let mut code = u32::from_be_bytes([b0, b1, b2, b3]);
         let mut range = u32::MAX;
-        let last = self.freq.len() - 1;
-        let top = self.freq.len().next_power_of_two();
         let mut out = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             let r = range / self.total;
-            let mut pos = 0usize;
-            let mut acc = 0u32;
-            let mut mask = top;
-            while mask > 0 {
-                if let Some(&node) = self.tree.get(pos + mask) {
-                    // acc + node is a cumulative count, so the product is
-                    // at most total · r <= range: no overflow.
-                    if (acc + node) * r <= code {
-                        acc += node;
-                        pos += mask;
-                    }
-                }
-                mask >>= 1;
-            }
-            let (symbol, cum) = if pos > last {
-                (last, self.total - self.freq(last))
-            } else {
-                (pos, acc)
-            };
+            let (symbol, cum) = self.locate::<FLAT>(code, r);
             code -= cum * r;
-            range = r * self.freq(symbol);
+            range = r * self.freq.get(symbol).copied().unwrap_or(0);
             while range < TOP {
                 // The encoder wrote 5 flush bytes, so a well-formed stream
                 // never underruns. Reading on as zeros would let a forged
@@ -356,35 +410,79 @@ impl AdaptiveModel {
                 code = (code << 8) | u32::from(byte);
                 range <<= 8;
             }
-            self.update(symbol);
+            self.adapt::<FLAT>(symbol);
             out.push(symbol as u32);
         }
         Ok(out)
     }
+}
 
-    /// Finds the symbol whose interval contains cumulative value `target`
-    /// (the per-symbol reference for the lift in `decode_all`).
-    #[cfg(test)]
-    pub fn find(&self, target: u32) -> usize {
-        let mut pos = 0usize;
-        let mut rem = target;
-        let mut mask = self.len().next_power_of_two();
-        while mask > 0 {
-            if let Some(&node) = self.tree.get(pos + mask) {
-                if node <= rem {
-                    rem -= node;
-                    pos += mask;
-                }
-            }
-            mask >>= 1;
+/// The per-symbol reference `encode_all` and `decode_all` are tested
+/// against, and the knobs and views the tests drive it through. `cum` and
+/// `find` work on the frequency array alone, so they check both layouts.
+#[cfg(test)]
+impl AdaptiveModel {
+    /// Creates a model with a custom adaptation increment (at most
+    /// `MAX_TOTAL / 2`, so one update cannot overflow the total).
+    fn with_increment(alphabet: usize, increment: u32) -> Result<Self> {
+        if increment > MAX_TOTAL / 2 {
+            return Err(CodecError::InvalidParameter(
+                "rangecoder: increment unsupported",
+            ));
         }
-        pos.min(self.len() - 1)
+        Self::build(alphabet, increment)
     }
 
-    /// Encodes `symbol` under the current distribution, then adapts: the
-    /// per-symbol reference `encode_all` is tested against.
-    #[cfg(test)]
-    pub fn encode(&mut self, enc: &mut RangeEncoder, symbol: usize) -> Result<()> {
+    /// Alphabet size.
+    fn len(&self) -> usize {
+        self.freq.len()
+    }
+
+    /// True when the model keeps a Fenwick tree.
+    fn has_tree(&self) -> bool {
+        !self.tree.is_empty()
+    }
+
+    /// Current total frequency.
+    fn total(&self) -> u32 {
+        self.total
+    }
+
+    /// Cumulative frequency of symbols strictly below `symbol`
+    /// (`symbol <= len()`).
+    fn cum(&self, symbol: usize) -> u32 {
+        self.freq.iter().take(symbol).sum()
+    }
+
+    /// Frequency of `symbol` (0 outside the alphabet).
+    fn freq(&self, symbol: usize) -> u32 {
+        self.freq.get(symbol).copied().unwrap_or(0)
+    }
+
+    /// Bumps `symbol`'s frequency in the model's own layout.
+    fn update(&mut self, symbol: usize) {
+        if self.has_tree() {
+            self.adapt::<false>(symbol);
+        } else {
+            self.adapt::<true>(symbol);
+        }
+    }
+
+    /// Finds the symbol whose interval contains cumulative value `target`
+    /// (the last symbol for a target past the total).
+    fn find(&self, target: u32) -> usize {
+        let mut end = 0;
+        self.freq
+            .iter()
+            .position(|&f| {
+                end += f;
+                target < end
+            })
+            .unwrap_or(self.len() - 1)
+    }
+
+    /// Encodes `symbol` under the current distribution, then adapts.
+    fn encode(&mut self, enc: &mut RangeEncoder, symbol: usize) -> Result<()> {
         if symbol >= self.len() {
             return Err(CodecError::InvalidParameter(
                 "rangecoder: symbol out of range",
@@ -395,10 +493,8 @@ impl AdaptiveModel {
         Ok(())
     }
 
-    /// Decodes one symbol and adapts, mirroring [`AdaptiveModel::encode`]:
-    /// the per-symbol reference `decode_all` is tested against.
-    #[cfg(test)]
-    pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> Result<usize> {
+    /// Decodes one symbol and adapts, mirroring [`AdaptiveModel::encode`].
+    fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> Result<usize> {
         let f = dec.decode_freq(self.total)?;
         let symbol = self.find(f);
         dec.update(self.cum(symbol), self.freq(symbol))?;
@@ -576,20 +672,34 @@ mod tests {
 
     #[test]
     fn fenwick_invariants() {
-        let mut m = AdaptiveModel::new(10).unwrap();
-        for s in [3usize, 3, 3, 7, 9, 0] {
-            m.update(s);
-        }
-        // cum is monotone and find inverts it.
-        for s in 0..10 {
-            let c = m.cum(s);
-            let f = m.freq(s);
-            assert!(f >= 1);
-            for target in c..c + f {
-                assert_eq!(m.find(target), s, "target {target}");
+        for alphabet in [10, FLAT_MAX_ALPHABET + 8] {
+            let mut m = AdaptiveModel::new(alphabet).unwrap();
+            assert_eq!(m.has_tree(), alphabet > FLAT_MAX_ALPHABET);
+            for s in [3usize, 3, 3, 7, 9, 0, alphabet - 1] {
+                m.update(s);
             }
+            // cum is monotone, find inverts it, and both layouts' own
+            // prefix sums are the reference's.
+            for s in 0..alphabet {
+                let c = m.cum(s);
+                let f = m.freq(s);
+                assert!(f >= 1);
+                assert_eq!(m.prefix::<true>(s), c);
+                if m.has_tree() {
+                    assert_eq!(m.prefix::<false>(s), c);
+                }
+                for target in c..c + f {
+                    assert_eq!(m.find(target), s, "target {target}");
+                }
+            }
+            assert_eq!(m.cum(alphabet), m.total());
         }
-        assert_eq!(m.cum(10), m.total());
+    }
+
+    #[test]
+    fn oversized_increment_is_refused() {
+        assert!(AdaptiveModel::with_increment(2, u32::MAX).is_err());
+        assert!(AdaptiveModel::with_increment(2, MAX_TOTAL / 2).is_ok());
     }
 
     #[test]
@@ -656,12 +766,15 @@ mod whole_stream {
             .collect()
     }
 
-    /// (alphabet, increment, symbols): small and wide alphabets, one past
-    /// a rescale at the default increment and one rescaling often.
+    /// (alphabet, increment, symbols): small and wide alphabets, the
+    /// widest flat one and the narrowest tree, two past a rescale at the
+    /// default increment (~131k symbols) and one rescaling often.
     const CASES: &[(usize, u32, usize)] = &[
         (1, 32, 100),
         (2, 32, 3_000),
         (8, 32, 150_000),
+        (FLAT_MAX_ALPHABET, 32, 140_000),
+        (FLAT_MAX_ALPHABET + 1, 32, 20_000),
         (300, 32, 20_000),
         (4096, 32, 30_000),
         (3, 4096, 40_000),
@@ -734,8 +847,9 @@ mod whole_stream {
 
     #[test]
     fn rescale_rebuilds_the_tree_the_updates_would() {
-        let mut m = AdaptiveModel::with_increment(37, 999).unwrap();
-        for s in stream(37, 20_000, 7) {
+        let alphabet = FLAT_MAX_ALPHABET + 5;
+        let mut m = AdaptiveModel::with_increment(alphabet, 999).unwrap();
+        for s in stream(alphabet, 20_000, 7) {
             m.update(s);
         }
         // A tree built by adding each halved frequency in turn.

@@ -335,10 +335,15 @@ fn arith() -> &'static ds_codec::registry::U32Codec {
 fn arith_bytes_are_pinned() {
     // (alphabet, symbols): the 300,000-symbol stream passes the first
     // rescale (total 2^22 at increment 32 comes after ~131k symbols) twice.
-    let cases: [(u32, usize); 5] = [
+    // 64 is the widest alphabet coded without a Fenwick tree and 65 the
+    // narrowest with one; their pins were computed before the flat layout
+    // existed.
+    let cases: [(u32, usize); 7] = [
         (1, 200),
         (2, 5_000),
         (8, 300_000),
+        (64, 150_000),
+        (65, 20_000),
         (300, 20_000),
         (4096, 40_000),
     ];
@@ -346,6 +351,8 @@ fn arith_bytes_are_pinned() {
         0xdf06_2f67u32,
         0xf4de_185e,
         0x9f4f_d09a,
+        0x529f_8293,
+        0xf706_54e3,
         0x0115_90a7,
         0x297e_9870,
     ];

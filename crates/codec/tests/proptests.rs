@@ -118,13 +118,16 @@ proptest! {
         }
     }
 
+    // Alphabets on both sides of the switch to a Fenwick tree (past 64).
     #[test]
     fn rangecoder_adaptive_roundtrip(
-        symbols in prop::collection::vec(0usize..17, 1..400),
+        (alphabet, symbols) in (1usize..=128).prop_flat_map(|a| {
+            prop::collection::vec(0..a, 1..400).prop_map(move |v| (a, v))
+        }),
     ) {
         use ds_codec::rangecoder::AdaptiveModel;
-        let bytes = AdaptiveModel::new(17).unwrap().encode_all(symbols.iter().copied()).unwrap();
-        let decoded = AdaptiveModel::new(17).unwrap().decode_all(&bytes, symbols.len()).unwrap();
+        let bytes = AdaptiveModel::new(alphabet).unwrap().encode_all(symbols.iter().copied()).unwrap();
+        let decoded = AdaptiveModel::new(alphabet).unwrap().decode_all(&bytes, symbols.len()).unwrap();
         let want: Vec<u32> = symbols.iter().map(|&s| s as u32).collect();
         prop_assert_eq!(decoded, want);
     }

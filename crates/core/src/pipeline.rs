@@ -538,6 +538,7 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
     }
 
     // ---- expert mapping ----------------------------------------------------
+    let mut sp = ds_obs::span("labels");
     let strategy = match r.read_u8()? {
         0 => MappingStrategy::GroupedIndexes,
         1 => MappingStrategy::Labels,
@@ -546,6 +547,7 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
         _ => return Err(DsError::Corrupt("bad mapping strategy")),
     };
     let payload = r.read_len_prefixed()?;
+    sp.add("bytes_in", payload.len() as u64);
     let (storage_to_original, expert_of_storage) = match strategy {
         MappingStrategy::GroupedIndexes => {
             let mut pr = ByteReader::new(payload);
@@ -599,6 +601,7 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
             ((0..n).collect(), expert)
         }
     };
+    drop(sp);
 
     // ---- codes ---------------------------------------------------------------
     let mut code_cols: Vec<Vec<u32>> = Vec::new();
@@ -648,11 +651,19 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
         return Err(DsError::Corrupt("failure stream length mismatch"));
     }
 
+    // At most one rare stream per categorical column, as the writer emits
+    // them: a stream for any other column, or a second one, is corrupt.
     let n_rare = r.read_varint()? as usize;
-    let mut rare: std::collections::HashMap<usize, std::collections::VecDeque<u32>> =
-        Default::default();
+    let mut rare: Vec<Option<std::collections::VecDeque<u32>>> = vec![None; ncols];
     for _ in 0..n_rare {
         let col = r.read_varint()? as usize;
+        let slot = match (plans.get(col), rare.get_mut(col)) {
+            (Some(ColPlan::Cat { .. }), Some(slot)) => slot,
+            _ => return Err(DsError::Corrupt("rare stream names no categorical column")),
+        };
+        if slot.is_some() {
+            return Err(DsError::Corrupt("rare stream repeated"));
+        }
         let blob = r.read_len_prefixed()?;
         bytes_in += blob.len();
         let t = parq::read_table(blob)?;
@@ -661,7 +672,7 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
             _ => return Err(DsError::Corrupt("rare stream malformed")),
         };
         bytes_out += values.len() * 4;
-        rare.insert(col, values.into());
+        *slot = Some(values.into());
     }
     sp.add("bytes_in", bytes_in as u64);
     sp.add("bytes_out", bytes_out as u64);
@@ -728,6 +739,8 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
             continue;
         }
         let decoded = if has_model {
+            let mut sp = ds_obs::span_at("nn_forward", e as u64);
+            sp.add("rows", rows.len() as u64);
             let qcols: Vec<Vec<u32>> = code_cols
                 .iter()
                 .map(|col| rows.iter().map(|&pos| col[pos]).collect())
@@ -746,6 +759,8 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
         // One pool task per column: each task owns its output buffer
         // exclusively and records its own error; errors surface in column
         // order so failures are thread-count independent too.
+        let mut sp = ds_obs::span_at("fill", e as u64);
+        sp.add("rows", rows.len() as u64);
         let mut slots: Vec<(&mut OutCol, Result<()>)> =
             out_cols.iter_mut().map(|c| (c, Ok(()))).collect();
         ds_exec::parallel_chunks_mut(&mut slots, 1, |i, _, t| {
@@ -774,7 +789,8 @@ fn decompress_bytes(bytes: &[u8], shared_model: Option<&MoeAutoencoder>) -> Resu
             continue;
         }
         let stream = rare
-            .get_mut(&i)
+            .get_mut(i)
+            .and_then(Option::as_mut)
             .ok_or(DsError::Corrupt("missing rare stream"))?;
         for cell in buf.iter_mut().filter(|cell| **cell == RARE_CODE) {
             let code = stream

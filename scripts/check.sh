@@ -129,6 +129,22 @@ if [ "$mode" = "full" ]; then
   head -n 1 "$smoke_dir/numeric.out" | grep -qx "OK $n"
   tail -n +2 "$numeric_csv" > "$smoke_dir/numeric.want"
   sed -n "2,$((n + 1))p" "$smoke_dir/numeric.out" | cmp - "$smoke_dir/numeric.want"
+  # A traced decode prints the same bytes, and every shard decode span
+  # holds each stage of the shard-decode breakdown (DESIGN.md §3 ds-shard).
+  ./target/release/dsqz decompress "$numeric" "$smoke_dir/numeric.traced.csv" \
+    --trace "$smoke_dir/decode.jsonl"
+  cmp "$smoke_dir/numeric.traced.csv" "$numeric_csv"
+  shard_ids="$(sed -n 's/.*"id":"\([0-9a-f]*\)".*"name":"[a-z.]*decode_shard".*/\1/p' \
+    "$smoke_dir/decode.jsonl")"
+  [ -n "$shard_ids" ]
+  for id in $shard_ids; do
+    for stage in codes failures labels nn_forward fill; do
+      if ! grep -q "\"parent\":\"$id\",\"name\":\"$stage\"" "$smoke_dir/decode.jsonl"; then
+        echo "decode trace: no $stage span under shard span $id"
+        exit 1
+      fi
+    done
+  done
 
   echo "==> dsqz serve (--metrics HTTP scrape smoke)"
   sleep 5 | ./target/release/dsqz serve "$smoke_dir/s.dsqz" \

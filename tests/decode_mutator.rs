@@ -172,8 +172,13 @@ fn overwritten(bytes: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
 
 /// `bytes` with `patch` inserted at `at`.
 fn inserted(bytes: &[u8], at: usize, patch: &[u8]) -> Vec<u8> {
+    spliced(bytes, at..at, patch)
+}
+
+/// `bytes` with the bytes in `range` replaced by `patch`.
+fn spliced(bytes: &[u8], range: Range<usize>, patch: &[u8]) -> Vec<u8> {
     let mut out = bytes.to_vec();
-    out.splice(at..at, patch.iter().copied());
+    out.splice(range, patch.iter().copied());
     out
 }
 
@@ -442,16 +447,16 @@ fn reframe(f: &Framed) -> Vec<u8> {
     w.finish().expect("finishes").0
 }
 
-/// `patch` written over shard `shard`'s blob at `offset`, re-framed so the
-/// CRC holds; for an unframed fixture, over the file itself.
-fn shard_edit(bytes: &[u8], shard: usize, offset: usize, patch: &[u8]) -> Vec<u8> {
+/// Shard `shard`'s blob passed through `edit`, re-framed so the CRC
+/// holds; for an unframed fixture, the file itself.
+fn shard_edit(bytes: &[u8], shard: usize, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
     match unframe(bytes) {
         Some(mut f) => {
             let blob = &mut f.shards[shard].1;
-            *blob = overwritten(blob, offset, patch);
+            *blob = edit(blob);
             reframe(&f)
         }
-        None => overwritten(bytes, offset, patch),
+        None => edit(bytes),
     }
 }
 
@@ -554,7 +559,10 @@ fn mutate(fx: &Fixture, framed: Option<&Framed>, rng: &mut StdRng) -> (String, V
                 BOMBS[rng.gen_range(0..BOMBS.len())].to_vec()
             };
             let desc = format!("shard {shard} edit at {offset}: {patch:02x?}");
-            (desc, shard_edit(bytes, shard, offset, &patch))
+            (
+                desc,
+                shard_edit(bytes, shard, |b| overwritten(b, offset, &patch)),
+            )
         }
         (4, Some(f)) if f.shards.len() > 1 => {
             let i = rng.gen_range(0..f.shards.len());
@@ -624,27 +632,27 @@ fn mutated_archives_give_typed_errors_within_budget() {
     assert!(failures.is_empty(), "{failures:#?}");
 }
 
-/// Mutations that once broke a decoder, as `(fixture, shard, offset,
-/// bytes)`: `bytes` written over shard `shard`'s blob at `offset`, the
-/// container re-framed with a valid CRC (for v1, over the file itself).
-/// Each is now a typed error on every entry point.
-const RECIPES: &[(&str, usize, usize, &[u8])] = &[
+/// Mutations that once broke a decoder, as `(fixture, shard, range,
+/// bytes)`: the bytes in `range` of shard `shard`'s blob replaced by
+/// `bytes`, the container re-framed with a valid CRC (for v1, in the file
+/// itself). Each is now a typed error on every entry point.
+const RECIPES: &[(&str, usize, Range<usize>, &[u8])] = &[
     // A categorical plan's class count zeroed: `model_card - 1` underflowed
     // while filling the column.
-    ("v2.dsqz", 0, 80, &[0x00]),
-    ("v2.dsqz", 1, 321, &[0x00]),
+    ("v2.dsqz", 0, 80..81, &[0x00]),
+    ("v2.dsqz", 1, 321..322, &[0x00]),
     // A plan tag turned categorical: the remaining plans no longer match
     // the shared decoder's heads, and a simple slot indexed past the
     // simple head (`Mat::get`).
-    ("v2.dsqz", 1, 72, &[0x03]),
-    ("v2.dsqz", 1, 452, &[0x01]),
-    ("v1.dsqz", 0, 71, &[0x03]),
+    ("v2.dsqz", 1, 72..73, &[0x03]),
+    ("v2.dsqz", 1, 452..453, &[0x01]),
+    ("v1.dsqz", 0, 71..72, &[0x03]),
     // A forged weight stream: a categorical card wider than the shared
     // layer sliced past its row.
-    ("v1.dsqz", 0, 2161, &[0x7c]),
+    ("v1.dsqz", 0, 2161..2162, &[0x7c]),
     // A forged layer size: a 256 MiB weight buffer allocated before the
     // stream ran out.
-    ("v1.dsqz", 0, 2287, &[0x7e]),
+    ("v1.dsqz", 0, 2287..2288, &[0x7e]),
     // The mapping (offset 119,106 of v1, 805 of monitor_like's shard 0)
     // rewritten to strategy 2 with one group of 2^40 rows: the group was
     // filled before its count was checked, and the 8 TiB allocation
@@ -652,7 +660,7 @@ const RECIPES: &[(&str, usize, usize, &[u8])] = &[
     (
         "v1.dsqz",
         0,
-        119_106,
+        119_106..119_114,
         &[0x02, 0x06, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20],
     ),
     // The mapping rewritten to strategy 3 counting 2^27 labels over a
@@ -661,7 +669,7 @@ const RECIPES: &[(&str, usize, usize, &[u8])] = &[
     (
         "v1.dsqz",
         0,
-        119_106,
+        119_106..119_118,
         &[
             0x03, 0x0a, 0x80, 0x80, 0x80, 0x40, 0x05, 0x00, 0x12, 0x34, 0x56, 0x78,
         ],
@@ -669,9 +677,42 @@ const RECIPES: &[(&str, usize, usize, &[u8])] = &[
     (
         "monitor_like",
         0,
-        805,
+        805..817,
         &[
             0x03, 0x0a, 0x80, 0x80, 0x80, 0x40, 0x05, 0x00, 0x12, 0x34, 0x56, 0x78,
+        ],
+    ),
+    // The rare section (offset 3,393 of v2's shard 0, which holds none)
+    // given streams the writer never emits, each holding a one-value parq
+    // table: a second stream for categorical column 0 replaced the first,
+    // and a stream for column 68 (past the last) or for numeric column 1
+    // was ignored.
+    (
+        "v2.dsqz",
+        0,
+        3_393..3_394,
+        &[
+            0x02, 0x00, 0x0e, 0x50, 0x51, 0x4c, 0x31, 0x01, 0x01, 0x01, 0x72, 0x00, 0x01, 0x00,
+            0x02, 0x01, 0x00, 0x00, 0x0e, 0x50, 0x51, 0x4c, 0x31, 0x01, 0x01, 0x01, 0x72, 0x00,
+            0x01, 0x00, 0x02, 0x01, 0x00,
+        ],
+    ),
+    (
+        "v2.dsqz",
+        0,
+        3_393..3_394,
+        &[
+            0x01, 0x44, 0x0e, 0x50, 0x51, 0x4c, 0x31, 0x01, 0x01, 0x01, 0x72, 0x00, 0x01, 0x00,
+            0x02, 0x01, 0x00,
+        ],
+    ),
+    (
+        "v2.dsqz",
+        0,
+        3_393..3_394,
+        &[
+            0x01, 0x01, 0x0e, 0x50, 0x51, 0x4c, 0x31, 0x01, 0x01, 0x01, 0x72, 0x00, 0x01, 0x00,
+            0x02, 0x01, 0x00,
         ],
     ),
 ];
@@ -681,9 +722,9 @@ fn recorded_recipes_are_typed_errors_on_every_entry_point() {
     let _serial = exclusive();
     let scratch = Scratch::new();
     let mut failures = Vec::new();
-    for &(name, shard, offset, patch) in RECIPES {
+    for (name, shard, range, patch) in RECIPES {
         let fx = fixture(name);
-        let bytes = shard_edit(&fx.bytes, shard, offset, patch);
+        let bytes = shard_edit(&fx.bytes, *shard, |b| spliced(b, range.clone(), patch));
         for (entry, entry_name) in ENTRY_POINTS.iter().enumerate() {
             let broke = match scratch.attack(entry, &bytes, 0..fx.rows) {
                 Ok(Err(_)) => continue,
@@ -691,7 +732,7 @@ fn recorded_recipes_are_typed_errors_on_every_entry_point() {
                 Err(v) => v,
             };
             failures.push(format!(
-                "{name} shard {shard} offset {offset} {patch:02x?}, {entry_name}: {broke}"
+                "{name} shard {shard} bytes {range:?} {patch:02x?}, {entry_name}: {broke}"
             ));
         }
     }

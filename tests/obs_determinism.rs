@@ -70,30 +70,58 @@ fn timing_free_trace_is_identical_across_thread_limits() {
     );
 
     // Each shard decode holds one `codes` and one `failures` span, each
-    // with the bytes it read and the decoded bytes it produced.
+    // with the bytes it read and the decoded bytes it produced; one
+    // `labels` span with the mapping's bytes; and, per expert that owns
+    // rows, an `nn_forward` and a `fill` span over those rows.
     let shards: Vec<_> = report
         .spans
         .iter()
         .filter(|s| s.name == "decode_shard")
         .collect();
     assert!(shards.len() > 1, "{} decode_shard spans", shards.len());
+    let get = |span: &ds_obs::SpanRec, key: &str| {
+        span.metrics
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map_or(0, |&(_, v)| v)
+    };
+    let mut rows_filled = 0;
     for shard in shards {
-        for stage in ["codes", "failures"] {
-            let children: Vec<_> = report
+        let stage = |name: &str| -> Vec<&ds_obs::SpanRec> {
+            report
                 .spans
                 .iter()
-                .filter(|s| s.parent == shard.id && s.name == stage)
-                .collect();
-            assert_eq!(children.len(), 1, "{stage} under {:?}", shard.index);
-            let get = |key: &str| {
-                children[0]
-                    .metrics
-                    .iter()
-                    .find(|(k, _)| *k == key)
-                    .map_or(0, |&(_, v)| v)
-            };
-            assert!(get("bytes_in") > 0, "{stage}: {:?}", children[0].metrics);
-            assert!(get("bytes_out") > 0, "{stage}: {:?}", children[0].metrics);
+                .filter(|s| s.parent == shard.id && s.name == name)
+                .collect()
+        };
+        for (name, keys) in [
+            ("codes", &["bytes_in", "bytes_out"][..]),
+            ("failures", &["bytes_in", "bytes_out"]),
+            ("labels", &["bytes_in"]),
+        ] {
+            let children = stage(name);
+            assert_eq!(children.len(), 1, "{name} under {:?}", shard.index);
+            for key in keys {
+                assert!(
+                    get(children[0], key) > 0,
+                    "{name}: {:?}",
+                    children[0].metrics
+                );
+            }
         }
+        let (forward, fill) = (stage("nn_forward"), stage("fill"));
+        assert!(!fill.is_empty(), "no fill under {:?}", shard.index);
+        let by_expert = |spans: &[&ds_obs::SpanRec]| -> Vec<(Option<u64>, u64)> {
+            spans.iter().map(|s| (s.index, get(s, "rows"))).collect()
+        };
+        assert_eq!(
+            by_expert(&forward),
+            by_expert(&fill),
+            "under {:?}",
+            shard.index
+        );
+        assert!(fill.iter().all(|s| s.index.is_some() && get(s, "rows") > 0));
+        rows_filled += fill.iter().map(|s| get(s, "rows")).sum::<u64>();
     }
+    assert_eq!(rows_filled, t.nrows() as u64, "fill spans cover every row");
 }
